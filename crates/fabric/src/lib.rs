@@ -20,9 +20,7 @@
 //! - [`FabricAgent`]/[`AgentCtx`] — endpoint management software hooks;
 //! - [`TrafficPlan`] — deterministic data-plane workloads (offered-load
 //!   unicast, multicast over the group tables, switch-sourced flows)
-//!   with per-flow goodput and latency instrumentation;
-//! - [`TrafficAgent`] — the legacy per-endpoint Poisson generator kept
-//!   for agent-level QoS tests.
+//!   with per-flow goodput and latency instrumentation.
 
 #![warn(missing_docs)]
 
@@ -41,6 +39,5 @@ pub use counters::FabricCounters;
 pub use fabric::{CreditClass, Fabric, FlowStats, FmRoute, DSN_BASE};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, LossModel};
 pub use traffic::{
-    Arrivals, FlowKind, FlowSpec, McastTableWrite, Shot, TrafficAgent, TrafficPlan, TrafficRoute,
-    TrafficSchedule,
+    Arrivals, FlowKind, FlowSpec, McastTableWrite, Shot, TrafficPlan, TrafficSchedule,
 };

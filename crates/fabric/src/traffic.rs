@@ -1,5 +1,4 @@
-//! Data-plane traffic engine: deterministic offered-load plans plus the
-//! legacy per-endpoint Poisson agent.
+//! Data-plane traffic engine: deterministic offered-load plans.
 //!
 //! The paper reports results "without considering application traffic",
 //! noting that traffic scarcely influences discovery time because
@@ -28,110 +27,12 @@
 //! gap = `wire_size × byte_time / l`), so `l = 1.0` saturates the link
 //! before management traffic is even accounted for.
 
-use crate::agent::{AgentCtx, FabricAgent};
 use asi_proto::{
     Packet, Payload, ProtocolInterface, RouteHeader, TurnPool, MAX_POOL_BITS, MCAST_GROUPS,
 };
 use asi_sim::{SimDuration, SimRng};
 use asi_topo::{shortest_route, NodeId, Topology};
-use std::any::Any;
 use std::collections::VecDeque;
-
-/// Timer token the generator arms for its next injection.
-const TOKEN_NEXT: u64 = 0x7AF1C;
-
-/// A destination the generator can pick.
-#[derive(Clone, Debug)]
-pub struct TrafficRoute {
-    /// Egress port at the source endpoint.
-    pub egress: u8,
-    /// Turn pool to the destination.
-    pub pool: TurnPool,
-}
-
-/// Poisson background-traffic source/sink.
-pub struct TrafficAgent {
-    routes: Vec<TrafficRoute>,
-    mean_gap: SimDuration,
-    payload_bytes: u16,
-    tc: u8,
-    rng: SimRng,
-    /// Data packets this endpoint has received.
-    pub received: u64,
-    /// Data packets this endpoint has injected.
-    pub sent: u64,
-}
-
-impl TrafficAgent {
-    /// Creates a generator sending a `payload_bytes` packet on average
-    /// every `mean_gap`, uniformly across `routes`.
-    pub fn new(
-        routes: Vec<TrafficRoute>,
-        mean_gap: SimDuration,
-        payload_bytes: u16,
-        rng: SimRng,
-    ) -> TrafficAgent {
-        TrafficAgent {
-            routes,
-            mean_gap,
-            payload_bytes,
-            tc: 0,
-            rng,
-            received: 0,
-            sent: 0,
-        }
-    }
-
-    /// Timer token to arm (via `Fabric::schedule_agent_timer`) to start
-    /// the generator.
-    pub fn start_token() -> u64 {
-        TOKEN_NEXT
-    }
-
-    fn next_gap(&mut self) -> SimDuration {
-        let gap = self.rng.gen_exp(self.mean_gap.as_secs_f64());
-        SimDuration::from_secs_f64(gap.max(1e-9))
-    }
-}
-
-impl FabricAgent for TrafficAgent {
-    fn processing_time(&mut self, _packet: &Packet) -> SimDuration {
-        // Sink-side handling cost; negligible next to management times.
-        SimDuration::from_ns(100)
-    }
-
-    fn on_packet(&mut self, _ctx: &mut AgentCtx, packet: Packet) {
-        if matches!(packet.payload, Payload::Data { .. }) {
-            self.received += 1;
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut AgentCtx, token: u64) {
-        if token != TOKEN_NEXT || self.routes.is_empty() {
-            return;
-        }
-        let route = self.routes[self.rng.gen_index(self.routes.len())].clone();
-        let header = RouteHeader::forward(asi_proto::ProtocolInterface::Data, self.tc, route.pool);
-        let packet = Packet::new(
-            header,
-            Payload::Data {
-                len: self.payload_bytes,
-            },
-        );
-        ctx.send(route.egress, packet);
-        self.sent += 1;
-        let gap = self.next_gap();
-        ctx.set_timer(gap, TOKEN_NEXT);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
 
 /// Arrival process of a flow's packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -612,56 +513,6 @@ fn group_masks(topo: &Topology, members: &[NodeId]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::DevId;
-    use asi_sim::SimTime;
-
-    #[test]
-    fn timer_injects_and_rearms() {
-        let mut pool = TurnPool::new_spec();
-        pool.push_turn(1, 4).unwrap();
-        let mut agent = TrafficAgent::new(
-            vec![TrafficRoute { egress: 0, pool }],
-            SimDuration::from_us(10),
-            128,
-            SimRng::new(5),
-        );
-        let mut ctx = AgentCtx::detached(SimTime::ZERO, DevId(0));
-        agent.on_timer(&mut ctx, TrafficAgent::start_token());
-        let cmds = ctx.take_commands();
-        assert_eq!(cmds.len(), 2, "one send + one re-arm");
-        assert_eq!(agent.sent, 1);
-    }
-
-    #[test]
-    fn unknown_token_is_ignored() {
-        let mut agent = TrafficAgent::new(vec![], SimDuration::from_us(10), 64, SimRng::new(1));
-        let mut ctx = AgentCtx::detached(SimTime::ZERO, DevId(0));
-        agent.on_timer(&mut ctx, 999);
-        assert!(ctx.take_commands().is_empty());
-        assert_eq!(agent.sent, 0);
-    }
-
-    #[test]
-    fn counts_received_data_only() {
-        let mut pool = TurnPool::new_spec();
-        pool.push_turn(1, 4).unwrap();
-        let mut agent = TrafficAgent::new(vec![], SimDuration::from_us(1), 64, SimRng::new(1));
-        let mut ctx = AgentCtx::detached(SimTime::ZERO, DevId(0));
-        let hdr = RouteHeader::forward(asi_proto::ProtocolInterface::Data, 0, pool);
-        agent.on_packet(
-            &mut ctx,
-            Packet::new(hdr.clone(), Payload::Data { len: 64 }),
-        );
-        assert_eq!(agent.received, 1);
-        agent.on_packet(
-            &mut ctx,
-            Packet::new(
-                hdr,
-                Payload::Pi4(asi_proto::Pi4::WriteCompletion { req_id: 0 }),
-            ),
-        );
-        assert_eq!(agent.received, 1);
-    }
 
     fn mesh() -> asi_topo::Topology {
         asi_topo::mesh(3, 3).unwrap().topology

@@ -2,15 +2,14 @@
 //! device PI-4 responders, PI-5 change notification, drops and credits.
 
 use asi_fabric::{
-    AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, FmRoute, TrafficAgent, TrafficRoute,
-    DSN_BASE,
+    AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, FmRoute, TrafficPlan, DSN_BASE,
 };
 use asi_proto::{
     CapabilityAddr, DeviceInfo, Packet, Payload, Pi4, Pi4Status, PortEvent, PortState,
     ProtocolInterface, RouteHeader, MANAGEMENT_TC,
 };
-use asi_sim::{SimDuration, SimRng, SimTime};
-use asi_topo::{mesh, routes_from, shortest_route, NodeId, Topology};
+use asi_sim::{SimDuration, SimTime};
+use asi_topo::{mesh, shortest_route, NodeId, Topology};
 use std::any::Any;
 
 /// Test agent: fires queued packets on its first timer, records everything
@@ -379,46 +378,38 @@ fn hot_addition_triggers_pi5_port_up() {
 #[test]
 fn background_traffic_flows_between_endpoints() {
     let g = mesh(3, 3).unwrap();
-    let mut fabric = up(&g.topology);
     let a = g.endpoint_at(0, 0);
     let b = g.endpoint_at(2, 2);
-
-    let routes_a = routes_from(&g.topology, a);
-    let route_ab = routes_a[b.idx()].as_ref().unwrap();
-    let pool_ab = route_ab
-        .encode(&g.topology, asi_proto::MAX_POOL_BITS)
-        .unwrap();
-
-    fabric.set_agent(
-        dev(a),
-        Box::new(TrafficAgent::new(
-            vec![TrafficRoute {
-                egress: route_ab.source_port,
-                pool: pool_ab,
-            }],
-            SimDuration::from_us(20),
-            256,
-            SimRng::new(11),
-        )),
-    );
-    fabric.set_agent(
-        dev(b),
-        Box::new(TrafficAgent::new(
-            vec![],
-            SimDuration::from_us(20),
-            256,
-            SimRng::new(12),
-        )),
-    );
-    fabric.schedule_agent_timer(dev(a), SimDuration::ZERO, TrafficAgent::start_token());
+    // Only `a` and `b` carry traffic: one ~6% flow each way, from the
+    // moment the links have trained.
+    let exempt = (0..g.topology.node_count() as u32)
+        .filter(|&d| d != a.0 && d != b.0)
+        .collect();
+    let config = FabricConfig {
+        traffic: TrafficPlan::none()
+            .with_unicast(0.06, 256)
+            .with_window(SimDuration::from_us(100), SimDuration::from_ms(2))
+            .with_exempt(exempt),
+        ..FabricConfig::default()
+    };
+    let mut fabric = Fabric::new(&g.topology, config);
+    fabric.set_event_limit(5_000_000);
+    fabric.activate_all(SimDuration::ZERO);
     fabric.run_until(SimTime::from_ms(2));
 
-    let sent = fabric.agent_as::<TrafficAgent>(dev(a)).unwrap().sent;
-    let received = fabric.agent_as::<TrafficAgent>(dev(b)).unwrap().received;
-    assert!(sent >= 50, "generator too slow: {sent}");
-    assert!(received > 0, "sink got nothing");
-    assert!(received <= sent);
-    assert!(fabric.counters().data_bytes > 0);
+    let flows = fabric.traffic_flows();
+    assert_eq!(flows.len(), 2);
+    assert!(flows.iter().any(|f| f.src == a.0 && f.dst == b.0));
+    let c = fabric.counters();
+    assert!(
+        c.flow_injected >= 100,
+        "generator too slow: {}",
+        c.flow_injected
+    );
+    assert!(c.flow_delivered > 0, "sink got nothing");
+    assert!(c.flow_delivered <= c.flow_injected);
+    assert!(fabric.flow_stats().iter().all(|f| f.delivered > 0));
+    assert!(c.data_bytes > 0);
 }
 
 #[test]

@@ -2,58 +2,46 @@
 //! bypass queues (two of the ASI congestion-management mechanisms the
 //! paper lists in §2).
 
-use asi_fabric::{AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, TrafficAgent, TrafficRoute};
+use asi_fabric::{AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, TrafficPlan};
 use asi_proto::{Packet, Payload, ProtocolInterface, RouteHeader};
-use asi_sim::{SimDuration, SimRng, SimTime};
+use asi_sim::{SimDuration, SimTime};
 use asi_topo::{mesh, shortest_route};
 use std::any::Any;
 
 #[test]
 fn injection_rate_limit_throttles_data() {
-    // A saturating generator on a 2 Gb/s lane, with and without a
-    // 50 MB/s injection cap.
+    // A saturating flow on a 2 Gb/s lane, with and without a 50 MB/s
+    // injection cap.
     let measure = |limit: Option<f64>| -> u64 {
         let g = mesh(3, 3).unwrap();
         let topo = &g.topology;
+        let src = g.endpoint_at(0, 0);
+        let dst = g.endpoint_at(2, 2);
+        // Only `src` and `dst` carry traffic: one flow each way, in a
+        // window that opens once the links have trained.
+        let exempt = (0..topo.node_count() as u32)
+            .filter(|&d| d != src.0 && d != dst.0)
+            .collect();
+        let start = SimDuration::from_us(100);
+        let window = SimDuration::from_ms(10);
         let config = FabricConfig {
             injection_rate_limit: limit,
+            traffic: TrafficPlan::none()
+                .with_unicast(1.0, 1024) // far beyond the cap
+                .with_window(start, window)
+                .with_exempt(exempt),
             ..FabricConfig::default()
         };
         let mut fabric = Fabric::new(topo, config);
         fabric.set_event_limit(100_000_000);
         fabric.activate_all(SimDuration::ZERO);
-        fabric.run_until_idle();
-        let src = g.endpoint_at(0, 0);
-        let dst = g.endpoint_at(2, 2);
-        let route = shortest_route(topo, src, dst).unwrap();
-        let pool = route.encode(topo, asi_proto::MAX_POOL_BITS).unwrap();
-        fabric.set_agent(
-            DevId(src.0),
-            Box::new(TrafficAgent::new(
-                vec![TrafficRoute {
-                    egress: route.source_port,
-                    pool,
-                }],
-                SimDuration::from_us(2), // far beyond the cap
-                1024,
-                SimRng::new(5),
-            )),
-        );
-        fabric.set_agent(
-            DevId(dst.0),
-            Box::new(TrafficAgent::new(
-                vec![],
-                SimDuration::from_us(2),
-                64,
-                SimRng::new(6),
-            )),
-        );
-        fabric.schedule_agent_timer(DevId(src.0), SimDuration::ZERO, TrafficAgent::start_token());
-        fabric.run_until(SimTime::from_ms(10));
-        fabric
-            .agent_as::<TrafficAgent>(DevId(dst.0))
-            .unwrap()
-            .received
+        fabric.run_until(SimTime::ZERO + start + window);
+        let flow = fabric
+            .traffic_flows()
+            .iter()
+            .position(|f| f.src == src.0 && f.dst == dst.0)
+            .expect("the plan sources one flow at each kept endpoint");
+        fabric.flow_stats()[flow].delivered
     };
 
     let unlimited = measure(None);

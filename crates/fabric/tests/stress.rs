@@ -1,9 +1,9 @@
 //! Fabric stress tests: churn, floods, and priority under load.
 
-use asi_fabric::{AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, TrafficAgent, TrafficRoute};
+use asi_fabric::{AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, TrafficPlan};
 use asi_proto::{Packet, Payload, PortState, ProtocolInterface, RouteHeader, MANAGEMENT_TC};
-use asi_sim::{SimDuration, SimRng, SimTime};
-use asi_topo::{mesh, routes_from, shortest_route, torus, NodeId};
+use asi_sim::{SimDuration, SimTime};
+use asi_topo::{mesh, shortest_route, torus, NodeId};
 use std::any::Any;
 
 fn dev(n: NodeId) -> DevId {
@@ -126,36 +126,29 @@ fn management_latency_survives_data_floods() {
     let measure = |flood: bool| -> f64 {
         let g = mesh(3, 3).unwrap();
         let topo = &g.topology;
-        let mut fabric = Fabric::new(topo, FabricConfig::default());
-        fabric.set_event_limit(100_000_000);
-        fabric.activate_all(SimDuration::ZERO);
-        fabric.run_until_idle();
-
-        if flood {
-            // Endpoint (1,0) blasts endpoint (1,2): shares switch (1,1)
-            // with the probe path.
-            let src = g.endpoint_at(1, 0);
-            let routes = routes_from(topo, src);
-            let r = routes[g.endpoint_at(1, 2).idx()].as_ref().unwrap();
-            let pool = r.encode(topo, asi_proto::MAX_POOL_BITS).unwrap();
-            fabric.set_agent(
-                dev(src),
-                Box::new(TrafficAgent::new(
-                    vec![TrafficRoute {
-                        egress: r.source_port,
-                        pool,
-                    }],
-                    SimDuration::from_us(5), // ~85% of a 2 Gb/s lane
-                    1024,
-                    SimRng::new(3),
-                )),
-            );
-            fabric.schedule_agent_timer(dev(src), SimDuration::ZERO, TrafficAgent::start_token());
-        }
-
-        // Probe from (0,1) to the far endpoint (2,1): crosses (1,1).
         let src = g.endpoint_at(0, 1);
         let dst = g.endpoint_at(2, 1);
+        let mut config = FabricConfig::default();
+        if flood {
+            // The probe's two endpoints also blast each other with data
+            // at ~85% of a 2 Gb/s lane, so every link of the probe path
+            // carries a flood in its direction.
+            let exempt = (0..topo.node_count() as u32)
+                .filter(|&d| d != src.0 && d != dst.0)
+                .collect();
+            config.traffic = TrafficPlan::none()
+                .with_unicast(0.85, 1024)
+                .with_window(SimDuration::ZERO, SimDuration::from_ms(5))
+                .with_exempt(exempt);
+        }
+        let mut fabric = Fabric::new(topo, config);
+        fabric.set_event_limit(100_000_000);
+        fabric.activate_all(SimDuration::ZERO);
+        // Links train in 1 us; the flood's injections are pre-scheduled,
+        // so running to idle here would play the whole window.
+        fabric.run_until(SimTime::from_us(5));
+
+        // Probe from (0,1) to the far endpoint (2,1): crosses (1,1).
         let route = shortest_route(topo, src, dst).unwrap();
         let probe = LatencyProbe {
             egress: route.source_port,

@@ -27,8 +27,8 @@ pub fn traffic(quick: bool) -> TableOut {
             "Delta (%)",
         ],
     );
-    // 7% offered load per endpoint over a window covering the whole
-    // discovery, ≈ the legacy agent's 512 B / 30 µs Poisson stream.
+    // 7% offered load per endpoint (one 512 B packet every ≈30 µs) over
+    // a window covering the whole discovery.
     let plan = TrafficPlan::none()
         .with_unicast(0.07, 512)
         .with_window(SimDuration::ZERO, SimDuration::from_ms(40));

@@ -12,9 +12,6 @@
 //!   scoped worker pool with per-cell seeding, so results are
 //!   byte-identical for any `--jobs` count;
 //! - [`experiments`] — one module per table/figure plus ablations;
-//! - [`compare`](mod@compare) — the `asi-bench/v1` regression
-//!   comparator behind the
-//!   `bench-compare` binary (the CI perf gate);
 //! - [`report`] — markdown/CSV renderers for the reproduced outputs,
 //!   plus the discovery-trace collector and JSONL exporters for the
 //!   `asi_sim::trace` observability layer.
@@ -29,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod compare;
 pub mod experiments;
 pub mod json;
 pub mod report;
@@ -38,7 +34,6 @@ pub mod snapshot;
 pub mod sweep;
 
 pub use churn::{churn_experiment, default_churn_exempt, ChurnOutcome};
-pub use compare::{compare, parse_report, BenchReport, Comparison, Thresholds};
 pub use json::Json;
 pub use report::{
     pending_occupancy, save_trace_jsonl, trace_from_jsonl, trace_to_jsonl, Chart, RingCollector,

@@ -243,17 +243,29 @@ impl Scenario {
         }
     }
 
+    /// Builds the fabric from `config`, powers up every device not in
+    /// `absent` and drains the bring-up phase — the state every runner
+    /// installs its managers into.
+    fn powered_fabric(&self, topo: &Topology, config: FabricConfig, absent: &[NodeId]) -> Fabric {
+        let mut fabric = Fabric::new(topo, config);
+        fabric.set_event_limit(2_000_000_000);
+        fabric.set_trace(self.trace.clone(), QUEUE_SAMPLE_PERIOD);
+        for (id, _) in topo.nodes() {
+            if !absent.contains(&id) {
+                fabric.schedule_activate(DevId(id.0), SimDuration::ZERO);
+            }
+        }
+        run_bringup(&mut fabric, &self.faults, &self.churn, &self.traffic);
+        fabric
+    }
+
     /// Runs a single initial discovery under this scenario's fault plan
     /// and retry policy, without the [`Bench`] settling machinery — the
     /// robustness path shared by the CLI's faults mode and the fault
     /// sweep grids. Returns the completed run and the active-node
     /// count, or `None` when the FM never finished a run.
     pub fn initial_discovery(&self, topo: &Topology) -> Option<(DiscoveryRun, usize)> {
-        let mut fabric = Fabric::new(topo, self.fabric_config(topo));
-        fabric.set_event_limit(2_000_000_000);
-        fabric.set_trace(self.trace.clone(), QUEUE_SAMPLE_PERIOD);
-        fabric.activate_all(SimDuration::ZERO);
-        run_bringup(&mut fabric, &self.faults, &self.churn, &self.traffic);
+        let mut fabric = self.powered_fabric(topo, self.fabric_config(topo), &[]);
         let fm_node = asi_topo::default_fm_endpoint(topo)?;
         let fm = DevId(fm_node.0);
         fabric.set_agent(
@@ -366,20 +378,7 @@ impl Bench {
     pub fn start(topo: &Topology, scenario: &Scenario, absent: &[NodeId]) -> Bench {
         let mut config = scenario.fabric_config(topo);
         config.turn_pool_capacity = asi_proto::MAX_POOL_BITS;
-        let mut fabric = Fabric::new(topo, config);
-        fabric.set_event_limit(2_000_000_000);
-        fabric.set_trace(scenario.trace.clone(), QUEUE_SAMPLE_PERIOD);
-        for (id, _) in topo.nodes() {
-            if !absent.contains(&id) {
-                fabric.schedule_activate(DevId(id.0), SimDuration::ZERO);
-            }
-        }
-        run_bringup(
-            &mut fabric,
-            &scenario.faults,
-            &scenario.churn,
-            &scenario.traffic,
-        );
+        let mut fabric = scenario.powered_fabric(topo, config, absent);
 
         let fm_node = asi_topo::default_fm_endpoint(topo).expect("topology has endpoints");
         assert!(
@@ -589,16 +588,7 @@ pub fn distributed_discovery(
         .map(|i| endpoints[i * (endpoints.len() - 1) / collaborators.max(1)])
         .collect();
 
-    let mut fabric = Fabric::new(topo, scenario.fabric_config(topo));
-    fabric.set_event_limit(2_000_000_000);
-    fabric.set_trace(scenario.trace.clone(), QUEUE_SAMPLE_PERIOD);
-    fabric.activate_all(SimDuration::ZERO);
-    run_bringup(
-        &mut fabric,
-        &scenario.faults,
-        &scenario.churn,
-        &scenario.traffic,
-    );
+    let mut fabric = scenario.powered_fabric(topo, scenario.fabric_config(topo), &[]);
 
     // All managers (primary and collaborators) share the scenario sink;
     // the simulation loop is single-threaded, so interleaving is safe.
@@ -751,16 +741,7 @@ pub fn sharded_discovery(
         assert_eq!(uniq.len(), fm_count, "manager endpoints collide");
     }
 
-    let mut fabric = Fabric::new(topo, scenario.fabric_config(topo));
-    fabric.set_event_limit(2_000_000_000);
-    fabric.set_trace(scenario.trace.clone(), QUEUE_SAMPLE_PERIOD);
-    fabric.activate_all(SimDuration::ZERO);
-    run_bringup(
-        &mut fabric,
-        &scenario.faults,
-        &scenario.churn,
-        &scenario.traffic,
-    );
+    let mut fabric = scenario.powered_fabric(topo, scenario.fabric_config(topo), &[]);
 
     // Pairwise peer routes and the election window: every claim must
     // cross the fabric before any window closes, so pad the default by

@@ -5,24 +5,24 @@
 //! all mutable state outside the engine:
 //!
 //! ```
-//! use asi_sim::{Simulator, SimDuration};
+//! use asi_sim::{SimTime, Simulator, Target};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping(u32) }
 //!
 //! let mut sim = Simulator::new();
-//! sim.schedule_after(SimDuration::from_ns(10), Ev::Ping(1));
+//! sim.schedule_event(SimTime::from_ns(10), Target::External, Ev::Ping(1));
 //! let mut seen = vec![];
 //! while let Some(fired) = sim.next_event() {
 //!     seen.push(fired.event);
+//!     sim.finish_dispatch();
 //! }
 //! assert_eq!(seen, vec![Ev::Ping(1)]);
 //! ```
 
-use crate::kernel::{Kernel, Target};
-use crate::queue::{EventId, EventQueue};
+use crate::kernel::{Kernel, SerialKernel, Target};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceHandle};
+use crate::trace::TraceHandle;
 use std::marker::PhantomData;
 
 /// An event popped from the queue, stamped with its firing time.
@@ -30,14 +30,12 @@ use std::marker::PhantomData;
 pub struct Fired<E> {
     /// The instant the event fires (now equal to `Simulator::now`).
     pub time: SimTime,
-    /// The handle it was scheduled under.
-    pub id: EventId,
     /// The payload.
     pub event: E,
 }
 
 /// Discrete-event simulation engine, generic over the scheduling
-/// [`Kernel`] (default: the cancellable [`EventQueue`] heap).
+/// [`Kernel`] (default: the timing-wheel [`SerialKernel`]).
 ///
 /// Invariants:
 /// - with a [monotonic](Kernel::monotonic) kernel, `now()` is
@@ -48,18 +46,13 @@ pub struct Fired<E> {
 ///   are reproducible.
 /// - scheduling in the past (before `now()`) is a logic error and panics in
 ///   debug builds; in release it fires immediately at `now()`.
-pub struct Simulator<E, K: Kernel<E> = EventQueue<E>> {
+pub struct Simulator<E, K: Kernel<E> = SerialKernel<E>> {
     kernel: K,
     now: SimTime,
     processed: u64,
     /// Hard cap on processed events; guards against accidental event storms
     /// in tests. `u64::MAX` by default.
     event_limit: u64,
-    /// Observability: queue-depth samples go here every `trace_every`
-    /// processed events (0 = never; the hot path then pays one integer
-    /// compare).
-    trace: TraceHandle,
-    trace_every: u64,
     _ev: PhantomData<fn() -> E>,
 }
 
@@ -70,14 +63,9 @@ impl<E> Default for Simulator<E> {
 }
 
 impl<E> Simulator<E> {
-    /// Creates an engine at time zero on the default event-queue kernel.
+    /// Creates an engine at time zero on the default serial kernel.
     pub fn new() -> Self {
-        Simulator::with_kernel(EventQueue::new())
-    }
-
-    /// Creates an engine with a pre-reserved event-queue capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Simulator::with_kernel(EventQueue::with_capacity(cap))
+        Simulator::with_kernel(SerialKernel::new())
     }
 }
 
@@ -89,8 +77,6 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
             now: SimTime::ZERO,
             processed: 0,
             event_limit: u64::MAX,
-            trace: TraceHandle::disabled(),
-            trace_every: 0,
             _ev: PhantomData,
         }
     }
@@ -112,22 +98,10 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
         self.event_limit = limit;
     }
 
-    /// Installs a trace sink sampling queue depth every `every` processed
-    /// events ([`TraceEvent::QueueSample`]). `every = 0` disables
-    /// sampling; a disabled `handle` also keeps the hot path free.
-    ///
-    /// Count-based sampling is kernel-order-dependent; callers that need
-    /// samples identical across kernels use [`Self::set_kernel_sampling`]
-    /// instead.
-    pub fn set_trace(&mut self, handle: TraceHandle, every: u64) {
-        self.trace_every = if handle.is_enabled() { every } else { 0 };
-        self.trace = handle;
-    }
-
     /// Installs *time-periodic* queue-depth sampling inside the kernel: one
     /// sample per elapsed `period` at the deterministic "everything before
     /// the boundary fired" cut, identical for the serial and parallel
-    /// kernels. No-op on kernels without native sampling support.
+    /// kernels.
     pub fn set_kernel_sampling(&mut self, handle: TraceHandle, period: SimDuration) {
         self.kernel.set_sampling(handle, period);
     }
@@ -163,27 +137,12 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
         self.kernel.is_empty()
     }
 
-    /// Schedules `event` at absolute time `at`.
+    /// Schedules `event` at absolute time `at` with an explicit execution
+    /// [`Target`] — the routing hint sharded kernels partition on.
     ///
     /// # Panics
     /// Debug builds panic if `at < now()`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: at={at:?} now={:?}",
-            self.now
-        );
-        let at = at.max(self.now);
-        self.kernel.schedule(at, Target::External, event)
-    }
-
-    /// Schedules `event` at `at` with an explicit execution [`Target`] —
-    /// the routing hint sharded kernels partition on. Equivalent to
-    /// [`Self::schedule_at`] on kernels that ignore targets.
-    ///
-    /// # Panics
-    /// Debug builds panic if `at < now()`.
-    pub fn schedule_event(&mut self, at: SimTime, target: Target, event: E) -> EventId {
+    pub fn schedule_event(&mut self, at: SimTime, target: Target, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: at={at:?} now={:?}",
@@ -191,34 +150,6 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
         );
         let at = at.max(self.now);
         self.kernel.schedule(at, target, event)
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("SimTime overflow while scheduling");
-        self.kernel.schedule(at, Target::External, event)
-    }
-
-    /// Schedules `event` to fire immediately (at `now()`, after any events
-    /// already scheduled for `now()`).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.kernel.schedule(self.now, Target::External, event)
-    }
-
-    /// Cancels a pending event. Returns `true` if it had not yet fired.
-    /// Only the default [`EventQueue`] kernel supports cancellation; other
-    /// kernels return `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.kernel.cancel(id)
-    }
-
-    /// True if `id` is still pending (always `false` on kernels without
-    /// cancellation support).
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.kernel.is_pending(id)
     }
 
     /// Timestamp of the next event, if any (a global minimum even for
@@ -229,7 +160,28 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
 
     /// Pops the next event and moves the clock to its firing time.
     pub fn next_event(&mut self) -> Option<Fired<E>> {
-        let (time, id, event) = self.kernel.pop()?;
+        let (time, event) = self.kernel.pop()?;
+        Some(self.fire(time, event))
+    }
+
+    /// Pops the next event only if it fires at or before `deadline`.
+    /// If the next event is later (or none exists), the clock advances to
+    /// `deadline` and `None` is returned.
+    pub fn next_event_until(&mut self, deadline: SimTime) -> Option<Fired<E>> {
+        match self.kernel.pop_until(deadline) {
+            Some((time, event)) => Some(self.fire(time, event)),
+            None => {
+                if deadline > self.now {
+                    self.now = deadline;
+                }
+                None
+            }
+        }
+    }
+
+    /// Moves the clock to a popped event's firing time and counts it.
+    #[inline]
+    fn fire(&mut self, time: SimTime, event: E) -> Fired<E> {
         debug_assert!(
             !self.kernel.monotonic() || time >= self.now,
             "event queue went backwards"
@@ -241,45 +193,7 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
             "simulation exceeded event limit of {} events",
             self.event_limit
         );
-        if self.trace_every != 0 && self.processed.is_multiple_of(self.trace_every) {
-            let (depth, processed) = (self.kernel.len() as u64, self.processed);
-            self.trace
-                .emit(self.now, || TraceEvent::QueueSample { depth, processed });
-        }
-        Some(Fired { time, id, event })
-    }
-
-    /// Pops the next event only if it fires at or before `deadline`.
-    /// If the next event is later (or none exists), the clock advances to
-    /// `deadline` and `None` is returned.
-    pub fn next_event_until(&mut self, deadline: SimTime) -> Option<Fired<E>> {
-        match self.kernel.pop_until(deadline) {
-            Some((time, id, event)) => {
-                debug_assert!(
-                    !self.kernel.monotonic() || time >= self.now,
-                    "event queue went backwards"
-                );
-                self.now = time;
-                self.processed += 1;
-                assert!(
-                    self.processed <= self.event_limit,
-                    "simulation exceeded event limit of {} events",
-                    self.event_limit
-                );
-                if self.trace_every != 0 && self.processed.is_multiple_of(self.trace_every) {
-                    let (depth, processed) = (self.kernel.len() as u64, self.processed);
-                    self.trace
-                        .emit(self.now, || TraceEvent::QueueSample { depth, processed });
-                }
-                Some(Fired { time, id, event })
-            }
-            None => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
+        Fired { time, event }
     }
 
     /// Advances the clock without processing events (e.g. to model a dead
@@ -299,11 +213,13 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
 mod tests {
     use super::*;
 
+    const EXT: Target = Target::External;
+
     #[test]
     fn clock_advances_with_events() {
         let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_ns(10), "a");
-        sim.schedule_at(SimTime::from_ns(5), "b");
+        sim.schedule_event(SimTime::from_ns(10), EXT, "a");
+        sim.schedule_event(SimTime::from_ns(5), EXT, "b");
         let f = sim.next_event().unwrap();
         assert_eq!(f.event, "b");
         assert_eq!(sim.now(), SimTime::from_ns(5));
@@ -315,21 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative() {
+    fn event_scheduled_for_now_fires_at_current_time() {
         let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_ns(100), ());
+        sim.schedule_event(SimTime::from_ns(7), EXT, 1);
         sim.next_event();
-        sim.schedule_after(SimDuration::from_ns(50), ());
-        let f = sim.next_event().unwrap();
-        assert_eq!(f.time, SimTime::from_ns(150));
-    }
-
-    #[test]
-    fn schedule_now_fires_at_current_time() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_ns(7), 1);
-        sim.next_event();
-        sim.schedule_now(2);
+        sim.schedule_event(sim.now(), EXT, 2);
         let f = sim.next_event().unwrap();
         assert_eq!(f.time, SimTime::from_ns(7));
         assert_eq!(f.event, 2);
@@ -340,7 +246,7 @@ mod tests {
         let mut sim = Simulator::new();
         let t = SimTime::from_us(1);
         for i in 0..10 {
-            sim.schedule_at(t, i);
+            sim.schedule_event(t, EXT, i);
         }
         for i in 0..10 {
             assert_eq!(sim.next_event().unwrap().event, i);
@@ -348,20 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_fire() {
-        let mut sim = Simulator::new();
-        let id = sim.schedule_at(SimTime::from_ns(1), "x");
-        sim.schedule_at(SimTime::from_ns(2), "y");
-        assert!(sim.cancel(id));
-        assert!(!sim.is_pending(id));
-        assert_eq!(sim.next_event().unwrap().event, "y");
-        assert!(sim.next_event().is_none());
-    }
-
-    #[test]
     fn next_event_until_respects_deadline() {
         let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_us(10), "late");
+        sim.schedule_event(SimTime::from_us(10), EXT, "late");
         assert!(sim.next_event_until(SimTime::from_us(5)).is_none());
         assert_eq!(sim.now(), SimTime::from_us(5));
         // Event still pending and fires once the deadline passes it.
@@ -381,7 +276,7 @@ mod tests {
     fn pending_and_idle_reflect_queue() {
         let mut sim = Simulator::new();
         assert!(sim.is_idle());
-        sim.schedule_after(SimDuration::from_ns(1), ());
+        sim.schedule_event(SimTime::from_ns(1), EXT, ());
         assert_eq!(sim.pending(), 1);
         assert!(!sim.is_idle());
         sim.next_event();
@@ -394,50 +289,9 @@ mod tests {
         let mut sim = Simulator::new();
         sim.set_event_limit(2);
         for _ in 0..3 {
-            sim.schedule_now(());
+            sim.schedule_event(SimTime::ZERO, EXT, ());
         }
         while sim.next_event().is_some() {}
-    }
-
-    #[test]
-    fn queue_depth_sampling_fires_every_n_events() {
-        use crate::trace::{TraceHandle, TraceRecord, TraceSink};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct VecSink(Vec<TraceRecord>);
-        impl TraceSink for VecSink {
-            fn record(&mut self, record: TraceRecord) {
-                self.0.push(record);
-            }
-        }
-
-        let sink = Rc::new(RefCell::new(VecSink::default()));
-        let mut sim = Simulator::new();
-        sim.set_trace(TraceHandle::to(sink.clone()), 3);
-        for i in 0..10u64 {
-            sim.schedule_at(SimTime::from_ns(i), i);
-        }
-        while sim.next_event().is_some() {}
-        let records = &sink.borrow().0;
-        // 10 events, sampled at processed = 3, 6, 9.
-        assert_eq!(records.len(), 3);
-        match records[0].event {
-            crate::trace::TraceEvent::QueueSample { depth, processed } => {
-                assert_eq!(processed, 3);
-                assert_eq!(depth, 7);
-            }
-            ref other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn disabled_trace_disables_sampling() {
-        let mut sim = Simulator::new();
-        sim.set_trace(crate::trace::TraceHandle::disabled(), 3);
-        sim.schedule_now(());
-        assert!(sim.next_event().is_some());
     }
 
     #[test]

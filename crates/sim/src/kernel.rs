@@ -2,15 +2,12 @@
 //! [`crate::Simulator`].
 //!
 //! A [`Kernel`] owns the pending-event store and decides the order events
-//! are handed to the caller's dispatch loop. Three kernels ship:
+//! are handed to the caller's dispatch loop. Two kernels ship:
 //!
-//! * [`crate::EventQueue`] — the legacy binary heap, ordered by
-//!   `(time, global schedule sequence)`. It ignores [`Target`] hints and
-//!   supports cancellation; it is the default kernel so plain
-//!   `Simulator::new()` users are unaffected by this module.
 //! * [`SerialKernel`] — a [`crate::wheel::TimingWheel`] ordered by the
 //!   deterministic [`EventKey`] `(time, origin, seq)`. Same semantics as a
-//!   heap, faster on time-local workloads.
+//!   heap, faster on time-local workloads; the default kernel of
+//!   `Simulator::new()`.
 //! * [`ParallelKernel`] — a conservative-synchronization
 //!   (CMB-style) kernel: events are partitioned across *shards* by target
 //!   rank, each shard drains an agreed lookahead window in key order, and
@@ -29,7 +26,6 @@
 //! therefore every key — are identical across kernels and shard counts.
 //! This generalizes the repo's jobs-determinism pattern to shard counts.
 
-use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::wheel::TimingWheel;
@@ -51,18 +47,11 @@ pub struct EventKey {
     pub seq: u32,
 }
 
-impl EventKey {
-    #[inline]
-    fn id(self) -> EventId {
-        EventId::from_raw(((self.origin as u64) << 32) | self.seq as u64)
-    }
-}
-
 /// Where an event executes — the routing hint the parallel kernel shards on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Target {
-    /// No affinity: scheduled through the plain [`crate::Simulator`] API.
-    /// The parallel kernel executes these at a global barrier.
+    /// No affinity: scheduled from outside the model. The parallel kernel
+    /// executes these at a global barrier.
     External,
     /// The event reads/writes only state owned by this rank (plus
     /// cross-rank *scheduling*, which is what the lookahead bounds).
@@ -129,20 +118,18 @@ impl std::str::FromStr for KernelSpec {
 /// everything scheduled and that an event never fires before the event
 /// whose dispatch scheduled it.
 pub trait Kernel<E> {
-    /// Enqueues `event` at absolute time `at` for `target`. Returns a
-    /// kernel-specific handle (only [`crate::EventQueue`] supports
-    /// cancelling by it).
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) -> EventId;
+    /// Enqueues `event` at absolute time `at` for `target`.
+    fn schedule(&mut self, at: SimTime, target: Target, event: E);
 
     /// Removes and returns the next event. Which event is "next" is the
     /// kernel's ordering contract; time may regress across consecutive pops
     /// for non-[monotonic](Self::monotonic) kernels.
-    fn pop(&mut self) -> Option<(SimTime, EventId, E)>;
+    fn pop(&mut self) -> Option<(SimTime, E)>;
 
     /// Like [`Self::pop`] but only if the next event fires at or before
     /// `deadline`; kernels with internal windowing clamp so that no event
     /// after `deadline` is consumed.
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, EventId, E)> {
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match self.peek_time() {
             Some(t) if t <= deadline => self.pop(),
             _ => None,
@@ -173,50 +160,11 @@ pub trait Kernel<E> {
         true
     }
 
-    /// Cancels a pending event; `false` if unsupported or already fired.
-    /// Only the [`crate::EventQueue`] kernel supports cancellation.
-    fn cancel(&mut self, _id: EventId) -> bool {
-        false
-    }
-
-    /// True if `id` is still pending (always `false` for kernels without
-    /// cancellation support — they do not track ids).
-    fn is_pending(&self, _id: EventId) -> bool {
-        false
-    }
-
     /// Installs time-periodic queue-depth sampling: one
     /// [`TraceEvent::QueueSample`] per elapsed `period`, emitted at the
     /// deterministic cut "all events before the boundary fired, none at or
-    /// after it". No-op for kernels without native sampling (the engine's
-    /// count-based sampling still works there).
-    fn set_sampling(&mut self, _trace: TraceHandle, _period: SimDuration) {}
-}
-
-impl<E> Kernel<E> for EventQueue<E> {
-    fn schedule(&mut self, at: SimTime, _target: Target, event: E) -> EventId {
-        self.push(at, event)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        EventQueue::pop(self)
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        EventQueue::cancel(self, id)
-    }
-
-    fn is_pending(&self, id: EventId) -> bool {
-        EventQueue::is_pending(self, id)
-    }
+    /// after it".
+    fn set_sampling(&mut self, trace: TraceHandle, period: SimDuration);
 }
 
 /// Per-origin sequence allocator backing [`EventKey::seq`].
@@ -337,7 +285,7 @@ impl<E> Default for SerialKernel<E> {
 }
 
 impl<E> Kernel<E> for SerialKernel<E> {
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) -> EventId {
+    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
         let origin = self.origin;
         let key = EventKey {
             time: at,
@@ -349,17 +297,16 @@ impl<E> Kernel<E> for SerialKernel<E> {
             Target::External | Target::Control => EXTERNAL_RANK,
         };
         self.wheel.push(key, (rank, event));
-        key.id()
     }
 
-    fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         let head = self.wheel.peek_key()?;
         self.sampler
             .advance(head.time, self.wheel.len() as u64, self.processed);
         let (key, (rank, event)) = self.wheel.pop().expect("peeked");
         self.origin = rank;
         self.processed += 1;
-        Some((key.time, key.id(), event))
+        Some((key.time, event))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -529,7 +476,7 @@ impl<E> ParallelKernel<E> {
         }
     }
 
-    fn pop_inner(&mut self) -> Option<(SimTime, EventId, E)> {
+    fn pop_inner(&mut self) -> Option<(SimTime, E)> {
         loop {
             if let Some(w) = &self.window {
                 let bound = w.bound;
@@ -554,7 +501,7 @@ impl<E> ParallelKernel<E> {
                             self.origin = rank;
                             self.processed += 1;
                             self.len -= 1;
-                            return Some((key.time, key.id(), event));
+                            return Some((key.time, event));
                         }
                     }
                     cursor += 1;
@@ -585,7 +532,7 @@ impl<E> ParallelKernel<E> {
                     self.processed += 1;
                     self.len -= 1;
                     self.stats.control_events += 1;
-                    return Some((key.time, key.id(), event));
+                    return Some((key.time, event));
                 }
                 (cmin, Some(l)) => {
                     if let Some(dl) = self.deadline {
@@ -621,7 +568,7 @@ impl<E> ParallelKernel<E> {
 }
 
 impl<E> Kernel<E> for ParallelKernel<E> {
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) -> EventId {
+    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
         match self.mode {
             Mode::External | Mode::Coordinator => {
                 let key = EventKey {
@@ -649,7 +596,6 @@ impl<E> Kernel<E> for ParallelKernel<E> {
                     }
                 }
                 self.len += 1;
-                key.id()
             }
             Mode::Worker(shard) => {
                 let origin = self.origin;
@@ -678,17 +624,16 @@ impl<E> Kernel<E> for ParallelKernel<E> {
                     self.outbox[dst as usize].push((key, (r, event)));
                 }
                 self.len += 1;
-                key.id()
             }
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         self.deadline = None;
         self.pop_inner()
     }
 
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, EventId, E)> {
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         self.deadline = Some(deadline);
         let r = self.pop_inner();
         self.deadline = None;
@@ -756,21 +701,21 @@ impl<E> AnyKernel<E> {
 }
 
 impl<E> Kernel<E> for AnyKernel<E> {
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) -> EventId {
+    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
         match self {
             AnyKernel::Serial(k) => k.schedule(at, target, event),
             AnyKernel::Parallel(k) => k.schedule(at, target, event),
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         match self {
             AnyKernel::Serial(k) => k.pop(),
             AnyKernel::Parallel(k) => k.pop(),
         }
     }
 
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, EventId, E)> {
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match self {
             AnyKernel::Serial(k) => k.pop_until(deadline),
             AnyKernel::Parallel(k) => k.pop_until(deadline),
@@ -849,7 +794,7 @@ mod tests {
         k.schedule(SimTime::from_ps(500), Target::Control, 99);
         let mut order = Vec::new();
         let mut guard = 0;
-        while let Some((t, _id, ev)) = k.pop() {
+        while let Some((t, ev)) = k.pop() {
             order.push((t.as_ps(), ev));
             if ev != 99 && t.as_ps() < 2000 {
                 let nxt = (ev + 1) % 3;
@@ -890,7 +835,7 @@ mod tests {
         let mut k = ParallelKernel::<u32>::new(2, 2, SimDuration::from_ps(50));
         k.schedule(SimTime::from_ps(0), Target::Rank(0), 0);
         let mut pops = 0;
-        while let Some((t, _, ev)) = Kernel::pop(&mut k) {
+        while let Some((t, ev)) = Kernel::pop(&mut k) {
             if t.as_ps() < 1000 {
                 // Ping-pong between the two ranks (distinct shards).
                 k.schedule(t + SimDuration::from_ps(50), Target::Rank(1 - ev), 1 - ev);
@@ -913,14 +858,14 @@ mod tests {
         k.schedule(SimTime::from_ps(300), Target::Rank(3), 3);
         assert_eq!(
             k.pop_until(SimTime::from_ps(150))
-                .map(|(t, _, e)| (t.as_ps(), e)),
+                .map(|(t, e)| (t.as_ps(), e)),
             Some((100, 0))
         );
         Kernel::<u32>::finish_dispatch(&mut k);
         assert_eq!(k.pop_until(SimTime::from_ps(150)), None);
         assert_eq!(
             k.pop_until(SimTime::from_ps(400))
-                .map(|(t, _, e)| (t.as_ps(), e)),
+                .map(|(t, e)| (t.as_ps(), e)),
             Some((300, 3))
         );
         Kernel::<u32>::finish_dispatch(&mut k);
@@ -934,16 +879,16 @@ mod tests {
         let t = SimTime::from_ns(5);
         k.schedule(t, Target::External, "ext-0"); // origin EXTERNAL
         k.schedule(t, Target::Rank(1), "ext-1");
-        assert_eq!(Kernel::pop(&mut k).map(|(_, _, e)| e), Some("ext-0"));
+        assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("ext-0"));
         // Dispatching the rank-1 event: its schedules carry origin 1 and
         // sort before same-time external ones.
-        let popped = Kernel::pop(&mut k).map(|(_, _, e)| e);
+        let popped = Kernel::pop(&mut k).map(|(_, e)| e);
         assert_eq!(popped, Some("ext-1"));
         k.schedule(SimTime::from_ns(7), Target::Rank(0), "from-r1");
         Kernel::<&str>::finish_dispatch(&mut k);
         k.schedule(SimTime::from_ns(7), Target::Rank(2), "ext-2");
-        assert_eq!(Kernel::pop(&mut k).map(|(_, _, e)| e), Some("from-r1"));
-        assert_eq!(Kernel::pop(&mut k).map(|(_, _, e)| e), Some("ext-2"));
+        assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("from-r1"));
+        assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("ext-2"));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //!
 //! - [`SimTime`]/[`SimDuration`] — picosecond-resolution simulated time;
 //! - [`Simulator`] — clock + pending-event store, generic over a pluggable
-//!   scheduling [`Kernel`]: the default cancellable [`EventQueue`] heap,
-//!   the timing-wheel [`SerialKernel`], or the conservative-synchronization
-//!   [`ParallelKernel`] (sharded lookahead windows with batch exchange at
-//!   barriers — see `docs/PARALLEL.md`);
+//!   scheduling [`Kernel`]: the default timing-wheel [`SerialKernel`] or
+//!   the conservative-synchronization [`ParallelKernel`] (sharded lookahead
+//!   windows with batch exchange at barriers — see `docs/PARALLEL.md`);
 //! - [`wheel`]/[`arena`] — the storage layer: a bucketed calendar queue
 //!   keyed by the deterministic [`EventKey`], and a slab arena with `u32`
 //!   handles that replaces per-event payload boxes;
@@ -28,9 +27,7 @@
 
 pub mod arena;
 mod engine;
-pub mod hash;
 pub mod kernel;
-mod queue;
 mod rng;
 pub mod stats;
 mod time;
@@ -39,12 +36,10 @@ pub mod wheel;
 
 pub use arena::Arena;
 pub use engine::{Fired, Simulator};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use kernel::{
     AnyKernel, EventKey, Kernel, KernelSpec, ParallelKernel, ParallelStats, SerialKernel, Target,
     EXTERNAL_RANK,
 };
-pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, SampleSet, TimeSeries};
 pub use time::{SimDuration, SimTime, MICROSECOND, MILLISECOND, NANOSECOND, PICOSECOND, SECOND};

@@ -1,19 +1,21 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
-use asi_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulator};
+use asi_sim::{Kernel, SerialKernel, SimDuration, SimRng, SimTime, Simulator, Target};
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always pop in non-decreasing time order, with schedule order
-    /// breaking ties, no matter the insertion order.
+    /// Externally scheduled events pop by time, then schedule order, no
+    /// matter the insertion order.
     #[test]
-    fn queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
+    fn external_events_pop_by_time_then_schedule_order(
+        times in proptest::collection::vec(0u64..1_000_000, 1..200),
+    ) {
+        let mut k = SerialKernel::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ps(t), i);
+            k.schedule(SimTime::from_ps(t), Target::External, i);
         }
         let mut popped = Vec::new();
-        while let Some((t, _, idx)) = q.pop() {
+        while let Some((t, idx)) = k.pop() {
             popped.push((t.as_ps(), idx));
         }
         prop_assert_eq!(popped.len(), times.len());
@@ -25,42 +27,12 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn queue_cancellation_is_exact(
-        times in proptest::collection::vec(0u64..100_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.push(SimTime::from_ps(t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*id));
-                cancelled.insert(i);
-            }
-        }
-        prop_assert_eq!(q.len(), times.len() - cancelled.len());
-        let mut survivors = Vec::new();
-        while let Some((_, _, idx)) = q.pop() {
-            survivors.push(idx);
-        }
-        for idx in &survivors {
-            prop_assert!(!cancelled.contains(idx), "cancelled event fired");
-        }
-        prop_assert_eq!(survivors.len(), times.len() - cancelled.len());
-    }
-
     /// The simulator clock never goes backwards.
     #[test]
     fn simulator_clock_monotonic(delays in proptest::collection::vec(0u64..10_000, 1..100)) {
         let mut sim = Simulator::new();
         for &d in &delays {
-            sim.schedule_after(SimDuration::from_ps(d), d);
+            sim.schedule_event(SimTime::from_ps(d), Target::External, d);
         }
         let mut last = SimTime::ZERO;
         while let Some(f) = sim.next_event() {
@@ -79,7 +51,7 @@ proptest! {
             let mut rng = SimRng::new(seed);
             let mut sim = Simulator::new();
             for i in 0..20u32 {
-                sim.schedule_at(SimTime::from_ps(rng.gen_below(1000)), i);
+                sim.schedule_event(SimTime::from_ps(rng.gen_below(1000)), Target::External, i);
             }
             let mut out = Vec::new();
             let mut budget = 200;
@@ -88,7 +60,8 @@ proptest! {
                 if budget > 0 {
                     budget -= 1;
                     let d = rng.gen_below(500);
-                    sim.schedule_after(SimDuration::from_ps(d), f.event.wrapping_add(1));
+                    let at = sim.now() + SimDuration::from_ps(d);
+                    sim.schedule_event(at, Target::External, f.event.wrapping_add(1));
                 }
             }
             out

@@ -109,8 +109,8 @@ options:
   --kernel serial|parallel[:N] event-engine scheduling kernel (default: serial;
                                parallel = conservative-sync over N shards, 4 when
                                omitted — output is byte-identical either way,
-                               see docs/PARALLEL.md); accepted by the sweep,
-                               stress, faults and churn modes
+                               see docs/PARALLEL.md); accepted by every mode
+                               except snapshot
   --trace <path>               write a JSONL discovery trace (see docs/TRACE_FORMAT.md)
   --json                       emit JSON instead of a table
 
@@ -316,11 +316,9 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Topology, String> {
     }
 }
 
+/// The first value of `--name <value>`, if the flag is present.
 fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    arg_values(args, name).into_iter().next()
 }
 
 /// Every value of a repeatable `--name <value>` flag, in order.
@@ -1459,6 +1457,7 @@ fn main() {
     let change = arg_value(&args, "--change").unwrap_or_else(|| "none".into());
     let json = args.iter().any(|a| a == "--json");
     let algorithms = parse_algorithms(&args);
+    let kernel = parse_kernel(&args);
     let trace = trace_out(&args);
 
     let mut reports = Vec::new();
@@ -1466,6 +1465,7 @@ fn main() {
         let mut scenario = Scenario::new(algorithm)
             .with_factors(fm_factor, device_factor)
             .with_seed(seed)
+            .with_kernel(kernel)
             .with_faults(faults.clone())
             .with_retry(retry)
             .with_trace(trace.handle.clone());

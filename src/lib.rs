@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use asi_fabric::{
         AgentCtx, ChurnPlan, DevId, Fabric, FabricAgent, FabricConfig, FaultPlan, FmRoute,
-        LossModel, TrafficAgent, TrafficPlan,
+        LossModel, TrafficPlan,
     };
     pub use asi_harness::{
         change_experiment, churn_experiment, default_churn_exempt, load_snapshot, save_snapshot,

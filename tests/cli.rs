@@ -176,6 +176,8 @@ fn malformed_flags_report_friendly_errors_not_panics() {
     );
     assert_usage_error(&with(&["--algorithm", "psychic"]), "unknown algorithm");
     assert_usage_error(&with(&["--change", "rename"]), "unknown change");
+    // A flag left dangling at the end is an error, not the default.
+    assert_usage_error(&with(&["--seed"]), "error: --seed is missing its value");
 }
 
 #[test]
@@ -1002,6 +1004,10 @@ fn kernel_flag_rejects_malformed_specs() {
     // One negative per malformed form, across every mode that takes the
     // flag, on the same error/usage/exit-2 framework as the other flags.
     assert_usage_error(
+        &["--topology", "mesh:3x3", "--kernel", "bogus"],
+        "error: unknown kernel",
+    );
+    assert_usage_error(
         &["stress", "--topology", "mesh:8x8", "--kernel", "threads"],
         "unknown kernel",
     );
@@ -1080,6 +1086,18 @@ fn kernel_flag_preserves_byte_identity() {
     assert_eq!(
         grid_s, grid_p,
         "sweep grids must be byte-identical across kernels"
+    );
+
+    // The default mode reports no wall-clock field at all.
+    let default_mode = |kernel| {
+        let (out, _, ok) = run(&["--topology", "mesh:3x3", "--kernel", kernel, "--json"]);
+        assert!(ok, "--kernel {kernel}");
+        out
+    };
+    assert_eq!(
+        default_mode("serial"),
+        default_mode("parallel:2"),
+        "the default mode must be byte-identical across kernels"
     );
 }
 
