@@ -191,6 +191,47 @@ impl Scenario {
         self
     }
 
+    /// A recipe for untraced copies of this scenario that worker threads
+    /// can share. The trace sink is an `Rc`, which pins `&Scenario` to
+    /// its thread; every other field is plain data, so a closure over
+    /// those alone is `Sync`.
+    pub(crate) fn untraced(&self) -> impl Fn() -> Scenario + Sync + '_ {
+        let Scenario {
+            algorithm,
+            fm_factor,
+            device_factor,
+            partial_assimilation,
+            traffic,
+            flow_control,
+            seed,
+            faults,
+            churn,
+            retry,
+            request_timeout,
+            trace: _,
+            snapshot,
+            warm_fallback_threshold,
+            kernel,
+        } = self;
+        move || Scenario {
+            algorithm: *algorithm,
+            fm_factor: *fm_factor,
+            device_factor: *device_factor,
+            partial_assimilation: *partial_assimilation,
+            traffic: traffic.clone(),
+            flow_control: *flow_control,
+            seed: *seed,
+            faults: faults.clone(),
+            churn: churn.clone(),
+            retry: *retry,
+            request_timeout: *request_timeout,
+            trace: TraceHandle::disabled(),
+            snapshot: snapshot.clone(),
+            warm_fallback_threshold: *warm_fallback_threshold,
+            kernel: *kernel,
+        }
+    }
+
     /// The fabric configuration this scenario implies for `topo`. The
     /// FM's endpoint is exempted from the traffic plan so discovery
     /// management runs from a dedicated host, as in the paper's setup.
@@ -549,6 +590,48 @@ impl Bench {
     }
 }
 
+/// Steps `fabric` until one of `managers` holds the merged database and
+/// returns that manager, then drains trailing packets — for `drain`
+/// more simulated time, or until the fabric goes idle when `None`.
+fn run_to_merge(
+    fabric: &mut Fabric,
+    managers: &[DevId],
+    what: &str,
+    drain: Option<SimDuration>,
+) -> DevId {
+    let deadline = fabric.now() + SimDuration::from_ms(30_000);
+    let holder = loop {
+        let holder = managers.iter().copied().find(|&m| {
+            fabric
+                .agent_as::<FmAgent>(m)
+                .is_some_and(|a| a.distributed_finished_at.is_some())
+        });
+        if let Some(m) = holder {
+            break m;
+        }
+        assert!(
+            fabric.step(),
+            "fabric idle before the {what} merge completed"
+        );
+        assert!(fabric.now() < deadline, "{what} discovery stalled");
+    };
+    match drain {
+        Some(window) => fabric.run_until(fabric.now() + window),
+        None => fabric.run_until_idle(),
+    }
+    holder
+}
+
+/// Each manager's latest discovery run, in `managers` order.
+fn last_runs<'a>(
+    fabric: &'a Fabric,
+    managers: &'a [DevId],
+) -> impl Iterator<Item = Option<&'a DiscoveryRun>> {
+    managers
+        .iter()
+        .map(|&m| fabric.agent_as::<FmAgent>(m).and_then(|a| a.last_run()))
+}
+
 /// Result of a distributed discovery run.
 #[derive(Clone, Debug)]
 pub struct DistributedOutcome {
@@ -622,23 +705,10 @@ pub fn distributed_discovery(
         fabric.schedule_agent_timer(DevId(c.0), start, TOKEN_START_DISCOVERY);
     }
 
-    // Run until the primary holds the merged database.
-    let deadline = fabric.now() + SimDuration::from_ms(30_000);
-    loop {
-        let done = fabric
-            .agent_as::<FmAgent>(primary)
-            .is_some_and(|a| a.distributed_finished_at.is_some());
-        if done {
-            break;
-        }
-        assert!(
-            fabric.step(),
-            "fabric idle before distributed merge completed"
-        );
-        assert!(fabric.now() < deadline, "distributed discovery stalled");
-    }
-    // Drain any trailing packets.
-    fabric.run_until_idle();
+    let managers: Vec<DevId> = std::iter::once(primary)
+        .chain(collab_nodes.iter().map(|c| DevId(c.0)))
+        .collect();
+    run_to_merge(&mut fabric, &managers[..1], "distributed", None);
 
     let (merged_time, devices, links) = {
         let agent = fabric.agent_as::<FmAgent>(primary).expect("primary");
@@ -650,20 +720,9 @@ pub fn distributed_discovery(
             db.link_count(),
         )
     };
-    let mut per_manager_devices = vec![fabric
-        .agent_as::<FmAgent>(primary)
-        .and_then(|a| a.last_run())
-        .map(|r| r.devices_found)
-        .unwrap_or(0)];
-    for &c in &collab_nodes {
-        per_manager_devices.push(
-            fabric
-                .agent_as::<FmAgent>(DevId(c.0))
-                .and_then(|a| a.last_run())
-                .map(|r| r.devices_found)
-                .unwrap_or(0),
-        );
-    }
+    let per_manager_devices = last_runs(&fabric, &managers)
+        .map(|run| run.map_or(0, |r| r.devices_found))
+        .collect();
 
     (
         fabric,
@@ -789,29 +848,18 @@ pub fn sharded_discovery(
         fabric.schedule_agent_timer(DevId(node.0), start, TOKEN_START_ELECTION);
     }
 
-    // Run until some manager holds the merged database — normally the
-    // elected primary, but after a failover the promoted secondary.
-    let deadline = fabric.now() + SimDuration::from_ms(30_000);
-    let holder = loop {
-        let holder = fm_nodes.iter().copied().find(|&n| {
-            fabric
-                .agent_as::<FmAgent>(DevId(n.0))
-                .is_some_and(|a| a.distributed_finished_at.is_some())
-        });
-        if let Some(n) = holder {
-            break DevId(n.0);
-        }
-        assert!(
-            fabric.step(),
-            "fabric idle before the sharded merge completed"
-        );
-        assert!(fabric.now() < deadline, "sharded discovery stalled");
-    };
-    // Drain trailing packets for a bounded window: a healthy standby
-    // secondary keeps watching the primary forever, so the fabric never
-    // goes idle on its own.
-    let drain = fabric.now() + SimDuration::from_ms(1);
-    fabric.run_until(drain);
+    // Some manager ends up holding the merged database — normally the
+    // elected primary, but after a failover the promoted secondary. The
+    // trailing drain is bounded: a healthy standby secondary keeps
+    // watching the primary forever, so the fabric never goes idle on
+    // its own.
+    let managers: Vec<DevId> = fm_nodes.iter().map(|n| DevId(n.0)).collect();
+    let holder = run_to_merge(
+        &mut fabric,
+        &managers,
+        "sharded",
+        Some(SimDuration::from_ms(1)),
+    );
 
     let (merged_time, devices, links, checksum, merge_time) = {
         let agent = fabric.agent_as::<FmAgent>(holder).expect("primary");
@@ -833,13 +881,10 @@ pub fn sharded_discovery(
     let mut boundary_conflicts = 0;
     let mut failovers = 0;
     let mut per_fm_devices = Vec::new();
-    for &node in &fm_nodes {
-        let run = fabric
-            .agent_as::<FmAgent>(DevId(node.0))
-            .and_then(|a| a.last_run());
-        boundary_conflicts += run.map(|r| r.boundary_conflicts).unwrap_or(0);
-        failovers += run.map(|r| r.failovers).unwrap_or(0);
-        per_fm_devices.push(run.map(|r| r.devices_found).unwrap_or(0));
+    for run in last_runs(&fabric, &managers) {
+        boundary_conflicts += run.map_or(0, |r| r.boundary_conflicts);
+        failovers += run.map_or(0, |r| r.failovers);
+        per_fm_devices.push(run.map_or(0, |r| r.devices_found));
     }
 
     (

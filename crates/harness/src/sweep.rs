@@ -17,7 +17,7 @@ use crate::json::Json;
 use crate::scenario::{change_experiment, sharded_discovery, summarize_traffic, Bench, Scenario};
 use asi_core::{snapshot_db, Algorithm, DiscoveryRun, RetryPolicy};
 use asi_fabric::{ChurnPlan, FaultPlan, LossModel, TrafficPlan};
-use asi_sim::{KernelSpec, OnlineStats, SimDuration};
+use asi_sim::{OnlineStats, SimDuration};
 use asi_topo::Table1;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -69,18 +69,18 @@ pub struct SweepSpec {
     pub salt_by_switches: bool,
     /// What each cell measures.
     pub change: ChangeMode,
-    /// FM processing-speed factor (Figs. 8–9).
-    pub fm_factor: f64,
-    /// Device processing-speed factor (Figs. 8–9).
-    pub device_factor: f64,
-    /// Fault-injection plan applied to every cell (inert = the paper's
-    /// loss-free model). Non-inert plans measure the initial discovery
-    /// through [`Scenario::initial_discovery`].
-    pub faults: FaultPlan,
-    /// FM retry/backoff policy (meaningful with a non-inert plan).
-    pub retry: RetryPolicy,
-    /// FM base request timeout for fault cells.
-    pub request_timeout: SimDuration,
+    /// The scenario every cell runs: processing factors, fault plan,
+    /// retry policy, request timeout, kernel and churn plan are set here
+    /// once; [`run`] stamps each cell's algorithm and seed onto a copy.
+    /// A non-inert fault plan measures the initial discovery through
+    /// [`Scenario::initial_discovery`]. A live churn plan switches each
+    /// cell to the [`churn_experiment`] runner, which enables partial
+    /// assimilation, re-seeds the plan from the cell seed, exempts the
+    /// manager's corner per topology, and fills the `churn_events`,
+    /// `events_per_sec`, `convergence_lag_s`, `divergence_windows` and
+    /// `divergence_s` columns. Cells run on worker threads, so the
+    /// base's trace sink is never used.
+    pub base: Scenario,
     /// Adds a warm-start axis: every `(algorithm, topology, rep)` point
     /// runs twice, cold and warm. The warm twin first runs an unmeasured
     /// cold discovery to produce a snapshot, then measures the
@@ -95,14 +95,6 @@ pub struct SweepSpec {
     /// `failovers` and `merge_time_s` columns. The default `[1]` leaves
     /// every grid exactly as before.
     pub fm_counts: Vec<usize>,
-    /// Continuous-churn plan applied to every cell. An inert plan (the
-    /// default) leaves the grid untouched; a live plan switches each
-    /// cell to the [`churn_experiment`] runner, which enables partial
-    /// assimilation, re-seeds the plan from the cell seed, exempts the
-    /// manager's corner per topology, and fills the `churn_events`,
-    /// `events_per_sec`, `convergence_lag_s`, `divergence_windows` and
-    /// `divergence_s` columns.
-    pub churn: ChurnPlan,
     /// Offered-load axis: every `(algorithm, topology)` point runs once
     /// per value, with the [`SweepSpec::traffic`] template's unicast
     /// load overridden per cell. The default `[0.0]` leaves every grid
@@ -112,12 +104,9 @@ pub struct SweepSpec {
     /// Traffic-plan template for the load axis: payload size, arrival
     /// process, window and flow mix. Each non-zero load cell clones it,
     /// overrides the unicast load with the cell's axis value and mixes
-    /// the cell seed into the plan seed.
+    /// the cell seed into the plan seed. It stays beside `base` because
+    /// zero-load cells must carry no plan at all.
     pub traffic: TrafficPlan,
-    /// Scheduling kernel for every cell's event engine. Grid output is
-    /// byte-identical across kernels (see `docs/PARALLEL.md`), so this
-    /// is a cross-check knob, not an axis.
-    pub kernel: KernelSpec,
 }
 
 impl SweepSpec {
@@ -132,17 +121,11 @@ impl SweepSpec {
             seed_stride: 7919,
             salt_by_switches: false,
             change: ChangeMode::Initial,
-            fm_factor: 1.0,
-            device_factor: 1.0,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            request_timeout: SimDuration::from_ms(5),
+            base: Scenario::new(Algorithm::Parallel),
             warm_axis: false,
             fm_counts: vec![1],
-            churn: ChurnPlan::none(),
             loads: vec![0.0],
             traffic: TrafficPlan::none(),
-            kernel: KernelSpec::Serial,
         }
     }
 
@@ -170,8 +153,7 @@ impl SweepSpec {
         spec.seed_base = 0xF16_6000;
         spec.salt_by_switches = true;
         spec.change = ChangeMode::Alternate;
-        spec.fm_factor = fm_factor;
-        spec.device_factor = device_factor;
+        spec.base = spec.base.with_factors(fm_factor, device_factor);
         spec
     }
 
@@ -247,9 +229,11 @@ impl SweepSpec {
         spec.reps = if quick { 1 } else { 3 };
         spec.seed_base = 0xFA_0175;
         spec.salt_by_switches = true;
-        spec.faults = FaultPlan::none().with_loss(LossModel::bursty(0.05));
-        spec.retry = RetryPolicy::exponential(10);
-        spec.request_timeout = SimDuration::from_us(800);
+        spec.base = spec
+            .base
+            .with_faults(FaultPlan::none().with_loss(LossModel::bursty(0.05)))
+            .with_retry(RetryPolicy::exponential(10))
+            .with_request_timeout(SimDuration::from_us(800));
         spec
     }
 
@@ -276,10 +260,12 @@ impl SweepSpec {
         spec.reps = if quick { 1 } else { 2 };
         spec.seed_base = 0xC4_0700;
         spec.salt_by_switches = true;
-        spec.churn = ChurnPlan::none()
-            .with_link_flaps(1_500.0, SimDuration::from_us(200))
-            .with_device_churn(300.0, SimDuration::from_ms(1))
-            .with_window(SimDuration::from_ms(16), SimDuration::from_ms(8));
+        spec.base = spec.base.with_churn(
+            ChurnPlan::none()
+                .with_link_flaps(1_500.0, SimDuration::from_us(200))
+                .with_device_churn(300.0, SimDuration::from_ms(1))
+                .with_window(SimDuration::from_ms(16), SimDuration::from_ms(8)),
+        );
         spec
     }
 
@@ -538,126 +524,23 @@ pub struct SweepResult {
     pub aggregates: Vec<Aggregate>,
 }
 
-/// Executes one cell. Runs on a worker thread; must derive everything
-/// from the cell + spec so results are placement-independent.
-fn run_cell(spec: &SweepSpec, cell: &Cell) -> CellResult {
-    let topo = cell.topology.build();
-    let mut scenario = Scenario::new(cell.algorithm)
-        .with_factors(spec.fm_factor, spec.device_factor)
-        .with_faults(spec.faults.clone())
-        .with_retry(spec.retry)
-        .with_request_timeout(spec.request_timeout)
-        .with_kernel(spec.kernel)
-        .with_seed(cell.seed);
-    if cell.load > 0.0 {
-        // Non-zero load: clone the grid's traffic template, override the
-        // unicast load with the axis value and re-seed per cell. A zero
-        // load installs no plan at all, keeping those cells on the exact
-        // traffic-free code path (byte-identity with the plain grids).
-        let mut plan = spec.traffic.clone();
-        plan.load = cell.load;
-        plan.seed ^= cell.seed;
-        scenario = scenario.with_traffic_plan(plan);
-    }
-    if !spec.churn.is_inert() {
-        return run_churn_cell(spec, cell, &topo, &scenario);
-    }
-    if cell.fms > 1 {
-        return run_sharded_cell(cell, &topo, &scenario);
-    }
-    // Fault and change cells run their fabric inside the scenario
-    // helpers without surfacing it, so their simulator event count
-    // reports as zero.
-    let no_events = |(run, active): (DiscoveryRun, usize)| (run, active, 0u64);
-    let outcome = if cell.warm {
-        // Warm twin: an unmeasured cold bench produces the snapshot the
-        // measured warm-start verification run is seeded from.
-        let snapshot = snapshot_db(Bench::start(&topo, &scenario, &[]).db());
-        let warm = scenario.clone().with_snapshot(snapshot);
-        if !spec.faults.is_inert() {
-            warm.initial_discovery(&topo).map(no_events)
-        } else {
-            let bench = Bench::start(&topo, &warm, &[]);
-            let active = bench.active_nodes();
-            Some((bench.last_run(), active, bench.fabric.events_processed()))
-        }
-    } else if !spec.faults.is_inert() {
-        scenario.initial_discovery(&topo).map(no_events)
+/// Simulated events per simulated second: both terms are simulated
+/// quantities, so the value is `--jobs`-invariant. Cells that run inside
+/// scenario helpers surface no event count and report 0.
+fn throughput(sim_events: u64, seconds: f64) -> f64 {
+    if sim_events > 0 && seconds > 0.0 {
+        sim_events as f64 / seconds
     } else {
-        match spec.change {
-            ChangeMode::Initial => {
-                let bench = Bench::start(&topo, &scenario, &[]);
-                let active = bench.active_nodes();
-                let mut run = bench.last_run();
-                run.traffic = summarize_traffic(&bench.fabric, &scenario.traffic);
-                Some((run, active, bench.fabric.events_processed()))
-            }
-            ChangeMode::Remove => Some(no_events(change_experiment(&topo, &scenario, true))),
-            ChangeMode::Add => Some(no_events(change_experiment(&topo, &scenario, false))),
-            ChangeMode::Alternate => Some(no_events(change_experiment(
-                &topo,
-                &scenario,
-                cell.rep.is_multiple_of(2),
-            ))),
-        }
-    };
-    match outcome {
-        Some((run, active, sim_events)) => {
-            let discovery_time_s = run.discovery_time().as_secs_f64();
-            CellResult {
-                topology: cell.topology.name(),
-                total_devices: cell.topology.total_devices(),
-                algorithm: cell.algorithm.name(),
-                warm: cell.warm,
-                rep: cell.rep,
-                seed: cell.seed,
-                completed: true,
-                active_nodes: active,
-                discovery_time_s,
-                devices_found: run.devices_found,
-                links_found: run.links_found,
-                requests: run.requests_sent,
-                responses: run.responses_received,
-                timeouts: run.timeouts,
-                retries: run.retries,
-                abandoned: run.abandoned,
-                peak_outstanding: run.peak_outstanding,
-                sim_events,
-                bytes_sent: run.bytes_sent,
-                bytes_received: run.bytes_received,
-                mean_fm_processing_us: run.mean_fm_processing().as_micros_f64(),
-                fm_utilization: run.fm_utilization(),
-                probes_verified: run.probes_verified,
-                verify_mismatches: run.verify_mismatches,
-                warm_fallback: run.warm_fallback,
-                fms: 1,
-                boundary_conflicts: 0,
-                failovers: 0,
-                merge_time_s: 0.0,
-                churn_events: 0,
-                // Simulated-event throughput per simulated second: fully
-                // deterministic (both terms are simulated quantities), so the
-                // grid stays byte-identical for every --jobs value. Cells
-                // that run inside scenario helpers report sim_events = 0 and
-                // leave the column empty.
-                events_per_sec: if sim_events > 0 && discovery_time_s > 0.0 {
-                    sim_events as f64 / discovery_time_s
-                } else {
-                    0.0
-                },
-                convergence_lag_s: 0.0,
-                divergence_windows: 0,
-                divergence_s: 0.0,
-                load: cell.load,
-                goodput_mbps: run.traffic.goodput_bps / 1e6,
-                flow_delivered: run.traffic.flow_delivered,
-                latency_p50_us: run.traffic.latency_p50_us,
-                latency_p99_us: run.traffic.latency_p99_us,
-                credit_stalls: run.traffic.credit_stalls,
-                data_queue_peak: run.traffic.data_queue_peak,
-            }
-        }
-        None => CellResult {
+        0.0
+    }
+}
+
+impl CellResult {
+    /// The cell's identity columns with every measurement zeroed — what
+    /// a run that never completed reports, and the base the runners
+    /// update with `..`.
+    fn blank(cell: &Cell) -> CellResult {
+        CellResult {
             topology: cell.topology.name(),
             total_devices: cell.topology.total_devices(),
             algorithm: cell.algorithm.name(),
@@ -699,7 +582,113 @@ fn run_cell(spec: &SweepSpec, cell: &Cell) -> CellResult {
             latency_p99_us: 0.0,
             credit_stalls: 0,
             data_queue_peak: 0,
+        }
+    }
+
+    /// Fills every column a [`DiscoveryRun`] measures (a run without a
+    /// traffic summary leaves the load columns at zero).
+    fn with_run(self, run: &DiscoveryRun) -> CellResult {
+        CellResult {
+            completed: true,
+            discovery_time_s: run.discovery_time().as_secs_f64(),
+            devices_found: run.devices_found,
+            links_found: run.links_found,
+            requests: run.requests_sent,
+            responses: run.responses_received,
+            timeouts: run.timeouts,
+            retries: run.retries,
+            abandoned: run.abandoned,
+            peak_outstanding: run.peak_outstanding,
+            bytes_sent: run.bytes_sent,
+            bytes_received: run.bytes_received,
+            mean_fm_processing_us: run.mean_fm_processing().as_micros_f64(),
+            fm_utilization: run.fm_utilization(),
+            probes_verified: run.probes_verified,
+            verify_mismatches: run.verify_mismatches,
+            warm_fallback: run.warm_fallback,
+            goodput_mbps: run.traffic.goodput_bps / 1e6,
+            flow_delivered: run.traffic.flow_delivered,
+            latency_p50_us: run.traffic.latency_p50_us,
+            latency_p99_us: run.traffic.latency_p99_us,
+            credit_stalls: run.traffic.credit_stalls,
+            data_queue_peak: run.traffic.data_queue_peak,
+            ..self
+        }
+    }
+}
+
+/// Executes one cell under `scenario` — the grid's base already stamped
+/// with the cell's algorithm and seed. Runs on a worker thread; must
+/// derive everything from its arguments so results are
+/// placement-independent.
+fn run_cell(
+    cell: &Cell,
+    mut scenario: Scenario,
+    change: ChangeMode,
+    traffic: &TrafficPlan,
+) -> CellResult {
+    let topo = cell.topology.build();
+    if cell.load > 0.0 {
+        // Non-zero load: clone the grid's traffic template, override the
+        // unicast load with the axis value and re-seed per cell. A zero
+        // load installs no plan at all, keeping those cells on the exact
+        // traffic-free code path (byte-identity with the plain grids).
+        let mut plan = traffic.clone();
+        plan.load = cell.load;
+        plan.seed ^= cell.seed;
+        scenario = scenario.with_traffic_plan(plan);
+    }
+    if !scenario.churn.is_inert() {
+        return run_churn_cell(cell, &topo, scenario);
+    }
+    if cell.fms > 1 {
+        return run_sharded_cell(cell, &topo, &scenario);
+    }
+    // Fault and change cells run their fabric inside the scenario
+    // helpers without surfacing it, so their simulator event count
+    // reports as zero.
+    let no_events = |(run, active): (DiscoveryRun, usize)| (run, active, 0u64);
+    let faulty = !scenario.faults.is_inert();
+    let outcome = if cell.warm {
+        // Warm twin: an unmeasured cold bench produces the snapshot the
+        // measured warm-start verification run is seeded from.
+        let snapshot = snapshot_db(Bench::start(&topo, &scenario, &[]).db());
+        let warm = scenario.with_snapshot(snapshot);
+        if faulty {
+            warm.initial_discovery(&topo).map(no_events)
+        } else {
+            let bench = Bench::start(&topo, &warm, &[]);
+            let active = bench.active_nodes();
+            Some((bench.last_run(), active, bench.fabric.events_processed()))
+        }
+    } else if faulty {
+        scenario.initial_discovery(&topo).map(no_events)
+    } else {
+        match change {
+            ChangeMode::Initial => {
+                let bench = Bench::start(&topo, &scenario, &[]);
+                let active = bench.active_nodes();
+                let mut run = bench.last_run();
+                run.traffic = summarize_traffic(&bench.fabric, &scenario.traffic);
+                Some((run, active, bench.fabric.events_processed()))
+            }
+            ChangeMode::Remove => Some(no_events(change_experiment(&topo, &scenario, true))),
+            ChangeMode::Add => Some(no_events(change_experiment(&topo, &scenario, false))),
+            ChangeMode::Alternate => Some(no_events(change_experiment(
+                &topo,
+                &scenario,
+                cell.rep.is_multiple_of(2),
+            ))),
+        }
+    };
+    match outcome {
+        Some((run, active, sim_events)) => CellResult {
+            active_nodes: active,
+            sim_events,
+            events_per_sec: throughput(sim_events, run.discovery_time().as_secs_f64()),
+            ..CellResult::blank(cell).with_run(&run)
         },
+        None => CellResult::blank(cell),
     }
 }
 
@@ -711,64 +700,26 @@ fn run_cell(spec: &SweepSpec, cell: &Cell) -> CellResult {
 /// quiescence, and the churned database byte-equal to a cold
 /// re-discovery of the end-state fabric. `discovery_time_s` reports
 /// the convergence lag so the aggregate time columns stay meaningful.
-fn run_churn_cell(
-    spec: &SweepSpec,
-    cell: &Cell,
-    topo: &asi_topo::Topology,
-    scenario: &Scenario,
-) -> CellResult {
-    let plan = spec
+fn run_churn_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: Scenario) -> CellResult {
+    let plan = scenario
         .churn
         .clone()
-        .with_seed(spec.churn.seed ^ cell.seed)
+        .with_seed(scenario.churn.seed ^ cell.seed)
         .with_exempt(default_churn_exempt(topo));
-    let scenario = scenario
-        .clone()
-        .with_partial_assimilation(true)
-        .with_churn(plan);
+    let scenario = scenario.with_partial_assimilation(true).with_churn(plan);
     let out = churn_experiment(topo, &scenario);
     CellResult {
-        topology: cell.topology.name(),
-        total_devices: cell.topology.total_devices(),
-        algorithm: cell.algorithm.name(),
-        warm: cell.warm,
-        rep: cell.rep,
-        seed: cell.seed,
         completed: out.full_topology && !out.diverged_at_end && out.cold_db_matches,
         active_nodes: topo.node_count(),
         discovery_time_s: out.convergence_lag.as_secs_f64(),
         devices_found: out.final_devices,
         links_found: out.final_links,
-        requests: 0,
-        responses: 0,
-        timeouts: 0,
-        retries: 0,
-        abandoned: 0,
-        peak_outstanding: 0,
-        sim_events: 0,
-        bytes_sent: 0,
-        bytes_received: 0,
-        mean_fm_processing_us: 0.0,
-        fm_utilization: 0.0,
-        probes_verified: 0,
-        verify_mismatches: 0,
-        warm_fallback: false,
-        fms: 1,
-        boundary_conflicts: 0,
-        failovers: 0,
-        merge_time_s: 0.0,
         churn_events: out.churn_events,
         events_per_sec: out.events_per_sec,
         convergence_lag_s: out.convergence_lag.as_secs_f64(),
         divergence_windows: out.divergence_windows,
         divergence_s: out.divergence_total.as_secs_f64(),
-        load: cell.load,
-        goodput_mbps: 0.0,
-        flow_delivered: 0,
-        latency_p50_us: 0.0,
-        latency_p99_us: 0.0,
-        credit_stalls: 0,
-        data_queue_peak: 0,
+        ..CellResult::blank(cell)
     }
 }
 
@@ -779,58 +730,23 @@ fn run_churn_cell(
 /// device/link counts describe the merged view.
 fn run_sharded_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: &Scenario) -> CellResult {
     let (fabric, primary, out) = sharded_discovery(topo, cell.fms, scenario);
-    let active = fabric.active_reachable(primary).len();
     let run = fabric
         .agent_as::<asi_core::FmAgent>(primary)
         .and_then(|a| a.last_run())
-        .cloned();
-    let run = run.expect("sharded primary recorded a run");
+        .expect("sharded primary recorded a run");
+    let merged_s = out.merged_time.as_secs_f64();
     CellResult {
-        topology: cell.topology.name(),
-        total_devices: cell.topology.total_devices(),
-        algorithm: cell.algorithm.name(),
-        warm: cell.warm,
-        rep: cell.rep,
-        seed: cell.seed,
-        completed: true,
-        active_nodes: active,
-        discovery_time_s: out.merged_time.as_secs_f64(),
+        active_nodes: fabric.active_reachable(primary).len(),
+        discovery_time_s: merged_s,
         devices_found: out.devices,
         links_found: out.links,
-        requests: run.requests_sent,
-        responses: run.responses_received,
-        timeouts: run.timeouts,
-        retries: run.retries,
-        abandoned: run.abandoned,
-        peak_outstanding: run.peak_outstanding,
         sim_events: fabric.events_processed(),
-        bytes_sent: run.bytes_sent,
-        bytes_received: run.bytes_received,
-        mean_fm_processing_us: run.mean_fm_processing().as_micros_f64(),
-        fm_utilization: run.fm_utilization(),
-        probes_verified: run.probes_verified,
-        verify_mismatches: run.verify_mismatches,
-        warm_fallback: run.warm_fallback,
         fms: cell.fms,
         boundary_conflicts: out.boundary_conflicts,
         failovers: out.failovers,
         merge_time_s: out.merge_time.as_secs_f64(),
-        churn_events: 0,
-        events_per_sec: if out.merged_time > SimDuration::ZERO {
-            fabric.events_processed() as f64 / out.merged_time.as_secs_f64()
-        } else {
-            0.0
-        },
-        convergence_lag_s: 0.0,
-        divergence_windows: 0,
-        divergence_s: 0.0,
-        load: cell.load,
-        goodput_mbps: 0.0,
-        flow_delivered: 0,
-        latency_p50_us: 0.0,
-        latency_p99_us: 0.0,
-        credit_stalls: 0,
-        data_queue_peak: 0,
+        events_per_sec: throughput(fabric.events_processed(), merged_s),
+        ..CellResult::blank(cell).with_run(run)
     }
 }
 
@@ -844,19 +760,24 @@ pub fn run(spec: &SweepSpec, jobs: usize) -> SweepResult {
     let cells = spec.cells();
     let jobs = jobs.max(1).min(cells.len().max(1));
     let next = AtomicUsize::new(0);
+    // `&SweepSpec` cannot cross threads (the base scenario's trace sink
+    // is an `Rc`); the workers share its thread-safe parts instead.
+    let base = spec.base.untraced();
+    let (change, traffic) = (spec.change, &spec.traffic);
     let mut results: Vec<Option<CellResult>> = Vec::new();
     results.resize_with(cells.len(), || None);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            let next = &next;
-            let cells = &cells;
+            let (next, cells, base) = (&next, &cells, &base);
             handles.push(scope.spawn(move || {
                 let mut mine: Vec<(usize, CellResult)> = Vec::new();
                 loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(idx) else { break };
-                    mine.push((idx, run_cell(spec, cell)));
+                    let mut scenario = base().with_seed(cell.seed);
+                    scenario.algorithm = cell.algorithm;
+                    mine.push((idx, run_cell(cell, scenario, change, traffic)));
                 }
                 mine
             }));
@@ -867,88 +788,60 @@ pub fn run(spec: &SweepSpec, jobs: usize) -> SweepResult {
             }
         }
     });
-    let cells: Vec<CellResult> = results
+    let results: Vec<CellResult> = results
         .into_iter()
         .map(|r| r.expect("every cell executed"))
         .collect();
-    let aggregates = aggregate(spec, &cells);
+    let aggregates = aggregate(&cells, &results, spec.reps);
     SweepResult {
         name: spec.name.clone(),
         change: spec.change.name(),
-        cells,
+        cells: results,
         aggregates,
     }
 }
 
-/// Folds cell results into per-(topology, algorithm) aggregates, in
-/// canonical order. Pure function of the cell list, so it cannot
-/// reintroduce thread-count dependence.
-fn aggregate(spec: &SweepSpec, cells: &[CellResult]) -> Vec<Aggregate> {
-    let mut out = Vec::new();
-    for &algorithm in &spec.algorithms {
-        for &topology in &spec.topologies {
-            for &warm in spec.warm_modes() {
-                for &fms in &spec.fm_counts {
-                    for &load in &spec.loads {
-                        let name = topology.name();
-                        let mut stats = OnlineStats::new();
-                        let mut requests = 0u64;
-                        let mut timeouts = 0u64;
-                        let mut retries = 0u64;
-                        let mut completed = 0usize;
-                        let mut full_topology = 0usize;
-                        for c in cells {
-                            if c.algorithm == algorithm.name()
-                                && c.topology == name
-                                && c.warm == warm
-                                && c.fms == fms
-                                && c.load == load
-                                && c.completed
-                            {
-                                stats.push(c.discovery_time_s);
-                                requests += c.requests;
-                                timeouts += c.timeouts;
-                                retries += c.retries;
-                                completed += 1;
-                                if c.devices_found == c.total_devices {
-                                    full_topology += 1;
-                                }
-                            }
-                        }
-                        out.push(Aggregate {
-                            topology: name,
-                            total_devices: topology.total_devices(),
-                            algorithm: algorithm.name(),
-                            warm,
-                            fms,
-                            load,
-                            completed,
-                            mean_time_s: if completed == 0 { 0.0 } else { stats.mean() },
-                            min_time_s: if completed == 0 { 0.0 } else { stats.min() },
-                            max_time_s: if completed == 0 { 0.0 } else { stats.max() },
-                            mean_requests: if completed == 0 {
-                                0.0
-                            } else {
-                                requests as f64 / completed as f64
-                            },
-                            mean_timeouts: if completed == 0 {
-                                0.0
-                            } else {
-                                timeouts as f64 / completed as f64
-                            },
-                            mean_retries: if completed == 0 {
-                                0.0
-                            } else {
-                                retries as f64 / completed as f64
-                            },
-                            full_topology,
-                        });
-                    }
-                }
+/// Folds cell results into one aggregate per grid point, in canonical
+/// order: repetitions are the innermost axis of [`SweepSpec::cells`],
+/// so each run of `reps` consecutive cells shares its key. Pure
+/// function of the two lists, so it cannot reintroduce thread-count
+/// dependence.
+fn aggregate(cells: &[Cell], results: &[CellResult], reps: usize) -> Vec<Aggregate> {
+    let reps = reps.max(1);
+    let mean = |sum: u64, n: usize| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+    cells
+        .chunks(reps)
+        .zip(results.chunks(reps))
+        .map(|(key, results)| {
+            let key = &key[0];
+            let done: Vec<&CellResult> = results.iter().filter(|c| c.completed).collect();
+            let mut stats = OnlineStats::new();
+            for c in &done {
+                stats.push(c.discovery_time_s);
             }
-        }
-    }
-    out
+            let completed = done.len();
+            let time = |stat: f64| if completed == 0 { 0.0 } else { stat };
+            Aggregate {
+                topology: key.topology.name(),
+                total_devices: key.topology.total_devices(),
+                algorithm: key.algorithm.name(),
+                warm: key.warm,
+                fms: key.fms,
+                load: key.load,
+                completed,
+                mean_time_s: time(stats.mean()),
+                min_time_s: time(stats.min()),
+                max_time_s: time(stats.max()),
+                mean_requests: mean(done.iter().map(|c| c.requests).sum(), completed),
+                mean_timeouts: mean(done.iter().map(|c| c.timeouts).sum(), completed),
+                mean_retries: mean(done.iter().map(|c| c.retries).sum(), completed),
+                full_topology: done
+                    .iter()
+                    .filter(|c| c.devices_found == c.total_devices)
+                    .count(),
+            }
+        })
+        .collect()
 }
 
 /// Escapes one CSV field per RFC 4180: fields containing a comma, a
@@ -962,51 +855,79 @@ pub fn csv_field(field: &str) -> String {
     }
 }
 
+/// A report column: its name and how to read it off a cell.
+type Column = (&'static str, fn(&CellResult) -> Json);
+
+/// Every column of the per-cell reports, in output order: the one list
+/// behind the JSON keys, the CSV header and the CSV rows.
+const COLUMNS: &[Column] = &[
+    ("topology", |c| c.topology.as_str().into()),
+    ("total_devices", |c| c.total_devices.into()),
+    ("algorithm", |c| c.algorithm.into()),
+    ("warm", |c| c.warm.into()),
+    ("rep", |c| c.rep.into()),
+    ("seed", |c| c.seed.into()),
+    ("completed", |c| c.completed.into()),
+    ("active_nodes", |c| c.active_nodes.into()),
+    ("discovery_time_s", |c| c.discovery_time_s.into()),
+    ("devices_found", |c| c.devices_found.into()),
+    ("links_found", |c| c.links_found.into()),
+    ("requests", |c| c.requests.into()),
+    ("responses", |c| c.responses.into()),
+    ("timeouts", |c| c.timeouts.into()),
+    ("retries", |c| c.retries.into()),
+    ("abandoned", |c| c.abandoned.into()),
+    ("peak_outstanding", |c| c.peak_outstanding.into()),
+    ("sim_events", |c| c.sim_events.into()),
+    ("bytes_sent", |c| c.bytes_sent.into()),
+    ("bytes_received", |c| c.bytes_received.into()),
+    ("mean_fm_processing_us", |c| c.mean_fm_processing_us.into()),
+    ("fm_utilization", |c| c.fm_utilization.into()),
+    ("probes_verified", |c| c.probes_verified.into()),
+    ("verify_mismatches", |c| c.verify_mismatches.into()),
+    ("warm_fallback", |c| c.warm_fallback.into()),
+    ("fms", |c| c.fms.into()),
+    ("boundary_conflicts", |c| c.boundary_conflicts.into()),
+    ("failovers", |c| c.failovers.into()),
+    ("merge_time_s", |c| c.merge_time_s.into()),
+    ("churn_events", |c| c.churn_events.into()),
+    ("events_per_sec", |c| c.events_per_sec.into()),
+    ("convergence_lag_s", |c| c.convergence_lag_s.into()),
+    ("divergence_windows", |c| c.divergence_windows.into()),
+    ("divergence_s", |c| c.divergence_s.into()),
+    ("load", |c| c.load.into()),
+    ("goodput_mbps", |c| c.goodput_mbps.into()),
+    ("flow_delivered", |c| c.flow_delivered.into()),
+    ("latency_p50_us", |c| c.latency_p50_us.into()),
+    ("latency_p99_us", |c| c.latency_p99_us.into()),
+    ("credit_stalls", |c| c.credit_stalls.into()),
+    ("data_queue_peak", |c| c.data_queue_peak.into()),
+];
+
 impl CellResult {
     /// JSON object for one cell.
     pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("topology", self.topology.as_str())
-            .with("total_devices", self.total_devices)
-            .with("algorithm", self.algorithm)
-            .with("warm", self.warm)
-            .with("rep", self.rep)
-            .with("seed", self.seed)
-            .with("completed", self.completed)
-            .with("active_nodes", self.active_nodes)
-            .with("discovery_time_s", self.discovery_time_s)
-            .with("devices_found", self.devices_found)
-            .with("links_found", self.links_found)
-            .with("requests", self.requests)
-            .with("responses", self.responses)
-            .with("timeouts", self.timeouts)
-            .with("retries", self.retries)
-            .with("abandoned", self.abandoned)
-            .with("peak_outstanding", self.peak_outstanding)
-            .with("sim_events", self.sim_events)
-            .with("bytes_sent", self.bytes_sent)
-            .with("bytes_received", self.bytes_received)
-            .with("mean_fm_processing_us", self.mean_fm_processing_us)
-            .with("fm_utilization", self.fm_utilization)
-            .with("probes_verified", self.probes_verified)
-            .with("verify_mismatches", self.verify_mismatches)
-            .with("warm_fallback", self.warm_fallback)
-            .with("fms", self.fms)
-            .with("boundary_conflicts", self.boundary_conflicts)
-            .with("failovers", self.failovers)
-            .with("merge_time_s", self.merge_time_s)
-            .with("churn_events", self.churn_events)
-            .with("events_per_sec", self.events_per_sec)
-            .with("convergence_lag_s", self.convergence_lag_s)
-            .with("divergence_windows", self.divergence_windows)
-            .with("divergence_s", self.divergence_s)
-            .with("load", self.load)
-            .with("goodput_mbps", self.goodput_mbps)
-            .with("flow_delivered", self.flow_delivered)
-            .with("latency_p50_us", self.latency_p50_us)
-            .with("latency_p99_us", self.latency_p99_us)
-            .with("credit_stalls", self.credit_stalls)
-            .with("data_queue_peak", self.data_queue_peak)
+        Json::Obj(
+            COLUMNS
+                .iter()
+                .map(|(name, get)| (name.to_string(), get(self)))
+                .collect(),
+        )
+    }
+
+    /// One CSV row (no line break). Numbers print through `Display`, so
+    /// integers stay exact and floats match their JSON rendering; text
+    /// is quoted per RFC 4180.
+    fn to_csv_row(&self) -> String {
+        let fields: Vec<String> = COLUMNS
+            .iter()
+            .map(|(_, get)| match get(self) {
+                Json::Str(s) => csv_field(&s),
+                Json::Num(n) => n.to_string(),
+                other => other.to_string_compact(),
+            })
+            .collect();
+        fields.join(",")
     }
 }
 
@@ -1052,63 +973,11 @@ impl SweepResult {
     /// Cell results as CSV (one row per cell, canonical order). Fields
     /// containing commas, quotes or newlines are quoted per RFC 4180.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "topology,total_devices,algorithm,warm,rep,seed,completed,active_nodes,\
-             discovery_time_s,devices_found,links_found,requests,responses,\
-             timeouts,retries,abandoned,peak_outstanding,sim_events,\
-             bytes_sent,bytes_received,\
-             mean_fm_processing_us,fm_utilization,probes_verified,\
-             verify_mismatches,warm_fallback,fms,boundary_conflicts,\
-             failovers,merge_time_s,churn_events,events_per_sec,\
-             convergence_lag_s,divergence_windows,divergence_s,\
-             load,goodput_mbps,flow_delivered,latency_p50_us,\
-             latency_p99_us,credit_stalls,data_queue_peak\n",
-        );
+        let names: Vec<&str> = COLUMNS.iter().map(|(name, _)| *name).collect();
+        let mut out = names.join(",") + "\n";
         for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                csv_field(&c.topology),
-                c.total_devices,
-                csv_field(c.algorithm),
-                c.warm,
-                c.rep,
-                c.seed,
-                c.completed,
-                c.active_nodes,
-                c.discovery_time_s,
-                c.devices_found,
-                c.links_found,
-                c.requests,
-                c.responses,
-                c.timeouts,
-                c.retries,
-                c.abandoned,
-                c.peak_outstanding,
-                c.sim_events,
-                c.bytes_sent,
-                c.bytes_received,
-                c.mean_fm_processing_us,
-                c.fm_utilization,
-                c.probes_verified,
-                c.verify_mismatches,
-                c.warm_fallback,
-                c.fms,
-                c.boundary_conflicts,
-                c.failovers,
-                c.merge_time_s,
-                c.churn_events,
-                c.events_per_sec,
-                c.convergence_lag_s,
-                c.divergence_windows,
-                c.divergence_s,
-                c.load,
-                c.goodput_mbps,
-                c.flow_delivered,
-                c.latency_p50_us,
-                c.latency_p99_us,
-                c.credit_stalls,
-                c.data_queue_peak
-            ));
+            out.push_str(&c.to_csv_row());
+            out.push('\n');
         }
         out
     }
@@ -1304,7 +1173,7 @@ mod tests {
     fn churn_grid_reports_absorption_and_stays_deterministic() {
         let spec = SweepSpec::churn(true);
         assert_eq!(spec.algorithms, vec![Algorithm::Parallel]);
-        assert!(!spec.churn.is_inert());
+        assert!(!spec.base.churn.is_inert());
         let sequential = run(&spec, 1);
         assert_eq!(sequential.cells.len(), 1);
         let cell = &sequential.cells[0];
@@ -1388,6 +1257,33 @@ mod tests {
         let csv = result.to_csv();
         assert_eq!(csv.lines().count(), 1 + result.cells.len());
         assert!(csv.starts_with("topology,"));
+    }
+
+    #[test]
+    fn json_keys_csv_header_and_csv_rows_share_one_column_list() {
+        let result = run(&tiny_spec(), 1);
+        let names: Vec<&str> = COLUMNS.iter().map(|(name, _)| *name).collect();
+        let csv = result.to_csv();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next().unwrap().split(',').collect::<Vec<_>>(), names);
+        for (cell, row) in result.cells.iter().zip(lines) {
+            let Json::Obj(entries) = cell.to_json() else {
+                panic!("a cell renders as a JSON object");
+            };
+            let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(keys, names);
+            // Same values in the same order: numbers and booleans print
+            // alike in both renderings (the topology name needs no
+            // quoting here).
+            let values: Vec<String> = entries
+                .iter()
+                .map(|(_, value)| match value {
+                    Json::Str(s) => s.clone(),
+                    other => other.to_string_compact(),
+                })
+                .collect();
+            assert_eq!(row.split(',').collect::<Vec<_>>(), values);
+        }
     }
 
     /// Minimal RFC 4180 row parser, for the quoting round-trip test.

@@ -153,99 +153,84 @@ fn assert_usage_error(args: &[&str], needle: &str) {
     );
 }
 
+/// Table form of [`assert_usage_error`]: every `(extra args, needle)`
+/// row is appended to `prefix` (a mode plus its required flags).
+fn assert_usage_errors(prefix: &[&str], table: &[(&[&str], &str)]) {
+    for (extra, needle) in table {
+        assert_usage_error(&[prefix, extra].concat(), needle);
+    }
+}
+
 #[test]
 fn malformed_flags_report_friendly_errors_not_panics() {
-    fn with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-        [&["--topology", "mesh:3x3"], extra].concat()
-    }
-    assert_usage_error(&with(&["--seed", "banana"]), "--seed must be an integer");
-    assert_usage_error(&with(&["--seed", "-3"]), "--seed must be an integer");
-    assert_usage_error(
-        &with(&["--fm-factor", "fast"]),
-        "--fm-factor must be a number",
+    assert_usage_errors(
+        &["--topology", "mesh:3x3"],
+        &[
+            (&["--seed", "banana"], "--seed must be an integer"),
+            // Values may start with `-`: this is a bad value, not a flag.
+            (&["--seed", "-3"], "--seed must be an integer"),
+            (&["--fm-factor", "fast"], "--fm-factor must be a number"),
+            (
+                &["--device-factor", "2x"],
+                "--device-factor must be a number",
+            ),
+            (&["--loss", "lots"], "--loss must be a probability"),
+            (&["--loss", "1.5"], "--loss must be in [0, 1)"),
+            (&["--retries", "many"], "--retries must be an integer"),
+            (&["--algorithm", "psychic"], "unknown algorithm"),
+            (&["--change", "rename"], "unknown change"),
+            // A flag left dangling at the end is an error, not the default.
+            (&["--seed"], "error: --seed is missing its value"),
+        ],
     );
-    assert_usage_error(
-        &with(&["--device-factor", "2x"]),
-        "--device-factor must be a number",
-    );
-    assert_usage_error(&with(&["--loss", "lots"]), "--loss must be a probability");
-    assert_usage_error(&with(&["--loss", "1.5"]), "--loss must be in [0, 1)");
-    assert_usage_error(
-        &with(&["--retries", "many"]),
-        "--retries must be an integer",
-    );
-    assert_usage_error(&with(&["--algorithm", "psychic"]), "unknown algorithm");
-    assert_usage_error(&with(&["--change", "rename"]), "unknown change");
-    // A flag left dangling at the end is an error, not the default.
-    assert_usage_error(&with(&["--seed"]), "error: --seed is missing its value");
 }
 
 #[test]
 fn malformed_fault_flags_report_friendly_errors_not_panics() {
-    fn with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-        [&["--topology", "mesh:3x3"], extra].concat()
-    }
-    assert_usage_error(&with(&["--loss-model", "gaussian"]), "unknown loss model");
-    assert_usage_error(&with(&["--corrupt", "1.5"]), "--corrupt must be in [0, 1]");
-    assert_usage_error(
-        &with(&["--corrupt", "often"]),
-        "--corrupt must be a probability",
-    );
-    assert_usage_error(
-        &with(&["--duplicate", "2"]),
-        "--duplicate must be in [0, 1]",
-    );
-    assert_usage_error(
-        &with(&["--flap", "100:3"]),
-        "--flap wants <at_us>:<device>:<port>:<down_us>",
-    );
-    assert_usage_error(
-        &with(&["--flap", "soon:3:0:200"]),
-        "is not a time in \u{b5}s",
-    );
-    assert_usage_error(
-        &with(&["--hang", "100:3:50:9"]),
-        "--hang wants <at_us>:<device>:<dur_us>",
-    );
-    assert_usage_error(
-        &with(&["--slow", "100:3:0:50"]),
-        "--slow factor must be positive",
-    );
-    assert_usage_error(
-        &with(&["--slow", "100:3:-2:50"]),
-        "--slow factor must be positive",
-    );
-    assert_usage_error(
-        &with(&["--retry-policy", "psychic"]),
-        "unknown retry policy",
-    );
-    assert_usage_error(
-        &with(&["--retry-policy", "deadline"]),
-        "--retry-policy deadline needs --deadline-us",
-    );
-    assert_usage_error(
-        &with(&["--retry-policy", "deadline", "--deadline-us", "soon"]),
-        "--deadline-us must be an integer",
-    );
-    assert_usage_error(
-        &with(&["--deadline-us", "5000"]),
-        "--deadline-us only applies with --retry-policy deadline",
-    );
-    assert_usage_error(
-        &with(&["--timeout-us", "fast"]),
-        "--timeout-us must be an integer",
+    assert_usage_errors(
+        &["--topology", "mesh:3x3"],
+        &[
+            (&["--loss-model", "gaussian"], "unknown loss model"),
+            (&["--corrupt", "1.5"], "--corrupt must be in [0, 1]"),
+            (&["--corrupt", "often"], "--corrupt must be a probability"),
+            (&["--duplicate", "2"], "--duplicate must be in [0, 1]"),
+            (
+                &["--flap", "100:3"],
+                "--flap wants <at_us>:<device>:<port>:<down_us>",
+            ),
+            (&["--flap", "soon:3:0:200"], "is not a time in \u{b5}s"),
+            (
+                &["--hang", "100:3:50:9"],
+                "--hang wants <at_us>:<device>:<dur_us>",
+            ),
+            (&["--slow", "100:3:0:50"], "--slow factor must be positive"),
+            (&["--slow", "100:3:-2:50"], "--slow factor must be positive"),
+            (&["--retry-policy", "psychic"], "unknown retry policy"),
+            (
+                &["--retry-policy", "deadline"],
+                "--retry-policy deadline needs --deadline-us",
+            ),
+            (
+                &["--retry-policy", "deadline", "--deadline-us", "soon"],
+                "--deadline-us must be an integer",
+            ),
+            (
+                &["--deadline-us", "5000"],
+                "--deadline-us only applies with --retry-policy deadline",
+            ),
+            (&["--timeout-us", "fast"], "--timeout-us must be an integer"),
+        ],
     );
     // The `faults` subcommand shares the same validation.
-    assert_usage_error(&["faults"], "--topology is required");
-    assert_usage_error(
+    assert_usage_errors(
+        &["faults"],
         &[
-            "faults",
-            "--topology",
-            "mesh:3x3",
-            "--loss-model",
-            "gaussian",
+            (&[], "--topology is required"),
+            (
+                &["--topology", "mesh:3x3", "--loss-model", "gaussian"],
+                "unknown loss model",
+            ),
         ],
-        "unknown loss model",
     );
 }
 
@@ -1169,48 +1154,36 @@ fn traffic_mode_is_byte_identical_across_kernels() {
 fn traffic_mode_rejects_malformed_invocations() {
     // Satellite 3: one negative per new flag, all on the exit-2
     // error/usage framework.
-    let (_, stderr, code) = run_coded(&["traffic"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--topology is required"), "{stderr}");
-    fn with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-        [&["traffic", "--topology", "mesh:3x3"], extra].concat()
-    }
-    assert_usage_error(&with(&["--load", "1.5"]), "--load must be in [0, 1]");
-    assert_usage_error(&with(&["--load", "-0.1"]), "--load must be in [0, 1]");
-    assert_usage_error(&with(&["--load", "lots"]), "--load must be a number");
-    assert_usage_error(&with(&["--flows", "0"]), "--flows must be at least 1");
-    assert_usage_error(&with(&["--flows", "many"]), "--flows must be an integer");
-    assert_usage_error(
-        &with(&["--mcast-groups", "65"]),
-        "--mcast-groups must be at most 64",
+    assert_usage_error(&["traffic"], "--topology is required");
+    assert_usage_errors(
+        &["traffic", "--topology", "mesh:3x3"],
+        &[
+            (&["--load", "1.5"], "--load must be in [0, 1]"),
+            (&["--load", "-0.1"], "--load must be in [0, 1]"),
+            (&["--load", "lots"], "--load must be a number"),
+            (&["--flows", "0"], "--flows must be at least 1"),
+            (&["--flows", "many"], "--flows must be an integer"),
+            (
+                &["--mcast-groups", "65"],
+                "--mcast-groups must be at most 64",
+            ),
+            (
+                &["--mcast-groups", "all"],
+                "--mcast-groups must be an integer",
+            ),
+            (&["--mcast-load", "2"], "--mcast-load must be in [0, 1]"),
+            (&["--switch-load", "-1"], "--switch-load must be in [0, 1]"),
+            (&["--payload", "0"], "--payload must be at least 1"),
+            (&["--payload", "huge"], "--payload must be an integer"),
+            (&["--arrivals", "bursty"], "unknown arrival process"),
+            (
+                &["--duration-us", "forever"],
+                "--duration-us must be an integer",
+            ),
+            (&["--algorithm", "all"], "traffic mode wants one algorithm"),
+            (&["--kernel", "threads"], "unknown kernel"),
+        ],
     );
-    assert_usage_error(
-        &with(&["--mcast-groups", "all"]),
-        "--mcast-groups must be an integer",
-    );
-    assert_usage_error(
-        &with(&["--mcast-load", "2"]),
-        "--mcast-load must be in [0, 1]",
-    );
-    assert_usage_error(
-        &with(&["--switch-load", "-1"]),
-        "--switch-load must be in [0, 1]",
-    );
-    assert_usage_error(&with(&["--payload", "0"]), "--payload must be at least 1");
-    assert_usage_error(
-        &with(&["--payload", "huge"]),
-        "--payload must be an integer",
-    );
-    assert_usage_error(&with(&["--arrivals", "bursty"]), "unknown arrival process");
-    assert_usage_error(
-        &with(&["--duration-us", "forever"]),
-        "--duration-us must be an integer",
-    );
-    assert_usage_error(
-        &with(&["--algorithm", "all"]),
-        "traffic mode wants one algorithm",
-    );
-    assert_usage_error(&with(&["--kernel", "threads"]), "unknown kernel");
 }
 
 #[test]
@@ -1281,4 +1254,180 @@ fn load_sweep_grid_is_jobs_invariant_with_monotone_goodput() {
     ] {
         assert!(header.contains(col), "{col} missing from {header}");
     }
+}
+
+/// Every mode: the arguments that select it (with the flags it
+/// requires), what the parser calls it, a flag only other modes own,
+/// and one of its own scalar flags.
+const MODES: &[(&[&str], &str, &[&str], &str)] = &[
+    (
+        &["--topology", "mesh:3x3"],
+        "the default mode",
+        &["--load", "0.4"],
+        "--seed",
+    ),
+    (
+        &["faults", "--topology", "mesh:3x3"],
+        "the `faults` mode",
+        &["--change", "remove"],
+        "--seed",
+    ),
+    (
+        &["churn", "--topology", "mesh:3x3"],
+        "the `churn` mode",
+        &["--loss", "0.1"],
+        "--seed",
+    ),
+    (
+        &["traffic", "--topology", "mesh:3x3"],
+        "the `traffic` mode",
+        &["--flap-rate", "1"],
+        "--seed",
+    ),
+    (&["sweep"], "the `sweep` mode", &["--seed", "3"], "--jobs"),
+    (
+        &["stress", "--topology", "mesh:3x3"],
+        "the `stress` mode",
+        &["--load", "0.4"],
+        "--seed",
+    ),
+    (
+        &["certify", "--topology", "mesh:3x3"],
+        "the `certify` mode",
+        &["--loss", "0.5"],
+        "--seed",
+    ),
+    (
+        &["snapshot", "save", "--topology", "mesh:3x3", "--out", "x"],
+        "the `snapshot save` mode",
+        &["--kernel", "serial"],
+        "--seed",
+    ),
+    (
+        &["snapshot", "load"],
+        "the `snapshot load` mode",
+        &["--topology", "mesh:3x3"],
+        "--in",
+    ),
+    (
+        &["snapshot", "diff"],
+        "the `snapshot diff` mode",
+        &["--format", "jsonl"],
+        "--old",
+    ),
+    (
+        &["snapshot", "verify", "--topology", "mesh:3x3"],
+        "the `snapshot verify` mode",
+        &["--out", "x"],
+        "--seed",
+    ),
+];
+
+#[test]
+fn every_mode_rejects_flags_it_does_not_consume() {
+    for &(mode, label, foreign, scalar) in MODES {
+        assert_usage_errors(
+            mode,
+            &[
+                (&["--bogus"], "error: unknown option \"--bogus\""),
+                (
+                    foreign,
+                    &format!("error: {} is not an option of {label}", foreign[0]),
+                ),
+                (
+                    &[scalar, "1", scalar, "2"],
+                    &format!("error: {scalar} given more than once"),
+                ),
+                (&[scalar], &format!("error: {scalar} is missing its value")),
+            ],
+        );
+    }
+    // The misbehaviours the hand-scanned flags allowed: each used to
+    // exit 0 on defaults.
+    assert_usage_errors(
+        &[],
+        &[
+            (
+                &["--topology", "mesh:3x3", "--laod", "0.4", "--bogus"],
+                "error: unknown option \"--laod\"",
+            ),
+            (
+                &["frobnicate", "--topology", "mesh:3x3"],
+                "error: unknown mode \"frobnicate\"",
+            ),
+            (
+                &["certify", "--topology", "mesh:3x3", "--fms", "3"],
+                "error: --fms is not an option of the `certify` mode",
+            ),
+            (
+                &["--topology", "mesh:3x3", "extra"],
+                "unknown option \"extra\"",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn repeatable_fault_events_are_accepted_more_than_once() {
+    let (stdout, stderr, ok) = run(&[
+        "faults",
+        "--topology",
+        "mesh:3x3",
+        "--flap",
+        "40000:0:0:200",
+        "--flap",
+        "300:4:1:100",
+        "--hang",
+        "1000:3:2000",
+        "--hang",
+        "50:2:300",
+        "--slow",
+        "10:5:0.5:400",
+        "--slow",
+        "20:6:2:100",
+        "--json",
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(parse(&stdout).unwrap().as_array().unwrap().len(), 3);
+}
+
+#[test]
+fn a_closed_stdout_pipe_ends_every_mode_quietly() {
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join("asi-cli-closed-pipe-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("p.snap");
+    let snap = snap.to_str().unwrap();
+    // `snapshot save` runs first so the modes after it have a file to read.
+    let modes: &[&[&str]] = &[
+        &["snapshot", "save", "--topology", "mesh:3x3", "--out", snap],
+        &["snapshot", "load", "--in", snap],
+        &["snapshot", "diff", "--old", snap, "--new", snap],
+        &["snapshot", "verify", "--topology", "mesh:3x3", "--in", snap],
+        &["--topology", "mesh:3x3"],
+        &["faults", "--topology", "mesh:3x3"],
+        &["churn", "--topology", "mesh:3x3"],
+        &["traffic", "--topology", "mesh:3x3"],
+        &["sweep", "--grid", "smoke"],
+        &["stress", "--topology", "mesh:3x3"],
+        &["certify", "--topology", "mesh:3x3"],
+    ];
+    for args in modes {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_asi-fabric-sim"))
+            .args(*args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // The reader goes away before the run has anything to print
+        // (`| head` that already exited): every later write hits EPIPE.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        // The run's own verdict survives: these all succeed.
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
