@@ -234,6 +234,22 @@ pub struct EngineStats {
     pub stale_probes: u64,
 }
 
+/// Folds a later phase's counters into a run total: counts add, the
+/// outstanding high-water mark takes the maximum.
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, b: EngineStats) {
+        self.requests += b.requests;
+        self.responses += b.responses;
+        self.timeouts += b.timeouts;
+        self.max_outstanding = self.max_outstanding.max(b.max_outstanding);
+        self.retries += b.retries;
+        self.duplicate_probes += b.duplicate_probes;
+        self.ceded_devices += b.ceded_devices;
+        self.abandoned += b.abandoned;
+        self.stale_probes += b.stale_probes;
+    }
+}
+
 /// The device currently being explored by a serial algorithm.
 #[derive(Debug)]
 struct Exploring {

@@ -2,26 +2,34 @@
 //! simulated fabric, implements change assimilation (full re-discovery on
 //! PI-5, as the paper assumes, or the affected-region extension), request
 //! timeouts, and the measurement plumbing behind every figure.
+//!
+//! Configuration, state and event entry points live here; behaviour in
+//! one submodule per seam of the state machine (`docs/ARCHITECTURE.md`):
+//! `run` (how discovery runs begin — PI-5 assimilation included —
+//! proceed and finish), `ensemble` (election, merge, watch, promotion),
+//! `side` (path distribution and multicast writes).
+
+mod ensemble;
+mod run;
+mod side;
 
 use crate::db::TopologyDb;
-use crate::distributed::{report_messages, DistributedConfig, DistributedRole, MergeState};
-use crate::election::{Ballot, Claim, ElectionResult};
-use crate::engine::{Engine, EngineConfig, EngineStats, OutOp, OutRequest};
-use crate::mcast::plan_multicast;
-use crate::metrics::{Algorithm, DiscoveryRun, DiscoveryTrigger, DistributionRun, TrafficSummary};
-use crate::pathdist::plan_distribution;
+use crate::distributed::{DistributedConfig, DistributedRole, MergeState};
+use crate::engine::{Engine, EngineConfig};
+use crate::metrics::{Algorithm, DiscoveryRun, DistributionRun};
 use crate::retry::RetryPolicy;
-use crate::snapshot::db_from_snapshot;
 use crate::timing::FmTiming;
 use asi_fabric::{AgentCtx, FabricAgent};
 use asi_proto::{
-    DeviceType, FmMessage, Packet, Payload, Pi4, Pi5, PortEvent, ProtocolInterface, RouteHeader,
-    MANAGEMENT_TC,
+    Packet, Payload, Pi4, Pi5, ProtocolInterface, RouteHeader, TurnPool, MANAGEMENT_TC,
 };
-use asi_sim::{SimDuration, SimTime, TimeSeries, TraceEvent, TraceHandle};
+use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle};
 use asi_state::Snapshot;
+use ensemble::{Role, Watch};
+use run::RunAcc;
+use side::SideWrites;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Timer token that kicks off the initial discovery.
 pub const TOKEN_START_DISCOVERY: u64 = 1 << 62;
@@ -40,19 +48,9 @@ pub const TOKEN_CONFIGURE_MCAST: u64 = (1 << 62) + 3;
 /// [`TOKEN_START_DISCOVERY`].
 pub const TOKEN_START_ELECTION: u64 = (1 << 62) + 4;
 const TOKEN_ELECTION_DECIDE: u64 = (1 << 62) + 5;
+/// Request-timeout tokens: this flag, the sending engine's launch epoch
+/// in bits 32.. (zero for side writes), the request id in the low 32.
 const TIMEOUT_FLAG: u64 = 1 << 63;
-/// Keepalive request ids live in their own range so they can never
-/// collide with engine request ids.
-const KEEPALIVE_REQ_BASE: u32 = 0xF000_0000;
-/// Path-distribution write ids live in their own range too.
-const DIST_REQ_BASE: u32 = 0xE000_0000;
-/// Multicast-table write ids.
-const MCAST_REQ_BASE: u32 = 0xD000_0000;
-/// Request backlog above which armed timeouts add a congestion term
-/// covering the manager's serial response processing. Paper-scale
-/// fabrics (every Table 1 topology floods fewer requests than this)
-/// stay on the caller's base timeout alone.
-const CONGESTION_BACKLOG_FLOOR: usize = 512;
 
 /// How the manager's *initial* discovery runs.
 #[derive(Clone, Debug, Default)]
@@ -72,7 +70,8 @@ pub enum DiscoveryMode {
 /// Construct with [`FmConfig::new`] and refine with the `with_*`
 /// builder methods; the struct is `#[non_exhaustive]`, so new knobs can
 /// be added without breaking callers. Fields stay public for reading
-/// and in-place mutation.
+/// and in-place mutation by the caller; the agent treats its copy as
+/// input and never writes to it.
 ///
 /// ```
 /// use asi_core::{Algorithm, FmConfig, RetryPolicy};
@@ -261,71 +260,14 @@ impl FmConfig {
     }
 }
 
-/// Accumulates per-run measurements while a discovery is in flight. A
-/// warm-start run spans up to three engine phases (verify → scoped
-/// re-discovery → cold fallback); `base` folds in the stats of phases
-/// already finished so the final [`DiscoveryRun`] covers the whole run.
-struct RunAcc {
-    trigger: DiscoveryTrigger,
-    started_at: SimTime,
-    bytes_sent: u64,
-    bytes_received: u64,
-    timeline: TimeSeries,
-    fm_busy: SimDuration,
-    packets_processed: u64,
-    /// True while the current engine is a warm-start verification pass.
-    warm_verifying: bool,
-    /// Devices in the warm-start snapshot (threshold denominator).
-    snapshot_devices: u64,
-    /// Engine stats of completed phases of this run.
-    base: EngineStats,
-    probes_verified: u64,
-    verify_mismatches: u64,
-    warm_fallback: bool,
-}
-
-impl RunAcc {
-    fn new(trigger: DiscoveryTrigger, started_at: SimTime) -> RunAcc {
-        RunAcc {
-            trigger,
-            started_at,
-            bytes_sent: 0,
-            bytes_received: 0,
-            timeline: TimeSeries::new(),
-            fm_busy: SimDuration::ZERO,
-            packets_processed: 0,
-            warm_verifying: false,
-            snapshot_devices: 0,
-            base: EngineStats::default(),
-            probes_verified: 0,
-            verify_mismatches: 0,
-            warm_fallback: false,
-        }
-    }
-}
-
-/// Sums two phases' engine counters.
-fn add_stats(a: EngineStats, b: EngineStats) -> EngineStats {
-    EngineStats {
-        requests: a.requests + b.requests,
-        responses: a.responses + b.responses,
-        timeouts: a.timeouts + b.timeouts,
-        max_outstanding: a.max_outstanding.max(b.max_outstanding),
-        retries: a.retries + b.retries,
-        duplicate_probes: a.duplicate_probes + b.duplicate_probes,
-        ceded_devices: a.ceded_devices + b.ceded_devices,
-        abandoned: a.abandoned + b.abandoned,
-        stale_probes: a.stale_probes + b.stale_probes,
-    }
-}
-
-/// The fabric manager.
+/// The fabric manager. `cfg` is input; what the manager learns or decides
+/// at run time is state: the run phase (`engine` + `acc`), the ensemble
+/// `role` and its `watch`, and the in-flight `side` writes.
 pub struct FmAgent {
     cfg: FmConfig,
     engine: Option<Engine>,
     acc: Option<RunAcc>,
-    /// Completed discovery runs, in order.
-    pub runs: Vec<DiscoveryRun>,
+    runs: Vec<DiscoveryRun>,
     db: Option<TopologyDb>,
     restart_pending: bool,
     /// PI-5 events waiting for partial assimilation.
@@ -333,33 +275,20 @@ pub struct FmAgent {
     pi5_seen: HashMap<u64, u32>,
     /// PI-5 events accepted (deduplicated).
     pub pi5_events: u64,
+    /// Bumped per engine launch; stamps request timeouts.
     epoch: u64,
+    role: Role,
+    /// The watch on the primary, while this manager is its standby.
+    watch: Option<Watch>,
     /// Merge-side state (primary of a distributed discovery).
     pub merge: MergeState,
-    /// When the distributed discovery produced the final merged database.
-    pub distributed_finished_at: Option<SimTime>,
-    /// Standby bookkeeping (secondary manager).
-    keepalive_outstanding: Option<u32>,
-    keepalive_misses: u32,
-    keepalive_seq: u32,
-    /// True once a standby secondary has promoted itself to primary.
-    pub promoted: bool,
-    /// Claims heard during the current election window.
-    ballot: Option<Ballot>,
-    /// The resolved election outcome, once the decision timer fired.
-    pub elected: Option<ElectionResult>,
-    /// Outstanding path-distribution writes.
-    dist_pending: std::collections::HashSet<u32>,
-    dist_next_req: u32,
-    dist_acc: Option<DistributionRun>,
+    side: SideWrites,
     /// Completed path-distribution phases.
     pub distributions: Vec<DistributionRun>,
     /// Rival manager DSNs observed via ownership claims across all runs.
-    pub rivals: std::collections::BTreeSet<u64>,
+    pub rivals: BTreeSet<u64>,
     /// Multicast groups awaiting configuration.
     mcast_queue: Vec<(u16, Vec<u64>)>,
-    mcast_pending: std::collections::HashSet<u32>,
-    mcast_next_req: u32,
     /// Groups whose table writes have all been acknowledged.
     pub mcast_configured: Vec<u16>,
     /// Multicast-table writes that failed or were rejected at planning.
@@ -370,30 +299,20 @@ pub struct FmAgent {
     busy_until: SimTime,
 }
 
-/// RFC-1982 serial-number comparison for PI-5 sequence numbers: `seq`
-/// is newer than `last` when it lies in the half of the modular u32
-/// space ahead of `last`. A plain `seq <= last` check would drop every
-/// event from a reporter forever once its sequence wraps.
-fn pi5_newer(seq: u32, last: u32) -> bool {
-    seq != last && seq.wrapping_sub(last) < 0x8000_0000
-}
-
-/// Stable trigger tag used in [`TraceEvent::RunStarted`] records.
-fn trigger_tag(trigger: DiscoveryTrigger) -> &'static str {
-    match trigger {
-        DiscoveryTrigger::Initial => "initial",
-        DiscoveryTrigger::ChangeAssimilation => "change",
-        DiscoveryTrigger::Partial => "partial",
-        DiscoveryTrigger::Failover => "failover",
-        DiscoveryTrigger::WarmStart => "warm-start",
-    }
+/// Sends one PI-4 request along `pool`; returns its wire size.
+fn send_pi4(ctx: &mut AgentCtx, egress: u8, pool: TurnPool, request: Pi4) -> u64 {
+    let header = RouteHeader::forward(ProtocolInterface::DeviceManagement, MANAGEMENT_TC, pool);
+    let packet = Packet::new(header, Payload::Pi4(request));
+    let bytes = packet.wire_size() as u64;
+    ctx.send(egress, packet);
+    bytes
 }
 
 impl FmAgent {
     /// Creates an idle manager; arm [`TOKEN_START_DISCOVERY`] to begin.
     pub fn new(cfg: FmConfig) -> FmAgent {
+        let assigned = cfg.distributed.clone();
         FmAgent {
-            cfg,
             engine: None,
             acc: None,
             runs: Vec::new(),
@@ -403,33 +322,19 @@ impl FmAgent {
             pi5_seen: HashMap::new(),
             pi5_events: 0,
             epoch: 0,
+            role: assigned.map_or(Role::Solo, |role| Role::Sharded(role, None)),
+            watch: cfg.standby.clone().map(Watch::new),
             merge: MergeState::default(),
-            distributed_finished_at: None,
-            keepalive_outstanding: None,
-            keepalive_misses: 0,
-            keepalive_seq: 0,
-            promoted: false,
-            ballot: None,
-            elected: None,
-            dist_pending: std::collections::HashSet::new(),
-            dist_next_req: DIST_REQ_BASE,
-            dist_acc: None,
+            side: SideWrites::default(),
             distributions: Vec::new(),
-            rivals: std::collections::BTreeSet::new(),
+            rivals: BTreeSet::new(),
             mcast_queue: Vec::new(),
-            mcast_pending: std::collections::HashSet::new(),
-            mcast_next_req: MCAST_REQ_BASE,
             mcast_configured: Vec::new(),
             mcast_failures: 0,
             last_processing: SimDuration::ZERO,
             busy_until: SimTime::ZERO,
+            cfg,
         }
-    }
-
-    /// Queues a multicast group for configuration; arm
-    /// [`TOKEN_CONFIGURE_MCAST`] to flush.
-    pub fn queue_multicast(&mut self, group: u16, members: Vec<u64>) {
-        self.mcast_queue.push((group, members));
     }
 
     /// The latest completed topology database.
@@ -460,7 +365,7 @@ impl FmAgent {
             .map(|e| (e.db.device_count(), e.outstanding()))
     }
 
-    /// The manager's configuration.
+    /// The manager's configuration, exactly as passed to [`FmAgent::new`].
     pub fn config(&self) -> &FmConfig {
         &self.cfg
     }
@@ -469,844 +374,26 @@ impl FmAgent {
         EngineConfig {
             algorithm: self.cfg.algorithm,
             pool_capacity: self.cfg.pool_capacity,
-            claim_partitioning: self.cfg.claim_partitioning,
+            claim_partitioning: self.cfg.claim_partitioning && !self.promoted(),
             retry: self.cfg.retry,
             base_timeout: self.cfg.request_timeout,
         }
     }
 
-    fn begin_full(&mut self, ctx: &mut AgentCtx, trigger: DiscoveryTrigger) {
-        self.epoch += 1;
-        let (mut engine, out) = Engine::start(self.engine_cfg(), ctx.host_info, &ctx.host_ports);
-        engine.set_trace(self.cfg.trace.clone());
-        engine.set_trace_time(ctx.now);
-        let algorithm = self.cfg.algorithm.name();
-        self.cfg.trace.emit(ctx.now, || TraceEvent::RunStarted {
-            algorithm,
-            trigger: trigger_tag(trigger),
-        });
-        // The host endpoint enters the database locally, before the trace
-        // sink is installed on the engine: emit its discovery here so the
-        // device-discovered count reconciles with `devices_found`.
-        let host = ctx.host_info;
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::DeviceDiscovered {
-                dsn: host.dsn,
-                switch: host.device_type == DeviceType::Switch,
-                ports: host.port_count,
-            });
-        let outstanding = engine.outstanding() as u32;
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::PendingTableSize {
-                size: outstanding,
-            });
-        self.acc = Some(RunAcc::new(trigger, ctx.now));
-        self.engine = Some(engine);
-        self.dispatch(ctx, out);
-        self.maybe_finish(ctx);
-    }
-
-    /// Warm start: seed a database from the snapshot, verify it with one
-    /// targeted probe per device. Escalation (scoped re-discovery, cold
-    /// fallback) happens in [`FmAgent::maybe_finish`] when the verify
-    /// phase drains.
-    fn begin_warm(&mut self, ctx: &mut AgentCtx, snapshot: &Snapshot) {
-        if snapshot.host_dsn != ctx.host_info.dsn || snapshot.device(snapshot.host_dsn).is_none() {
-            // The snapshot was taken on a different host: useless here.
-            self.begin_full(ctx, DiscoveryTrigger::Initial);
-            return;
-        }
-        self.epoch += 1;
-        let mut db = db_from_snapshot(snapshot);
-        // The live host record is authoritative over the cached one.
-        for (p, info) in ctx.host_ports.iter().enumerate() {
-            db.set_port(db.host_dsn(), p as u16, *info);
-        }
-        // Recompute routes over the snapshot's link set so stale stored
-        // routes cannot mask an intact topology.
-        db.refresh_routes(self.cfg.pool_capacity);
-        let (mut engine, out) = Engine::verify(self.engine_cfg(), db);
-        engine.set_trace(self.cfg.trace.clone());
-        engine.set_trace_time(ctx.now);
-        let algorithm = self.cfg.algorithm.name();
-        self.cfg.trace.emit(ctx.now, || TraceEvent::RunStarted {
-            algorithm,
-            trigger: trigger_tag(DiscoveryTrigger::WarmStart),
-        });
-        let (sdev, slink) = (snapshot.device_count() as u64, snapshot.link_count() as u64);
-        self.cfg.trace.emit(ctx.now, || TraceEvent::SnapshotLoaded {
-            devices: sdev,
-            links: slink,
-        });
-        let outstanding = engine.outstanding() as u32;
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::PendingTableSize {
-                size: outstanding,
-            });
-        let mut acc = RunAcc::new(DiscoveryTrigger::WarmStart, ctx.now);
-        acc.warm_verifying = true;
-        acc.snapshot_devices = sdev;
-        self.acc = Some(acc);
-        self.engine = Some(engine);
-        self.dispatch(ctx, out);
-        self.maybe_finish(ctx);
-    }
-
-    fn begin_partial(&mut self, ctx: &mut AgentCtx) {
-        let Some(mut db) = self.db.clone() else {
-            // No baseline yet: fall back to a full run.
-            self.begin_full(ctx, DiscoveryTrigger::ChangeAssimilation);
-            return;
-        };
-        self.epoch += 1;
-        let events = std::mem::take(&mut self.partial_backlog);
-        // Coalesce the backlog per (reporter, port): a flap is a
-        // down+up pair and a storm repeats both, but only the *net*
-        // change decides the re-discovery scope. A down anywhere in the
-        // burst may have invalidated the recorded link even when the
-        // port ended back up, so "saw a down" survives coalescing.
-        let mut order: Vec<(u64, u8)> = Vec::new();
-        let mut net: HashMap<(u64, u8), (bool, PortEvent)> = HashMap::new();
-        for e in &events {
-            let key = (e.reporter_dsn, e.port);
-            let entry = net.entry(key).or_insert_with(|| {
-                order.push(key);
-                (false, e.event)
-            });
-            if e.event == PortEvent::PortDown {
-                entry.0 = true;
-            }
-            entry.1 = e.event;
-        }
-        let (raw, coalesced) = (events.len() as u64, order.len() as u64);
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::Pi5Coalesced { raw, coalesced });
-        let mut rereads: Vec<u64> = Vec::new();
-        let mut probe_via: Vec<(u64, u8)> = Vec::new();
-        for key in &order {
-            let (saw_down, last) = net[key];
-            if saw_down {
-                if let Some((x, xp)) = db.neighbor(key.0, key.1) {
-                    db.remove_link((key.0, key.1), (x, xp));
-                    rereads.push(x);
-                }
-                rereads.push(key.0);
-            }
-            if last == PortEvent::PortUp {
-                // Probe straight through the reported port so a
-                // genuinely new neighbor is explored directly, instead
-                // of hoping the reporter re-read escalates to it.
-                rereads.push(key.0);
-                probe_via.push(*key);
-            }
-        }
-        // The pruning of now-unreachable devices happens as probes time
-        // out; links already removed may strand devices immediately.
-        db.prune_unreachable();
-        rereads.sort_unstable();
-        rereads.dedup();
-        rereads.retain(|d| db.contains(*d));
-        probe_via.sort_unstable();
-        probe_via.dedup();
-        probe_via.retain(|(d, _)| db.contains(*d));
-        if order.len() > self.cfg.storm_threshold {
-            self.begin_storm_verification(ctx, db, &probe_via, coalesced);
-            return;
-        }
-        let (mut engine, out) = Engine::seeded(self.engine_cfg(), db, &rereads, &probe_via);
-        engine.set_trace(self.cfg.trace.clone());
-        engine.set_trace_time(ctx.now);
-        let algorithm = self.cfg.algorithm.name();
-        self.cfg.trace.emit(ctx.now, || TraceEvent::RunStarted {
-            algorithm,
-            trigger: trigger_tag(DiscoveryTrigger::Partial),
-        });
-        let outstanding = engine.outstanding() as u32;
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::PendingTableSize {
-                size: outstanding,
-            });
-        self.acc = Some(RunAcc::new(DiscoveryTrigger::Partial, ctx.now));
-        self.engine = Some(engine);
-        self.dispatch(ctx, out);
-        self.maybe_finish(ctx);
-    }
-
-    /// A correlated PI-5 storm (more coalesced changes than the storm
-    /// threshold): instead of N scoped re-reads, run one warm-start-style
-    /// verification of the whole database — plus probes through reported
-    /// port-ups, which catch genuine hot-adds — and let the ordinary
-    /// warm escalation repair whatever fails to verify.
-    fn begin_storm_verification(
-        &mut self,
-        ctx: &mut AgentCtx,
-        mut db: TopologyDb,
-        probe_via: &[(u64, u8)],
-        events: u64,
-    ) {
-        let threshold = self.cfg.storm_threshold as u64;
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::Pi5StormEscalated {
-                events,
-                threshold,
-            });
-        db.refresh_routes(self.cfg.pool_capacity);
-        let snapshot_devices = db.device_count() as u64;
-        let (mut engine, out) = Engine::verify_with_probes(self.engine_cfg(), db, probe_via);
-        engine.set_trace(self.cfg.trace.clone());
-        engine.set_trace_time(ctx.now);
-        let algorithm = self.cfg.algorithm.name();
-        self.cfg.trace.emit(ctx.now, || TraceEvent::RunStarted {
-            algorithm,
-            trigger: trigger_tag(DiscoveryTrigger::Partial),
-        });
-        let outstanding = engine.outstanding() as u32;
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::PendingTableSize {
-                size: outstanding,
-            });
-        let mut acc = RunAcc::new(DiscoveryTrigger::Partial, ctx.now);
-        acc.warm_verifying = true;
-        acc.snapshot_devices = snapshot_devices;
-        self.acc = Some(acc);
-        self.engine = Some(engine);
-        self.dispatch(ctx, out);
-        self.maybe_finish(ctx);
-    }
-
-    /// Sends engine requests and arms their timeouts.
-    fn dispatch(&mut self, ctx: &mut AgentCtx, out: Vec<OutRequest>) {
-        // A response is processed only after every response already in
-        // flight ahead of it: under the parallel algorithm's flood the
-        // FM's serial per-response processing dominates the round trip
-        // on large fabrics, so the armed timeout must cover that
-        // queueing, not just one quiet round trip — the same bound the
-        // distribution path below applies to its pipelined writes.
-        // `outstanding` already includes the requests in `out`. Each
-        // queued response can grow the database by at most one device,
-        // so per-response cost while the backlog drains is bounded by
-        // the cost at `known + outstanding` devices — pricing it at
-        // today's `known` alone under-arms early requests on 100k-device
-        // fabrics, where the per-response cost grows ~30x mid-drain.
-        //
-        // Backlogs that a paper-scale fabric can produce are already
-        // covered by the caller's base timeout; the congestion term only
-        // applies past that, so small-fabric timing (and the retry
-        // dynamics the robustness suite pins down) is untouched.
-        let (outstanding, known) = match self.engine.as_ref() {
-            Some(e) => (e.outstanding(), e.db.device_count()),
-            None => (out.len(), 0),
-        };
-        let congestion = if outstanding > CONGESTION_BACKLOG_FLOOR {
-            let per_response = self
-                .cfg
-                .timing
-                .pi4_time(self.cfg.algorithm, known + outstanding);
-            per_response * (outstanding as u64 + 1) * 2
-        } else {
-            SimDuration::ZERO
-        };
-        for req in out {
-            let (req_id, write) = (req.req_id, matches!(req.op, OutOp::Write { .. }));
-            self.cfg
-                .trace
-                .emit(ctx.now, || TraceEvent::RequestInjected { req_id, write });
-            let header =
-                RouteHeader::forward(ProtocolInterface::DeviceManagement, MANAGEMENT_TC, req.pool);
-            let payload = match req.op {
-                OutOp::Read { addr, dwords } => Pi4::ReadRequest {
-                    req_id: req.req_id,
-                    addr,
-                    dwords,
-                },
-                OutOp::Write { addr, data } => Pi4::WriteRequest {
-                    req_id: req.req_id,
-                    addr,
-                    data,
-                },
-            };
-            let packet = Packet::new(header, Payload::Pi4(payload));
-            if let Some(acc) = self.acc.as_mut() {
-                acc.bytes_sent += packet.wire_size() as u64;
-            }
-            ctx.send(req.egress, packet);
-            ctx.set_timer(
-                req.timeout + congestion,
-                TIMEOUT_FLAG | (self.epoch << 32) | u64::from(req.req_id),
-            );
-        }
-    }
-
-    /// The warm-start verify phase drained: fold its stats into the run
-    /// accumulator and decide how the run continues. Returns `Some(db)`
-    /// when every device verified (the run is finished); `None` when a
-    /// scoped re-discovery or cold fallback engine took over.
-    fn escalate_warm(&mut self, ctx: &mut AgentCtx, engine: Engine) -> Option<TopologyDb> {
-        let stats = engine.stats();
-        let verified = engine.verified().len() as u64;
-        let mismatched: Vec<u64> = engine.mismatched().to_vec();
-        let mut db = engine.db;
-        let threshold = {
-            let acc = self.acc.as_mut().expect("run accumulator present");
-            acc.warm_verifying = false;
-            acc.base = add_stats(acc.base, stats);
-            acc.probes_verified += verified;
-            acc.verify_mismatches += mismatched.len() as u64;
-            (self.cfg.warm_fallback_threshold * acc.snapshot_devices as f64).floor() as u64
-        };
-        if mismatched.is_empty() {
-            return Some(db);
-        }
-        // A follow-up engine reuses request ids starting from 1; a fresh
-        // epoch keeps the verify phase's still-scheduled timeout timers
-        // from hitting the new engine's in-flight requests.
-        self.epoch += 1;
-        if mismatched.len() as u64 > threshold {
-            // The snapshot is too wrong to patch: full cold discovery,
-            // accounted to the same run.
-            self.acc.as_mut().expect("present").warm_fallback = true;
-            let (m, t) = (mismatched.len() as u64, threshold);
-            self.cfg.trace.emit(ctx.now, || TraceEvent::WarmFallback {
-                mismatches: m,
-                threshold: t,
-            });
-            let (mut engine, out) =
-                Engine::start(self.engine_cfg(), ctx.host_info, &ctx.host_ports);
-            engine.set_trace(self.cfg.trace.clone());
-            engine.set_trace_time(ctx.now);
-            self.engine = Some(engine);
-            self.dispatch(ctx, out);
-            return None;
-        }
-        // Scoped re-discovery: drop the mismatching devices, re-read
-        // their surviving neighbours' port blocks (which re-probes
-        // whatever actually sits behind those ports), and probe straight
-        // through host ports that faced a mismatching device.
-        let host = db.host_dsn();
-        let mut rereads: Vec<u64> = Vec::new();
-        let mut probe_via: Vec<(u64, u8)> = Vec::new();
-        let links: Vec<_> = db.links().collect();
-        for &dsn in &mismatched {
-            for &((a, ap), (b, bp)) in &links {
-                let other = if a == dsn {
-                    Some((b, bp))
-                } else if b == dsn {
-                    Some((a, ap))
-                } else {
-                    None
-                };
-                if let Some((n, np)) = other {
-                    if n == host {
-                        probe_via.push((n, np));
-                    } else {
-                        rereads.push(n);
-                    }
-                }
-            }
-        }
-        for &dsn in &mismatched {
-            db.remove_device(dsn);
-        }
-        db.prune_unreachable();
-        rereads.sort_unstable();
-        rereads.dedup();
-        rereads.retain(|d| db.contains(*d));
-        probe_via.sort_unstable();
-        probe_via.dedup();
-        let (mut engine, out) = Engine::seeded(self.engine_cfg(), db, &rereads, &probe_via);
-        engine.set_trace(self.cfg.trace.clone());
-        engine.set_trace_time(ctx.now);
-        self.engine = Some(engine);
-        self.dispatch(ctx, out);
-        None
-    }
-
-    /// Managers known to be part of this discovery, self included.
-    fn fm_ensemble_size(&self) -> u32 {
-        if let Some(ballot) = &self.ballot {
-            return ballot.claims().len() as u32;
-        }
-        match &self.cfg.distributed {
-            Some(DistributedRole::Primary { expected_reports }) => *expected_reports as u32 + 1,
-            // A collaborator only knows itself and the primary for sure.
-            Some(DistributedRole::Collaborator { .. }) => 2,
-            None => 1,
-        }
-    }
-
-    /// Starts the initial discovery per the configured mode.
-    fn begin_initial(&mut self, ctx: &mut AgentCtx) {
-        if self.engine.is_some() {
-            return;
-        }
-        match &self.cfg.mode {
-            DiscoveryMode::Cold => self.begin_full(ctx, DiscoveryTrigger::Initial),
-            DiscoveryMode::WarmStart(snapshot) => {
-                let snapshot = snapshot.clone();
-                self.begin_warm(ctx, &snapshot);
-            }
-        }
-    }
-
-    /// Sends one FM-exchange message toward a peer manager.
-    fn send_fm(&self, ctx: &mut AgentCtx, egress: u8, pool: asi_proto::TurnPool, msg: FmMessage) {
-        let header = RouteHeader::forward(ProtocolInterface::FmExchange, MANAGEMENT_TC, pool);
-        ctx.send(egress, Packet::new(header, Payload::Fm(msg)));
-    }
-
-    /// Election kickoff: broadcast our claim and arm the decision timer.
-    fn start_election(&mut self, ctx: &mut AgentCtx) {
-        let Some(dc) = self.cfg.distributed_config.clone() else {
-            // No ensemble configured: a lone manager discovers solo.
-            self.begin_initial(ctx);
-            return;
-        };
-        if self.elected.is_some() {
-            return;
-        }
-        let own = Claim::new(dc.priority, ctx.host_info.dsn);
-        if self.ballot.is_none() {
-            self.ballot = Some(Ballot::new(own));
-        }
-        let (dsn, priority) = (own.dsn, own.priority);
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::FmClaim { dsn, priority });
-        for peer in &dc.peers {
-            self.send_fm(
-                ctx,
-                peer.egress,
-                peer.pool.clone(),
-                FmMessage::Claim { dsn, priority },
-            );
-        }
-        ctx.set_timer(dc.election_window, TOKEN_ELECTION_DECIDE);
-    }
-
-    /// The election window closed: resolve roles and begin discovery.
-    ///
-    /// Every manager heard the same claim set (each claim was broadcast
-    /// to every peer), so local resolution is globally consistent: one
-    /// manager becomes [`DistributedRole::Primary`], the rest become
-    /// [`DistributedRole::Collaborator`]s reporting to it, and the
-    /// runner-up additionally arms standby keepalives on the primary so
-    /// a mid-discovery primary death triggers failover.
-    fn decide_election(&mut self, ctx: &mut AgentCtx) {
-        if self.elected.is_some() {
-            return;
-        }
-        let Some(dc) = self.cfg.distributed_config.clone() else {
-            return;
-        };
-        let Some(ballot) = self.ballot.clone() else {
-            return;
-        };
-        let result = ballot.resolve().expect("ballot holds our own claim");
-        let fms = ballot.claims().len() as u32;
-        let primary_dsn = result.primary.dsn;
-        self.cfg.trace.emit(ctx.now, || TraceEvent::FmElected {
-            primary: primary_dsn,
-            fms,
-        });
-        self.elected = Some(result);
-        let own = ballot.own();
-        if result.primary == own {
-            self.cfg.distributed = Some(DistributedRole::Primary {
-                expected_reports: fms.saturating_sub(1) as usize,
-            });
-            // Confirm the outcome on the wire (informational: every
-            // manager resolved the same ballot already).
-            for peer in &dc.peers {
-                self.send_fm(
-                    ctx,
-                    peer.egress,
-                    peer.pool.clone(),
-                    FmMessage::Elected {
-                        primary: primary_dsn,
-                        fms,
-                    },
-                );
-            }
-        } else {
-            let Some(peer) = dc.peers.iter().find(|p| p.dsn == primary_dsn) else {
-                // Outvoted by a manager we cannot route to: stand down.
-                return;
-            };
-            self.cfg.distributed = Some(DistributedRole::Collaborator {
-                report_egress: peer.egress,
-                report_pool: peer.pool.clone(),
-            });
-            if result.secondary == Some(own) {
-                // A primary mid-discovery answers keepalive reads only
-                // after draining its response backlog, which by design
-                // can approach the request timeout: a fixed 80 µs window
-                // would misread busy for dead and usurp a live primary.
-                // Scale the watch cadence to the configured timeout.
-                let mut standby = StandbyConfig::new(peer.egress, peer.pool.clone());
-                standby.timeout = standby.timeout.max(self.cfg.request_timeout * 2);
-                standby.interval = standby.interval.max(standby.timeout * 2);
-                self.cfg.standby = Some(standby);
-                self.send_keepalive(ctx);
-            }
-        }
-        self.begin_initial(ctx);
-    }
-
-    fn maybe_finish(&mut self, ctx: &mut AgentCtx) {
-        let done = self.engine.as_ref().is_some_and(Engine::is_done);
-        if !done {
-            return;
-        }
-        let engine = self.engine.take().expect("checked");
-        self.rivals.extend(engine.rivals.iter().copied());
-        let ceded = engine.ceded.clone();
-        let warm_verifying = self.acc.as_ref().is_some_and(|a| a.warm_verifying);
-        let (db, stats) = if warm_verifying {
-            match self.escalate_warm(ctx, engine) {
-                // Clean verification: phase stats live in `acc.base`.
-                Some(db) => (db, EngineStats::default()),
-                // A follow-up engine took over; its own drain re-enters
-                // maybe_finish.
-                None => {
-                    self.maybe_finish(ctx);
-                    return;
-                }
-            }
-        } else {
-            let stats = engine.stats();
-            (engine.db, stats)
-        };
-        let acc = self.acc.take().expect("run accumulator present");
-        let stats = add_stats(acc.base, stats);
-        let run = DiscoveryRun {
-            algorithm: self.cfg.algorithm,
-            trigger: acc.trigger,
-            started_at: acc.started_at,
-            finished_at: ctx.now,
-            requests_sent: stats.requests,
-            responses_received: stats.responses,
-            timeouts: stats.timeouts,
-            retries: stats.retries,
-            abandoned: stats.abandoned,
-            peak_outstanding: stats.max_outstanding,
-            bytes_sent: acc.bytes_sent,
-            bytes_received: acc.bytes_received,
-            devices_found: db.device_count(),
-            links_found: db.link_count(),
-            fm_timeline: acc.timeline,
-            fm_busy: acc.fm_busy,
-            probes_verified: acc.probes_verified,
-            verify_mismatches: acc.verify_mismatches,
-            warm_fallback: acc.warm_fallback,
-            fm_count: self.fm_ensemble_size(),
-            boundary_conflicts: stats.ceded_devices,
-            failovers: u32::from(
-                matches!(acc.trigger, DiscoveryTrigger::Failover) && self.promoted,
-            ),
-            merge_time: SimDuration::ZERO,
-            traffic: TrafficSummary::default(),
-        };
-        self.cfg.trace.emit(ctx.now, || TraceEvent::RunFinished {
-            devices_found: run.devices_found as u64,
-            links_found: run.links_found as u64,
-            requests_sent: run.requests_sent,
-            timeouts: run.timeouts,
-        });
-        self.runs.push(run);
-        // Drop high-water marks of reporters that left the database: a
-        // hot-removed device re-added at the same DSN restarts its
-        // sequence, and a stale mark would silently swallow every report
-        // it sends (the map would also grow without bound under churn).
-        self.pi5_seen.retain(|dsn, _| db.contains(*dsn));
-        self.db = Some(db);
-        // Notify each rival of the boundary devices we ceded to it (the
-        // ownership registers already settled the outcome; this puts it
-        // on the wire for observability and symmetry with real fabrics).
-        if let Some(dc) = self.cfg.distributed_config.clone() {
-            for (dsn, owner) in ceded {
-                if let Some(peer) = dc.peers.iter().find(|p| p.dsn == owner) {
-                    self.send_fm(
-                        ctx,
-                        peer.egress,
-                        peer.pool.clone(),
-                        FmMessage::Yield { dsn, to: owner },
-                    );
-                }
-            }
-        }
-        match &self.cfg.distributed {
-            Some(DistributedRole::Collaborator {
-                report_egress,
-                report_pool,
-            }) => {
-                // Stream the partial database to the primary.
-                let egress = *report_egress;
-                let pool = report_pool.clone();
-                let messages = report_messages(self.db.as_ref().expect("just set"));
-                for msg in messages {
-                    let header = RouteHeader::forward(
-                        ProtocolInterface::FmExchange,
-                        MANAGEMENT_TC,
-                        pool.clone(),
-                    );
-                    ctx.send(egress, Packet::new(header, Payload::Fm(msg)));
-                }
-            }
-            Some(DistributedRole::Primary { .. }) => {
-                // Apply reports that arrived while our own exploration was
-                // still running, then check for completion.
-                let backlog = std::mem::take(&mut self.merge.backlog);
-                if let Some(db) = self.db.as_mut() {
-                    for msg in backlog {
-                        self.merge.apply(db, msg);
-                    }
-                }
-                self.check_distributed_done(ctx);
-            }
-            None => {
-                // A promoted secondary runs its takeover solo (the role
-                // was cleared at promotion): its own completed database
-                // IS the final fabric view of the distributed run.
-                if self.promoted
-                    && self.cfg.distributed_config.is_some()
-                    && self.distributed_finished_at.is_none()
-                {
-                    if let Some(db) = self.db.as_mut() {
-                        db.refresh_routes(self.cfg.pool_capacity);
-                        let (devices, links) = (db.device_count() as u64, db.link_count() as u64);
-                        self.distributed_finished_at = Some(ctx.now);
-                        self.merge.finished_at = Some(ctx.now);
-                        self.cfg.trace.emit(ctx.now, || TraceEvent::MergeComplete {
-                            devices,
-                            links,
-                            reports: 0,
-                        });
-                    }
-                }
-            }
-        }
-        if self.restart_pending {
-            self.restart_pending = false;
-            if self.cfg.partial_assimilation && !self.partial_backlog.is_empty() {
-                self.begin_partial(ctx);
-            } else {
-                self.partial_backlog.clear();
-                self.begin_full(ctx, DiscoveryTrigger::ChangeAssimilation);
-            }
-        } else if self.cfg.distribute_paths {
-            self.begin_distribution(ctx);
-        }
-    }
-
-    /// Injects the route-table writes for every endpoint (pipelined).
-    fn begin_distribution(&mut self, ctx: &mut AgentCtx) {
-        let Some(db) = self.db.as_ref() else { return };
-        let host = db.host_dsn();
-        let (writes, failed) = plan_distribution(db, self.cfg.pool_capacity);
-        let mut acc = DistributionRun {
-            started_at: ctx.now,
-            finished_at: ctx.now,
-            writes: 0,
-            failures: 0,
-            unencodable: failed.len() as u64,
-            bytes_sent: 0,
-        };
-        // One BFS from the host serves every write's delivery route.
-        let host_routes = db.routes_from(host, self.cfg.pool_capacity);
-        let mut planned = Vec::new();
-        for w in writes {
-            let Some(Ok(route)) = host_routes.get(&w.target_dsn) else {
-                acc.failures += 1;
-                continue;
-            };
-            planned.push((w, route.clone()));
-        }
-        // The writes are fully pipelined, so the *last* completion sits
-        // behind every earlier one in the FM's inbound queue: the timeout
-        // must cover that queueing, not just one round trip.
-        let per_packet = self
-            .cfg
-            .timing
-            .pi4_time(self.cfg.algorithm, db.device_count());
-        let dist_timeout = self.cfg.request_timeout + per_packet * (planned.len() as u64 + 1) * 2;
-        for (w, route) in planned {
-            self.dist_next_req += 1;
-            let req_id = self.dist_next_req;
-            let header = RouteHeader::forward(
-                ProtocolInterface::DeviceManagement,
-                MANAGEMENT_TC,
-                route.pool,
-            );
-            let packet = Packet::new(
-                header,
-                Payload::Pi4(Pi4::WriteRequest {
-                    req_id,
-                    addr: w.addr(),
-                    data: w.data,
-                }),
-            );
-            acc.writes += 1;
-            acc.bytes_sent += packet.wire_size() as u64;
-            self.dist_pending.insert(req_id);
-            ctx.send(route.egress, packet);
-            ctx.set_timer(
-                dist_timeout,
-                TIMEOUT_FLAG | (self.epoch << 32) | u64::from(req_id),
-            );
-        }
-        if self.dist_pending.is_empty() {
-            acc.finished_at = ctx.now;
-            self.distributions.push(acc);
-        } else {
-            self.dist_acc = Some(acc);
-        }
-    }
-
-    /// Plans and injects the writes for every queued multicast group.
-    fn flush_mcast(&mut self, ctx: &mut AgentCtx) {
-        let Some(db) = self.db.as_ref() else {
-            return; // no topology yet; caller may re-arm after discovery
-        };
-        // One batched BFS covers every write target across all queued
-        // groups; per-target `route_between` calls would re-run BFS per
-        // switch and the results are documented-identical.
-        let host_routes = db.routes_from(db.host_dsn(), self.cfg.pool_capacity);
-        let queued = std::mem::take(&mut self.mcast_queue);
-        for (group, members) in queued {
-            let writes = match plan_multicast(db, group, &members) {
-                Ok(w) => w,
-                Err(_) => {
-                    self.mcast_failures += 1;
-                    continue;
-                }
-            };
-            let mut planned = Vec::new();
-            for w in &writes {
-                match host_routes.get(&w.target_dsn) {
-                    Some(Ok(route)) => planned.push((w.clone(), route.clone())),
-                    _ => {
-                        if w.target_dsn == db.host_dsn() {
-                            // Local table: no packet needed in a real
-                            // implementation; we skip (the FM endpoint
-                            // rarely joins groups in these experiments).
-                        } else {
-                            self.mcast_failures += 1;
-                        }
-                    }
-                }
-            }
-            let mut issued = false;
-            for (w, route) in planned {
-                self.mcast_next_req += 1;
-                let req_id = self.mcast_next_req;
-                let header = RouteHeader::forward(
-                    ProtocolInterface::DeviceManagement,
-                    MANAGEMENT_TC,
-                    route.pool,
-                );
-                let packet = Packet::new(
-                    header,
-                    Payload::Pi4(Pi4::WriteRequest {
-                        req_id,
-                        addr: w.addr(),
-                        data: vec![w.mask],
-                    }),
-                );
-                self.mcast_pending.insert(req_id);
-                ctx.send(route.egress, packet);
-                ctx.set_timer(
-                    self.cfg.request_timeout * 4,
-                    TIMEOUT_FLAG | (self.epoch << 32) | u64::from(req_id),
-                );
-                issued = true;
-            }
-            if issued {
-                // Completion is tracked collectively; record the group as
-                // configured once the pending set drains (see
-                // mcast_complete).
-                self.mcast_configured.push(group);
-            }
-        }
-    }
-
-    fn mcast_complete(&mut self, req_id: u32, ok: bool) -> bool {
-        if !self.mcast_pending.remove(&req_id) {
-            return false;
-        }
-        if !ok {
-            self.mcast_failures += 1;
-        }
-        true
-    }
-
-    /// True once every injected multicast-table write has completed.
-    pub fn mcast_settled(&self) -> bool {
-        self.mcast_pending.is_empty() && self.mcast_queue.is_empty()
-    }
-
-    fn dist_complete(&mut self, ctx: &mut AgentCtx, req_id: u32, ok: bool) -> bool {
-        if !self.dist_pending.remove(&req_id) {
-            return false;
-        }
-        if let Some(acc) = self.dist_acc.as_mut() {
-            if !ok {
-                acc.failures += 1;
-            }
-            if self.dist_pending.is_empty() {
-                let mut acc = self.dist_acc.take().expect("present");
-                acc.finished_at = ctx.now;
-                self.distributions.push(acc);
-            }
-        }
-        true
-    }
-
     fn on_pi4(&mut self, ctx: &mut AgentCtx, packet: &Packet, pi4: &Pi4) {
         if let Some(acc) = self.acc.as_mut() {
             acc.bytes_received += packet.wire_size() as u64;
-            acc.packets_processed += 1;
-            let ordinal = acc.packets_processed;
+            let ordinal = acc.timeline.len() + 1;
             acc.timeline.push(ctx.now, ordinal as f64);
         }
-        if let Pi4::ReadCompletion { req_id, .. } | Pi4::ReadError { req_id, .. } = pi4 {
-            if Some(*req_id) == self.keepalive_outstanding {
-                // The primary answered (any completion proves liveness).
-                self.keepalive_outstanding = None;
-                self.keepalive_misses = 0;
-                return;
-            }
-        }
-        match pi4 {
-            Pi4::WriteCompletion { req_id }
-                if (MCAST_REQ_BASE..DIST_REQ_BASE).contains(req_id)
-                    && self.mcast_complete(*req_id, true) =>
-            {
-                return;
-            }
-            Pi4::ReadError { req_id, .. }
-                if (MCAST_REQ_BASE..DIST_REQ_BASE).contains(req_id)
-                    && self.mcast_complete(*req_id, false) =>
-            {
-                return;
-            }
-            Pi4::WriteCompletion { req_id }
-                if *req_id >= DIST_REQ_BASE && self.dist_complete(ctx, *req_id, true) =>
-            {
-                return;
-            }
-            Pi4::ReadError { req_id, .. }
-                if *req_id >= DIST_REQ_BASE && self.dist_complete(ctx, *req_id, false) =>
-            {
-                return;
-            }
-            _ => {}
+        // Side writes and keepalives use id ranges the engine never does.
+        let claimed = match pi4 {
+            Pi4::WriteCompletion { req_id } => self.side_complete(ctx.now, *req_id, true),
+            Pi4::ReadError { req_id, .. } if self.side_complete(ctx.now, *req_id, false) => true,
+            _ => self.watch.as_mut().is_some_and(|w| w.answered_by(pi4)),
+        };
+        if claimed {
+            return;
         }
         let Some(engine) = self.engine.as_mut() else {
             return; // completion for an abandoned run
@@ -1322,181 +409,6 @@ impl FmAgent {
         };
         self.dispatch(ctx, out);
         self.maybe_finish(ctx);
-    }
-
-    fn on_pi5(&mut self, ctx: &mut AgentCtx, event: Pi5) {
-        // Drop duplicate/stale reports. Sequences are modular (RFC-1982
-        // serial-number order), so a long-lived reporter keeps reporting
-        // straight through the u32 wraparound; the first event from an
-        // unknown reporter is accepted at whatever sequence it carries.
-        match self.pi5_seen.entry(event.reporter_dsn) {
-            std::collections::hash_map::Entry::Occupied(mut seen) => {
-                if !pi5_newer(event.sequence, *seen.get()) {
-                    return;
-                }
-                seen.insert(event.sequence);
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(event.sequence);
-            }
-        }
-        self.pi5_events += 1;
-        let (dsn, port, up) = (
-            event.reporter_dsn,
-            u16::from(event.port),
-            event.event == PortEvent::PortUp,
-        );
-        self.cfg
-            .trace
-            .emit(ctx.now, || TraceEvent::Pi5Received { dsn, port, up });
-        if !self.cfg.auto_rediscover {
-            return;
-        }
-        if self.cfg.partial_assimilation {
-            self.partial_backlog.push(event);
-        }
-        if self.engine.is_some() {
-            // Assimilate once the current run finishes (the paper's FM
-            // discards everything and starts over; we let the in-flight
-            // run drain first, then restart).
-            self.restart_pending = true;
-        } else if self.cfg.partial_assimilation {
-            self.begin_partial(ctx);
-        } else {
-            self.begin_full(ctx, DiscoveryTrigger::ChangeAssimilation);
-        }
-    }
-
-    /// Standby: issue one keepalive read of the primary's general info.
-    fn send_keepalive(&mut self, ctx: &mut AgentCtx) {
-        let Some(standby) = self.cfg.standby.clone() else {
-            return;
-        };
-        self.keepalive_seq += 1;
-        let req_id = KEEPALIVE_REQ_BASE + self.keepalive_seq;
-        self.keepalive_outstanding = Some(req_id);
-        let (addr, dwords) = asi_proto::config::general_info_read();
-        let header = RouteHeader::forward(
-            ProtocolInterface::DeviceManagement,
-            MANAGEMENT_TC,
-            standby.watch_pool.clone(),
-        );
-        let packet = Packet::new(
-            header,
-            Payload::Pi4(Pi4::ReadRequest {
-                req_id,
-                addr,
-                dwords,
-            }),
-        );
-        ctx.send(standby.watch_egress, packet);
-        ctx.set_timer(standby.timeout, TOKEN_KEEPALIVE_CHECK);
-    }
-
-    /// Standby: the keepalive window elapsed; count the miss or re-arm.
-    fn on_keepalive_check(&mut self, ctx: &mut AgentCtx) {
-        let Some(standby) = self.cfg.standby.clone() else {
-            return;
-        };
-        if self.promoted {
-            return;
-        }
-        if self.keepalive_outstanding.is_some() {
-            self.keepalive_misses += 1;
-            self.keepalive_outstanding = None;
-            if self.keepalive_misses >= standby.miss_threshold {
-                // The primary is gone: take over the fabric.
-                self.promoted = true;
-                let (dsn, misses) = (ctx.host_info.dsn, self.keepalive_misses);
-                self.cfg
-                    .trace
-                    .emit(ctx.now, || TraceEvent::FmFailover { dsn, misses });
-                // A promoted secondary owns the whole fabric: abandon any
-                // in-flight collaborator run and re-discover solo, with
-                // partitioning off so the dead primary's stale ownership
-                // claims cannot carve holes out of the takeover view.
-                self.engine = None;
-                self.acc = None;
-                self.cfg.distributed = None;
-                self.cfg.claim_partitioning = false;
-                self.begin_full(ctx, DiscoveryTrigger::Failover);
-                return;
-            }
-        }
-        // Next probe after the remainder of the interval.
-        let gap = standby.interval.saturating_sub(standby.timeout);
-        ctx.set_timer(gap.max(SimDuration::from_us(1)), TOKEN_START_STANDBY);
-    }
-
-    /// Handling of one FM-exchange message: election traffic first (any
-    /// role), then the primary-side merge stream.
-    fn on_fm_message(&mut self, ctx: &mut AgentCtx, msg: FmMessage) {
-        match &msg {
-            FmMessage::Claim { dsn, priority } => {
-                // A rival's candidacy. Claims arriving after the decision
-                // are stale (e.g. re-delivered) and change nothing.
-                if self.elected.is_none() {
-                    if let Some(dc) = &self.cfg.distributed_config {
-                        let claim = Claim::new(*priority, *dsn);
-                        let own = Claim::new(dc.priority, ctx.host_info.dsn);
-                        self.ballot
-                            .get_or_insert_with(|| Ballot::new(own))
-                            .record(claim);
-                    }
-                }
-                return;
-            }
-            // The winner's confirmation; our local resolution over the
-            // same ballot already agrees, so nothing to do.
-            FmMessage::Elected { .. } => return,
-            // A rival telling us it ceded a boundary device to us. The
-            // ownership register already recorded that outcome; the
-            // notification needs no action.
-            FmMessage::Yield { .. } => return,
-            _ => {}
-        }
-        if !matches!(self.cfg.distributed, Some(DistributedRole::Primary { .. })) {
-            return; // collaborators only send the merge stream
-        }
-        if self.engine.is_some() || self.db.is_none() {
-            // Our own exploration still owns the database: buffer.
-            self.merge.backlog.push(msg);
-            return;
-        }
-        let db = self.db.as_mut().expect("checked");
-        self.merge.apply(db, msg);
-        self.check_distributed_done(ctx);
-    }
-
-    fn check_distributed_done(&mut self, ctx: &mut AgentCtx) {
-        let Some(DistributedRole::Primary { expected_reports }) = &self.cfg.distributed else {
-            return;
-        };
-        if self.distributed_finished_at.is_some() {
-            return;
-        }
-        if self.engine.is_some() || self.merge.completed.len() < *expected_reports {
-            return;
-        }
-        let Some(db) = self.db.as_mut() else {
-            return;
-        };
-        db.refresh_routes(self.cfg.pool_capacity);
-        self.distributed_finished_at = Some(ctx.now);
-        self.merge.finished_at = Some(ctx.now);
-        let (devices, links) = (db.device_count() as u64, db.link_count() as u64);
-        let reports = self.merge.completed.len() as u32;
-        self.cfg.trace.emit(ctx.now, || TraceEvent::MergeComplete {
-            devices,
-            links,
-            reports,
-        });
-        // Stamp how long the merge tail took onto the primary's last run
-        // (its devices_found/links_found keep describing its *own*
-        // exploration; the merged view lives in the database).
-        if let Some(run) = self.runs.last_mut() {
-            run.merge_time = ctx.now.saturating_since(run.finished_at);
-        }
     }
 }
 
@@ -1539,69 +451,40 @@ impl FabricAgent for FmAgent {
             self.cfg.trace.emit(ctx.now, || TraceEvent::FmBusy { busy });
             self.busy_until = ctx.now;
         }
-        match &packet.payload {
-            Payload::Pi4(pi4) => {
-                let pi4 = pi4.clone();
-                self.on_pi4(ctx, &packet, &pi4);
-            }
-            Payload::Pi5(e) => self.on_pi5(ctx, *e),
-            Payload::Fm(msg) => {
-                let msg = msg.clone();
-                self.on_fm_message(ctx, msg);
-            }
+        match packet.payload {
+            Payload::Pi4(ref pi4) => self.on_pi4(ctx, &packet, pi4),
+            Payload::Pi5(event) => self.on_pi5(ctx, event),
+            Payload::Fm(msg) => self.on_fm_message(ctx, msg),
             Payload::Mcast { .. } | Payload::Data { .. } | Payload::Flow { .. } => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx, token: u64) {
-        if token == TOKEN_START_DISCOVERY {
-            self.begin_initial(ctx);
-            return;
-        }
-        if token == TOKEN_START_STANDBY {
-            if !self.promoted && self.cfg.standby.is_some() {
-                self.send_keepalive(ctx);
-            }
-            return;
-        }
-        if token == TOKEN_KEEPALIVE_CHECK {
-            self.on_keepalive_check(ctx);
-            return;
-        }
-        if token == TOKEN_CONFIGURE_MCAST {
-            self.flush_mcast(ctx);
-            return;
-        }
-        if token == TOKEN_START_ELECTION {
-            self.start_election(ctx);
-            return;
-        }
-        if token == TOKEN_ELECTION_DECIDE {
-            self.decide_election(ctx);
-            return;
-        }
-        if token & TIMEOUT_FLAG != 0 {
-            let epoch = (token >> 32) & 0x3FFF_FFFF;
-            let req_id = (token & 0xFFFF_FFFF) as u32;
-            if epoch != self.epoch {
-                return; // timeout from a previous run
-            }
-            if (MCAST_REQ_BASE..DIST_REQ_BASE).contains(&req_id) {
-                self.mcast_complete(req_id, false);
-                return;
-            }
-            if req_id >= DIST_REQ_BASE {
-                self.dist_complete(ctx, req_id, false);
-                return;
-            }
-            if let Some(engine) = self.engine.as_mut() {
-                if engine.is_pending(req_id) {
-                    engine.set_trace_time(ctx.now);
-                    let out = engine.handle_timeout(req_id);
-                    self.dispatch(ctx, out);
-                    self.maybe_finish(ctx);
+        match token {
+            TOKEN_START_DISCOVERY => self.begin_initial(ctx),
+            // A no-op unless this manager holds a watch.
+            TOKEN_START_STANDBY => self.send_keepalive(ctx),
+            TOKEN_KEEPALIVE_CHECK => self.on_keepalive_check(ctx),
+            TOKEN_CONFIGURE_MCAST => self.flush_mcast(ctx),
+            TOKEN_START_ELECTION => self.start_election(ctx),
+            TOKEN_ELECTION_DECIDE => self.decide_election(ctx),
+            _ if token & TIMEOUT_FLAG != 0 => {
+                let (epoch, req_id) = ((token >> 32) & 0x3FFF_FFFF, token as u32);
+                // A side write's timeout outlives re-discoveries; an
+                // engine request's is void once a later engine launched.
+                if self.side_complete(ctx.now, req_id, false) || epoch != self.epoch {
+                    return;
+                }
+                if let Some(engine) = self.engine.as_mut() {
+                    if engine.is_pending(req_id) {
+                        engine.set_trace_time(ctx.now);
+                        let out = engine.handle_timeout(req_id);
+                        self.dispatch(ctx, out);
+                        self.maybe_finish(ctx);
+                    }
                 }
             }
+            _ => {}
         }
     }
 
@@ -1617,8 +500,9 @@ impl FabricAgent for FmAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::DiscoveryTrigger;
     use asi_fabric::DevId;
-    use asi_proto::{PortEvent, TurnPool};
+    use asi_proto::{DeviceType, FmMessage, PortEvent, TurnPool};
     use asi_sim::SimTime;
 
     fn ctx() -> AgentCtx {
@@ -1688,44 +572,41 @@ mod tests {
         assert_eq!(fm.pi5_events, 2);
     }
 
+    /// Records device `dsn`, entered through `entry_port` after `hops`
+    /// switch hops.
+    fn insert(
+        db: &mut TopologyDb,
+        dsn: u64,
+        kind: DeviceType,
+        ports: u16,
+        entry_port: u8,
+        hops: u16,
+    ) {
+        let info = asi_proto::DeviceInfo {
+            device_type: kind,
+            dsn,
+            port_count: ports,
+            max_packet_size: 2048,
+            fm_capable: dsn == 0,
+            fm_priority: 0,
+        };
+        let route = crate::db::DeviceRoute {
+            egress: 0,
+            pool: TurnPool::with_capacity(64),
+            entry_port,
+            hops,
+        };
+        db.insert_device(info, route);
+    }
+
     /// Baseline database for the partial-assimilation tests: host
     /// endpoint 0 linked to 4-port switch 7 via switch port 2, with
     /// switch port 1 active but unexplored (a hot-added neighbour).
     fn seeded_db() -> TopologyDb {
-        use asi_proto::{DeviceInfo, PortInfo, PortState};
+        use asi_proto::{PortInfo, PortState};
         let mut db = TopologyDb::new(0);
-        db.insert_device(
-            DeviceInfo {
-                device_type: DeviceType::Endpoint,
-                dsn: 0,
-                port_count: 1,
-                max_packet_size: 2048,
-                fm_capable: true,
-                fm_priority: 0,
-            },
-            crate::db::DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(64),
-                entry_port: 0,
-                hops: 0,
-            },
-        );
-        db.insert_device(
-            DeviceInfo {
-                device_type: DeviceType::Switch,
-                dsn: 7,
-                port_count: 4,
-                max_packet_size: 2048,
-                fm_capable: false,
-                fm_priority: 0,
-            },
-            crate::db::DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(64),
-                entry_port: 2,
-                hops: 1,
-            },
-        );
+        insert(&mut db, 0, DeviceType::Endpoint, 1, 0, 0);
+        insert(&mut db, 7, DeviceType::Switch, 4, 2, 1);
         db.add_link((0, 0), (7, 2));
         for p in 0..4 {
             let info = if p == 1 || p == 2 {
@@ -1805,8 +686,7 @@ mod tests {
         );
         assert!(fm.discovering());
         let acc = fm.acc.as_ref().expect("run in flight");
-        assert!(acc.warm_verifying, "the storm runs as a verification");
-        assert_eq!(acc.snapshot_devices, 2);
+        assert_eq!(acc.verifying, Some(2), "the storm runs as a verification");
         // One verify read for switch 7 plus one probe through its
         // reported port.
         assert_eq!(general_info_reads(&c.take_commands()), 2);
@@ -1896,6 +776,34 @@ mod tests {
         assert_eq!(fm.mcast_failures, 1);
     }
 
+    /// Side-write timeouts carry no epoch: a re-discovery that starts
+    /// while table writes are in flight must not orphan their timers,
+    /// and a group whose writes failed is not listed as configured.
+    #[test]
+    fn lost_mcast_writes_time_out_across_a_rediscovery() {
+        let mut db = seeded_db();
+        insert(&mut db, 9, DeviceType::Endpoint, 1, 0, 2);
+        db.add_link((7, 3), (9, 0));
+        let mut fm = FmAgent::new(FmConfig::new(Algorithm::Parallel));
+        fm.db = Some(db);
+        fm.queue_multicast(1, vec![0, 9]);
+        let mut c = ctx();
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_MCAST);
+        let writes = c.take_commands();
+        assert!(fm.mcast_configured.is_empty(), "nothing acknowledged yet");
+        // A PI-5 starts a re-discovery (fresh epoch); the writes to switch
+        // 7 and endpoint 9 are both lost.
+        fm.on_pi5(&mut c, pi5(7, 1));
+        for cmd in writes {
+            if let asi_fabric::AgentCommand::Timer { token, .. } = cmd {
+                fm.on_timer(&mut c, token);
+            }
+        }
+        assert!(fm.mcast_settled(), "the lost writes timed out");
+        assert_eq!(fm.mcast_failures, 2);
+        assert!(fm.mcast_configured.is_empty(), "a failed group is not");
+    }
+
     #[test]
     fn collaborator_reports_after_discovery() {
         let mut pool = TurnPool::new_spec();
@@ -1917,25 +825,56 @@ mod tests {
         assert_eq!(sends, 2, "device record + completion marker");
     }
 
+    /// One event of a role walk: a timer, or [`RIVAL`]'s claim at a priority.
+    enum Ev {
+        Timer(u64),
+        Heard(u8),
+    }
+    use Ev::{Heard, Timer};
+    const RIVAL: u64 = 0xFFFF_0000_0001;
+
+    /// An ensemble of this manager, at `priority`, and [`RIVAL`].
+    fn paired(priority: u8) -> DistributedConfig {
+        let mut pool = TurnPool::new_spec();
+        pool.push_turn(1, 4).unwrap();
+        DistributedConfig::new(priority).with_peer(RIVAL, 0, pool)
+    }
+
+    /// Drives a manager through `(event, role after it, watch armed after
+    /// it)` steps — the role given as a prefix of its `Debug` form — and
+    /// checks that no transition wrote to the configuration.
+    fn walk_roles(ensemble: DistributedConfig, steps: &[(Ev, &str, bool)]) -> FmAgent {
+        let mut fm =
+            FmAgent::new(FmConfig::new(Algorithm::Parallel).with_distributed_config(ensemble));
+        let mut c = ctx();
+        for (i, (event, role, watching)) in steps.iter().enumerate() {
+            match *event {
+                Timer(token) => fm.on_timer(&mut c, token),
+                Heard(priority) => {
+                    let dsn = RIVAL;
+                    fm.on_fm_message(&mut c, FmMessage::Claim { dsn, priority });
+                }
+            }
+            let now = format!("{:?}", fm.role);
+            assert!(now.starts_with(role), "step {i}: {now}, not {role}");
+            assert_eq!(fm.watch.is_some(), *watching, "step {i}");
+        }
+        let cfg = fm.config();
+        assert!(cfg.distributed.is_none() && cfg.standby.is_none() && cfg.claim_partitioning);
+        fm
+    }
+
     #[test]
     fn lone_election_elects_self_and_completes_merge() {
-        let cfg =
-            FmConfig::new(Algorithm::Parallel).with_distributed_config(DistributedConfig::new(5));
-        let mut fm = FmAgent::new(cfg);
-        let mut c = ctx();
-        fm.on_timer(&mut c, TOKEN_START_ELECTION);
-        assert!(fm.elected.is_none(), "decision waits for the window");
-        fm.on_timer(&mut c, TOKEN_ELECTION_DECIDE);
-        let result = fm.elected.expect("window closed: resolved");
-        assert_eq!(result.primary.dsn, c.host_info.dsn);
-        assert!(matches!(
-            fm.cfg.distributed,
-            Some(DistributedRole::Primary {
-                expected_reports: 0
-            })
-        ));
+        let steps = [
+            (Timer(TOKEN_START_ELECTION), "Electing", false), // waits for the window
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Primary", false),
+        ];
+        let fm = walk_roles(DistributedConfig::new(5), &steps);
+        let result = fm.elected().expect("window closed: resolved");
+        assert_eq!(result.primary.dsn, ctx().host_info.dsn);
         assert!(
-            fm.distributed_finished_at.is_some(),
+            fm.merged_at().is_some(),
             "no collaborators: the merge completes with our own run"
         );
         assert_eq!(fm.runs[0].fm_count, 1);
@@ -1943,50 +882,64 @@ mod tests {
 
     #[test]
     fn stronger_rival_claim_makes_us_the_watching_secondary() {
-        let mut pool = TurnPool::new_spec();
-        pool.push_turn(1, 4).unwrap();
-        let rival = 0xFFFF_0000_0001u64;
-        let cfg = FmConfig::new(Algorithm::Parallel)
-            .with_distributed_config(DistributedConfig::new(1).with_peer(rival, 0, pool));
-        let mut fm = FmAgent::new(cfg);
-        let mut c = ctx();
-        // The rival's claim lands before our own kickoff: still counted.
-        fm.on_fm_message(
-            &mut c,
-            FmMessage::Claim {
-                dsn: rival,
-                priority: 9,
-            },
-        );
-        fm.on_timer(&mut c, TOKEN_START_ELECTION);
-        fm.on_timer(&mut c, TOKEN_ELECTION_DECIDE);
-        assert_eq!(fm.elected.unwrap().primary.dsn, rival);
-        assert!(matches!(
-            fm.cfg.distributed,
-            Some(DistributedRole::Collaborator { .. })
-        ));
-        // Two claims, we lost: as the runner-up we watch the primary.
-        assert!(fm.cfg.standby.is_some());
+        let steps = [
+            // The rival's claim lands before our own kickoff: still counted.
+            (Heard(9), "Electing", false),
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            // Two claims, we lost: as the runner-up we watch the primary.
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Collaborator", true),
+        ];
+        let fm = walk_roles(paired(1), &steps);
+        assert_eq!(fm.elected().unwrap().primary.dsn, RIVAL);
         assert_eq!(fm.runs[0].fm_count, 2);
     }
 
     #[test]
     fn stale_claims_after_the_decision_change_nothing() {
-        let cfg =
-            FmConfig::new(Algorithm::Parallel).with_distributed_config(DistributedConfig::new(5));
-        let mut fm = FmAgent::new(cfg);
-        let mut c = ctx();
-        fm.on_timer(&mut c, TOKEN_START_ELECTION);
-        fm.on_timer(&mut c, TOKEN_ELECTION_DECIDE);
-        fm.on_fm_message(
-            &mut c,
-            FmMessage::Claim {
-                dsn: 0xBAD,
-                priority: 255,
-            },
-        );
-        assert_eq!(fm.elected.unwrap().primary.dsn, c.host_info.dsn);
+        let steps = [
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Primary", false),
+            (Heard(255), "Sharded(Primary", false),
+            (Timer(TOKEN_START_ELECTION), "Sharded(Primary", false),
+        ];
+        let fm = walk_roles(DistributedConfig::new(5), &steps);
+        assert_eq!(fm.elected().unwrap().primary.dsn, ctx().host_info.dsn);
         assert_eq!(fm.runs[0].fm_count, 1);
+    }
+
+    /// The remaining legal transitions: winning against a routable rival,
+    /// promotion of the watching runner-up at its third missed keepalive,
+    /// and standing down when the winner is not a routable peer.
+    #[test]
+    fn role_transitions_follow_the_table() {
+        let winning = [
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            (Heard(1), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Primary", false),
+        ];
+        assert_eq!(walk_roles(paired(9), &winning).runs[0].fm_count, 2);
+        let failover = [
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            (Heard(9), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Collaborator", true),
+            (Timer(TOKEN_KEEPALIVE_CHECK), "Sharded(Collaborator", true),
+            (Timer(TOKEN_START_STANDBY), "Sharded(Collaborator", true),
+            (Timer(TOKEN_KEEPALIVE_CHECK), "Sharded(Collaborator", true),
+            (Timer(TOKEN_START_STANDBY), "Sharded(Collaborator", true),
+            (Timer(TOKEN_KEEPALIVE_CHECK), "Promoted", false),
+            (Heard(255), "Promoted", false),
+            (Timer(TOKEN_START_ELECTION), "Promoted", false),
+        ];
+        let fm = walk_roles(paired(1), &failover);
+        assert!(fm.promoted() && fm.elected().is_some());
+        assert_eq!(fm.last_run().unwrap().trigger, DiscoveryTrigger::Failover);
+        let outvoted = [
+            (Heard(9), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Bystander", false),
+            (Heard(255), "Bystander", false),
+        ];
+        let fm = walk_roles(DistributedConfig::new(1), &outvoted);
+        assert!(fm.runs.is_empty(), "a bystander does not discover");
     }
 
     #[test]
@@ -2005,11 +958,11 @@ mod tests {
                 links: 0,
             },
         );
-        assert!(fm.distributed_finished_at.is_none());
+        assert!(fm.merged_at().is_none());
         // Primary's own (trivial) run finishes; the backlog drains and the
         // merge completes.
         fm.on_timer(&mut c, TOKEN_START_DISCOVERY);
-        assert!(fm.distributed_finished_at.is_some());
+        assert!(fm.merged_at().is_some());
         assert!(fm.merge.completed.contains(&42));
     }
 }

@@ -206,7 +206,7 @@ fn rediscovery_after_switch_removal() {
     let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
     assert!(agent.pi5_events > 0, "no PI-5 reached the FM");
     assert!(
-        agent.runs.len() >= 2,
+        agent.runs().len() >= 2,
         "change assimilation did not re-run discovery"
     );
     let db = agent.db().unwrap();
@@ -278,7 +278,7 @@ fn rediscovery_after_switch_addition() {
     fabric.run_until_idle();
 
     let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
-    assert!(agent.runs.len() >= 2, "no assimilation run");
+    assert!(agent.runs().len() >= 2, "no assimilation run");
     let db = agent.db().unwrap();
     assert_eq!(db.device_count(), 18, "hot-added region not discovered");
     assert!(db.contains(DSN_BASE | u64::from(newcomer.0)));

@@ -44,10 +44,10 @@ fn secondary_takes_over_when_primary_dies() {
     fabric.run_until(SimTime::from_ms(5));
     {
         let p = fabric.agent_as::<FmAgent>(primary).unwrap();
-        assert_eq!(p.runs.len(), 1);
+        assert_eq!(p.runs().len(), 1);
         let s = fabric.agent_as::<FmAgent>(secondary).unwrap();
-        assert!(!s.promoted, "secondary promoted while primary alive");
-        assert!(s.runs.is_empty());
+        assert!(!s.promoted(), "secondary promoted while primary alive");
+        assert!(s.runs().is_empty());
     }
 
     // Kill the primary endpoint. Keepalives start missing; after the
@@ -59,7 +59,7 @@ fn secondary_takes_over_when_primary_dies() {
     fabric.run_until_idle();
 
     let s = fabric.agent_as::<FmAgent>(secondary).unwrap();
-    assert!(s.promoted, "secondary never took over");
+    assert!(s.promoted(), "secondary never took over");
     let run = s.last_run().expect("failover discovery ran");
     assert_eq!(run.trigger, DiscoveryTrigger::Failover);
 
@@ -106,9 +106,9 @@ fn keepalives_do_not_disturb_a_healthy_primary() {
     // Run a long stretch: keepalives flow the whole time.
     fabric.run_until(SimTime::from_ms(20));
     let s = fabric.agent_as::<FmAgent>(secondary).unwrap();
-    assert!(!s.promoted, "false takeover");
-    assert!(s.runs.is_empty());
+    assert!(!s.promoted(), "false takeover");
+    assert!(s.runs().is_empty());
     let p = fabric.agent_as::<FmAgent>(primary).unwrap();
-    assert_eq!(p.runs.len(), 1);
+    assert_eq!(p.runs().len(), 1);
     assert_eq!(p.db().unwrap().device_count(), 18);
 }

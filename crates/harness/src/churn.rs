@@ -122,7 +122,7 @@ fn signature(bench: &Bench) -> (u64, u64, u64, usize) {
         c.churn_events,
         c.link_flaps,
         c.pi5_emitted,
-        bench.fm_agent().runs.len(),
+        bench.fm_agent().runs().len(),
     )
 }
 
@@ -204,7 +204,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
 
     let agent = bench.fm_agent();
     let events_absorbed = agent.pi5_events;
-    let assimilation_runs = agent.runs.len().saturating_sub(1);
+    let assimilation_runs = agent.runs().len().saturating_sub(1);
     let churn_events = bench.fabric.counters().churn_events;
     let span = last_event_at
         .saturating_since(SimTime::ZERO + scenario.churn.start)

@@ -462,7 +462,7 @@ impl Bench {
         loop {
             let ready = {
                 let agent = self.fabric.agent_as::<FmAgent>(self.fm);
-                agent.is_some_and(|a| a.runs.len() >= target_runs && !a.discovering())
+                agent.is_some_and(|a| a.runs().len() >= target_runs && !a.discovering())
             };
             if ready {
                 let since = *quiet_since.get_or_insert(self.fabric.now());
@@ -482,7 +482,7 @@ impl Bench {
                     "scenario did not settle within the deadline: now={} \
                      runs={:?} progress={:?}",
                     self.fabric.now(),
-                    agent.map(|a| a.runs.len()),
+                    agent.map(|a| a.runs().len()),
                     agent.and_then(|a| a.discovery_progress()),
                 );
             }
@@ -561,13 +561,13 @@ impl Bench {
     /// Removes `victim` and runs until the FM has assimilated the change.
     /// Returns the assimilation run.
     pub fn remove_switch(&mut self, victim: NodeId) -> DiscoveryRun {
-        let runs_before = self.fm_agent().runs.len();
+        let runs_before = self.fm_agent().runs().len();
         self.fabric
             .schedule_deactivate(DevId(victim.0), SimDuration::from_us(1));
         self.settle(runs_before + 1);
         let agent = self.fm_agent();
         assert!(
-            agent.runs.len() > runs_before,
+            agent.runs().len() > runs_before,
             "removal of {victim} triggered no re-discovery"
         );
         self.configure_pi5_routes();
@@ -576,13 +576,13 @@ impl Bench {
 
     /// Activates a previously absent device and runs until assimilated.
     pub fn add_device(&mut self, newcomer: NodeId) -> DiscoveryRun {
-        let runs_before = self.fm_agent().runs.len();
+        let runs_before = self.fm_agent().runs().len();
         self.fabric
             .schedule_activate(DevId(newcomer.0), SimDuration::from_us(1));
         self.settle(runs_before + 1);
         let agent = self.fm_agent();
         assert!(
-            agent.runs.len() > runs_before,
+            agent.runs().len() > runs_before,
             "addition of {newcomer} triggered no re-discovery"
         );
         self.configure_pi5_routes();
@@ -604,7 +604,7 @@ fn run_to_merge(
         let holder = managers.iter().copied().find(|&m| {
             fabric
                 .agent_as::<FmAgent>(m)
-                .is_some_and(|a| a.distributed_finished_at.is_some())
+                .is_some_and(|a| a.merged_at().is_some())
         });
         if let Some(m) = holder {
             break m;
@@ -712,7 +712,7 @@ pub fn distributed_discovery(
 
     let (merged_time, devices, links) = {
         let agent = fabric.agent_as::<FmAgent>(primary).expect("primary");
-        let finished = agent.distributed_finished_at.expect("checked");
+        let finished = agent.merged_at().expect("checked");
         let db = agent.db().expect("merged database");
         (
             finished.saturating_since(start_at),
@@ -863,7 +863,7 @@ pub fn sharded_discovery(
 
     let (merged_time, devices, links, checksum, merge_time) = {
         let agent = fabric.agent_as::<FmAgent>(holder).expect("primary");
-        let finished = agent.distributed_finished_at.expect("checked");
+        let finished = agent.merged_at().expect("checked");
         let db = agent.db().expect("merged database");
         let cert = certify_merge(db).expect("merged database certifies");
         let merge_time = agent

@@ -115,5 +115,9 @@ fn a_primary_killed_mid_discovery_fails_over_to_the_secondary() {
     let agent = fabric
         .agent_as::<asi_core::FmAgent>(holder)
         .expect("promoted manager still installed");
-    assert!(agent.promoted, "holder must be the promoted secondary");
+    assert!(agent.promoted(), "holder must be the promoted secondary");
+    // Configuration is input, role is state: election, collaborator run
+    // and promotion left the config exactly as the harness passed it in.
+    let cfg = agent.config();
+    assert!(cfg.distributed.is_none() && cfg.standby.is_none() && cfg.claim_partitioning);
 }

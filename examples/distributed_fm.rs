@@ -89,7 +89,7 @@ fn main() {
     fabric.run_until_idle();
 
     let s = fabric.agent_as::<FmAgent>(secondary).unwrap();
-    assert!(s.promoted);
+    assert!(s.promoted());
     let run = s.last_run().unwrap();
     assert_eq!(run.trigger, DiscoveryTrigger::Failover);
     println!(

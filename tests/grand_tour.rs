@@ -229,7 +229,7 @@ fn full_lifecycle() {
     fabric.run_until(SimTime::from_ms(80));
     fabric.run_until_idle();
     let s = fabric.agent_as::<FmAgent>(secondary).unwrap();
-    assert!(s.promoted, "secondary never took over");
+    assert!(s.promoted(), "secondary never took over");
     let run = s.last_run().unwrap();
     assert_eq!(run.trigger, DiscoveryTrigger::Failover);
     // 32 devices minus the dead primary endpoint.
