@@ -17,6 +17,58 @@
 //! - **Agents**: endpoint-resident management software (the FM, traffic
 //!   generators) receives completions/PI-5/data one packet at a time with
 //!   a per-packet processing occupancy.
+//!
+//! ## Events per switch hop: the cut-through commit
+//!
+//! A forwarded packet leaves a switch `switch_latency` after its header
+//! arrived. The general path spends three kernel events on that hop:
+//!
+//! ```text
+//! Arrive ──queue an OutEntry, arm a wake-up──▶ TryTx(ready) ──transmit──▶ Arrive (downstream)
+//!                                                                  └────▶ CreditReturn (upstream)
+//! ```
+//!
+//! When the transmission at `ready = now + switch_latency` is already
+//! *determined* at header arrival, `on_arrive` commits it on the spot:
+//! the same [`Fabric::transmit`] routine `pump` uses runs with start time
+//! `ready` instead of `now`, so the downstream `Arrive` and the upstream
+//! `CreditReturn` carry the timestamps the queue path would have
+//! produced, and the `TryTx` never exists — two events per hop:
+//!
+//! ```text
+//! Arrive ──commit at `ready`──▶ Arrive (downstream)
+//!                       └─────▶ CreditReturn (upstream)
+//! ```
+//!
+//! "Determined" is a guard ([`Fabric::cut_through_peer`]), not a knob.
+//! Every condition is there because without it the queue path could
+//! have done something else between `now` and `ready`:
+//!
+//! | guard | why |
+//! |---|---|
+//! | management class only | nothing outranks it and its queue is FIFO; a data packet can be overtaken by management arriving inside the window (`pump` serves the management head first, ready or not) |
+//! | egress port active, with a peer | a dead or dangling port drops the packet instead (the device itself is active: it has just accepted the header) |
+//! | all three egress queues empty | anything queued is ahead of it (management) or shares the serializer |
+//! | `busy_until <= ready` | otherwise the start time is the serializer's, not `ready` |
+//! | `cut_until <= now` | an earlier commitment that has not started yet is ahead of it |
+//! | credits in hand (or flow control off) | credits only grow until `ready` (nothing else can transmit on the port), so in hand now means in hand then; short now means a stall the counters must see |
+//! | a loss model that can never lose | a lossy model draws from the device's RNG per transmission, in transmission order |
+//! | no control event pending | activation, training, link faults and churn change port state; with none pending nothing can take the link down before `ready` (worker dispatches cannot schedule control events) |
+//!
+//! Two more pieces keep the commit unobservable. The committed packet
+//! still counts as queued for `mgmt_queue_peak` until `ready`; and a
+//! control event scheduled from *outside* a dispatch
+//! ([`Fabric::schedule_activate`] / [`Fabric::schedule_deactivate`])
+//! fires no earlier than the latest outstanding `ready`, so no link goes
+//! down under a packet the queue path would still have been holding.
+//! What does change: `sim_events`, the kernel's `queue-sample` records,
+//! and the schedule order (not the time) of events one switch emits — two
+//! same-origin events with equal timestamps may swap, which only parallel
+//! links between one switch pair could turn into a reordering.
+//!
+//! Fusing the `CreditReturn` as well would need a write to the upstream
+//! device's port from the downstream device's dispatch — a cross-rank
+//! write, which the parallel kernel's contract forbids (docs/PARALLEL.md).
 
 use crate::agent::{AgentCommand, AgentCtx, DevId, FabricAgent};
 use crate::churn::ChurnAction;
@@ -93,11 +145,18 @@ struct Port {
     bypass_q: VecDeque<OutEntry>,
     data_q: VecDeque<OutEntry>,
     busy_until: SimTime,
-    /// Earliest pending [`Event::TryTx`] wakeup for this port, if any.
+    /// Earliest pending [`Event::TryTx`] wakeup for this port
+    /// ([`NO_WAKEUP`] when none; a sentinel rather than an `Option` so
+    /// that `cut_until` fits in the space and `Port` does not grow).
     /// At most one wakeup is kept armed: without this guard every packet
     /// enqueued behind a busy serializer schedules its own retry, and a
     /// K-deep queue burns O(K²) events leapfrogging `busy_until`.
-    try_tx_at: Option<SimTime>,
+    try_tx_at: SimTime,
+    /// Start time of the latest cut-through commitment on this port.
+    /// While `now < cut_until` a packet is committed but has not started
+    /// serializing: it blocks a second commitment and still counts as
+    /// queued for `mgmt_queue_peak`.
+    cut_until: SimTime,
     /// Source-injection rate limiter: next instant a data-class packet
     /// may start serializing (endpoints only).
     rate_next: SimTime,
@@ -108,9 +167,25 @@ struct Port {
     ge_bad: bool,
 }
 
+/// [`Port::try_tx_at`] when no wakeup is armed.
+const NO_WAKEUP: SimTime = SimTime::MAX;
+
 impl Port {
     fn queued(&self) -> usize {
         self.mgmt_q.len() + self.bypass_q.len() + self.data_q.len()
+    }
+
+    /// Pops the head `pump` just inspected for `class`: the management
+    /// queue, or the bypass queue ahead of ordered data.
+    fn pop_head(&mut self, class: CreditClass) -> OutEntry {
+        match class {
+            CreditClass::Mgmt => self.mgmt_q.pop_front(),
+            CreditClass::Data => self
+                .bypass_q
+                .pop_front()
+                .or_else(|| self.data_q.pop_front()),
+        }
+        .expect("head inspected above")
     }
 }
 
@@ -241,6 +316,56 @@ enum Event {
     TrafficInject { dev: DevId, flow: u32, seq: u32 },
 }
 
+impl Event {
+    /// Variant names, indexed by [`Event::kind`].
+    const KINDS: [&'static str; 19] = [
+        "arrive",
+        "deliver",
+        "try_tx",
+        "credit_return",
+        "agent_done",
+        "ingress_done",
+        "responder_done",
+        "timer",
+        "port_trained",
+        "activate",
+        "deactivate",
+        "fault_link_down",
+        "fault_link_up",
+        "fault_device_hang",
+        "fault_device_slow",
+        "churn_flap",
+        "churn_remove",
+        "churn_add",
+        "traffic_inject",
+    ];
+
+    /// Index of this event's variant, in declaration order.
+    fn kind(&self) -> usize {
+        match self {
+            Event::Arrive { .. } => 0,
+            Event::Deliver { .. } => 1,
+            Event::TryTx { .. } => 2,
+            Event::CreditReturn { .. } => 3,
+            Event::AgentDone { .. } => 4,
+            Event::IngressDone { .. } => 5,
+            Event::ResponderDone { .. } => 6,
+            Event::Timer { .. } => 7,
+            Event::PortTrained { .. } => 8,
+            Event::Activate { .. } => 9,
+            Event::Deactivate { .. } => 10,
+            Event::FaultLinkDown { .. } => 11,
+            Event::FaultLinkUp { .. } => 12,
+            Event::FaultDeviceHang { .. } => 13,
+            Event::FaultDeviceSlow { .. } => 14,
+            Event::ChurnFlap { .. } => 15,
+            Event::ChurnRemove { .. } => 16,
+            Event::ChurnAdd { .. } => 17,
+            Event::TrafficInject { .. } => 18,
+        }
+    }
+}
+
 /// Handle to a packet body in the fabric's payload arena.
 #[derive(Clone, Copy, Debug)]
 struct PacketRef(u32);
@@ -301,6 +426,16 @@ pub struct Fabric {
     flow_stats: Vec<FlowStats>,
     /// Plan-driven multicast deliveries per `(group, member device)`.
     mcast_deliveries: BTreeMap<(u16, u32), u64>,
+    /// Dispatches per [`Event`] variant, indexed by [`Event::kind`].
+    dispatched: [u64; Event::KINDS.len()],
+    /// [`Target::Control`] events scheduled and not yet dispatched. Only
+    /// control dispatches, the constructor and the harness schedule them
+    /// (a worker dispatch doing so is a protocol violation), so the count
+    /// is the same under every kernel.
+    control_pending: u32,
+    /// Latest start time of any cut-through commitment: externally
+    /// scheduled control events fire no earlier.
+    cut_latest: SimTime,
 }
 
 /// Per-flow delivery statistics accumulated by the fabric for
@@ -342,7 +477,8 @@ impl Fabric {
                     bypass_q: VecDeque::new(),
                     data_q: VecDeque::new(),
                     busy_until: SimTime::ZERO,
-                    try_tx_at: None,
+                    try_tx_at: NO_WAKEUP,
+                    cut_until: SimTime::ZERO,
                     rate_next: SimTime::ZERO,
                     peer_credits: [config.mgmt_credits, config.data_credits],
                     ge_bad: false,
@@ -379,10 +515,25 @@ impl Fabric {
         }
         let lookahead = config.propagation.max(PICOSECOND);
         let kernel = AnyKernel::from_spec(config.kernel, devices.len() as u32, lookahead);
-        let mut sim = Simulator::with_kernel(kernel);
+        let mut fabric = Fabric {
+            sim: Simulator::with_kernel(kernel),
+            devices,
+            config,
+            counters: FabricCounters::default(),
+            trace: TraceHandle::disabled(),
+            packets: Arena::new(),
+            scratch_ports: Vec::new(),
+            scratch_commands: Vec::new(),
+            traffic_flows: Vec::new(),
+            flow_stats: Vec::new(),
+            mcast_deliveries: BTreeMap::new(),
+            dispatched: [0; Event::KINDS.len()],
+            control_pending: 0,
+            cut_latest: SimTime::ZERO,
+        };
         // Scheduled faults go on the clock up front; the plan is pure
         // data, so replaying the same (seed, plan) replays these too.
-        for fault in &config.faults.events {
+        for fault in fabric.config.faults.events.clone() {
             let event = match fault.kind {
                 FaultKind::LinkFlap {
                     device,
@@ -407,13 +558,13 @@ impl Fabric {
                     duration,
                 },
             };
-            sim.schedule_event(SimTime::ZERO + fault.at, target_of(&event), event);
+            fabric.sched_at(SimTime::ZERO + fault.at, event);
         }
         // Churn events likewise: an inert plan materializes to nothing
         // (and seeds no RNG), so zero-rate runs replay churn-free runs
         // byte-for-byte.
-        if !config.churn.is_inert() {
-            for churn in config.churn.materialize(topo) {
+        if !fabric.config.churn.is_inert() {
+            for churn in fabric.config.churn.materialize(topo) {
                 let event = match churn.action {
                     ChurnAction::LinkFlap {
                         device,
@@ -429,17 +580,19 @@ impl Fabric {
                     }
                     ChurnAction::DeviceAdd { device } => Event::ChurnAdd { dev: DevId(device) },
                 };
-                sim.schedule_event(SimTime::ZERO + churn.at, target_of(&event), event);
+                fabric.sched_at(SimTime::ZERO + churn.at, event);
             }
         }
         // Traffic likewise: an inert plan materializes to nothing (no RNG
         // seeded, no table written, no event scheduled), so zero-load
         // runs replay traffic-free runs byte-for-byte.
-        let mut traffic_flows = Vec::new();
-        if !config.traffic.is_inert() {
-            let schedule = config.traffic.materialize(topo, config.byte_time);
+        if !fabric.config.traffic.is_inert() {
+            let schedule = fabric
+                .config
+                .traffic
+                .materialize(topo, fabric.config.byte_time);
             for w in &schedule.writes {
-                devices[w.device as usize]
+                fabric.devices[w.device as usize]
                     .config
                     .set_mcast_entry(w.group, w.mask);
             }
@@ -450,24 +603,12 @@ impl Fabric {
                     flow: shot.flow,
                     seq: shot.seq,
                 };
-                sim.schedule_event(SimTime::ZERO + shot.at, target_of(&event), event);
+                fabric.sched_at(SimTime::ZERO + shot.at, event);
             }
-            traffic_flows = schedule.flows;
+            fabric.flow_stats = vec![FlowStats::default(); schedule.flows.len()];
+            fabric.traffic_flows = schedule.flows;
         }
-        let flow_stats = vec![FlowStats::default(); traffic_flows.len()];
-        Fabric {
-            sim,
-            devices,
-            config,
-            counters: FabricCounters::default(),
-            trace: TraceHandle::disabled(),
-            packets: Arena::new(),
-            scratch_ports: Vec::new(),
-            scratch_commands: Vec::new(),
-            traffic_flows,
-            flow_stats,
-            mcast_deliveries: BTreeMap::new(),
-        }
+        fabric
     }
 
     /// Installs a trace sink on the fabric model and the simulator kernel.
@@ -538,6 +679,13 @@ impl Fabric {
     /// figure.
     pub fn events_processed(&self) -> u64 {
         self.sim.events_processed()
+    }
+
+    /// Events dispatched so far per event kind (`"arrive"`, `"try_tx"`,
+    /// `"credit_return"`, …), in a fixed order; the counts sum to
+    /// [`Fabric::events_processed`].
+    pub fn dispatch_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Event::KINDS.iter().copied().zip(self.dispatched)
     }
 
     /// Number of devices.
@@ -659,12 +807,22 @@ impl Fabric {
 
     /// Schedules a device power-up.
     pub fn schedule_activate(&mut self, dev: DevId, after: SimDuration) {
-        self.sched_after(after, Event::Activate { dev });
+        self.sched_control_from_outside(after, Event::Activate { dev });
     }
 
     /// Schedules a device removal.
     pub fn schedule_deactivate(&mut self, dev: DevId, after: SimDuration) {
-        self.sched_after(after, Event::Deactivate { dev });
+        self.sched_control_from_outside(after, Event::Deactivate { dev });
+    }
+
+    /// A control event from outside a dispatch is the one kind the
+    /// no-control-event-pending guard of the cut-through commit could not
+    /// have seen coming, so it fires no earlier than the latest
+    /// outstanding commitment's start: no link goes down under a packet
+    /// the queue path would still have been holding.
+    fn sched_control_from_outside(&mut self, after: SimDuration, event: Event) {
+        let at = (self.sim.now() + after).max(self.cut_latest);
+        self.sched_at(at, event);
     }
 
     /// Activates every device `stagger` apart (transient bring-up).
@@ -681,7 +839,9 @@ impl Fabric {
     /// Schedules a fabric event, routed to its device shard (or the
     /// control barrier) under the parallel kernel.
     fn sched_at(&mut self, at: SimTime, event: Event) {
-        self.sim.schedule_event(at, target_of(&event), event);
+        let target = target_of(&event);
+        self.control_pending += u32::from(target == Target::Control);
+        self.sim.schedule_event(at, target, event);
     }
 
     fn sched_after(&mut self, after: SimDuration, event: Event) {
@@ -724,6 +884,8 @@ impl Fabric {
     // ------------------------------------------------------------------
 
     fn dispatch(&mut self, event: Event) {
+        self.dispatched[event.kind()] += 1;
+        self.control_pending -= u32::from(target_of(&event) == Target::Control);
         match event {
             Event::Arrive { dev, port, packet } => self.on_arrive(dev, port, packet),
             Event::Deliver { dev, port, packet } => self.on_deliver(dev, port, packet),
@@ -860,15 +1022,52 @@ impl Fabric {
         self.counters.forwarded += 1;
         let origin = self.origin_of(dev, port, packet);
         let ready = now + self.config.switch_latency;
-        self.enqueue_out(
-            dev,
-            egress,
-            OutEntry {
-                ready,
-                packet,
-                origin,
-            },
-        );
+        let entry = OutEntry {
+            ready,
+            packet,
+            origin,
+        };
+        match self.cut_through_peer(dev, egress, &entry) {
+            Some(peer) => {
+                // Commit now what `pump` would do at `ready` (see the
+                // module header).
+                self.devices[dev.idx()].ports[usize::from(egress)].cut_until = ready;
+                self.cut_latest = self.cut_latest.max(ready);
+                self.counters.mgmt_queue_peak = self.counters.mgmt_queue_peak.max(1);
+                self.transmit(dev, egress, CreditClass::Mgmt, entry, peer, ready);
+            }
+            None => self.enqueue_out(dev, egress, entry),
+        }
+    }
+
+    /// The cut-through guard: the egress peer if `entry`'s transmission
+    /// on `(dev, port)` at `entry.ready` is already determined now, at
+    /// header arrival — nothing that can happen before `entry.ready`
+    /// would make `pump` do anything but transmit it then. The module
+    /// header gives the reason for each condition.
+    fn cut_through_peer(&self, dev: DevId, port: u8, entry: &OutEntry) -> Option<(DevId, u8)> {
+        if self.control_pending != 0 || !self.config.faults.loss.is_lossless() {
+            return None;
+        }
+        let body = self.packets.get(entry.packet.0);
+        if CreditClass::of(body) != CreditClass::Mgmt {
+            return None;
+        }
+        let p = &self.devices[dev.idx()].ports[usize::from(port)];
+        if p.state != PortState::Active
+            || p.queued() != 0
+            || p.busy_until > entry.ready
+            || p.cut_until > self.sim.now()
+        {
+            return None;
+        }
+        if self.config.flow_control {
+            let cost = self.config.credits_for(body.wire_size());
+            if cost > self.config.mgmt_credits || p.peer_credits[CreditClass::Mgmt.idx()] < cost {
+                return None;
+            }
+        }
+        p.peer
     }
 
     /// Multicast forwarding: switches replicate along their configured
@@ -960,18 +1159,19 @@ impl Fabric {
 
     fn release_origin_now(&mut self, dev: DevId, port: u8, packet: PacketRef) {
         if let Some(origin) = self.origin_of(dev, port, packet) {
-            self.schedule_credit_return(origin);
+            self.schedule_credit_return(origin, self.sim.now());
         }
     }
 
-    fn schedule_credit_return(&mut self, origin: CreditOrigin) {
+    /// Returns the credits of an input buffer freed at `freed_at`.
+    fn schedule_credit_return(&mut self, origin: CreditOrigin, freed_at: SimTime) {
         // Only credit live upstream transmitters.
         let up = &self.devices[origin.dev.idx()];
         if !up.active {
             return;
         }
-        self.sched_after(
-            self.config.propagation,
+        self.sched_at(
+            freed_at + self.config.propagation,
             Event::CreditReturn {
                 dev: origin.dev,
                 port: origin.port,
@@ -994,9 +1194,14 @@ impl Fabric {
             }
             // Occupancy high-water marks per VC class. Queue depths are
             // device-local, so under the kernel-identity contract the
-            // peaks are identical across kernels and shard counts.
-            self.counters.mgmt_queue_peak =
-                self.counters.mgmt_queue_peak.max(p.mgmt_q.len() as u64);
+            // peaks are identical across kernels and shard counts. A
+            // cut-through commitment that has not started serializing
+            // would still be in the management queue.
+            let committed = usize::from(p.cut_until > self.sim.now());
+            self.counters.mgmt_queue_peak = self
+                .counters
+                .mgmt_queue_peak
+                .max((p.mgmt_q.len() + committed) as u64);
             self.counters.data_queue_peak = self
                 .counters
                 .data_queue_peak
@@ -1011,10 +1216,10 @@ impl Fabric {
     fn on_try_tx(&mut self, dev: DevId, port: u8) {
         let now = self.sim.now();
         let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-        if p.try_tx_at != Some(now) {
+        if p.try_tx_at != now {
             return;
         }
-        p.try_tx_at = None;
+        p.try_tx_at = NO_WAKEUP;
         self.pump(dev, port);
     }
 
@@ -1094,8 +1299,8 @@ impl Fabric {
                 Action::Idle => return,
                 Action::Wait(at) => {
                     let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-                    if p.try_tx_at.is_none_or(|t| t > at) {
-                        p.try_tx_at = Some(at);
+                    if p.try_tx_at > at {
+                        p.try_tx_at = at;
                         self.sched_at(at, Event::TryTx { dev, port });
                     }
                     return;
@@ -1106,109 +1311,109 @@ impl Fabric {
                     return;
                 }
                 Action::Oversized(class) => {
-                    let entry = {
-                        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-                        match class {
-                            CreditClass::Mgmt => p.mgmt_q.pop_front(),
-                            CreditClass::Data => p.data_q.pop_front(),
-                        }
-                        .expect("head inspected above")
-                    };
+                    let entry = self.devices[dev.idx()].ports[usize::from(port)].pop_head(class);
                     self.counters.dropped_bad_route += 1;
                     if let Some(origin) = entry.origin {
-                        self.schedule_credit_return(origin);
+                        self.schedule_credit_return(origin, now);
                     }
                     self.packets.free(entry.packet.0);
                 }
                 Action::Tx(class) => {
-                    let (entry, peer, size) = {
-                        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-                        let entry = match class {
-                            CreditClass::Mgmt => p.mgmt_q.pop_front(),
-                            CreditClass::Data => {
-                                p.bypass_q.pop_front().or_else(|| p.data_q.pop_front())
-                            }
-                        }
-                        .expect("head inspected above");
-                        let size = self.packets.get(entry.packet.0).wire_size();
-                        (entry, p.peer, size)
-                    };
-                    let Some((peer_dev, peer_port)) = peer else {
+                    let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+                    let (entry, peer) = (p.pop_head(class), p.peer);
+                    let Some(peer) = peer else {
                         // Dangling port: count as link-down drop.
                         self.counters.dropped_link_down += 1;
                         if let Some(origin) = entry.origin {
-                            self.schedule_credit_return(origin);
+                            self.schedule_credit_return(origin, now);
                         }
                         self.packets.free(entry.packet.0);
                         continue;
                     };
-                    let cost = self.config.credits_for(size);
-                    let tx = self.config.tx_time(size);
-                    {
-                        let is_endpoint =
-                            self.devices[dev.idx()].info.device_type == DeviceType::Endpoint;
-                        let rate_debit = match (class, self.config.injection_rate_limit) {
-                            (CreditClass::Data, Some(rate)) if is_endpoint => {
-                                Some(SimDuration::from_secs_f64(size as f64 / rate.max(1.0)))
-                            }
-                            _ => None,
-                        };
-                        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-                        if self.config.flow_control {
-                            p.peer_credits[class.idx()] -= cost;
-                        }
-                        p.busy_until = now + tx;
-                        if let Some(debit) = rate_debit {
-                            p.rate_next = p.rate_next.max(now) + debit;
-                        }
-                    }
-                    match class {
-                        CreditClass::Mgmt => self.counters.mgmt_bytes += size as u64,
-                        CreditClass::Data => self.counters.data_bytes += size as u64,
-                    }
-                    // Injected loss: the receiver's CRC discards the
-                    // packet. Its input buffer is freed immediately, so
-                    // the consumed credits bounce straight back.
-                    let lost = self.draw_loss(dev, port);
-                    if lost {
-                        self.counters.dropped_corrupted += 1;
-                        self.trace.emit(now, || TraceEvent::FaultPacketLost {
-                            device: dev.0,
-                            port: u16::from(port),
-                        });
-                        if self.config.flow_control {
-                            self.sched_after(
-                                self.config.propagation * 2,
-                                Event::CreditReturn {
-                                    dev,
-                                    port,
-                                    class,
-                                    amount: cost,
-                                },
-                            );
-                        }
-                        self.packets.free(entry.packet.0);
-                    } else {
-                        // Header arrival downstream (virtual cut-through).
-                        let header_bytes = self.packets.get(entry.packet.0).header.wire_size() + 4;
-                        let arrive_at =
-                            now + self.config.tx_time(header_bytes) + self.config.propagation;
-                        self.sched_at(
-                            arrive_at,
-                            Event::Arrive {
-                                dev: peer_dev,
-                                port: peer_port,
-                                packet: entry.packet,
-                            },
-                        );
-                    }
-                    // The packet has left this device: release the input
-                    // buffer it occupied upstream.
-                    if let Some(origin) = entry.origin {
-                        self.schedule_credit_return(origin);
-                    }
+                    self.transmit(dev, port, class, entry, peer, now);
                 }
             }
+        }
+    }
+
+    /// Puts `entry` on the wire of `(dev, port)` toward `peer`, the
+    /// serializer starting at `start`: `now` from `pump`, or the future
+    /// `ready` of a cut-through commitment, whose guard has established
+    /// that nothing else can claim the port or the credits before then.
+    /// Everything downstream of the transmission is scheduled relative to
+    /// `start`.
+    fn transmit(
+        &mut self,
+        dev: DevId,
+        port: u8,
+        class: CreditClass,
+        entry: OutEntry,
+        (peer_dev, peer_port): (DevId, u8),
+        start: SimTime,
+    ) {
+        let size = self.packets.get(entry.packet.0).wire_size();
+        let cost = self.config.credits_for(size);
+        let tx = self.config.tx_time(size);
+        {
+            let is_endpoint = self.devices[dev.idx()].info.device_type == DeviceType::Endpoint;
+            let rate_debit = match (class, self.config.injection_rate_limit) {
+                (CreditClass::Data, Some(rate)) if is_endpoint => {
+                    Some(SimDuration::from_secs_f64(size as f64 / rate.max(1.0)))
+                }
+                _ => None,
+            };
+            let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+            if self.config.flow_control {
+                p.peer_credits[class.idx()] -= cost;
+            }
+            p.busy_until = start + tx;
+            if let Some(debit) = rate_debit {
+                p.rate_next = p.rate_next.max(start) + debit;
+            }
+        }
+        match class {
+            CreditClass::Mgmt => self.counters.mgmt_bytes += size as u64,
+            CreditClass::Data => self.counters.data_bytes += size as u64,
+        }
+        // Injected loss: the receiver's CRC discards the packet. Its
+        // input buffer is freed immediately, so the consumed credits
+        // bounce straight back.
+        let lost = self.draw_loss(dev, port);
+        if lost {
+            self.counters.dropped_corrupted += 1;
+            self.trace.emit(start, || TraceEvent::FaultPacketLost {
+                device: dev.0,
+                port: u16::from(port),
+            });
+            if self.config.flow_control {
+                self.sched_at(
+                    start + self.config.propagation * 2,
+                    Event::CreditReturn {
+                        dev,
+                        port,
+                        class,
+                        amount: cost,
+                    },
+                );
+            }
+            self.packets.free(entry.packet.0);
+        } else {
+            // Header arrival downstream (virtual cut-through).
+            let header_bytes = self.packets.get(entry.packet.0).header.wire_size() + 4;
+            let arrive_at = start + self.config.tx_time(header_bytes) + self.config.propagation;
+            self.sched_at(
+                arrive_at,
+                Event::Arrive {
+                    dev: peer_dev,
+                    port: peer_port,
+                    packet: entry.packet,
+                },
+            );
+        }
+        // The packet has left this device: release the input buffer it
+        // occupied upstream.
+        if let Some(origin) = entry.origin {
+            self.schedule_credit_return(origin, start);
         }
     }
 
@@ -1259,7 +1464,7 @@ impl Fabric {
             let Some(e) = entry else { break };
             self.counters.dropped_link_down += 1;
             if let Some(origin) = e.origin {
-                self.schedule_credit_return(origin);
+                self.schedule_credit_return(origin, self.sim.now());
             }
             self.packets.free(e.packet.0);
         }
@@ -1942,5 +2147,39 @@ impl Fabric {
                 device: dev.0,
             });
         self.on_activate(dev);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fabric holds one `Port` per switch port whether wired or not
+    /// (131,072 on `mesh:64x64`), so a word more here is a percent more
+    /// set-up memory there. `cut_until` took the word `try_tx_at` gave
+    /// up by becoming a sentinel instead of an `Option`.
+    #[test]
+    fn port_is_no_larger_than_before_the_cut_through_commit() {
+        assert_eq!(std::mem::size_of::<Port>(), 152);
+    }
+
+    #[test]
+    fn every_event_kind_has_a_name() {
+        let topo = asi_topo::mesh(2, 2).unwrap().topology;
+        let mut fabric = Fabric::new(&topo, FabricConfig::default());
+        fabric.activate_all(SimDuration::ZERO);
+        fabric.run_until_idle();
+        let counts: Vec<_> = fabric.dispatch_counts().collect();
+        assert_eq!(counts.len(), Event::KINDS.len());
+        // Bring-up is activations and link training and nothing else.
+        for (kind, n) in counts {
+            let expected = match kind {
+                "activate" => 8,
+                "port_trained" => 16,
+                _ => 0,
+            };
+            assert_eq!(n, expected, "{kind}");
+        }
+        assert_eq!(fabric.events_processed(), 24);
     }
 }

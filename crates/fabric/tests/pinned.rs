@@ -1,0 +1,223 @@
+//! Pinned behaviour of whole discoveries: the exact simulated discovery
+//! time, the FM's request accounting and every [`FabricCounters`] field
+//! of nine runs, recorded at commit 00614c1 — the last one where every
+//! switch hop went through the output queue and a `TryTx` wake-up.
+//!
+//! The cut-through commit in `fabric.rs` (see its module header) has no
+//! runtime switch to diff against, so these numbers are the reference: a
+//! change to them is a change to the simulated model, not a host-side
+//! optimisation.
+
+use asi_core::DiscoveryRun;
+use asi_fabric::{Fabric, FabricCounters};
+use asi_harness::prelude::*;
+use asi_sim::SimDuration;
+use asi_topo::{mesh, torus};
+
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    discovery_ps: u64,
+    requests: u64,
+    responses: u64,
+    timeouts: u64,
+    counters: FabricCounters,
+}
+
+fn observe(run: &DiscoveryRun, fabric: &Fabric) -> Pinned {
+    Pinned {
+        discovery_ps: run.discovery_time().as_ps(),
+        requests: run.requests_sent,
+        responses: run.responses_received,
+        timeouts: run.timeouts,
+        counters: *fabric.counters(),
+    }
+}
+
+fn start_mesh8(scenario: &Scenario) -> Pinned {
+    let bench = Bench::start(&mesh(8, 8).unwrap().topology, scenario, &[]);
+    observe(&bench.last_run(), &bench.fabric)
+}
+
+/// A loss-free, traffic-free 8x8 discovery: 800 requests, all answered;
+/// only the time and the queue peak depend on the algorithm.
+fn clean_mesh8(discovery_ps: u64, mgmt_queue_peak: u64) -> Pinned {
+    Pinned {
+        discovery_ps,
+        requests: 800,
+        responses: 800,
+        timeouts: 0,
+        counters: FabricCounters {
+            injected: 1600,
+            delivered: 1600,
+            forwarded: 11774,
+            mgmt_bytes: 543_928,
+            mgmt_queue_peak,
+            ..FabricCounters::default()
+        },
+    }
+}
+
+#[test]
+fn mesh8_serial_packet() {
+    assert_eq!(
+        start_mesh8(&Scenario::new(Algorithm::SerialPacket)),
+        clean_mesh8(24_461_874_000, 1)
+    );
+}
+
+#[test]
+fn mesh8_serial_device() {
+    assert_eq!(
+        start_mesh8(&Scenario::new(Algorithm::SerialDevice)),
+        clean_mesh8(17_450_546_000, 7)
+    );
+}
+
+#[test]
+fn mesh8_parallel() {
+    assert_eq!(
+        start_mesh8(&Scenario::new(Algorithm::Parallel)),
+        clean_mesh8(10_643_408_000, 7)
+    );
+}
+
+#[test]
+fn mesh8_without_flow_control() {
+    let scenario = Scenario::new(Algorithm::Parallel).with_flow_control(false);
+    assert_eq!(start_mesh8(&scenario), clean_mesh8(10_643_408_000, 7));
+}
+
+#[test]
+fn torus4_change_remove() {
+    let g = torus(4, 4).unwrap();
+    let mut bench = Bench::start(&g.topology, &Scenario::new(Algorithm::Parallel), &[]);
+    let run = bench.remove_switch(g.switch_at(2, 2));
+    assert_eq!(
+        observe(&run, &bench.fabric),
+        Pinned {
+            discovery_ps: 2_512_440_000,
+            requests: 191,
+            responses: 191,
+            timeouts: 0,
+            counters: FabricCounters {
+                injected: 1184,
+                delivered: 1184,
+                forwarded: 2690,
+                mgmt_bytes: 146_552,
+                pi5_emitted: 4,
+                mgmt_queue_peak: 7,
+                ..FabricCounters::default()
+            },
+        }
+    );
+}
+
+#[test]
+fn torus4_change_add() {
+    let g = torus(4, 4).unwrap();
+    let newcomer = g.switch_at(2, 2);
+    let scenario = Scenario::new(Algorithm::Parallel);
+    let mut bench = Bench::start(&g.topology, &scenario, &[newcomer]);
+    let run = bench.add_device(newcomer);
+    assert_eq!(
+        observe(&run, &bench.fabric),
+        Pinned {
+            discovery_ps: 2_745_760_000,
+            requests: 208,
+            responses: 208,
+            timeouts: 0,
+            counters: FabricCounters {
+                injected: 1218,
+                delivered: 1218,
+                forwarded: 2836,
+                mgmt_bytes: 153_304,
+                pi5_emitted: 4,
+                mgmt_queue_peak: 7,
+                ..FabricCounters::default()
+            },
+        }
+    );
+}
+
+#[test]
+fn mesh8_under_data_load() {
+    let plan = TrafficPlan::none()
+        .with_unicast(0.4, 512)
+        .with_window(SimDuration::ZERO, SimDuration::from_us(2000));
+    let scenario = Scenario::new(Algorithm::Parallel).with_traffic_plan(plan);
+    assert_eq!(
+        start_mesh8(&scenario),
+        Pinned {
+            discovery_ps: 10_643_400_000,
+            requests: 800,
+            responses: 800,
+            timeouts: 0,
+            counters: FabricCounters {
+                injected: 25_561,
+                delivered: 25_561,
+                forwarded: 171_387,
+                dropped_inactive: 12,
+                credit_stalls: 49_978,
+                mgmt_bytes: 543_928,
+                data_bytes: 97_319_844,
+                flow_injected: 23_961,
+                flow_delivered: 23_961,
+                flow_bytes: 12_268_032,
+                mgmt_queue_peak: 8,
+                data_queue_peak: 330,
+                ..FabricCounters::default()
+            },
+        }
+    );
+}
+
+fn lossy(loss: LossModel) -> Scenario {
+    Scenario::new(Algorithm::Parallel)
+        .with_seed(0x5EED)
+        .with_faults(FaultPlan::none().with_loss(loss))
+        .with_retry(RetryPolicy::exponential(8))
+}
+
+#[test]
+fn mesh8_uniform_loss() {
+    assert_eq!(
+        start_mesh8(&lossy(LossModel::uniform(0.01))),
+        Pinned {
+            discovery_ps: 177_248_462_222,
+            requests: 962,
+            responses: 800,
+            timeouts: 162,
+            counters: FabricCounters {
+                injected: 1835,
+                delivered: 1673,
+                forwarded: 14_783,
+                dropped_corrupted: 162,
+                mgmt_bytes: 676_252,
+                mgmt_queue_peak: 7,
+                ..FabricCounters::default()
+            },
+        }
+    );
+}
+
+#[test]
+fn mesh8_bursty_loss() {
+    assert_eq!(
+        start_mesh8(&lossy(LossModel::bursty(0.05))),
+        Pinned {
+            discovery_ps: 3_147_943_409_498,
+            requests: 1849,
+            responses: 778,
+            timeouts: 1071,
+            counters: FabricCounters {
+                injected: 3031,
+                delivered: 1960,
+                forwarded: 21_926,
+                dropped_corrupted: 1071,
+                mgmt_bytes: 965_110,
+                mgmt_queue_peak: 7,
+                ..FabricCounters::default()
+            },
+        }
+    );
+}

@@ -26,7 +26,7 @@
 //! usage text and exit code 2 — never a panic.
 
 use advanced_switching::core::{snapshot_db, Algorithm, DiscoveryTrigger, RetryPolicy};
-use advanced_switching::fabric::{Arrivals, ChurnPlan, FaultPlan, LossModel, TrafficPlan};
+use advanced_switching::fabric::{Arrivals, ChurnPlan, Fabric, FaultPlan, LossModel, TrafficPlan};
 use advanced_switching::harness::{
     change_experiment, churn_experiment, default_churn_exempt, load_snapshot, save_snapshot,
     save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench, Json, RingCollector,
@@ -155,7 +155,8 @@ discovery misses devices):
                                sharded discovery with a certified merge
   --seed / --fm-factor / --device-factor / --kernel / --trace / --json as above
   (--json also reports peak_rss_mb, the process's peak resident set —
-  execution-dependent like wall_time_s, never byte-compare it)
+  execution-dependent like wall_time_s, never byte-compare it — and
+  events_by_kind, the deterministic split of sim_events by event kind)
 
 certify options (the CI topology-certification gate: build the topology,
 re-run the whole-graph validator, then one full discovery that must find
@@ -966,7 +967,12 @@ fn stress_main(inv: &Invocation) -> Report {
     let started = std::time::Instant::now();
     // Each arm runs its discovery and reports what only it measures:
     // its JSON fields, and the detail clause of the text rendering.
-    let (sim_events, devices, links, time_s, managers, detail, missed) = if fms > 1 {
+    let by_kind = |fabric: &Fabric| {
+        let kinds = fabric.dispatch_counts();
+        kinds.fold(Json::object(), |json, (kind, n)| json.with(kind, n))
+    };
+    let (sim_events, events_by_kind, devices, links, time_s, managers, detail, missed) = if fms > 1
+    {
         let (fabric, _primary, out) = sharded_discovery(topo, fms, &inv.scenario);
         json = json
             .with("fms", fms)
@@ -987,6 +993,7 @@ fn stress_main(inv: &Invocation) -> Report {
         );
         (
             fabric.events_processed(),
+            by_kind(&fabric),
             out.devices,
             out.links,
             out.merged_time.as_secs_f64(),
@@ -1011,6 +1018,7 @@ fn stress_main(inv: &Invocation) -> Report {
         );
         (
             bench.fabric.events_processed(),
+            by_kind(&bench.fabric),
             run.devices_found,
             run.links_found,
             run.discovery_time().as_secs_f64(),
@@ -1025,6 +1033,7 @@ fn stress_main(inv: &Invocation) -> Report {
     Report {
         json: json
             .with("sim_events", sim_events)
+            .with("events_by_kind", events_by_kind)
             .with("wall_time_s", wall_time_s)
             .with("events_per_sec", events_per_sec)
             .with("peak_rss_mb", peak_rss_mb),

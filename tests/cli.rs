@@ -841,6 +841,34 @@ fn stress_reports_full_topology_and_throughput() {
     assert!(report.get("peak_rss_mb").as_f64().unwrap() >= 0.0);
 }
 
+/// The cut-through commit (asi-fabric's module header) took the `TryTx`
+/// wake-up out of every uncontended switch hop: 44,011 events before,
+/// 35,730 after. Event counts are deterministic, so a change that
+/// silently re-arms the wake-up fails here, not on the benchmark ladder.
+#[test]
+fn stress_event_count_stays_under_its_budget() {
+    let events = |algorithm: &str| {
+        let args = ["stress", "--topology", "mesh:8x8", "--json"];
+        let (stdout, stderr, ok) = run(&[&args[..], &["--algorithm", algorithm]].concat());
+        assert!(ok, "{stderr}");
+        let report = parse(&stdout).unwrap();
+        let by_kind = report.get("events_by_kind");
+        let Json::Obj(kinds) = by_kind else {
+            panic!("events_by_kind is {by_kind:?}");
+        };
+        let total: u64 = kinds.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
+        let sim_events = report.get("sim_events").as_u64().unwrap();
+        assert_eq!(total, sim_events, "the kinds partition the events");
+        (sim_events, by_kind.get("try_tx").as_u64().unwrap())
+    };
+    // 2% above the 35,730 this landed at.
+    let (parallel, _) = events("parallel");
+    assert!(parallel <= 36_444, "{parallel} events");
+    // Serial Packet keeps one packet in flight on a loss-free,
+    // traffic-free fabric: no hop is contended, so every hop commits.
+    assert_eq!(events("serial-packet").1, 0, "a hop armed a wake-up");
+}
+
 #[test]
 fn stress_rejects_malformed_invocations() {
     // One negative per flag, on the same error/usage/exit-2 framework as
