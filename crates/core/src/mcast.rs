@@ -91,9 +91,14 @@ pub fn plan_multicast(
         }
     }
 
-    // Adjacency over discovered links.
+    // Adjacency over discovered links a tree can use: a table entry is
+    // one dword, bit `p` for port `p`, so a port past 31 cannot be named
+    // in one (a member behind such a port comes out `Unreachable`).
     let mut adj: HashMap<u64, Vec<(u8, u64, u8)>> = HashMap::new();
     for ((a, ap), (b, bp)) in db.links() {
+        if u32::from(ap.max(bp)) >= u32::BITS {
+            continue;
+        }
         adj.entry(a).or_default().push((ap, b, bp));
         adj.entry(b).or_default().push((bp, a, ap));
     }
@@ -261,6 +266,23 @@ mod tests {
         assert_eq!(
             plan_multicast(&disconnected, 0, &[1, 4]),
             Err(McastError::Unreachable(4))
+        );
+    }
+
+    #[test]
+    fn a_member_behind_a_port_past_31_is_unreachable() {
+        let mut wide = TopologyDb::new(1);
+        wide.insert_device(info(20, DeviceType::Switch, 40), route0());
+        for (dsn, port) in [(1, 0), (2, 33), (3, 31)] {
+            wide.insert_device(info(dsn, DeviceType::Endpoint, 1), route0());
+            wide.add_link((dsn, 0), (20, port));
+        }
+        let writes = plan_multicast(&wide, 0, &[1, 3]).unwrap();
+        let switch = writes.iter().find(|w| w.target_dsn == 20).unwrap();
+        assert_eq!(switch.mask, 1 | 1 << 31);
+        assert_eq!(
+            plan_multicast(&wide, 0, &[1, 2, 3]),
+            Err(McastError::Unreachable(2))
         );
     }
 

@@ -1,0 +1,477 @@
+//! A packet delivered to a device, and what consumes it: the serial
+//! stages — the PI-4 responder every device has, and on endpoints the
+//! ingress pipe and the agent behind it — agent callbacks and timers,
+//! and the traffic plan's shots and flow accounting.
+
+use super::*;
+
+/// [`Stage::done_at`] of an idle stage.
+const IDLE: SimTime = SimTime::MAX;
+
+/// One server behind a FIFO: the serial-stage mechanism of the ingress
+/// pipe, the PI-4 responder and the agent.
+///
+/// The stage is *idle* or *in service until `done_at`*, the instant its
+/// `*Done` event was scheduled for. Only that event takes the head
+/// ([`Stage::finish`]): a device that powers down clears its stages, and
+/// a `*Done` that outlives the power cycle finds a stage armed for
+/// another instant, or not at all, and does nothing.
+pub(super) struct Stage<T> {
+    queue: VecDeque<T>,
+    /// When the current service ends ([`IDLE`] when idle: a sentinel, like
+    /// `Port::try_tx_at`).
+    done_at: SimTime,
+}
+
+impl<T> Default for Stage<T> {
+    fn default() -> Self {
+        Stage {
+            queue: VecDeque::new(),
+            done_at: IDLE,
+        }
+    }
+}
+
+impl<T> Stage<T> {
+    fn push(&mut self, item: T) {
+        self.queue.push_back(item);
+    }
+
+    /// If the stage is idle with something queued, begins serving the
+    /// head and returns the instant, `service(head)` from `now`, at which
+    /// the caller must fire the stage's `*Done`. Called after every `push`
+    /// and every `finish`, so in between idle means empty.
+    fn start(&mut self, now: SimTime, service: impl FnOnce(&T) -> SimDuration) -> Option<SimTime> {
+        if self.done_at != IDLE {
+            return None;
+        }
+        self.done_at = now + service(self.queue.front()?);
+        Some(self.done_at)
+    }
+
+    /// A `*Done` fired at `now`: yields the item whose service ends now,
+    /// leaving the stage idle — or nothing, and no change, if this is not
+    /// the event the stage is armed for.
+    fn finish(&mut self, now: SimTime) -> Option<T> {
+        if self.done_at != now {
+            return None;
+        }
+        self.done_at = IDLE;
+        self.queue.pop_front()
+    }
+
+    /// Holds the service that would end at `now` until `until` instead.
+    /// True if there is one, and the caller must fire `*Done` again then.
+    fn defer(&mut self, now: SimTime, until: SimTime) -> bool {
+        let armed = self.done_at == now;
+        if armed {
+            self.done_at = until;
+        }
+        armed
+    }
+
+    /// Empties and disarms the stage, handing each queued item to `lose`.
+    /// Returns how many there were.
+    pub(super) fn clear(&mut self, lose: impl FnMut(T)) -> usize {
+        self.done_at = IDLE;
+        let lost = self.queue.len();
+        self.queue.drain(..).for_each(lose);
+        lost
+    }
+}
+
+/// The PI-4 responder of a device: requests wait with their ingress port.
+#[derive(Default)]
+pub(super) struct Responder {
+    pub(super) stage: Stage<(u8, PacketRef)>,
+    /// While `now < hang_until` the responder is frozen: requests queue
+    /// but no completion leaves (injected fault).
+    pub(super) hang_until: SimTime,
+    /// While `now < slow_until` the servicing time is multiplied by
+    /// `slow_factor` (injected fault).
+    pub(super) slow_until: SimTime,
+    pub(super) slow_factor: f64,
+}
+
+/// Endpoint agent hosting state: the agent and the packets waiting for it.
+pub(super) struct AgentSlot {
+    pub(super) agent: Box<dyn FabricAgent>,
+    pub(super) inbox: Stage<PacketRef>,
+}
+
+/// The materialized traffic plan and what the fabric has delivered of it.
+#[derive(Default)]
+pub(super) struct Traffic {
+    /// Flows materialized from the plan, indexed by flow id.
+    pub(super) flows: Vec<FlowSpec>,
+    /// Per-flow delivery statistics (parallel to `flows`).
+    pub(super) stats: Vec<FlowStats>,
+    /// Plan-driven multicast deliveries per `(group, member device)`.
+    pub(super) mcast_deliveries: BTreeMap<(u16, u32), u64>,
+}
+
+/// Services one PI-4 request against a device's configuration space.
+/// The reply retraces the request's path.
+fn service_pi4(config: &mut ConfigSpace, request: &Packet) -> Option<Packet> {
+    let (req_id, result) = match &request.payload {
+        Payload::Pi4(Pi4::ReadRequest {
+            req_id,
+            addr,
+            dwords,
+        }) => {
+            let req_id = *req_id;
+            let read = config.read(*addr, *dwords);
+            let done = read.map(|data| Pi4::ReadCompletion { req_id, data });
+            (req_id, done)
+        }
+        Payload::Pi4(Pi4::WriteRequest { req_id, addr, data }) => {
+            let req_id = *req_id;
+            let done = config.write(*addr, data);
+            (req_id, done.map(|()| Pi4::WriteCompletion { req_id }))
+        }
+        _ => return None,
+    };
+    let reply = result.unwrap_or_else(|status| Pi4::ReadError { req_id, status });
+    let header = request.header.reply(ProtocolInterface::DeviceManagement);
+    Some(Packet::new(header, Payload::Pi4(reply)))
+}
+
+impl Fabric {
+    // ---------------- the traffic plan ----------------
+
+    /// Materializes the traffic plan: group tables written, every shot on
+    /// the clock. An inert plan materializes to nothing (no RNG seeded,
+    /// no table written, no event scheduled), so zero-load runs replay
+    /// traffic-free runs byte-for-byte.
+    pub(super) fn schedule_traffic(&mut self, topo: &Topology) {
+        let schedule = self.config.traffic.materialize(topo, self.config.byte_time);
+        for w in &schedule.writes {
+            let config = &mut self.devices[w.device as usize].config;
+            config.set_mcast_entry(w.group, w.mask);
+        }
+        for shot in &schedule.shots {
+            let event = Event::TrafficInject {
+                dev: DevId(schedule.flows[shot.flow as usize].src),
+                flow: shot.flow,
+                seq: shot.seq,
+            };
+            self.sched_at(SimTime::ZERO + shot.at, event);
+        }
+        self.traffic.stats = vec![FlowStats::default(); schedule.flows.len()];
+        self.traffic.flows = schedule.flows;
+    }
+
+    /// A traffic-plan shot fired: build the flow's packet and put it on
+    /// the source's egress queue (stamped with the injection time for
+    /// latency measurement). Shots at sources that are inactive or whose
+    /// egress link is down are dropped, like any other arrival there.
+    pub(super) fn on_traffic_inject(&mut self, dev: DevId, flow: u32, seq: u32) {
+        let now = self.sim.now();
+        let spec = &self.traffic.flows[flow as usize];
+        let d = &self.devices[dev.idx()];
+        if !d.active || d.ports[usize::from(spec.egress)].state != PortState::Active {
+            self.counters.dropped_inactive += 1;
+            return;
+        }
+        if matches!(spec.kind, FlowKind::Mcast { .. }) {
+            self.counters.mcast_injected += 1;
+        } else {
+            self.counters.flow_injected += 1;
+        }
+        self.counters.injected += 1;
+        self.trace.emit(now, || TraceEvent::FlowInjected { flow });
+        let packet = build_flow_packet(spec, flow, seq, now.as_ps());
+        self.inject(dev, spec.egress, now, packet);
+    }
+
+    // ---------------- delivery ----------------
+
+    pub(super) fn on_deliver(&mut self, dev: DevId, port: u8, packet: PacketRef) {
+        let now = self.sim.now();
+        if !self.devices[dev.idx()].active {
+            self.counters.dropped_inactive += 1;
+            self.packets.free(packet.0);
+            return;
+        }
+        // The packet has been copied out of the input buffer: release it.
+        self.release_origin_now(dev, port, packet);
+        match self.packets.get(packet.0).payload {
+            // Traffic-plan deliveries are consumed by the fabric itself:
+            // flow packets always, multicast packets when the member
+            // endpoint runs no agent (agent-driven multicast keeps its
+            // delivery path).
+            Payload::Flow {
+                flow, sent_ps, len, ..
+            } => {
+                let latency_ps = now.as_ps().saturating_sub(sent_ps);
+                self.counters.delivered += 1;
+                self.counters.flow_delivered += 1;
+                self.counters.flow_bytes += u64::from(len);
+                if let Some(stats) = self.traffic.stats.get_mut(flow as usize) {
+                    stats.delivered += 1;
+                    stats.bytes += u64::from(len);
+                    stats.latency_ps.push(latency_ps);
+                }
+                self.trace
+                    .emit(now, || TraceEvent::FlowDelivered { flow, latency_ps });
+                self.packets.free(packet.0);
+            }
+            Payload::Mcast { group, .. } if self.devices[dev.idx()].agent.is_none() => {
+                self.counters.delivered += 1;
+                self.counters.mcast_delivered += 1;
+                let device = dev.0;
+                let deliveries = &mut self.traffic.mcast_deliveries;
+                *deliveries.entry((group, device)).or_insert(0) += 1;
+                self.trace
+                    .emit(now, || TraceEvent::McastDelivered { group, device });
+                self.packets.free(packet.0);
+            }
+            Payload::Pi4(ref pi4) if pi4.is_request() => {
+                self.counters.delivered += 1;
+                self.devices[dev.idx()].responder.stage.push((port, packet));
+                self.responder_start(dev);
+            }
+            Payload::Pi4(_) => self.deliver_completion(dev, packet),
+            _ => {
+                self.counters.delivered += 1;
+                self.ingress_enqueue(dev, packet);
+            }
+        }
+    }
+
+    /// A PI-4 completion reached its requester, subject to the injected
+    /// completion faults. Corruption and duplication are drawn from the
+    /// *receiving* device's stream (kernel-order independent).
+    fn deliver_completion(&mut self, dev: DevId, packet: PacketRef) {
+        let now = self.sim.now();
+        let device = dev.0;
+        let faults = &self.config.faults;
+        let rng = &mut self.devices[dev.idx()].rng;
+        // Injected corruption: the end-to-end CRC catches the mangled
+        // payload at delivery, so the completion is discarded whole and
+        // the requester times out (a silently garbled completion would
+        // leave a permanent hole instead).
+        if faults.corrupt_completions > 0.0 && rng.gen_bool(faults.corrupt_completions) {
+            self.counters.dropped_corrupted += 1;
+            self.counters.completions_corrupted += 1;
+            self.trace
+                .emit(now, || TraceEvent::FaultCompletionCorrupted { device });
+            self.packets.free(packet.0);
+            return;
+        }
+        self.counters.delivered += 1;
+        // Injected duplication: the requester sees the completion twice;
+        // the second copy carries a since-retired req_id and must be
+        // ignored upstream.
+        if faults.duplicate_completions > 0.0 && rng.gen_bool(faults.duplicate_completions) {
+            self.counters.completions_duplicated += 1;
+            self.trace
+                .emit(now, || TraceEvent::FaultCompletionDuplicated { device });
+            let dup = self.packets.get(packet.0).clone();
+            let dup = PacketRef(self.packets.alloc(dup));
+            self.ingress_enqueue(dev, dup);
+        }
+        self.ingress_enqueue(dev, packet);
+    }
+
+    // ---------------- the three stages ----------------
+    // Each keeps what differs: its service time, what a finished item does.
+
+    /// Inbound management pipe: one device-time per received packet, then
+    /// the agent queue.
+    fn ingress_enqueue(&mut self, dev: DevId, packet: PacketRef) {
+        self.devices[dev.idx()].ingress.push(packet);
+        self.ingress_start(dev);
+    }
+
+    fn ingress_start(&mut self, dev: DevId) {
+        let service = |_: &PacketRef| self.config.effective_device_time();
+        if let Some(at) = self.devices[dev.idx()]
+            .ingress
+            .start(self.sim.now(), service)
+        {
+            self.sched_at(at, Event::IngressDone { dev });
+        }
+    }
+
+    pub(super) fn on_ingress_done(&mut self, dev: DevId) {
+        let Some(packet) = self.devices[dev.idx()].ingress.finish(self.sim.now()) else {
+            return;
+        };
+        self.agent_enqueue(dev, packet);
+        self.ingress_start(dev);
+    }
+
+    /// PI-4 responder: one device-time per request, stretched by an
+    /// active slow-device fault.
+    fn responder_start(&mut self, dev: DevId) {
+        let now = self.sim.now();
+        let r = &mut self.devices[dev.idx()].responder;
+        let service = |_: &(u8, PacketRef)| {
+            let base = self.config.effective_device_time();
+            if now < r.slow_until {
+                base.scaled(r.slow_factor)
+            } else {
+                base
+            }
+        };
+        if let Some(at) = r.stage.start(now, service) {
+            self.sched_at(at, Event::ResponderDone { dev });
+        }
+    }
+
+    pub(super) fn on_responder_done(&mut self, dev: DevId) {
+        let now = self.sim.now();
+        let d = &mut self.devices[dev.idx()];
+        // A hung responder holds every serviced request until the hang
+        // ends; the pending completion (and the rest of the queue) is
+        // deferred, not lost.
+        let hang_until = d.responder.hang_until;
+        if now < hang_until {
+            if d.responder.stage.defer(now, hang_until) {
+                self.sched_at(hang_until, Event::ResponderDone { dev });
+            }
+            return;
+        }
+        let Some((port, packet)) = d.responder.stage.finish(now) else {
+            return;
+        };
+        // The request is consumed by servicing; the reply is a fresh body.
+        let request = self.packets.take(packet.0);
+        if let Some(reply) = service_pi4(&mut d.config, &request) {
+            self.counters.injected += 1;
+            self.inject(dev, port, now, reply);
+        }
+        self.responder_start(dev);
+    }
+
+    /// The agent: each packet occupies it for the time it asks for.
+    fn agent_enqueue(&mut self, dev: DevId, packet: PacketRef) {
+        let Some(slot) = self.devices[dev.idx()].agent.as_mut() else {
+            // No consumer: a completion for a dead manager, or data to a
+            // plain endpoint. Count as a bad route so tests notice.
+            self.counters.dropped_bad_route += 1;
+            self.packets.free(packet.0);
+            return;
+        };
+        slot.inbox.push(packet);
+        self.agent_start(dev);
+    }
+
+    fn agent_start(&mut self, dev: DevId) {
+        let Some(slot) = self.devices[dev.idx()].agent.as_mut() else {
+            return;
+        };
+        let service = |head: &PacketRef| slot.agent.processing_time(self.packets.get(head.0));
+        if let Some(at) = slot.inbox.start(self.sim.now(), service) {
+            self.sched_at(at, Event::AgentDone { dev });
+        }
+    }
+
+    pub(super) fn on_agent_done(&mut self, dev: DevId) {
+        let now = self.sim.now();
+        let slot = self.devices[dev.idx()].agent.as_mut();
+        let Some(packet) = slot.and_then(|slot| slot.inbox.finish(now)) else {
+            return;
+        };
+        // The agent consumes the packet: move it out of the arena.
+        let packet = self.packets.take(packet.0);
+        self.with_agent(dev, |agent, ctx| agent.on_packet(ctx, packet));
+    }
+
+    // ---------------- agent callbacks ----------------
+
+    pub(super) fn on_timer(&mut self, dev: DevId, token: u64) {
+        if self.devices[dev.idx()].active {
+            self.with_agent(dev, |agent, ctx| agent.on_timer(ctx, token));
+        }
+    }
+
+    /// The one way the fabric calls an agent, if `dev` hosts one: build
+    /// the context (a snapshot of the host's own configuration, in the
+    /// fabric's recycled buffers), run `call`, let the next queued packet
+    /// begin its occupancy, then execute the commands the agent queued —
+    /// in that order: it breaks same-timestamp ties between the two.
+    pub(super) fn with_agent(
+        &mut self,
+        dev: DevId,
+        call: impl FnOnce(&mut dyn FabricAgent, &mut AgentCtx),
+    ) {
+        let now = self.sim.now();
+        let d = &mut self.devices[dev.idx()];
+        let Some(slot) = d.agent.as_mut() else { return };
+        let mut ports = std::mem::take(&mut self.scratch_ports);
+        ports.clear();
+        ports.extend((0..d.info.port_count).map(|p| *d.config.port(p).expect("port in range")));
+        let mut ctx = AgentCtx::new(now, dev, d.info, ports);
+        ctx.recycle_commands(std::mem::take(&mut self.scratch_commands));
+        call(slot.agent.as_mut(), &mut ctx);
+        self.agent_start(dev);
+        let mut commands = ctx.take_commands();
+        self.scratch_ports = ctx.host_ports;
+        for command in commands.drain(..) {
+            match command {
+                AgentCommand::Send { port, packet } => {
+                    self.counters.injected += 1;
+                    self.inject(dev, port, now, packet);
+                }
+                AgentCommand::Timer { delay, token } => {
+                    self.sched_after(delay, Event::Timer { dev, token });
+                }
+            }
+        }
+        self.scratch_commands = commands;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stage_serves_one_item_at_a_time_and_only_for_its_own_done() {
+        enum Op {
+            Push(u32),
+            Finish,
+            Defer(u64),
+            Clear,
+        }
+        use Op::*;
+        // (now, operation, its result, `done_at` afterwards); times in ps,
+        // every service takes 10.
+        let steps = [
+            (0, Push(1), Some(10), Some(10)),    // push on idle arms
+            (3, Push(2), None, Some(10)),        // push on busy does not
+            (7, Finish, None, Some(10)),         // not the armed instant: nothing
+            (10, Finish, Some(1), Some(20)),     // the armed `Done`: head, re-armed
+            (20, Defer(50), Some(50), Some(50)), // a hang re-arms at its end
+            (20, Finish, None, Some(50)),
+            (30, Defer(60), None, Some(50)), // a stale `Done` cannot defer
+            (50, Finish, Some(2), None),     // nothing more queued: idle
+            (60, Push(3), Some(70), Some(70)),
+            (61, Clear, Some(1), None), // one item lost, disarmed
+            (70, Finish, None, None),   // the `Done` armed before the clear
+        ];
+        let service = |_: &u32| SimDuration::from_ps(10);
+        let mut stage = Stage::default();
+        for (i, (now, op, result, done_at)) in steps.into_iter().enumerate() {
+            let now = SimTime::from_ps(now);
+            // A push or a finished item is followed by `start`, as in
+            // every `*_enqueue` and `on_*_done`.
+            let got = match op {
+                Push(item) => {
+                    stage.push(item);
+                    stage.start(now, service).map(SimTime::as_ps)
+                }
+                Finish => stage.finish(now).map(|item| {
+                    stage.start(now, service);
+                    u64::from(item)
+                }),
+                Defer(until) => stage.defer(now, SimTime::from_ps(until)).then_some(until),
+                Clear => Some(stage.clear(drop) as u64),
+            };
+            let armed = (stage.done_at != IDLE).then_some(stage.done_at.as_ps());
+            assert_eq!((got, armed), (result, done_at), "step {i}");
+        }
+    }
+}

@@ -1,0 +1,651 @@
+//! A port: link training and carrier, the three output queues and the
+//! serializer that drains them (`enqueue_out` → `pump` → `transmit`),
+//! credit flow control, injected loss — and the one way a locally born
+//! packet gets in (`inject`) and a dead one gets out (`drop_entry`).
+//!
+//! ## Events per switch hop: the cut-through commit
+//!
+//! A forwarded packet leaves a switch `switch_latency` after its header
+//! arrived. The general path spends three kernel events on that hop:
+//!
+//! ```text
+//! Arrive ──queue an OutEntry, arm a wake-up──▶ TryTx(ready) ──transmit──▶ Arrive (downstream)
+//!                                                                  └────▶ CreditReturn (upstream)
+//! ```
+//!
+//! When the transmission at `ready = now + switch_latency` is already
+//! *determined* at header arrival, `on_arrive` commits it on the spot:
+//! the same [`Fabric::transmit`] routine `pump` uses runs with start time
+//! `ready` instead of `now`, so the downstream `Arrive` and the upstream
+//! `CreditReturn` carry the timestamps the queue path would have
+//! produced, and the `TryTx` never exists — two events per hop:
+//!
+//! ```text
+//! Arrive ──commit at `ready`──▶ Arrive (downstream)
+//!                       └─────▶ CreditReturn (upstream)
+//! ```
+//!
+//! "Determined" is a guard ([`Fabric::cut_through_peer`]), not a knob.
+//! Every condition is there because without it the queue path could
+//! have done something else between `now` and `ready`:
+//!
+//! | guard | why |
+//! |---|---|
+//! | management class only | nothing outranks it and its queue is FIFO; a data packet can be overtaken by management arriving inside the window (`pump` serves the management head first, ready or not) |
+//! | egress port active, with a peer | a dead or dangling port drops the packet instead (the device itself is active: it has just accepted the header) |
+//! | all three egress queues empty | anything queued is ahead of it (management) or shares the serializer |
+//! | `busy_until <= ready` | otherwise the start time is the serializer's, not `ready` |
+//! | `cut_until <= now` | an earlier commitment that has not started yet is ahead of it |
+//! | credits in hand (or flow control off) | credits only grow until `ready` (nothing else can transmit on the port), so in hand now means in hand then; short now means a stall the counters must see |
+//! | a loss model that can never lose | a lossy model draws from the device's RNG per transmission, in transmission order |
+//! | no control event pending | activation, training, link faults and churn change port state; with none pending nothing can take the link down before `ready` (worker dispatches cannot schedule control events) |
+//!
+//! Two more pieces keep the commit unobservable. The committed packet
+//! still counts as queued for `mgmt_queue_peak` until `ready`; and a
+//! control event scheduled from *outside* a dispatch
+//! ([`Fabric::schedule_activate`] / [`Fabric::schedule_deactivate`])
+//! fires no earlier than the latest outstanding `ready`, so no link goes
+//! down under a packet the queue path would still have been holding.
+//! What does change: `sim_events`, the kernel's `queue-sample` records,
+//! and the schedule order (not the time) of events one switch emits — two
+//! same-origin events with equal timestamps may swap, which only parallel
+//! links between one switch pair could turn into a reordering.
+//!
+//! Fusing the `CreditReturn` as well would need a write to the upstream
+//! device's port from the downstream device's dispatch — a cross-rank
+//! write, which the parallel kernel's contract forbids (docs/PARALLEL.md).
+
+use super::*;
+
+/// Credit / arbitration class of a packet.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum CreditClass {
+    /// Management plane (PI-4/PI-5): highest priority.
+    Mgmt,
+    /// Application data.
+    Data,
+}
+
+impl CreditClass {
+    fn of(packet: &Packet) -> CreditClass {
+        if packet.is_management() {
+            CreditClass::Mgmt
+        } else {
+            CreditClass::Data
+        }
+    }
+
+    fn idx(self) -> usize {
+        self as usize
+    }
+}
+
+/// Where a queued packet's input-buffer credits must be released.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct CreditOrigin {
+    dev: DevId,
+    port: u8,
+    class: CreditClass,
+    amount: u32,
+}
+
+/// A packet waiting on an output port.
+///
+/// The packet body lives in the fabric's payload [`Arena`]: entries move
+/// through per-port `VecDeque`s and the scheduling kernel, and a [`Packet`]
+/// is ~136 bytes inline — carrying a 4-byte handle keeps those moves cheap
+/// and recycles payload memory through the arena's free list.
+pub(super) struct OutEntry {
+    pub(super) ready: SimTime,
+    pub(super) packet: PacketRef,
+    pub(super) origin: Option<CreditOrigin>,
+}
+
+/// One port of a device.
+pub(super) struct Port {
+    pub(super) peer: Option<(DevId, u8)>,
+    /// Down → Training → Active; written by [`Fabric::set_port_state`]
+    /// alone, which keeps the device's configuration space in step.
+    pub(super) state: PortState,
+    mgmt_q: VecDeque<OutEntry>,
+    /// BVC bypass queue: data packets with the `OO` header bit may jump
+    /// ahead of the ordered data queue (paper §2's bypassable VCs).
+    bypass_q: VecDeque<OutEntry>,
+    data_q: VecDeque<OutEntry>,
+    busy_until: SimTime,
+    /// Earliest pending [`Event::TryTx`] wakeup for this port
+    /// ([`NO_WAKEUP`] when none; a sentinel rather than an `Option` so
+    /// that `cut_until` fits in the space and `Port` does not grow).
+    /// At most one wakeup is kept armed: without this guard every packet
+    /// enqueued behind a busy serializer schedules its own retry, and a
+    /// K-deep queue burns O(K²) events leapfrogging `busy_until`.
+    try_tx_at: SimTime,
+    /// Start time of the latest cut-through commitment on this port.
+    /// While `now < cut_until` a packet is committed but has not started
+    /// serializing: it blocks a second commitment and still counts as
+    /// queued for `mgmt_queue_peak`.
+    pub(super) cut_until: SimTime,
+    /// Source-injection rate limiter: next instant a data-class packet
+    /// may start serializing (endpoints only).
+    rate_next: SimTime,
+    /// Credits available at the peer's input buffer, per class.
+    peer_credits: [u32; 2],
+    /// Gilbert–Elliott loss state of the outgoing link: true while the
+    /// link is in its bad (bursty-loss) state.
+    ge_bad: bool,
+}
+
+/// [`Port::try_tx_at`] when no wakeup is armed.
+const NO_WAKEUP: SimTime = SimTime::MAX;
+
+/// What [`Fabric::pump`] does next on a port.
+enum Action {
+    Idle,
+    /// The serializer, the rate limit or the head's `ready` says not yet.
+    Wait(SimTime),
+    /// The head is short of credits; a `CreditReturn` will re-pump.
+    Stall,
+    /// The head can never fit the downstream buffer: drop, don't stall.
+    Oversized(CreditClass),
+    Tx(CreditClass),
+}
+
+impl Port {
+    /// A port in its power-on state: down, idle, a full set of credits.
+    pub(super) fn new(peer: Option<(DevId, u8)>, config: &FabricConfig) -> Port {
+        Port {
+            peer,
+            state: PortState::Down,
+            mgmt_q: VecDeque::new(),
+            bypass_q: VecDeque::new(),
+            data_q: VecDeque::new(),
+            busy_until: SimTime::ZERO,
+            try_tx_at: NO_WAKEUP,
+            cut_until: SimTime::ZERO,
+            rate_next: SimTime::ZERO,
+            peer_credits: [config.mgmt_credits, config.data_credits],
+            ge_bad: false,
+        }
+    }
+
+    fn queued(&self) -> usize {
+        self.mgmt_q.len() + self.bypass_q.len() + self.data_q.len()
+    }
+
+    /// Pops the head `pump` just inspected for `class`: the management
+    /// queue, or the bypass queue ahead of ordered data.
+    #[inline]
+    fn pop_head(&mut self, class: CreditClass) -> OutEntry {
+        match class {
+            CreditClass::Mgmt => self.mgmt_q.pop_front(),
+            CreditClass::Data => self
+                .bypass_q
+                .pop_front()
+                .or_else(|| self.data_q.pop_front()),
+        }
+        .expect("head inspected above")
+    }
+
+    /// The one credit decision: whether a `size`-byte packet of `class`
+    /// may start on this port as far as flow control goes — `Tx`, `Stall`
+    /// or `Oversized`. The queue path and the cut-through guard both ask
+    /// here, so they cannot drift.
+    #[inline]
+    fn admit(&self, config: &FabricConfig, class: CreditClass, size: usize) -> Action {
+        if !config.flow_control {
+            return Action::Tx(class);
+        }
+        let cost = config.credits_for(size);
+        let capacity = match class {
+            CreditClass::Mgmt => config.mgmt_credits,
+            CreditClass::Data => config.data_credits,
+        };
+        if cost > capacity {
+            Action::Oversized(class)
+        } else if self.peer_credits[class.idx()] < cost {
+            Action::Stall
+        } else {
+            Action::Tx(class)
+        }
+    }
+
+    /// Inspects the queue heads at `now`. `rate_limited`: data leaving
+    /// this port is subject to the source injection rate limit.
+    #[inline]
+    fn next_action(
+        &self,
+        now: SimTime,
+        config: &FabricConfig,
+        packets: &Arena<Packet>,
+        rate_limited: bool,
+    ) -> Action {
+        if self.queued() == 0 {
+            return Action::Idle;
+        }
+        if self.busy_until > now {
+            return Action::Wait(self.busy_until);
+        }
+        // Management first, then the BVC bypass queue, then ordered data.
+        let (class, entry) = match (self.mgmt_q.front(), self.bypass_q.front()) {
+            (Some(e), _) => (CreditClass::Mgmt, e),
+            (None, Some(e)) => (CreditClass::Data, e),
+            (None, None) => (CreditClass::Data, self.data_q.front().expect("queued > 0")),
+        };
+        if class == CreditClass::Data && rate_limited && self.rate_next > now {
+            Action::Wait(self.rate_next)
+        } else if entry.ready > now {
+            Action::Wait(entry.ready)
+        } else {
+            self.admit(config, class, packets.get(entry.packet.0).wire_size())
+        }
+    }
+
+    /// Draws the loss decision for one transmission on this port,
+    /// advancing the link's Gilbert–Elliott state if the model is
+    /// bursty. Draws come from the *transmitting device's* own stream,
+    /// so they depend only on that device's dispatch order — identical
+    /// under every kernel. Zero probabilities short-circuit before
+    /// consuming a random draw where the decision is already known, and
+    /// a draw never changes scheduling — so a lossless model replays the
+    /// loss-free run byte-for-byte.
+    #[inline]
+    fn draw_loss(&mut self, model: LossModel, rng: &mut SimRng) -> bool {
+        match model {
+            LossModel::None => false,
+            LossModel::Uniform { p } => p > 0.0 && rng.gen_bool(p),
+            LossModel::GilbertElliott {
+                p_enter_bad,
+                p_exit_bad,
+                loss_good,
+                loss_bad,
+            } => {
+                let flip_p = if self.ge_bad { p_exit_bad } else { p_enter_bad };
+                if flip_p > 0.0 && rng.gen_bool(flip_p) {
+                    self.ge_bad = !self.ge_bad;
+                }
+                let p = if self.ge_bad { loss_bad } else { loss_good };
+                p > 0.0 && rng.gen_bool(p)
+            }
+        }
+    }
+}
+
+/// Selects the [`FabricCounters`] field a dropped packet is charged to.
+type DropCounter = fn(&mut FabricCounters) -> &mut u64;
+
+impl Fabric {
+    // ---------------- the way in and the way out ----------------
+
+    /// The one way a packet born on `dev` (traffic shot, PI-4 reply, agent
+    /// send, PI-5 report, multicast replica) enters the fabric: onto
+    /// `(dev, port)`'s egress queue, with no upstream buffer to credit.
+    pub(super) fn inject(&mut self, dev: DevId, port: u8, ready: SimTime, packet: Packet) {
+        let packet = PacketRef(self.packets.alloc(packet));
+        let entry = OutEntry {
+            ready,
+            packet,
+            origin: None,
+        };
+        self.enqueue_out(dev, port, entry);
+    }
+
+    /// The one way a forwarded packet dies: charge the counter, hand the
+    /// credits of the input buffer it holds back upstream, free the body.
+    pub(super) fn drop_entry(&mut self, entry: OutEntry, counter: DropCounter) {
+        *counter(&mut self.counters) += 1;
+        self.return_credits(entry.origin, self.sim.now());
+        self.packets.free(entry.packet.0);
+    }
+
+    // ---------------- credits ----------------
+
+    /// Input-buffer release record for a packet that arrived at
+    /// `(dev, port)` from a live upstream hop.
+    pub(super) fn origin_of(
+        &self,
+        dev: DevId,
+        port: u8,
+        packet: PacketRef,
+    ) -> Option<CreditOrigin> {
+        if !self.config.flow_control {
+            return None;
+        }
+        let peer = self.devices[dev.idx()].ports[usize::from(port)].peer?;
+        let body = self.packets.get(packet.0);
+        Some(CreditOrigin {
+            dev: peer.0,
+            port: peer.1,
+            class: CreditClass::of(body),
+            amount: self.config.credits_for(body.wire_size()),
+        })
+    }
+
+    pub(super) fn release_origin_now(&mut self, dev: DevId, port: u8, packet: PacketRef) {
+        self.return_credits(self.origin_of(dev, port, packet), self.sim.now());
+    }
+
+    /// Returns the credits of an input buffer freed at `freed_at`, if the
+    /// packet held one and its upstream transmitter is still alive.
+    fn return_credits(&mut self, origin: Option<CreditOrigin>, freed_at: SimTime) {
+        let Some(origin) = origin.filter(|o| self.devices[o.dev.idx()].active) else {
+            return;
+        };
+        self.sched_at(
+            freed_at + self.config.propagation,
+            Event::CreditReturn {
+                dev: origin.dev,
+                port: origin.port,
+                class: origin.class,
+                amount: origin.amount,
+            },
+        );
+    }
+
+    pub(super) fn on_credit_return(
+        &mut self,
+        dev: DevId,
+        port: u8,
+        class: CreditClass,
+        amount: u32,
+    ) {
+        self.devices[dev.idx()].ports[usize::from(port)].peer_credits[class.idx()] += amount;
+        self.pump(dev, port);
+    }
+
+    // ---------------- queues and the serializer ----------------
+
+    pub(super) fn enqueue_out(&mut self, dev: DevId, port: u8, entry: OutEntry) {
+        let body = self.packets.get(entry.packet.0);
+        let (class, bypass) = (CreditClass::of(body), body.header.oo);
+        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+        match class {
+            CreditClass::Mgmt => p.mgmt_q.push_back(entry),
+            CreditClass::Data if bypass => p.bypass_q.push_back(entry),
+            CreditClass::Data => p.data_q.push_back(entry),
+        }
+        // Occupancy high-water marks per VC class. Queue depths are
+        // device-local, so under the kernel-identity contract the
+        // peaks are identical across kernels and shard counts. A
+        // cut-through commitment that has not started serializing
+        // would still be in the management queue.
+        let committed = usize::from(p.cut_until > self.sim.now());
+        let c = &mut self.counters;
+        c.mgmt_queue_peak = c.mgmt_queue_peak.max((p.mgmt_q.len() + committed) as u64);
+        c.data_queue_peak = c
+            .data_queue_peak
+            .max((p.bypass_q.len() + p.data_q.len()) as u64);
+        self.pump(dev, port);
+    }
+
+    /// A [`Event::TryTx`] wakeup fired. Only the wakeup recorded in
+    /// `try_tx_at` pumps; earlier-armed duplicates that were superseded
+    /// by a sooner wakeup are dropped here.
+    pub(super) fn on_try_tx(&mut self, dev: DevId, port: u8) {
+        let now = self.sim.now();
+        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+        if p.try_tx_at != now {
+            return;
+        }
+        p.try_tx_at = NO_WAKEUP;
+        self.pump(dev, port);
+    }
+
+    /// Attempts to start transmissions on `(dev, port)`.
+    pub(super) fn pump(&mut self, dev: DevId, port: u8) {
+        let now = self.sim.now();
+        let d = &self.devices[dev.idx()];
+        if !d.active || d.ports[usize::from(port)].state != PortState::Active {
+            // Unusable: everything queued is lost.
+            self.drain_port(dev, port);
+            return;
+        }
+        // Source injection rate limiting applies to data leaving an
+        // endpoint.
+        let rate_limited = d.is_endpoint() && self.config.injection_rate_limit.is_some();
+        loop {
+            let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+            match p.next_action(now, &self.config, &self.packets, rate_limited) {
+                Action::Idle => return,
+                Action::Wait(at) => {
+                    if p.try_tx_at > at {
+                        p.try_tx_at = at;
+                        self.sched_at(at, Event::TryTx { dev, port });
+                    }
+                    return;
+                }
+                Action::Stall => {
+                    self.counters.credit_stalls += 1;
+                    return;
+                }
+                Action::Oversized(class) => {
+                    let entry = p.pop_head(class);
+                    self.drop_entry(entry, |c| &mut c.dropped_bad_route);
+                }
+                Action::Tx(class) => match (p.pop_head(class), p.peer) {
+                    (entry, Some(peer)) => self.transmit(dev, port, class, entry, peer, now),
+                    // Dangling port: count as link-down drop.
+                    (entry, None) => self.drop_entry(entry, |c| &mut c.dropped_link_down),
+                },
+            }
+        }
+    }
+
+    /// The cut-through guard: the egress peer if `entry`'s transmission
+    /// on `(dev, port)` at `entry.ready` is already determined now, at
+    /// header arrival — nothing that can happen before `entry.ready`
+    /// would make `pump` do anything but transmit it then. The module
+    /// header gives the reason for each condition.
+    pub(super) fn cut_through_peer(
+        &self,
+        dev: DevId,
+        port: u8,
+        entry: &OutEntry,
+    ) -> Option<(DevId, u8)> {
+        if self.control_pending != 0 || !self.config.faults.loss.is_lossless() {
+            return None;
+        }
+        let body = self.packets.get(entry.packet.0);
+        if CreditClass::of(body) != CreditClass::Mgmt {
+            return None;
+        }
+        let p = &self.devices[dev.idx()].ports[usize::from(port)];
+        if p.state != PortState::Active
+            || p.queued() != 0
+            || p.busy_until > entry.ready
+            || p.cut_until > self.sim.now()
+        {
+            return None;
+        }
+        match p.admit(&self.config, CreditClass::Mgmt, body.wire_size()) {
+            Action::Tx(_) => p.peer,
+            _ => None,
+        }
+    }
+
+    /// Puts `entry` on the wire of `(dev, port)` toward `peer`, the
+    /// serializer starting at `start`: `now` from `pump`, or the future
+    /// `ready` of a cut-through commitment, whose guard has established
+    /// that nothing else can claim the port or the credits before then.
+    /// Everything downstream of the transmission is scheduled relative to
+    /// `start`.
+    pub(super) fn transmit(
+        &mut self,
+        dev: DevId,
+        port: u8,
+        class: CreditClass,
+        entry: OutEntry,
+        (peer_dev, peer_port): (DevId, u8),
+        start: SimTime,
+    ) {
+        let size = self.packets.get(entry.packet.0).wire_size();
+        let cost = self.config.credits_for(size);
+        let d = &mut self.devices[dev.idx()];
+        let rate_limited = class == CreditClass::Data && d.is_endpoint();
+        let p = &mut d.ports[usize::from(port)];
+        if self.config.flow_control {
+            p.peer_credits[class.idx()] -= cost;
+        }
+        p.busy_until = start + self.config.tx_time(size);
+        if let (true, Some(rate)) = (rate_limited, self.config.injection_rate_limit) {
+            let debit = SimDuration::from_secs_f64(size as f64 / rate.max(1.0));
+            p.rate_next = p.rate_next.max(start) + debit;
+        }
+        match class {
+            CreditClass::Mgmt => self.counters.mgmt_bytes += size as u64,
+            CreditClass::Data => self.counters.data_bytes += size as u64,
+        }
+        if p.draw_loss(self.config.faults.loss, &mut d.rng) {
+            // Injected loss: the receiver's CRC discards the packet. Its
+            // input buffer is freed on arrival, so the consumed credits
+            // bounce straight back to this port.
+            self.counters.dropped_corrupted += 1;
+            self.trace.emit(start, || TraceEvent::FaultPacketLost {
+                device: dev.0,
+                port: u16::from(port),
+            });
+            let bounced = CreditOrigin {
+                dev,
+                port,
+                class,
+                amount: cost,
+            };
+            let bounced = self.config.flow_control.then_some(bounced);
+            self.return_credits(bounced, start + self.config.propagation);
+            self.packets.free(entry.packet.0);
+        } else {
+            // Header arrival downstream (virtual cut-through).
+            let header_bytes = self.packets.get(entry.packet.0).header.wire_size() + 4;
+            let arrive_at = start + self.config.tx_time(header_bytes) + self.config.propagation;
+            self.sched_at(
+                arrive_at,
+                Event::Arrive {
+                    dev: peer_dev,
+                    port: peer_port,
+                    packet: entry.packet,
+                },
+            );
+        }
+        // The packet has left this device: release the input buffer it
+        // occupied upstream (after the downstream `Arrive`: the order of
+        // the two is a same-timestamp tie-break).
+        self.return_credits(entry.origin, start);
+    }
+
+    /// Everything queued on a port that went down is lost with the link.
+    fn drain_port(&mut self, dev: DevId, port: u8) {
+        // One entry at a time, no interim Vec: this runs on every pump()
+        // of a downed port.
+        loop {
+            let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+            let entry = (p.mgmt_q.pop_front())
+                .or_else(|| p.bypass_q.pop_front())
+                .or_else(|| p.data_q.pop_front());
+            let Some(entry) = entry else { break };
+            self.drop_entry(entry, |c| &mut c.dropped_link_down);
+        }
+    }
+
+    // ---------------- training and carrier ----------------
+
+    /// The one place a port changes state: the port and its block in the
+    /// configuration space (what the FM reads over the wire) move together.
+    fn set_port_state(&mut self, dev: DevId, port: u8, state: PortState) {
+        let d = &mut self.devices[dev.idx()];
+        let p = &mut d.ports[usize::from(port)];
+        p.state = state;
+        // The partner's port number is exchanged during link training.
+        let peer_port = match (state, p.peer) {
+            (PortState::Active, Some((_, pp))) => pp,
+            _ => 0,
+        };
+        let info = PortInfo {
+            state,
+            link_width: 1,
+            link_speed: 10,
+            peer_port,
+        };
+        d.config.set_port(u16::from(port), info);
+    }
+
+    /// The one carrier-loss path: `(dev, port)` goes down and what it had
+    /// queued is lost. With `notify` the device outlives its port (the far
+    /// end of a dead device's link, either end of a flapped one) and says
+    /// so, if there was a carrier to lose. Without, the device itself is
+    /// dying: every port goes down, silently.
+    pub(super) fn carrier_lost(&mut self, dev: DevId, port: u8, notify: bool) {
+        if notify && self.devices[dev.idx()].ports[usize::from(port)].state == PortState::Down {
+            return;
+        }
+        self.set_port_state(dev, port, PortState::Down);
+        self.drain_port(dev, port);
+        if notify {
+            self.notify_port_change(dev, port, PortEvent::PortDown);
+        }
+    }
+
+    /// Starts link training on a port that is down (a port already
+    /// training or active is left alone).
+    pub(super) fn begin_training(&mut self, dev: DevId, port: u8) {
+        if self.devices[dev.idx()].ports[usize::from(port)].state != PortState::Down {
+            return;
+        }
+        self.set_port_state(dev, port, PortState::Training);
+        self.sched_after(self.config.train_time, Event::PortTrained { dev, port });
+    }
+
+    pub(super) fn on_port_trained(&mut self, dev: DevId, port: u8) {
+        let d = &self.devices[dev.idx()];
+        let p = &d.ports[usize::from(port)];
+        if !d.active || p.state != PortState::Training {
+            return;
+        }
+        // The peer may have been deactivated mid-training.
+        if p.peer.is_some_and(|(pd, _)| !self.devices[pd.idx()].active) {
+            self.set_port_state(dev, port, PortState::Down);
+            return;
+        }
+        self.set_port_state(dev, port, PortState::Active);
+        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+        // Fresh link: peer buffers are empty.
+        p.peer_credits = [self.config.mgmt_credits, self.config.data_credits];
+        p.busy_until = self.sim.now();
+        self.notify_port_change(dev, port, PortEvent::PortUp);
+        self.pump(dev, port);
+    }
+
+    /// Fires the local agent's port-event hook and emits PI-5 toward the
+    /// FM if a reporting route is configured.
+    fn notify_port_change(&mut self, dev: DevId, port: u8, event: PortEvent) {
+        // Local agent callback (e.g. the FM watching its own link).
+        self.with_agent(dev, |agent, ctx| agent.on_port_event(ctx, port, event));
+        let now = self.sim.now();
+        let d = &mut self.devices[dev.idx()];
+        let Some(route) = d.fm_route.clone() else {
+            return;
+        };
+        // Sequences are modular (RFC-1982 comparison at the FM), so a
+        // long-lived reporter wraps rather than overflowing.
+        d.pi5_seq = d.pi5_seq.wrapping_add(1);
+        // Don't report through the port that just died.
+        if route.egress == port && event == PortEvent::PortDown {
+            return;
+        }
+        let report = Pi5 {
+            reporter_dsn: d.info.dsn,
+            port,
+            event,
+            sequence: d.pi5_seq,
+        };
+        let header =
+            RouteHeader::forward(ProtocolInterface::EventReporting, MANAGEMENT_TC, route.pool);
+        self.counters.pi5_emitted += 1;
+        self.counters.injected += 1;
+        self.trace.emit(now, || TraceEvent::Pi5Emitted {
+            dsn: report.reporter_dsn,
+            port: u16::from(port),
+            up: event == PortEvent::PortUp,
+        });
+        let packet = Packet::new(header, Payload::Pi5(report));
+        self.inject(dev, route.egress, now, packet);
+    }
+}

@@ -36,7 +36,7 @@ pub use agent::{AgentCommand, AgentCtx, DevId, FabricAgent};
 pub use churn::{ChurnAction, ChurnEvent, ChurnPlan};
 pub use config::{FabricConfig, CREDIT_UNIT};
 pub use counters::FabricCounters;
-pub use fabric::{CreditClass, Fabric, FlowStats, FmRoute, DSN_BASE};
+pub use fabric::{Fabric, FlowStats, FmRoute, DSN_BASE};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, LossModel};
 pub use traffic::{
     Arrivals, FlowKind, FlowSpec, McastTableWrite, Shot, TrafficPlan, TrafficSchedule,

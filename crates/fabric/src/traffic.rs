@@ -336,10 +336,14 @@ impl TrafficPlan {
             );
         }
 
-        if self.mcast_groups > 0 && self.mcast_load > 0.0 && endpoints.len() >= 2 {
+        // An endpoint a tree cannot reach (see `tree_port`) is not drawn as
+        // a member; with switches of at most 32 ports that is none of them.
+        let mut reachable = endpoints;
+        reachable.retain(|&e| topo.neighbors(e).any(|(p, at)| tree_port(p, at.port)));
+        if self.mcast_groups > 0 && self.mcast_load > 0.0 && reachable.len() >= 2 {
             let first = schedule.flows.len();
             for group in 0..self.mcast_groups {
-                let members = pick_members(&endpoints, &mut pick_rng);
+                let members = pick_members(&reachable, &mut pick_rng);
                 for (device, mask) in group_masks(topo, &members) {
                     schedule.writes.push(McastTableWrite {
                         device,
@@ -458,6 +462,14 @@ fn pick_members(endpoints: &[NodeId], rng: &mut SimRng) -> Vec<NodeId> {
     members
 }
 
+/// Whether a link between these two ports can be a tree edge: a multicast
+/// table entry is one configuration-space dword, bit `p` for port `p`, so
+/// a port past 31 cannot be named in one (and the switch replicates to
+/// none).
+fn tree_port(a: u8, b: u8) -> bool {
+    u32::from(a.max(b)) < u32::BITS
+}
+
 /// Computes per-device multicast masks realizing a spanning tree over
 /// the group members: the union of each member's shortest path (in the
 /// BFS tree rooted at the first member). Switch entries get an
@@ -478,7 +490,7 @@ fn group_masks(topo: &Topology, members: &[NodeId]) -> Vec<(u32, u32)> {
     while let Some(u) = queue.pop_front() {
         let ports = topo.node(u).expect("BFS visits known nodes").ports;
         for p in 0..ports {
-            if let Some(at) = topo.peer(u, p) {
+            if let Some(at) = topo.peer(u, p).filter(|at| tree_port(p, at.port)) {
                 if !seen[at.node.idx()] {
                     seen[at.node.idx()] = true;
                     parent[at.node.idx()] = Some((u, p, at.port));
@@ -682,6 +694,29 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `dragonfly:4,20` has 35-port routers with endpoints on ports
+    /// 23..=34: no tree may use a port the one-dword entry cannot name.
+    #[test]
+    fn multicast_trees_avoid_ports_past_31() {
+        let topo = asi_topo::dragonfly(4, 20).unwrap().topology;
+        let sched = TrafficPlan::none()
+            .with_multicast(8, 0.05)
+            .with_window(SimDuration::ZERO, SimDuration::from_us(10))
+            .materialize(&topo, BYTE_TIME);
+        let is_endpoint = |w: &&McastTableWrite| {
+            topo.node(NodeId(w.device)).unwrap().device_type == asi_proto::DeviceType::Endpoint
+        };
+        let members: Vec<_> = sched.writes.iter().filter(is_endpoint).collect();
+        assert_eq!(members.len(), 8 * 4);
+        for w in members {
+            // The member's router names the port the member hangs off.
+            let at = topo.peer(NodeId(w.device), 0).unwrap();
+            let on_router = |s: &&McastTableWrite| s.device == at.node.0 && s.group == w.group;
+            let entry = sched.writes.iter().find(on_router).unwrap();
+            assert!(at.port < 32 && (entry.mask >> at.port) & 1 == 1, "{at:?}");
         }
     }
 }

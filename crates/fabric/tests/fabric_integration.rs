@@ -453,3 +453,37 @@ fn completions_retrace_the_request_path_credits_balance() {
     assert_eq!(prober.received.len(), 2);
     assert_eq!(fabric.counters().total_dropped(), 0);
 }
+
+/// A `*Done` armed for a request that died with its device must not
+/// serve the request that reaches the device after it powers back up:
+/// the second read takes the full device time, power cycle or not.
+#[test]
+fn a_power_cycle_does_not_shorten_the_next_requests_service() {
+    let g = mesh(3, 3).unwrap();
+    let (src, target) = (g.endpoint_at(0, 0), g.switch_at(1, 1));
+    let send = |fabric: &mut Fabric, req_id: u32| {
+        let addr = CapabilityAddr::baseline(0);
+        let request = read_request(&g.topology, src, target, req_id, addr, 1);
+        let prober = fabric.agent_as_mut::<Prober>(dev(src)).unwrap();
+        prober.outbox.push(request);
+        fabric.schedule_agent_timer(dev(src), SimDuration::ZERO, 0);
+    };
+    let second_read_latency = |power_cycle: bool| {
+        let mut fabric = up(&g.topology);
+        fabric.set_agent(dev(src), Box::new(Prober::default()));
+        let sent = fabric.now() + SimDuration::from_ns(2_500);
+        if power_cycle {
+            // The first read is in service when its device dies.
+            send(&mut fabric, 1);
+            fabric.schedule_deactivate(dev(target), SimDuration::from_ns(1_000));
+            fabric.schedule_activate(dev(target), SimDuration::from_ns(1_100));
+        }
+        fabric.run_until(sent);
+        send(&mut fabric, 2);
+        fabric.run_until_idle();
+        let prober = fabric.agent_as::<Prober>(dev(src)).unwrap();
+        assert_eq!(prober.received.len(), 1, "only the second read completes");
+        prober.received[0].0 - sent
+    };
+    assert_eq!(second_read_latency(true), second_read_latency(false));
+}
