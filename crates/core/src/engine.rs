@@ -1,17 +1,40 @@
 //! The discovery engine: the paper's three algorithms as one state
-//! machine with algorithm-specific request scheduling.
+//! machine; they differ in a single admission rule.
 //!
 //! The engine is deliberately I/O-free: it consumes completions/timeouts
 //! and emits [`OutRequest`]s. The [`crate::fm::FmAgent`] adapts it to the
 //! fabric's agent interface; unit tests drive it directly.
 //!
-//! ## Scheduling differences (paper §3)
+//! ## One admission rule (paper §3)
 //!
-//! | algorithm      | outstanding requests                                  |
-//! |----------------|-------------------------------------------------------|
-//! | Serial Packet  | exactly one, breadth-first over devices               |
-//! | Serial Device  | one device at a time, but its port reads in parallel  |
-//! | Parallel       | unbounded: inject as soon as a response enables it    |
+//! The three algorithms are three answers to one question — *when may
+//! the FM inject the next PI-4 request*. An operation that arises from a
+//! completion is either issued at once or waits until no request is
+//! outstanding:
+//!
+//! | algorithm      | port-block reads of a newly discovered device | probes (general-info reads) |
+//! |----------------|-----------------------------------------------|-----------------------------|
+//! | Serial Packet  | wait                                          | wait                        |
+//! | Serial Device  | at once                                       | wait                        |
+//! | Parallel       | at once                                       | at once                     |
+//!
+//! The claim exchange (ownership write, then its read-back), warm-start
+//! verify reads, the refresh re-reads of [`Engine::seeded`] /
+//! [`Engine::verify_with_probes`] and retries belong to an operation
+//! already in flight and never wait, under any algorithm.
+//!
+//! ## One queue, one pump
+//!
+//! Exploration that arises is put on one queue of waiting operations:
+//! probes at the back (breadth-first), a new device's port reads at the
+//! front in port order (they precede every probe already waiting). After
+//! every completion or timeout the *pump* issues from the front until it
+//! meets an operation the table above tells to wait while requests are
+//! outstanding. The pending table is the only scheduler state: Serial
+//! Packet's "one request at a time" and Serial Device's "one device at a
+//! time" are both "the table is empty". A waiting read whose device has
+//! been forgotten in the meantime finds nothing to address and is
+//! skipped. The run is done when the table and the queue are both empty.
 //!
 //! ## Exploration bookkeeping
 //!
@@ -26,12 +49,18 @@ use crate::db::{DeviceRoute, TopologyDb};
 use crate::metrics::Algorithm;
 use crate::retry::RetryPolicy;
 use asi_proto::{
-    config::{general_info_read, port_info_reads, CAP_OWNERSHIP},
-    turn_for, turn_width, CapabilityAddr, DeviceInfo, DeviceType, Pi4Status, PortInfo, PortState,
-    TurnPool,
+    config::{general_info_read, port_info_read, port_info_reads, CAP_OWNERSHIP, OWNERSHIP_WORDS},
+    turn_for, turn_width, CapabilityAddr, DeviceInfo, DeviceType, Pi4Status, PortInfo, TurnPool,
+    PORT_BLOCK_WORDS,
 };
 use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
+
+/// The ownership claim register every device carries.
+const OWNERSHIP: CapabilityAddr = CapabilityAddr {
+    capability: CAP_OWNERSHIP,
+    offset: 0,
+};
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -102,7 +131,7 @@ pub enum OutOp {
 }
 
 /// A device awaiting its general-information probe.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ProbeTarget {
     route: DeviceRoute,
     /// The known device/port this probe looks through.
@@ -110,7 +139,7 @@ struct ProbeTarget {
 }
 
 /// An issued request: what it was for, plus its retry budget used.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct InFlight {
     kind: Pending,
     retries: u32,
@@ -184,10 +213,14 @@ impl PendingTable {
     }
 }
 
-/// What an in-flight request was for.
-#[derive(Clone, Debug)]
+/// A discovery operation. The kind alone says which device to address
+/// and what to ask it ([`Engine::request_for`]), so a waiting operation,
+/// a request in flight and its retry are all the same value.
+#[derive(Debug)]
 enum Pending {
+    /// A probe: the general-information read of whatever answers.
     General(ProbeTarget),
+    /// The read of up to two port blocks of a known device.
     Ports {
         dsn: u64,
         first_port: u16,
@@ -250,14 +283,6 @@ impl std::ops::AddAssign for EngineStats {
     }
 }
 
-/// The device currently being explored by a serial algorithm.
-#[derive(Debug)]
-struct Exploring {
-    dsn: u64,
-    reads: VecDeque<(CapabilityAddr, u8, u16)>,
-    outstanding: usize,
-}
-
 /// The discovery state machine.
 pub struct Engine {
     cfg: EngineConfig,
@@ -265,16 +290,16 @@ pub struct Engine {
     pub db: TopologyDb,
     /// DSNs of rival managers observed in ownership registers while
     /// claim partitioning (input to the election decision).
-    pub rivals: std::collections::BTreeSet<u64>,
+    pub rivals: BTreeSet<u64>,
     /// Boundary devices ceded to a rival, as `(device, owner)` pairs in
     /// cede order (claim partitioning only).
     pub ceded: Vec<(u64, u64)>,
+    /// Requests in flight.
     pending: PendingTable,
+    /// Exploration waiting for its turn, in issue order (module header).
+    queue: VecDeque<Pending>,
     next_req: u32,
-    probe_queue: VecDeque<ProbeTarget>,
-    current: Option<Exploring>,
     stats: EngineStats,
-    done: bool,
     my_dsn: u64,
     /// Warm-start verification outcomes (empty outside verify runs).
     verified: Vec<u64>,
@@ -288,6 +313,25 @@ pub struct Engine {
 }
 
 impl Engine {
+    /// An idle engine over `db`: nothing in flight, nothing waiting.
+    fn new(cfg: EngineConfig, db: TopologyDb) -> Engine {
+        Engine {
+            cfg,
+            my_dsn: db.host_dsn(),
+            db,
+            rivals: BTreeSet::new(),
+            ceded: Vec::new(),
+            pending: PendingTable::new(),
+            queue: VecDeque::new(),
+            next_req: 1,
+            stats: EngineStats::default(),
+            verified: Vec::new(),
+            mismatched: Vec::new(),
+            trace: TraceHandle::disabled(),
+            trace_now: SimTime::ZERO,
+        }
+    }
+
     /// Starts a full discovery: reads the host endpoint locally, then
     /// probes every active host port. Returns the engine plus the first
     /// requests to inject.
@@ -296,52 +340,34 @@ impl Engine {
         host_info: DeviceInfo,
         host_ports: &[PortInfo],
     ) -> (Engine, Vec<OutRequest>) {
+        let pool = TurnPool::with_capacity(cfg.pool_capacity);
         let mut db = TopologyDb::new(host_info.dsn);
         db.insert_device(
             host_info,
             DeviceRoute {
                 egress: 0,
-                pool: TurnPool::with_capacity(cfg.pool_capacity),
+                pool: pool.clone(),
                 entry_port: 0,
                 hops: 0,
             },
         );
+        let mut engine = Engine::new(cfg, db);
         for (p, info) in host_ports.iter().enumerate() {
-            db.set_port(host_info.dsn, p as u16, *info);
-        }
-        let mut engine = Engine {
-            cfg,
-            db,
-            rivals: std::collections::BTreeSet::new(),
-            ceded: Vec::new(),
-            pending: PendingTable::new(),
-            next_req: 1,
-            probe_queue: VecDeque::new(),
-            current: None,
-            stats: EngineStats::default(),
-            done: false,
-            my_dsn: host_info.dsn,
-            verified: Vec::new(),
-            mismatched: Vec::new(),
-            trace: TraceHandle::disabled(),
-            trace_now: SimTime::ZERO,
-        };
-        for (p, info) in host_ports.iter().enumerate() {
+            engine.db.set_port(host_info.dsn, p as u16, *info);
             if info.state.is_active() {
-                let pool = TurnPool::with_capacity(engine.cfg.pool_capacity);
-                engine.probe_queue.push_back(ProbeTarget {
+                engine.queue.push_back(Pending::General(ProbeTarget {
                     route: DeviceRoute {
                         egress: p as u8,
-                        pool,
+                        pool: pool.clone(),
                         entry_port: info.peer_port,
                         hops: 0,
                     },
                     via: (host_info.dsn, p as u8),
-                });
+                }));
             }
         }
-        let out = engine.advance();
-        engine.update_done();
+        let mut out = Vec::new();
+        engine.pump(&mut out);
         (engine, out)
     }
 
@@ -355,64 +381,19 @@ impl Engine {
         reread_ports: &[u64],
         probe_via: &[(u64, u8)],
     ) -> (Engine, Vec<OutRequest>) {
-        let my_dsn = db.host_dsn();
         // Stored routes may traverse the very device whose disappearance
         // triggered this run: recompute them over the updated link set
         // first (the paper's "obtain a new set of paths" step).
         db.refresh_routes(cfg.pool_capacity);
-        let mut engine = Engine {
-            cfg,
-            db,
-            rivals: std::collections::BTreeSet::new(),
-            ceded: Vec::new(),
-            pending: PendingTable::new(),
-            next_req: 1,
-            probe_queue: VecDeque::new(),
-            current: None,
-            stats: EngineStats::default(),
-            done: false,
-            my_dsn,
-            verified: Vec::new(),
-            mismatched: Vec::new(),
-            trace: TraceHandle::disabled(),
-            trace_now: SimTime::ZERO,
-        };
+        let mut engine = Engine::new(cfg, db);
         let mut out = Vec::new();
         for &dsn in reread_ports {
-            if let Some(d) = engine.db.device(dsn) {
-                if dsn == my_dsn {
-                    continue; // host is read locally
-                }
-                let port_count = d.info.port_count;
-                let reads: VecDeque<(CapabilityAddr, u8, u16)> = port_info_reads(port_count)
-                    .into_iter()
-                    .scan(0u16, |first, (addr, dwords)| {
-                        let f = *first;
-                        *first += u16::from(asi_proto::PORTS_PER_READ);
-                        Some((addr, dwords, f))
-                    })
-                    .collect();
-                // Port re-reads bypass the serial "current device" dance:
-                // issue directly (they are refreshes, not exploration).
-                for (addr, dwords, first_port) in reads {
-                    let route = engine.db.device(dsn).expect("present").route.clone();
-                    out.push(engine.issue(
-                        route,
-                        OutOp::Read { addr, dwords },
-                        Pending::Ports { dsn, first_port },
-                    ));
-                }
-            }
+            engine.reread_ports(dsn, &mut out);
         }
         for &(dsn, port) in probe_via {
-            if let Some(t) = engine.probe_through(dsn, port) {
-                engine.probe_queue.push_back(t);
-            }
+            engine.probe(dsn, port);
         }
-        out.extend(engine.advance());
-        if engine.pending.is_empty() && engine.probe_queue.is_empty() && engine.current.is_none() {
-            engine.done = true;
-        }
+        engine.pump(&mut out);
         (engine, out)
     }
 
@@ -439,36 +420,17 @@ impl Engine {
         db: TopologyDb,
         probe_via: &[(u64, u8)],
     ) -> (Engine, Vec<OutRequest>) {
-        let my_dsn = db.host_dsn();
-        let mut engine = Engine {
-            cfg,
-            db,
-            rivals: std::collections::BTreeSet::new(),
-            ceded: Vec::new(),
-            pending: PendingTable::new(),
-            next_req: 1,
-            probe_queue: VecDeque::new(),
-            current: None,
-            stats: EngineStats::default(),
-            done: false,
-            my_dsn,
-            verified: Vec::new(),
-            mismatched: Vec::new(),
-            trace: TraceHandle::disabled(),
-            trace_now: SimTime::ZERO,
-        };
+        let mut engine = Engine::new(cfg, db);
         let mut targets: Vec<(u16, u64)> = engine
             .db
             .devices()
-            .filter(|d| d.info.dsn != my_dsn)
+            .filter(|d| d.info.dsn != engine.my_dsn)
             .map(|d| (d.route.hops, d.info.dsn))
             .collect();
         targets.sort_unstable();
         let mut out = Vec::new();
         for (_, dsn) in targets {
-            let route = engine.db.device(dsn).expect("present").route.clone();
-            let (addr, dwords) = general_info_read();
-            out.push(engine.issue(route, OutOp::Read { addr, dwords }, Pending::Verify { dsn }));
+            out.extend(engine.issue(Pending::Verify { dsn }));
         }
         // Pairs whose cached port record is stale (a genuine hot-add
         // into a port the database last saw down) cannot build a probe
@@ -476,35 +438,16 @@ impl Engine {
         // let the fresh port info escalate to the probe.
         let mut rereads: Vec<u64> = Vec::new();
         for &(dsn, port) in probe_via {
-            if let Some(t) = engine.probe_through(dsn, port) {
-                engine.probe_queue.push_back(t);
-            } else if dsn != my_dsn && engine.db.contains(dsn) {
+            if !engine.probe(dsn, port) {
                 rereads.push(dsn);
             }
         }
         rereads.sort_unstable();
         rereads.dedup();
         for dsn in rereads {
-            let port_count = engine.db.device(dsn).expect("present").info.port_count;
-            let reads: Vec<(CapabilityAddr, u8, u16)> = port_info_reads(port_count)
-                .into_iter()
-                .scan(0u16, |first, (addr, dwords)| {
-                    let f = *first;
-                    *first += u16::from(asi_proto::PORTS_PER_READ);
-                    Some((addr, dwords, f))
-                })
-                .collect();
-            for (addr, dwords, first_port) in reads {
-                let route = engine.db.device(dsn).expect("present").route.clone();
-                out.push(engine.issue(
-                    route,
-                    OutOp::Read { addr, dwords },
-                    Pending::Ports { dsn, first_port },
-                ));
-            }
+            engine.reread_ports(dsn, &mut out);
         }
-        out.extend(engine.advance());
-        engine.update_done();
+        engine.pump(&mut out);
         (engine, out)
     }
 
@@ -543,9 +486,10 @@ impl Engine {
             .emit(self.trace_now, || TraceEvent::PendingTableSize { size });
     }
 
-    /// True once the exploration queue and pending table are empty.
+    /// True once the pending table and the queue of waiting operations
+    /// are both empty.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.pending.is_empty() && self.queue.is_empty()
     }
 
     /// Run counters.
@@ -584,47 +528,23 @@ impl Engine {
         self.trace_pending();
         let mut out = Vec::new();
         match (inflight.kind, result) {
-            (Pending::General(target), Ok(words)) => {
-                self.on_general(target, words, &mut out);
-            }
-            (Pending::General(_), Err(_)) => {
-                // No usable device behind that port.
-            }
+            (Pending::General(target), Ok(words)) => self.on_general(target, words, &mut out),
+            // No usable device behind that port.
+            (Pending::General(_), Err(_)) => {}
             (Pending::Ports { dsn, first_port }, Ok(words)) => {
-                self.on_ports(dsn, first_port, words, &mut out);
+                self.on_ports(dsn, first_port, words)
             }
-            (Pending::Ports { dsn, .. }, Err(_)) => {
-                // Device died mid-exploration: forget it.
-                self.forget(dsn);
-            }
+            // Confirm ownership with a read-back.
             (Pending::ClaimWrite { dsn }, Ok(_)) => {
-                // Confirm ownership with a read-back.
-                if let Some(d) = self.db.device(dsn) {
-                    let route = d.route.clone();
-                    out.push(self.issue(
-                        route,
-                        OutOp::Read {
-                            addr: CapabilityAddr {
-                                capability: CAP_OWNERSHIP,
-                                offset: 0,
-                            },
-                            dwords: 2,
-                        },
-                        Pending::ClaimCheck { dsn },
-                    ));
-                }
-            }
-            (Pending::ClaimWrite { dsn }, Err(_)) => {
-                self.forget(dsn);
+                out.extend(self.issue(Pending::ClaimCheck { dsn }));
             }
             (Pending::ClaimCheck { dsn }, Ok(words)) => {
-                let owner = if words.len() >= 2 {
-                    (u64::from(words[0]) << 32) | u64::from(words[1])
-                } else {
-                    0
+                let owner = match words {
+                    [hi, lo, ..] => (u64::from(*hi) << 32) | u64::from(*lo),
+                    _ => 0,
                 };
                 if owner == self.my_dsn {
-                    self.begin_port_reads(dsn, &mut out);
+                    self.explore_ports(dsn);
                 } else {
                     // A rival got there first: keep the device + link but
                     // leave its region to the rival.
@@ -636,12 +556,15 @@ impl Engine {
                     let to = owner;
                     self.trace
                         .emit(self.trace_now, || TraceEvent::FmYield { dsn, to });
-                    self.finish_current_if(dsn);
                 }
             }
-            (Pending::ClaimCheck { dsn }, Err(_)) => {
-                self.forget(dsn);
-            }
+            // Device died mid-exploration: forget it.
+            (
+                Pending::Ports { dsn, .. }
+                | Pending::ClaimWrite { dsn }
+                | Pending::ClaimCheck { dsn },
+                Err(_),
+            ) => self.forget(dsn),
             (Pending::Verify { dsn }, result) => {
                 let matches = matches!(
                     result.ok().and_then(DeviceInfo::from_words),
@@ -652,14 +575,11 @@ impl Engine {
                     self.trace
                         .emit(self.trace_now, || TraceEvent::WarmVerified { dsn });
                 } else {
-                    self.mismatched.push(dsn);
-                    self.trace
-                        .emit(self.trace_now, || TraceEvent::VerifyMismatch { dsn });
+                    self.mismatch(dsn);
                 }
             }
         }
-        out.extend(self.advance());
-        self.update_done();
+        self.pump(&mut out);
         out
     }
 
@@ -679,11 +599,10 @@ impl Engine {
             .retry
             .allows_retry(self.cfg.base_timeout, inflight.retries)
         {
-            if let Some(req) =
-                self.reissue(inflight.kind.clone(), inflight.retries + 1, inflight.salt)
-            {
+            if let Some((route, op)) = self.request_for(&inflight.kind) {
                 self.stats.retries += 1;
-                return vec![req];
+                let (retries, salt) = (inflight.retries + 1, Some(inflight.salt));
+                return vec![self.issue_attempt(route, op, inflight.kind, retries, salt)];
             }
         }
         self.stats.abandoned += 1;
@@ -694,87 +613,53 @@ impl Engine {
             Pending::Ports { dsn, .. }
             | Pending::ClaimWrite { dsn }
             | Pending::ClaimCheck { dsn } => self.forget(dsn),
-            Pending::Verify { dsn } => {
-                // A silent device is a mismatch, not a removal: the FM
-                // owns the decision to re-discover around it.
-                self.mismatched.push(dsn);
-                self.trace
-                    .emit(self.trace_now, || TraceEvent::VerifyMismatch { dsn });
-            }
+            // A silent device is a mismatch, not a removal: the FM owns
+            // the decision to re-discover around it.
+            Pending::Verify { dsn } => self.mismatch(dsn),
         }
-        let out = self.advance();
-        self.update_done();
+        let mut out = Vec::new();
+        self.pump(&mut out);
         out
-    }
-
-    /// Rebuilds the request for a timed-out operation.
-    fn reissue(&mut self, kind: Pending, retries: u32, salt: u32) -> Option<OutRequest> {
-        let (route, op) = match &kind {
-            Pending::General(target) => {
-                let (addr, dwords) = general_info_read();
-                (target.route.clone(), OutOp::Read { addr, dwords })
-            }
-            Pending::Ports { dsn, first_port } => {
-                let d = self.db.device(*dsn)?;
-                let remaining = d
-                    .info
-                    .port_count
-                    .checked_sub(*first_port)?
-                    .min(u16::from(asi_proto::PORTS_PER_READ));
-                if remaining == 0 {
-                    return None;
-                }
-                (
-                    d.route.clone(),
-                    OutOp::Read {
-                        addr: CapabilityAddr::baseline(asi_proto::config::port_block_offset(
-                            *first_port,
-                        )),
-                        dwords: (remaining * asi_proto::PORT_BLOCK_WORDS) as u8,
-                    },
-                )
-            }
-            Pending::ClaimWrite { dsn } => {
-                let d = self.db.device(*dsn)?;
-                (
-                    d.route.clone(),
-                    OutOp::Write {
-                        addr: CapabilityAddr {
-                            capability: CAP_OWNERSHIP,
-                            offset: 0,
-                        },
-                        data: vec![(self.my_dsn >> 32) as u32, self.my_dsn as u32],
-                    },
-                )
-            }
-            Pending::ClaimCheck { dsn } => {
-                let d = self.db.device(*dsn)?;
-                (
-                    d.route.clone(),
-                    OutOp::Read {
-                        addr: CapabilityAddr {
-                            capability: CAP_OWNERSHIP,
-                            offset: 0,
-                        },
-                        dwords: 2,
-                    },
-                )
-            }
-            Pending::Verify { dsn } => {
-                let d = self.db.device(*dsn)?;
-                let (addr, dwords) = general_info_read();
-                (d.route.clone(), OutOp::Read { addr, dwords })
-            }
-        };
-        Some(self.issue_attempt(route, op, kind, retries, Some(salt)))
     }
 
     // ------------------------------------------------------------------
 
-    fn update_done(&mut self) {
-        if self.pending.is_empty() && self.probe_queue.is_empty() && self.current.is_none() {
-            self.done = true;
+    /// The paper's three algorithms (§3) as one rule: must an operation
+    /// of this kind wait until no request is outstanding? Only
+    /// exploration is ever asked — the other kinds continue an operation
+    /// already in flight and are issued directly.
+    fn waits(&self, kind: &Pending) -> bool {
+        let (port_reads_wait, probes_wait) = match self.cfg.algorithm {
+            Algorithm::SerialPacket => (true, true),
+            Algorithm::SerialDevice => (false, true),
+            Algorithm::Parallel => (false, false),
+        };
+        match kind {
+            Pending::Ports { .. } => port_reads_wait,
+            Pending::General(_) => probes_wait,
+            Pending::ClaimWrite { .. } | Pending::ClaimCheck { .. } | Pending::Verify { .. } => {
+                false
+            }
         }
+    }
+
+    /// Issues waiting operations from the front of the queue until one
+    /// has to wait for outstanding requests. A waiting read whose device
+    /// has been forgotten since has nothing to address and is skipped.
+    fn pump(&mut self, out: &mut Vec<OutRequest>) {
+        while let Some(kind) = self.queue.front() {
+            if !self.pending.is_empty() && self.waits(kind) {
+                break;
+            }
+            let kind = self.queue.pop_front().expect("front was just seen");
+            out.extend(self.issue(kind));
+        }
+    }
+
+    fn mismatch(&mut self, dsn: u64) {
+        self.mismatched.push(dsn);
+        self.trace
+            .emit(self.trace_now, || TraceEvent::VerifyMismatch { dsn });
     }
 
     fn on_general(&mut self, target: ProbeTarget, words: &[u32], out: &mut Vec<OutRequest>) {
@@ -800,7 +685,7 @@ impl Engine {
             self.stats.duplicate_probes += 1;
             return;
         }
-        self.db.insert_device(info, target.route.clone());
+        self.db.insert_device(info, target.route);
         self.trace
             .emit(self.trace_now, || TraceEvent::DeviceDiscovered {
                 dsn: info.dsn,
@@ -808,130 +693,68 @@ impl Engine {
                 ports: info.port_count,
             });
         if self.cfg.claim_partitioning {
-            let dsn = info.dsn;
-            let claim = vec![(self.my_dsn >> 32) as u32, self.my_dsn as u32];
-            // Serial algorithms treat the claim exchange as part of the
-            // device's exploration: mark it current with no reads yet.
-            if self.cfg.algorithm != Algorithm::Parallel {
-                self.current = Some(Exploring {
-                    dsn,
-                    reads: VecDeque::new(),
-                    outstanding: 0,
-                });
-            }
-            out.push(self.issue(
-                target.route,
-                OutOp::Write {
-                    addr: CapabilityAddr {
-                        capability: CAP_OWNERSHIP,
-                        offset: 0,
-                    },
-                    data: claim,
-                },
-                Pending::ClaimWrite { dsn },
-            ));
+            out.extend(self.issue(Pending::ClaimWrite { dsn: info.dsn }));
         } else {
-            self.begin_port_reads(info.dsn, out);
+            self.explore_ports(info.dsn);
         }
     }
 
-    /// Queues/issues the port-block reads of a freshly discovered device.
-    fn begin_port_reads(&mut self, dsn: u64, out: &mut Vec<OutRequest>) {
+    /// Queues the port-block reads of a freshly discovered device, in
+    /// port order, ahead of every probe already waiting.
+    fn explore_ports(&mut self, dsn: u64) {
         let Some(d) = self.db.device(dsn) else { return };
-        let port_count = d.info.port_count;
-        let route = d.route.clone();
-        let reads: VecDeque<(CapabilityAddr, u8, u16)> = port_info_reads(port_count)
-            .into_iter()
-            .scan(0u16, |first, (addr, dwords)| {
-                let f = *first;
-                *first += u16::from(asi_proto::PORTS_PER_READ);
-                Some((addr, dwords, f))
-            })
-            .collect();
-        match self.cfg.algorithm {
-            Algorithm::SerialPacket => {
-                self.current = Some(Exploring {
-                    dsn,
-                    reads,
-                    outstanding: 0,
-                });
-                // advance() issues them one by one.
-            }
-            Algorithm::SerialDevice => {
-                // All port reads of the current device at once.
-                let n = reads.len();
-                for (addr, dwords, first_port) in reads {
-                    out.push(self.issue(
-                        route.clone(),
-                        OutOp::Read { addr, dwords },
-                        Pending::Ports { dsn, first_port },
-                    ));
-                }
-                self.current = Some(Exploring {
-                    dsn,
-                    reads: VecDeque::new(),
-                    outstanding: n,
-                });
-            }
-            Algorithm::Parallel => {
-                for (addr, dwords, first_port) in reads {
-                    out.push(self.issue(
-                        route.clone(),
-                        OutOp::Read { addr, dwords },
-                        Pending::Ports { dsn, first_port },
-                    ));
-                }
-            }
+        for first_port in port_info_reads(d.info.port_count).rev() {
+            self.queue.push_front(Pending::Ports { dsn, first_port });
         }
     }
 
-    fn on_ports(&mut self, dsn: u64, first_port: u16, words: &[u32], out: &mut Vec<OutRequest>) {
-        if !self.db.contains(dsn) {
-            // The device was forgotten after an earlier error/timeout;
-            // this late completion is moot.
-            self.finish_current_if(dsn);
-            return;
+    /// Re-reads every port block of a known device at once: a refresh of
+    /// what the database holds, not exploration, so it never waits.
+    fn reread_ports(&mut self, dsn: u64, out: &mut Vec<OutRequest>) {
+        if dsn == self.my_dsn {
+            return; // host is read locally
         }
-        let block = usize::from(asi_proto::PORT_BLOCK_WORDS);
-        let nports = words.len() / block;
-        let mut new_targets = Vec::new();
-        for i in 0..nports {
-            let port = first_port + i as u16;
-            let Some(info) = PortInfo::from_words(&words[i * block..(i + 1) * block]) else {
+        let Some(port_count) = self.db.device(dsn).map(|d| d.info.port_count) else {
+            return;
+        };
+        for first_port in port_info_reads(port_count) {
+            out.extend(self.issue(Pending::Ports { dsn, first_port }));
+        }
+    }
+
+    fn on_ports(&mut self, dsn: u64, first_port: u16, words: &[u32]) {
+        // A device forgotten after an earlier error/timeout makes this
+        // late completion moot.
+        let Some(device) = self.db.device(dsn) else {
+            return;
+        };
+        // An endpoint's only port leads back to where the FM came from.
+        let is_switch = device.info.device_type == DeviceType::Switch;
+        let blocks = words.chunks_exact(usize::from(PORT_BLOCK_WORDS));
+        for (port, block) in (first_port..).zip(blocks) {
+            let Some(info) = PortInfo::from_words(block) else {
                 continue;
             };
             self.db.set_port(dsn, port, info);
-            let device = self.db.device(dsn).expect("device present");
-            let is_switch = device.info.device_type == DeviceType::Switch;
-            let back_edge = port == u16::from(device.route.entry_port);
-            if info.state == PortState::Active && is_switch && !back_edge {
-                if let Some(t) = self.probe_through(dsn, port as u8) {
-                    new_targets.push(t);
-                }
-            }
-        }
-        match self.cfg.algorithm {
-            Algorithm::Parallel => {
-                for t in new_targets {
-                    let pending = Pending::General(t.clone());
-                    let (addr, dwords) = general_info_read();
-                    out.push(self.issue(t.route, OutOp::Read { addr, dwords }, pending));
-                }
-            }
-            _ => {
-                self.probe_queue.extend(new_targets);
-                if let Some(cur) = self.current.as_mut() {
-                    if cur.dsn == dsn && cur.outstanding > 0 {
-                        cur.outstanding -= 1;
-                    }
-                }
-                self.finish_current_if(dsn);
+            if is_switch {
+                self.probe(dsn, port as u8);
             }
         }
     }
 
+    /// Queues a probe through `(dsn, port)` behind everything already
+    /// waiting (breadth-first); `false` when no probe can be built.
+    fn probe(&mut self, dsn: u64, port: u8) -> bool {
+        let Some(target) = self.probe_through(dsn, port) else {
+            return false;
+        };
+        self.queue.push_back(Pending::General(target));
+        true
+    }
+
     /// Builds a probe target looking through `(dsn, port)` of a known
-    /// switch (or the host endpoint).
+    /// switch (or the host endpoint): `None` unless the port is known
+    /// and active, and not the switch's own way back to the FM.
     fn probe_through(&self, dsn: u64, port: u8) -> Option<ProbeTarget> {
         let device = self.db.device(dsn)?;
         let pinfo = (*device.ports.get(usize::from(port))?)?;
@@ -960,98 +783,46 @@ impl Engine {
         })
     }
 
-    /// Serial scheduling: with nothing outstanding, issue the next port
-    /// read of the current device, or pop the next probe target.
-    fn advance(&mut self) -> Vec<OutRequest> {
-        let mut out = Vec::new();
-        match self.cfg.algorithm {
-            Algorithm::Parallel => {
-                // Parallel never queues: everything was issued eagerly,
-                // except the initial seeds.
-                while let Some(t) = self.probe_queue.pop_front() {
-                    let (addr, dwords) = general_info_read();
-                    out.push(self.issue(
-                        t.route.clone(),
-                        OutOp::Read { addr, dwords },
-                        Pending::General(t),
-                    ));
-                }
-            }
-            Algorithm::SerialPacket => {
-                if self.pending.is_empty() {
-                    if let Some(cur) = self.current.as_mut() {
-                        if let Some((addr, dwords, first_port)) = cur.reads.pop_front() {
-                            let dsn = cur.dsn;
-                            cur.outstanding += 1;
-                            let route = self.db.device(dsn).expect("present").route.clone();
-                            out.push(self.issue(
-                                route,
-                                OutOp::Read { addr, dwords },
-                                Pending::Ports { dsn, first_port },
-                            ));
-                            return out;
-                        }
-                        // No reads left and nothing outstanding: done with
-                        // this device.
-                        self.current = None;
-                    }
-                    if self.pending.is_empty() && self.current.is_none() {
-                        if let Some(t) = self.probe_queue.pop_front() {
-                            let (addr, dwords) = general_info_read();
-                            out.push(self.issue(
-                                t.route.clone(),
-                                OutOp::Read { addr, dwords },
-                                Pending::General(t),
-                            ));
-                        }
-                    }
-                }
-            }
-            Algorithm::SerialDevice => {
-                if self.pending.is_empty() {
-                    self.current = None;
-                    if let Some(t) = self.probe_queue.pop_front() {
-                        let (addr, dwords) = general_info_read();
-                        out.push(self.issue(
-                            t.route.clone(),
-                            OutOp::Read { addr, dwords },
-                            Pending::General(t),
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Serial algorithms: when the current device's port reads have all
-    /// completed, clear it so `advance` moves on.
-    fn finish_current_if(&mut self, dsn: u64) {
-        if let Some(cur) = self.current.as_ref() {
-            if cur.dsn == dsn && cur.outstanding == 0 && cur.reads.is_empty() {
-                self.current = None;
-            }
-        }
-    }
-
-    /// Drops a half-explored device (it stopped answering).
+    /// Drops a half-explored device (it stopped answering). Requests in
+    /// flight to it will be answered or time out, and its waiting reads
+    /// will be pumped; all three paths tolerate the missing DSN.
     fn forget(&mut self, dsn: u64) {
         if dsn == self.my_dsn {
             return;
         }
         self.db.remove_device(dsn);
         self.db.prune_unreachable();
-        if let Some(cur) = self.current.as_ref() {
-            if cur.dsn == dsn {
-                self.current = None;
-            }
-        }
-        // Outstanding requests to the forgotten device will be answered or
-        // time out; both paths tolerate the missing DSN.
     }
 
-    fn issue(&mut self, route: DeviceRoute, op: OutOp, pending: Pending) -> OutRequest {
-        self.issue_attempt(route, op, pending, 0, None)
+    /// The one place an operation becomes a route and a PI-4 request —
+    /// for a first attempt and for a retry alike. `None` when the device
+    /// it addresses has left the database.
+    fn request_for(&self, kind: &Pending) -> Option<(DeviceRoute, OutOp)> {
+        let read = |(addr, dwords)| OutOp::Read { addr, dwords };
+        let route_to = |dsn: u64| Some(self.db.device(dsn)?.route.clone());
+        Some(match *kind {
+            Pending::General(ref target) => (target.route.clone(), read(general_info_read())),
+            Pending::Ports { dsn, first_port } => {
+                let d = self.db.device(dsn)?;
+                let block = port_info_read(first_port, d.info.port_count)?;
+                (d.route.clone(), read(block))
+            }
+            Pending::ClaimWrite { dsn } => {
+                let data = vec![(self.my_dsn >> 32) as u32, self.my_dsn as u32];
+                let addr = OWNERSHIP;
+                (route_to(dsn)?, OutOp::Write { addr, data })
+            }
+            Pending::ClaimCheck { dsn } => {
+                (route_to(dsn)?, read((OWNERSHIP, OWNERSHIP_WORDS as u8)))
+            }
+            Pending::Verify { dsn } => (route_to(dsn)?, read(general_info_read())),
+        })
+    }
+
+    /// Issues the first attempt of an operation.
+    fn issue(&mut self, kind: Pending) -> Option<OutRequest> {
+        let (route, op) = self.request_for(&kind)?;
+        Some(self.issue_attempt(route, op, kind, 0, None))
     }
 
     /// Issues attempt `retries` of an operation; `salt` is the first

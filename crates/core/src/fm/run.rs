@@ -61,17 +61,6 @@ impl RunAcc {
     }
 }
 
-/// Stable trigger tag used in [`TraceEvent::RunStarted`] records.
-fn trigger_tag(trigger: DiscoveryTrigger) -> &'static str {
-    match trigger {
-        DiscoveryTrigger::Initial => "initial",
-        DiscoveryTrigger::ChangeAssimilation => "change",
-        DiscoveryTrigger::Partial => "partial",
-        DiscoveryTrigger::Failover => "failover",
-        DiscoveryTrigger::WarmStart => "warm-start",
-    }
-}
-
 /// RFC-1982 serial-number comparison for PI-5 sequence numbers: `seq`
 /// is newer than `last` when it lies in the half of the modular u32
 /// space ahead of `last`. A plain `seq <= last` check would drop every
@@ -109,7 +98,7 @@ impl FmAgent {
         engine.set_trace(self.cfg.trace.clone());
         engine.set_trace_time(ctx.now);
         if let Some(acc) = acc {
-            let (algorithm, trigger) = (self.cfg.algorithm.name(), trigger_tag(acc.trigger));
+            let (algorithm, trigger) = (self.cfg.algorithm.name(), acc.trigger.tag());
             self.cfg
                 .trace
                 .emit(ctx.now, || TraceEvent::RunStarted { algorithm, trigger });

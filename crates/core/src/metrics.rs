@@ -64,6 +64,31 @@ pub enum DiscoveryTrigger {
     WarmStart,
 }
 
+impl DiscoveryTrigger {
+    /// Every trigger, in declaration order (the trace parser accepts
+    /// exactly these tags: a new variant goes here too).
+    pub fn all() -> [DiscoveryTrigger; 5] {
+        [
+            DiscoveryTrigger::Initial,
+            DiscoveryTrigger::ChangeAssimilation,
+            DiscoveryTrigger::Partial,
+            DiscoveryTrigger::Failover,
+            DiscoveryTrigger::WarmStart,
+        ]
+    }
+
+    /// Stable tag used in `run-started` trace records.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            DiscoveryTrigger::Initial => "initial",
+            DiscoveryTrigger::ChangeAssimilation => "change",
+            DiscoveryTrigger::Partial => "partial",
+            DiscoveryTrigger::Failover => "failover",
+            DiscoveryTrigger::WarmStart => "warm-start",
+        }
+    }
+}
+
 /// Everything measured during one discovery run.
 #[derive(Clone, Debug)]
 pub struct DiscoveryRun {

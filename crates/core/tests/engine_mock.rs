@@ -4,10 +4,11 @@
 //! No discrete-event simulation — this isolates the discovery logic and
 //! lets property tests drive it with adversarial completion orderings.
 
-use asi_core::{Algorithm, Engine, EngineConfig, OutOp, OutRequest};
+use asi_core::{Algorithm, Engine, EngineConfig, OutOp, OutRequest, RetryPolicy};
 use asi_proto::{
-    apply_backward, apply_forward, turn_width, ConfigSpace, DeviceInfo, DeviceType, Direction,
-    PortInfo, PortState, TurnCursor,
+    apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
+    Direction, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP, GENERAL_INFO_WORDS,
+    PORT_BLOCK_WORDS,
 };
 use asi_sim::SimRng;
 use asi_topo::{fat_tree, irregular, mesh, torus, IrregularSpec, NodeId, Topology};
@@ -64,9 +65,11 @@ impl MockFabric {
         }
     }
 
-    /// Walks a request's turn pool from the host and returns the target
-    /// device, or `None` if the route falls off the fabric.
-    fn route_target(&self, req: &OutRequest) -> Option<NodeId> {
+    /// Walks a request's turn pool from the host: the last hop taken, as
+    /// `(device, egress port)`, and the device it reaches, or `None` if
+    /// the route falls off the fabric.
+    fn walk(&self, req: &OutRequest) -> Option<((NodeId, u8), NodeId)> {
+        let mut via = (self.host, req.egress);
         let mut at = self.topo.peer(self.host, req.egress)?;
         let mut cursor = TurnCursor::start(&req.pool, Direction::Forward);
         while !cursor.exhausted(&req.pool) {
@@ -79,15 +82,16 @@ impl MockFabric {
             let egress = apply_forward(at.port, turn, node.ports);
             // Exercise reversibility while we are here.
             assert_eq!(apply_backward(egress, turn, node.ports), at.port);
+            via = (at.node, egress);
             at = self.topo.peer(at.node, egress)?;
             cursor = next;
         }
-        Some(at.node)
+        Some((via, at.node))
     }
 
     /// Services one request, returning `(req_id, read result)`.
     fn service(&mut self, req: &OutRequest) -> (u32, Result<Vec<u32>, asi_proto::Pi4Status>) {
-        let Some(target) = self.route_target(req) else {
+        let Some((_, target)) = self.walk(req) else {
             panic!("engine emitted a request that routes off the fabric");
         };
         let result = match &req.op {
@@ -107,18 +111,26 @@ fn dsn_of(id: NodeId) -> u64 {
     DSN_BASE_MOCK | u64::from(id.0)
 }
 
-/// Runs a full discovery over the mock fabric, delivering completions in
-/// an order chosen by `shuffler` (None = FIFO).
-fn drive(topo: &Topology, algorithm: Algorithm, mut shuffler: Option<SimRng>) -> (Engine, u64) {
-    let mut fabric = MockFabric::new(topo);
-    let host = fabric.host;
-    let host_info = *fabric.configs[host.idx()].info();
-    let host_ports: Vec<PortInfo> = (0..host_info.port_count)
-        .map(|p| *fabric.configs[host.idx()].port(p).unwrap())
-        .collect();
+/// What one mock run saw: every request the engine issued, in issue
+/// order, each with the number of deliveries that preceded it, and how
+/// the deliveries went.
+struct Delivered {
+    issued: Vec<(u64, OutRequest)>,
+    steps: u64,
+    max_outstanding: usize,
+}
 
-    let cfg = EngineConfig::new(algorithm, asi_proto::MAX_POOL_BITS);
-    let (mut engine, first) = Engine::start(cfg, host_info, &host_ports);
+/// Delivers completions until the engine is done — FIFO, or in the order
+/// `shuffler` picks. A request `lost` selects is never answered: its
+/// timeout is delivered in its place.
+fn deliver(
+    engine: &mut Engine,
+    fabric: &mut MockFabric,
+    first: Vec<OutRequest>,
+    mut shuffler: Option<SimRng>,
+    lost: impl Fn(&MockFabric, &OutRequest) -> bool,
+) -> Delivered {
+    let mut issued: Vec<(u64, OutRequest)> = first.iter().map(|r| (0, r.clone())).collect();
     let mut inbox: VecDeque<OutRequest> = first.into();
     let mut steps = 0u64;
     let mut max_outstanding = 0usize;
@@ -130,20 +142,48 @@ fn drive(topo: &Topology, algorithm: Algorithm, mut shuffler: Option<SimRng>) ->
             _ => 0,
         };
         let req = inbox.remove(idx).expect("engine is not done but idle");
-        let (req_id, result) = fabric.service(&req);
-        let out = engine.handle_completion(req_id, result.as_deref().map_err(|e| *e));
-        inbox.extend(out);
+        let out = if lost(fabric, &req) {
+            engine.handle_timeout(req.req_id)
+        } else {
+            let (req_id, result) = fabric.service(&req);
+            engine.handle_completion(req_id, result.as_deref().map_err(|e| *e))
+        };
         steps += 1;
+        issued.extend(out.iter().map(|r| (steps, r.clone())));
+        inbox.extend(out);
         assert!(steps < 1_000_000, "discovery did not converge");
     }
     assert!(
         inbox.is_empty(),
         "engine finished with undelivered requests"
     );
-    if matches!(algorithm, Algorithm::SerialPacket) {
-        assert_eq!(max_outstanding, 1, "Serial Packet overlapped requests");
+    Delivered {
+        issued,
+        steps,
+        max_outstanding,
     }
-    (engine, steps)
+}
+
+/// Starts a full discovery of `fabric` from its host endpoint.
+fn start(fabric: &MockFabric, cfg: EngineConfig) -> (Engine, Vec<OutRequest>) {
+    let host = &fabric.configs[fabric.host.idx()];
+    let host_ports: Vec<PortInfo> = (0..host.info().port_count)
+        .map(|p| *host.port(p).unwrap())
+        .collect();
+    Engine::start(cfg, *host.info(), &host_ports)
+}
+
+/// Runs a full discovery over the mock fabric, delivering completions in
+/// an order chosen by `shuffler` (None = FIFO).
+fn drive(topo: &Topology, algorithm: Algorithm, shuffler: Option<SimRng>) -> (Engine, u64) {
+    let mut fabric = MockFabric::new(topo);
+    let cfg = EngineConfig::new(algorithm, asi_proto::MAX_POOL_BITS);
+    let (mut engine, first) = start(&fabric, cfg);
+    let run = deliver(&mut engine, &mut fabric, first, shuffler, |_, _| false);
+    if matches!(algorithm, Algorithm::SerialPacket) {
+        assert_eq!(run.max_outstanding, 1, "Serial Packet overlapped requests");
+    }
+    (engine, run.steps)
 }
 
 fn assert_matches_truth(engine: &Engine, topo: &Topology) {
@@ -305,4 +345,313 @@ proptest! {
             prop_assert_eq!(at.port, route.entry_port);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned schedules. Issue order sets request ids, and through them retry
+// jitter, trace bytes and every simulated time — yet no other test sees
+// it: these runs pin the exact sequence of requests each of §3's three
+// algorithms issues, with FIFO completions. The expected text was
+// captured before the scheduling core was rewritten (PR 18); a mismatch
+// prints the whole actual text so a PR that *means* to change the
+// schedule can paste it back and say why.
+
+/// Rival manager that already holds one device in the claims-on runs.
+const RIVAL: u64 = 0xBEEF;
+
+fn cfg(algorithm: Algorithm, claims: bool) -> EngineConfig {
+    let mut cfg = EngineConfig::new(algorithm, asi_proto::MAX_POOL_BITS);
+    cfg.claim_partitioning = claims;
+    cfg
+}
+
+/// The highest-numbered switch of a topology.
+fn last_switch(topo: &Topology) -> NodeId {
+    let switches = topo
+        .nodes()
+        .filter(|(_, n)| n.device_type == DeviceType::Switch);
+    switches.last().expect("a switch").0
+}
+
+/// A cold discovery with FIFO completions. With `claims`, the last
+/// switch is already held by [`RIVAL`], so the run also cedes.
+fn cold(topo: &Topology, algorithm: Algorithm, claims: bool) -> (MockFabric, Engine, Delivered) {
+    let mut fabric = MockFabric::new(topo);
+    if claims {
+        let owner = CapabilityAddr {
+            capability: CAP_OWNERSHIP,
+            offset: 0,
+        };
+        fabric.configs[last_switch(topo).idx()]
+            .write(owner, &[(RIVAL >> 32) as u32, RIVAL as u32])
+            .unwrap();
+    }
+    let (mut engine, first) = start(&fabric, cfg(algorithm, claims));
+    let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
+    (fabric, engine, run)
+}
+
+/// FNV-1a over the `Debug` rendering of the schedule: when each request
+/// was issued and every field of it.
+fn digest(issued: &[(u64, OutRequest)]) -> u64 {
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    format!("{issued:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, fnv)
+}
+
+/// One line: the digest of a run's schedule and its counters.
+fn summary(engine: &Engine, run: &Delivered) -> String {
+    let s = engine.stats();
+    format!(
+        "{:016x} req={} resp={} to={} max={} retry={} dup={} ceded={} aband={} stale={} dev={}",
+        digest(&run.issued),
+        s.requests,
+        s.responses,
+        s.timeouts,
+        s.max_outstanding,
+        s.retries,
+        s.duplicate_probes,
+        s.ceded_devices,
+        s.abandoned,
+        s.stale_probes,
+        engine.db.device_count(),
+    )
+}
+
+/// A request as the paper would write it, after the number of the
+/// delivery that triggered it: `G` a general-information read (probe or
+/// verify) with the hop it looks through, `P` a port-block read with its
+/// port range, `W`/`C` the ownership claim write and its read-back.
+fn render(fabric: &MockFabric, (step, req): &(u64, OutRequest)) -> String {
+    let ((via, port), target) = fabric.walk(req).expect("routes on the fabric");
+    let label = |n: NodeId| {
+        if n == fabric.host {
+            "host"
+        } else {
+            &fabric.topo.node(n).unwrap().label
+        }
+    };
+    let target = label(target);
+    let op = match &req.op {
+        OutOp::Write { .. } => format!("W {target}"),
+        OutOp::Read { addr, .. } if addr.capability == CAP_OWNERSHIP => format!("C {target}"),
+        OutOp::Read { addr, .. } if addr.offset == 0 => {
+            format!("G {target} via {}.{port}", label(via))
+        }
+        OutOp::Read { addr, dwords } => {
+            let first = (addr.offset - GENERAL_INFO_WORDS) / PORT_BLOCK_WORDS;
+            let n = u16::from(*dwords) / PORT_BLOCK_WORDS;
+            format!("P {target}[{first}..{}]", first + n)
+        }
+    };
+    format!("@{step} {op}")
+}
+
+/// Compares a run's text with its pinned copy; prints the whole actual
+/// text on a mismatch.
+fn assert_pinned(actual: &str, expected: &str) {
+    let (actual, expected) = (actual.trim(), expected.trim());
+    assert!(
+        actual == expected,
+        "schedule changed; actual text:\n{actual}"
+    );
+}
+
+const MESH_2X2: &str = "
+ id Serial Packet                   Serial Device                   Parallel
+  1 @0 G sw(0,0) via host.0         @0 G sw(0,0) via host.0         @0 G sw(0,0) via host.0
+  2 @1 P sw(0,0)[0..2]              @1 P sw(0,0)[0..2]              @1 P sw(0,0)[0..2]
+  3 @2 P sw(0,0)[2..4]              @1 P sw(0,0)[2..4]              @1 P sw(0,0)[2..4]
+  4 @3 P sw(0,0)[4..6]              @1 P sw(0,0)[4..6]              @1 P sw(0,0)[4..6]
+  5 @4 P sw(0,0)[6..8]              @1 P sw(0,0)[6..8]              @1 P sw(0,0)[6..8]
+  6 @5 P sw(0,0)[8..10]             @1 P sw(0,0)[8..10]             @1 P sw(0,0)[8..10]
+  7 @6 P sw(0,0)[10..12]            @1 P sw(0,0)[10..12]            @1 P sw(0,0)[10..12]
+  8 @7 P sw(0,0)[12..14]            @1 P sw(0,0)[12..14]            @1 P sw(0,0)[12..14]
+  9 @8 P sw(0,0)[14..16]            @1 P sw(0,0)[14..16]            @1 P sw(0,0)[14..16]
+ 10 @9 G sw(1,0) via sw(0,0).0      @9 G sw(1,0) via sw(0,0).0      @2 G sw(1,0) via sw(0,0).0
+ 11 @10 P sw(1,0)[0..2]             @10 P sw(1,0)[0..2]             @3 G sw(0,1) via sw(0,0).2
+ 12 @11 P sw(1,0)[2..4]             @10 P sw(1,0)[2..4]             @10 P sw(1,0)[0..2]
+ 13 @12 P sw(1,0)[4..6]             @10 P sw(1,0)[4..6]             @10 P sw(1,0)[2..4]
+ 14 @13 P sw(1,0)[6..8]             @10 P sw(1,0)[6..8]             @10 P sw(1,0)[4..6]
+ 15 @14 P sw(1,0)[8..10]            @10 P sw(1,0)[8..10]            @10 P sw(1,0)[6..8]
+ 16 @15 P sw(1,0)[10..12]           @10 P sw(1,0)[10..12]           @10 P sw(1,0)[8..10]
+ 17 @16 P sw(1,0)[12..14]           @10 P sw(1,0)[12..14]           @10 P sw(1,0)[10..12]
+ 18 @17 P sw(1,0)[14..16]           @10 P sw(1,0)[14..16]           @10 P sw(1,0)[12..14]
+ 19 @18 G sw(0,1) via sw(0,0).2     @18 G sw(0,1) via sw(0,0).2     @10 P sw(1,0)[14..16]
+ 20 @19 P sw(0,1)[0..2]             @19 P sw(0,1)[0..2]             @11 P sw(0,1)[0..2]
+ 21 @20 P sw(0,1)[2..4]             @19 P sw(0,1)[2..4]             @11 P sw(0,1)[2..4]
+ 22 @21 P sw(0,1)[4..6]             @19 P sw(0,1)[4..6]             @11 P sw(0,1)[4..6]
+ 23 @22 P sw(0,1)[6..8]             @19 P sw(0,1)[6..8]             @11 P sw(0,1)[6..8]
+ 24 @23 P sw(0,1)[8..10]            @19 P sw(0,1)[8..10]            @11 P sw(0,1)[8..10]
+ 25 @24 P sw(0,1)[10..12]           @19 P sw(0,1)[10..12]           @11 P sw(0,1)[10..12]
+ 26 @25 P sw(0,1)[12..14]           @19 P sw(0,1)[12..14]           @11 P sw(0,1)[12..14]
+ 27 @26 P sw(0,1)[14..16]           @19 P sw(0,1)[14..16]           @11 P sw(0,1)[14..16]
+ 28 @27 G sw(1,1) via sw(1,0).2     @27 G sw(1,1) via sw(1,0).2     @13 G sw(1,1) via sw(1,0).2
+ 29 @28 P sw(1,1)[0..2]             @28 P sw(1,1)[0..2]             @14 G ep(1,0) via sw(1,0).4
+ 30 @29 P sw(1,1)[2..4]             @28 P sw(1,1)[2..4]             @20 G sw(1,1) via sw(0,1).0
+ 31 @30 P sw(1,1)[4..6]             @28 P sw(1,1)[4..6]             @22 G ep(0,1) via sw(0,1).4
+ 32 @31 P sw(1,1)[6..8]             @28 P sw(1,1)[6..8]             @28 P sw(1,1)[0..2]
+ 33 @32 P sw(1,1)[8..10]            @28 P sw(1,1)[8..10]            @28 P sw(1,1)[2..4]
+ 34 @33 P sw(1,1)[10..12]           @28 P sw(1,1)[10..12]           @28 P sw(1,1)[4..6]
+ 35 @34 P sw(1,1)[12..14]           @28 P sw(1,1)[12..14]           @28 P sw(1,1)[6..8]
+ 36 @35 P sw(1,1)[14..16]           @28 P sw(1,1)[14..16]           @28 P sw(1,1)[8..10]
+ 37 @36 G ep(1,0) via sw(1,0).4     @36 G ep(1,0) via sw(1,0).4     @28 P sw(1,1)[10..12]
+ 38 @37 P ep(1,0)[0..1]             @37 P ep(1,0)[0..1]             @28 P sw(1,1)[12..14]
+ 39 @38 G sw(1,1) via sw(0,1).0     @38 G sw(1,1) via sw(0,1).0     @28 P sw(1,1)[14..16]
+ 40 @39 G ep(0,1) via sw(0,1).4     @39 G ep(0,1) via sw(0,1).4     @29 P ep(1,0)[0..1]
+ 41 @40 P ep(0,1)[0..1]             @40 P ep(0,1)[0..1]             @31 P ep(0,1)[0..1]
+ 42 @41 G sw(0,1) via sw(1,1).1     @41 G sw(0,1) via sw(1,1).1     @32 G sw(0,1) via sw(1,1).1
+ 43 @42 G ep(1,1) via sw(1,1).4     @42 G ep(1,1) via sw(1,1).4     @34 G ep(1,1) via sw(1,1).4
+ 44 @43 P ep(1,1)[0..1]             @43 P ep(1,1)[0..1]             @43 P ep(1,1)[0..1]
+";
+
+/// §3's three schedules side by side on the 2x2 mesh, one row per
+/// request id, `@n` = issued on the n-th delivery: Serial Packet issues
+/// one request per completion, Serial Device bursts a device's port
+/// reads and then waits for all of them, Parallel fans out as soon as a
+/// response enables it.
+#[test]
+fn pinned_schedule_on_a_2x2_mesh_reads_like_the_paper() {
+    let topo = mesh(2, 2).unwrap().topology;
+    let columns: Vec<Vec<String>> = Algorithm::all()
+        .into_iter()
+        .map(|alg| {
+            let (fabric, engine, run) = cold(&topo, alg, false);
+            assert_matches_truth(&engine, &topo);
+            run.issued.iter().map(|r| render(&fabric, r)).collect()
+        })
+        .collect();
+    let mut actual = format!(
+        "{:>3} {:<32}{:<32}{}\n",
+        "id", "Serial Packet", "Serial Device", "Parallel"
+    );
+    for i in 0..columns.iter().map(Vec::len).max().unwrap() {
+        let cell = |c: usize| columns[c].get(i).map_or("", String::as_str);
+        actual += &format!("{:>3} {:<32}{:<32}{}\n", i + 1, cell(0), cell(1), cell(2));
+    }
+    assert_pinned(&actual, MESH_2X2);
+}
+
+const COLD: &str = "
+mesh:3x3 plain Serial Packet: 027fd1ffee03e02d req=105 resp=105 to=0 max=1 retry=0 dup=8 ceded=0 aband=0 stale=0 dev=18
+mesh:3x3 plain Serial Device: a8c2a1e91448130f req=105 resp=105 to=0 max=8 retry=0 dup=8 ceded=0 aband=0 stale=0 dev=18
+mesh:3x3 plain Parallel: 555bc38fc8dc85b9 req=105 resp=105 to=0 max=26 retry=0 dup=8 ceded=0 aband=0 stale=0 dev=18
+mesh:3x3 claims Serial Packet: f4fa4164f8c07c6d req=126 resp=126 to=0 max=1 retry=0 dup=7 ceded=1 aband=0 stale=0 dev=17
+mesh:3x3 claims Serial Device: 0ebd5c8a74332721 req=126 resp=126 to=0 max=8 retry=0 dup=7 ceded=1 aband=0 stale=0 dev=17
+mesh:3x3 claims Parallel: f7b4e2aae0126bc7 req=126 resp=126 to=0 max=26 retry=0 dup=7 ceded=1 aband=0 stale=0 dev=17
+fattree:4,2 plain Serial Packet: 693344eb386cf94b req=38 resp=38 to=0 max=1 retry=0 dup=6 ceded=0 aband=0 stale=0 dev=14
+fattree:4,2 plain Serial Device: 03b0612ede249e2a req=38 resp=38 to=0 max=2 retry=0 dup=6 ceded=0 aband=0 stale=0 dev=14
+fattree:4,2 plain Parallel: 2261df8f4c15a090 req=38 resp=38 to=0 max=9 retry=0 dup=6 ceded=0 aband=0 stale=0 dev=14
+fattree:4,2 claims Serial Packet: 8e6e238c23a045bc req=53 resp=53 to=0 max=1 retry=0 dup=5 ceded=1 aband=0 stale=0 dev=12
+fattree:4,2 claims Serial Device: e20d8ddaafbc4699 req=53 resp=53 to=0 max=2 retry=0 dup=5 ceded=1 aband=0 stale=0 dev=12
+fattree:4,2 claims Parallel: 4b93b0dae732f365 req=53 resp=53 to=0 max=6 retry=0 dup=5 ceded=1 aband=0 stale=0 dev=12
+";
+
+/// Cold discoveries: {3x3 mesh, 4-ary 2-tree} × {claims off, on} × the
+/// three algorithms.
+#[test]
+fn pinned_schedules_cold() {
+    let mut actual = String::new();
+    for (name, topo) in [
+        ("mesh:3x3", mesh(3, 3).unwrap().topology),
+        ("fattree:4,2", fat_tree(4, 2).unwrap().topology),
+    ] {
+        for claims in [false, true] {
+            for alg in Algorithm::all() {
+                let (_, engine, run) = cold(&topo, alg, claims);
+                if !claims {
+                    assert_matches_truth(&engine, &topo);
+                }
+                let claims = if claims { "claims" } else { "plain" };
+                actual += &format!("{name} {claims} {alg}: {}\n", summary(&engine, &run));
+            }
+        }
+    }
+    assert_pinned(&actual, COLD);
+}
+
+/// The node a grid generator labelled `label`.
+fn node(topo: &Topology, label: &str) -> NodeId {
+    let mut nodes = topo.nodes();
+    nodes.find(|(_, n)| n.label == label).expect("label").0
+}
+
+/// The database of a fully discovered 3x3 mesh that has since lost its
+/// far corner (`sw(2,2)` and the endpoint behind it), plus the DSNs of
+/// the corner's neighbours `sw(1,2)` (east port 0) and `sw(2,1)`.
+fn warm_db(topo: &Topology) -> (asi_core::TopologyDb, u64, u64) {
+    let (_, engine, _) = cold(topo, Algorithm::Parallel, false);
+    let dsn = |label: &str| dsn_of(node(topo, label));
+    let mut db = engine.db;
+    assert!(db.remove_device(dsn("sw(2,2)")) && db.remove_device(dsn("ep(2,2)")));
+    (db, dsn("sw(1,2)"), dsn("sw(2,1)"))
+}
+
+const SEEDED_AND_VERIFY: &str = "
+seeded Serial Packet: c09a9dacb3bff2c9 req=34 resp=34 to=0 max=16 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
+verify Serial Packet: 3f5479912e3c5167 req=38 resp=38 to=0 max=23 retry=0 dup=4 ceded=0 aband=0 stale=0 dev=18
+seeded Serial Device: 4333d22ade8d8eb2 req=34 resp=34 to=0 max=16 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
+verify Serial Device: 545eb28c4abed98d req=38 resp=38 to=0 max=23 retry=0 dup=4 ceded=0 aband=0 stale=0 dev=18
+seeded Parallel: 83c45b6ddcdab160 req=34 resp=34 to=0 max=18 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
+verify Parallel: 26cee3b3944b8ce1 req=38 resp=38 to=0 max=24 retry=0 dup=4 ceded=0 aband=0 stale=0 dev=18
+";
+
+/// Partial and warm-start runs: the refresh re-reads never wait, the
+/// probes and what they discover follow the algorithm.
+#[test]
+fn pinned_schedules_seeded_and_verify() {
+    let topo = mesh(3, 3).unwrap().topology;
+    let mut actual = String::new();
+    for alg in Algorithm::all() {
+        // Two re-reads and one probe that re-discovers the lost corner.
+        let (db, sw12, sw21) = warm_db(&topo);
+        let mut fabric = MockFabric::new(&topo);
+        let (mut engine, first) = Engine::seeded(cfg(alg, false), db, &[sw12, sw21], &[(sw12, 0)]);
+        let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
+        assert_matches_truth(&engine, &topo);
+        actual += &format!("seeded {alg}: {}\n", summary(&engine, &run));
+
+        // One live probe; one pair whose cached port is down, which
+        // falls back to a re-read of its reporter.
+        let (db, sw12, sw21) = warm_db(&topo);
+        let (mut engine, first) =
+            Engine::verify_with_probes(cfg(alg, false), db, &[(sw12, 0), (sw21, 7)]);
+        let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
+        assert_matches_truth(&engine, &topo);
+        assert_eq!(engine.verified().len(), topo.node_count() - 3);
+        actual += &format!("verify {alg}: {}\n", summary(&engine, &run));
+    }
+    assert_pinned(&actual, SEEDED_AND_VERIFY);
+}
+
+const LOSSY: &str = "
+Serial Packet: 324b98171b5f3e54 req=100 resp=92 to=8 max=1 retry=4 dup=2 ceded=0 aband=4 stale=0 dev=16
+Serial Device: e15a822f32b74094 req=129 resp=123 to=6 max=8 retry=3 dup=9 ceded=0 aband=3 stale=0 dev=17
+Parallel: 5db9658e545cf9c5 req=117 resp=113 to=4 max=26 retry=2 dup=7 ceded=0 aband=2 stale=0 dev=17
+";
+
+/// The centre switch of a 3x3 mesh never answers its first port read:
+/// timeout → one retry → abandon → forget, every time a probe finds it
+/// again — with its other port reads still waiting (Serial Packet),
+/// in flight (Serial Device) or long issued (Parallel).
+#[test]
+fn pinned_schedules_with_a_switch_that_drops_its_first_port_read() {
+    let topo = mesh(3, 3).unwrap().topology;
+    let mut actual = String::new();
+    for alg in Algorithm::all() {
+        let mut fabric = MockFabric::new(&topo);
+        let victim = node(&topo, "sw(1,1)");
+        let mut cfg = cfg(alg, false);
+        cfg.retry = RetryPolicy::exponential(1);
+        let (mut engine, first) = start(&fabric, cfg);
+        let run = deliver(&mut engine, &mut fabric, first, None, |fabric, req| {
+            let first_block = CapabilityAddr::baseline(GENERAL_INFO_WORDS);
+            matches!(req.op, OutOp::Read { addr, .. } if addr == first_block)
+                && fabric.walk(req).is_some_and(|(_, target)| target == victim)
+        });
+        assert!(!engine.db.contains(dsn_of(victim)));
+        actual += &format!("{alg}: {}\n", summary(&engine, &run));
+    }
+    assert_pinned(&actual, LOSSY);
 }

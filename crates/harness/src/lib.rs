@@ -36,8 +36,8 @@ pub mod sweep;
 pub use churn::{churn_experiment, default_churn_exempt, ChurnOutcome};
 pub use json::Json;
 pub use report::{
-    pending_occupancy, save_trace_jsonl, trace_from_jsonl, trace_to_jsonl, Chart, RingCollector,
-    Series, TableOut, TraceSummary,
+    save_trace_jsonl, trace_from_jsonl, trace_to_jsonl, Chart, RingCollector, Series, TableOut,
+    TraceSummary,
 };
 pub use scenario::{
     change_experiment, dev_of_dsn, distributed_discovery, dsn_of_dev, sharded_discovery,

@@ -3,6 +3,7 @@
 //! (ring buffer, JSON Lines, summaries) for the `asi_sim::trace` layer.
 
 use crate::json::{self, Json};
+use asi_core::{Algorithm, DiscoveryTrigger};
 use asi_sim::{SimDuration, SimTime, TraceEvent, TraceRecord, TraceSink};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -434,24 +435,28 @@ pub fn trace_record_to_json(record: &TraceRecord) -> Json {
 
 /// Interns an algorithm name back to its `'static` spelling.
 fn static_algorithm(name: &str) -> Option<&'static str> {
-    ["Serial Packet", "Serial Device", "Parallel"]
-        .into_iter()
-        .find(|a| *a == name)
+    let names = Algorithm::all().map(|a| a.name());
+    names.into_iter().find(|a| *a == name)
 }
 
 /// Interns a run-trigger tag back to its `'static` spelling.
 fn static_trigger(tag: &str) -> Option<&'static str> {
-    ["initial", "change", "partial", "failover", "warm-start"]
-        .into_iter()
-        .find(|t| *t == tag)
+    let tags = DiscoveryTrigger::all().map(|t| t.tag());
+    tags.into_iter().find(|t| *t == tag)
+}
+
+/// An integer field narrowed to the width its record stores. The file is
+/// input from outside the program: a value out of range fails the parse
+/// instead of wrapping into a different record.
+fn narrow<T: TryFrom<u64>>(json: &Json, key: &str) -> Option<T> {
+    T::try_from(json.get(key).as_u64()?).ok()
 }
 
 /// Parses one object produced by [`trace_record_to_json`] back into a
 /// record. Returns `None` on unknown kinds, unknown algorithm/trigger
-/// spellings, or missing fields.
+/// spellings, missing fields, or integers too large for their field.
 pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
     let time = SimTime::from_ps(json.get("t_ps").as_u64()?);
-    let req_id = || json.get("req_id").as_u64().map(|v| v as u32);
     let event = match json.get("event").as_str()? {
         "run-started" => TraceEvent::RunStarted {
             algorithm: static_algorithm(json.get("algorithm").as_str()?)?,
@@ -464,17 +469,19 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
             timeouts: json.get("timeouts").as_u64()?,
         },
         "request-injected" => TraceEvent::RequestInjected {
-            req_id: req_id()?,
+            req_id: narrow(json, "req_id")?,
             write: json.get("write").as_bool()?,
         },
         "request-completed" => TraceEvent::RequestCompleted {
-            req_id: req_id()?,
+            req_id: narrow(json, "req_id")?,
             ok: json.get("ok").as_bool()?,
         },
-        "request-timed-out" => TraceEvent::RequestTimedOut { req_id: req_id()? },
+        "request-timed-out" => TraceEvent::RequestTimedOut {
+            req_id: narrow(json, "req_id")?,
+        },
         kind @ ("pi5-emitted" | "pi5-received") => {
             let dsn = json.get("dsn").as_u64()?;
-            let port = json.get("port").as_u64()? as u16;
+            let port = narrow(json, "port")?;
             let up = json.get("up").as_bool()?;
             if kind == "pi5-emitted" {
                 TraceEvent::Pi5Emitted { dsn, port, up }
@@ -485,10 +492,10 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
         "device-discovered" => TraceEvent::DeviceDiscovered {
             dsn: json.get("dsn").as_u64()?,
             switch: json.get("switch").as_bool()?,
-            ports: json.get("ports").as_u64()? as u16,
+            ports: narrow(json, "ports")?,
         },
         "pending-table-size" => TraceEvent::PendingTableSize {
-            size: json.get("size").as_u64()? as u32,
+            size: narrow(json, "size")?,
         },
         "fm-busy" => TraceEvent::FmBusy {
             busy: SimDuration::from_ps(json.get("busy_ps").as_u64()?),
@@ -497,7 +504,7 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
             idle: SimDuration::from_ps(json.get("idle_ps").as_u64()?),
         },
         kind @ ("device-activated" | "device-deactivated") => {
-            let device = json.get("device").as_u64()? as u32;
+            let device = narrow(json, "device")?;
             if kind == "device-activated" {
                 TraceEvent::DeviceActivated { device }
             } else {
@@ -509,8 +516,8 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
             processed: json.get("processed").as_u64()?,
         },
         kind @ ("fault-link-down" | "fault-link-up" | "fault-packet-lost") => {
-            let device = json.get("device").as_u64()? as u32;
-            let port = json.get("port").as_u64()? as u16;
+            let device = narrow(json, "device")?;
+            let port = narrow(json, "port")?;
             match kind {
                 "fault-link-down" => TraceEvent::FaultLinkDown { device, port },
                 "fault-link-up" => TraceEvent::FaultLinkUp { device, port },
@@ -521,7 +528,7 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
         | "fault-device-slow"
         | "fault-completion-corrupted"
         | "fault-completion-duplicated") => {
-            let device = json.get("device").as_u64()? as u32;
+            let device = narrow(json, "device")?;
             match kind {
                 "fault-device-hang" => TraceEvent::FaultDeviceHang { device },
                 "fault-device-slow" => TraceEvent::FaultDeviceSlow { device },
@@ -529,7 +536,9 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
                 _ => TraceEvent::FaultCompletionDuplicated { device },
             }
         }
-        "request-abandoned" => TraceEvent::RequestAbandoned { req_id: req_id()? },
+        "request-abandoned" => TraceEvent::RequestAbandoned {
+            req_id: narrow(json, "req_id")?,
+        },
         kind @ ("snapshot-loaded" | "snapshot-saved") => {
             let devices = json.get("devices").as_u64()?;
             let links = json.get("links").as_u64()?;
@@ -553,7 +562,7 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
         },
         "fm-claim" => TraceEvent::FmClaim {
             dsn: json.get("dsn").as_u64()?,
-            priority: json.get("priority").as_u64()? as u8,
+            priority: narrow(json, "priority")?,
         },
         "fm-yield" => TraceEvent::FmYield {
             dsn: json.get("dsn").as_u64()?,
@@ -561,23 +570,23 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
         },
         "fm-elected" => TraceEvent::FmElected {
             primary: json.get("primary").as_u64()?,
-            fms: json.get("fms").as_u64()? as u32,
+            fms: narrow(json, "fms")?,
         },
         "fm-failover" => TraceEvent::FmFailover {
             dsn: json.get("dsn").as_u64()?,
-            misses: json.get("misses").as_u64()? as u32,
+            misses: narrow(json, "misses")?,
         },
         "merge-complete" => TraceEvent::MergeComplete {
             devices: json.get("devices").as_u64()?,
             links: json.get("links").as_u64()?,
-            reports: json.get("reports").as_u64()? as u32,
+            reports: narrow(json, "reports")?,
         },
         "churn-link-flap" => TraceEvent::ChurnLinkFlap {
-            device: json.get("device").as_u64()? as u32,
-            port: json.get("port").as_u64()? as u16,
+            device: narrow(json, "device")?,
+            port: narrow(json, "port")?,
         },
         kind @ ("churn-device-removed" | "churn-device-readded") => {
-            let device = json.get("device").as_u64()? as u32;
+            let device = narrow(json, "device")?;
             if kind == "churn-device-removed" {
                 TraceEvent::ChurnDeviceRemoved { device }
             } else {
@@ -593,15 +602,15 @@ pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
             threshold: json.get("threshold").as_u64()?,
         },
         "flow-injected" => TraceEvent::FlowInjected {
-            flow: json.get("flow").as_u64()? as u32,
+            flow: narrow(json, "flow")?,
         },
         "flow-delivered" => TraceEvent::FlowDelivered {
-            flow: json.get("flow").as_u64()? as u32,
+            flow: narrow(json, "flow")?,
             latency_ps: json.get("latency_ps").as_u64()?,
         },
         "mcast-delivered" => TraceEvent::McastDelivered {
-            group: json.get("group").as_u64()? as u16,
-            device: json.get("device").as_u64()? as u32,
+            group: narrow(json, "group")?,
+            device: narrow(json, "device")?,
         },
         _ => return None,
     };
@@ -712,20 +721,6 @@ impl TraceSummary {
         }
         out
     }
-}
-
-/// The pending-table occupancy step curve of a trace: x = simulated time
-/// in µs, y = requests in flight. This is the measured counterpart of the
-/// paper's §3 scheduling table — flat at 1 for Serial Packet, sawtooth
-/// for Serial Device, bursty for Parallel.
-pub fn pending_occupancy<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Series {
-    let mut series = Series::new("pending requests");
-    for r in records {
-        if let TraceEvent::PendingTableSize { size } = r.event {
-            series.push(r.time.as_micros_f64(), f64::from(size));
-        }
-    }
-    series
 }
 
 /// Formats a float without trailing noise.
@@ -1081,6 +1076,15 @@ mod tests {
         // Unknown algorithm spellings are rejected, not silently leaked.
         let bad = "{\"t_ps\":1,\"event\":\"run-started\",\"algorithm\":\"Quantum\",\"trigger\":\"initial\"}";
         assert!(trace_from_jsonl(bad).is_err());
+        // Integers too large for their field are rejected, not wrapped
+        // into a different record (device 1 port 4464; priority 44).
+        for bad in [
+            "{\"t_ps\":1,\"event\":\"fault-link-down\",\"device\":4294967297,\"port\":70000}",
+            "{\"t_ps\":1,\"event\":\"fm-claim\",\"dsn\":7,\"priority\":300}",
+        ] {
+            let err = trace_from_jsonl(&format!("{good}\n{bad}")).unwrap_err();
+            assert!(err.contains("line 2"), "{err}");
+        }
     }
 
     #[test]
@@ -1109,23 +1113,6 @@ mod tests {
         let md = s.to_markdown();
         assert!(md.contains("| request-injected | 1 |"), "{md}");
         assert!(md.contains("peak pending 3"), "{md}");
-    }
-
-    #[test]
-    fn pending_occupancy_extracts_the_step_curve() {
-        let records = vec![
-            rec(1_000_000, TraceEvent::PendingTableSize { size: 1 }),
-            rec(
-                2_000_000,
-                TraceEvent::RequestInjected {
-                    req_id: 1,
-                    write: false,
-                },
-            ),
-            rec(3_000_000, TraceEvent::PendingTableSize { size: 4 }),
-        ];
-        let series = pending_occupancy(&records);
-        assert_eq!(series.points, vec![(1.0, 1.0), (3.0, 4.0)]);
     }
 
     #[test]

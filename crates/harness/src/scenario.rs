@@ -417,8 +417,7 @@ impl Bench {
     /// installs the FM on the first endpoint and runs the initial
     /// discovery to completion.
     pub fn start(topo: &Topology, scenario: &Scenario, absent: &[NodeId]) -> Bench {
-        let mut config = scenario.fabric_config(topo);
-        config.turn_pool_capacity = asi_proto::MAX_POOL_BITS;
+        let config = scenario.fabric_config(topo);
         let mut fabric = scenario.powered_fabric(topo, config, absent);
 
         let fm_node = asi_topo::default_fm_endpoint(topo).expect("topology has endpoints");

@@ -202,20 +202,24 @@ pub fn general_info_read() -> (CapabilityAddr, u8) {
     (CapabilityAddr::baseline(0), GENERAL_INFO_WORDS as u8)
 }
 
-/// The sequence of PI-4 reads that fetch all port blocks of a device with
-/// `port_count` ports, two ports per read.
-pub fn port_info_reads(port_count: u16) -> Vec<(CapabilityAddr, u8)> {
-    let mut reads = Vec::new();
-    let mut port = 0u16;
-    while port < port_count {
-        let n = (port_count - port).min(u16::from(PORTS_PER_READ));
-        reads.push((
-            CapabilityAddr::baseline(port_block_offset(port)),
+/// First-port indices of the PI-4 reads that fetch all port blocks of a
+/// device with `port_count` ports, [`PORTS_PER_READ`] ports per read.
+pub fn port_info_reads(port_count: u16) -> impl DoubleEndedIterator<Item = u16> {
+    (0..port_count).step_by(usize::from(PORTS_PER_READ))
+}
+
+/// The PI-4 read that fetches the blocks of up to [`PORTS_PER_READ`]
+/// ports starting at `first_port` of a device with `port_count` ports;
+/// `None` when the device has no such port.
+pub fn port_info_read(first_port: u16, port_count: u16) -> Option<(CapabilityAddr, u8)> {
+    let ports = port_count.checked_sub(first_port)?;
+    let n = ports.min(u16::from(PORTS_PER_READ));
+    (n > 0).then(|| {
+        (
+            CapabilityAddr::baseline(port_block_offset(first_port)),
             (n * PORT_BLOCK_WORDS) as u8,
-        ));
-        port += n;
-    }
-    reads
+        )
+    })
 }
 
 /// A device's live configuration space: typed state materialized into
@@ -505,9 +509,16 @@ mod tests {
         assert_eq!(PORTS_PER_READ, 2);
     }
 
+    /// Every read of a device, in port order.
+    fn all_reads(port_count: u16) -> Vec<(CapabilityAddr, u8)> {
+        port_info_reads(port_count)
+            .map(|first| port_info_read(first, port_count).unwrap())
+            .collect()
+    }
+
     #[test]
     fn port_reads_cover_sixteen_port_switch_in_eight() {
-        let reads = port_info_reads(16);
+        let reads = all_reads(16);
         assert_eq!(reads.len(), 8);
         assert_eq!(reads[0], (CapabilityAddr::baseline(6), 8));
         assert_eq!(reads[7], (CapabilityAddr::baseline(6 + 14 * 4), 8));
@@ -515,17 +526,20 @@ mod tests {
 
     #[test]
     fn port_reads_for_one_port_endpoint() {
-        let reads = port_info_reads(1);
+        let reads = all_reads(1);
         assert_eq!(reads.len(), 1);
         assert_eq!(reads[0], (CapabilityAddr::baseline(6), 4));
     }
 
     #[test]
     fn port_reads_for_odd_port_count() {
-        let reads = port_info_reads(5);
+        let reads = all_reads(5);
         assert_eq!(reads.len(), 3);
         // Last read covers a single port.
         assert_eq!(reads[2].1, 4);
+        // No read starts past the last port.
+        assert_eq!(port_info_read(5, 5), None);
+        assert_eq!(port_info_read(6, 5), None);
     }
 
     #[test]
@@ -549,8 +563,8 @@ mod tests {
             },
         );
         // Port 3 lives in the second two-port read (ports 2..4).
-        let reads = port_info_reads(16);
-        let words = cs.read(reads[1].0, reads[1].1).unwrap();
+        let (addr, dwords) = port_info_read(2, 16).unwrap();
+        let words = cs.read(addr, dwords).unwrap();
         let p2 = PortInfo::from_words(&words[..4]).unwrap();
         let p3 = PortInfo::from_words(&words[4..]).unwrap();
         assert_eq!(p2.state, PortState::Down);

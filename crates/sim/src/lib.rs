@@ -14,7 +14,7 @@
 //!   handles that replaces per-event payload boxes;
 //! - [`SimRng`] — seedable xoshiro256** generator so every experiment is
 //!   reproducible from a single seed;
-//! - [`stats`] — online statistics, percentiles, histograms and time series
+//! - [`stats`] — online statistics, percentiles and time series
 //!   used by the measurement harness;
 //! - [`trace`] — the structured observability layer: typed, sim-timestamped
 //!   [`TraceEvent`]s emitted through a zero-cost-when-disabled
@@ -41,6 +41,6 @@ pub use kernel::{
     EXTERNAL_RANK,
 };
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, SampleSet, TimeSeries};
+pub use stats::{OnlineStats, SampleSet, TimeSeries};
 pub use time::{SimDuration, SimTime, MICROSECOND, MILLISECOND, NANOSECOND, PICOSECOND, SECOND};
 pub use trace::{TraceEvent, TraceHandle, TraceRecord, TraceSink};

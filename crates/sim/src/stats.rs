@@ -1,5 +1,5 @@
-//! Measurement utilities: online moments, percentile sets, histograms, and
-//! timestamped series used by the experiment harness.
+//! Measurement utilities: online moments, percentile sets and timestamped
+//! series used by the experiment harness.
 
 use crate::time::SimTime;
 
@@ -190,77 +190,6 @@ impl SampleSet {
     }
 }
 
-/// Fixed-width linear histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts (excludes under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `(bin_center, count)` pairs for plotting.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * width, c))
-            .collect()
-    }
-}
-
 /// A timestamped scalar series, e.g. "time each discovery packet is
 /// processed at the FM" (paper Fig. 7a).
 #[derive(Clone, Debug, Default)]
@@ -431,31 +360,6 @@ mod tests {
         assert_eq!(s.quantile(0.0), f64::NEG_INFINITY);
         assert_eq!(s.quantile(1.0), f64::INFINITY);
         assert_eq!(s.median(), 0.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 55.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-    }
-
-    #[test]
-    fn histogram_centers() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        let centers: Vec<f64> = h.centers().iter().map(|&(c, _)| c).collect();
-        assert_eq!(centers, vec![1.0, 3.0, 5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid histogram")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(5.0, 5.0, 10);
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub enum TraceEvent {
     RunStarted {
         /// Algorithm name ("Serial Packet", "Serial Device", "Parallel").
         algorithm: &'static str,
-        /// What triggered the run ("initial", "change", "partial", "failover").
+        /// What triggered the run ("initial", "change", "partial",
+        /// "failover", "warm-start").
         trigger: &'static str,
     },
     /// A discovery run finished (`asi-core`, fabric manager).
