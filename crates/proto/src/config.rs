@@ -222,15 +222,57 @@ pub fn port_info_read(first_port: u16, port_count: u16) -> Option<(CapabilityAdd
     })
 }
 
+/// A writable table of a fixed number of words that is all zero until
+/// written: the storage reaches only as far as the highest word written
+/// so far, and reads past it are zero-filled. Most devices never have
+/// either of their tables written — a switch rejects route-table access
+/// outright — so a fabric of tens of thousands of devices does not pay
+/// 2.3 KB each for zeros.
+#[derive(Clone, Debug, Default)]
+struct Table(Vec<u32>);
+
+impl Table {
+    /// Word `index`; zero if never written (or past any bound).
+    fn word(&self, index: usize) -> u32 {
+        self.0.get(index).copied().unwrap_or(0)
+    }
+
+    /// `dwords` words from `offset` of a table of `bound` words.
+    fn read(&self, bound: u16, offset: u16, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+        let start = usize::from(offset);
+        let end = start + usize::from(dwords);
+        if end > usize::from(bound) {
+            return Err(Pi4Status::UnsupportedRequest);
+        }
+        Ok((start..end).map(|i| self.word(i)).collect())
+    }
+
+    /// Stores `data` from `offset` of a table of `bound` words.
+    fn write(&mut self, bound: u16, offset: u16, data: &[u32]) -> Result<(), Pi4Status> {
+        let start = usize::from(offset);
+        let end = start + data.len();
+        if end > usize::from(bound) {
+            return Err(Pi4Status::UnsupportedRequest);
+        }
+        if self.0.len() < end {
+            self.0.resize(end, 0);
+        }
+        self.0[start..end].copy_from_slice(data);
+        Ok(())
+    }
+}
+
 /// A device's live configuration space: typed state materialized into
 /// words on each PI-4 access.
 #[derive(Clone, Debug)]
 pub struct ConfigSpace {
     info: DeviceInfo,
     ports: Vec<PortInfo>,
-    route_table: Vec<u32>,
+    /// [`ROUTE_TABLE_WORDS`] words.
+    route_table: Table,
     ownership: [u32; OWNERSHIP_WORDS as usize],
-    mcast_table: Vec<u32>,
+    /// [`MCAST_GROUPS`] words.
+    mcast_table: Table,
 }
 
 impl ConfigSpace {
@@ -240,28 +282,23 @@ impl ConfigSpace {
         ConfigSpace {
             info,
             ports,
-            route_table: vec![0; usize::from(ROUTE_TABLE_WORDS)],
+            route_table: Table::default(),
             ownership: [0; OWNERSHIP_WORDS as usize],
-            mcast_table: vec![0; usize::from(MCAST_GROUPS)],
+            mcast_table: Table::default(),
         }
     }
 
     /// Output-port bitmask (switch) or membership flag (endpoint) for a
     /// multicast group.
     pub fn mcast_entry(&self, group: u16) -> u32 {
-        self.mcast_table
-            .get(usize::from(group))
-            .copied()
-            .unwrap_or(0)
+        self.mcast_table.word(usize::from(group))
     }
 
     /// Directly installs a multicast table entry, bypassing the PI-4
     /// write path (used by the traffic engine to pre-provision group
     /// forwarding masks before a run). Out-of-range groups are ignored.
     pub fn set_mcast_entry(&mut self, group: u16, mask: u32) {
-        if let Some(slot) = self.mcast_table.get_mut(usize::from(group)) {
-            *slot = mask;
-        }
+        let _out_of_range = self.mcast_table.write(MCAST_GROUPS, group, &[mask]);
     }
 
     /// DSN of the manager currently claiming this device (0 = unclaimed).
@@ -314,11 +351,8 @@ impl ConfigSpace {
                 if self.info.device_type != DeviceType::Endpoint {
                     return Err(Pi4Status::UnsupportedRequest);
                 }
-                let end = usize::from(addr.offset) + usize::from(dwords);
-                if end > self.route_table.len() {
-                    return Err(Pi4Status::UnsupportedRequest);
-                }
-                Ok(self.route_table[usize::from(addr.offset)..end].to_vec())
+                self.route_table
+                    .read(ROUTE_TABLE_WORDS, addr.offset, dwords)
             }
             CAP_OWNERSHIP => {
                 let end = usize::from(addr.offset) + usize::from(dwords);
@@ -327,13 +361,7 @@ impl ConfigSpace {
                 }
                 Ok(self.ownership[usize::from(addr.offset)..end].to_vec())
             }
-            CAP_MCAST_TABLE => {
-                let end = usize::from(addr.offset) + usize::from(dwords);
-                if end > self.mcast_table.len() {
-                    return Err(Pi4Status::UnsupportedRequest);
-                }
-                Ok(self.mcast_table[usize::from(addr.offset)..end].to_vec())
-            }
+            CAP_MCAST_TABLE => self.mcast_table.read(MCAST_GROUPS, addr.offset, dwords),
             _ => Err(Pi4Status::UnsupportedRequest),
         }
     }
@@ -348,13 +376,7 @@ impl ConfigSpace {
                 if self.info.device_type != DeviceType::Endpoint {
                     return Err(Pi4Status::UnsupportedRequest);
                 }
-                let start = usize::from(addr.offset);
-                let end = start + data.len();
-                if end > self.route_table.len() {
-                    return Err(Pi4Status::UnsupportedRequest);
-                }
-                self.route_table[start..end].copy_from_slice(data);
-                Ok(())
+                self.route_table.write(ROUTE_TABLE_WORDS, addr.offset, data)
             }
             CAP_OWNERSHIP => {
                 let start = usize::from(addr.offset);
@@ -373,15 +395,7 @@ impl ConfigSpace {
                 self.ownership[start..end].copy_from_slice(data);
                 Ok(())
             }
-            CAP_MCAST_TABLE => {
-                let start = usize::from(addr.offset);
-                let end = start + data.len();
-                if end > self.mcast_table.len() {
-                    return Err(Pi4Status::UnsupportedRequest);
-                }
-                self.mcast_table[start..end].copy_from_slice(data);
-                Ok(())
-            }
+            CAP_MCAST_TABLE => self.mcast_table.write(MCAST_GROUPS, addr.offset, data),
             _ => Err(Pi4Status::UnsupportedRequest),
         }
     }
@@ -614,6 +628,55 @@ mod tests {
         };
         cs.write(addr, &[0xAA, 0xBB, 0xCC]).unwrap();
         assert_eq!(cs.read(addr, 3).unwrap(), vec![0xAA, 0xBB, 0xCC]);
+    }
+
+    /// The tables start without storage and grow on write; nothing a
+    /// PI-4 access can see tells.
+    #[test]
+    fn unwritten_table_words_read_as_zero_within_the_same_bounds() {
+        let table = |capability, offset| CapabilityAddr { capability, offset };
+        let mut cs = ConfigSpace::new(endpoint_info());
+        // Read before any write: zeros, up to the last word and no further.
+        for (cap, bound) in [
+            (CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS),
+            (CAP_MCAST_TABLE, MCAST_GROUPS),
+        ] {
+            assert_eq!(cs.read(table(cap, 0), 4).unwrap(), vec![0; 4]);
+            assert_eq!(cs.read(table(cap, bound - 2), 2).unwrap(), vec![0; 2]);
+            assert_eq!(
+                cs.read(table(cap, bound - 1), 2),
+                Err(Pi4Status::UnsupportedRequest)
+            );
+            assert_eq!(
+                cs.write(table(cap, bound - 1), &[1, 2]),
+                Err(Pi4Status::UnsupportedRequest)
+            );
+            assert_eq!(cs.read(table(cap, bound - 1), 1).unwrap(), vec![0]);
+        }
+        // Write at an offset, then read below, across and above it.
+        cs.write(table(CAP_ROUTE_TABLE, 40), &[7, 8]).unwrap();
+        assert_eq!(cs.read(table(CAP_ROUTE_TABLE, 0), 3).unwrap(), vec![0; 3]);
+        assert_eq!(
+            cs.read(table(CAP_ROUTE_TABLE, 38), 6).unwrap(),
+            vec![0, 0, 7, 8, 0, 0]
+        );
+        // A lower write afterwards leaves the higher words alone.
+        cs.write(table(CAP_ROUTE_TABLE, 2), &[9]).unwrap();
+        assert_eq!(cs.read(table(CAP_ROUTE_TABLE, 40), 2).unwrap(), vec![7, 8]);
+        // The last word is writable, and both write paths of the
+        // multicast table agree.
+        cs.write(table(CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS - 1), &[5])
+            .unwrap();
+        assert_eq!(
+            cs.read(table(CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS - 1), 1)
+                .unwrap(),
+            vec![5]
+        );
+        cs.set_mcast_entry(MCAST_GROUPS - 1, 3);
+        cs.write(table(CAP_MCAST_TABLE, 1), &[6]).unwrap();
+        assert_eq!(cs.mcast_entry(MCAST_GROUPS - 1), 3);
+        assert_eq!(cs.mcast_entry(1), 6);
+        assert_eq!(cs.mcast_entry(0), 0);
     }
 
     #[test]
