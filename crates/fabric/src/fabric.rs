@@ -31,9 +31,10 @@
 //! | `fabric/endpoint.rs` | a packet delivered: the serial stages (ingress, PI-4 responder, agent), agent callbacks, traffic shots |
 //! | `fabric/inject.rs` | the outside world: activation, scheduled faults, churn |
 //!
-//! The cut-through commit (an uncontended management packet crosses a
-//! switch in two kernel events, not three) and the guard list that makes
-//! it unobservable are documented in the module header of `port.rs`.
+//! The cut-through commit and the credit ledger (an uncontended
+//! management packet crosses a switch in one kernel event, not three),
+//! with the guard list and the rule list that make them unobservable,
+//! are documented in the module header of `port.rs`.
 
 use crate::agent::{AgentCommand, AgentCtx, DevId, FabricAgent};
 use crate::churn::ChurnAction;
@@ -47,8 +48,8 @@ use asi_proto::{
     TurnCursor, TurnPool, MANAGEMENT_TC,
 };
 use asi_sim::{
-    AnyKernel, Arena, KernelSpec, ParallelStats, SimDuration, SimRng, SimTime, Simulator, Target,
-    TraceEvent, TraceHandle, PICOSECOND,
+    AnyKernel, Arena, EventKey, KernelSpec, ParallelStats, SimDuration, SimRng, SimTime, Simulator,
+    Target, TraceEvent, TraceHandle, PICOSECOND,
 };
 use asi_topo::Topology;
 use std::collections::{BTreeMap, VecDeque};
@@ -59,7 +60,7 @@ mod port;
 mod switch;
 
 use endpoint::{AgentSlot, Responder, Stage, Traffic};
-use port::{CreditClass, OutEntry, Port};
+use port::{CreditClass, Ledger, OutEntry, Port};
 
 /// The route a device uses to report PI-5 events to the FM.
 #[derive(Clone, Debug)]
@@ -74,6 +75,8 @@ struct Device {
     info: DeviceInfo,
     config: ConfigSpace,
     ports: Vec<Port>,
+    /// Credit returns owed to `ports` that spent no event (`port.rs`).
+    ledger: Ledger,
     active: bool,
     responder: Responder,
     /// Inbound management pipe in front of the agent: the endpoint's PI-4
@@ -270,6 +273,7 @@ impl Fabric {
                 config: ConfigSpace::new(info),
                 info,
                 ports,
+                ledger: Ledger::default(),
                 active: false,
                 responder: Responder::default(),
                 ingress: Stage::default(),
@@ -353,6 +357,17 @@ impl Fabric {
     /// after a drained run (the leak test checks exactly that).
     pub fn packet_arena_live(&self) -> usize {
         self.packets.live()
+    }
+
+    /// Flow-control credits that are neither in a transmitter's hand nor
+    /// on their way back to it, over every active port: the credits of the
+    /// packets in flight. Like [`Fabric::packet_arena_live`] it returns to
+    /// 0 after a drained run, if no device or link went down under a
+    /// packet.
+    pub fn credits_outstanding(&self) -> u64 {
+        (self.devices.iter())
+            .map(|d| d.credits_away(&self.config))
+            .sum()
     }
 
     /// The flows materialized from the traffic plan (empty without one).
@@ -523,9 +538,17 @@ impl Fabric {
     /// control barrier) under the parallel kernel. The order of calls
     /// inside one handler is behaviour: it breaks same-timestamp ties.
     fn sched_at(&mut self, at: SimTime, event: Event) {
+        let key = self.sim.reserve_key(at);
+        self.sched_keyed(key, event);
+    }
+
+    /// The second half of [`Fabric::sched_at`], for a key that was
+    /// reserved earlier and has not come up yet (a credit return that
+    /// turns out to need its event, `port.rs`).
+    fn sched_keyed(&mut self, key: EventKey, event: Event) {
         let target = event.target();
         self.control_pending += u32::from(target == Target::Control);
-        self.sim.schedule_event(at, target, event);
+        self.sim.schedule_keyed(key, target, event);
     }
 
     fn sched_after(&mut self, after: SimDuration, event: Event) {

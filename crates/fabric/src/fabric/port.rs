@@ -3,7 +3,7 @@
 //! credit flow control, injected loss — and the one way a locally born
 //! packet gets in (`inject`) and a dead one gets out (`drop_entry`).
 //!
-//! ## Events per switch hop: the cut-through commit
+//! ## Events per switch hop: three, two, one
 //!
 //! A forwarded packet leaves a switch `switch_latency` after its header
 //! arrived. The general path spends three kernel events on that hop:
@@ -13,11 +13,13 @@
 //!                                                                  └────▶ CreditReturn (upstream)
 //! ```
 //!
+//! ### The cut-through commit: no `TryTx`
+//!
 //! When the transmission at `ready = now + switch_latency` is already
 //! *determined* at header arrival, `on_arrive` commits it on the spot:
 //! the same [`Fabric::transmit`] routine `pump` uses runs with start time
 //! `ready` instead of `now`, so the downstream `Arrive` and the upstream
-//! `CreditReturn` carry the timestamps the queue path would have
+//! credit return carry the timestamps the queue path would have
 //! produced, and the `TryTx` never exists — two events per hop:
 //!
 //! ```text
@@ -51,9 +53,49 @@
 //! same-origin events with equal timestamps may swap, which only parallel
 //! links between one switch pair could turn into a reordering.
 //!
-//! Fusing the `CreditReturn` as well would need a write to the upstream
-//! device's port from the downstream device's dispatch — a cross-rank
-//! write, which the parallel kernel's contract forbids (docs/PARALLEL.md).
+//! ### The credit ledger: no `CreditReturn`
+//!
+//! On a port that has credits to spare, a `CreditReturn`'s whole effect
+//! is `peer_credits += amount` followed by a `pump` that finds nothing
+//! it may do: the queue is empty, or its head waits for a time that has
+//! not come. All that matters of such an event is *where it falls in
+//! the order* — which later reads of the credits see it. So
+//! `return_credits` still takes the event's key (`reserve_key`: same
+//! origin, same per-origin sequence number as the event would have had),
+//! and then, instead of an event, appends `(key, port, class, amount)`
+//! to a ledger on the upstream device. Whoever reads a port's credits
+//! first takes in every entry whose key is below the key of the event
+//! being dispatched — exactly the `CreditReturn`s that would already have
+//! fired. One event per hop:
+//!
+//! ```text
+//! Arrive ──commit at `ready`──▶ Arrive (downstream)
+//!                       └─ ─ ─▷ ledger of the upstream device, keyed `ready + propagation`
+//! ```
+//!
+//! Which form a credit takes is port state, not an option, and the
+//! `CreditReturn` event stays as the path of ports that have run short.
+//! Each rule is there because without it something observable moves:
+//!
+//! | rule | because otherwise |
+//! |---|---|
+//! | the key is reserved where the event was scheduled, consuming the origin's next sequence number | every other event that device schedules would shift its `seq`, and same-timestamp ties would break differently; and the key *is* the credit's position among the upstream device's events |
+//! | [`Device::credits`] — the only way to `peer_credits`, for `pump`, the guard above, `transmit` and the reset in `on_port_trained` alike — first takes in the entries with `key < current_key()` | a hop would see credits that had not yet come back (or miss ones that had): a commit where there was a queued packet, a stall where there was a transmission |
+//! | a port whose head stalls (`Action::Stall`) takes its credits as events from then on: its ledger entries are scheduled under the keys they hold, later returns are scheduled as ever | a stalled head must be woken at each return, and `credit_stalls` counts every wake that still falls short |
+//! | it goes back to the ledger only when a return finds both classes' credits all home | nothing is then outstanding in either form, so there is no mixed order to argue about |
+//! | an entry is dated `now + propagation` or later (a return dated at the very instant it is made — a zero-length wire — stays an event) | that is the bound the parallel kernel's outbox relies on: no dispatch inside the open lookahead window can have a key above the entry's, so none can read it, and the append to another rank's ledger needs no rule of its own (docs/PARALLEL.md) |
+//!
+//! A retrain resets the credits through the same accessor, so a return
+//! still in flight lands on top of the fresh set, as its event did. What
+//! changes is what changed for the commit: `sim_events`, `queue-sample`'s
+//! `depth`/`processed`, and the event at which a step-driven harness loop
+//! stops under background traffic. One seam is left, unobserved in
+//! several hundred compared runs: a return dated at the very picosecond a
+//! *queued* head's wake-up is due, and ahead of it in key order, used to
+//! start that head from its own dispatch; now the wake-up (or an arrival
+//! in between) does, at the same instant — the same transmission at the
+//! same time, but a stall that both dispatches would have counted is
+//! counted once, and an arrival in between sees the head still queued.
 
 use super::*;
 
@@ -78,6 +120,12 @@ impl CreditClass {
     fn idx(self) -> usize {
         self as usize
     }
+}
+
+/// A port's full set of credits — the peer's input buffer, empty — per
+/// class, indexed by [`CreditClass::idx`].
+fn credit_capacity(config: &FabricConfig) -> [u32; 2] {
+    [config.mgmt_credits, config.data_credits]
 }
 
 /// Where a queued packet's input-buffer credits must be released.
@@ -128,11 +176,121 @@ pub(super) struct Port {
     /// Source-injection rate limiter: next instant a data-class packet
     /// may start serializing (endpoints only).
     rate_next: SimTime,
-    /// Credits available at the peer's input buffer, per class.
-    peer_credits: [u32; 2],
+    /// Credits available at the peer's input buffer, per class; read and
+    /// written through [`Device::credits`] alone, which settles the ledger
+    /// first.
+    peer_credits: PeerCredits,
+    /// How credits come back to this port: as `CreditReturn` events once a
+    /// head has stalled here, through the device's ledger otherwise (a
+    /// flag in the padding next to `ge_bad`: `Port` does not grow).
+    credits_by_event: bool,
     /// Gilbert–Elliott loss state of the outgoing link: true while the
     /// link is in its bad (bursty-loss) state.
     ge_bad: bool,
+}
+
+pub(super) use ledger::Ledger;
+use ledger::PeerCredits;
+
+/// The credits a port holds and the credits on their way back to it.
+/// [`PeerCredits`]' field is private to this module, so that
+/// [`Device::credits`], which settles the ledger first, is the only way
+/// to read or write it.
+mod ledger {
+    use super::*;
+
+    /// Credits in hand for the peer's input buffer, per class.
+    pub(in crate::fabric) struct PeerCredits([u32; 2]);
+
+    impl PeerCredits {
+        pub(super) fn full(config: &FabricConfig) -> PeerCredits {
+            PeerCredits(credit_capacity(config))
+        }
+    }
+
+    /// A credit return that holds its `CreditReturn`'s key and spent no
+    /// event: due from the first dispatch behind `key` on.
+    struct Owed {
+        key: EventKey,
+        port: u8,
+        class: CreditClass,
+        amount: u32,
+    }
+
+    /// The returns owed to one device's ports, in no particular order:
+    /// a handful at most on a quiet fabric (one wire flight's worth, plus
+    /// what no dispatch has had a reason to take in yet).
+    #[derive(Default)]
+    pub(in crate::fabric) struct Ledger(Vec<Owed>);
+
+    impl Device {
+        /// The credits `port` holds, once every return due before `upto`
+        /// — the key of the event being dispatched — is in: exactly the
+        /// `CreditReturn`s that would have fired by now.
+        #[inline]
+        pub(super) fn credits(&mut self, port: u8, upto: EventKey) -> &mut [u32; 2] {
+            if !self.ledger.0.is_empty() {
+                let ports = &mut self.ports;
+                self.ledger.0.retain(|owed| {
+                    let due = owed.key < upto;
+                    if due {
+                        let held = &mut ports[usize::from(owed.port)].peer_credits;
+                        held.0[owed.class.idx()] += owed.amount;
+                    }
+                    !due
+                });
+            }
+            &mut self.ports[usize::from(port)].peer_credits.0
+        }
+
+        /// Enters a return to one of this device's ports, due at `key`.
+        #[inline]
+        pub(super) fn owe(&mut self, key: EventKey, to: CreditOrigin) {
+            self.ledger.0.push(Owed {
+                key,
+                port: to.port,
+                class: to.class,
+                amount: to.amount,
+            });
+        }
+
+        /// Takes one of `port`'s returns off the ledger, if any is left
+        /// (`dev` is this device: the ledger does not store it).
+        pub(super) fn call_in(&mut self, dev: DevId, port: u8) -> Option<(EventKey, CreditOrigin)> {
+            let at = self.ledger.0.iter().position(|owed| owed.port == port)?;
+            let Owed {
+                key,
+                port,
+                class,
+                amount,
+            } = self.ledger.0.swap_remove(at);
+            let to = CreditOrigin {
+                dev,
+                port,
+                class,
+                amount,
+            };
+            Some((key, to))
+        }
+
+        /// Credits of this device's active ports that are neither in hand
+        /// nor on the ledger.
+        pub(in crate::fabric) fn credits_away(&self, config: &FabricConfig) -> u64 {
+            let active = |p: &Port| p.state == PortState::Active;
+            let capacity: u32 = credit_capacity(config).iter().sum();
+            let (mut full, mut home) = (0u64, 0u64);
+            for p in self.ports.iter().filter(|p| active(p)) {
+                full += u64::from(capacity);
+                home += u64::from(p.peer_credits.0.iter().sum::<u32>());
+            }
+            for owed in &self.ledger.0 {
+                if active(&self.ports[usize::from(owed.port)]) {
+                    home += u64::from(owed.amount);
+                }
+            }
+            full.abs_diff(home)
+        }
+    }
 }
 
 /// [`Port::try_tx_at`] when no wakeup is armed.
@@ -163,7 +321,8 @@ impl Port {
             try_tx_at: NO_WAKEUP,
             cut_until: SimTime::ZERO,
             rate_next: SimTime::ZERO,
-            peer_credits: [config.mgmt_credits, config.data_credits],
+            peer_credits: PeerCredits::full(config),
+            credits_by_event: false,
             ge_bad: false,
         }
     }
@@ -191,26 +350,23 @@ impl Port {
     /// or `Oversized`. The queue path and the cut-through guard both ask
     /// here, so they cannot drift.
     #[inline]
-    fn admit(&self, config: &FabricConfig, class: CreditClass, size: usize) -> Action {
+    fn admit(config: &FabricConfig, held: [u32; 2], class: CreditClass, size: usize) -> Action {
         if !config.flow_control {
             return Action::Tx(class);
         }
         let cost = config.credits_for(size);
-        let capacity = match class {
-            CreditClass::Mgmt => config.mgmt_credits,
-            CreditClass::Data => config.data_credits,
-        };
-        if cost > capacity {
+        if cost > credit_capacity(config)[class.idx()] {
             Action::Oversized(class)
-        } else if self.peer_credits[class.idx()] < cost {
+        } else if held[class.idx()] < cost {
             Action::Stall
         } else {
             Action::Tx(class)
         }
     }
 
-    /// Inspects the queue heads at `now`. `rate_limited`: data leaving
-    /// this port is subject to the source injection rate limit.
+    /// Inspects the queue heads at `now`, with `held` credits in hand.
+    /// `rate_limited`: data leaving this port is subject to the source
+    /// injection rate limit.
     #[inline]
     fn next_action(
         &self,
@@ -218,6 +374,7 @@ impl Port {
         config: &FabricConfig,
         packets: &Arena<Packet>,
         rate_limited: bool,
+        held: [u32; 2],
     ) -> Action {
         if self.queued() == 0 {
             return Action::Idle;
@@ -236,7 +393,7 @@ impl Port {
         } else if entry.ready > now {
             Action::Wait(entry.ready)
         } else {
-            self.admit(config, class, packets.get(entry.packet.0).wire_size())
+            Port::admit(config, held, class, packets.get(entry.packet.0).wire_size())
         }
     }
 
@@ -325,20 +482,34 @@ impl Fabric {
     }
 
     /// Returns the credits of an input buffer freed at `freed_at`, if the
-    /// packet held one and its upstream transmitter is still alive.
+    /// packet held one and its upstream transmitter is still alive. The
+    /// return takes its place in the event order here, by reserving the
+    /// `CreditReturn`'s key; whether an event is spent on it is the
+    /// upstream port's state (the ledger rules in the module header).
     fn return_credits(&mut self, origin: Option<CreditOrigin>, freed_at: SimTime) {
         let Some(origin) = origin.filter(|o| self.devices[o.dev.idx()].active) else {
             return;
         };
-        self.sched_at(
-            freed_at + self.config.propagation,
-            Event::CreditReturn {
-                dev: origin.dev,
-                port: origin.port,
-                class: origin.class,
-                amount: origin.amount,
-            },
-        );
+        let key = self.sim.reserve_key(freed_at + self.config.propagation);
+        let up = &mut self.devices[origin.dev.idx()];
+        // A zero-length wire could date the return at this very instant,
+        // behind the event being dispatched: only an event fires there.
+        if up.ports[usize::from(origin.port)].credits_by_event || key.time <= self.sim.now() {
+            self.sched_credit_return(key, origin);
+        } else {
+            up.owe(key, origin);
+        }
+    }
+
+    /// The event form of a credit return, under the key reserved for it.
+    fn sched_credit_return(&mut self, key: EventKey, to: CreditOrigin) {
+        let event = Event::CreditReturn {
+            dev: to.dev,
+            port: to.port,
+            class: to.class,
+            amount: to.amount,
+        };
+        self.sched_keyed(key, event);
     }
 
     pub(super) fn on_credit_return(
@@ -348,8 +519,29 @@ impl Fabric {
         class: CreditClass,
         amount: u32,
     ) {
-        self.devices[dev.idx()].ports[usize::from(port)].peer_credits[class.idx()] += amount;
+        let d = &mut self.devices[dev.idx()];
+        let held = d.credits(port, self.sim.current_key());
+        held[class.idx()] += amount;
+        // Everything home: nothing is outstanding in either form, so the
+        // port can go back to the ledger.
+        if *held == credit_capacity(&self.config) {
+            d.ports[usize::from(port)].credits_by_event = false;
+        }
         self.pump(dev, port);
+    }
+
+    /// A head on `(dev, port)` is short of credits: every return must
+    /// wake it, so the port takes its credits as events from here on,
+    /// starting with the returns already on the ledger, each under the
+    /// key it reserved.
+    fn take_credits_by_event(&mut self, dev: DevId, port: u8) {
+        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+        if std::mem::replace(&mut p.credits_by_event, true) {
+            return;
+        }
+        while let Some((key, to)) = self.devices[dev.idx()].call_in(dev, port) {
+            self.sched_credit_return(key, to);
+        }
     }
 
     // ---------------- queues and the serializer ----------------
@@ -402,9 +594,12 @@ impl Fabric {
         // Source injection rate limiting applies to data leaving an
         // endpoint.
         let rate_limited = d.is_endpoint() && self.config.injection_rate_limit.is_some();
+        let key = self.sim.current_key();
         loop {
-            let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-            match p.next_action(now, &self.config, &self.packets, rate_limited) {
+            let d = &mut self.devices[dev.idx()];
+            let held = *d.credits(port, key);
+            let p = &mut d.ports[usize::from(port)];
+            match p.next_action(now, &self.config, &self.packets, rate_limited, held) {
                 Action::Idle => return,
                 Action::Wait(at) => {
                     if p.try_tx_at > at {
@@ -415,6 +610,7 @@ impl Fabric {
                 }
                 Action::Stall => {
                     self.counters.credit_stalls += 1;
+                    self.take_credits_by_event(dev, port);
                     return;
                 }
                 Action::Oversized(class) => {
@@ -436,7 +632,7 @@ impl Fabric {
     /// would make `pump` do anything but transmit it then. The module
     /// header gives the reason for each condition.
     pub(super) fn cut_through_peer(
-        &self,
+        &mut self,
         dev: DevId,
         port: u8,
         entry: &OutEntry,
@@ -448,7 +644,8 @@ impl Fabric {
         if CreditClass::of(body) != CreditClass::Mgmt {
             return None;
         }
-        let p = &self.devices[dev.idx()].ports[usize::from(port)];
+        let d = &mut self.devices[dev.idx()];
+        let p = &d.ports[usize::from(port)];
         if p.state != PortState::Active
             || p.queued() != 0
             || p.busy_until > entry.ready
@@ -456,8 +653,10 @@ impl Fabric {
         {
             return None;
         }
-        match p.admit(&self.config, CreditClass::Mgmt, body.wire_size()) {
-            Action::Tx(_) => p.peer,
+        let peer = p.peer;
+        let held = *d.credits(port, self.sim.current_key());
+        match Port::admit(&self.config, held, CreditClass::Mgmt, body.wire_size()) {
+            Action::Tx(_) => peer,
             _ => None,
         }
     }
@@ -481,10 +680,10 @@ impl Fabric {
         let cost = self.config.credits_for(size);
         let d = &mut self.devices[dev.idx()];
         let rate_limited = class == CreditClass::Data && d.is_endpoint();
-        let p = &mut d.ports[usize::from(port)];
         if self.config.flow_control {
-            p.peer_credits[class.idx()] -= cost;
+            d.credits(port, self.sim.current_key())[class.idx()] -= cost;
         }
+        let p = &mut d.ports[usize::from(port)];
         p.busy_until = start + self.config.tx_time(size);
         if let (true, Some(rate)) = (rate_limited, self.config.injection_rate_limit) {
             let debit = SimDuration::from_secs_f64(size as f64 / rate.max(1.0));
@@ -605,10 +804,11 @@ impl Fabric {
             return;
         }
         self.set_port_state(dev, port, PortState::Active);
-        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-        // Fresh link: peer buffers are empty.
-        p.peer_credits = [self.config.mgmt_credits, self.config.data_credits];
-        p.busy_until = self.sim.now();
+        let d = &mut self.devices[dev.idx()];
+        // Fresh link: peer buffers are empty. (A return still on its way
+        // lands on top of the fresh set, on the ledger as in an event.)
+        *d.credits(port, self.sim.current_key()) = credit_capacity(&self.config);
+        d.ports[usize::from(port)].busy_until = self.sim.now();
         self.notify_port_change(dev, port, PortEvent::PortUp);
         self.pump(dev, port);
     }

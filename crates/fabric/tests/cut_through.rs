@@ -1,7 +1,12 @@
-//! One test per guard of the cut-through commit (`fabric.rs` module
-//! header): each scenario is built so that ignoring the guard changes a
-//! counter or a receive time, and every expected value was first
-//! recorded on commit 00614c1, where every hop took the queue path.
+//! One test per guard of the cut-through commit and one per rule of the
+//! credit ledger (both tables are in the module header of
+//! `fabric/port.rs`): each scenario is built so that ignoring the guard
+//! or the rule changes a counter or a receive time. Every expected time
+//! and counter was first recorded where the mechanism did not exist —
+//! the guards' on commit 00614c1, where every hop took the queue path,
+//! the ledger's on aeb6e1d, where every credit came back as a
+//! `CreditReturn` event. Only the event counts (`try_tx`,
+//! `credit_return`) describe the mechanism itself.
 //!
 //! All scenarios run on one switch `S` with endpoints on ports 0, 1, 2,
 //! hand-driven: an endpoint's timer `k` sends its `k`-th scripted packet.
@@ -138,12 +143,17 @@ impl Star {
     }
 }
 
-fn try_tx(fabric: &Fabric) -> u64 {
-    let (_, n) = fabric
-        .dispatch_counts()
-        .find(|(kind, _)| *kind == "try_tx")
-        .unwrap();
+fn dispatched(fabric: &Fabric, kind: &str) -> u64 {
+    let (_, n) = fabric.dispatch_counts().find(|(k, _)| *k == kind).unwrap();
     n
+}
+
+fn try_tx(fabric: &Fabric) -> u64 {
+    dispatched(fabric, "try_tx")
+}
+
+fn credit_returns(fabric: &Fabric) -> u64 {
+    dispatched(fabric, "credit_return")
 }
 
 /// The packet's receive time at an endpoint's agent, given the time its
@@ -164,6 +174,7 @@ fn uncontended_hop_commits_and_keeps_its_timestamps() {
     assert_eq!(try_tx(&fabric), 0, "the hop must not arm a wake-up");
     assert_eq!(fabric.counters().mgmt_queue_peak, 1);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.credits_outstanding(), 0);
 }
 
 #[test]
@@ -321,6 +332,165 @@ fn a_hop_one_credit_short_falls_back_and_stalls_as_before() {
     // Only the second hop wakes up: for the serializer (409), then for
     // its own ready time.
     assert_eq!(try_tx(&fabric), 2);
+    // The stall turned port 2's ledger entry — the first packet's credit,
+    // keyed 419 — into the event that wakes the head. Landing, it
+    // brought every credit home, so the port went back to the ledger
+    // before the head took the credit away again: the second packet's
+    // credit spent no event, nor does a third packet's long afterwards,
+    // which commits. Ports that never ran short (E0's, E1's, one credit
+    // each) dispatched none at all.
+    assert_eq!(credit_returns(&fabric), 1);
+    let later = fabric.now().saturating_since(t0).as_ps() / 1000 + 2000;
+    s.fire(&mut fabric, 1, 0, 2000);
+    fabric.run_until_idle();
+    assert_eq!(
+        s.received(&fabric, 2, t0)[2],
+        (agent_sees(later + 193 + 53, 22), 2)
+    );
+    assert_eq!(fabric.counters().credit_stalls, 1);
+    assert_eq!(try_tx(&fabric), 2);
+    assert_eq!(credit_returns(&fabric), 1);
+    assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.credits_outstanding(), 0);
+}
+
+#[test]
+fn packets_in_a_row_through_one_port_commit_without_a_credit_event() {
+    let s = star();
+    let sends = (0..4).map(|i| s.mgmt(0, 2, i, 0)).collect();
+    let (mut fabric, t0) = s.up(fast_devices(), [sends, vec![], vec![]]);
+    // 150 ns apart: each header reaches S after the previous commitment
+    // has started and is ready after the serializer (88 ns) has let go.
+    for i in 0..4 {
+        s.fire(&mut fabric, 0, i, 150 * i);
+    }
+    fabric.run_until_idle();
+    let expected: Vec<(u64, u32)> = (0..4)
+        .map(|i| (agent_sees(150 * i + 193 + 53, 22), i as u32))
+        .collect();
+    assert_eq!(s.received(&fabric, 2, t0), expected);
+    assert_eq!(fabric.counters().credit_stalls, 0);
+    assert_eq!(try_tx(&fabric), 0);
+    // Eight hops, eight credits handed back, none through the kernel.
+    assert_eq!(credit_returns(&fabric), 0);
+    assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.credits_outstanding(), 0);
+}
+
+#[test]
+fn a_ledgered_credit_counts_from_its_key_on_and_not_before() {
+    // One credit per port. A 54-byte packet E`a` → E`b` is committed at S
+    // for 193 and its credit is due back at S at 419 (header at E`b` at
+    // 246, tail 168 ns later, 5 ns of wire), under a key whose origin is
+    // E`b`. A second packet E`c` → E`b` reaches S at `at`; returns what
+    // E`b` saw of it, the wake-ups and the stalls.
+    let second = |a: usize, b: usize, c: usize, at: u64| {
+        let s = star();
+        let config = FabricConfig {
+            mgmt_credits: 1,
+            ..fast_devices()
+        };
+        let mut scripts = [vec![], vec![], vec![]];
+        scripts[a] = vec![s.mgmt(a, b, 1, 8)];
+        scripts[c] = vec![s.mgmt(c, b, 2, 0)];
+        let (mut fabric, t0) = s.up(config, scripts);
+        s.fire(&mut fabric, a, 0, 0);
+        s.fire(&mut fabric, c, 0, at - 53);
+        fabric.run_until_idle();
+        assert_eq!(fabric.packet_arena_live(), 0);
+        assert_eq!(fabric.credits_outstanding(), 0);
+        let stalls = fabric.counters().credit_stalls;
+        (s.received(&fabric, b, t0)[1], try_tx(&fabric), stalls)
+    };
+    let committed = |at: u64| ((agent_sees(at + 140 + 53, 22), 2), 0, 0);
+    // After the key: the credit is in hand, the hop commits.
+    assert_eq!(second(0, 2, 1, 420), committed(420));
+    // At the key's own instant the origins break the tie, as they did
+    // between the two events. E1's credit (origin 2) is ahead of a header
+    // E2 sent (origin 3): in hand, committed.
+    assert_eq!(second(0, 1, 2, 419), committed(419));
+    // E2's credit (origin 3) is behind a header E1 sent (origin 2): not
+    // yet in hand, so the packet queues — and leaves on time all the
+    // same, the credit being home long before its ready time, 559.
+    assert_eq!(second(0, 2, 1, 419), ((agent_sees(559 + 53, 22), 2), 1, 0));
+    // Before the key: no credit, and none by the time the packet is
+    // ready either — `a_hop_one_credit_short_falls_back_and_stalls_as_before`.
+}
+
+#[test]
+fn a_retrain_between_a_credit_s_return_and_its_key_resets_as_before() {
+    // A 3 µs wire and one credit. E0's packet leaves S at 3188 (queued:
+    // the pending flap forbids a commit) and E0's credit is on its way
+    // back, keyed 6188. The E0–S link flaps at 3300 and is trained again
+    // at 4800: E0's port starts over with its one credit — and at 6188
+    // the old one lands on top, as it always has.
+    let s = star();
+    let flap = SimDuration::from_us(5) + SimDuration::from_ns(3300);
+    let config = FabricConfig {
+        propagation: SimDuration::from_us(3),
+        mgmt_credits: 1,
+        faults: FaultPlan::none().with_link_flap(flap, s.ends[0].0, 0, SimDuration::from_ns(500)),
+        ..fast_devices()
+    };
+    // The third packet goes to E1: S has one credit per egress port too.
+    let sends = vec![s.mgmt(0, 2, 0, 0), s.mgmt(0, 2, 1, 0), s.mgmt(0, 1, 2, 0)];
+    let (mut fabric, t0) = s.up(config, [sends, vec![], vec![]]);
+    s.fire(&mut fabric, 0, 0, 0);
+    // With two credits in hand E0 sends two packets back to back
+    // (88 ns apart); with one, the second would wait 6 µs for the first
+    // one's credit.
+    s.fire(&mut fabric, 0, 1, 7000);
+    s.fire(&mut fabric, 0, 2, 7000);
+    fabric.run_until_idle();
+    let seen = seen_over_3us_wires;
+    assert_eq!(s.received(&fabric, 2, t0), [(seen(0), 0), (seen(7000), 1)]);
+    assert_eq!(s.received(&fabric, 1, t0), [(seen(7088), 2)]);
+    assert_eq!(fabric.counters().credit_stalls, 0);
+    assert_eq!(fabric.counters().link_flaps, 1);
+    assert_eq!(fabric.packet_arena_live(), 0);
+}
+
+/// When a 22-byte packet an endpoint sent at `sent` is seen by the agent
+/// two 3 µs wires and one uncontended switch away.
+fn seen_over_3us_wires(sent: u64) -> u64 {
+    agent_sees(sent + 2 * (48 + 3000) + 140, 22)
+}
+
+#[test]
+fn a_stalling_port_s_ledger_entries_fire_under_the_keys_they_hold() {
+    // 3 µs wires and two credits. E0's first two packets reach S at 3048
+    // and 3248 and are committed there, which puts both of E0's credits
+    // on E0's ledger, keyed 6188 and 6388. The third packet, at 3300,
+    // finds none in hand: the port stalls and both entries become the
+    // events they stood for — the first wakes the head at 6188, the
+    // second changes nothing, and the third packet's own credit (still
+    // an event: not everything was home in between) brings the port
+    // back to the ledger.
+    let s = star();
+    let config = FabricConfig {
+        propagation: SimDuration::from_us(3),
+        mgmt_credits: 2,
+        ..fast_devices()
+    };
+    let sends = (0..3).map(|i| s.mgmt(0, 2, i, 0)).collect();
+    let (mut fabric, t0) = s.up(config, [sends, vec![], vec![]]);
+    for (token, at) in [(0, 0), (1, 200), (2, 3300)] {
+        s.fire(&mut fabric, 0, token, at);
+    }
+    fabric.run_until_idle();
+    let seen = seen_over_3us_wires;
+    assert_eq!(
+        s.received(&fabric, 2, t0),
+        [(seen(0), 0), (seen(200), 1), (seen(6188), 2)]
+    );
+    assert_eq!(fabric.counters().credit_stalls, 1);
+    // S's own two credits for E2 are on their way back when the third
+    // header arrives (9236): it queues until it is ready, 9376, by
+    // when the first (keyed 9276) is in hand. No stall, no event.
+    assert_eq!(try_tx(&fabric), 1);
+    assert_eq!(credit_returns(&fabric), 3);
+    assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.credits_outstanding(), 0);
 }
 
 #[test]
@@ -444,4 +614,5 @@ fn oversized_bypass_packet_is_dropped_from_the_queue_it_sits_in() {
     let lens: Vec<u32> = s.received(&fabric, 2, t0).iter().map(|r| r.1).collect();
     assert_eq!(lens, [64, 64], "both ordered packets arrive");
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.credits_outstanding(), 0);
 }

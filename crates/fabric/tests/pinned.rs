@@ -1,12 +1,14 @@
 //! Pinned behaviour of whole discoveries: the exact simulated discovery
 //! time, the FM's request accounting and every [`FabricCounters`] field
-//! of nine runs, recorded at commit 00614c1 — the last one where every
-//! switch hop went through the output queue and a `TryTx` wake-up.
+//! of eleven runs. Nine were recorded at commit 00614c1 — the last one
+//! where every switch hop went through the output queue and a `TryTx`
+//! wake-up — and the two drained ones at aeb6e1d, the last one where
+//! every credit came back as a `CreditReturn` event.
 //!
-//! The cut-through commit in `fabric.rs` (see its module header) has no
-//! runtime switch to diff against, so these numbers are the reference: a
-//! change to them is a change to the simulated model, not a host-side
-//! optimisation.
+//! The cut-through commit and the credit ledger (see the module header
+//! of `fabric/port.rs`) have no runtime switch to diff against, so these
+//! numbers are the reference: a change to them is a change to the
+//! simulated model, not a host-side optimisation.
 
 use asi_core::DiscoveryRun;
 use asi_fabric::{Fabric, FabricCounters};
@@ -171,6 +173,45 @@ fn mesh8_under_data_load() {
     );
 }
 
+/// Saturating load: most ports run short of credits, and go back and
+/// forth between taking them by event and by ledger. Drained, so the
+/// counters do not depend on the event `Bench::start` stops at.
+#[test]
+fn mesh8_under_heavy_data_load_drained() {
+    let plan = TrafficPlan::none()
+        .with_unicast(0.8, 512)
+        .with_window(SimDuration::ZERO, SimDuration::from_us(2000));
+    let scenario = Scenario::new(Algorithm::Parallel).with_traffic_plan(plan);
+    let mut bench = Bench::start(&mesh(8, 8).unwrap().topology, &scenario, &[]);
+    bench.fabric.run_until_idle();
+    assert_eq!(
+        observe(&bench.last_run(), &bench.fabric),
+        Pinned {
+            discovery_ps: 10_643_392_000,
+            requests: 800,
+            responses: 800,
+            timeouts: 0,
+            counters: FabricCounters {
+                injected: 49_663,
+                delivered: 49_663,
+                forwarded: 332_730,
+                dropped_inactive: 24,
+                credit_stalls: 147_147,
+                mgmt_bytes: 543_928,
+                data_bytes: 195_636_076,
+                flow_injected: 48_063,
+                flow_delivered: 48_063,
+                flow_bytes: 24_608_256,
+                mgmt_queue_peak: 8,
+                data_queue_peak: 698,
+                ..FabricCounters::default()
+            },
+        }
+    );
+    assert_eq!(bench.fabric.packet_arena_live(), 0);
+    assert_eq!(bench.fabric.credits_outstanding(), 0);
+}
+
 fn lossy(loss: LossModel) -> Scenario {
     Scenario::new(Algorithm::Parallel)
         .with_seed(0x5EED)
@@ -220,4 +261,39 @@ fn mesh8_bursty_loss() {
             },
         }
     );
+}
+
+/// Bursty loss bounces credits back to the transmitter, and a flap of
+/// the FM switch's east link, 3 ms into the discovery, retrains two ports
+/// in the thick of it.
+#[test]
+fn mesh8_bursty_loss_and_a_flap_drained() {
+    let g = mesh(8, 8).unwrap();
+    let flap = SimDuration::from_us(3000);
+    let faults = FaultPlan::none()
+        .with_loss(LossModel::bursty(0.05))
+        .with_link_flap(flap, g.switch_at(1, 0).0, 1, SimDuration::from_us(50));
+    let scenario = lossy(LossModel::None).with_faults(faults);
+    let mut bench = Bench::start(&g.topology, &scenario, &[]);
+    bench.fabric.run_until_idle();
+    assert_eq!(
+        observe(&bench.last_run(), &bench.fabric),
+        Pinned {
+            discovery_ps: 3_095_163_528_053,
+            requests: 1978,
+            responses: 768,
+            timeouts: 1210,
+            counters: FabricCounters {
+                injected: 3191,
+                delivered: 1981,
+                forwarded: 21_747,
+                dropped_corrupted: 1210,
+                mgmt_bytes: 955_456,
+                link_flaps: 1,
+                mgmt_queue_peak: 8,
+                ..FabricCounters::default()
+            },
+        }
+    );
+    assert_eq!(bench.fabric.packet_arena_live(), 0);
 }

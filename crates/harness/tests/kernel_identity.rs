@@ -45,8 +45,9 @@ fn canonicalize(jsonl: &str) -> String {
 /// Runs initial discovery on the 3x3 mesh under `kernel` and returns
 /// everything observable: the canonicalized trace plus the run's
 /// aggregate metrics and the full fabric counters. Also asserts the
-/// arena-leak invariant: once the run drains, no packet payload may
-/// still be live.
+/// conservation laws of a drained run: no packet payload may still be
+/// live, and — when no link or device went down under a packet — every
+/// flow-control credit is back with its transmitter.
 fn kernel_run(
     seed: u64,
     algorithm: Algorithm,
@@ -55,6 +56,7 @@ fn kernel_run(
     kernel: KernelSpec,
 ) -> (String, String) {
     let sink = RingCollector::shared(1 << 20);
+    let nothing_goes_down = churn.is_inert() && faults.events.is_empty();
     let scenario = Scenario::new(algorithm)
         .with_seed(seed)
         .with_faults(faults)
@@ -70,6 +72,13 @@ fn kernel_run(
         0,
         "packet arena leaked under {kernel}"
     );
+    if nothing_goes_down {
+        assert_eq!(
+            bench.fabric.credits_outstanding(),
+            0,
+            "credits leaked under {kernel}"
+        );
+    }
     let trace = canonicalize(&trace_to_jsonl(sink.borrow().records()));
     let summary = format!(
         "{} devices={} links={} requests={} responses={} timeouts={} \

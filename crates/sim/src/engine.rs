@@ -20,7 +20,7 @@
 //! assert_eq!(seen, vec![Ev::Ping(1)]);
 //! ```
 
-use crate::kernel::{Kernel, SerialKernel, Target};
+use crate::kernel::{EventKey, Kernel, SerialKernel, Target, EXTERNAL_RANK};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceHandle;
 use std::marker::PhantomData;
@@ -143,13 +143,42 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
     /// # Panics
     /// Debug builds panic if `at < now()`.
     pub fn schedule_event(&mut self, at: SimTime, target: Target, event: E) {
+        let key = self.reserve_key(at);
+        self.schedule_keyed(key, target, event)
+    }
+
+    /// The first half of [`Self::schedule_event`]: takes the key an event
+    /// scheduled now for `at` would carry ([`Kernel::reserve_key`]).
+    ///
+    /// # Panics
+    /// Debug builds panic if `at < now()`.
+    #[inline]
+    pub fn reserve_key(&mut self, at: SimTime) -> EventKey {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        let at = at.max(self.now);
-        self.kernel.schedule(at, target, event)
+        self.kernel.reserve_key(at.max(self.now))
+    }
+
+    /// The second half: enqueues `event` under a reserved key that has
+    /// not come up yet ([`Kernel::schedule_keyed`]).
+    #[inline]
+    pub fn schedule_keyed(&mut self, key: EventKey, target: Target, event: E) {
+        self.kernel.schedule_keyed(key, target, event)
+    }
+
+    /// Key of the event being dispatched. Between dispatches, the key
+    /// below which everything has fired once a run loop has returned:
+    /// every event at or before `now()`.
+    #[inline]
+    pub fn current_key(&self) -> EventKey {
+        self.kernel.current_key().unwrap_or(EventKey {
+            time: self.now,
+            origin: EXTERNAL_RANK,
+            seq: u32::MAX,
+        })
     }
 
     /// Timestamp of the next event, if any (a global minimum even for

@@ -25,6 +25,13 @@
 //! relative order under every kernel, per-origin sequence numbers — and
 //! therefore every key — are identical across kernels and shard counts.
 //! This generalizes the repo's jobs-determinism pattern to shard counts.
+//!
+//! Scheduling is two steps, [`Kernel::reserve_key`] then
+//! [`Kernel::schedule_keyed`], and a model may stop after the first: a
+//! key that is reserved and kept is an event's place in the order without
+//! the event. The fabric's credit ledger uses that to hand credits back
+//! without a dispatch, comparing the kept key with
+//! [`Kernel::current_key`] to decide whether the event "has fired".
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceHandle};
@@ -118,8 +125,31 @@ impl std::str::FromStr for KernelSpec {
 /// everything scheduled and that an event never fires before the event
 /// whose dispatch scheduled it.
 pub trait Kernel<E> {
-    /// Enqueues `event` at absolute time `at` for `target`.
-    fn schedule(&mut self, at: SimTime, target: Target, event: E);
+    /// Allocates the key an event scheduled now to fire at `at` carries:
+    /// the origin of the dispatch in progress and that origin's next
+    /// sequence number. A caller that keeps the key and schedules nothing
+    /// has still taken the event's place in the order: every later key
+    /// is what it would have been had the event been scheduled.
+    fn reserve_key(&mut self, at: SimTime) -> EventKey;
+
+    /// Enqueues `event` for `target` under a key from
+    /// [`Self::reserve_key`] — at once, or later from a dispatch that
+    /// fires before `key`.
+    fn schedule_keyed(&mut self, key: EventKey, target: Target, event: E);
+
+    /// Enqueues `event` at absolute time `at` for `target`: the two
+    /// halves above in sequence, under every kernel.
+    #[inline]
+    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
+        let key = self.reserve_key(at);
+        self.schedule_keyed(key, target, event);
+    }
+
+    /// Key of the event being dispatched — popped and not yet
+    /// [finished](Self::finish_dispatch); `None` between dispatches. Every
+    /// event with a smaller key that can affect the dispatching rank has
+    /// fired.
+    fn current_key(&self) -> Option<EventKey>;
 
     /// Removes and returns the next event. Which event is "next" is the
     /// kernel's ordering contract; time may regress across consecutive pops
@@ -167,29 +197,63 @@ pub trait Kernel<E> {
     fn set_sampling(&mut self, trace: TraceHandle, period: SimDuration);
 }
 
-/// Per-origin sequence allocator backing [`EventKey::seq`].
-#[derive(Default)]
-struct SeqAlloc {
+/// Key allocation shared by the kernels: the per-origin sequence numbers
+/// backing [`EventKey::seq`] and the dispatch context that decides the
+/// origin.
+struct Keys {
     per_rank: Vec<u32>,
     external: u32,
+    /// Origin rank for keys reserved right now (rank of the event being
+    /// dispatched; [`EXTERNAL_RANK`] outside a dispatch and in control
+    /// dispatches).
+    origin: u32,
+    /// Key of the event being dispatched.
+    current: Option<EventKey>,
 }
 
-impl SeqAlloc {
+impl Keys {
+    fn new() -> Keys {
+        Keys {
+            per_rank: Vec::new(),
+            external: 0,
+            origin: EXTERNAL_RANK,
+            current: None,
+        }
+    }
+
     #[inline]
-    fn next(&mut self, origin: u32) -> u32 {
-        if origin == EXTERNAL_RANK {
-            let s = self.external;
-            self.external += 1;
-            s
+    fn reserve(&mut self, at: SimTime) -> EventKey {
+        let origin = self.origin;
+        let counter = if origin == EXTERNAL_RANK {
+            &mut self.external
         } else {
             let i = origin as usize;
             if i >= self.per_rank.len() {
                 self.per_rank.resize(i + 1, 0);
             }
-            let s = self.per_rank[i];
-            self.per_rank[i] += 1;
-            s
+            &mut self.per_rank[i]
+        };
+        let seq = *counter;
+        *counter += 1;
+        EventKey {
+            time: at,
+            origin,
+            seq,
         }
+    }
+
+    /// A dispatch of the event popped under `key` begins; what it
+    /// reserves carries `origin`.
+    #[inline]
+    fn enter(&mut self, key: EventKey, origin: u32) {
+        self.origin = origin;
+        self.current = Some(key);
+    }
+
+    #[inline]
+    fn leave(&mut self) {
+        self.origin = EXTERNAL_RANK;
+        self.current = None;
     }
 }
 
@@ -257,10 +321,7 @@ type Payload<E> = (u32, E);
 /// Serial timing-wheel kernel ordered by [`EventKey`].
 pub struct SerialKernel<E> {
     wheel: TimingWheel<Payload<E>>,
-    seqs: SeqAlloc,
-    /// Origin rank for events scheduled right now (rank of the event being
-    /// dispatched; [`EXTERNAL_RANK`] outside dispatch).
-    origin: u32,
+    keys: Keys,
     sampler: Sampler,
     processed: u64,
 }
@@ -270,8 +331,7 @@ impl<E> SerialKernel<E> {
     pub fn new() -> SerialKernel<E> {
         SerialKernel {
             wheel: TimingWheel::new(),
-            seqs: SeqAlloc::default(),
-            origin: EXTERNAL_RANK,
+            keys: Keys::new(),
             sampler: Sampler::disabled(),
             processed: 0,
         }
@@ -285,13 +345,13 @@ impl<E> Default for SerialKernel<E> {
 }
 
 impl<E> Kernel<E> for SerialKernel<E> {
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
-        let origin = self.origin;
-        let key = EventKey {
-            time: at,
-            origin,
-            seq: self.seqs.next(origin),
-        };
+    #[inline]
+    fn reserve_key(&mut self, at: SimTime) -> EventKey {
+        self.keys.reserve(at)
+    }
+
+    #[inline]
+    fn schedule_keyed(&mut self, key: EventKey, target: Target, event: E) {
         let rank = match target {
             Target::Rank(r) => r,
             Target::External | Target::Control => EXTERNAL_RANK,
@@ -304,9 +364,14 @@ impl<E> Kernel<E> for SerialKernel<E> {
         self.sampler
             .advance(head.time, self.wheel.len() as u64, self.processed);
         let (key, (rank, event)) = self.wheel.pop().expect("peeked");
-        self.origin = rank;
+        self.keys.enter(key, rank);
         self.processed += 1;
         Some((key.time, event))
+    }
+
+    #[inline]
+    fn current_key(&self) -> Option<EventKey> {
+        self.keys.current
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -314,7 +379,7 @@ impl<E> Kernel<E> for SerialKernel<E> {
     }
 
     fn finish_dispatch(&mut self) {
-        self.origin = EXTERNAL_RANK;
+        self.keys.leave();
     }
 
     fn len(&self) -> usize {
@@ -388,8 +453,7 @@ pub struct ParallelKernel<E> {
     /// Outboxes: `outbox[target shard]`.
     outbox: Vec<Vec<(EventKey, Payload<E>)>>,
     lookahead_ps: u64,
-    seqs: SeqAlloc,
-    origin: u32,
+    keys: Keys,
     mode: Mode,
     window: Option<Window>,
     /// Deadline clamp for the current `pop_until` call (exclusive bound is
@@ -418,8 +482,7 @@ impl<E> ParallelKernel<E> {
             shard_of,
             outbox: (0..shards).map(|_| Vec::new()).collect(),
             lookahead_ps: lookahead.as_ps().max(1),
-            seqs: SeqAlloc::default(),
-            origin: EXTERNAL_RANK,
+            keys: Keys::new(),
             mode: Mode::External,
             window: None,
             deadline: None,
@@ -498,7 +561,7 @@ impl<E> ParallelKernel<E> {
                                 self.shards[cursor as usize].pop().expect("peeked");
                             self.window.as_mut().expect("open").cursor = cursor;
                             self.mode = Mode::Worker(cursor);
-                            self.origin = rank;
+                            self.keys.enter(key, rank);
                             self.processed += 1;
                             self.len -= 1;
                             return Some((key.time, event));
@@ -528,7 +591,7 @@ impl<E> ParallelKernel<E> {
                         .advance(c.time, self.len as u64, self.processed);
                     let (key, (_rank, event)) = self.control.pop().expect("peeked");
                     self.mode = Mode::Coordinator;
-                    self.origin = EXTERNAL_RANK;
+                    self.keys.enter(key, EXTERNAL_RANK);
                     self.processed += 1;
                     self.len -= 1;
                     self.stats.control_events += 1;
@@ -568,14 +631,14 @@ impl<E> ParallelKernel<E> {
 }
 
 impl<E> Kernel<E> for ParallelKernel<E> {
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
+    #[inline]
+    fn reserve_key(&mut self, at: SimTime) -> EventKey {
+        self.keys.reserve(at)
+    }
+
+    fn schedule_keyed(&mut self, key: EventKey, target: Target, event: E) {
         match self.mode {
             Mode::External | Mode::Coordinator => {
-                let key = EventKey {
-                    time: at,
-                    origin: EXTERNAL_RANK,
-                    seq: self.seqs.next(EXTERNAL_RANK),
-                };
                 // A schedule landing below an open window's bound must
                 // shrink the window: everything popped so far is below the
                 // engine clock, hence below this key, so clamping preserves
@@ -598,12 +661,6 @@ impl<E> Kernel<E> for ParallelKernel<E> {
                 self.len += 1;
             }
             Mode::Worker(shard) => {
-                let origin = self.origin;
-                let key = EventKey {
-                    time: at,
-                    origin,
-                    seq: self.seqs.next(origin),
-                };
                 let r = match target {
                     Target::Rank(r) => r,
                     Target::External | Target::Control => panic!(
@@ -651,9 +708,14 @@ impl<E> Kernel<E> for ParallelKernel<E> {
         }
     }
 
+    #[inline]
+    fn current_key(&self) -> Option<EventKey> {
+        self.keys.current
+    }
+
     fn finish_dispatch(&mut self) {
         self.mode = Mode::External;
-        self.origin = EXTERNAL_RANK;
+        self.keys.leave();
     }
 
     fn len(&self) -> usize {
@@ -701,10 +763,27 @@ impl<E> AnyKernel<E> {
 }
 
 impl<E> Kernel<E> for AnyKernel<E> {
-    fn schedule(&mut self, at: SimTime, target: Target, event: E) {
+    #[inline]
+    fn reserve_key(&mut self, at: SimTime) -> EventKey {
         match self {
-            AnyKernel::Serial(k) => k.schedule(at, target, event),
-            AnyKernel::Parallel(k) => k.schedule(at, target, event),
+            AnyKernel::Serial(k) => Kernel::<E>::reserve_key(k, at),
+            AnyKernel::Parallel(k) => Kernel::<E>::reserve_key(k, at),
+        }
+    }
+
+    #[inline]
+    fn schedule_keyed(&mut self, key: EventKey, target: Target, event: E) {
+        match self {
+            AnyKernel::Serial(k) => k.schedule_keyed(key, target, event),
+            AnyKernel::Parallel(k) => k.schedule_keyed(key, target, event),
+        }
+    }
+
+    #[inline]
+    fn current_key(&self) -> Option<EventKey> {
+        match self {
+            AnyKernel::Serial(k) => Kernel::<E>::current_key(k),
+            AnyKernel::Parallel(k) => Kernel::<E>::current_key(k),
         }
     }
 
@@ -889,6 +968,48 @@ mod tests {
         k.schedule(SimTime::from_ns(7), Target::Rank(2), "ext-2");
         assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("from-r1"));
         assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("ext-2"));
+    }
+
+    /// A reserved key is the event's place in the order whether or not
+    /// anything is ever scheduled under it: later keys are what they
+    /// would have been, an event scheduled late under the key still
+    /// fires where it belongs, and `current_key` names the dispatch.
+    fn reserved_keys_keep_their_place<K: Kernel<&'static str>>(mut k: K) {
+        let at = SimTime::from_ns;
+        assert_eq!(k.current_key(), None);
+        k.schedule(at(1), Target::Rank(0), "first");
+        let (_, first) = k.pop().unwrap();
+        let current = k.current_key().unwrap();
+        assert_eq!((first, current.time, current.seq), ("first", at(1), 0));
+        // Rank 0's dispatch: three keys taken, two events scheduled now.
+        let kept = k.reserve_key(at(9));
+        let held = k.reserve_key(at(9));
+        k.schedule(at(9), Target::Rank(0), "third");
+        k.schedule(at(5), Target::Rank(0), "wake");
+        assert_eq!((kept.origin, kept.seq, held.seq), (0, 0, 1));
+        k.finish_dispatch();
+        assert_eq!(k.current_key(), None);
+        assert_eq!(k.pop().map(|(_, e)| e), Some("wake"));
+        // Scheduled from a later dispatch, under the key reserved first
+        // (the one in between stays unused): fires ahead of "third".
+        k.schedule_keyed(kept, Target::Rank(0), "kept");
+        k.finish_dispatch();
+        assert_eq!(k.pop().map(|(_, e)| e), Some("kept"));
+        assert_eq!(k.current_key(), Some(kept));
+        k.finish_dispatch();
+        assert_eq!(k.pop().map(|(_, e)| e), Some("third"));
+        assert_eq!(k.current_key().map(|key| key.seq), Some(2));
+        k.finish_dispatch();
+        assert!(k.pop().is_none());
+    }
+
+    #[test]
+    fn reserved_keys_keep_their_place_under_both_kernels() {
+        reserved_keys_keep_their_place(SerialKernel::new());
+        for shards in [1, 2] {
+            let lookahead = SimDuration::from_ns(2);
+            reserved_keys_keep_their_place(ParallelKernel::new(shards, 2, lookahead));
+        }
     }
 
     #[test]

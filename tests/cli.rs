@@ -841,10 +841,12 @@ fn stress_reports_full_topology_and_throughput() {
     assert!(report.get("peak_rss_mb").as_f64().unwrap() >= 0.0);
 }
 
-/// The cut-through commit (asi-fabric's module header) took the `TryTx`
-/// wake-up out of every uncontended switch hop: 44,011 events before,
-/// 35,730 after. Event counts are deterministic, so a change that
-/// silently re-arms the wake-up fails here, not on the benchmark ladder.
+/// The cut-through commit (`fabric/port.rs`'s module header) took the
+/// `TryTx` wake-up out of every uncontended switch hop — 44,011 events
+/// before, 35,730 after — and the credit ledger the `CreditReturn` out
+/// of every hop whose upstream port has credits to spare: 22,356. Event
+/// counts are deterministic, so a change that silently brings either
+/// event back fails here, not on the benchmark ladder.
 #[test]
 fn stress_event_count_stays_under_its_budget() {
     let events = |algorithm: &str| {
@@ -859,14 +861,19 @@ fn stress_event_count_stays_under_its_budget() {
         let total: u64 = kinds.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
         let sim_events = report.get("sim_events").as_u64().unwrap();
         assert_eq!(total, sim_events, "the kinds partition the events");
-        (sim_events, by_kind.get("try_tx").as_u64().unwrap())
+        let of = |kind: &str| by_kind.get(kind).as_u64().unwrap();
+        (sim_events, of("try_tx"), of("credit_return"))
     };
-    // 2% above the 35,730 this landed at.
-    let (parallel, _) = events("parallel");
-    assert!(parallel <= 36_444, "{parallel} events");
-    // Serial Packet keeps one packet in flight on a loss-free,
-    // traffic-free fabric: no hop is contended, so every hop commits.
-    assert_eq!(events("serial-packet").1, 0, "a hop armed a wake-up");
+    // 2% above the 22,356 this landed at.
+    let (parallel, _, credit_returns) = events("parallel");
+    assert!(parallel <= 22_803, "{parallel} events");
+    // No port of a loss-free, traffic-free fabric runs short of credits.
+    assert_eq!(credit_returns, 0, "a credit came back as an event");
+    // Serial Packet keeps one packet in flight there: no hop is
+    // contended, so every hop commits.
+    let (_, wakeups, credit_returns) = events("serial-packet");
+    assert_eq!(wakeups, 0, "a hop armed a wake-up");
+    assert_eq!(credit_returns, 0, "a credit came back as an event");
 }
 
 #[test]
