@@ -601,8 +601,23 @@ mod tests {
     #[test]
     fn port_is_no_larger_than_before_the_cut_through_commit() {
         assert_eq!(std::mem::size_of::<Port>(), 152);
-        // Nor is `Event`: the wheel stores one inline per pending event.
+        // Nor is `Event`: the wheel stores each pending event once, in a
+        // slab node.
         assert_eq!(std::mem::size_of::<Event>(), 24);
+    }
+
+    /// The wheel's slab node (private to `asi-sim`, mirrored here) for
+    /// the kernel's `(target rank, Event)` payload: under a cache line,
+    /// so a word more in `Event` is a line more per pending event.
+    #[test]
+    fn wheel_node_of_an_event_is_at_most_seven_words() {
+        #[allow(dead_code)]
+        struct Node {
+            key: asi_sim::EventKey,
+            next: u32,
+            val: Option<(u32, Event)>,
+        }
+        assert!(std::mem::size_of::<Node>() <= 56);
     }
 
     #[test]

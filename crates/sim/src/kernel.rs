@@ -212,9 +212,11 @@ struct Keys {
 }
 
 impl Keys {
-    fn new() -> Keys {
+    /// Counters for `ranks` origins up front; a higher origin grows the
+    /// table when its first key is reserved.
+    fn with_ranks(ranks: u32) -> Keys {
         Keys {
-            per_rank: Vec::new(),
+            per_rank: vec![0; ranks as usize],
             external: 0,
             origin: EXTERNAL_RANK,
             current: None,
@@ -225,21 +227,27 @@ impl Keys {
     fn reserve(&mut self, at: SimTime) -> EventKey {
         let origin = self.origin;
         let counter = if origin == EXTERNAL_RANK {
-            &mut self.external
+            Some(&mut self.external)
         } else {
-            let i = origin as usize;
-            if i >= self.per_rank.len() {
-                self.per_rank.resize(i + 1, 0);
-            }
-            &mut self.per_rank[i]
+            self.per_rank.get_mut(origin as usize)
         };
-        let seq = *counter;
-        *counter += 1;
+        let seq = match counter {
+            Some(counter) => std::mem::replace(counter, *counter + 1),
+            None => self.first_key_of(origin),
+        };
         EventKey {
             time: at,
             origin,
             seq,
         }
+    }
+
+    /// Grows the table to hold `origin` and takes its sequence number 0.
+    #[cold]
+    fn first_key_of(&mut self, origin: u32) -> u32 {
+        self.per_rank.resize(origin as usize + 1, 0);
+        self.per_rank[origin as usize] = 1;
+        0
     }
 
     /// A dispatch of the event popped under `key` begins; what it
@@ -329,9 +337,15 @@ pub struct SerialKernel<E> {
 impl<E> SerialKernel<E> {
     /// A fresh serial kernel.
     pub fn new() -> SerialKernel<E> {
+        SerialKernel::with_ranks(0)
+    }
+
+    /// A fresh serial kernel whose key counters are sized for `ranks`
+    /// devices, so that reserving a key never grows them.
+    pub(crate) fn with_ranks(ranks: u32) -> SerialKernel<E> {
         SerialKernel {
             wheel: TimingWheel::new(),
-            keys: Keys::new(),
+            keys: Keys::with_ranks(ranks),
             sampler: Sampler::disabled(),
             processed: 0,
         }
@@ -360,10 +374,10 @@ impl<E> Kernel<E> for SerialKernel<E> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let head = self.wheel.peek_key()?;
+        let (key, (rank, event)) = self.wheel.pop()?;
+        // A sample is cut before the event leaves: the depth counts it.
         self.sampler
-            .advance(head.time, self.wheel.len() as u64, self.processed);
-        let (key, (rank, event)) = self.wheel.pop().expect("peeked");
+            .advance(key.time, self.wheel.len() as u64 + 1, self.processed);
         self.keys.enter(key, rank);
         self.processed += 1;
         Some((key.time, event))
@@ -482,7 +496,7 @@ impl<E> ParallelKernel<E> {
             shard_of,
             outbox: (0..shards).map(|_| Vec::new()).collect(),
             lookahead_ps: lookahead.as_ps().max(1),
-            keys: Keys::new(),
+            keys: Keys::with_ranks(ranks),
             mode: Mode::External,
             window: None,
             deadline: None,
@@ -746,7 +760,7 @@ impl<E> AnyKernel<E> {
     /// by the serial kernel).
     pub fn from_spec(spec: KernelSpec, ranks: u32, lookahead: SimDuration) -> AnyKernel<E> {
         match spec {
-            KernelSpec::Serial => AnyKernel::Serial(SerialKernel::new()),
+            KernelSpec::Serial => AnyKernel::Serial(SerialKernel::with_ranks(ranks)),
             KernelSpec::Parallel { shards } => {
                 AnyKernel::Parallel(ParallelKernel::new(shards, ranks, lookahead))
             }
