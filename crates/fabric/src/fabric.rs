@@ -26,7 +26,7 @@
 //!
 //! | file | state machine |
 //! |---|---|
-//! | `fabric/port.rs` | a port: training and carrier, output queues → `pump` → `transmit`, credits, loss |
+//! | `fabric/port.rs` | a port: training and carrier, borrowed output queues → `pump` → `transmit`, credits and their ledger, loss |
 //! | `fabric/switch.rs` | a header arriving: route step, commit or queue, multicast replication |
 //! | `fabric/endpoint.rs` | a packet delivered: the serial stages (ingress, PI-4 responder, agent), agent callbacks, traffic shots |
 //! | `fabric/inject.rs` | the outside world: activation, scheduled faults, churn |
@@ -34,7 +34,9 @@
 //! The cut-through commit and the credit ledger (an uncontended
 //! management packet crosses a switch in one kernel event, not three),
 //! with the guard list and the rule list that make them unobservable,
-//! are documented in the module header of `port.rs`.
+//! are documented in the module header of `port.rs`; so is what a port
+//! holds (one cache line) and what it borrows from the fabric-wide
+//! queue pool while it has something queued.
 
 use crate::agent::{AgentCommand, AgentCtx, DevId, FabricAgent};
 use crate::churn::ChurnAction;
@@ -60,7 +62,7 @@ mod port;
 mod switch;
 
 use endpoint::{AgentSlot, Responder, Stage, Traffic};
-use port::{CreditClass, Ledger, OutEntry, Port};
+use port::{CreditClass, Ledger, OutEntry, Port, QueueSet, Queues};
 
 /// The route a device uses to report PI-5 events to the FM.
 #[derive(Clone, Debug)]
@@ -71,13 +73,21 @@ pub struct FmRoute {
     pub pool: TurnPool,
 }
 
+/// One device. `repr(C)`: the declaration order is the memory order, and
+/// what a switch hop reads of the two devices it touches — whether the
+/// device is up, its port array, its type and port count, its ledger —
+/// comes first, in one cache line (pinned by a test below); what only
+/// a delivery, an agent callback or the control path reads follows.
+#[repr(C)]
 struct Device {
     info: DeviceInfo,
-    config: ConfigSpace,
-    ports: Vec<Port>,
+    ports: Box<[Port]>,
     /// Credit returns owed to `ports` that spent no event (`port.rs`).
     ledger: Ledger,
+    pi5_seq: u32,
     active: bool,
+    // ---- cold from here on ----
+    config: ConfigSpace,
     responder: Responder,
     /// Inbound management pipe in front of the agent: the endpoint's PI-4
     /// engine handles each received management packet for the device
@@ -87,7 +97,6 @@ struct Device {
     ingress: Stage<PacketRef>,
     agent: Option<AgentSlot>,
     fm_route: Option<FmRoute>,
-    pi5_seq: u32,
     /// Per-device random stream for loss/corruption/duplication draws,
     /// derived from the fabric seed. Device-local draws depend only on
     /// that device's own dispatch order — which every kernel preserves —
@@ -213,6 +222,10 @@ pub struct Fabric {
     /// point, so [`Fabric::packet_arena_live`] returns to 0 once a run
     /// drains.
     packets: Arena<Packet>,
+    /// The output queues of the ports that have something queued right
+    /// now: a port borrows a set at its first `enqueue_out` and returns it
+    /// when it drains (`port.rs`).
+    queues: Queues,
     /// Recycled [`AgentCtx`] port-snapshot buffer: agent callbacks fire on
     /// every delivered management packet, so allocating a fresh `Vec` per
     /// callback shows up in discovery profiles.
@@ -270,16 +283,16 @@ impl Fabric {
                 })
                 .collect();
             devices.push(Device {
-                config: ConfigSpace::new(info),
                 info,
                 ports,
                 ledger: Ledger::default(),
+                pi5_seq: 0,
                 active: false,
+                config: ConfigSpace::new(info),
                 responder: Responder::default(),
                 ingress: Stage::default(),
                 agent: None,
                 fm_route: None,
-                pi5_seq: 0,
                 rng: SimRng::new(
                     config.seed ^ (u64::from(id.0) + 1).wrapping_mul(0xA24B_AED4_963E_E407),
                 ),
@@ -305,6 +318,7 @@ impl Fabric {
             counters: FabricCounters::default(),
             trace: TraceHandle::disabled(),
             packets: Arena::new(),
+            queues: Queues::default(),
             scratch_ports: Vec::new(),
             scratch_commands: Vec::new(),
             traffic: Traffic::default(),
@@ -357,6 +371,17 @@ impl Fabric {
     /// after a drained run (the leak test checks exactly that).
     pub fn packet_arena_live(&self) -> usize {
         self.packets.live()
+    }
+
+    /// Packets waiting on output queues, over every port that holds a
+    /// queue set. A port returns its set with its last entry, so 0 here
+    /// also says no set is out on loan; like
+    /// [`Fabric::packet_arena_live`] it returns to 0 after a drained run.
+    pub fn queued_packets(&self) -> usize {
+        let queued = self.queues.iter().map(QueueSet::len);
+        let in_use = queued.clone().filter(|&n| n > 0).count();
+        debug_assert_eq!(in_use, self.queues.lent(), "a set is out iff non-empty");
+        queued.sum()
     }
 
     /// Flow-control credits that are neither in a transmitter's hand nor
@@ -450,7 +475,7 @@ impl Fabric {
                 if port.state != PortState::Active {
                     continue;
                 }
-                if let Some((pd, _)) = port.peer {
+                if let Some((pd, _)) = port.peer() {
                     if self.devices[pd.idx()].active && !seen[pd.idx()] {
                         seen[pd.idx()] = true;
                         queue.push_back(pd);
@@ -594,16 +619,28 @@ impl Fabric {
 mod tests {
     use super::*;
 
-    /// A fabric holds one `Port` per switch port whether wired or not
-    /// (131,072 on `mesh:64x64`), so a word more here is a percent more
-    /// set-up memory there. `cut_until` took the word `try_tx_at` gave
-    /// up by becoming a sentinel instead of an `Option`.
+    /// A fabric holds one `Port` per switch port whether wired or not:
+    /// 69,632 on `mesh:64x64` (45,312 of them dangling), 242,688 on
+    /// `dragonfly:8,48`, 1,302,528 on `dragonfly:8,128` — where the 96
+    /// bytes of inline queue headers `Port` used to carry were 119 MiB,
+    /// and a word more is 10 MiB. At most a cache line, so that the
+    /// cut-through guard reads one line of the egress port; the queues
+    /// are on loan from `Fabric::queues` only while something is queued.
     #[test]
-    fn port_is_no_larger_than_before_the_cut_through_commit() {
-        assert_eq!(std::mem::size_of::<Port>(), 152);
-        // Nor is `Event`: the wheel stores each pending event once, in a
-        // slab node.
-        assert_eq!(std::mem::size_of::<Event>(), 24);
+    fn port_and_hot_device_prefix_fit_a_cache_line() {
+        use std::mem::{offset_of, size_of};
+        assert!(size_of::<Port>() <= 64, "{}", size_of::<Port>());
+        // What `on_arrive`, the guard, `transmit` and `return_credits`
+        // read of a device: two devices per hop, one line each.
+        assert!(offset_of!(Device, info) + size_of::<DeviceInfo>() <= 64);
+        assert!(offset_of!(Device, ports) + size_of::<Box<[Port]>>() <= 64);
+        assert!(offset_of!(Device, ledger) + size_of::<Ledger>() <= 64);
+        assert!(offset_of!(Device, pi5_seq) < 64);
+        assert!(offset_of!(Device, active) < 64);
+        // `Event` and `OutEntry` move by value through the wheel's slab
+        // nodes and the queues: three words each.
+        assert_eq!(size_of::<Event>(), 24);
+        assert_eq!(size_of::<OutEntry>(), 24);
     }
 
     /// The wheel's slab node (private to `asi-sim`, mirrored here) for

@@ -75,7 +75,7 @@ impl Fabric {
     /// active is left alone), for activation and a flap's up edge alike.
     /// True if the link exists and both ends are alive.
     fn retrain(&mut self, dev: DevId, port: u8) -> bool {
-        let Some((peer_dev, peer_port)) = self.devices[dev.idx()].ports[usize::from(port)].peer
+        let Some((peer_dev, peer_port)) = self.devices[dev.idx()].ports[usize::from(port)].peer()
         else {
             return false;
         };
@@ -99,7 +99,7 @@ impl Fabric {
             // Own side: silent death. Peer side: carrier loss, reported.
             self.carrier_lost(dev, port, false);
             if let Some((peer_dev, peer_port)) =
-                self.devices[dev.idx()].ports[usize::from(port)].peer
+                self.devices[dev.idx()].ports[usize::from(port)].peer()
             {
                 self.carrier_lost(peer_dev, peer_port, true);
             }
@@ -132,7 +132,7 @@ impl Fabric {
         if !self.fault_link_exists(dev, port) {
             return;
         }
-        let Some(peer) = self.devices[dev.idx()].ports[usize::from(port)].peer else {
+        let Some(peer) = self.devices[dev.idx()].ports[usize::from(port)].peer() else {
             return;
         };
         self.counters.link_flaps += 1;

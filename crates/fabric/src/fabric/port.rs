@@ -1,7 +1,8 @@
-//! A port: link training and carrier, the three output queues and the
-//! serializer that drains them (`enqueue_out` → `pump` → `transmit`),
-//! credit flow control, injected loss — and the one way a locally born
-//! packet gets in (`inject`) and a dead one gets out (`drop_entry`).
+//! A port: link training and carrier, the three output queues it
+//! borrows while it has something to send and the serializer that drains
+//! them (`enqueue_out` → `pump` → `transmit`), credit flow control,
+//! injected loss — and the one way a locally born packet gets in
+//! (`inject`) and a dead one gets out (`drop_entry`).
 //!
 //! ## Events per switch hop: three, two, one
 //!
@@ -62,8 +63,8 @@
 //! the order* — which later reads of the credits see it. So
 //! `return_credits` still takes the event's key (`reserve_key`: same
 //! origin, same per-origin sequence number as the event would have had),
-//! and then, instead of an event, appends `(key, port, class, amount)`
-//! to a ledger on the upstream device. Whoever reads a port's credits
+//! and then, instead of an event, enters `(key, port, class, amount)`
+//! on the ledger of the upstream device. Whoever reads a port's credits
 //! first takes in every entry whose key is below the key of the event
 //! being dispatched — exactly the `CreditReturn`s that would already have
 //! fired. One event per hop:
@@ -96,6 +97,31 @@
 //! in between) does, at the same instant — the same transmission at the
 //! same time, but a stall that both dispatches would have counted is
 //! counted once, and an arrival in between sees the head still queued.
+//!
+//! ## What an idle port holds, what a queued port borrows
+//!
+//! A fabric is mostly ports — 69,632 on `mesh:64x64`, 242,688 on
+//! `dragonfly:8,48`, 1,302,528 on `dragonfly:8,128` — and nearly all of
+//! them have nothing queued nearly all of the time: the commit above
+//! never queues, and a reply injected on an idle port leaves in the
+//! dispatch that queued it. So a port owns no queue. It borrows a
+//! [`QueueSet`] from the fabric-wide pool ([`Queues`]) at the
+//! `enqueue_out` that finds it without one and hands it back, buffers
+//! and all, with the entry that empties it:
+//!
+//! | | an idle port holds | a port with something queued also borrows |
+//! |---|---|---|
+//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, `rate_next`, the credits in hand, `credits_by_event`, `ge_bad`, and `q = NIL` | management, bypass and ordered-data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew |
+//! | where | 56 bytes in its device's port array | 96 bytes of `Fabric::queues`, at index `q` |
+//! | from, until | `Fabric::new` to the end of the run | the first `enqueue_out` on an empty port, to the `pop_head` or `drain_port` that takes its last entry |
+//! | read by | `on_arrive`, the guard, `transmit`, `return_credits` — one line, no queue: "all three egress queues empty" is `q == NIL` | `enqueue_out`, `pump` (`next_action`, `pop_head`), `drain_port` |
+//!
+//! A set goes home empty and the one returned last is lent first, so the
+//! pool is as large as the most ports that were ever non-empty at once
+//! (6 sets on `dragonfly:8,48`'s discovery, 741 for the 4,352 ports of a
+//! 16x16 mesh under 0.4 data load) and the set a reply borrows is
+//! usually the one the previous reply warmed. Deep queues stay what they
+//! were: contiguous `VecDeque`s.
 
 use super::*;
 
@@ -149,17 +175,94 @@ pub(super) struct OutEntry {
     pub(super) origin: Option<CreditOrigin>,
 }
 
-/// One port of a device.
-pub(super) struct Port {
-    pub(super) peer: Option<(DevId, u8)>,
-    /// Down → Training → Active; written by [`Fabric::set_port_state`]
-    /// alone, which keeps the device's configuration space in step.
-    pub(super) state: PortState,
+/// The output queues of one port, for as long as it has something queued.
+#[derive(Default)]
+pub(super) struct QueueSet {
     mgmt_q: VecDeque<OutEntry>,
     /// BVC bypass queue: data packets with the `OO` header bit may jump
     /// ahead of the ordered data queue (paper §2's bypassable VCs).
     bypass_q: VecDeque<OutEntry>,
     data_q: VecDeque<OutEntry>,
+}
+
+impl QueueSet {
+    pub(super) fn len(&self) -> usize {
+        self.mgmt_q.len() + self.bypass_q.len() + self.data_q.len()
+    }
+}
+
+/// The fabric's queue sets, lent to ports by index and taken back with
+/// whatever buffers they have grown: as many as were ever out at once,
+/// not one per port.
+#[derive(Default)]
+pub(super) struct Queues {
+    sets: Vec<QueueSet>,
+    /// Indices of the sets at home; the one returned last (and so most
+    /// likely still cached) is lent first.
+    free: Vec<u32>,
+}
+
+impl Queues {
+    /// Lends a set: the one returned last, or a new one.
+    #[inline]
+    fn lend(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let at = u32::try_from(self.sets.len()).ok().filter(|&at| at != NIL);
+            self.sets.push(QueueSet::default());
+            at.expect("queue set indices stay below the NIL sentinel")
+        })
+    }
+
+    /// Takes set `at` back; the port that held it has emptied it.
+    #[inline]
+    fn take_back(&mut self, at: u32) {
+        self.free.push(at);
+    }
+
+    /// How many sets are out.
+    pub(super) fn lent(&self) -> usize {
+        self.sets.len() - self.free.len()
+    }
+
+    /// Every set, lent or at home.
+    pub(super) fn iter(&self) -> std::slice::Iter<'_, QueueSet> {
+        self.sets.iter()
+    }
+}
+
+impl std::ops::Index<u32> for Queues {
+    type Output = QueueSet;
+    #[inline]
+    fn index(&self, at: u32) -> &QueueSet {
+        &self.sets[at as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Queues {
+    #[inline]
+    fn index_mut(&mut self, at: u32) -> &mut QueueSet {
+        &mut self.sets[at as usize]
+    }
+}
+
+/// No index: [`Port::q`] of a port with nothing queued, [`Port::peer_dev`]
+/// of a port with nothing plugged in.
+const NIL: u32 = u32::MAX;
+
+/// One port of a device: 56 bytes, and everything the cut-through guard
+/// asks of it is in them (the table in the module header).
+pub(super) struct Port {
+    /// The device at the other end of the link ([`NIL`] if the port is
+    /// dangling) and its port there; read through [`Port::peer`].
+    peer_dev: u32,
+    peer_port: u8,
+    /// Down → Training → Active; written by [`Fabric::set_port_state`]
+    /// alone, which keeps the device's configuration space in step.
+    pub(super) state: PortState,
+    /// The queue set this port has on loan from [`Fabric::queues`], or
+    /// [`NIL`]: a port borrows one at its first `enqueue_out` and hands
+    /// it back the moment it drains, so `q == NIL` *is* "nothing queued".
+    q: u32,
     busy_until: SimTime,
     /// Earliest pending [`Event::TryTx`] wakeup for this port
     /// ([`NO_WAKEUP`] when none; a sentinel rather than an `Option` so
@@ -311,12 +414,12 @@ enum Action {
 impl Port {
     /// A port in its power-on state: down, idle, a full set of credits.
     pub(super) fn new(peer: Option<(DevId, u8)>, config: &FabricConfig) -> Port {
+        let (peer_dev, peer_port) = peer.map_or((NIL, 0), |(dev, port)| (dev.0, port));
         Port {
-            peer,
+            peer_dev,
+            peer_port,
             state: PortState::Down,
-            mgmt_q: VecDeque::new(),
-            bypass_q: VecDeque::new(),
-            data_q: VecDeque::new(),
+            q: NIL,
             busy_until: SimTime::ZERO,
             try_tx_at: NO_WAKEUP,
             cut_until: SimTime::ZERO,
@@ -327,22 +430,34 @@ impl Port {
         }
     }
 
-    fn queued(&self) -> usize {
-        self.mgmt_q.len() + self.bypass_q.len() + self.data_q.len()
+    /// The far end of the link, if the port is wired.
+    #[inline]
+    pub(super) fn peer(&self) -> Option<(DevId, u8)> {
+        (self.peer_dev != NIL).then_some((DevId(self.peer_dev), self.peer_port))
+    }
+
+    /// Whether anything is queued here: the guard's "all three egress
+    /// queues empty", without reading a queue.
+    #[inline]
+    fn is_queued(&self) -> bool {
+        self.q != NIL
     }
 
     /// Pops the head `pump` just inspected for `class`: the management
-    /// queue, or the bypass queue ahead of ordered data.
+    /// queue, or the bypass queue ahead of ordered data. The port's queue
+    /// set goes home with the last entry.
     #[inline]
-    fn pop_head(&mut self, class: CreditClass) -> OutEntry {
-        match class {
-            CreditClass::Mgmt => self.mgmt_q.pop_front(),
-            CreditClass::Data => self
-                .bypass_q
-                .pop_front()
-                .or_else(|| self.data_q.pop_front()),
+    fn pop_head(&mut self, queues: &mut Queues, class: CreditClass) -> OutEntry {
+        let set = &mut queues[self.q];
+        let entry = match class {
+            CreditClass::Mgmt => set.mgmt_q.pop_front(),
+            CreditClass::Data => set.bypass_q.pop_front().or_else(|| set.data_q.pop_front()),
         }
-        .expect("head inspected above")
+        .expect("head inspected above");
+        if set.len() == 0 {
+            queues.take_back(std::mem::replace(&mut self.q, NIL));
+        }
+        entry
     }
 
     /// The one credit decision: whether a `size`-byte packet of `class`
@@ -373,20 +488,22 @@ impl Port {
         now: SimTime,
         config: &FabricConfig,
         packets: &Arena<Packet>,
+        queues: &Queues,
         rate_limited: bool,
         held: [u32; 2],
     ) -> Action {
-        if self.queued() == 0 {
+        if !self.is_queued() {
             return Action::Idle;
         }
         if self.busy_until > now {
             return Action::Wait(self.busy_until);
         }
         // Management first, then the BVC bypass queue, then ordered data.
-        let (class, entry) = match (self.mgmt_q.front(), self.bypass_q.front()) {
+        let set = &queues[self.q];
+        let (class, entry) = match (set.mgmt_q.front(), set.bypass_q.front()) {
             (Some(e), _) => (CreditClass::Mgmt, e),
             (None, Some(e)) => (CreditClass::Data, e),
-            (None, None) => (CreditClass::Data, self.data_q.front().expect("queued > 0")),
+            (None, None) => (CreditClass::Data, set.data_q.front().expect("a lent set")),
         };
         if class == CreditClass::Data && rate_limited && self.rate_next > now {
             Action::Wait(self.rate_next)
@@ -467,7 +584,7 @@ impl Fabric {
         if !self.config.flow_control {
             return None;
         }
-        let peer = self.devices[dev.idx()].ports[usize::from(port)].peer?;
+        let peer = self.devices[dev.idx()].ports[usize::from(port)].peer()?;
         let body = self.packets.get(packet.0);
         Some(CreditOrigin {
             dev: peer.0,
@@ -550,10 +667,14 @@ impl Fabric {
         let body = self.packets.get(entry.packet.0);
         let (class, bypass) = (CreditClass::of(body), body.header.oo);
         let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+        if !p.is_queued() {
+            p.q = self.queues.lend();
+        }
+        let set = &mut self.queues[p.q];
         match class {
-            CreditClass::Mgmt => p.mgmt_q.push_back(entry),
-            CreditClass::Data if bypass => p.bypass_q.push_back(entry),
-            CreditClass::Data => p.data_q.push_back(entry),
+            CreditClass::Mgmt => set.mgmt_q.push_back(entry),
+            CreditClass::Data if bypass => set.bypass_q.push_back(entry),
+            CreditClass::Data => set.data_q.push_back(entry),
         }
         // Occupancy high-water marks per VC class. Queue depths are
         // device-local, so under the kernel-identity contract the
@@ -562,10 +683,10 @@ impl Fabric {
         // would still be in the management queue.
         let committed = usize::from(p.cut_until > self.sim.now());
         let c = &mut self.counters;
-        c.mgmt_queue_peak = c.mgmt_queue_peak.max((p.mgmt_q.len() + committed) as u64);
+        c.mgmt_queue_peak = c.mgmt_queue_peak.max((set.mgmt_q.len() + committed) as u64);
         c.data_queue_peak = c
             .data_queue_peak
-            .max((p.bypass_q.len() + p.data_q.len()) as u64);
+            .max((set.bypass_q.len() + set.data_q.len()) as u64);
         self.pump(dev, port);
     }
 
@@ -599,7 +720,8 @@ impl Fabric {
             let d = &mut self.devices[dev.idx()];
             let held = *d.credits(port, key);
             let p = &mut d.ports[usize::from(port)];
-            match p.next_action(now, &self.config, &self.packets, rate_limited, held) {
+            let queues = &mut self.queues;
+            match p.next_action(now, &self.config, &self.packets, queues, rate_limited, held) {
                 Action::Idle => return,
                 Action::Wait(at) => {
                     if p.try_tx_at > at {
@@ -614,10 +736,10 @@ impl Fabric {
                     return;
                 }
                 Action::Oversized(class) => {
-                    let entry = p.pop_head(class);
+                    let entry = p.pop_head(queues, class);
                     self.drop_entry(entry, |c| &mut c.dropped_bad_route);
                 }
-                Action::Tx(class) => match (p.pop_head(class), p.peer) {
+                Action::Tx(class) => match (p.pop_head(queues, class), p.peer()) {
                     (entry, Some(peer)) => self.transmit(dev, port, class, entry, peer, now),
                     // Dangling port: count as link-down drop.
                     (entry, None) => self.drop_entry(entry, |c| &mut c.dropped_link_down),
@@ -647,13 +769,13 @@ impl Fabric {
         let d = &mut self.devices[dev.idx()];
         let p = &d.ports[usize::from(port)];
         if p.state != PortState::Active
-            || p.queued() != 0
+            || p.is_queued()
             || p.busy_until > entry.ready
             || p.cut_until > self.sim.now()
         {
             return None;
         }
-        let peer = p.peer;
+        let peer = p.peer();
         let held = *d.credits(port, self.sim.current_key());
         match Port::admit(&self.config, held, CreditClass::Mgmt, body.wire_size()) {
             Action::Tx(_) => peer,
@@ -732,16 +854,22 @@ impl Fabric {
 
     /// Everything queued on a port that went down is lost with the link.
     fn drain_port(&mut self, dev: DevId, port: u8) {
-        // One entry at a time, no interim Vec: this runs on every pump()
-        // of a downed port.
+        // This runs on every pump() of a downed port: most find nothing.
+        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
+        if !p.is_queued() {
+            return;
+        }
+        // One entry at a time, no interim Vec; the set goes home empty.
+        let q = std::mem::replace(&mut p.q, NIL);
         loop {
-            let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-            let entry = (p.mgmt_q.pop_front())
-                .or_else(|| p.bypass_q.pop_front())
-                .or_else(|| p.data_q.pop_front());
+            let set = &mut self.queues[q];
+            let entry = (set.mgmt_q.pop_front())
+                .or_else(|| set.bypass_q.pop_front())
+                .or_else(|| set.data_q.pop_front());
             let Some(entry) = entry else { break };
             self.drop_entry(entry, |c| &mut c.dropped_link_down);
         }
+        self.queues.take_back(q);
     }
 
     // ---------------- training and carrier ----------------
@@ -753,7 +881,7 @@ impl Fabric {
         let p = &mut d.ports[usize::from(port)];
         p.state = state;
         // The partner's port number is exchanged during link training.
-        let peer_port = match (state, p.peer) {
+        let peer_port = match (state, p.peer()) {
             (PortState::Active, Some((_, pp))) => pp,
             _ => 0,
         };
@@ -799,7 +927,9 @@ impl Fabric {
             return;
         }
         // The peer may have been deactivated mid-training.
-        if p.peer.is_some_and(|(pd, _)| !self.devices[pd.idx()].active) {
+        if p.peer()
+            .is_some_and(|(pd, _)| !self.devices[pd.idx()].active)
+        {
             self.set_port_state(dev, port, PortState::Down);
             return;
         }
@@ -847,5 +977,261 @@ impl Fabric {
         });
         let packet = Packet::new(header, Payload::Pi5(report));
         self.inject(dev, route.egress, now, packet);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Switch `S` of a star and the endpoint on its port 0.
+    const S: DevId = DevId(0);
+    const E0: DevId = DevId(1);
+
+    /// `S` with endpoints on ports 0, 1, 2, trained.
+    fn star() -> Fabric {
+        let mut topo = Topology::new("star");
+        let switch = topo.add_switch(16, "S");
+        for port in 0..3 {
+            let end = topo.add_endpoint(format!("E{port}"));
+            topo.connect(switch, port, end, 0).unwrap();
+        }
+        let mut fabric = Fabric::new(&topo, FabricConfig::default());
+        fabric.activate_all(SimDuration::ZERO);
+        fabric.run_until_idle();
+        fabric
+    }
+
+    /// The three queues of a port, as plain FIFOs of packet tags.
+    #[derive(Default, Debug, PartialEq)]
+    struct Model {
+        mgmt: VecDeque<u16>,
+        bypass: VecDeque<u16>,
+        data: VecDeque<u16>,
+    }
+
+    impl Model {
+        fn len(&self) -> usize {
+            self.mgmt.len() + self.bypass.len() + self.data.len()
+        }
+
+        /// Management first, bypass before ordered data, FIFO within.
+        fn pop(&mut self) -> Option<u16> {
+            (self.mgmt.pop_front())
+                .or_else(|| self.bypass.pop_front())
+                .or_else(|| self.data.pop_front())
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Lane {
+        Mgmt,
+        Bypass,
+        Data,
+    }
+
+    /// A tagged management or data packet addressed to whoever is at the
+    /// far end of the link it is put on.
+    fn tagged(lane: Lane, tag: u16) -> Packet {
+        let (pi, tc) = match lane {
+            Lane::Mgmt => (ProtocolInterface::DeviceManagement, MANAGEMENT_TC),
+            _ => (ProtocolInterface::Data, 0),
+        };
+        let mut header = RouteHeader::forward(pi, tc, TurnPool::new_spec());
+        header.oo = matches!(lane, Lane::Bypass);
+        let payload = match lane {
+            Lane::Mgmt => Payload::Pi4(Pi4::WriteCompletion {
+                req_id: u32::from(tag),
+            }),
+            _ => Payload::Data { len: tag },
+        };
+        Packet::new(header, payload)
+    }
+
+    impl Fabric {
+        fn port(&mut self, dev: DevId, port: u8) -> &mut Port {
+            &mut self.devices[dev.idx()].ports[usize::from(port)]
+        }
+
+        /// What `(dev, port)` has queued, read off the set it holds.
+        fn observed(&self, dev: DevId, port: u8) -> Model {
+            let p = &self.devices[dev.idx()].ports[usize::from(port)];
+            if !p.is_queued() {
+                return Model::default();
+            }
+            let tags = |q: &VecDeque<OutEntry>| {
+                q.iter()
+                    .map(|e| match self.packets.get(e.packet.0).payload {
+                        Payload::Pi4(Pi4::WriteCompletion { req_id }) => req_id as u16,
+                        Payload::Data { len } => len,
+                        ref other => panic!("unexpected {other:?}"),
+                    })
+                    .collect()
+            };
+            let set = &self.queues[p.q];
+            Model {
+                mgmt: tags(&set.mgmt_q),
+                bypass: tags(&set.bypass_q),
+                data: tags(&set.data_q),
+            }
+        }
+
+        /// The sets out on loan, by port; panics if two ports hold one.
+        fn sets_held(&self) -> Vec<u32> {
+            let ports = self.devices.iter().flat_map(|d| d.ports.iter());
+            let mut held: Vec<u32> = ports.filter(|p| p.is_queued()).map(|p| p.q).collect();
+            held.sort_unstable();
+            assert!(held.windows(2).all(|w| w[0] != w[1]), "a set lent twice");
+            assert_eq!(held.len(), self.queues.lent());
+            held
+        }
+
+        /// Sets the credits `(S, port)` has in hand, both classes.
+        fn set_credits(&mut self, port: u8, held: [u32; 2]) {
+            let key = self.sim.current_key();
+            *self.devices[S.idx()].credits(port, key) = held;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The real `enqueue_out` / `pump` / `carrier_lost` /
+        /// `on_port_trained` on three ports that borrow from one pool,
+        /// against three plain `VecDeque`s per port. The clock stands
+        /// still, so the test decides what each pump finds: a serializer
+        /// that is busy (an enqueue), free (a pump: exactly one head
+        /// leaves) or free with no credits in hand (a stall).
+        #[test]
+        fn queue_discipline_matches_three_plain_fifos_per_port(
+            ops in prop::collection::vec((0u8..3, 0u8..16), 1..160),
+        ) {
+            let mut fabric = star();
+            let now = fabric.now();
+            let busy = now + SimDuration::from_us(1_000_000);
+            let full = credit_capacity(&fabric.config);
+            let mut model: [Model; 3] = Default::default();
+            let (mut mgmt_peak, mut data_peak, mut lost) = (0, 0, 0);
+            for (tag, (port, op)) in ops.into_iter().enumerate() {
+                let (tag, m) = (tag as u16 + 64, &mut model[usize::from(port)]);
+                let up = fabric.port(S, port).state == PortState::Active;
+                match op {
+                    0..=8 => {
+                        let (lane, queue) = match op {
+                            0..=2 => (Lane::Mgmt, &mut m.mgmt),
+                            3..=4 => (Lane::Bypass, &mut m.bypass),
+                            _ => (Lane::Data, &mut m.data),
+                        };
+                        queue.push_back(tag);
+                        mgmt_peak = mgmt_peak.max(m.mgmt.len());
+                        data_peak = data_peak.max(m.bypass.len() + m.data.len());
+                        if !up {
+                            // Lost on the spot: the port is dead.
+                            lost += m.len();
+                            *m = Model::default();
+                        }
+                        fabric.port(S, port).busy_until = busy;
+                        fabric.inject(S, port, now, tagged(lane, tag));
+                    }
+                    9..=12 => {
+                        fabric.port(S, port).busy_until = now;
+                        fabric.set_credits(port, full);
+                        fabric.pump(S, port);
+                        m.pop();
+                    }
+                    13 => {
+                        let stalls = fabric.counters.credit_stalls;
+                        fabric.port(S, port).busy_until = now;
+                        fabric.set_credits(port, [0, 0]);
+                        fabric.pump(S, port);
+                        let stalled = u64::from(up && m.len() > 0);
+                        prop_assert_eq!(fabric.counters.credit_stalls, stalls + stalled);
+                    }
+                    14 if up => {
+                        fabric.carrier_lost(S, port, true);
+                        lost += m.len();
+                        *m = Model::default();
+                    }
+                    _ => {
+                        fabric.begin_training(S, port);
+                        fabric.on_port_trained(S, port);
+                    }
+                }
+                // Same contents in the same order, so the same pops; a
+                // set is held exactly while something is queued, and by
+                // one port only.
+                for port in 0..3u8 {
+                    let m = &model[usize::from(port)];
+                    prop_assert_eq!(&fabric.observed(S, port), m);
+                    prop_assert_eq!(fabric.port(S, port).is_queued(), m.len() > 0);
+                }
+                fabric.sets_held();
+                prop_assert_eq!(fabric.queued_packets(), model.iter().map(Model::len).sum());
+                prop_assert_eq!(fabric.counters.dropped_link_down, lost as u64);
+            }
+            prop_assert_eq!(fabric.counters.mgmt_queue_peak, mgmt_peak as u64);
+            prop_assert_eq!(fabric.counters.data_queue_peak, data_peak as u64);
+            // Every set comes home: a dead port holds none, a live one
+            // drains through its serializer.
+            for port in 0..3 {
+                fabric.port(S, port).busy_until = now;
+                fabric.set_credits(port, full);
+                fabric.pump(S, port);
+            }
+            fabric.run_until_idle();
+            prop_assert_eq!(fabric.queues.lent(), 0);
+            prop_assert_eq!(fabric.queued_packets(), 0);
+            prop_assert_eq!(fabric.packet_arena_live(), 0);
+        }
+    }
+
+    #[test]
+    fn a_set_a_removed_device_returned_is_lent_to_another_port_and_not_shared() {
+        let mut fabric = star();
+        let now = fabric.now();
+        // Ready long after everything below: whatever is queued stays.
+        let later = now + SimDuration::from_us(10);
+        fabric.inject(E0, 0, later, tagged(Lane::Mgmt, 1));
+        fabric.inject(S, 1, later, tagged(Lane::Data, 2));
+        let (first, second) = (fabric.port(E0, 0).q, fabric.port(S, 1).q);
+        assert_eq!(fabric.sets_held(), [first, second]);
+        // Churn removes E0: its packet is lost with the link, its set
+        // goes home.
+        fabric.sched_at(now, Event::ChurnRemove { dev: E0 });
+        fabric.run_until(now);
+        assert_eq!(fabric.counters.dropped_link_down, 1);
+        assert!(!fabric.port(E0, 0).is_queued());
+        assert_eq!(fabric.sets_held(), [second]);
+        // The next port to queue anything borrows that very set, and
+        // finds nothing of E0's in it; S's port 1 still has its own.
+        fabric.inject(S, 2, later, tagged(Lane::Bypass, 3));
+        assert_eq!(fabric.port(S, 2).q, first);
+        let only = |lane: Lane, tag: u16| {
+            let mut model = Model::default();
+            match lane {
+                Lane::Mgmt => model.mgmt.push_back(tag),
+                Lane::Bypass => model.bypass.push_back(tag),
+                Lane::Data => model.data.push_back(tag),
+            }
+            model
+        };
+        assert_eq!(fabric.observed(S, 2), only(Lane::Bypass, 3));
+        assert_eq!(fabric.observed(S, 1), only(Lane::Data, 2));
+        // Re-added and retrained (1 µs), E0 queues again — on a third
+        // set, the first being out.
+        fabric.sched_at(now, Event::ChurnAdd { dev: E0 });
+        fabric.run_until(now + SimDuration::from_us(2));
+        assert_eq!(fabric.port(E0, 0).state, PortState::Active);
+        fabric.inject(E0, 0, later, tagged(Lane::Mgmt, 4));
+        assert_eq!(fabric.sets_held().len(), 3);
+        assert_eq!(fabric.observed(E0, 0), only(Lane::Mgmt, 4));
+        assert_eq!(fabric.observed(S, 2), only(Lane::Bypass, 3));
+        assert_eq!(fabric.queued_packets(), 3);
+        fabric.run_until_idle();
+        assert_eq!(fabric.queued_packets(), 0);
+        assert_eq!(fabric.sets_held(), []);
+        assert_eq!(fabric.packet_arena_live(), 0);
+        assert_eq!(fabric.counters.churn_events, 2);
     }
 }

@@ -174,6 +174,7 @@ fn uncontended_hop_commits_and_keeps_its_timestamps() {
     assert_eq!(try_tx(&fabric), 0, "the hop must not arm a wake-up");
     assert_eq!(fabric.counters().mgmt_queue_peak, 1);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
     assert_eq!(fabric.credits_outstanding(), 0);
 }
 
@@ -351,6 +352,7 @@ fn a_hop_one_credit_short_falls_back_and_stalls_as_before() {
     assert_eq!(try_tx(&fabric), 2);
     assert_eq!(credit_returns(&fabric), 1);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
     assert_eq!(fabric.credits_outstanding(), 0);
 }
 
@@ -374,6 +376,7 @@ fn packets_in_a_row_through_one_port_commit_without_a_credit_event() {
     // Eight hops, eight credits handed back, none through the kernel.
     assert_eq!(credit_returns(&fabric), 0);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
     assert_eq!(fabric.credits_outstanding(), 0);
 }
 
@@ -398,6 +401,7 @@ fn a_ledgered_credit_counts_from_its_key_on_and_not_before() {
         s.fire(&mut fabric, c, 0, at - 53);
         fabric.run_until_idle();
         assert_eq!(fabric.packet_arena_live(), 0);
+        assert_eq!(fabric.queued_packets(), 0);
         assert_eq!(fabric.credits_outstanding(), 0);
         let stalls = fabric.counters().credit_stalls;
         (s.received(&fabric, b, t0)[1], try_tx(&fabric), stalls)
@@ -448,6 +452,7 @@ fn a_retrain_between_a_credit_s_return_and_its_key_resets_as_before() {
     assert_eq!(fabric.counters().credit_stalls, 0);
     assert_eq!(fabric.counters().link_flaps, 1);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
 }
 
 /// When a 22-byte packet an endpoint sent at `sent` is seen by the agent
@@ -490,6 +495,7 @@ fn a_stalling_port_s_ledger_entries_fire_under_the_keys_they_hold() {
     assert_eq!(try_tx(&fabric), 1);
     assert_eq!(credit_returns(&fabric), 3);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
     assert_eq!(fabric.credits_outstanding(), 0);
 }
 
@@ -518,6 +524,7 @@ fn a_pending_link_fault_disables_the_commit() {
     };
     assert_eq!(*fabric.counters(), expected);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
 }
 
 #[test]
@@ -541,6 +548,7 @@ fn a_deactivation_from_outside_waits_for_the_commitment_to_start() {
     assert_eq!(fabric.counters().dropped_inactive, 1);
     assert_eq!(fabric.counters().dropped_link_down, 0);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
 }
 
 #[test]
@@ -604,6 +612,7 @@ fn oversized_bypass_packet_is_dropped_from_the_queue_it_sits_in() {
     fabric.run_until_idle();
     assert_eq!(fabric.counters().dropped_bad_route, 1);
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
     // Behind a busy serializer, next to an ordered packet that fits
     // (this used to drop the ordered packet and send the oversized one).
     for (token, at) in [(1, 1000), (1, 1000), (0, 1000)] {
@@ -614,5 +623,6 @@ fn oversized_bypass_packet_is_dropped_from_the_queue_it_sits_in() {
     let lens: Vec<u32> = s.received(&fabric, 2, t0).iter().map(|r| r.1).collect();
     assert_eq!(lens, [64, 64], "both ordered packets arrive");
     assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
     assert_eq!(fabric.credits_outstanding(), 0);
 }

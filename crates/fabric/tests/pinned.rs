@@ -35,9 +35,19 @@ fn observe(run: &DiscoveryRun, fabric: &Fabric) -> Pinned {
     }
 }
 
+/// Runs what is left on the clock and checks that nothing is: no packet
+/// body alive, no packet queued — and so no queue set out on loan.
+fn drained(fabric: &mut Fabric) {
+    fabric.run_until_idle();
+    assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
+}
+
 fn start_mesh8(scenario: &Scenario) -> Pinned {
-    let bench = Bench::start(&mesh(8, 8).unwrap().topology, scenario, &[]);
-    observe(&bench.last_run(), &bench.fabric)
+    let mut bench = Bench::start(&mesh(8, 8).unwrap().topology, scenario, &[]);
+    let pinned = observe(&bench.last_run(), &bench.fabric);
+    drained(&mut bench.fabric);
+    pinned
 }
 
 /// A loss-free, traffic-free 8x8 discovery: 800 requests, all answered;
@@ -112,6 +122,7 @@ fn torus4_change_remove() {
             },
         }
     );
+    drained(&mut bench.fabric);
 }
 
 #[test]
@@ -139,6 +150,7 @@ fn torus4_change_add() {
             },
         }
     );
+    drained(&mut bench.fabric);
 }
 
 #[test]
@@ -183,7 +195,7 @@ fn mesh8_under_heavy_data_load_drained() {
         .with_window(SimDuration::ZERO, SimDuration::from_us(2000));
     let scenario = Scenario::new(Algorithm::Parallel).with_traffic_plan(plan);
     let mut bench = Bench::start(&mesh(8, 8).unwrap().topology, &scenario, &[]);
-    bench.fabric.run_until_idle();
+    drained(&mut bench.fabric);
     assert_eq!(
         observe(&bench.last_run(), &bench.fabric),
         Pinned {
@@ -208,7 +220,6 @@ fn mesh8_under_heavy_data_load_drained() {
             },
         }
     );
-    assert_eq!(bench.fabric.packet_arena_live(), 0);
     assert_eq!(bench.fabric.credits_outstanding(), 0);
 }
 
@@ -275,7 +286,7 @@ fn mesh8_bursty_loss_and_a_flap_drained() {
         .with_link_flap(flap, g.switch_at(1, 0).0, 1, SimDuration::from_us(50));
     let scenario = lossy(LossModel::None).with_faults(faults);
     let mut bench = Bench::start(&g.topology, &scenario, &[]);
-    bench.fabric.run_until_idle();
+    drained(&mut bench.fabric);
     assert_eq!(
         observe(&bench.last_run(), &bench.fabric),
         Pinned {
@@ -295,5 +306,4 @@ fn mesh8_bursty_loss_and_a_flap_drained() {
             },
         }
     );
-    assert_eq!(bench.fabric.packet_arena_live(), 0);
 }

@@ -223,4 +223,44 @@ fn deactivating_fm_host_breaks_cleanly() {
     assert!(c.total_dropped() >= 1, "in-flight packet should drop");
     let probe = fabric.agent_as::<LatencyProbe>(dev(src)).unwrap();
     assert!(!probe.latencies.is_empty());
+    assert_eq!(fabric.packet_arena_live(), 0);
+    assert_eq!(fabric.queued_packets(), 0);
+}
+
+#[test]
+fn deactivation_under_deep_queues_counts_every_entry_and_leaves_nothing_queued() {
+    // Saturating data load on a 3x3 mesh: by 1 ms the centre switch has
+    // deep output queues, and so have the ports that face it.
+    let g = mesh(3, 3).unwrap();
+    let config = FabricConfig {
+        traffic: TrafficPlan::none()
+            .with_unicast(0.9, 1024)
+            .with_window(SimDuration::ZERO, SimDuration::from_ms(2)),
+        ..FabricConfig::default()
+    };
+    let mut fabric = Fabric::new(&g.topology, config);
+    fabric.set_event_limit(100_000_000);
+    fabric.activate_all(SimDuration::ZERO);
+    fabric.run_until(SimTime::from_ms(1));
+    let victim = dev(g.switch_at(1, 1));
+    fabric.schedule_deactivate(victim, SimDuration::ZERO);
+    // Step to the deactivation itself: what it takes off the queues — its
+    // own ports' and those of the ports facing it — is what it counts as
+    // lost with the links, entry for entry.
+    loop {
+        let queued = fabric.queued_packets();
+        let dropped = fabric.counters().dropped_link_down;
+        assert!(fabric.step());
+        if !fabric.is_active(victim) {
+            let gone = queued - fabric.queued_packets();
+            assert!(gone >= 50, "the queues were deep: {gone}");
+            assert_eq!(fabric.counters().dropped_link_down - dropped, gone as u64);
+            break;
+        }
+    }
+    // The rest of the window plays out around the hole; every queue set
+    // comes home (`queued_packets` checks that none is held empty).
+    fabric.run_until_idle();
+    assert_eq!(fabric.queued_packets(), 0);
+    assert_eq!(fabric.packet_arena_live(), 0);
 }

@@ -72,6 +72,11 @@ fn kernel_run(
         0,
         "packet arena leaked under {kernel}"
     );
+    assert_eq!(
+        bench.fabric.queued_packets(),
+        0,
+        "packets left queued under {kernel}"
+    );
     if nothing_goes_down {
         assert_eq!(
             bench.fabric.credits_outstanding(),

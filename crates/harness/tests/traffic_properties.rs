@@ -37,6 +37,7 @@ fn traced_run(
     bench.fabric.run_until_idle();
     // Drained and fault-free: every packet consumed, every credit home.
     assert_eq!(bench.fabric.packet_arena_live(), 0, "under {kernel}");
+    assert_eq!(bench.fabric.queued_packets(), 0, "under {kernel}");
     assert_eq!(bench.fabric.credits_outstanding(), 0, "under {kernel}");
     let run = bench.last_run();
     let counters = *bench.fabric.counters();
