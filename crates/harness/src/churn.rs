@@ -58,6 +58,10 @@ pub struct ChurnOutcome {
     pub cold_db_matches: bool,
     /// Total simulated time, bring-up and drain included.
     pub sim_time: SimDuration,
+    /// When the initial discovery finished. A churn window that starts
+    /// before this disturbed a manager that had not yet seen the fabric
+    /// (see "Placing the window" in `docs/CHURN.md`).
+    pub initial_finished_at: SimTime,
 }
 
 /// Devices a churn plan should leave alone so the manager stays
@@ -205,6 +209,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     let agent = bench.fm_agent();
     let events_absorbed = agent.pi5_events;
     let assimilation_runs = agent.runs().len().saturating_sub(1);
+    let initial_finished_at = agent.runs()[0].finished_at;
     let churn_events = bench.fabric.counters().churn_events;
     let span = last_event_at
         .saturating_since(SimTime::ZERO + scenario.churn.start)
@@ -243,6 +248,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
         final_links,
         cold_db_matches,
         sim_time,
+        initial_finished_at,
     }
 }
 

@@ -92,10 +92,16 @@ impl Json {
         }
     }
 
-    /// The number as an integer, if this is a whole number.
+    /// The number as an integer, if it is a whole number below 2^53. From
+    /// there up an `f64` may not hold the integer the text did
+    /// (`9007199254740993` reads as `…992`) and `as u64` saturates, so the
+    /// answer is `None`, not a different integer. No writer comes near:
+    /// DSNs are 2^43-scale, and `t_ps` reaches 2^53 at 9,007 simulated
+    /// seconds where the longest ladder run takes ~350.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.trunc() == *n => Some(*n as u64),
+            Json::Num(n) if (0.0..EXACT).contains(n) && n.trunc() == *n => Some(*n as u64),
             _ => None,
         }
     }

@@ -4,7 +4,7 @@
 
 use crate::json::{self, Json};
 use asi_core::{Algorithm, DiscoveryTrigger};
-use asi_sim::{SimDuration, SimTime, TraceEvent, TraceRecord, TraceSink};
+use asi_sim::{FieldType, SimDuration, SimTime, TraceEvent, TraceRecord, TraceSink, TraceValue};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -335,285 +335,53 @@ impl TraceSink for RingCollector {
 }
 
 /// Renders one trace record as a JSON object: `t_ps` (picosecond
-/// timestamp), `event` (the kind tag), then the payload fields. The
-/// schema is documented in `docs/TRACE_FORMAT.md`.
+/// timestamp), `event` (the kind tag), then the payload fields in
+/// declaration order, each keyed by its name — a `SimDuration` field `x`
+/// as `x_ps`, in picoseconds. The schema is `TraceEvent::KINDS`,
+/// documented in `docs/TRACE_FORMAT.md`.
 pub fn trace_record_to_json(record: &TraceRecord) -> Json {
-    let obj = Json::object()
+    let mut obj = Json::object()
         .with("t_ps", record.time.as_ps())
         .with("event", record.event.kind());
-    match &record.event {
-        TraceEvent::RunStarted { algorithm, trigger } => {
-            obj.with("algorithm", *algorithm).with("trigger", *trigger)
-        }
-        TraceEvent::RunFinished {
-            devices_found,
-            links_found,
-            requests_sent,
-            timeouts,
-        } => obj
-            .with("devices_found", *devices_found)
-            .with("links_found", *links_found)
-            .with("requests_sent", *requests_sent)
-            .with("timeouts", *timeouts),
-        TraceEvent::RequestInjected { req_id, write } => {
-            obj.with("req_id", *req_id).with("write", *write)
-        }
-        TraceEvent::RequestCompleted { req_id, ok } => obj.with("req_id", *req_id).with("ok", *ok),
-        TraceEvent::RequestTimedOut { req_id } => obj.with("req_id", *req_id),
-        TraceEvent::Pi5Emitted { dsn, port, up } | TraceEvent::Pi5Received { dsn, port, up } => {
-            obj.with("dsn", *dsn).with("port", *port).with("up", *up)
-        }
-        TraceEvent::DeviceDiscovered { dsn, switch, ports } => obj
-            .with("dsn", *dsn)
-            .with("switch", *switch)
-            .with("ports", *ports),
-        TraceEvent::PendingTableSize { size } => obj.with("size", *size),
-        TraceEvent::FmBusy { busy } => obj.with("busy_ps", busy.as_ps()),
-        TraceEvent::FmIdle { idle } => obj.with("idle_ps", idle.as_ps()),
-        TraceEvent::DeviceActivated { device } | TraceEvent::DeviceDeactivated { device } => {
-            obj.with("device", *device)
-        }
-        TraceEvent::QueueSample { depth, processed } => {
-            obj.with("depth", *depth).with("processed", *processed)
-        }
-        TraceEvent::FaultLinkDown { device, port }
-        | TraceEvent::FaultLinkUp { device, port }
-        | TraceEvent::FaultPacketLost { device, port } => {
-            obj.with("device", *device).with("port", *port)
-        }
-        TraceEvent::FaultDeviceHang { device }
-        | TraceEvent::FaultDeviceSlow { device }
-        | TraceEvent::FaultCompletionCorrupted { device }
-        | TraceEvent::FaultCompletionDuplicated { device } => obj.with("device", *device),
-        TraceEvent::RequestAbandoned { req_id } => obj.with("req_id", *req_id),
-        TraceEvent::SnapshotLoaded { devices, links }
-        | TraceEvent::SnapshotSaved { devices, links } => {
-            obj.with("devices", *devices).with("links", *links)
-        }
-        TraceEvent::WarmVerified { dsn } | TraceEvent::VerifyMismatch { dsn } => {
-            obj.with("dsn", *dsn)
-        }
-        TraceEvent::WarmFallback {
-            mismatches,
-            threshold,
-        } => obj
-            .with("mismatches", *mismatches)
-            .with("threshold", *threshold),
-        TraceEvent::FmClaim { dsn, priority } => obj.with("dsn", *dsn).with("priority", *priority),
-        TraceEvent::FmYield { dsn, to } => obj.with("dsn", *dsn).with("to", *to),
-        TraceEvent::FmElected { primary, fms } => obj.with("primary", *primary).with("fms", *fms),
-        TraceEvent::FmFailover { dsn, misses } => obj.with("dsn", *dsn).with("misses", *misses),
-        TraceEvent::MergeComplete {
-            devices,
-            links,
-            reports,
-        } => obj
-            .with("devices", *devices)
-            .with("links", *links)
-            .with("reports", *reports),
-        TraceEvent::ChurnLinkFlap { device, port } => {
-            obj.with("device", *device).with("port", *port)
-        }
-        TraceEvent::ChurnDeviceRemoved { device } | TraceEvent::ChurnDeviceReadded { device } => {
-            obj.with("device", *device)
-        }
-        TraceEvent::Pi5Coalesced { raw, coalesced } => {
-            obj.with("raw", *raw).with("coalesced", *coalesced)
-        }
-        TraceEvent::Pi5StormEscalated { events, threshold } => {
-            obj.with("events", *events).with("threshold", *threshold)
-        }
-        TraceEvent::FlowInjected { flow } => obj.with("flow", *flow),
-        TraceEvent::FlowDelivered { flow, latency_ps } => {
-            obj.with("flow", *flow).with("latency_ps", *latency_ps)
-        }
-        TraceEvent::McastDelivered { group, device } => {
-            obj.with("group", *group).with("device", *device)
-        }
-    }
+    record.event.for_each_field(|name, value| {
+        match value {
+            TraceValue::Uint(v) => obj.set(name, v),
+            TraceValue::Bool(v) => obj.set(name, v),
+            TraceValue::Str(v) => obj.set(name, v),
+            TraceValue::Duration(v) => obj.set(format!("{name}_ps"), v.as_ps()),
+        };
+    });
+    obj
 }
 
-/// Interns an algorithm name back to its `'static` spelling.
-fn static_algorithm(name: &str) -> Option<&'static str> {
-    let names = Algorithm::all().map(|a| a.name());
-    names.into_iter().find(|a| *a == name)
-}
-
-/// Interns a run-trigger tag back to its `'static` spelling.
-fn static_trigger(tag: &str) -> Option<&'static str> {
-    let tags = DiscoveryTrigger::all().map(|t| t.tag());
-    tags.into_iter().find(|t| *t == tag)
-}
-
-/// An integer field narrowed to the width its record stores. The file is
-/// input from outside the program: a value out of range fails the parse
-/// instead of wrapping into a different record.
-fn narrow<T: TryFrom<u64>>(json: &Json, key: &str) -> Option<T> {
-    T::try_from(json.get(key).as_u64()?).ok()
+/// Interns the spelling of a `&'static str` field through the table of
+/// the values that field takes.
+fn intern(field: &str, spelling: &str) -> Option<&'static str> {
+    let known: &[&'static str] = match field {
+        "algorithm" => &Algorithm::all().map(|a| a.name()),
+        "trigger" => &DiscoveryTrigger::all().map(|t| t.tag()),
+        _ => return None,
+    };
+    known.iter().copied().find(|k| *k == spelling)
 }
 
 /// Parses one object produced by [`trace_record_to_json`] back into a
 /// record. Returns `None` on unknown kinds, unknown algorithm/trigger
-/// spellings, missing fields, or integers too large for their field.
+/// spellings, missing or mistyped fields, or integers too large for
+/// their field.
 pub fn trace_record_from_json(json: &Json) -> Option<TraceRecord> {
     let time = SimTime::from_ps(json.get("t_ps").as_u64()?);
-    let event = match json.get("event").as_str()? {
-        "run-started" => TraceEvent::RunStarted {
-            algorithm: static_algorithm(json.get("algorithm").as_str()?)?,
-            trigger: static_trigger(json.get("trigger").as_str()?)?,
-        },
-        "run-finished" => TraceEvent::RunFinished {
-            devices_found: json.get("devices_found").as_u64()?,
-            links_found: json.get("links_found").as_u64()?,
-            requests_sent: json.get("requests_sent").as_u64()?,
-            timeouts: json.get("timeouts").as_u64()?,
-        },
-        "request-injected" => TraceEvent::RequestInjected {
-            req_id: narrow(json, "req_id")?,
-            write: json.get("write").as_bool()?,
-        },
-        "request-completed" => TraceEvent::RequestCompleted {
-            req_id: narrow(json, "req_id")?,
-            ok: json.get("ok").as_bool()?,
-        },
-        "request-timed-out" => TraceEvent::RequestTimedOut {
-            req_id: narrow(json, "req_id")?,
-        },
-        kind @ ("pi5-emitted" | "pi5-received") => {
-            let dsn = json.get("dsn").as_u64()?;
-            let port = narrow(json, "port")?;
-            let up = json.get("up").as_bool()?;
-            if kind == "pi5-emitted" {
-                TraceEvent::Pi5Emitted { dsn, port, up }
-            } else {
-                TraceEvent::Pi5Received { dsn, port, up }
+    let event = TraceEvent::from_fields(json.get("event").as_str()?, |name, ty| {
+        Some(match ty {
+            FieldType::Uint(_) => TraceValue::Uint(json.get(name).as_u64()?),
+            FieldType::Bool => TraceValue::Bool(json.get(name).as_bool()?),
+            FieldType::Str => TraceValue::Str(intern(name, json.get(name).as_str()?)?),
+            FieldType::Duration => {
+                let ps = json.get(&format!("{name}_ps")).as_u64()?;
+                TraceValue::Duration(SimDuration::from_ps(ps))
             }
-        }
-        "device-discovered" => TraceEvent::DeviceDiscovered {
-            dsn: json.get("dsn").as_u64()?,
-            switch: json.get("switch").as_bool()?,
-            ports: narrow(json, "ports")?,
-        },
-        "pending-table-size" => TraceEvent::PendingTableSize {
-            size: narrow(json, "size")?,
-        },
-        "fm-busy" => TraceEvent::FmBusy {
-            busy: SimDuration::from_ps(json.get("busy_ps").as_u64()?),
-        },
-        "fm-idle" => TraceEvent::FmIdle {
-            idle: SimDuration::from_ps(json.get("idle_ps").as_u64()?),
-        },
-        kind @ ("device-activated" | "device-deactivated") => {
-            let device = narrow(json, "device")?;
-            if kind == "device-activated" {
-                TraceEvent::DeviceActivated { device }
-            } else {
-                TraceEvent::DeviceDeactivated { device }
-            }
-        }
-        "queue-sample" => TraceEvent::QueueSample {
-            depth: json.get("depth").as_u64()?,
-            processed: json.get("processed").as_u64()?,
-        },
-        kind @ ("fault-link-down" | "fault-link-up" | "fault-packet-lost") => {
-            let device = narrow(json, "device")?;
-            let port = narrow(json, "port")?;
-            match kind {
-                "fault-link-down" => TraceEvent::FaultLinkDown { device, port },
-                "fault-link-up" => TraceEvent::FaultLinkUp { device, port },
-                _ => TraceEvent::FaultPacketLost { device, port },
-            }
-        }
-        kind @ ("fault-device-hang"
-        | "fault-device-slow"
-        | "fault-completion-corrupted"
-        | "fault-completion-duplicated") => {
-            let device = narrow(json, "device")?;
-            match kind {
-                "fault-device-hang" => TraceEvent::FaultDeviceHang { device },
-                "fault-device-slow" => TraceEvent::FaultDeviceSlow { device },
-                "fault-completion-corrupted" => TraceEvent::FaultCompletionCorrupted { device },
-                _ => TraceEvent::FaultCompletionDuplicated { device },
-            }
-        }
-        "request-abandoned" => TraceEvent::RequestAbandoned {
-            req_id: narrow(json, "req_id")?,
-        },
-        kind @ ("snapshot-loaded" | "snapshot-saved") => {
-            let devices = json.get("devices").as_u64()?;
-            let links = json.get("links").as_u64()?;
-            if kind == "snapshot-loaded" {
-                TraceEvent::SnapshotLoaded { devices, links }
-            } else {
-                TraceEvent::SnapshotSaved { devices, links }
-            }
-        }
-        kind @ ("warm-verified" | "verify-mismatch") => {
-            let dsn = json.get("dsn").as_u64()?;
-            if kind == "warm-verified" {
-                TraceEvent::WarmVerified { dsn }
-            } else {
-                TraceEvent::VerifyMismatch { dsn }
-            }
-        }
-        "warm-fallback" => TraceEvent::WarmFallback {
-            mismatches: json.get("mismatches").as_u64()?,
-            threshold: json.get("threshold").as_u64()?,
-        },
-        "fm-claim" => TraceEvent::FmClaim {
-            dsn: json.get("dsn").as_u64()?,
-            priority: narrow(json, "priority")?,
-        },
-        "fm-yield" => TraceEvent::FmYield {
-            dsn: json.get("dsn").as_u64()?,
-            to: json.get("to").as_u64()?,
-        },
-        "fm-elected" => TraceEvent::FmElected {
-            primary: json.get("primary").as_u64()?,
-            fms: narrow(json, "fms")?,
-        },
-        "fm-failover" => TraceEvent::FmFailover {
-            dsn: json.get("dsn").as_u64()?,
-            misses: narrow(json, "misses")?,
-        },
-        "merge-complete" => TraceEvent::MergeComplete {
-            devices: json.get("devices").as_u64()?,
-            links: json.get("links").as_u64()?,
-            reports: narrow(json, "reports")?,
-        },
-        "churn-link-flap" => TraceEvent::ChurnLinkFlap {
-            device: narrow(json, "device")?,
-            port: narrow(json, "port")?,
-        },
-        kind @ ("churn-device-removed" | "churn-device-readded") => {
-            let device = narrow(json, "device")?;
-            if kind == "churn-device-removed" {
-                TraceEvent::ChurnDeviceRemoved { device }
-            } else {
-                TraceEvent::ChurnDeviceReadded { device }
-            }
-        }
-        "pi5-coalesced" => TraceEvent::Pi5Coalesced {
-            raw: json.get("raw").as_u64()?,
-            coalesced: json.get("coalesced").as_u64()?,
-        },
-        "pi5-storm-escalated" => TraceEvent::Pi5StormEscalated {
-            events: json.get("events").as_u64()?,
-            threshold: json.get("threshold").as_u64()?,
-        },
-        "flow-injected" => TraceEvent::FlowInjected {
-            flow: narrow(json, "flow")?,
-        },
-        "flow-delivered" => TraceEvent::FlowDelivered {
-            flow: narrow(json, "flow")?,
-            latency_ps: json.get("latency_ps").as_u64()?,
-        },
-        "mcast-delivered" => TraceEvent::McastDelivered {
-            group: narrow(json, "group")?,
-            device: narrow(json, "device")?,
-        },
-        _ => return None,
-    };
+        })
+    })?;
     Some(TraceRecord { time, event })
 }
 
@@ -833,189 +601,10 @@ mod tests {
         }
     }
 
-    /// One record of every variant, for exhaustive round-trip checks.
-    fn one_of_each() -> Vec<TraceRecord> {
-        vec![
-            rec(
-                0,
-                TraceEvent::RunStarted {
-                    algorithm: "Parallel",
-                    trigger: "initial",
-                },
-            ),
-            rec(
-                1,
-                TraceEvent::RequestInjected {
-                    req_id: 1,
-                    write: false,
-                },
-            ),
-            rec(2, TraceEvent::PendingTableSize { size: 3 }),
-            rec(
-                3,
-                TraceEvent::RequestCompleted {
-                    req_id: 1,
-                    ok: true,
-                },
-            ),
-            rec(4, TraceEvent::RequestTimedOut { req_id: 2 }),
-            rec(
-                5,
-                TraceEvent::DeviceDiscovered {
-                    dsn: 0xdead_beef_cafe,
-                    switch: true,
-                    ports: 8,
-                },
-            ),
-            rec(
-                6,
-                TraceEvent::Pi5Emitted {
-                    dsn: 42,
-                    port: 3,
-                    up: false,
-                },
-            ),
-            rec(
-                7,
-                TraceEvent::Pi5Received {
-                    dsn: 42,
-                    port: 3,
-                    up: false,
-                },
-            ),
-            rec(
-                8,
-                TraceEvent::FmBusy {
-                    busy: SimDuration::from_ps(1500),
-                },
-            ),
-            rec(
-                9,
-                TraceEvent::FmIdle {
-                    idle: SimDuration::from_ps(2500),
-                },
-            ),
-            rec(10, TraceEvent::DeviceActivated { device: 5 }),
-            rec(11, TraceEvent::DeviceDeactivated { device: 5 }),
-            rec(
-                12,
-                TraceEvent::QueueSample {
-                    depth: 7,
-                    processed: 4096,
-                },
-            ),
-            rec(
-                13,
-                TraceEvent::RunFinished {
-                    devices_found: 18,
-                    links_found: 24,
-                    requests_sent: 90,
-                    timeouts: 1,
-                },
-            ),
-            rec(14, TraceEvent::RequestAbandoned { req_id: 9 }),
-            rec(
-                15,
-                TraceEvent::SnapshotLoaded {
-                    devices: 18,
-                    links: 21,
-                },
-            ),
-            rec(
-                16,
-                TraceEvent::SnapshotSaved {
-                    devices: 18,
-                    links: 21,
-                },
-            ),
-            rec(
-                17,
-                TraceEvent::WarmVerified {
-                    dsn: 0xa51_0000_0007,
-                },
-            ),
-            rec(
-                18,
-                TraceEvent::VerifyMismatch {
-                    dsn: 0xa51_0000_0008,
-                },
-            ),
-            rec(
-                19,
-                TraceEvent::WarmFallback {
-                    mismatches: 5,
-                    threshold: 4,
-                },
-            ),
-            rec(
-                20,
-                TraceEvent::FmClaim {
-                    dsn: 0xa51_0000_0001,
-                    priority: 200,
-                },
-            ),
-            rec(
-                21,
-                TraceEvent::FmYield {
-                    dsn: 0xa51_0000_0009,
-                    to: 0xa51_0000_0002,
-                },
-            ),
-            rec(
-                22,
-                TraceEvent::FmElected {
-                    primary: 0xa51_0000_0001,
-                    fms: 4,
-                },
-            ),
-            rec(
-                23,
-                TraceEvent::FmFailover {
-                    dsn: 0xa51_0000_0002,
-                    misses: 3,
-                },
-            ),
-            rec(
-                24,
-                TraceEvent::MergeComplete {
-                    devices: 128,
-                    links: 240,
-                    reports: 3,
-                },
-            ),
-            rec(25, TraceEvent::ChurnLinkFlap { device: 6, port: 2 }),
-            rec(26, TraceEvent::ChurnDeviceRemoved { device: 6 }),
-            rec(27, TraceEvent::ChurnDeviceReadded { device: 6 }),
-            rec(
-                28,
-                TraceEvent::Pi5Coalesced {
-                    raw: 12,
-                    coalesced: 3,
-                },
-            ),
-            rec(
-                29,
-                TraceEvent::Pi5StormEscalated {
-                    events: 9,
-                    threshold: 8,
-                },
-            ),
-            rec(30, TraceEvent::FlowInjected { flow: 7 }),
-            rec(
-                31,
-                TraceEvent::FlowDelivered {
-                    flow: 7,
-                    latency_ps: 123_456,
-                },
-            ),
-            rec(
-                32,
-                TraceEvent::McastDelivered {
-                    group: 2,
-                    device: 11,
-                },
-            ),
-        ]
+    /// One record of every kind: the fixture written at the commit before
+    /// the `trace_events!` table (`tests/trace_table.rs` pins its bytes).
+    fn fixture() -> Vec<TraceRecord> {
+        trace_from_jsonl(include_str!("../tests/data/trace_one_of_each.jsonl")).unwrap()
     }
 
     #[test]
@@ -1046,7 +635,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_every_variant() {
-        let records = one_of_each();
+        let records = fixture();
         let text = trace_to_jsonl(&records);
         assert_eq!(text.lines().count(), records.len());
         let parsed = trace_from_jsonl(&text).unwrap();
@@ -1055,7 +644,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_carry_time_and_kind() {
-        let records = one_of_each();
+        let records = fixture();
         let text = trace_to_jsonl(&records);
         let first = json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(*first.get("t_ps"), 0u64);
@@ -1077,10 +666,15 @@ mod tests {
         let bad = "{\"t_ps\":1,\"event\":\"run-started\",\"algorithm\":\"Quantum\",\"trigger\":\"initial\"}";
         assert!(trace_from_jsonl(bad).is_err());
         // Integers too large for their field are rejected, not wrapped
-        // into a different record (device 1 port 4464; priority 44).
+        // into a different record (device 1 port 4464; priority 44) —
+        // nor, past what the JSON number holds exactly, saturated to
+        // `u64::MAX` ps or rounded to the even neighbour.
         for bad in [
             "{\"t_ps\":1,\"event\":\"fault-link-down\",\"device\":4294967297,\"port\":70000}",
             "{\"t_ps\":1,\"event\":\"fm-claim\",\"dsn\":7,\"priority\":300}",
+            "{\"t_ps\":1e300,\"event\":\"pending-table-size\",\"size\":1}",
+            "{\"t_ps\":18446744073709551616,\"event\":\"pending-table-size\",\"size\":1}",
+            "{\"t_ps\":9007199254740993,\"event\":\"pending-table-size\",\"size\":1}",
         ] {
             let err = trace_from_jsonl(&format!("{good}\n{bad}")).unwrap_err();
             assert!(err.contains("line 2"), "{err}");
@@ -1091,7 +685,7 @@ mod tests {
     fn save_trace_jsonl_writes_file() {
         let dir = std::env::temp_dir().join("asi-trace-report-test");
         let path = dir.join("trace.jsonl");
-        let records = one_of_each();
+        let records = fixture();
         save_trace_jsonl(&path, &records).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(trace_from_jsonl(&text).unwrap(), records);
@@ -1100,13 +694,13 @@ mod tests {
 
     #[test]
     fn summary_counts_and_derived_totals() {
-        let s = TraceSummary::of(&one_of_each());
+        let s = TraceSummary::of(&fixture());
         assert_eq!(s.count("request-injected"), 1);
         assert_eq!(s.count("pi5-emitted"), 1);
         assert_eq!(s.count("no-such-kind"), 0);
-        assert_eq!(s.counts.values().sum::<u64>(), 33);
+        assert_eq!(s.counts.values().sum::<u64>(), 40);
         assert_eq!(s.first, Some(SimTime::ZERO));
-        assert_eq!(s.last, Some(SimTime::from_ps(32)));
+        assert_eq!(s.last, Some(SimTime::from_ps(39)));
         assert_eq!(s.max_pending, 3);
         assert_eq!(s.fm_busy, SimDuration::from_ps(1500));
         assert_eq!(s.fm_idle, SimDuration::from_ps(2500));

@@ -1,5 +1,5 @@
-//! Measurement utilities: online moments, percentile sets and timestamped
-//! series used by the experiment harness.
+//! Measurement utilities: online moments and timestamped series used by
+//! the experiment harness.
 
 use crate::time::SimTime;
 
@@ -99,94 +99,6 @@ impl OnlineStats {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Stores all samples to answer percentile queries exactly.
-///
-/// Discovery experiments record at most a few thousand runs, so keeping the
-/// raw samples is cheap and avoids quantile-sketch error.
-#[derive(Clone, Debug, Default)]
-pub struct SampleSet {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl SampleSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        SampleSet::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Exact p-quantile (nearest-rank with linear interpolation),
-    /// `p` in `[0, 1]`. Returns NaN when empty.
-    ///
-    /// NaN samples never panic the sort (`f64::total_cmp` is a total
-    /// order) and are excluded from the quantile: a corrupt sample must
-    /// not shift every percentile of the valid ones. If *all* samples
-    /// are NaN the result is NaN.
-    pub fn quantile(&mut self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        if !self.sorted {
-            self.samples.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        // Under total_cmp, negative NaNs sort before -inf and positive
-        // NaNs after +inf, so the finite/infinite values form one
-        // contiguous middle slice.
-        let lo_nan = self.samples.iter().take_while(|x| x.is_nan()).count();
-        if lo_nan == self.samples.len() {
-            return f64::NAN;
-        }
-        let hi_nan = self.samples.iter().rev().take_while(|x| x.is_nan()).count();
-        let valid = &self.samples[lo_nan..self.samples.len() - hi_nan];
-        let p = p.clamp(0.0, 1.0);
-        let rank = p * (valid.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            valid[lo]
-        } else {
-            let w = rank - lo as f64;
-            valid[lo] * (1.0 - w) + valid[hi] * w
-        }
-    }
-
-    /// Median.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Mean of all samples.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Read-only view of the raw samples (unsorted order not guaranteed).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 }
 
@@ -297,69 +209,6 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles_are_exact() {
-        let mut s = SampleSet::new();
-        for x in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.median(), 3.0);
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 5.0);
-        assert_eq!(s.quantile(0.25), 2.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let mut s = SampleSet::new();
-        s.push(0.0);
-        s.push(10.0);
-        assert!((s.quantile(0.5) - 5.0).abs() < 1e-12);
-        assert!((s.quantile(0.75) - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_sampleset_quantile_is_nan() {
-        let mut s = SampleSet::new();
-        assert!(s.quantile(0.5).is_nan());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn nan_samples_sort_without_panicking_and_are_excluded() {
-        // Regression: the old partial_cmp sort panicked on the first NaN.
-        let mut s = SampleSet::new();
-        for x in [3.0, f64::NAN, 1.0, -f64::NAN, 5.0, f64::NAN, 2.0, 4.0] {
-            s.push(x);
-        }
-        // Percentiles come from the 5 valid samples only.
-        assert_eq!(s.median(), 3.0);
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 5.0);
-        assert!(!s.quantile(0.25).is_nan());
-        assert!(!s.quantile(0.99).is_nan());
-    }
-
-    #[test]
-    fn all_nan_samples_report_nan_quantile() {
-        let mut s = SampleSet::new();
-        s.push(f64::NAN);
-        s.push(-f64::NAN);
-        assert!(s.quantile(0.5).is_nan());
-    }
-
-    #[test]
-    fn nan_with_infinities_keeps_valid_slice_contiguous() {
-        let mut s = SampleSet::new();
-        for x in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY, 0.0, -f64::NAN] {
-            s.push(x);
-        }
-        assert_eq!(s.quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(s.quantile(1.0), f64::INFINITY);
-        assert_eq!(s.median(), 0.0);
     }
 
     #[test]

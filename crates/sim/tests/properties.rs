@@ -79,20 +79,4 @@ proptest! {
             prop_assert!(v >= lo && v <= hi);
         }
     }
-
-    /// Quantiles are order statistics: q(0) == min, q(1) == max, and the
-    /// median of a sorted odd-length set is its middle element.
-    #[test]
-    fn sampleset_order_statistics(mut xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut s = asi_sim::SampleSet::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(s.quantile(0.0), xs[0]);
-        prop_assert_eq!(s.quantile(1.0), *xs.last().unwrap());
-        if xs.len() % 2 == 1 {
-            prop_assert_eq!(s.median(), xs[xs.len() / 2]);
-        }
-    }
 }

@@ -33,7 +33,7 @@ use advanced_switching::harness::{
     Scenario, SnapshotFormat, SweepSpec,
 };
 use advanced_switching::sim::trace::TraceEvent;
-use advanced_switching::sim::{SimDuration, SimRng, TraceHandle};
+use advanced_switching::sim::{SimDuration, SimRng, SimTime, TraceHandle};
 use advanced_switching::state::{checksum_of, Snapshot, TopologyDelta};
 use advanced_switching::topo::{
     design_fat_tree, dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, PortCatalogue,
@@ -1267,6 +1267,25 @@ fn churn_main(inv: &Invocation) -> Report {
         .with_churn(plan);
     let out = churn_experiment(topo, &scenario);
     let converged = out.full_topology && !out.diverged_at_end && out.cold_db_matches;
+    let failure = (!converged).then(|| {
+        let mut why = String::from("churn: the run did not end converged");
+        if SimTime::from_us(start_us) < out.initial_finished_at {
+            // The initial discovery launches 1 us after bring-up stops at
+            // half the window start, so the window clears a discovery from
+            // twice its length on; a quiet twin (no plan, no trace) gives
+            // the length this one would have had undisturbed.
+            let quiet = inv.scenario.clone().with_trace(TraceHandle::disabled());
+            let undisturbed = Bench::start(topo, &quiet, &[]).last_run().discovery_time();
+            why += &format!(
+                "\nchurn: the window opened at {start_us} us, before the initial discovery \
+                 finished at {:.0} us; --start-us {:.0} is the smallest that clears it \
+                 (docs/CHURN.md, \"Placing the window\")",
+                out.initial_finished_at.as_micros_f64(),
+                (undisturbed.as_micros_f64() * 2.0).ceil() + 2.0,
+            );
+        }
+        why
+    });
     Report {
         json: Json::object()
             .with("topology", topo.name.as_str())
@@ -1310,7 +1329,7 @@ fn churn_main(inv: &Invocation) -> Report {
                 "DIFFERS"
             },
         ),
-        failure: (!converged).then(|| "churn: the run did not end converged".to_string()),
+        failure,
     }
 }
 

@@ -943,6 +943,7 @@ fn scale_grid_is_jobs_invariant_and_reports_occupancy() {
 fn churn_mode_reports_a_converged_steady_state() {
     let (stdout, stderr, ok) = run(&["churn", "--topology", "mesh:3x3", "--json"]);
     assert!(ok, "{stderr}");
+    assert!(!stderr.contains("the window opened"), "{stderr}");
     let v = parse(&stdout).unwrap();
     assert!(v.get("churn_events").as_u64().unwrap() > 0);
     assert!(v.get("events_absorbed").as_u64().unwrap() > 0);
@@ -957,6 +958,22 @@ fn churn_mode_reports_a_converged_steady_state() {
     let (again, _, ok2) = run(&["churn", "--topology", "mesh:3x3", "--json"]);
     assert!(ok2);
     assert_eq!(stdout, again, "churn runs must be reproducible");
+}
+
+/// The default window opens at 6 ms; a 6x6 mesh is still being discovered
+/// then. The failure names that cause and the start that avoids it.
+#[test]
+fn churn_mode_names_a_window_that_opened_mid_discovery() {
+    let at = ["churn", "--topology", "mesh:6x6", "--seed", "1"];
+    let (_, stderr, code) = run_coded(&at);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("did not end converged"), "{stderr}");
+    let cause = "the window opened at 6000 us, before the initial discovery finished at 13577 us; \
+                 --start-us 11739 is the smallest that clears it";
+    assert!(stderr.contains(cause), "{stderr}");
+    let (_, stderr, code) = run_coded(&[&at[..], &["--start-us", "11739"]].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 #[test]
