@@ -1,39 +1,35 @@
 //! Distributed discovery (the paper's first future-work item, §5):
-//! several collaborative fabric managers explore the fabric
-//! simultaneously, partition it with claim-and-hold ownership writes, and
-//! stream their partial databases to the primary manager for merging.
+//! several collaborative fabric managers elect a primary, explore the
+//! fabric simultaneously, partition it with claim-and-hold ownership
+//! writes, and stream their partial databases to the primary for merging.
 //!
 //! ## Protocol
 //!
-//! 1. Every manager runs the Parallel algorithm with *claim
-//!    partitioning*: after inserting a newly probed device it writes its
-//!    own DSN to the device's ownership register (claim-and-hold: the
-//!    first write sticks) and reads it back. If the read-back shows a
-//!    rival, the manager keeps the device and the link in its database
-//!    but cedes the device's region — it does not read the ports or probe
-//!    beyond.
-//! 2. When a collaborator's exploration drains, it streams its database
+//! 1. Every manager holds a [`DistributedConfig`] — its election
+//!    priority and its peers' addresses. On
+//!    [`crate::fm::TOKEN_START_ELECTION`] it broadcasts an
+//!    [`FmMessage::Claim`], collects rival claims for one election
+//!    window, and resolves the winner with [`crate::election::elect`].
+//!    The winner is the primary; everyone else reports to it, and the
+//!    runner-up also watches the primary with keepalive reads so it can
+//!    take over if the primary dies. The election is the only way a
+//!    manager gets a role.
+//! 2. Every manager then runs its algorithm with *claim partitioning*:
+//!    after inserting a newly probed device it writes its own DSN to the
+//!    device's ownership register (claim-and-hold: the first write
+//!    sticks) and reads it back. If the read-back shows a rival, the
+//!    manager keeps the device and the link in its database but cedes
+//!    the device's region — it does not read the ports or probe beyond.
+//! 3. When a collaborator's exploration drains, it streams its database
 //!    to the primary as [`asi_proto::FmMessage`] packets (`Device`,
 //!    `Link`, then `Complete`).
-//! 3. The primary merges records as they arrive (each occupying the FM
+//! 4. The primary merges records as they arrive (each occupying the FM
 //!    for [`crate::timing::FmTiming::merge_time`]), and finishes once its
 //!    own exploration is done and every expected `Complete` has arrived;
 //!    it then recomputes all routes from its own endpoint.
 //!
 //! Routes from collaborators are relative to *their* endpoints, so only
 //! device/link facts are transferred; the primary re-derives routes.
-//!
-//! ## Election
-//!
-//! Roles need not be assigned by hand. With a [`DistributedConfig`] each
-//! manager knows its peers' addresses and election priority; on
-//! [`crate::fm::TOKEN_START_ELECTION`] it broadcasts an
-//! [`FmMessage::Claim`], collects rival claims for one election window,
-//! and resolves the winner with [`crate::election::elect`]. The winner
-//! becomes [`DistributedRole::Primary`]; everyone else becomes a
-//! [`DistributedRole::Collaborator`] reporting to the winner, and the
-//! runner-up additionally watches the primary with standby keepalives so
-//! it can take over if the primary dies mid-discovery.
 
 use crate::db::{DeviceRoute, TopologyDb};
 use crate::snapshot::snapshot_db;
@@ -44,21 +40,14 @@ use asi_topo::{Topology, TopologyError, ValidationError};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-/// The role a manager plays in a distributed discovery.
+/// The role an election gives a manager in a distributed discovery.
 #[derive(Clone, Debug)]
-pub enum DistributedRole {
+pub(crate) enum DistributedRole {
     /// Merges collaborator reports; owns the final database.
-    Primary {
-        /// Number of collaborators whose `Complete` must arrive.
-        expected_reports: usize,
-    },
-    /// Explores its claimed region, then reports to the primary.
-    Collaborator {
-        /// Egress port toward the primary.
-        report_egress: u8,
-        /// Route to the primary's endpoint.
-        report_pool: TurnPool,
-    },
+    Primary,
+    /// Explores its claimed region, then reports to the primary at this
+    /// address.
+    Collaborator(FmPeer),
 }
 
 /// Address of one peer fabric manager: where to send FM-exchange packets
@@ -80,7 +69,7 @@ pub struct FmPeer {
 /// [`crate::fm::FmConfig::with_distributed_config`] and kick the agent
 /// with [`crate::fm::TOKEN_START_ELECTION`] instead of
 /// [`crate::fm::TOKEN_START_DISCOVERY`]; the agents then elect a
-/// primary over PI-9 and assume their [`DistributedRole`]s on their own.
+/// primary over PI-9 and take their roles from the result.
 ///
 /// ```
 /// use asi_core::DistributedConfig;

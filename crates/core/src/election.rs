@@ -6,11 +6,13 @@
 //! paper §2). The ordering rule: higher advertised priority wins, DSN
 //! breaks ties (higher DSN wins, making the order total).
 //!
-//! The packet-level realization reuses the ownership capability: each
-//! contender walks the fabric writing its claim; a contender that reads a
-//! stronger claim anywhere abdicates. The pure comparison/selection logic
-//! lives here; the walking is the claim-partitioning mode of the
-//! discovery [`crate::engine::Engine`].
+//! The packet-level realization is the PI-9 election: each manager
+//! broadcasts its [`Claim`] to its peers, folds what it hears into a
+//! [`Ballot`] for one election window, and resolves the ballot with
+//! [`elect`]. Every manager heard the same claims, so every manager
+//! picks the same primary and runner-up. The pure comparison and
+//! selection logic lives here; the claim exchange and the roles it leads
+//! to live in the fabric manager's ensemble (`docs/DISTRIBUTED.md`).
 
 /// An FM candidacy claim.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -76,14 +78,15 @@ pub fn elect(candidates: &[Claim]) -> Option<ElectionResult> {
 /// primary regardless of packet arrival order.
 ///
 /// ```
-/// use asi_core::election::{Ballot, Claim, FmRole};
+/// use asi_core::election::{Ballot, Claim};
 ///
 /// let mut ballot = Ballot::new(Claim::new(5, 0xA1));
 /// ballot.record(Claim::new(9, 0xB2)); // a stronger rival
 /// ballot.record(Claim::new(9, 0xB2)); // duplicates collapse
 /// assert_eq!(ballot.claims().len(), 2);
-/// assert_eq!(ballot.role(), FmRole::Secondary);
-/// assert_eq!(ballot.resolve().unwrap().primary.dsn, 0xB2);
+/// let result = ballot.resolve().unwrap();
+/// assert_eq!(result.primary.dsn, 0xB2);
+/// assert_eq!(result.secondary, Some(ballot.own())); // the runner-up
 /// ```
 #[derive(Clone, Debug)]
 pub struct Ballot {
@@ -120,39 +123,6 @@ impl Ballot {
     /// Resolves the election over everything heard so far.
     pub fn resolve(&self) -> Option<ElectionResult> {
         elect(&self.claims)
-    }
-
-    /// This candidate's role under the current ballot.
-    pub fn role(&self) -> FmRole {
-        role_of(self.own, &self.claims)
-    }
-}
-
-/// The role an FM-capable endpoint ends up with.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FmRole {
-    /// Owns the fabric: runs discovery and configuration.
-    Primary,
-    /// Hot standby: watches the primary, takes over on failure.
-    Secondary,
-    /// Lost the election outright.
-    Bystander,
-}
-
-/// Decides this candidate's role given every claim it observed during its
-/// fabric walk (its own claim included).
-pub fn role_of(own: Claim, observed: &[Claim]) -> FmRole {
-    let mut all = observed.to_vec();
-    all.push(own);
-    let Some(result) = elect(&all) else {
-        return FmRole::Bystander;
-    };
-    if result.primary == own {
-        FmRole::Primary
-    } else if result.secondary == Some(own) {
-        FmRole::Secondary
-    } else {
-        FmRole::Bystander
     }
 }
 
@@ -201,17 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn roles_are_consistent() {
-        let a = Claim::new(9, 10);
-        let b = Claim::new(9, 5);
-        let c = Claim::new(1, 99);
-        let field = [a, b, c];
-        assert_eq!(role_of(a, &field), FmRole::Primary);
-        assert_eq!(role_of(b, &field), FmRole::Secondary);
-        assert_eq!(role_of(c, &field), FmRole::Bystander);
-    }
-
-    #[test]
     fn ballot_is_order_independent_and_idempotent() {
         let own = Claim::new(5, 5);
         let rivals = [Claim::new(9, 9), Claim::new(1, 1), Claim::new(9, 2)];
@@ -229,26 +188,12 @@ mod tests {
         let result = forward.resolve().unwrap();
         assert_eq!(result.primary, Claim::new(9, 9));
         assert_eq!(result.secondary, Some(Claim::new(9, 2)));
-        assert_eq!(forward.role(), FmRole::Bystander);
     }
 
     #[test]
     fn lone_ballot_elects_itself() {
         let ballot = Ballot::new(Claim::new(0, 7));
-        assert_eq!(ballot.role(), FmRole::Primary);
-        assert_eq!(ballot.resolve().unwrap().secondary, None);
-    }
-
-    #[test]
-    fn role_with_partial_observation_still_sound() {
-        // A candidate that saw only weaker claims believes it is primary —
-        // the walk guarantees the true primary observes (or is observed
-        // by) every rival on a connected fabric.
-        let own = Claim::new(5, 5);
-        assert_eq!(role_of(own, &[Claim::new(1, 1)]), FmRole::Primary);
-        assert_eq!(
-            role_of(own, &[Claim::new(9, 9), Claim::new(7, 7)]),
-            FmRole::Bystander
-        );
+        let result = ballot.resolve().unwrap();
+        assert_eq!((result.primary, result.secondary), (ballot.own(), None));
     }
 }

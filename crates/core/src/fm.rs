@@ -14,7 +14,7 @@ mod run;
 mod side;
 
 use crate::db::TopologyDb;
-use crate::distributed::{DistributedConfig, DistributedRole, MergeState};
+use crate::distributed::{DistributedConfig, MergeState};
 use crate::engine::{Engine, EngineConfig};
 use crate::metrics::{Algorithm, DiscoveryRun, DistributionRun};
 use crate::retry::RetryPolicy;
@@ -25,18 +25,15 @@ use asi_proto::{
 };
 use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle};
 use asi_state::Snapshot;
-use ensemble::{Role, Watch};
+use ensemble::{Role, Watch, TOKEN_KEEPALIVE_CHECK, TOKEN_START_STANDBY};
 use run::RunAcc;
 use side::SideWrites;
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 
-/// Timer token that kicks off the initial discovery.
+/// Timer token that kicks off the initial discovery. (`+ 1` and `+ 2`
+/// are the watch's keepalive tokens, private to `fm/ensemble.rs`.)
 pub const TOKEN_START_DISCOVERY: u64 = 1 << 62;
-/// Timer token that puts a secondary manager into standby (watching the
-/// primary with keepalive reads, ready to take over).
-pub const TOKEN_START_STANDBY: u64 = (1 << 62) + 1;
-const TOKEN_KEEPALIVE_CHECK: u64 = (1 << 62) + 2;
 /// Timer token that flushes multicast group requests queued with
 /// [`FmAgent::queue_multicast`].
 pub const TOKEN_CONFIGURE_MCAST: u64 = (1 << 62) + 3;
@@ -101,19 +98,13 @@ pub struct FmConfig {
     /// Use partial (affected-region) assimilation instead of the paper's
     /// full re-discovery.
     pub partial_assimilation: bool,
-    /// Distributed-discovery claim partitioning.
-    pub claim_partitioning: bool,
     /// When (and for how long) timed-out requests are re-issued. The
     /// default never retries — the paper's loss-free assumption.
     pub retry: RetryPolicy,
-    /// Distributed-discovery role (implies claim partitioning).
-    pub distributed: Option<DistributedRole>,
-    /// Election-based distributed discovery: peers and our priority.
-    /// Roles are then assumed at election time rather than configured;
-    /// kick the agent with [`TOKEN_START_ELECTION`].
+    /// Distributed discovery: peers and our election priority. The
+    /// manager takes its role from the PI-9 election and partitions the
+    /// fabric by ownership claims; kick it with [`TOKEN_START_ELECTION`].
     pub distributed_config: Option<DistributedConfig>,
-    /// Secondary-manager (failover) configuration.
-    pub standby: Option<StandbyConfig>,
     /// Distribute per-endpoint route tables after every discovery
     /// (the paper's path-distribution future-work item).
     pub distribute_paths: bool,
@@ -133,34 +124,6 @@ pub struct FmConfig {
     pub storm_threshold: usize,
 }
 
-/// How a secondary manager watches the primary.
-#[derive(Clone, Debug)]
-pub struct StandbyConfig {
-    /// Egress port toward the primary's endpoint.
-    pub watch_egress: u8,
-    /// Route to the primary's endpoint.
-    pub watch_pool: asi_proto::TurnPool,
-    /// Gap between keepalive reads.
-    pub interval: SimDuration,
-    /// How long to wait for each keepalive completion.
-    pub timeout: SimDuration,
-    /// Consecutive misses before the secondary promotes itself.
-    pub miss_threshold: u32,
-}
-
-impl StandbyConfig {
-    /// Default cadence: probe every 100 µs, 3 misses ⇒ takeover.
-    pub fn new(watch_egress: u8, watch_pool: asi_proto::TurnPool) -> StandbyConfig {
-        StandbyConfig {
-            watch_egress,
-            watch_pool,
-            interval: SimDuration::from_us(100),
-            timeout: SimDuration::from_us(80),
-            miss_threshold: 3,
-        }
-    }
-}
-
 impl FmConfig {
     /// Defaults matching the paper's primary setup for `algorithm`.
     pub fn new(algorithm: Algorithm) -> FmConfig {
@@ -171,11 +134,8 @@ impl FmConfig {
             request_timeout: SimDuration::from_ms(5),
             auto_rediscover: true,
             partial_assimilation: false,
-            claim_partitioning: false,
             retry: RetryPolicy::default(),
-            distributed: None,
             distributed_config: None,
-            standby: None,
             distribute_paths: false,
             trace: TraceHandle::disabled(),
             mode: DiscoveryMode::Cold,
@@ -198,19 +158,11 @@ impl FmConfig {
         self
     }
 
-    /// Configures this manager for a distributed discovery role.
-    pub fn with_distributed(mut self, role: DistributedRole) -> FmConfig {
-        self.claim_partitioning = true;
-        self.distributed = Some(role);
-        self
-    }
-
-    /// Configures election-based distributed discovery: the manager
-    /// learns its role (primary, collaborator, or watching secondary)
-    /// from a PI-9 claim exchange instead of having it assigned.
-    /// Enables claim partitioning; arm [`TOKEN_START_ELECTION`] to run.
+    /// Configures distributed discovery: the manager learns its role
+    /// (primary, collaborator, or watching secondary) from a PI-9 claim
+    /// exchange and partitions the fabric by ownership claims; arm
+    /// [`TOKEN_START_ELECTION`] to run.
     pub fn with_distributed_config(mut self, config: DistributedConfig) -> FmConfig {
-        self.claim_partitioning = true;
         self.distributed_config = Some(config);
         self
     }
@@ -311,7 +263,6 @@ fn send_pi4(ctx: &mut AgentCtx, egress: u8, pool: TurnPool, request: Pi4) -> u64
 impl FmAgent {
     /// Creates an idle manager; arm [`TOKEN_START_DISCOVERY`] to begin.
     pub fn new(cfg: FmConfig) -> FmAgent {
-        let assigned = cfg.distributed.clone();
         FmAgent {
             engine: None,
             acc: None,
@@ -322,8 +273,8 @@ impl FmAgent {
             pi5_seen: HashMap::new(),
             pi5_events: 0,
             epoch: 0,
-            role: assigned.map_or(Role::Solo, |role| Role::Sharded(role, None)),
-            watch: cfg.standby.clone().map(Watch::new),
+            role: Role::Solo,
+            watch: None,
             merge: MergeState::default(),
             side: SideWrites::default(),
             distributions: Vec::new(),
@@ -374,7 +325,7 @@ impl FmAgent {
         EngineConfig {
             algorithm: self.cfg.algorithm,
             pool_capacity: self.cfg.pool_capacity,
-            claim_partitioning: self.cfg.claim_partitioning && !self.promoted(),
+            claim_partitioning: self.cfg.distributed_config.is_some() && !self.promoted(),
             retry: self.cfg.retry,
             base_timeout: self.cfg.request_timeout,
         }
@@ -804,27 +755,6 @@ mod tests {
         assert!(fm.mcast_configured.is_empty(), "a failed group is not");
     }
 
-    #[test]
-    fn collaborator_reports_after_discovery() {
-        let mut pool = TurnPool::new_spec();
-        pool.push_turn(1, 4).unwrap();
-        let cfg =
-            FmConfig::new(Algorithm::Parallel).with_distributed(DistributedRole::Collaborator {
-                report_egress: 0,
-                report_pool: pool,
-            });
-        let mut fm = FmAgent::new(cfg);
-        let mut c = ctx();
-        fm.on_timer(&mut c, TOKEN_START_DISCOVERY);
-        // Trivial fabric (host only): the report is host Device + Complete.
-        let sends = c
-            .take_commands()
-            .into_iter()
-            .filter(|cmd| matches!(cmd, asi_fabric::AgentCommand::Send { .. }))
-            .count();
-        assert_eq!(sends, 2, "device record + completion marker");
-    }
-
     /// One event of a role walk: a timer, or [`RIVAL`]'s claim at a priority.
     enum Ev {
         Timer(u64),
@@ -843,24 +773,27 @@ mod tests {
     /// Drives a manager through `(event, role after it, watch armed after
     /// it)` steps — the role given as a prefix of its `Debug` form — and
     /// checks that no transition wrote to the configuration.
-    fn walk_roles(ensemble: DistributedConfig, steps: &[(Ev, &str, bool)]) -> FmAgent {
+    fn walk_roles(
+        c: &mut AgentCtx,
+        ensemble: DistributedConfig,
+        steps: &[(Ev, &str, bool)],
+    ) -> FmAgent {
         let mut fm =
             FmAgent::new(FmConfig::new(Algorithm::Parallel).with_distributed_config(ensemble));
-        let mut c = ctx();
+        let input = format!("{:?}", fm.config());
         for (i, (event, role, watching)) in steps.iter().enumerate() {
             match *event {
-                Timer(token) => fm.on_timer(&mut c, token),
+                Timer(token) => fm.on_timer(c, token),
                 Heard(priority) => {
                     let dsn = RIVAL;
-                    fm.on_fm_message(&mut c, FmMessage::Claim { dsn, priority });
+                    fm.on_fm_message(c, FmMessage::Claim { dsn, priority });
                 }
             }
             let now = format!("{:?}", fm.role);
             assert!(now.starts_with(role), "step {i}: {now}, not {role}");
             assert_eq!(fm.watch.is_some(), *watching, "step {i}");
         }
-        let cfg = fm.config();
-        assert!(cfg.distributed.is_none() && cfg.standby.is_none() && cfg.claim_partitioning);
+        assert_eq!(format!("{:?}", fm.config()), input);
         fm
     }
 
@@ -870,7 +803,7 @@ mod tests {
             (Timer(TOKEN_START_ELECTION), "Electing", false), // waits for the window
             (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Primary", false),
         ];
-        let fm = walk_roles(DistributedConfig::new(5), &steps);
+        let fm = walk_roles(&mut ctx(), DistributedConfig::new(5), &steps);
         let result = fm.elected().expect("window closed: resolved");
         assert_eq!(result.primary.dsn, ctx().host_info.dsn);
         assert!(
@@ -889,7 +822,7 @@ mod tests {
             // Two claims, we lost: as the runner-up we watch the primary.
             (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Collaborator", true),
         ];
-        let fm = walk_roles(paired(1), &steps);
+        let fm = walk_roles(&mut ctx(), paired(1), &steps);
         assert_eq!(fm.elected().unwrap().primary.dsn, RIVAL);
         assert_eq!(fm.runs[0].fm_count, 2);
     }
@@ -902,7 +835,7 @@ mod tests {
             (Heard(255), "Sharded(Primary", false),
             (Timer(TOKEN_START_ELECTION), "Sharded(Primary", false),
         ];
-        let fm = walk_roles(DistributedConfig::new(5), &steps);
+        let fm = walk_roles(&mut ctx(), DistributedConfig::new(5), &steps);
         assert_eq!(fm.elected().unwrap().primary.dsn, ctx().host_info.dsn);
         assert_eq!(fm.runs[0].fm_count, 1);
     }
@@ -917,7 +850,10 @@ mod tests {
             (Heard(1), "Electing", false),
             (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Primary", false),
         ];
-        assert_eq!(walk_roles(paired(9), &winning).runs[0].fm_count, 2);
+        assert_eq!(
+            walk_roles(&mut ctx(), paired(9), &winning).runs[0].fm_count,
+            2
+        );
         let failover = [
             (Timer(TOKEN_START_ELECTION), "Electing", false),
             (Heard(9), "Electing", false),
@@ -930,7 +866,7 @@ mod tests {
             (Heard(255), "Promoted", false),
             (Timer(TOKEN_START_ELECTION), "Promoted", false),
         ];
-        let fm = walk_roles(paired(1), &failover);
+        let fm = walk_roles(&mut ctx(), paired(1), &failover);
         assert!(fm.promoted() && fm.elected().is_some());
         assert_eq!(fm.last_run().unwrap().trigger, DiscoveryTrigger::Failover);
         let outvoted = [
@@ -938,31 +874,64 @@ mod tests {
             (Timer(TOKEN_ELECTION_DECIDE), "Bystander", false),
             (Heard(255), "Bystander", false),
         ];
-        let fm = walk_roles(DistributedConfig::new(1), &outvoted);
+        let fm = walk_roles(&mut ctx(), DistributedConfig::new(1), &outvoted);
         assert!(fm.runs.is_empty(), "a bystander does not discover");
     }
 
     #[test]
-    fn primary_buffers_reports_until_its_own_run_finishes() {
-        let cfg = FmConfig::new(Algorithm::Parallel).with_distributed(DistributedRole::Primary {
-            expected_reports: 1,
-        });
-        let mut fm = FmAgent::new(cfg);
+    fn collaborator_reports_after_discovery() {
         let mut c = ctx();
-        // Report arrives before the primary even started: buffered.
-        fm.on_fm_message(
-            &mut c,
-            FmMessage::Complete {
-                sender: 42,
-                devices: 1,
-                links: 0,
-            },
-        );
+        let lost = [
+            (Heard(9), "Electing", false),
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Collaborator", true),
+        ];
+        walk_roles(&mut c, paired(1), &lost);
+        // Trivial fabric (host only): the report is host Device + Complete.
+        let reports = c
+            .take_commands()
+            .into_iter()
+            .filter(|cmd| {
+                matches!(cmd, asi_fabric::AgentCommand::Send { packet, .. }
+                    if matches!(packet.payload,
+                        Payload::Fm(FmMessage::Device { .. } | FmMessage::Complete { .. })))
+            })
+            .count();
+        assert_eq!(reports, 2, "device record + completion marker");
+    }
+
+    #[test]
+    fn primary_buffers_reports_until_its_own_run_finishes() {
+        let mut c = ctx();
+        // An active host port: the primary's own run waits on its probe.
+        c.host_ports[0].state = asi_proto::PortState::Active;
+        let won = [
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            (Heard(1), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Primary", false),
+        ];
+        let mut fm = walk_roles(&mut c, paired(9), &won);
+        assert!(fm.discovering());
+        // The rival's report lands while our own exploration still owns
+        // the database: buffered.
+        let report = FmMessage::Complete {
+            sender: RIVAL,
+            devices: 1,
+            links: 0,
+        };
+        fm.on_fm_message(&mut c, report);
         assert!(fm.merged_at().is_none());
-        // Primary's own (trivial) run finishes; the backlog drains and the
-        // merge completes.
-        fm.on_timer(&mut c, TOKEN_START_DISCOVERY);
+        // The probe times out and the primary's run finishes; the backlog
+        // drains and the merge completes.
+        for cmd in c.take_commands() {
+            match cmd {
+                asi_fabric::AgentCommand::Timer { token, .. } if token & TIMEOUT_FLAG != 0 => {
+                    fm.on_timer(&mut c, token)
+                }
+                _ => {}
+            }
+        }
         assert!(fm.merged_at().is_some());
-        assert!(fm.merge.completed.contains(&42));
+        assert!(fm.merge.completed.contains(&RIVAL));
     }
 }

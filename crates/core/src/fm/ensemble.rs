@@ -1,17 +1,24 @@
 //! The manager ensemble: PI-9 election, the primary's merge, and the
-//! secondary's watch on the primary. Role transitions:
+//! runner-up's watch on the primary. Role transitions:
 //! `Solo → Electing → Sharded(primary | collaborator) | Bystander`, and
-//! from any role holding a [`Watch`], at the miss threshold, `→ Promoted`.
+//! for the runner-up, which holds a [`Watch`], at the miss threshold,
+//! `→ Promoted`.
 
 use super::*;
-use crate::distributed::report_messages;
+use crate::distributed::{report_messages, DistributedRole, FmPeer};
 use crate::election::{Ballot, Claim, ElectionResult};
 use crate::metrics::DiscoveryTrigger;
 use asi_proto::{config::general_info_read, FmMessage};
 
+/// Timer token of the watch's next keepalive read.
+pub(super) const TOKEN_START_STANDBY: u64 = (1 << 62) + 1;
+/// Timer token closing one keepalive's answer window.
+pub(super) const TOKEN_KEEPALIVE_CHECK: u64 = (1 << 62) + 2;
 /// Keepalive request ids live in their own range so they can never
 /// collide with engine or side-write request ids.
 const KEEPALIVE_REQ_BASE: u32 = 0xF000_0000;
+/// Consecutive missed keepalives that promote the watching runner-up.
+const MISS_THRESHOLD: u32 = 3;
 
 /// A resolved election, remembered by every role it leads to.
 #[derive(Clone, Copy, Debug)]
@@ -22,48 +29,60 @@ pub(super) struct Decided {
 }
 
 /// The part this manager plays among the fabric's managers: state, set
-/// from [`FmConfig::distributed`] or by election, never written back.
+/// by the election, never written back to the configuration.
 #[derive(Debug)]
 pub(super) enum Role {
     /// The paper's setup: one manager discovers the whole fabric.
     Solo,
     /// Collecting claims until the election window closes.
     Electing(Ballot),
-    /// Primary or collaborator of a sharded discovery: by configuration
-    /// (`None`) or by election.
-    Sharded(DistributedRole, Option<Decided>),
+    /// Primary or collaborator of a sharded discovery.
+    Sharded(DistributedRole, Decided),
     /// Outvoted by a manager it cannot route to: stands down.
     Bystander(Decided),
     /// A secondary that took over from a dead primary: discovers solo,
     /// with claim partitioning off so the dead primary's stale ownership
     /// claims cannot carve holes out of the takeover view.
-    Promoted(Option<Decided>),
+    Promoted(Decided),
 }
 
 impl Role {
     fn decided(&self) -> Option<Decided> {
         match self {
             Role::Solo | Role::Electing(_) => None,
-            Role::Bystander(decided) => Some(*decided),
-            Role::Sharded(_, decided) | Role::Promoted(decided) => *decided,
+            Role::Sharded(_, decided) | Role::Bystander(decided) | Role::Promoted(decided) => {
+                Some(*decided)
+            }
         }
     }
 }
 
-/// A secondary's watch on the primary: keepalive reads, and the count of
-/// consecutive misses that ends in promotion.
+/// The runner-up's watch on the primary: keepalive reads, and the count
+/// of consecutive misses that ends in promotion.
 #[derive(Debug)]
 pub(super) struct Watch {
-    cfg: StandbyConfig,
+    primary: FmPeer,
+    /// How long each keepalive may take to complete.
+    timeout: SimDuration,
+    /// Gap between keepalive reads.
+    interval: SimDuration,
     outstanding: Option<u32>,
     misses: u32,
     seq: u32,
 }
 
 impl Watch {
-    pub(super) fn new(cfg: StandbyConfig) -> Watch {
+    /// A primary mid-discovery answers keepalive reads only after
+    /// draining its response backlog, which by design can approach the
+    /// request timeout: a fixed 80 µs window would misread busy for dead
+    /// and usurp a live primary. So the cadence (at least an 80 µs
+    /// window every 100 µs) scales with `request_timeout`.
+    fn new(primary: FmPeer, request_timeout: SimDuration) -> Watch {
+        let timeout = SimDuration::from_us(80).max(request_timeout * 2);
         Watch {
-            cfg,
+            primary,
+            timeout,
+            interval: SimDuration::from_us(100).max(timeout * 2),
             outstanding: None,
             misses: 0,
             seq: 0,
@@ -103,12 +122,6 @@ impl FmAgent {
     pub(super) fn fm_ensemble_size(&self) -> u32 {
         match &self.role {
             Role::Electing(ballot) => ballot.claims().len() as u32,
-            Role::Sharded(DistributedRole::Primary { expected_reports }, _) => {
-                *expected_reports as u32 + 1
-            }
-            // A configured collaborator only knows itself and the
-            // primary for sure.
-            Role::Sharded(_, decided) => decided.map_or(2, |d| d.fms),
             role => role.decided().map_or(1, |d| d.fms),
         }
     }
@@ -130,7 +143,7 @@ impl FmAgent {
         match self.role {
             Role::Solo => self.role = Role::Electing(Ballot::new(own)),
             Role::Electing(_) => {}
-            // Decided (or configured) roles are not up for election.
+            // Decided roles are not up for election.
             _ => return,
         }
         let (dsn, priority) = (own.dsn, own.priority);
@@ -163,8 +176,7 @@ impl FmAgent {
             .trace
             .emit(ctx.now, || TraceEvent::FmElected { primary, fms });
         if result.primary == own {
-            let expected_reports = fms.saturating_sub(1) as usize;
-            self.role = Role::Sharded(DistributedRole::Primary { expected_reports }, Some(decided));
+            self.role = Role::Sharded(DistributedRole::Primary, decided);
             // Confirm the outcome on the wire (informational: every
             // manager resolved the same ballot already).
             for peer in &dc.peers {
@@ -176,21 +188,9 @@ impl FmAgent {
                 self.role = Role::Bystander(decided);
                 return;
             };
-            let reporting = DistributedRole::Collaborator {
-                report_egress: peer.egress,
-                report_pool: peer.pool.clone(),
-            };
-            self.role = Role::Sharded(reporting, Some(decided));
+            self.role = Role::Sharded(DistributedRole::Collaborator(peer.clone()), decided);
             if result.secondary == Some(own) {
-                // A primary mid-discovery answers keepalive reads only
-                // after draining its response backlog, which by design
-                // can approach the request timeout: a fixed 80 µs window
-                // would misread busy for dead and usurp a live primary.
-                // Scale the watch cadence to the configured timeout.
-                let mut standby = StandbyConfig::new(peer.egress, peer.pool.clone());
-                standby.timeout = standby.timeout.max(self.cfg.request_timeout * 2);
-                standby.interval = standby.interval.max(standby.timeout * 2);
-                self.watch = Some(Watch::new(standby));
+                self.watch = Some(Watch::new(peer.clone(), self.cfg.request_timeout));
                 self.send_keepalive(ctx);
             }
         }
@@ -221,7 +221,7 @@ impl FmAgent {
             // a device (the ownership register says so) need no action.
             FmMessage::Elected { .. } | FmMessage::Yield { .. } => {}
             // The merge stream; collaborators only send it.
-            report if matches!(self.role, Role::Sharded(DistributedRole::Primary { .. }, _)) => {
+            report if matches!(self.role, Role::Sharded(DistributedRole::Primary, _)) => {
                 match self.db.as_mut() {
                     Some(db) if self.engine.is_none() => {
                         self.merge.apply(db, report);
@@ -240,18 +240,12 @@ impl FmAgent {
     /// own exploration was still running and may now complete the merge.
     pub(super) fn share_database(&mut self, ctx: &mut AgentCtx) {
         match &self.role {
-            Role::Sharded(
-                DistributedRole::Collaborator {
-                    report_egress,
-                    report_pool,
-                },
-                _,
-            ) => {
+            Role::Sharded(DistributedRole::Collaborator(primary), _) => {
                 for msg in report_messages(self.db.as_ref().expect("run just finished")) {
-                    self.send_fm(ctx, *report_egress, report_pool.clone(), msg);
+                    self.send_fm(ctx, primary.egress, primary.pool.clone(), msg);
                 }
             }
-            Role::Sharded(DistributedRole::Primary { .. }, _) => {
+            Role::Sharded(DistributedRole::Primary, _) => {
                 if let Some(db) = self.db.as_mut() {
                     for msg in std::mem::take(&mut self.merge.backlog) {
                         self.merge.apply(db, msg);
@@ -267,10 +261,10 @@ impl FmAgent {
     /// missing from it, at most once.
     fn finish_merge(&mut self, ctx: &mut AgentCtx) {
         let expected_reports = match self.role {
-            Role::Sharded(DistributedRole::Primary { expected_reports }, _) => expected_reports,
+            Role::Sharded(DistributedRole::Primary, decided) => decided.fms as usize - 1,
             // A promoted secondary runs its takeover solo: its own
             // completed database IS the final view of the sharded run.
-            Role::Promoted(_) if self.cfg.distributed_config.is_some() => 0,
+            Role::Promoted(_) => 0,
             _ => return,
         };
         if self.merge.finished_at.is_some()
@@ -313,9 +307,8 @@ impl FmAgent {
             addr,
             dwords,
         };
-        let pool = watch.cfg.watch_pool.clone();
-        send_pi4(ctx, watch.cfg.watch_egress, pool, read);
-        ctx.set_timer(watch.cfg.timeout, TOKEN_KEEPALIVE_CHECK);
+        send_pi4(ctx, watch.primary.egress, watch.primary.pool.clone(), read);
+        ctx.set_timer(watch.timeout, TOKEN_KEEPALIVE_CHECK);
     }
 
     /// Watching: the keepalive window elapsed; count the miss or re-arm.
@@ -325,7 +318,7 @@ impl FmAgent {
         };
         if watch.outstanding.take().is_some() {
             watch.misses += 1;
-            if watch.misses >= watch.cfg.miss_threshold {
+            if watch.misses >= MISS_THRESHOLD {
                 // The primary is gone: take over the fabric, abandoning
                 // any in-flight collaborator run to re-discover solo.
                 let (dsn, misses) = (ctx.host_info.dsn, watch.misses);
@@ -333,7 +326,8 @@ impl FmAgent {
                     .trace
                     .emit(ctx.now, || TraceEvent::FmFailover { dsn, misses });
                 self.watch = None;
-                self.role = Role::Promoted(self.role.decided());
+                let decided = self.role.decided().expect("only an election arms a watch");
+                self.role = Role::Promoted(decided);
                 self.engine = None;
                 self.acc = None;
                 self.begin_full(ctx, DiscoveryTrigger::Failover);
@@ -341,7 +335,7 @@ impl FmAgent {
             }
         }
         // Next probe after the remainder of the interval.
-        let gap = watch.cfg.interval.saturating_sub(watch.cfg.timeout);
+        let gap = watch.interval.saturating_sub(watch.timeout);
         ctx.set_timer(gap.max(SimDuration::from_us(1)), TOKEN_START_STANDBY);
     }
 }

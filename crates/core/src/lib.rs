@@ -18,7 +18,7 @@
 //!   (paper Fig. 4) with the speed factors of Figs. 8–9;
 //! - [`RetryPolicy`] — pluggable retry/backoff for timed-out requests
 //!   (fixed, exponential with deterministic jitter, or deadline-bounded);
-//! - [`election`] — FM election claims, roles and failover rules.
+//! - [`election`] — FM election claims, the ballot and the resolution rule.
 
 #![deny(missing_docs)]
 
@@ -36,14 +36,14 @@ pub mod timing;
 
 pub use db::{DbDevice, DbDiff, DeviceRoute, TopologyDb};
 pub use distributed::{
-    certify_merge, report_messages, DistributedConfig, DistributedRole, FmPeer, MergeCertError,
-    MergeCertificate, MergeState,
+    certify_merge, report_messages, DistributedConfig, FmPeer, MergeCertError, MergeCertificate,
+    MergeState,
 };
-pub use election::{elect, role_of, Ballot, Claim, ElectionResult, FmRole};
+pub use election::{elect, Ballot, Claim, ElectionResult};
 pub use engine::{Engine, EngineConfig, EngineStats, OutOp, OutRequest};
 pub use fm::{
-    DiscoveryMode, FmAgent, FmConfig, StandbyConfig, TOKEN_CONFIGURE_MCAST, TOKEN_START_DISCOVERY,
-    TOKEN_START_ELECTION, TOKEN_START_STANDBY,
+    DiscoveryMode, FmAgent, FmConfig, TOKEN_CONFIGURE_MCAST, TOKEN_START_DISCOVERY,
+    TOKEN_START_ELECTION,
 };
 pub use mcast::{plan_multicast, McastError, McastWrite};
 pub use metrics::{Algorithm, DiscoveryRun, DiscoveryTrigger, DistributionRun, TrafficSummary};

@@ -1,87 +1,57 @@
-//! Packet-level FM election: two contenders walk the fabric writing
-//! claim-and-hold ownership registers; each observes the other through
-//! claim read-backs, and the election rule (`role_of`) picks the primary
-//! deterministically.
+//! Packet-level FM election: managers broadcast PI-9 claims, the
+//! higher claim wins, and the elected managers partition the fabric with
+//! claim-and-hold ownership writes, each ceding to the other where their
+//! walks meet.
 
-use asi_core::{role_of, Claim, DistributedRole, FmAgent, FmConfig, FmRole};
-use asi_core::{Algorithm, TOKEN_START_DISCOVERY};
-use asi_fabric::{DevId, Fabric, FabricConfig, DSN_BASE};
-use asi_sim::SimDuration;
+use asi_core::{Algorithm, FmAgent};
+use asi_fabric::{DevId, Fabric};
+use asi_harness::{dsn_of_dev, sharded_discovery, Scenario};
 use asi_topo::mesh;
 
+fn agent(fabric: &Fabric, dev: DevId) -> &FmAgent {
+    fabric.agent_as::<FmAgent>(dev).expect("a manager")
+}
+
 #[test]
-fn contenders_observe_each_other_and_elect_by_dsn() {
+fn elected_contenders_cede_to_each_other_and_the_higher_claim_wins() {
     let g = mesh(4, 4).unwrap();
-    let topo = &g.topology;
-    let mut fabric = Fabric::new(topo, FabricConfig::default());
-    fabric.set_event_limit(50_000_000);
-    fabric.activate_all(SimDuration::ZERO);
-    fabric.run_until_idle();
-
-    // Contenders at opposite corners; both run claim-partitioned
-    // discovery simultaneously. (`Primary { expected_reports: 0 }` makes
-    // them independent walkers — no merge traffic.)
-    let a = DevId(g.endpoint_at(0, 0).0);
-    let b = DevId(g.endpoint_at(3, 3).0);
-    for dev in [a, b] {
-        let mut cfg =
-            FmConfig::new(Algorithm::Parallel).with_distributed(DistributedRole::Primary {
-                expected_reports: 0,
-            });
-        cfg.auto_rediscover = false;
-        fabric.set_agent(dev, Box::new(FmAgent::new(cfg)));
-        fabric.schedule_agent_timer(dev, SimDuration::from_us(1), TOKEN_START_DISCOVERY);
+    let scenario = Scenario::new(Algorithm::Parallel);
+    let (fabric, primary, out) = sharded_discovery(&g.topology, 2, &scenario);
+    // Contenders at opposite corners; the first endpoint claims the
+    // higher priority.
+    let (a, b) = (DevId(g.endpoint_at(0, 0).0), DevId(g.endpoint_at(3, 3).0));
+    assert_eq!(primary, a, "the higher claim wins");
+    for (me, rival) in [(a, b), (b, a)] {
+        let fm = agent(&fabric, me);
+        let elected = fm.elected().expect("decided");
+        assert_eq!(elected.primary.dsn, dsn_of_dev(a));
+        assert_eq!(elected.secondary.map(|c| c.dsn), Some(dsn_of_dev(b)));
+        // Simultaneous walkers collide in the middle: each cedes devices
+        // to the other.
+        assert_eq!(
+            fm.rivals.iter().copied().collect::<Vec<_>>(),
+            [dsn_of_dev(rival)]
+        );
+        assert!(
+            fm.last_run().unwrap().boundary_conflicts > 0,
+            "{me:?} ceded nothing"
+        );
     }
-    fabric.run_until_idle();
-
-    let dsn_a = DSN_BASE | u64::from(a.0);
-    let dsn_b = DSN_BASE | u64::from(b.0);
-    let rivals_a: Vec<u64> = fabric
-        .agent_as::<FmAgent>(a)
-        .unwrap()
-        .rivals
-        .iter()
-        .copied()
-        .collect();
-    let rivals_b: Vec<u64> = fabric
-        .agent_as::<FmAgent>(b)
-        .unwrap()
-        .rivals
-        .iter()
-        .copied()
-        .collect();
-    // Simultaneous walkers must collide somewhere in the middle.
-    assert_eq!(rivals_a, vec![dsn_b], "A never saw B");
-    assert_eq!(rivals_b, vec![dsn_a], "B never saw A");
-
-    // Election: equal priority, higher DSN wins (b here).
-    let claim = |dsn: u64| Claim::new(0, dsn);
-    let observed_a: Vec<Claim> = rivals_a.iter().map(|&d| claim(d)).collect();
-    let observed_b: Vec<Claim> = rivals_b.iter().map(|&d| claim(d)).collect();
-    assert_eq!(role_of(claim(dsn_a), &observed_a), FmRole::Secondary);
-    assert_eq!(role_of(claim(dsn_b), &observed_b), FmRole::Primary);
+    assert_eq!(out.devices, 32);
 }
 
 #[test]
 fn lone_contender_becomes_primary_without_rivals() {
-    let g = mesh(3, 3).unwrap();
-    let mut fabric = Fabric::new(&g.topology, FabricConfig::default());
-    fabric.set_event_limit(50_000_000);
-    fabric.activate_all(SimDuration::ZERO);
-    fabric.run_until_idle();
-    let a = DevId(g.endpoint_at(0, 0).0);
-    let mut cfg = FmConfig::new(Algorithm::Parallel).with_distributed(DistributedRole::Primary {
-        expected_reports: 0,
-    });
-    cfg.auto_rediscover = false;
-    fabric.set_agent(a, Box::new(FmAgent::new(cfg)));
-    fabric.schedule_agent_timer(a, SimDuration::ZERO, TOKEN_START_DISCOVERY);
-    fabric.run_until_idle();
-
-    let agent = fabric.agent_as::<FmAgent>(a).unwrap();
-    assert!(agent.rivals.is_empty());
-    let dsn_a = DSN_BASE | u64::from(a.0);
-    assert_eq!(role_of(Claim::new(0, dsn_a), &[]), FmRole::Primary);
+    let topo = mesh(3, 3).unwrap().topology;
+    let (fabric, primary, out) = sharded_discovery(&topo, 1, &Scenario::new(Algorithm::Parallel));
+    let fm = agent(&fabric, primary);
+    assert!(fm.rivals.is_empty());
+    let elected = fm.elected().expect("decided");
+    assert_eq!(
+        (elected.primary.dsn, elected.secondary),
+        (dsn_of_dev(primary), None)
+    );
     // The claim walk still discovered the whole fabric.
-    assert_eq!(agent.db().unwrap().device_count(), 18);
+    assert_eq!(fm.db().unwrap().device_count(), 18);
+    assert_eq!(out.devices, 18);
 }

@@ -1,13 +1,14 @@
 //! Distributed-discovery experiment (the paper's future-work item):
-//! discovery time with 1, 2 and 3 collaborative fabric managers.
+//! discovery time with 1, 2 and 3 collaborative fabric managers, the
+//! ensembles formed by the PI-9 election ([`sharded_discovery`]).
 
 use crate::report::{trim_float, TableOut};
-use crate::scenario::{distributed_discovery, Bench, Scenario};
+use crate::scenario::{sharded_discovery, Bench, Scenario};
 use asi_core::Algorithm;
 use asi_topo::Table1;
 
-/// Compares single-manager Parallel discovery against distributed
-/// discovery with 1–3 collaborators.
+/// Compares single-manager Parallel discovery against elected ensembles
+/// of 2 and 3 managers; their times include the election window.
 pub fn run(quick: bool) -> TableOut {
     let topos = if quick {
         vec![Table1::Mesh(4)]
@@ -31,8 +32,8 @@ pub fn run(quick: bool) -> TableOut {
         let single = Bench::start(&topo, &scenario, &[])
             .last_run()
             .discovery_time();
-        let (_, _, two) = distributed_discovery(&topo, 1, &scenario);
-        let (_, _, three) = distributed_discovery(&topo, 2, &scenario);
+        let (_, _, two) = sharded_discovery(&topo, 2, &scenario);
+        let (_, _, three) = sharded_discovery(&topo, 3, &scenario);
         assert_eq!(
             two.devices,
             topo.node_count(),
@@ -65,13 +66,13 @@ mod tests {
     fn two_managers_merge_the_full_fabric() {
         let g = mesh(4, 4).expect("known-good grid");
         let scenario = Scenario::new(Algorithm::Parallel);
-        let (fabric, primary, outcome) = distributed_discovery(&g.topology, 1, &scenario);
+        let (fabric, primary, outcome) = sharded_discovery(&g.topology, 2, &scenario);
         assert_eq!(outcome.devices, 32);
         assert_eq!(outcome.links, g.topology.links().len());
         // Claim partitioning split the exploration: neither manager did
         // everything alone.
-        assert_eq!(outcome.per_manager_devices.len(), 2);
-        for (i, &n) in outcome.per_manager_devices.iter().enumerate() {
+        assert_eq!(outcome.per_fm_devices.len(), 2);
+        for (i, &n) in outcome.per_fm_devices.iter().enumerate() {
             assert!(n < 32, "manager {i} explored the whole fabric ({n})");
             assert!(n > 2, "manager {i} explored almost nothing ({n})");
         }
@@ -103,7 +104,7 @@ mod tests {
         let single = Bench::start(&g.topology, &scenario, &[])
             .last_run()
             .discovery_time();
-        let (_, _, out) = distributed_discovery(&g.topology, 1, &scenario);
+        let (_, _, out) = sharded_discovery(&g.topology, 2, &scenario);
         assert_eq!(out.devices, 72);
         assert!(
             out.merged_time < single,

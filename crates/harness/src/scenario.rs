@@ -589,152 +589,6 @@ impl Bench {
     }
 }
 
-/// Steps `fabric` until one of `managers` holds the merged database and
-/// returns that manager, then drains trailing packets — for `drain`
-/// more simulated time, or until the fabric goes idle when `None`.
-fn run_to_merge(
-    fabric: &mut Fabric,
-    managers: &[DevId],
-    what: &str,
-    drain: Option<SimDuration>,
-) -> DevId {
-    let deadline = fabric.now() + SimDuration::from_ms(30_000);
-    let holder = loop {
-        let holder = managers.iter().copied().find(|&m| {
-            fabric
-                .agent_as::<FmAgent>(m)
-                .is_some_and(|a| a.merged_at().is_some())
-        });
-        if let Some(m) = holder {
-            break m;
-        }
-        assert!(
-            fabric.step(),
-            "fabric idle before the {what} merge completed"
-        );
-        assert!(fabric.now() < deadline, "{what} discovery stalled");
-    };
-    match drain {
-        Some(window) => fabric.run_until(fabric.now() + window),
-        None => fabric.run_until_idle(),
-    }
-    holder
-}
-
-/// Each manager's latest discovery run, in `managers` order.
-fn last_runs<'a>(
-    fabric: &'a Fabric,
-    managers: &'a [DevId],
-) -> impl Iterator<Item = Option<&'a DiscoveryRun>> {
-    managers
-        .iter()
-        .map(|&m| fabric.agent_as::<FmAgent>(m).and_then(|a| a.last_run()))
-}
-
-/// Result of a distributed discovery run.
-#[derive(Clone, Debug)]
-pub struct DistributedOutcome {
-    /// Time from discovery start to the primary's final merged database.
-    pub merged_time: asi_sim::SimDuration,
-    /// Devices in the merged database.
-    pub devices: usize,
-    /// Links in the merged database.
-    pub links: usize,
-    /// Devices each manager explored itself (primary first).
-    pub per_manager_devices: Vec<usize>,
-}
-
-/// Runs a distributed discovery (the paper's future-work extension):
-/// `collaborators` additional managers partition the fabric with
-/// claim-and-hold ownership writes and stream their regions to the
-/// primary. Collaborator endpoints are spread evenly over the endpoint
-/// list; their report routes to the primary are pre-configured (the
-/// election phase would normally distribute them).
-pub fn distributed_discovery(
-    topo: &Topology,
-    collaborators: usize,
-    scenario: &Scenario,
-) -> (Fabric, DevId, DistributedOutcome) {
-    use asi_core::DistributedRole;
-    use asi_topo::shortest_route;
-
-    let endpoints = topo.endpoints();
-    assert!(
-        endpoints.len() > collaborators,
-        "not enough endpoints for {collaborators} collaborators"
-    );
-    let primary_node = endpoints[0];
-    let primary = DevId(primary_node.0);
-    // Spread collaborators across the endpoint list.
-    let collab_nodes: Vec<NodeId> = (1..=collaborators)
-        .map(|i| endpoints[i * (endpoints.len() - 1) / collaborators.max(1)])
-        .collect();
-
-    let mut fabric = scenario.powered_fabric(topo, scenario.fabric_config(topo), &[]);
-
-    // All managers (primary and collaborators) share the scenario sink;
-    // the simulation loop is single-threaded, so interleaving is safe.
-    let fm_cfg = scenario
-        .fm_config(topo.node_count())
-        .with_auto_rediscover(false);
-    let primary_cfg = fm_cfg.clone().with_distributed(DistributedRole::Primary {
-        expected_reports: collaborators,
-    });
-    fabric.set_agent(primary, Box::new(FmAgent::new(primary_cfg)));
-
-    for &c in &collab_nodes {
-        let route = shortest_route(topo, c, primary_node).expect("connected fabric");
-        let pool = route
-            .encode(topo, asi_proto::MAX_POOL_BITS)
-            .expect("route fits extended pool");
-        let cfg = fm_cfg
-            .clone()
-            .with_distributed(DistributedRole::Collaborator {
-                report_egress: route.source_port,
-                report_pool: pool,
-            });
-        fabric.set_agent(DevId(c.0), Box::new(FmAgent::new(cfg)));
-    }
-
-    // Everyone starts at (nearly) the same instant.
-    let start = SimDuration::from_us(1);
-    let start_at = fabric.now() + start;
-    fabric.schedule_agent_timer(primary, start, TOKEN_START_DISCOVERY);
-    for &c in &collab_nodes {
-        fabric.schedule_agent_timer(DevId(c.0), start, TOKEN_START_DISCOVERY);
-    }
-
-    let managers: Vec<DevId> = std::iter::once(primary)
-        .chain(collab_nodes.iter().map(|c| DevId(c.0)))
-        .collect();
-    run_to_merge(&mut fabric, &managers[..1], "distributed", None);
-
-    let (merged_time, devices, links) = {
-        let agent = fabric.agent_as::<FmAgent>(primary).expect("primary");
-        let finished = agent.merged_at().expect("checked");
-        let db = agent.db().expect("merged database");
-        (
-            finished.saturating_since(start_at),
-            db.device_count(),
-            db.link_count(),
-        )
-    };
-    let per_manager_devices = last_runs(&fabric, &managers)
-        .map(|run| run.map_or(0, |r| r.devices_found))
-        .collect();
-
-    (
-        fabric,
-        primary,
-        DistributedOutcome {
-            merged_time,
-            devices,
-            links,
-            per_manager_devices,
-        },
-    )
-}
-
 /// Result of an election-based sharded discovery ([`sharded_discovery`]).
 #[derive(Clone, Debug)]
 pub struct ShardedOutcome {
@@ -765,13 +619,17 @@ pub struct ShardedOutcome {
 /// elected primary, which certifies the merged database
 /// ([`asi_core::certify_merge`]).
 ///
-/// Unlike [`distributed_discovery`], no roles are pre-assigned — only
-/// the peer routes are (the fabric would normally flood-learn them).
-/// The first endpoint advertises the highest election priority, so the
-/// winner is deterministic; the runner-up arms standby keepalives and
-/// takes over if the primary dies mid-run. With `fm_count == 1` the
-/// lone manager elects itself and the run degenerates to a classic
-/// single-FM discovery through the same code path.
+/// No roles are pre-assigned — only the peer routes are (the fabric
+/// would normally flood-learn them). The first endpoint advertises the
+/// highest election priority, so the winner is deterministic; the
+/// runner-up arms standby keepalives and takes over if the primary dies
+/// mid-run. With `fm_count == 1` the lone manager elects itself and the
+/// run degenerates to a classic single-FM discovery through the same
+/// code path.
+///
+/// # Panics
+///
+/// Unless `1 <= fm_count <= min(endpoints, 255)` (a priority is a `u8`).
 pub fn sharded_discovery(
     topo: &Topology,
     fm_count: usize,
@@ -780,23 +638,17 @@ pub fn sharded_discovery(
     use asi_core::{certify_merge, DistributedConfig, TOKEN_START_ELECTION};
     use asi_topo::shortest_route;
 
-    assert!(fm_count >= 1, "need at least one manager");
     let endpoints = topo.endpoints();
     assert!(
-        endpoints.len() >= fm_count,
-        "not enough endpoints for {fm_count} managers"
+        (1..=endpoints.len().min(255)).contains(&fm_count),
+        "{fm_count} managers do not fit {} endpoints",
+        endpoints.len()
     );
-    // Manager endpoints spread evenly over the endpoint list; the first
-    // endpoint runs the highest-priority candidate.
+    // Manager endpoints spread evenly (so distinct) over the endpoint
+    // list; the first endpoint runs the highest-priority candidate.
     let mut fm_nodes: Vec<NodeId> = vec![endpoints[0]];
     for i in 1..fm_count {
         fm_nodes.push(endpoints[i * (endpoints.len() - 1) / (fm_count - 1).max(1)]);
-    }
-    {
-        let mut uniq = fm_nodes.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), fm_count, "manager endpoints collide");
     }
 
     let mut fabric = scenario.powered_fabric(topo, scenario.fabric_config(topo), &[]);
@@ -805,21 +657,18 @@ pub fn sharded_discovery(
     // cross the fabric before any window closes, so pad the default by
     // a generous per-hop budget.
     let mut max_hops = 0usize;
-    let mut peer_routes: Vec<Vec<(u64, u8, asi_proto::TurnPool)>> = Vec::new();
+    let mut ensembles = Vec::new();
     for (i, &a) in fm_nodes.iter().enumerate() {
-        let mut peers = Vec::new();
-        for (j, &b) in fm_nodes.iter().enumerate() {
-            if i == j {
-                continue;
-            }
+        let mut dc = DistributedConfig::new((fm_count - i) as u8);
+        for &b in fm_nodes.iter().filter(|&&b| b != a) {
             let route = shortest_route(topo, a, b).expect("connected fabric");
             max_hops = max_hops.max(route.hops.len());
             let pool = route
                 .encode(topo, asi_proto::MAX_POOL_BITS)
                 .expect("route fits extended pool");
-            peers.push((dsn_of_dev(DevId(b.0)), route.source_port, pool));
+            dc = dc.with_peer(dsn_of_dev(DevId(b.0)), route.source_port, pool);
         }
-        peer_routes.push(peers);
+        ensembles.push(dc);
     }
     let window =
         DistributedConfig::new(0).election_window + SimDuration::from_us(1) * (max_hops as u64);
@@ -829,15 +678,11 @@ pub fn sharded_discovery(
     // fabric.
     let region = topo.node_count().div_ceil(fm_count);
     let fm_cfg = scenario.fm_config(region).with_auto_rediscover(false);
-    for (i, &node) in fm_nodes.iter().enumerate() {
-        let mut dc = DistributedConfig::new((fm_count - i) as u8).with_election_window(window);
-        for (dsn, egress, pool) in &peer_routes[i] {
-            dc = dc.with_peer(*dsn, *egress, pool.clone());
-        }
-        fabric.set_agent(
-            DevId(node.0),
-            Box::new(FmAgent::new(fm_cfg.clone().with_distributed_config(dc))),
-        );
+    for (&node, dc) in fm_nodes.iter().zip(ensembles) {
+        let cfg = fm_cfg
+            .clone()
+            .with_distributed_config(dc.with_election_window(window));
+        fabric.set_agent(DevId(node.0), Box::new(FmAgent::new(cfg)));
     }
 
     // Kick every candidate at (nearly) the same instant.
@@ -853,15 +698,27 @@ pub fn sharded_discovery(
     // watching the primary forever, so the fabric never goes idle on
     // its own.
     let managers: Vec<DevId> = fm_nodes.iter().map(|n| DevId(n.0)).collect();
-    let holder = run_to_merge(
-        &mut fabric,
-        &managers,
-        "sharded",
-        Some(SimDuration::from_ms(1)),
-    );
+    fn agent(fabric: &Fabric, m: DevId) -> &FmAgent {
+        fabric.agent_as::<FmAgent>(m).expect("a manager")
+    }
+    let deadline = fabric.now() + SimDuration::from_ms(30_000);
+    let holder = loop {
+        if let Some(&m) = managers
+            .iter()
+            .find(|&&m| agent(&fabric, m).merged_at().is_some())
+        {
+            break m;
+        }
+        assert!(
+            fabric.step(),
+            "fabric idle before the sharded merge completed"
+        );
+        assert!(fabric.now() < deadline, "sharded discovery stalled");
+    };
+    fabric.run_until(fabric.now() + SimDuration::from_ms(1));
 
     let (merged_time, devices, links, checksum, merge_time) = {
-        let agent = fabric.agent_as::<FmAgent>(holder).expect("primary");
+        let agent = agent(&fabric, holder);
         let finished = agent.merged_at().expect("checked");
         let db = agent.db().expect("merged database");
         let cert = certify_merge(db).expect("merged database certifies");
@@ -880,7 +737,8 @@ pub fn sharded_discovery(
     let mut boundary_conflicts = 0;
     let mut failovers = 0;
     let mut per_fm_devices = Vec::new();
-    for run in last_runs(&fabric, &managers) {
+    for &m in &managers {
+        let run = agent(&fabric, m).last_run();
         boundary_conflicts += run.map_or(0, |r| r.boundary_conflicts);
         failovers += run.map_or(0, |r| r.failovers);
         per_fm_devices.push(run.map_or(0, |r| r.devices_found));

@@ -118,6 +118,9 @@ fn a_primary_killed_mid_discovery_fails_over_to_the_secondary() {
     assert!(agent.promoted(), "holder must be the promoted secondary");
     // Configuration is input, role is state: election, collaborator run
     // and promotion left the config exactly as the harness passed it in.
-    let cfg = agent.config();
-    assert!(cfg.distributed.is_none() && cfg.standby.is_none() && cfg.claim_partitioning);
+    let ensemble = agent.config().distributed_config.as_ref();
+    assert_eq!(
+        ensemble.map(|dc| (dc.priority, dc.peers.len())),
+        Some((1, 1))
+    );
 }

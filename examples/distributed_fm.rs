@@ -1,20 +1,19 @@
 //! Distributed discovery and failover — the paper's future-work items,
 //! live:
 //!
-//! 1. several collaborative fabric managers partition an 8×8 mesh with
-//!    claim-and-hold ownership writes and stream their regions to the
-//!    primary for merging;
-//! 2. a standby secondary watches the primary with keepalive reads and
-//!    takes over when it dies.
+//! 1. several fabric managers elect a primary over PI-9, partition an
+//!    8×8 mesh with claim-and-hold ownership writes and stream their
+//!    regions to the primary for merging;
+//! 2. the election's runner-up watches the primary with keepalive reads
+//!    and takes over when it dies.
 //!
 //! ```text
 //! cargo run --release --example distributed_fm
 //! ```
 
-use advanced_switching::core::{fm::StandbyConfig, DiscoveryTrigger};
-use advanced_switching::harness::scenario::distributed_discovery;
+use advanced_switching::core::DiscoveryTrigger;
+use advanced_switching::harness::{dev_of_dsn, sharded_discovery};
 use advanced_switching::prelude::*;
-use advanced_switching::topo::shortest_route;
 
 fn main() {
     // --- Part 1: collaborative discovery -------------------------------
@@ -31,57 +30,24 @@ fn main() {
         .discovery_time();
     println!("single manager        : {single}");
 
-    for collaborators in [1usize, 2, 3] {
-        let (_, _, out) = distributed_discovery(&grid.topology, collaborators, &scenario);
+    for fms in [2usize, 3, 4] {
+        let (_, _, out) = sharded_discovery(&grid.topology, fms, &scenario);
         assert_eq!(out.devices, grid.topology.node_count());
         println!(
-            "{} managers            : {}   (regions: {:?} devices)",
-            collaborators + 1,
-            out.merged_time,
-            out.per_manager_devices
+            "{fms} managers            : {}   (regions: {:?} devices)",
+            out.merged_time, out.per_fm_devices
         );
     }
 
     // --- Part 2: failover ----------------------------------------------
     println!("\n--- failover ---");
     let g = mesh(4, 4).unwrap();
-    let mut fabric = Fabric::new(&g.topology, FabricConfig::default());
-    fabric.set_event_limit(100_000_000);
-    fabric.activate_all(SimDuration::ZERO);
-    fabric.run_until_idle();
-
-    let primary = DevId(g.endpoint_at(0, 0).0);
-    let secondary_node = g.endpoint_at(3, 3);
-    let secondary = DevId(secondary_node.0);
-
-    fabric.set_agent(
-        primary,
-        Box::new(FmAgent::new(FmConfig::new(Algorithm::Parallel))),
-    );
-    fabric.schedule_agent_timer(primary, SimDuration::ZERO, TOKEN_START_DISCOVERY);
-
-    let watch = shortest_route(&g.topology, secondary_node, g.endpoint_at(0, 0)).unwrap();
-    let pool = watch
-        .encode(&g.topology, advanced_switching::proto::MAX_POOL_BITS)
-        .unwrap();
-    let mut cfg = FmConfig::new(Algorithm::Parallel);
-    cfg.standby = Some(StandbyConfig::new(watch.source_port, pool));
-    fabric.set_agent(secondary, Box::new(FmAgent::new(cfg)));
-    fabric.schedule_agent_timer(
-        secondary,
-        SimDuration::from_us(5),
-        advanced_switching::core::TOKEN_START_STANDBY,
-    );
-
-    fabric.run_until(SimTime::from_ms(5));
+    let (mut fabric, primary, out) = sharded_discovery(&g.topology, 2, &scenario);
+    let elected = fabric.agent_as::<FmAgent>(primary).unwrap().elected();
+    let secondary = dev_of_dsn(elected.unwrap().secondary.unwrap().dsn);
     println!(
-        "primary discovered {} devices; secondary standing by (keepalives flowing)",
-        fabric
-            .agent_as::<FmAgent>(primary)
-            .unwrap()
-            .db()
-            .unwrap()
-            .device_count()
+        "two managers elected and merged {} devices; the runner-up stands by (keepalives flowing)",
+        out.devices
     );
 
     println!("killing the primary endpoint…");
@@ -92,6 +58,7 @@ fn main() {
     assert!(s.promoted());
     let run = s.last_run().unwrap();
     assert_eq!(run.trigger, DiscoveryTrigger::Failover);
+    assert_eq!(run.devices_found, g.topology.node_count() - 1);
     println!(
         "secondary promoted itself and re-discovered {} devices in {} (trigger {:?})",
         run.devices_found,

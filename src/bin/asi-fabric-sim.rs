@@ -137,7 +137,8 @@ for any --jobs value):
   --jobs <n>                   worker threads (default: all cores)
   --fms <n>                    override the grid's fabric-manager axis with a
                                single count (>1 = election-based sharded
-                               discovery — see docs/DISTRIBUTED.md)
+                               discovery — see docs/DISTRIBUTED.md; at most
+                               the smallest grid fabric's endpoints, and 255)
   --fm-factor <f>              FM processing speed factor (default 1)
   --device-factor <f>          device processing speed factor (default 1)
   plus any fault option above, applied to every cell
@@ -151,8 +152,9 @@ deterministic counterpart is `sweep --grid scale`; exits 1 when the
 discovery misses devices):
   --topology <spec>            fabric under test (e.g. mesh:64x64)
   --algorithm serial-packet|serial-device|parallel   (default: parallel)
-  --fms <n>                    fabric managers; >1 runs the election-based
-                               sharded discovery with a certified merge
+  --fms <n>                    fabric managers, at most one per endpoint and
+                               255; >1 runs the election-based sharded
+                               discovery with a certified merge
   --seed / --fm-factor / --device-factor / --kernel / --trace / --json as above
   (--json also reports peak_rss_mb, the process's peak resident set —
   execution-dependent like wall_time_s, never byte-compare it — and
@@ -647,11 +649,16 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// `--fms <n>`: at least one fabric manager.
-fn parse_fms(args: &Args) -> usize {
+/// `--fms <n>`: one to `endpoints` fabric managers (one per endpoint of
+/// the smallest fabric they run on), and at most 255 — an election
+/// priority is a `u8`.
+fn parse_fms(args: &Args, endpoints: usize) -> usize {
     let fms: usize = args.num(F::Fms, 1, "an integer");
-    if fms == 0 {
-        fail("--fms must be at least 1");
+    let most = endpoints.min(255);
+    if !(1..=most).contains(&fms) {
+        fail(format!(
+            "--fms must be in 1..={most} (at most one manager per endpoint, and 255), got {fms}"
+        ));
     }
     fms
 }
@@ -832,7 +839,8 @@ fn sweep_main(inv: &Invocation, mut spec: SweepSpec) -> Report {
         fail("--jobs must be at least 1");
     }
     if inv.args.has(F::Fms) {
-        spec.fm_counts = vec![parse_fms(&inv.args)];
+        let smallest = spec.topologies.iter().map(|t| t.endpoints()).min();
+        spec.fm_counts = vec![parse_fms(&inv.args, smallest.unwrap_or(0))];
     }
     spec.base = inv.scenario.clone();
     let started = std::time::Instant::now();
@@ -958,7 +966,7 @@ fn certify_main(inv: &Invocation) -> Report {
 /// checksum, so two runs with the same seed can be compared on it.
 fn stress_main(inv: &Invocation) -> Report {
     let topo = inv.topo();
-    let fms = parse_fms(&inv.args);
+    let fms = parse_fms(&inv.args, topo.endpoint_count());
     let mut json = Json::object()
         .with("topology", topo.name.as_str())
         .with("devices", topo.node_count())

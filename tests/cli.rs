@@ -1411,6 +1411,15 @@ fn every_mode_rejects_flags_it_does_not_consume() {
                 &["certify", "--topology", "mesh:3x3", "--fms", "3"],
                 "error: --fms is not an option of the `certify` mode",
             ),
+            // More managers than the fabric (the grid's smallest) seats.
+            (
+                &["stress", "--topology", "mesh:2x2", "--fms", "5"],
+                "error: --fms must be in 1..=4",
+            ),
+            (
+                &["sweep", "--grid", "smoke", "--fms", "40"],
+                "error: --fms must be in 1..=9",
+            ),
             (
                 &["--topology", "mesh:3x3", "extra"],
                 "unknown option \"extra\"",

@@ -1,17 +1,17 @@
 //! The grand tour: one fabric lifetime exercising every subsystem in
-//! sequence — bring-up, election, discovery, PI-5 configuration, path
-//! distribution, data traffic over distributed routes, multicast, a
-//! switch failure with failover of the manager itself, and re-discovery
-//! by the promoted secondary.
+//! sequence — bring-up, the PI-9 election and sharded discovery, PI-5
+//! configuration, path distribution, data traffic over distributed
+//! routes, multicast, the primary's death with failover to the runner-up
+//! the election left watching, and re-discovery by the promoted
+//! secondary.
 
 use advanced_switching::core::{
-    decode_route_table, fm::StandbyConfig, plan_multicast, role_of, Claim, DiscoveryTrigger,
-    DistributedRole, FmRole, TOKEN_CONFIGURE_MCAST,
+    decode_route_table, plan_multicast, DiscoveryTrigger, TOKEN_CONFIGURE_MCAST,
 };
-use advanced_switching::fabric::DSN_BASE;
+use advanced_switching::harness::{dev_of_dsn, dsn_of_dev, sharded_discovery};
 use advanced_switching::prelude::*;
 use advanced_switching::proto::{CapabilityAddr, CAP_ROUTE_TABLE};
-use advanced_switching::topo::{shortest_route, torus};
+use advanced_switching::topo::torus;
 use std::any::Any;
 
 #[derive(Default)]
@@ -49,68 +49,31 @@ impl FabricAgent for Counting {
 fn full_lifecycle() {
     let g = torus(4, 4).unwrap();
     let topo = &g.topology;
-    let mut fabric = Fabric::new(topo, FabricConfig::default());
-    fabric.set_event_limit(500_000_000);
 
-    // ---- Phase 1: staggered bring-up ---------------------------------
-    fabric.activate_all(SimDuration::from_ns(200));
-    fabric.run_until_idle();
-
-    // ---- Phase 2: election by claim walk ------------------------------
-    // Two contenders; both walk the fabric with claim partitioning.
-    let cand_a = DevId(g.endpoint_at(0, 0).0);
-    let cand_b = DevId(g.endpoint_at(2, 2).0);
-    for dev in [cand_a, cand_b] {
-        let mut cfg =
-            FmConfig::new(Algorithm::Parallel).with_distributed(DistributedRole::Primary {
-                expected_reports: 0,
-            });
-        cfg.auto_rediscover = false;
-        fabric.set_agent(dev, Box::new(FmAgent::new(cfg)));
-        fabric.schedule_agent_timer(dev, SimDuration::from_us(1), TOKEN_START_DISCOVERY);
-    }
-    fabric.run_until_idle();
-    let dsn = |d: DevId| DSN_BASE | u64::from(d.0);
-    let claim = |d: DevId| Claim::new(0, dsn(d));
-    let rivals_a: Vec<Claim> = fabric
-        .agent_as::<FmAgent>(cand_a)
-        .unwrap()
-        .rivals
-        .iter()
-        .map(|&d| Claim::new(0, d))
-        .collect();
-    // Higher DSN wins: cand_b (endpoint (2,2) has the larger index).
-    assert_eq!(role_of(claim(cand_a), &rivals_a), FmRole::Secondary);
-    let primary = cand_b;
-    let secondary = cand_a;
+    // ---- Phases 1-2: bring-up, then two managers elected over PI-9 ----
+    // They shard the discovery; the runner-up keeps watching the primary.
+    let scenario = Scenario::new(Algorithm::Parallel);
+    let (mut fabric, primary, out) = sharded_discovery(topo, 2, &scenario);
+    assert_eq!((out.devices, out.failovers), (32, 0));
+    let elected = fabric.agent_as::<FmAgent>(primary).unwrap().elected();
+    let secondary = dev_of_dsn(elected.unwrap().secondary.expect("a runner-up").dsn);
 
     // ---- Phase 3: the primary re-runs a clean full discovery with path
-    // distribution; the loser drops into standby. ----------------------
+    // distribution; the runner-up's watch stays armed. ------------------
     let mut cfg = FmConfig::new(Algorithm::Parallel);
     cfg.distribute_paths = true;
     fabric.set_agent(primary, Box::new(FmAgent::new(cfg)));
     fabric.schedule_agent_timer(primary, SimDuration::from_us(1), TOKEN_START_DISCOVERY);
-
-    let watch = shortest_route(topo, g.endpoint_at(0, 0), g.endpoint_at(2, 2)).unwrap();
-    let mut cfg = FmConfig::new(Algorithm::Parallel);
-    cfg.standby = Some(StandbyConfig::new(
-        watch.source_port,
-        watch
-            .encode(topo, advanced_switching::proto::MAX_POOL_BITS)
-            .unwrap(),
-    ));
-    fabric.set_agent(secondary, Box::new(FmAgent::new(cfg)));
-    fabric.schedule_agent_timer(
-        secondary,
-        SimDuration::from_us(5),
-        advanced_switching::core::TOKEN_START_STANDBY,
-    );
-    fabric.run_until(SimTime::from_ms(20));
+    // Bounded runs from here on: the secondary's keepalive loop keeps the
+    // event queue alive forever, so run_until_idle would not return.
+    let deadline = fabric.now() + SimDuration::from_ms(20);
+    fabric.run_until(deadline);
     {
         let p = fabric.agent_as::<FmAgent>(primary).unwrap();
         assert_eq!(p.db().unwrap().device_count(), 32);
         assert_eq!(p.distributions.len(), 1);
         assert_eq!(p.distributions[0].failures, 0);
+        assert!(!fabric.agent_as::<FmAgent>(secondary).unwrap().promoted());
     }
 
     // PI-5 routes from the primary's database.
@@ -128,7 +91,7 @@ fn full_lifecycle() {
     };
     for (d, egress, pool) in routes {
         fabric.set_fm_route(
-            DevId((d & 0xFFFF_FFFF) as u32),
+            dev_of_dsn(d),
             advanced_switching::fabric::FmRoute { egress, pool },
         );
     }
@@ -136,7 +99,11 @@ fn full_lifecycle() {
     // ---- Phase 4: a user endpoint sends data over its distributed
     // route table. -------------------------------------------------------
     let user = DevId(g.endpoint_at(1, 1).0);
-    let peer = DevId(g.endpoint_at(3, 3).0);
+    let peer = DevId(g.endpoint_at(2, 2).0);
+    assert!(
+        ![user, peer].contains(&secondary),
+        "the runner-up keeps its agent"
+    );
     let entry = {
         let cs = fabric.config_space(user);
         let mut words = Vec::new();
@@ -156,7 +123,7 @@ fn full_lifecycle() {
         }
         decode_route_table(&words)
             .into_iter()
-            .find(|e| e.dest_dsn == dsn(peer))
+            .find(|e| e.dest_dsn == dsn_of_dev(peer))
             .expect("distributed route present")
     };
     let hdr = advanced_switching::proto::RouteHeader::forward(
@@ -171,8 +138,6 @@ fn full_lifecycle() {
     fabric.set_agent(user, Box::new(sender));
     fabric.set_agent(peer, Box::new(Counting::default()));
     fabric.schedule_agent_timer(user, SimDuration::from_us(1), 0);
-    // Bounded runs from here on: the secondary's keepalive loop keeps the
-    // event queue alive forever, so run_until_idle would never return.
     let deadline = fabric.now() + SimDuration::from_ms(1);
     fabric.run_until(deadline);
     assert_eq!(fabric.agent_as::<Counting>(peer).unwrap().data, 1);
@@ -184,7 +149,7 @@ fn full_lifecycle() {
         g.endpoint_at(3, 0),
         g.endpoint_at(0, 3),
     ];
-    let member_dsns: Vec<u64> = members.iter().map(|m| DSN_BASE | u64::from(m.0)).collect();
+    let member_dsns: Vec<u64> = members.iter().map(|m| dsn_of_dev(DevId(m.0))).collect();
     {
         let agent = fabric.agent_as_mut::<FmAgent>(primary).unwrap();
         // The plan itself must be valid against the discovered database.
@@ -224,9 +189,8 @@ fn full_lifecycle() {
     }
 
     // ---- Phase 6: the primary's endpoint dies; the secondary promotes
-    // and re-discovers the surviving fabric. ----------------------------
+    // (and stops probing) and re-discovers the surviving fabric. --------
     fabric.schedule_deactivate(primary, SimDuration::from_us(10));
-    fabric.run_until(SimTime::from_ms(80));
     fabric.run_until_idle();
     let s = fabric.agent_as::<FmAgent>(secondary).unwrap();
     assert!(s.promoted(), "secondary never took over");
@@ -234,5 +198,5 @@ fn full_lifecycle() {
     assert_eq!(run.trigger, DiscoveryTrigger::Failover);
     // 32 devices minus the dead primary endpoint.
     assert_eq!(run.devices_found, 31);
-    assert!(!s.db().unwrap().contains(dsn(primary)));
+    assert!(!s.db().unwrap().contains(dsn_of_dev(primary)));
 }
