@@ -2,21 +2,29 @@
 //! machine; they differ in a single admission rule.
 //!
 //! The engine is deliberately I/O-free: it consumes completions/timeouts
-//! and emits [`OutRequest`]s. The [`crate::fm::FmAgent`] adapts it to the
-//! fabric's agent interface; unit tests drive it directly.
+//! and appends the [`OutRequest`]s they enable to a caller's buffer. The
+//! [`crate::fm::FmAgent`] adapts it to the fabric's agent interface;
+//! unit tests drive it directly.
 //!
 //! ## One admission rule (paper §3)
 //!
 //! The three algorithms are three answers to one question — *when may
-//! the FM inject the next PI-4 request*. An operation that arises from a
-//! completion is either issued at once or waits until no request is
-//! outstanding:
+//! the FM inject the next PI-4 request*. An exploration operation that
+//! arises from a completion either waits until no request is outstanding
+//! or is issued at once, which means while fewer than [`REQUEST_WINDOW`]
+//! requests are outstanding:
 //!
 //! | algorithm      | port-block reads of a newly discovered device | probes (general-info reads) |
 //! |----------------|-----------------------------------------------|-----------------------------|
 //! | Serial Packet  | wait                                          | wait                        |
 //! | Serial Device  | at once                                       | wait                        |
 //! | Parallel       | at once                                       | at once                     |
+//!
+//! Only Parallel's flood ever reaches the window (one device has at most
+//! 128 port-block reads), and only on fabrics far above the paper's:
+//! Table 1 peaks at 271 outstanding. Past it, the extra requests would
+//! only queue behind the FM's serial response processing (Figs. 7–8)
+//! while host memory grew with the fabric's fan-out.
 //!
 //! The claim exchange (ownership write, then its read-back), warm-start
 //! verify reads, the refresh re-reads of [`Engine::seeded`] /
@@ -26,15 +34,19 @@
 //! ## One queue, one pump
 //!
 //! Exploration that arises is put on one queue of waiting operations:
-//! probes at the back (breadth-first), a new device's port reads at the
-//! front in port order (they precede every probe already waiting). After
-//! every completion or timeout the *pump* issues from the front until it
-//! meets an operation the table above tells to wait while requests are
-//! outstanding. The pending table is the only scheduler state: Serial
-//! Packet's "one request at a time" and Serial Device's "one device at a
-//! time" are both "the table is empty". A waiting read whose device has
-//! been forgotten in the meantime finds nothing to address and is
-//! skipped. The run is done when the table and the queue are both empty.
+//! probes at the back (breadth-first). Where probes wait (the serial
+//! algorithms), a new device's port reads go to the front in port order,
+//! ahead of every probe already waiting; under Parallel they go to the
+//! back too, so that a queue held by the window drains in the order the
+//! unbounded flood would have issued it. After every completion or
+//! timeout the *pump* issues from the front until it meets an operation
+//! the table above tells to wait. The pending table is the only scheduler
+//! state: Serial Packet's "one request at a time" and Serial Device's
+//! "one device at a time" are both "the table is empty", Parallel's
+//! window is "the table holds [`REQUEST_WINDOW`]". A waiting read whose
+//! device has been forgotten in the meantime finds nothing to address
+//! and is skipped. The run is done when the table and the queue are both
+//! empty.
 //!
 //! ## Exploration bookkeeping
 //!
@@ -61,6 +73,11 @@ const OWNERSHIP: CapabilityAddr = CapabilityAddr {
     capability: CAP_OWNERSHIP,
     offset: 0,
 };
+
+/// The request window: exploration is issued only while fewer than this
+/// many requests are outstanding, and otherwise waits on the queue
+/// (module header).
+pub const REQUEST_WINDOW: usize = 1024;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -247,8 +264,9 @@ pub struct EngineStats {
     pub responses: u64,
     /// Requests abandoned by timeout.
     pub timeouts: u64,
-    /// Largest number of simultaneously outstanding requests — 1 for the
-    /// serial algorithms by construction.
+    /// Largest number of simultaneously outstanding requests — 1 for
+    /// Serial Packet by construction, at most [`REQUEST_WINDOW`] in a
+    /// cold run.
     pub max_outstanding: usize,
     /// Requests re-issued after a timeout.
     pub retries: u64,
@@ -333,13 +351,14 @@ impl Engine {
     }
 
     /// Starts a full discovery: reads the host endpoint locally, then
-    /// probes every active host port. Returns the engine plus the first
-    /// requests to inject.
+    /// probes every active host port. The first requests to inject are
+    /// appended to `out`, as by every entry point below.
     pub fn start(
         cfg: EngineConfig,
         host_info: DeviceInfo,
         host_ports: &[PortInfo],
-    ) -> (Engine, Vec<OutRequest>) {
+        out: &mut Vec<OutRequest>,
+    ) -> Engine {
         let pool = TurnPool::with_capacity(cfg.pool_capacity);
         let mut db = TopologyDb::new(host_info.dsn);
         db.insert_device(
@@ -366,9 +385,8 @@ impl Engine {
                 }));
             }
         }
-        let mut out = Vec::new();
-        engine.pump(&mut out);
-        (engine, out)
+        engine.pump(out);
+        engine
     }
 
     /// Starts a *partial* discovery (affected-region assimilation,
@@ -380,21 +398,21 @@ impl Engine {
         mut db: TopologyDb,
         reread_ports: &[u64],
         probe_via: &[(u64, u8)],
-    ) -> (Engine, Vec<OutRequest>) {
+        out: &mut Vec<OutRequest>,
+    ) -> Engine {
         // Stored routes may traverse the very device whose disappearance
         // triggered this run: recompute them over the updated link set
         // first (the paper's "obtain a new set of paths" step).
         db.refresh_routes(cfg.pool_capacity);
         let mut engine = Engine::new(cfg, db);
-        let mut out = Vec::new();
         for &dsn in reread_ports {
-            engine.reread_ports(dsn, &mut out);
+            engine.reread_ports(dsn, out);
         }
         for &(dsn, port) in probe_via {
             engine.probe(dsn, port);
         }
-        engine.pump(&mut out);
-        (engine, out)
+        engine.pump(out);
+        engine
     }
 
     /// Starts a warm-start *verification* pass: `db` is a snapshot-seeded
@@ -405,8 +423,8 @@ impl Engine {
     /// devices that answer differently, answer with an error, or never
     /// answer land in [`Engine::mismatched`] — the engine does **not**
     /// forget them, the fabric manager decides how to re-discover.
-    pub fn verify(cfg: EngineConfig, db: TopologyDb) -> (Engine, Vec<OutRequest>) {
-        Engine::verify_with_probes(cfg, db, &[])
+    pub fn verify(cfg: EngineConfig, db: TopologyDb, out: &mut Vec<OutRequest>) -> Engine {
+        Engine::verify_with_probes(cfg, db, &[], out)
     }
 
     /// [`Engine::verify`] that additionally explores through `probe_via`
@@ -419,7 +437,8 @@ impl Engine {
         cfg: EngineConfig,
         db: TopologyDb,
         probe_via: &[(u64, u8)],
-    ) -> (Engine, Vec<OutRequest>) {
+        out: &mut Vec<OutRequest>,
+    ) -> Engine {
         let mut engine = Engine::new(cfg, db);
         let mut targets: Vec<(u16, u64)> = engine
             .db
@@ -428,7 +447,6 @@ impl Engine {
             .map(|d| (d.route.hops, d.info.dsn))
             .collect();
         targets.sort_unstable();
-        let mut out = Vec::new();
         for (_, dsn) in targets {
             out.extend(engine.issue(Pending::Verify { dsn }));
         }
@@ -445,10 +463,10 @@ impl Engine {
         rereads.sort_unstable();
         rereads.dedup();
         for dsn in rereads {
-            engine.reread_ports(dsn, &mut out);
+            engine.reread_ports(dsn, out);
         }
-        engine.pump(&mut out);
-        (engine, out)
+        engine.pump(out);
+        engine
     }
 
     /// DSNs confirmed unchanged by a verification pass, in completion
@@ -509,14 +527,15 @@ impl Engine {
 
     /// Consumes a PI-4 completion. `words` is the data of a successful
     /// read, `Err` carries a read/write error status. Write completions
-    /// pass `Ok(&[])`.
+    /// pass `Ok(&[])`. The requests it enables are appended to `out`.
     pub fn handle_completion(
         &mut self,
         req_id: u32,
         result: Result<&[u32], Pi4Status>,
-    ) -> Vec<OutRequest> {
+        out: &mut Vec<OutRequest>,
+    ) {
         let Some(inflight) = self.pending.remove(req_id) else {
-            return Vec::new(); // stale (timed out earlier)
+            return; // stale (timed out earlier)
         };
         self.stats.responses += 1;
         let ok = result.is_ok();
@@ -526,9 +545,8 @@ impl Engine {
                 ok,
             });
         self.trace_pending();
-        let mut out = Vec::new();
         match (inflight.kind, result) {
-            (Pending::General(target), Ok(words)) => self.on_general(target, words, &mut out),
+            (Pending::General(target), Ok(words)) => self.on_general(target, words, out),
             // No usable device behind that port.
             (Pending::General(_), Err(_)) => {}
             (Pending::Ports { dsn, first_port }, Ok(words)) => {
@@ -579,16 +597,15 @@ impl Engine {
                 }
             }
         }
-        self.pump(&mut out);
-        out
+        self.pump(out);
     }
 
     /// Handles a request that never completed: re-issue it while the
     /// retry budget lasts, otherwise give the target up (the paper's FM
-    /// assumes a removed device).
-    pub fn handle_timeout(&mut self, req_id: u32) -> Vec<OutRequest> {
+    /// assumes a removed device). Requests go to `out`.
+    pub fn handle_timeout(&mut self, req_id: u32, out: &mut Vec<OutRequest>) {
         let Some(inflight) = self.pending.remove(req_id) else {
-            return Vec::new();
+            return;
         };
         self.stats.timeouts += 1;
         self.trace
@@ -602,7 +619,8 @@ impl Engine {
             if let Some((route, op)) = self.request_for(&inflight.kind) {
                 self.stats.retries += 1;
                 let (retries, salt) = (inflight.retries + 1, Some(inflight.salt));
-                return vec![self.issue_attempt(route, op, inflight.kind, retries, salt)];
+                out.push(self.issue_attempt(route, op, inflight.kind, retries, salt));
+                return;
             }
         }
         self.stats.abandoned += 1;
@@ -617,29 +635,40 @@ impl Engine {
             // the decision to re-discover around it.
             Pending::Verify { dsn } => self.mismatch(dsn),
         }
-        let mut out = Vec::new();
-        self.pump(&mut out);
-        out
+        self.pump(out);
     }
 
     // ------------------------------------------------------------------
 
-    /// The paper's three algorithms (§3) as one rule: must an operation
-    /// of this kind wait until no request is outstanding? Only
-    /// exploration is ever asked — the other kinds continue an operation
-    /// already in flight and are issued directly.
-    fn waits(&self, kind: &Pending) -> bool {
-        let (port_reads_wait, probes_wait) = match self.cfg.algorithm {
+    /// The paper's three algorithms (§3): which exploration kinds, as
+    /// `(port reads, probes)`, wait until no request is outstanding.
+    fn serial_kinds(&self) -> (bool, bool) {
+        match self.cfg.algorithm {
             Algorithm::SerialPacket => (true, true),
             Algorithm::SerialDevice => (false, true),
             Algorithm::Parallel => (false, false),
-        };
-        match kind {
+        }
+    }
+
+    /// The admission rule: must an operation of this kind wait, with the
+    /// requests now outstanding? A serial kind waits for an empty table,
+    /// any other for a place in the window. Only exploration is ever
+    /// asked — the other kinds continue an operation already in flight
+    /// and are issued directly.
+    fn waits(&self, kind: &Pending) -> bool {
+        let (port_reads_wait, probes_wait) = self.serial_kinds();
+        let serial = match kind {
             Pending::Ports { .. } => port_reads_wait,
             Pending::General(_) => probes_wait,
             Pending::ClaimWrite { .. } | Pending::ClaimCheck { .. } | Pending::Verify { .. } => {
-                false
+                return false
             }
+        };
+        let outstanding = self.pending.len();
+        if serial {
+            outstanding > 0
+        } else {
+            outstanding >= REQUEST_WINDOW
         }
     }
 
@@ -648,7 +677,7 @@ impl Engine {
     /// has been forgotten since has nothing to address and is skipped.
     fn pump(&mut self, out: &mut Vec<OutRequest>) {
         while let Some(kind) = self.queue.front() {
-            if !self.pending.is_empty() && self.waits(kind) {
+            if self.waits(kind) {
                 break;
             }
             let kind = self.queue.pop_front().expect("front was just seen");
@@ -700,11 +729,18 @@ impl Engine {
     }
 
     /// Queues the port-block reads of a freshly discovered device, in
-    /// port order, ahead of every probe already waiting.
+    /// port order: ahead of every probe already waiting where probes
+    /// wait, else behind everything waiting, in the flood's own order.
     fn explore_ports(&mut self, dsn: u64) {
         let Some(d) = self.db.device(dsn) else { return };
-        for first_port in port_info_reads(d.info.port_count).rev() {
-            self.queue.push_front(Pending::Ports { dsn, first_port });
+        let reads = port_info_reads(d.info.port_count);
+        let reads = reads.map(|first_port| Pending::Ports { dsn, first_port });
+        if self.serial_kinds().1 {
+            for read in reads.rev() {
+                self.queue.push_front(read);
+            }
+        } else {
+            self.queue.extend(reads);
         }
     }
 
@@ -906,13 +942,22 @@ mod tests {
         EngineConfig::new(algorithm, asi_proto::MAX_POOL_BITS)
     }
 
+    /// The requests one engine call appends to a fresh buffer.
+    fn step(call: impl FnOnce(&mut Vec<OutRequest>)) -> Vec<OutRequest> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
+
     #[test]
     fn isolated_host_finishes_immediately() {
         for alg in Algorithm::all() {
-            let (engine, out) = Engine::start(
+            let mut out = Vec::new();
+            let engine = Engine::start(
                 cfg(alg),
                 endpoint_info(1),
                 &[PortInfo::default()], // port down
+                &mut out,
             );
             assert!(out.is_empty(), "{alg}: no requests expected");
             assert!(engine.is_done(), "{alg}: must finish immediately");
@@ -924,10 +969,12 @@ mod tests {
     fn start_probes_each_active_host_port() {
         let mut two_port = endpoint_info(1);
         two_port.port_count = 2;
-        let (engine, out) = Engine::start(
+        let mut out = Vec::new();
+        let engine = Engine::start(
             cfg(Algorithm::Parallel),
             two_port,
             &[active_port(3), active_port(5)],
+            &mut out,
         );
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].egress, 0);
@@ -935,23 +982,27 @@ mod tests {
         assert!(!engine.is_done());
         assert_eq!(engine.outstanding(), 2);
         // Serial variants issue only the first probe.
-        let (_, out) = Engine::start(
+        let mut out = Vec::new();
+        Engine::start(
             cfg(Algorithm::SerialPacket),
             two_port,
             &[active_port(3), active_port(5)],
+            &mut out,
         );
         assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn error_completion_on_probe_moves_on() {
-        let (mut engine, out) = Engine::start(
+        let mut out = Vec::new();
+        let mut engine = Engine::start(
             cfg(Algorithm::SerialPacket),
             endpoint_info(1),
             &[active_port(0)],
+            &mut out,
         );
         let req = out[0].req_id;
-        let next = engine.handle_completion(req, Err(Pi4Status::ConfigurationRetry));
+        let next = step(|o| engine.handle_completion(req, Err(Pi4Status::ConfigurationRetry), o));
         assert!(next.is_empty());
         assert!(engine.is_done(), "failed probe must not wedge the engine");
         assert_eq!(engine.stats().responses, 1);
@@ -959,45 +1010,51 @@ mod tests {
 
     #[test]
     fn timeout_on_probe_moves_on() {
-        let (mut engine, out) = Engine::start(
+        let mut out = Vec::new();
+        let mut engine = Engine::start(
             cfg(Algorithm::Parallel),
             endpoint_info(1),
             &[active_port(0)],
+            &mut out,
         );
         let req = out[0].req_id;
         assert!(engine.is_pending(req));
-        let next = engine.handle_timeout(req);
+        let next = step(|o| engine.handle_timeout(req, o));
         assert!(next.is_empty());
         assert!(engine.is_done());
         assert_eq!(engine.stats().timeouts, 1);
         // A late completion for the timed-out request is ignored.
-        let late = engine.handle_completion(req, Ok(&switch_words(9)));
+        let late = step(|o| engine.handle_completion(req, Ok(&switch_words(9)), o));
         assert!(late.is_empty());
         assert!(!engine.db.contains(9), "stale completion must not insert");
     }
 
     #[test]
     fn garbled_general_info_is_tolerated() {
-        let (mut engine, out) = Engine::start(
+        let mut out = Vec::new();
+        let mut engine = Engine::start(
             cfg(Algorithm::SerialDevice),
             endpoint_info(1),
             &[active_port(0)],
+            &mut out,
         );
         // All-zero words do not decode to a DeviceInfo.
-        let next = engine.handle_completion(out[0].req_id, Ok(&[0u32; 6]));
+        let next = step(|o| engine.handle_completion(out[0].req_id, Ok(&[0u32; 6]), o));
         assert!(next.is_empty());
         assert!(engine.is_done());
     }
 
     #[test]
     fn discovering_one_switch_reads_its_ports() {
-        let (mut engine, out) = Engine::start(
+        let mut out = Vec::new();
+        let mut engine = Engine::start(
             cfg(Algorithm::SerialDevice),
             endpoint_info(1),
             &[active_port(2)], // host's link enters switch port 2
+            &mut out,
         );
         // Serve the general probe with a 4-port switch.
-        let reads = engine.handle_completion(out[0].req_id, Ok(&switch_words(7)));
+        let reads = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
         // 4 ports at 2 per read = 2 port reads, all at once (SerialDevice).
         assert_eq!(reads.len(), 2);
         assert!(engine.db.contains(7));
@@ -1018,13 +1075,13 @@ mod tests {
             .to_words(),
         );
         // Ports 0..2 down:
-        let r1 = engine.handle_completion(reads[0].req_id, Ok(&port_words));
+        let r1 = step(|o| engine.handle_completion(reads[0].req_id, Ok(&port_words), o));
         assert!(r1.is_empty());
         // Ports 2..4: port 2 is the back-edge (active), port 3 down.
         let mut words2 = Vec::new();
         words2.extend(active_port(0).to_words());
         words2.extend(PortInfo::default().to_words());
-        let r2 = engine.handle_completion(reads[1].req_id, Ok(&words2));
+        let r2 = step(|o| engine.handle_completion(reads[1].req_id, Ok(&words2), o));
         assert!(r2.is_empty(), "back-edge must not be re-probed");
         assert!(engine.is_done());
         assert!(engine.db.device(7).unwrap().ports_complete());
@@ -1033,7 +1090,8 @@ mod tests {
     #[test]
     fn seeded_with_nothing_is_done() {
         let db = TopologyDb::new(1);
-        let (engine, out) = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[]);
+        let mut out = Vec::new();
+        let engine = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[], &mut out);
         assert!(out.is_empty());
         assert!(engine.is_done());
     }
@@ -1081,7 +1139,8 @@ mod tests {
                 },
             );
         }
-        let (mut engine, out) = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[(7, 1)]);
+        let mut out = Vec::new();
+        let mut engine = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[(7, 1)], &mut out);
         assert_eq!(out.len(), 1, "one probe through (7, 1)");
         assert!(!engine.is_done());
         // The probe's pool carries the turn through switch 7 (entry 2 →
@@ -1092,9 +1151,10 @@ mod tests {
         // Answer with a fresh endpoint: discovery extends and completes.
         let mut ep9 = endpoint_info(9);
         ep9.fm_capable = false;
-        let reads = engine.handle_completion(out[0].req_id, Ok(&ep9.to_words()));
+        let reads = step(|o| engine.handle_completion(out[0].req_id, Ok(&ep9.to_words()), o));
         assert_eq!(reads.len(), 1, "one port-block read for the endpoint");
-        let done = engine.handle_completion(reads[0].req_id, Ok(&active_port(1).to_words()));
+        let done =
+            step(|o| engine.handle_completion(reads[0].req_id, Ok(&active_port(1).to_words()), o));
         assert!(done.is_empty());
         assert!(engine.is_done());
         assert!(engine.db.contains(9));
@@ -1146,9 +1206,10 @@ mod tests {
                 },
             );
         }
-        let (mut engine, out) = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[(7, 1)]);
+        let mut out = Vec::new();
+        let mut engine = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[(7, 1)], &mut out);
         assert_eq!(out.len(), 1);
-        let done = engine.handle_completion(out[0].req_id, Ok(&switch_words(7)));
+        let done = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
         assert!(done.is_empty());
         assert!(engine.is_done());
         assert_eq!(engine.stats().stale_probes, 1);
@@ -1160,19 +1221,25 @@ mod tests {
     fn claim_flow_cedes_to_rival() {
         let mut c = cfg(Algorithm::Parallel);
         c.claim_partitioning = true;
-        let (mut engine, out) = Engine::start(c, endpoint_info(1), &[active_port(2)]);
+        let mut out = Vec::new();
+        let mut engine = Engine::start(c, endpoint_info(1), &[active_port(2)], &mut out);
         // General info answered: engine must claim before reading ports.
-        let claim = engine.handle_completion(out[0].req_id, Ok(&switch_words(7)));
+        let claim = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
         assert_eq!(claim.len(), 1);
         assert!(matches!(claim[0].op, OutOp::Write { .. }));
         // Write acked: read-back issued.
-        let check = engine.handle_completion(claim[0].req_id, Ok(&[]));
+        let check = step(|o| engine.handle_completion(claim[0].req_id, Ok(&[]), o));
         assert_eq!(check.len(), 1);
         assert!(matches!(check[0].op, OutOp::Read { .. }));
         // Read-back shows a rival owner: cede, no port reads, done.
         let rival = 0xBEEFu64;
-        let out =
-            engine.handle_completion(check[0].req_id, Ok(&[(rival >> 32) as u32, rival as u32]));
+        let out = step(|o| {
+            engine.handle_completion(
+                check[0].req_id,
+                Ok(&[(rival >> 32) as u32, rival as u32]),
+                o,
+            )
+        });
         assert!(out.is_empty());
         assert!(engine.is_done());
         assert_eq!(engine.stats().ceded_devices, 1);
@@ -1186,11 +1253,12 @@ mod tests {
     fn claim_flow_owns_and_explores() {
         let mut c = cfg(Algorithm::Parallel);
         c.claim_partitioning = true;
-        let (mut engine, out) = Engine::start(c, endpoint_info(1), &[active_port(2)]);
-        let claim = engine.handle_completion(out[0].req_id, Ok(&switch_words(7)));
-        let check = engine.handle_completion(claim[0].req_id, Ok(&[]));
+        let mut out = Vec::new();
+        let mut engine = Engine::start(c, endpoint_info(1), &[active_port(2)], &mut out);
+        let claim = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
+        let check = step(|o| engine.handle_completion(claim[0].req_id, Ok(&[]), o));
         // Read-back shows our own DSN (1): proceed with port reads.
-        let reads = engine.handle_completion(check[0].req_id, Ok(&[0, 1]));
+        let reads = step(|o| engine.handle_completion(check[0].req_id, Ok(&[0, 1]), o));
         assert_eq!(reads.len(), 2, "port reads follow a successful claim");
         assert!(engine.rivals.is_empty());
     }

@@ -15,7 +15,7 @@ mod side;
 
 use crate::db::TopologyDb;
 use crate::distributed::{DistributedConfig, MergeState};
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, OutRequest};
 use crate::metrics::{Algorithm, DiscoveryRun, DistributionRun};
 use crate::retry::RetryPolicy;
 use crate::timing::FmTiming;
@@ -218,6 +218,9 @@ impl FmConfig {
 pub struct FmAgent {
     cfg: FmConfig,
     engine: Option<Engine>,
+    /// The requests the engine wants sent: it fills the buffer,
+    /// [`FmAgent::dispatch`] drains it and keeps it for the next call.
+    outbox: Vec<OutRequest>,
     acc: Option<RunAcc>,
     runs: Vec<DiscoveryRun>,
     db: Option<TopologyDb>,
@@ -265,6 +268,7 @@ impl FmAgent {
     pub fn new(cfg: FmConfig) -> FmAgent {
         FmAgent {
             engine: None,
+            outbox: Vec::new(),
             acc: None,
             runs: Vec::new(),
             db: None,
@@ -350,15 +354,20 @@ impl FmAgent {
             return; // completion for an abandoned run
         };
         engine.set_trace_time(ctx.now);
-        let out = match pi4 {
-            Pi4::ReadCompletion { req_id, data } => engine.handle_completion(*req_id, Ok(data)),
-            Pi4::ReadError { req_id, status } => engine.handle_completion(*req_id, Err(*status)),
-            Pi4::WriteCompletion { req_id } => engine.handle_completion(*req_id, Ok(&[])),
+        let out = &mut self.outbox;
+        match pi4 {
+            Pi4::ReadCompletion { req_id, data } => {
+                engine.handle_completion(*req_id, Ok(data), out)
+            }
+            Pi4::ReadError { req_id, status } => {
+                engine.handle_completion(*req_id, Err(*status), out)
+            }
+            Pi4::WriteCompletion { req_id } => engine.handle_completion(*req_id, Ok(&[]), out),
             // Requests are serviced by the fabric's device responder, not
             // the manager.
-            Pi4::ReadRequest { .. } | Pi4::WriteRequest { .. } => Vec::new(),
-        };
-        self.dispatch(ctx, out);
+            Pi4::ReadRequest { .. } | Pi4::WriteRequest { .. } => {}
+        }
+        self.dispatch(ctx);
         self.maybe_finish(ctx);
     }
 }
@@ -429,8 +438,8 @@ impl FabricAgent for FmAgent {
                 if let Some(engine) = self.engine.as_mut() {
                     if engine.is_pending(req_id) {
                         engine.set_trace_time(ctx.now);
-                        let out = engine.handle_timeout(req_id);
-                        self.dispatch(ctx, out);
+                        engine.handle_timeout(req_id, &mut self.outbox);
+                        self.dispatch(ctx);
                         self.maybe_finish(ctx);
                     }
                 }

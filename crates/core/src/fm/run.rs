@@ -5,7 +5,7 @@
 //! storm) → done | scoped | cold fallback.
 
 use super::*;
-use crate::engine::{EngineStats, OutOp, OutRequest};
+use crate::engine::{EngineStats, OutOp};
 use crate::metrics::{DiscoveryTrigger, TrafficSummary};
 use crate::snapshot::db_from_snapshot;
 use asi_proto::{DeviceType, FmMessage, PortEvent};
@@ -82,15 +82,15 @@ fn scope(db: &TopologyDb, rereads: &mut Vec<u64>, probe_via: &mut Vec<(u64, u8)>
 
 impl FmAgent {
     /// Installs a freshly built engine as the current phase and sends
-    /// its opening requests. `acc` is `Some` when the engine opens a new
-    /// run (traced as `RunStarted`, `extra`, pending-table size), `None`
-    /// when it continues the run in flight. Every engine numbers its
-    /// requests from 1; the fresh epoch voids the previous engine's
-    /// still-scheduled timeout timers.
+    /// the opening requests it left in the outbox. `acc` is `Some` when
+    /// the engine opens a new run (traced as `RunStarted`, `extra`,
+    /// pending-table size), `None` when it continues the run in flight.
+    /// Every engine numbers its requests from 1; the fresh epoch voids
+    /// the previous engine's still-scheduled timeout timers.
     pub(super) fn launch(
         &mut self,
         ctx: &mut AgentCtx,
-        (mut engine, out): (Engine, Vec<OutRequest>),
+        mut engine: Engine,
         acc: Option<RunAcc>,
         extra: Option<TraceEvent>,
     ) {
@@ -112,7 +112,7 @@ impl FmAgent {
             self.acc = Some(acc);
         }
         self.engine = Some(engine);
-        self.dispatch(ctx, out);
+        self.dispatch(ctx);
         self.maybe_finish(ctx);
     }
 
@@ -143,7 +143,7 @@ impl FmAgent {
         // routes cannot mask an intact topology.
         db.refresh_routes(self.cfg.pool_capacity);
         let (devices, links) = (snapshot.device_count() as u64, snapshot.link_count() as u64);
-        let engine = Engine::verify(self.engine_cfg(), db);
+        let engine = Engine::verify(self.engine_cfg(), db, &mut self.outbox);
         let acc = RunAcc::new(DiscoveryTrigger::WarmStart, ctx.now, Some(devices));
         let loaded = TraceEvent::SnapshotLoaded { devices, links };
         self.launch(ctx, engine, Some(acc), Some(loaded));
@@ -159,7 +159,7 @@ impl FmAgent {
             switch: host.device_type == DeviceType::Switch,
             ports: host.port_count,
         };
-        let engine = Engine::start(self.engine_cfg(), host, &ctx.host_ports);
+        let engine = Engine::start(self.engine_cfg(), host, &ctx.host_ports, &mut self.outbox);
         let acc = RunAcc::new(trigger, ctx.now, None);
         self.launch(ctx, engine, Some(acc), Some(host_discovered));
     }
@@ -276,23 +276,33 @@ impl FmAgent {
                 });
             db.refresh_routes(self.cfg.pool_capacity);
             verifying = Some(db.device_count() as u64);
-            Engine::verify_with_probes(self.engine_cfg(), db, &probe_via)
+            Engine::verify_with_probes(self.engine_cfg(), db, &probe_via, &mut self.outbox)
         } else {
-            Engine::seeded(self.engine_cfg(), db, &rereads, &probe_via)
+            Engine::seeded(
+                self.engine_cfg(),
+                db,
+                &rereads,
+                &probe_via,
+                &mut self.outbox,
+            )
         };
         let acc = RunAcc::new(DiscoveryTrigger::Partial, ctx.now, verifying);
         self.launch(ctx, engine, Some(acc), None);
     }
 
-    /// Sends engine requests and arms their timeouts.
-    pub(super) fn dispatch(&mut self, ctx: &mut AgentCtx, out: Vec<OutRequest>) {
+    /// Sends the requests in the outbox, arms their timeouts, and keeps
+    /// the emptied buffer for the engine's next call.
+    pub(super) fn dispatch(&mut self, ctx: &mut AgentCtx) {
         // A response is processed only after every response already in
         // flight ahead of it: under the parallel algorithm's flood the
         // FM's serial per-response processing dominates the round trip
         // on large fabrics, so the armed timeout must cover that
         // queueing, not just one quiet round trip — the same bound the
-        // distribution path applies to its pipelined writes.
-        // `outstanding` already includes the requests in `out`. Each
+        // distribution path applies to its pipelined writes. The request
+        // window caps that backlog near `REQUEST_WINDOW`, but a full
+        // window still outlasts a small base timeout: 1,024 responses at
+        // ~15 µs each exceed the 15 ms a 4-manager scale cell arms.
+        // `outstanding` already includes the requests in the outbox. Each
         // queued response can grow the database by at most one device,
         // so per-response cost while the backlog drains is bounded by
         // the cost at `known + outstanding` devices — pricing it at
@@ -314,7 +324,8 @@ impl FmAgent {
         } else {
             SimDuration::ZERO
         };
-        for req in out {
+        let mut out = std::mem::take(&mut self.outbox);
+        for req in out.drain(..) {
             let (req_id, write) = (req.req_id, matches!(req.op, OutOp::Write { .. }));
             self.cfg
                 .trace
@@ -336,6 +347,7 @@ impl FmAgent {
                 TIMEOUT_FLAG | (self.epoch << 32) | u64::from(req_id),
             );
         }
+        self.outbox = out;
     }
 
     /// The verify phase over a `devices`-device database drained. Returns
@@ -361,7 +373,8 @@ impl FmAgent {
                 mismatches,
                 threshold,
             });
-            let engine = Engine::start(self.engine_cfg(), ctx.host_info, &ctx.host_ports);
+            let (host, ports) = (ctx.host_info, &ctx.host_ports);
+            let engine = Engine::start(self.engine_cfg(), host, ports, &mut self.outbox);
             self.launch(ctx, engine, None, None);
             return None;
         }
@@ -394,7 +407,13 @@ impl FmAgent {
         }
         db.prune_unreachable();
         scope(&db, &mut rereads, &mut probe_via);
-        let engine = Engine::seeded(self.engine_cfg(), db, &rereads, &probe_via);
+        let engine = Engine::seeded(
+            self.engine_cfg(),
+            db,
+            &rereads,
+            &probe_via,
+            &mut self.outbox,
+        );
         self.launch(ctx, engine, None, None);
         None
     }

@@ -4,14 +4,14 @@
 //! No discrete-event simulation — this isolates the discovery logic and
 //! lets property tests drive it with adversarial completion orderings.
 
-use asi_core::{Algorithm, Engine, EngineConfig, OutOp, OutRequest, RetryPolicy};
+use asi_core::{Algorithm, Engine, EngineConfig, OutOp, OutRequest, RetryPolicy, REQUEST_WINDOW};
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
     Direction, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP, GENERAL_INFO_WORDS,
     PORT_BLOCK_WORDS,
 };
 use asi_sim::SimRng;
-use asi_topo::{fat_tree, irregular, mesh, torus, IrregularSpec, NodeId, Topology};
+use asi_topo::{dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, NodeId, Topology};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -134,6 +134,7 @@ fn deliver(
     let mut inbox: VecDeque<OutRequest> = first.into();
     let mut steps = 0u64;
     let mut max_outstanding = 0usize;
+    let mut out = Vec::new();
     while !engine.is_done() {
         max_outstanding = max_outstanding.max(engine.outstanding());
         // Pick the next completion to deliver.
@@ -142,15 +143,15 @@ fn deliver(
             _ => 0,
         };
         let req = inbox.remove(idx).expect("engine is not done but idle");
-        let out = if lost(fabric, &req) {
-            engine.handle_timeout(req.req_id)
+        if lost(fabric, &req) {
+            engine.handle_timeout(req.req_id, &mut out);
         } else {
             let (req_id, result) = fabric.service(&req);
-            engine.handle_completion(req_id, result.as_deref().map_err(|e| *e))
-        };
+            engine.handle_completion(req_id, result.as_deref().map_err(|e| *e), &mut out);
+        }
         steps += 1;
         issued.extend(out.iter().map(|r| (steps, r.clone())));
-        inbox.extend(out);
+        inbox.extend(out.drain(..));
         assert!(steps < 1_000_000, "discovery did not converge");
     }
     assert!(
@@ -170,7 +171,9 @@ fn start(fabric: &MockFabric, cfg: EngineConfig) -> (Engine, Vec<OutRequest>) {
     let host_ports: Vec<PortInfo> = (0..host.info().port_count)
         .map(|p| *host.port(p).unwrap())
         .collect();
-    Engine::start(cfg, *host.info(), &host_ports)
+    let mut first = Vec::new();
+    let engine = Engine::start(cfg, *host.info(), &host_ports, &mut first);
+    (engine, first)
 }
 
 /// Runs a full discovery over the mock fabric, delivering completions in
@@ -391,13 +394,16 @@ fn cold(topo: &Topology, algorithm: Algorithm, claims: bool) -> (MockFabric, Eng
     (fabric, engine, run)
 }
 
-/// FNV-1a over the `Debug` rendering of the schedule: when each request
-/// was issued and every field of it.
-fn digest(issued: &[(u64, OutRequest)]) -> u64 {
+/// FNV-1a over a `Debug` rendering.
+fn fnv1a(text: &str) -> u64 {
     let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    format!("{issued:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, fnv)
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, fnv)
+}
+
+/// The digest of a schedule: when each request was issued and every
+/// field of it.
+fn digest(issued: &[(u64, OutRequest)]) -> u64 {
+    fnv1a(&format!("{issued:?}"))
 }
 
 /// One line: the digest of a run's schedule and its counters.
@@ -607,7 +613,9 @@ fn pinned_schedules_seeded_and_verify() {
         // Two re-reads and one probe that re-discovers the lost corner.
         let (db, sw12, sw21) = warm_db(&topo);
         let mut fabric = MockFabric::new(&topo);
-        let (mut engine, first) = Engine::seeded(cfg(alg, false), db, &[sw12, sw21], &[(sw12, 0)]);
+        let mut first = Vec::new();
+        let mut engine =
+            Engine::seeded(cfg(alg, false), db, &[sw12, sw21], &[(sw12, 0)], &mut first);
         let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
         assert_matches_truth(&engine, &topo);
         actual += &format!("seeded {alg}: {}\n", summary(&engine, &run));
@@ -615,8 +623,9 @@ fn pinned_schedules_seeded_and_verify() {
         // One live probe; one pair whose cached port is down, which
         // falls back to a re-read of its reporter.
         let (db, sw12, sw21) = warm_db(&topo);
-        let (mut engine, first) =
-            Engine::verify_with_probes(cfg(alg, false), db, &[(sw12, 0), (sw21, 7)]);
+        let mut first = Vec::new();
+        let probes = [(sw12, 0), (sw21, 7)];
+        let mut engine = Engine::verify_with_probes(cfg(alg, false), db, &probes, &mut first);
         let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
         assert_matches_truth(&engine, &topo);
         assert_eq!(engine.verified().len(), topo.node_count() - 3);
@@ -654,4 +663,69 @@ fn pinned_schedules_with_a_switch_that_drops_its_first_port_read() {
         actual += &format!("{alg}: {}\n", summary(&engine, &run));
     }
     assert_pinned(&actual, LOSSY);
+}
+
+/// The digest of an issue order: each request's `(req_id, egress, pool
+/// words, pool bits, op)`, but not the delivery that issued it.
+fn order_digest(issued: &[(u64, OutRequest)]) -> u64 {
+    let order: Vec<_> = issued
+        .iter()
+        .map(|(_, r)| (r.req_id, r.egress, r.pool.words(), r.pool.len_bits(), &r.op))
+        .collect();
+    fnv1a(&format!("{order:?}"))
+}
+
+/// Parallel's flood on two fabrics that fan out past the request window,
+/// with FIFO completions. The digests were recorded before the window
+/// existed, when up to 2,542 and 1,254 requests were outstanding: held to
+/// [`REQUEST_WINDOW`], the run still issues the same requests, to the
+/// same routes, under the same ids.
+#[test]
+fn request_window_keeps_the_floods_order() {
+    for (topo, requests, order) in [
+        (
+            fat_tree(16, 3).unwrap().topology,
+            8_384,
+            0x2002_9b77_d391_c985,
+        ),
+        (
+            dragonfly(4, 6).unwrap().topology,
+            4_104,
+            0x7a67_9f30_cdf5_e616,
+        ),
+    ] {
+        let (_, engine, run) = cold(&topo, Algorithm::Parallel, false);
+        assert_matches_truth(&engine, &topo);
+        assert_eq!(run.issued.len(), requests);
+        assert_eq!(engine.stats().max_outstanding, REQUEST_WINDOW);
+        assert_eq!(order_digest(&run.issued), order);
+    }
+}
+
+/// Where probes wait, a new device's port reads still jump the queue:
+/// they follow the probe that found the device at once, ahead of every
+/// probe already waiting.
+#[test]
+fn serial_port_reads_jump_the_queue() {
+    let topo = mesh(4, 4).unwrap().topology;
+    for alg in [Algorithm::SerialPacket, Algorithm::SerialDevice] {
+        let (fabric, engine, run) = cold(&topo, alg, false);
+        assert_matches_truth(&engine, &topo);
+        let mut found = BTreeSet::new();
+        // The device whose port reads may come next.
+        let mut exploring = None;
+        for (step, req) in &run.issued {
+            let (_, target) = fabric.walk(req).expect("routes on the fabric");
+            let port_read = matches!(req.op, OutOp::Read { addr, .. } if addr.offset != 0);
+            if port_read {
+                assert_eq!(
+                    exploring,
+                    Some(target),
+                    "{alg}: @{step} read behind a probe"
+                );
+            } else {
+                exploring = found.insert(target).then_some(target);
+            }
+        }
+    }
 }

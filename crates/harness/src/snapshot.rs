@@ -417,4 +417,51 @@ mod tests {
         assert_eq!(back.host_dsn, u64::MAX);
         assert_eq!(back, s);
     }
+
+    /// Reading never panics: a discovered snapshot's JSONL, cut short or
+    /// with one line dropped, duplicated, swapped with the next or with
+    /// one byte replaced. Whatever reads back must read back from its own
+    /// rendering.
+    mod properties {
+        use super::*;
+        use crate::scenario::{Bench, Scenario};
+        use asi_core::{snapshot_db, Algorithm};
+        use proptest::prelude::*;
+
+        /// Bytes a mutation writes: JSON syntax, digits and hex.
+        const SPICE: &[u8] = b"{}[]:,\"-.0123456789aefx ";
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn spoiled_jsonl_never_panics(
+                how in 0u8..5,
+                line in any::<prop::sample::Index>(),
+                at in any::<prop::sample::Index>(),
+                byte in any::<prop::sample::Index>(),
+            ) {
+                let topo = asi_topo::mesh(2, 2).unwrap().topology;
+                let bench = Bench::start(&topo, &Scenario::new(Algorithm::Parallel), &[]);
+                let text = snapshot_to_jsonl(&snapshot_db(bench.db()));
+                let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+                let (n, i) = (lines.len(), line.index(lines.len()));
+                match how {
+                    0 => lines = vec![text[..at.index(text.len() + 1)].to_owned()],
+                    1 => drop(lines.remove(i)),
+                    2 => lines.insert(i, lines[i].clone()),
+                    3 => lines.swap(i, (i + 1) % n),
+                    _ => {
+                        let mut bytes = std::mem::take(&mut lines[i]).into_bytes();
+                        let j = at.index(bytes.len());
+                        bytes[j] = *byte.get(SPICE);
+                        lines[i] = String::from_utf8(bytes).expect("ASCII");
+                    }
+                }
+                if let Ok(read) = snapshot_from_jsonl(&lines.join("\n")) {
+                    prop_assert_eq!(snapshot_from_jsonl(&snapshot_to_jsonl(&read)), Ok(read));
+                }
+            }
+        }
+    }
 }
