@@ -6,6 +6,36 @@
 
 use asi_proto::{turn_for, turn_width, DeviceInfo, DeviceType, PortInfo, TurnError, TurnPool};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiply-rotate hasher for the DSN-keyed maps. DSNs are not chosen
+/// by an adversary, and discovery looks one up on every completion, so
+/// SipHash's flood resistance buys nothing here and costs its rounds.
+#[derive(Clone, Copy, Default)]
+struct DsnHasher(u64);
+
+impl Hasher for DsnHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A map keyed by DSN.
+type DsnMap<V> = HashMap<u64, V, BuildHasherDefault<DsnHasher>>;
+
+/// A link `(dsn, port, peer, peer port)`, canonical when
+/// `(dsn, port) <= (peer, peer port)`.
+type LinkKey = (u64, u8, u64, u8);
 
 /// How the FM reaches a device: inject on `egress` (the FM endpoint's
 /// port), follow `pool`, arrive at the device's `entry_port`.
@@ -48,29 +78,23 @@ impl DbDevice {
     }
 }
 
-/// Canonicalized link key.
-fn link_key(a: (u64, u8), b: (u64, u8)) -> (u64, u8, u64, u8) {
-    if a <= b {
-        (a.0, a.1, b.0, b.1)
-    } else {
-        (b.0, b.1, a.0, a.1)
-    }
-}
-
 /// The discovered topology.
 ///
-/// Alongside the link set, the database maintains a per-device sorted
-/// adjacency incrementally on every link/device mutation. Route
-/// recomputation therefore never rebuilds adjacency from scratch, and
-/// BFS tie-breaking (sorted neighbour order) is identical to what a
-/// fresh rebuild would produce.
+/// Links live in one store: a per-device sorted adjacency row, kept
+/// incrementally on every link/device mutation, holding each link once
+/// from each end (a link from a port to itself, once). Route
+/// recomputation therefore never rebuilds adjacency from scratch, BFS
+/// tie-breaking (sorted neighbour order) is identical to what a fresh
+/// rebuild would produce, and the link set is the rows' canonical
+/// entries — those whose own end `(dsn, port)` is the smaller.
 #[derive(Clone, Debug, Default)]
 pub struct TopologyDb {
-    devices: HashMap<u64, DbDevice>,
-    links: HashSet<(u64, u8, u64, u8)>,
-    /// `dsn -> sorted [(own port, neighbour, neighbour port)]`, kept in
-    /// lockstep with `links`.
-    adj: HashMap<u64, Vec<(u8, u64, u8)>>,
+    devices: DsnMap<DbDevice>,
+    /// `dsn -> sorted [(own port, neighbour, neighbour port)]`; a row is
+    /// allocated at its device's port count when the device is known.
+    adj: DsnMap<Vec<(u8, u64, u8)>>,
+    /// Links recorded: canonical entries across `adj`.
+    link_count: usize,
     host_dsn: u64,
 }
 
@@ -126,20 +150,45 @@ impl TopologyDb {
     /// Fresh database rooted at the FM's endpoint.
     pub fn new(host_dsn: u64) -> TopologyDb {
         TopologyDb {
-            devices: HashMap::new(),
-            links: HashSet::new(),
-            adj: HashMap::new(),
+            devices: DsnMap::default(),
+            adj: DsnMap::default(),
+            link_count: 0,
             host_dsn,
         }
     }
 
-    /// Inserts one directed adjacency entry, keeping the vec sorted.
+    /// True if the directed adjacency entry `at → peer` is recorded.
+    fn adj_contains(&self, at: (u64, u8), peer: (u64, u8)) -> bool {
+        self.adj
+            .get(&at.0)
+            .is_some_and(|v| v.binary_search(&(at.1, peer.0, peer.1)).is_ok())
+    }
+
+    /// Inserts one directed adjacency entry, keeping the vec sorted. A
+    /// known device's row starts at its port count, which is how many
+    /// links it has when cabled one per port.
     fn adj_insert(&mut self, at: (u64, u8), peer: (u64, u8)) {
-        let v = self.adj.entry(at.0).or_default();
+        let devices = &self.devices;
+        let v = self.adj.entry(at.0).or_insert_with(|| {
+            let ports = devices.get(&at.0).map_or(0, |d| d.info.port_count);
+            Vec::with_capacity(usize::from(ports))
+        });
         let entry = (at.1, peer.0, peer.1);
         if let Err(pos) = v.binary_search(&entry) {
             v.insert(pos, entry);
         }
+    }
+
+    /// Every link as its key `(a, ap, b, bp)` with `(a, ap) <= (b, bp)`:
+    /// the canonical entries of the rows, sorted.
+    fn sorted_link_keys(&self) -> Vec<LinkKey> {
+        let mut v = Vec::with_capacity(self.link_count);
+        for (&d, row) in &self.adj {
+            let canonical = row.iter().filter(|&&(p, m, mp)| (d, p) <= (m, mp));
+            v.extend(canonical.map(|&(p, m, mp)| (d, p, m, mp)));
+        }
+        v.sort_unstable();
+        v
     }
 
     /// Removes one directed adjacency entry.
@@ -167,7 +216,7 @@ impl TopologyDb {
 
     /// Link count.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.link_count
     }
 
     /// True if a DSN is already known.
@@ -196,9 +245,8 @@ impl TopologyDb {
 
     /// Iterates all links, in canonical-key order.
     pub fn links(&self) -> impl Iterator<Item = ((u64, u8), (u64, u8))> + '_ {
-        let mut v: Vec<_> = self.links.iter().copied().collect();
-        v.sort_unstable();
-        v.into_iter().map(|(a, ap, b, bp)| ((a, ap), (b, bp)))
+        let keys = self.sorted_link_keys().into_iter();
+        keys.map(|(a, ap, b, bp)| ((a, ap), (b, bp)))
     }
 
     /// DSNs of all discovered endpoints.
@@ -239,12 +287,13 @@ impl TopologyDb {
 
     /// Records a link. Idempotent; returns `true` if the link was new.
     pub fn add_link(&mut self, a: (u64, u8), b: (u64, u8)) -> bool {
-        let new = self.links.insert(link_key(a, b));
-        if new {
-            self.adj_insert(a, b);
-            self.adj_insert(b, a);
+        if self.adj_contains(a, b) {
+            return false;
         }
-        new
+        self.adj_insert(a, b);
+        self.adj_insert(b, a);
+        self.link_count += 1;
+        true
     }
 
     /// Stores a port block for a device.
@@ -258,12 +307,13 @@ impl TopologyDb {
 
     /// Removes one link. Returns `true` if it was present.
     pub fn remove_link(&mut self, a: (u64, u8), b: (u64, u8)) -> bool {
-        let removed = self.links.remove(&link_key(a, b));
-        if removed {
-            self.adj_remove(a, b);
-            self.adj_remove(b, a);
+        if !self.adj_contains(a, b) {
+            return false;
         }
-        removed
+        self.adj_remove(a, b);
+        self.adj_remove(b, a);
+        self.link_count -= 1;
+        true
     }
 
     /// Removes a device and all links touching it. Returns `true` if it
@@ -336,7 +386,7 @@ impl TopologyDb {
             .map(|(i, &d)| (d, i as u32))
             .collect();
         let mut offsets = Vec::with_capacity(dsns.len() + 1);
-        let mut edges = Vec::with_capacity(2 * self.links.len());
+        let mut edges = Vec::with_capacity(2 * self.link_count);
         offsets.push(0u32);
         for &d in &dsns {
             for &(p, m, mp) in self.adj.get(&d).into_iter().flatten() {
@@ -613,12 +663,17 @@ impl TopologyDb {
             .filter(|d| !newer.devices.contains_key(d))
             .copied()
             .collect();
-        let mut added_links: Vec<_> = newer.links.difference(&self.links).copied().collect();
-        let mut removed_links: Vec<_> = self.links.difference(&newer.links).copied().collect();
+        let (old_links, new_links) = (self.sorted_link_keys(), newer.sorted_link_keys());
+        let only_in = |a: &[LinkKey], b: &[LinkKey]| -> Vec<LinkKey> {
+            a.iter()
+                .filter(|k| b.binary_search(k).is_err())
+                .copied()
+                .collect()
+        };
+        let added_links = only_in(&new_links, &old_links);
+        let removed_links = only_in(&old_links, &new_links);
         added_devices.sort_unstable();
         removed_devices.sort_unstable();
-        added_links.sort_unstable();
-        removed_links.sort_unstable();
         DbDiff {
             added_devices,
             removed_devices,
@@ -655,6 +710,7 @@ impl DbDiff {
 mod tests {
     use super::*;
     use asi_proto::PortState;
+    use std::collections::BTreeSet;
 
     fn info(dsn: u64, device_type: DeviceType, ports: u16) -> DeviceInfo {
         DeviceInfo {
@@ -968,5 +1024,159 @@ mod tests {
             .neighbors(i2)
             .iter()
             .all(|&(_, m, _)| csr.dsn(m as usize) != 42));
+    }
+
+    /// The oracle for the one link store: a set of canonical link keys
+    /// and a set of known DSNs, mutated the way the database documents.
+    #[derive(Clone, Default)]
+    struct Model {
+        devices: BTreeSet<u64>,
+        links: HashSet<LinkKey>,
+    }
+
+    /// The entries of `directed` leaving `dsn` at a port in `ports`.
+    fn ends(
+        directed: &BTreeSet<LinkKey>,
+        dsn: u64,
+        ports: std::ops::RangeInclusive<u8>,
+    ) -> impl Iterator<Item = &LinkKey> {
+        directed.range((dsn, *ports.start(), 0, 0)..=(dsn, *ports.end(), u64::MAX, u8::MAX))
+    }
+
+    impl Model {
+        fn key(a: (u64, u8), b: (u64, u8)) -> LinkKey {
+            let (a, b) = if a <= b { (a, b) } else { (b, a) };
+            (a.0, a.1, b.0, b.1)
+        }
+
+        /// Each link from both ends.
+        fn directed(&self) -> BTreeSet<LinkKey> {
+            let both = |&(a, ap, b, bp): &LinkKey| [(a, ap, b, bp), (b, bp, a, ap)];
+            self.links.iter().flat_map(both).collect()
+        }
+
+        fn remove_device(&mut self, dsn: u64) -> bool {
+            self.links.retain(|&(a, _, b, _)| a != dsn && b != dsn);
+            self.devices.remove(&dsn)
+        }
+
+        fn prune_unreachable(&mut self, host: u64) -> Vec<u64> {
+            let directed = self.directed();
+            let mut seen = BTreeSet::new();
+            let mut queue: VecDeque<u64> = self.devices.get(&host).copied().into_iter().collect();
+            seen.extend(queue.iter().copied());
+            while let Some(d) = queue.pop_front() {
+                for &(_, _, m, _) in ends(&directed, d, 0..=u8::MAX) {
+                    if self.devices.contains(&m) && seen.insert(m) {
+                        queue.push_back(m);
+                    }
+                }
+            }
+            let doomed: Vec<u64> = self.devices.difference(&seen).copied().collect();
+            for &d in &doomed {
+                self.remove_device(d);
+            }
+            doomed
+        }
+    }
+
+    /// Everything the database reads its links for, against the model:
+    /// the count, the sorted list, every port's neighbour, the compact
+    /// table and the diff from the state before the last operation.
+    fn check_against(
+        db: &TopologyDb,
+        model: &Model,
+        before: &(TopologyDb, Model),
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        use proptest::prelude::*;
+        prop_assert_eq!(db.link_count(), model.links.len());
+        let mut keys: Vec<_> = model.links.iter().copied().collect();
+        keys.sort_unstable();
+        let links: Vec<_> = db.links().map(|(a, b)| (a.0, a.1, b.0, b.1)).collect();
+        prop_assert_eq!(&links, &keys);
+
+        let directed = model.directed();
+        for dsn in 0..DSNS {
+            for port in 0..PORTS {
+                let first = ends(&directed, dsn, port..=port).next();
+                let want = first.map(|&(_, _, m, mp)| (m, mp));
+                prop_assert_eq!(db.neighbor(dsn, port), want, "neighbor({}, {})", dsn, port);
+            }
+        }
+
+        let csr = db.compact_links();
+        let dsns: Vec<u64> = model.devices.iter().copied().collect();
+        prop_assert_eq!(csr.len(), dsns.len());
+        for (i, &d) in dsns.iter().enumerate() {
+            prop_assert_eq!(csr.dsn(i), d);
+            let known =
+                |&(_, p, m, mp): &LinkKey| Some((p, dsns.binary_search(&m).ok()? as u32, mp));
+            let want: Vec<(u8, u32, u8)> =
+                ends(&directed, d, 0..=u8::MAX).filter_map(known).collect();
+            prop_assert_eq!(csr.neighbors(i), &want[..], "row of {}", d);
+        }
+
+        let (old_db, old) = before;
+        let only = |a: &BTreeSet<u64>, b: &BTreeSet<u64>| a.difference(b).copied().collect();
+        let only_links = |a: &HashSet<LinkKey>, b: &HashSet<LinkKey>| {
+            let mut v: Vec<_> = a.difference(b).copied().collect();
+            v.sort_unstable();
+            v
+        };
+        let want = DbDiff {
+            added_devices: only(&model.devices, &old.devices),
+            removed_devices: only(&old.devices, &model.devices),
+            added_links: only_links(&model.links, &old.links),
+            removed_links: only_links(&old.links, &model.links),
+        };
+        prop_assert_eq!(old_db.diff(db), want);
+        Ok(())
+    }
+
+    /// DSNs the property draws from (0 is the host): small, so that
+    /// duplicates, shared ports, self-links and unknown ends are common.
+    const DSNS: u64 = 6;
+    const PORTS: u8 = 3;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any sequence of inserts, link adds and removals, device
+        /// removals and prunes — duplicate links, two links on one port,
+        /// self-links and links to unknown DSNs included — leaves every
+        /// link reader agreeing with a plain set of canonical keys.
+        #[test]
+        fn the_adjacency_is_the_link_set(
+            ops in proptest::collection::vec(
+                ((0u8..8, 0..DSNS), (0..PORTS, 0..DSNS, 0..PORTS)),
+                1..80,
+            ),
+        ) {
+            use proptest::prelude::*;
+            let mut db = TopologyDb::new(0);
+            let mut model = Model::default();
+            for ((op, a), (ap, b, bp)) in ops {
+                let before = (db.clone(), model.clone());
+                match op {
+                    0 | 1 => {
+                        let kind = if a % 2 == 0 { DeviceType::Endpoint } else { DeviceType::Switch };
+                        let ports = u16::from(ap) + 1;
+                        let new = db.insert_device(info(a, kind, ports), route0());
+                        prop_assert_eq!(new, model.devices.insert(a));
+                    }
+                    2..=4 => {
+                        let new = db.add_link((a, ap), (b, bp));
+                        prop_assert_eq!(new, model.links.insert(Model::key((a, ap), (b, bp))));
+                    }
+                    5 => {
+                        let gone = db.remove_link((a, ap), (b, bp));
+                        prop_assert_eq!(gone, model.links.remove(&Model::key((a, ap), (b, bp))));
+                    }
+                    6 => prop_assert_eq!(db.remove_device(a), model.remove_device(a)),
+                    _ => prop_assert_eq!(db.prune_unreachable(), model.prune_unreachable(0)),
+                }
+                check_against(&db, &model, &before)?;
+            }
+        }
     }
 }

@@ -48,6 +48,20 @@
 //! and is skipped. The run is done when the table and the queue are both
 //! empty.
 //!
+//! A waiting operation is a 16-byte `Waiting` record, not a route: a
+//! port read names its device and first port, a probe the device and
+//! port it looks through plus the peer port it will enter by (captured
+//! when queued, because a re-read may change it while the probe waits).
+//! The probe's route is rebuilt when it is issued — the via device's
+//! stored route plus one turn — which is the route it had when queued,
+//! because inside one engine a stored route, a device type and a port
+//! count never change while the device is known. Only forgetting a
+//! device ends that, so before the engine forgets anything it turns
+//! every waiting probe into one that carries the route it was queued
+//! with, and the probe is issued exactly as before. Requests in flight
+//! keep their full operation, so retries and completions read it
+//! unchanged.
+//!
 //! ## Exploration bookkeeping
 //!
 //! The FM starts from its host endpoint (a local configuration-space
@@ -230,9 +244,23 @@ impl PendingTable {
     }
 }
 
+/// An exploration operation waiting for its turn (module header): 16
+/// bytes, where a [`Pending`] probe carries a 72-byte turn pool.
+#[derive(Debug)]
+enum Waiting {
+    /// A probe through `port` of the known device `dsn`, entering the
+    /// device behind it at `entry_port`; its route is built at issue.
+    Probe { dsn: u64, port: u8, entry_port: u8 },
+    /// The read of up to two port blocks of a known device.
+    Ports { dsn: u64, first_port: u16 },
+    /// A probe whose via device was forgotten while it waited, with the
+    /// route it was queued with.
+    Routed(Box<ProbeTarget>),
+}
+
 /// A discovery operation. The kind alone says which device to address
-/// and what to ask it ([`Engine::request_for`]), so a waiting operation,
-/// a request in flight and its retry are all the same value.
+/// and what to ask it ([`Engine::request_for`]), so a request in flight
+/// and its retry are the same value.
 #[derive(Debug)]
 enum Pending {
     /// A probe: the general-information read of whatever answers.
@@ -315,7 +343,7 @@ pub struct Engine {
     /// Requests in flight.
     pending: PendingTable,
     /// Exploration waiting for its turn, in issue order (module header).
-    queue: VecDeque<Pending>,
+    queue: VecDeque<Waiting>,
     next_req: u32,
     stats: EngineStats,
     my_dsn: u64,
@@ -359,13 +387,12 @@ impl Engine {
         host_ports: &[PortInfo],
         out: &mut Vec<OutRequest>,
     ) -> Engine {
-        let pool = TurnPool::with_capacity(cfg.pool_capacity);
         let mut db = TopologyDb::new(host_info.dsn);
         db.insert_device(
             host_info,
             DeviceRoute {
                 egress: 0,
-                pool: pool.clone(),
+                pool: TurnPool::with_capacity(cfg.pool_capacity),
                 entry_port: 0,
                 hops: 0,
             },
@@ -373,17 +400,7 @@ impl Engine {
         let mut engine = Engine::new(cfg, db);
         for (p, info) in host_ports.iter().enumerate() {
             engine.db.set_port(host_info.dsn, p as u16, *info);
-            if info.state.is_active() {
-                engine.queue.push_back(Pending::General(ProbeTarget {
-                    route: DeviceRoute {
-                        egress: p as u8,
-                        pool: pool.clone(),
-                        entry_port: info.peer_port,
-                        hops: 0,
-                    },
-                    via: (host_info.dsn, p as u8),
-                }));
-            }
+            engine.probe(host_info.dsn, p as u8);
         }
         engine.pump(out);
         engine
@@ -650,19 +667,16 @@ impl Engine {
         }
     }
 
-    /// The admission rule: must an operation of this kind wait, with the
-    /// requests now outstanding? A serial kind waits for an empty table,
-    /// any other for a place in the window. Only exploration is ever
-    /// asked — the other kinds continue an operation already in flight
-    /// and are issued directly.
-    fn waits(&self, kind: &Pending) -> bool {
+    /// The admission rule: must a waiting operation of this kind wait,
+    /// with the requests now outstanding? A serial kind waits for an
+    /// empty table, any other for a place in the window. Only exploration
+    /// is ever asked — the other kinds continue an operation already in
+    /// flight and are issued directly.
+    fn waits(&self, waiting: &Waiting) -> bool {
         let (port_reads_wait, probes_wait) = self.serial_kinds();
-        let serial = match kind {
-            Pending::Ports { .. } => port_reads_wait,
-            Pending::General(_) => probes_wait,
-            Pending::ClaimWrite { .. } | Pending::ClaimCheck { .. } | Pending::Verify { .. } => {
-                return false
-            }
+        let serial = match waiting {
+            Waiting::Ports { .. } => port_reads_wait,
+            Waiting::Probe { .. } | Waiting::Routed(_) => probes_wait,
         };
         let outstanding = self.pending.len();
         if serial {
@@ -676,11 +690,19 @@ impl Engine {
     /// has to wait for outstanding requests. A waiting read whose device
     /// has been forgotten since has nothing to address and is skipped.
     fn pump(&mut self, out: &mut Vec<OutRequest>) {
-        while let Some(kind) = self.queue.front() {
-            if self.waits(kind) {
+        while let Some(waiting) = self.queue.front() {
+            if self.waits(waiting) {
                 break;
             }
-            let kind = self.queue.pop_front().expect("front was just seen");
+            let kind = match self.queue.pop_front().expect("front was just seen") {
+                Waiting::Probe {
+                    dsn,
+                    port,
+                    entry_port,
+                } => Pending::General(self.probe_target(dsn, port, entry_port)),
+                Waiting::Ports { dsn, first_port } => Pending::Ports { dsn, first_port },
+                Waiting::Routed(target) => Pending::General(*target),
+            };
             out.extend(self.issue(kind));
         }
     }
@@ -705,16 +727,17 @@ impl Engine {
             self.stats.stale_probes += 1;
             return;
         }
-        // Record the link that this probe traversed.
-        self.db
-            .add_link(target.via, (info.dsn, target.route.entry_port));
-        if self.db.contains(info.dsn) {
+        let entry_port = target.route.entry_port;
+        // Insert before recording the link this probe traversed, so that
+        // a new device's adjacency row is sized by its port count.
+        let new = self.db.insert_device(info, target.route);
+        self.db.add_link(target.via, (info.dsn, entry_port));
+        if !new {
             // Alternate path to a known device (Fig. 2: "already
             // discovered — update connectivity and stop").
             self.stats.duplicate_probes += 1;
             return;
         }
-        self.db.insert_device(info, target.route);
         self.trace
             .emit(self.trace_now, || TraceEvent::DeviceDiscovered {
                 dsn: info.dsn,
@@ -734,7 +757,7 @@ impl Engine {
     fn explore_ports(&mut self, dsn: u64) {
         let Some(d) = self.db.device(dsn) else { return };
         let reads = port_info_reads(d.info.port_count);
-        let reads = reads.map(|first_port| Pending::Ports { dsn, first_port });
+        let reads = reads.map(|first_port| Waiting::Ports { dsn, first_port });
         if self.serial_kinds().1 {
             for read in reads.rev() {
                 self.queue.push_front(read);
@@ -778,53 +801,93 @@ impl Engine {
         }
     }
 
-    /// Queues a probe through `(dsn, port)` behind everything already
-    /// waiting (breadth-first); `false` when no probe can be built.
+    /// Queues a probe through `(dsn, port)` of a known switch (or the
+    /// host endpoint) behind everything already waiting (breadth-first):
+    /// `false` when no probe can be built — the port is unknown or not
+    /// active, is the switch's own way back to the FM, or its turn would
+    /// overflow the route's pool.
     fn probe(&mut self, dsn: u64, port: u8) -> bool {
-        let Some(target) = self.probe_through(dsn, port) else {
+        let Some(device) = self.db.device(dsn) else {
             return false;
         };
-        self.queue.push_back(Pending::General(target));
-        true
-    }
-
-    /// Builds a probe target looking through `(dsn, port)` of a known
-    /// switch (or the host endpoint): `None` unless the port is known
-    /// and active, and not the switch's own way back to the FM.
-    fn probe_through(&self, dsn: u64, port: u8) -> Option<ProbeTarget> {
-        let device = self.db.device(dsn)?;
-        let pinfo = (*device.ports.get(usize::from(port))?)?;
+        let Some(Some(pinfo)) = device.ports.get(usize::from(port)) else {
+            return false;
+        };
         if !pinfo.state.is_active() {
-            return None;
+            return false;
         }
-        let mut pool = device.route.pool.clone();
         if device.info.device_type == DeviceType::Switch {
             // A back edge looks at the device we came through: nothing
             // new there, and no turn can route out the entry port.
             if port == device.route.entry_port {
-                return None;
+                return false;
             }
+            let pool = &device.route.pool;
+            let width = turn_width(device.info.port_count as u8);
+            if pool.len_bits() + u16::from(width) > pool.capacity() {
+                return false;
+            }
+        }
+        let entry_port = pinfo.peer_port;
+        self.queue.push_back(Waiting::Probe {
+            dsn,
+            port,
+            entry_port,
+        });
+        true
+    }
+
+    /// The probe through `(dsn, port)` that [`Engine::probe`] accepted,
+    /// its route built from the via device's: one turn more through a
+    /// switch, none out of an endpoint, and the host's own port is the
+    /// egress of a route with no switch hop yet.
+    fn probe_target(&self, dsn: u64, port: u8, entry_port: u8) -> ProbeTarget {
+        let device = self
+            .db
+            .device(dsn)
+            .expect("a waiting probe's via device is known: forget routes them first");
+        let mut pool = device.route.pool.clone();
+        let (egress, hops) = if dsn == self.my_dsn {
+            (port, 0)
+        } else {
+            (device.route.egress, device.route.hops + 1)
+        };
+        if device.info.device_type == DeviceType::Switch {
             let ports = device.info.port_count as u8;
             let turn = turn_for(device.route.entry_port, port, ports);
-            pool.push_turn(turn, turn_width(ports)).ok()?;
+            pool.push_turn(turn, turn_width(ports))
+                .expect("the turn fitted when the probe was queued");
         }
-        Some(ProbeTarget {
+        ProbeTarget {
             route: DeviceRoute {
-                egress: device.route.egress,
+                egress,
                 pool,
-                entry_port: pinfo.peer_port,
-                hops: device.route.hops + 1,
+                entry_port,
+                hops,
             },
             via: (dsn, port),
-        })
+        }
     }
 
     /// Drops a half-explored device (it stopped answering). Requests in
     /// flight to it will be answered or time out, and its waiting reads
-    /// will be pumped; all three paths tolerate the missing DSN.
+    /// will be pumped; all three paths tolerate the missing DSN. Waiting
+    /// probes are routed first, while every via device is still known,
+    /// so that each is issued on the route it was queued with.
     fn forget(&mut self, dsn: u64) {
         if dsn == self.my_dsn {
             return;
+        }
+        for i in 0..self.queue.len() {
+            if let Waiting::Probe {
+                dsn,
+                port,
+                entry_port,
+            } = self.queue[i]
+            {
+                let target = self.probe_target(dsn, port, entry_port);
+                self.queue[i] = Waiting::Routed(Box::new(target));
+            }
         }
         self.db.remove_device(dsn);
         self.db.prune_unreachable();
@@ -1261,6 +1324,13 @@ mod tests {
         let reads = step(|o| engine.handle_completion(check[0].req_id, Ok(&[0, 1]), o));
         assert_eq!(reads.len(), 2, "port reads follow a successful claim");
         assert!(engine.rivals.is_empty());
+    }
+
+    /// What a window-held flood keeps per waiting operation: two words,
+    /// where a probe in flight carries its 72-byte turn pool.
+    #[test]
+    fn a_waiting_operation_is_two_words() {
+        assert_eq!(std::mem::size_of::<Waiting>(), 16);
     }
 
     fn flight() -> InFlight {

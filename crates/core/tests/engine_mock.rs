@@ -4,7 +4,10 @@
 //! No discrete-event simulation — this isolates the discovery logic and
 //! lets property tests drive it with adversarial completion orderings.
 
-use asi_core::{Algorithm, Engine, EngineConfig, OutOp, OutRequest, RetryPolicy, REQUEST_WINDOW};
+use asi_core::{
+    Algorithm, DeviceRoute, Engine, EngineConfig, OutOp, OutRequest, RetryPolicy, TopologyDb,
+    REQUEST_WINDOW,
+};
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
     Direction, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP, GENERAL_INFO_WORDS,
@@ -13,7 +16,7 @@ use asi_proto::{
 use asi_sim::SimRng;
 use asi_topo::{dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, NodeId, Topology};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A zero-time fabric: executes routes and services PI-4 reads exactly
 /// like the real simulator, but synchronously.
@@ -644,6 +647,12 @@ Parallel: 5db9658e545cf9c5 req=117 resp=113 to=4 max=26 retry=2 dup=7 ceded=0 ab
 /// timeout → one retry → abandon → forget, every time a probe finds it
 /// again — with its other port reads still waiting (Serial Packet),
 /// in flight (Serial Device) or long issued (Parallel).
+///
+/// It also guards the waiting probes' queued routes. A waiting probe is
+/// a device and a port, its route built at issue from the via device's;
+/// a forget must first give every waiting probe the route it was queued
+/// with. Skipping a probe whose via device was forgotten instead moves
+/// the Serial Device row (17 → 16 devices, 6 → 8 timeouts).
 #[test]
 fn pinned_schedules_with_a_switch_that_drops_its_first_port_read() {
     let topo = mesh(3, 3).unwrap().topology;
@@ -663,6 +672,44 @@ fn pinned_schedules_with_a_switch_that_drops_its_first_port_read() {
         actual += &format!("{alg}: {}\n", summary(&engine, &run));
     }
     assert_pinned(&actual, LOSSY);
+}
+
+/// Every non-host device's stored route, by DSN.
+fn stored_routes(db: &TopologyDb) -> BTreeMap<u64, DeviceRoute> {
+    let host = db.host_dsn();
+    let routes = db.devices().filter(|d| d.info.dsn != host);
+    routes.map(|d| (d.info.dsn, d.route.clone())).collect()
+}
+
+/// A probe through the FM's own endpoint follows the one rule a cold
+/// start follows: egress on that port, no switch hop yet. The host's
+/// switch is removed and everything behind it pruned; a seeded run that
+/// probes through host port 0 re-discovers the fabric and stores the
+/// cold run's routes, which are the host's BFS routes.
+#[test]
+fn a_probe_through_the_host_port_stores_the_cold_routes() {
+    let topo = mesh(3, 3).unwrap().topology;
+    for alg in Algorithm::all() {
+        let (mut fabric, cold, _) = cold(&topo, alg, false);
+        let host = cold.db.host_dsn();
+        let from_host: BTreeMap<u64, DeviceRoute> = cold
+            .db
+            .routes_from(host, asi_proto::MAX_POOL_BITS)
+            .into_iter()
+            .map(|(dsn, route)| (dsn, route.expect("pool fits")))
+            .collect();
+        assert_eq!(stored_routes(&cold.db), from_host, "{alg}: cold");
+
+        let mut db = cold.db.clone();
+        let (switch, _) = db.neighbor(host, 0).expect("the host is cabled");
+        assert!(db.remove_device(switch));
+        assert_eq!(db.prune_unreachable().len(), topo.node_count() - 2);
+        let mut first = Vec::new();
+        let mut seeded = Engine::seeded(cfg(alg, false), db, &[], &[(host, 0)], &mut first);
+        deliver(&mut seeded, &mut fabric, first, None, |_, _| false);
+        assert_matches_truth(&seeded, &topo);
+        assert_eq!(stored_routes(&seeded.db), from_host, "{alg}: seeded");
+    }
 }
 
 /// The digest of an issue order: each request's `(req_id, egress, pool

@@ -517,25 +517,20 @@ impl Bench {
     /// Installs PI-5 reporting routes on every device, computed from the
     /// FM's own database (the configuration step after discovery).
     pub fn configure_pi5_routes(&mut self) {
-        let routes: Vec<(u64, u8, asi_proto::TurnPool)> = {
-            let db = self.db();
-            let host = db.host_dsn();
-            // One reversed-tree BFS covers every device; per-device
-            // route_between calls would be quadratic on large fabrics.
-            let mut to_host = db.routes_to(host, asi_proto::MAX_POOL_BITS);
-            db.devices()
-                .filter(|d| d.info.dsn != host)
-                .filter_map(|d| {
-                    to_host
-                        .remove(&d.info.dsn)
-                        .and_then(Result::ok)
-                        .map(|r| (d.info.dsn, r.egress, r.pool))
-                })
-                .collect()
-        };
-        for (dsn, egress, pool) in routes {
-            self.fabric
-                .set_fm_route(dev_of_dsn(dsn), FmRoute { egress, pool });
+        // One reversed-tree BFS covers every device but the host;
+        // per-device route_between calls would be quadratic on large
+        // fabrics. Each install is independent of the others, so the
+        // map is consumed in its own order.
+        let db = self.db();
+        let to_host = db.routes_to(db.host_dsn(), asi_proto::MAX_POOL_BITS);
+        for (dsn, route) in to_host {
+            if let Ok(r) = route {
+                let route = FmRoute {
+                    egress: r.egress,
+                    pool: r.pool,
+                };
+                self.fabric.set_fm_route(dev_of_dsn(dsn), route);
+            }
         }
     }
 

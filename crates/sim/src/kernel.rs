@@ -374,7 +374,12 @@ impl<E> Kernel<E> for SerialKernel<E> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, (rank, event)) = self.wheel.pop()?;
+        let Some((key, (rank, event))) = self.wheel.pop() else {
+            // Drained: what a burst left in the slab is not held through
+            // the quiet phase that follows (bring-up, then discovery).
+            self.wheel.release();
+            return None;
+        };
         // A sample is cut before the event leaves: the depth counts it.
         self.sampler
             .advance(key.time, self.wheel.len() as u64 + 1, self.processed);
@@ -982,6 +987,30 @@ mod tests {
         k.schedule(SimTime::from_ns(7), Target::Rank(2), "ext-2");
         assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("from-r1"));
         assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("ext-2"));
+    }
+
+    /// Bring-up's burst is not held through what follows: once a 100k
+    /// same-instant burst drains, the serial kernel holds no slab node,
+    /// and what is pushed afterwards still pops in key order.
+    #[test]
+    fn a_drained_serial_kernel_holds_no_slab() {
+        let mut k = SerialKernel::<u32>::new();
+        for i in 0..100_000u32 {
+            k.schedule(SimTime::from_ns(1), Target::Rank(i), i);
+        }
+        assert!(k.wheel.slab_capacity() >= 100_000);
+        for i in 0..100_000u32 {
+            assert_eq!(k.pop(), Some((SimTime::from_ns(1), i)));
+            k.finish_dispatch();
+        }
+        assert_eq!(k.pop(), None);
+        assert_eq!(k.wheel.slab_capacity(), 0);
+        for (i, ns) in [7, 3, 5, 3].into_iter().enumerate() {
+            k.schedule(SimTime::from_ns(ns), Target::External, i as u32);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| k.pop()).collect();
+        let at = SimTime::from_ns;
+        assert_eq!(order, [(at(3), 1), (at(3), 3), (at(5), 2), (at(7), 0)]);
     }
 
     /// A reserved key is the event's place in the order whether or not

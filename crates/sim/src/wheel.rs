@@ -31,7 +31,7 @@
 //!
 //!     slab: Vec<Node { key, next, val }> — one node per entry of the ring
 //!           and the current bucket; a freed node heads the free list and
-//!           is the next one taken
+//!           is the next one taken; handed back by release() once drained
 //! ```
 //!
 //! The four rules of the storage:
@@ -46,7 +46,11 @@
 //!    [`crate::Arena`]: on the 64×64 mesh the arena's `Option<Node>` slots
 //!    and separate free stack cost 4% of the whole discovery, sixteen
 //!    interleaved rounds, and still 3% with the arena's free list made
-//!    intrusive.)
+//!    intrusive.) The slab grows to the peak residency and keeps it until
+//!    `TimingWheel::release` hands it back, which the serial kernel does
+//!    whenever it drains: bring-up trains every port of a fabric at once
+//!    (242,688 on `dragonfly:8,48`, a slab of 262,144 nodes), and
+//!    discovery, which follows, needs a small fraction of that.
 //! 2. **A bucket is sorted once, when it comes up.** Its list — plus
 //!    whatever the overflow heap holds for it — is copied out as
 //!    `(key, index)` pairs, sorted, and consumed from the tail:
@@ -248,6 +252,26 @@ impl<T> TimingWheel<T> {
         self.len -= 1;
         self.last_pop = key;
         Some((key, val))
+    }
+
+    /// Hands the slab back: drops the nodes and the current bucket's two
+    /// buffers, which a burst (bring-up trains every port at once) has
+    /// sized for itself. Only for a drained wheel; the next push starts a
+    /// new slab. The serial kernel calls this when it runs dry; the
+    /// parallel kernel, whose shard wheels run empty in most windows,
+    /// does not.
+    pub(crate) fn release(&mut self) {
+        debug_assert!(self.is_empty(), "released a wheel with entries");
+        self.nodes = Vec::new();
+        self.free = NIL;
+        self.sorted = Vec::new();
+        self.late = BinaryHeap::new();
+    }
+
+    /// Slab nodes allocated, live or free.
+    #[cfg(test)]
+    pub(crate) fn slab_capacity(&self) -> usize {
+        self.nodes.capacity()
     }
 
     /// Stores an entry in the node freed last (a new one if none is free)
@@ -552,9 +576,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Under any geometry and any interleaving of pushes (into each
-        /// place a push can land), peeks and pops, the wheel is a
-        /// `BTreeMap`, and its slab holds exactly the entries of ring and
-        /// current bucket: nodes are recycled, overflow holds none.
+        /// place a push can land), peeks, pops and releases of the
+        /// drained wheel, the wheel is a `BTreeMap`, and its slab holds
+        /// exactly the entries of ring and current bucket: nodes are
+        /// recycled, overflow holds none, and the slab is as long as the
+        /// peak residency since the last release.
         #[test]
         fn matches_a_btreemap_under_any_geometry_and_interleaving(
             shift in 0u32..=20,
@@ -599,6 +625,10 @@ mod tests {
                     model.insert(k, seq);
                 } else if op == 6 {
                     prop_assert_eq!(wheel.peek_key(), model.keys().next().copied());
+                } else if op == 7 && wheel.is_empty() {
+                    wheel.release();
+                    prop_assert_eq!(wheel.nodes.capacity(), 0);
+                    peak = 0;
                 } else {
                     let got = wheel.pop();
                     prop_assert_eq!(got, model.pop_first());
@@ -615,6 +645,12 @@ mod tests {
                 peak = peak.max(resident + usize::from(popped));
             }
             prop_assert_eq!(wheel.nodes.len(), peak);
+            wheel.release();
+            prop_assert_eq!(wheel.nodes.capacity(), 0);
+            // A released wheel starts again from an empty slab.
+            let k = key(last.time.as_ps() + 1, 0, 0);
+            wheel.push(k, 0);
+            prop_assert_eq!((wheel.pop(), wheel.nodes.len()), (Some((k, 0)), 1));
         }
     }
 }
