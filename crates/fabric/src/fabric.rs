@@ -28,7 +28,7 @@
 //! |---|---|
 //! | `fabric/port.rs` | a port: training and carrier, borrowed output queues → `pump` → `transmit`, credits and their ledger, loss |
 //! | `fabric/switch.rs` | a header arriving: route step, commit or queue, multicast replication |
-//! | `fabric/endpoint.rs` | a packet delivered: the serial stages (ingress, PI-4 responder, agent), agent callbacks, traffic shots |
+//! | `fabric/endpoint.rs` | a packet delivered: the serial stages (ingress, PI-4 responder, agent), agent callbacks, traffic arrivals |
 //! | `fabric/inject.rs` | the outside world: activation, scheduled faults, churn |
 //!
 //! The cut-through commit and the credit ledger (an uncontended
@@ -43,7 +43,7 @@ use crate::churn::ChurnAction;
 use crate::config::FabricConfig;
 use crate::counters::FabricCounters;
 use crate::faults::{FaultKind, LossModel};
-use crate::traffic::{build_flow_packet, FlowKind, FlowSpec};
+use crate::traffic::{build_flow_packet, FlowClock, FlowKind, FlowSpec};
 use asi_proto::{
     apply_backward, apply_forward, turn_width, ConfigSpace, DeviceInfo, DeviceType, Direction,
     Packet, Payload, Pi4, Pi5, PortEvent, PortInfo, PortState, ProtocolInterface, RouteHeader,
@@ -326,8 +326,10 @@ impl Fabric {
             control_pending: 0,
             cut_latest: SimTime::ZERO,
         };
-        // The plans are pure data and go on the clock up front, so
-        // replaying the same (seed, plans) replays their events too.
+        // The plans are pure data: faults and churn go on the clock up
+        // front, traffic one arrival per flow at a time, drawn from the
+        // flow's own stream; replaying the same (seed, plans) replays
+        // their events too.
         fabric.schedule_faults_and_churn(topo);
         fabric.schedule_traffic(topo);
         fabric
@@ -655,6 +657,32 @@ mod tests {
             val: Option<(u32, Event)>,
         }
         assert!(std::mem::size_of::<Node>() <= 56);
+    }
+
+    /// A traffic window costs the kernel one pending arrival per flow,
+    /// however many shots it holds: the benchmark's loaded 16x16 mesh
+    /// (255 sources at 0.4 load for 8 ms) is 383,847 shots at the plan's
+    /// default seed, and construction leaves 255 events pending.
+    #[test]
+    fn a_traffic_plan_holds_one_pending_arrival_per_flow() {
+        let topo = asi_topo::mesh(16, 16).unwrap().topology;
+        let fm = asi_topo::default_fm_endpoint(&topo).unwrap();
+        let traffic = crate::TrafficPlan::none()
+            .with_unicast(0.4, 512)
+            .with_window(SimDuration::ZERO, SimDuration::from_ms(8))
+            .with_exempt(vec![fm.0]);
+        let config = FabricConfig {
+            traffic,
+            ..FabricConfig::default()
+        };
+        let shots = (config.traffic.materialize(&topo, config.byte_time))
+            .shots()
+            .len();
+        let fabric = Fabric::new(&topo, config);
+        let flows = fabric.traffic_flows().len();
+        assert_eq!(flows, 255);
+        assert_eq!(shots, 383_847);
+        assert!(fabric.sim.pending() <= flows, "{}", fabric.sim.pending());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A packet delivered to a device, and what consumes it: the serial
 //! stages — the PI-4 responder every device has, and on endpoints the
 //! ingress pipe and the agent behind it — agent callbacks and timers,
-//! and the traffic plan's shots and flow accounting.
+//! and the traffic plan's arrivals and flow accounting.
 
 use super::*;
 
@@ -104,6 +104,13 @@ pub(super) struct AgentSlot {
 pub(super) struct Traffic {
     /// Flows materialized from the plan, indexed by flow id.
     pub(super) flows: Vec<FlowSpec>,
+    /// Each flow's arrival clock (parallel to `flows`): it has drawn the
+    /// arrival pending on the kernel, and draws the next when that fires.
+    clocks: Vec<FlowClock>,
+    /// Each flow's key lane (parallel to `flows`): one external key,
+    /// reserved at construction, that every arrival of the flow is
+    /// scheduled under with its own time.
+    lanes: Vec<EventKey>,
     /// Per-flow delivery statistics (parallel to `flows`).
     pub(super) stats: Vec<FlowStats>,
     /// Plan-driven multicast deliveries per `(group, member device)`.
@@ -139,33 +146,61 @@ fn service_pi4(config: &mut ConfigSpace, request: &Packet) -> Option<Packet> {
 impl Fabric {
     // ---------------- the traffic plan ----------------
 
-    /// Materializes the traffic plan: group tables written, every shot on
-    /// the clock. An inert plan materializes to nothing (no RNG seeded,
-    /// no table written, no event scheduled), so zero-load runs replay
-    /// traffic-free runs byte-for-byte.
+    /// Materializes the traffic plan: group tables written, each flow's
+    /// first arrival on the clock. An inert plan materializes to nothing
+    /// (no RNG seeded, no table written, no event scheduled), so zero-load
+    /// runs replay traffic-free runs byte-for-byte.
+    ///
+    /// Every arrival of flow `f` is keyed `(at, EXTERNAL_RANK, b + f)`,
+    /// `b + f` its lane, which orders the arrivals exactly as one external
+    /// key per shot of the whole window, reserved here in `(at, flow,
+    /// seq)` order, would: two arrivals at one instant belong to different
+    /// flows and order by flow; keys reserved before sit below every lane;
+    /// an external key reserved after sorts after every arrival at its
+    /// instant, its sequence number lower by shots minus flows, the same
+    /// for every such key.
     pub(super) fn schedule_traffic(&mut self, topo: &Topology) {
         let schedule = self.config.traffic.materialize(topo, self.config.byte_time);
         for w in &schedule.writes {
             let config = &mut self.devices[w.device as usize].config;
             config.set_mcast_entry(w.group, w.mask);
         }
-        for shot in &schedule.shots {
-            let event = Event::TrafficInject {
-                dev: DevId(schedule.flows[shot.flow as usize].src),
-                flow: shot.flow,
-                seq: shot.seq,
-            };
-            self.sched_at(SimTime::ZERO + shot.at, event);
-        }
-        self.traffic.stats = vec![FlowStats::default(); schedule.flows.len()];
+        let flows = schedule.flows.len();
+        self.traffic.stats = vec![FlowStats::default(); flows];
         self.traffic.flows = schedule.flows;
+        self.traffic.clocks = schedule.clocks;
+        self.traffic.lanes = (0..flows)
+            .map(|_| self.sim.reserve_key(SimTime::ZERO))
+            .collect();
+        for flow in 0..flows as u32 {
+            self.next_arrival(flow);
+        }
     }
 
-    /// A traffic-plan shot fired: build the flow's packet and put it on
-    /// the source's egress queue (stamped with the injection time for
-    /// latency measurement). Shots at sources that are inactive or whose
-    /// egress link is down are dropped, like any other arrival there.
+    /// Draws the flow's next arrival, if its window holds one, and puts it
+    /// on the clock under the flow's lane. Scheduled keyed, it takes no
+    /// origin's sequence number, so the keys every device reserves later
+    /// are what they would be had the arrival been pending all along.
+    fn next_arrival(&mut self, flow: u32) {
+        let f = flow as usize;
+        let Some((at, seq)) = self.traffic.clocks[f].next_shot() else {
+            return;
+        };
+        let key = EventKey {
+            time: SimTime::ZERO + at,
+            ..self.traffic.lanes[f]
+        };
+        let dev = DevId(self.traffic.flows[f].src);
+        self.sched_keyed(key, Event::TrafficInject { dev, flow, seq });
+    }
+
+    /// A traffic-plan shot fired: draw the flow's next one, then build the
+    /// flow's packet and put it on the source's egress queue (stamped with
+    /// the injection time for latency measurement). Shots at sources that
+    /// are inactive or whose egress link is down are dropped, like any
+    /// other arrival there, and the flow goes on.
     pub(super) fn on_traffic_inject(&mut self, dev: DevId, flow: u32, seq: u32) {
+        self.next_arrival(flow);
         let now = self.sim.now();
         let spec = &self.traffic.flows[flow as usize];
         let d = &self.devices[dev.idx()];
@@ -427,6 +462,121 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::Shot;
+    use asi_sim::{TraceRecord, TraceSink, EXTERNAL_RANK};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A 3x3 mesh under every flow kind — unicast (two flows per
+    /// source), switch-sourced and multicast — in a window that opens at
+    /// 1 ms, long after bring-up; every device activated at 0. Returns
+    /// the fabric and the plan's arrivals expanded eagerly.
+    fn loaded_mesh() -> (Fabric, Vec<Shot>) {
+        let topo = asi_topo::mesh(3, 3).unwrap().topology;
+        let traffic = crate::TrafficPlan::none()
+            .with_unicast(0.3, 256)
+            .with_flows(2)
+            .with_switch_sourced(0.1)
+            .with_multicast(2, 0.05)
+            .with_window(SimDuration::from_ms(1), SimDuration::from_ms(1))
+            .with_seed(7);
+        let config = FabricConfig {
+            traffic,
+            ..FabricConfig::default()
+        };
+        let shots = (config.traffic.materialize(&topo, config.byte_time)).shots();
+        let mut fabric = Fabric::new(&topo, config);
+        fabric.activate_all(SimDuration::ZERO);
+        (fabric, shots)
+    }
+
+    /// `flow-injected` records as `(time, flow)`.
+    #[derive(Default)]
+    struct Injections(Vec<(SimTime, u32)>);
+
+    impl TraceSink for Injections {
+        fn record(&mut self, record: TraceRecord) {
+            if let TraceEvent::FlowInjected { flow } = record.event {
+                self.0.push((record.time, flow));
+            }
+        }
+    }
+
+    /// With every source up, the flows inject exactly the eagerly
+    /// expanded schedule, in its `(at, flow)` order.
+    #[test]
+    fn arrivals_fire_in_the_order_of_the_eager_schedule() {
+        let (mut fabric, shots) = loaded_mesh();
+        let sink = Rc::new(RefCell::new(Injections::default()));
+        fabric.set_trace(TraceHandle::to(sink.clone()), SimDuration::ZERO);
+        fabric.run_until_idle();
+        let want: Vec<_> = (shots.iter())
+            .map(|s| (SimTime::ZERO + s.at, s.flow))
+            .collect();
+        assert!(want.len() > 1000, "{}", want.len());
+        assert_eq!(sink.borrow().0, want);
+        assert_eq!(fabric.counters().dropped_inactive, 0);
+        assert_eq!(fabric.sim.pending(), 0);
+    }
+
+    /// A source that goes down for part of the window drops the arrivals
+    /// that fire meanwhile, and its flows go on once it is back: per flow,
+    /// injections plus drops are the eager schedule's shots. Every
+    /// arrival, injected or dropped, fires under its flow's lane — the
+    /// external key reserved for the flow, in flow order, with the
+    /// arrival's time — and never under a key of its source's.
+    #[test]
+    fn a_flow_whose_source_goes_down_drops_its_arrivals_and_goes_on() {
+        let (mut fabric, shots) = loaded_mesh();
+        let src = DevId(fabric.traffic.flows[0].src);
+        let back = SimTime::from_us(1500);
+        fabric.schedule_deactivate(src, SimDuration::from_us(1200));
+        fabric.schedule_activate(src, back - SimTime::ZERO);
+        let lanes = fabric.traffic.lanes.clone();
+        for (flow, lane) in lanes.iter().enumerate() {
+            assert_eq!(lane.origin, EXTERNAL_RANK);
+            assert_eq!(lane.seq, lanes[0].seq + flow as u32);
+        }
+        // Per flow: (injected, dropped, last injection).
+        let mut tally = vec![(0, 0, SimTime::ZERO); fabric.traffic.flows.len()];
+        while let Some(fired) = fabric.sim.next_event() {
+            let before = *fabric.counters();
+            let flow = match fired.event {
+                Event::TrafficInject { flow, .. } => Some(flow as usize),
+                _ => None,
+            };
+            if let Some(flow) = flow {
+                let time = fabric.now();
+                let lane = EventKey {
+                    time,
+                    ..lanes[flow]
+                };
+                assert_eq!(fabric.sim.current_key(), lane, "flow {flow}");
+            }
+            fabric.dispatch(fired.event);
+            fabric.sim.finish_dispatch();
+            let Some(flow) = flow else { continue };
+            let c = fabric.counters();
+            let injected = c.injected - before.injected;
+            let dropped = c.dropped_inactive - before.dropped_inactive;
+            assert_eq!(injected + dropped, 1, "an arrival injects or drops");
+            let t = &mut tally[flow];
+            t.0 += injected;
+            t.1 += dropped;
+            if injected == 1 {
+                t.2 = fabric.now();
+            }
+        }
+        for (flow, &(injected, dropped, last)) in tally.iter().enumerate() {
+            let want = shots.iter().filter(|s| s.flow == flow as u32).count();
+            assert_eq!((injected + dropped) as usize, want, "flow {flow}");
+            let from_src = fabric.traffic.flows[flow].src == src.0;
+            assert_eq!(dropped > 0, from_src, "flow {flow}");
+            if from_src {
+                assert!(last > back, "flow {flow} stopped at {last:?}");
+            }
+        }
+    }
 
     #[test]
     fn stage_serves_one_item_at_a_time_and_only_for_its_own_done() {

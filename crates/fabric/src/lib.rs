@@ -39,5 +39,5 @@ pub use counters::FabricCounters;
 pub use fabric::{Fabric, FlowStats, FmRoute, DSN_BASE};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, LossModel};
 pub use traffic::{
-    Arrivals, FlowKind, FlowSpec, McastTableWrite, Shot, TrafficPlan, TrafficSchedule,
+    Arrivals, FlowClock, FlowKind, FlowSpec, McastTableWrite, Shot, TrafficPlan, TrafficSchedule,
 };

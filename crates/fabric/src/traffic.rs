@@ -15,12 +15,14 @@
 //!
 //! - [`TrafficPlan::materialize`] is a pure function of `(plan,
 //!   topology, byte_time)`: the same plan over the same fabric always
-//!   yields the same flow set, group tables, and injection schedule.
+//!   yields the same flow set, group tables, and arrival clocks — hence
+//!   the same injection schedule, [`TrafficSchedule::shots`].
 //! - An inert plan (zero load everywhere — see [`TrafficPlan::is_inert`])
 //!   never touches an RNG, installs nothing, and schedules nothing, so a
 //!   zero-load run is byte-identical to a traffic-free run.
-//! - Each flow's arrival process draws from its own forked RNG stream,
-//!   so the schedule of one flow never depends on another's draws.
+//! - Each flow's arrival process draws from its own forked RNG stream
+//!   (its [`FlowClock`]), so the schedule of one flow never depends on
+//!   another's draws, nor on when the fabric asks for them.
 //!
 //! **Offered load** is defined on wire bytes: a flow at load `l` keeps
 //! its source link `l`-occupied by its own packets (mean inter-arrival
@@ -76,7 +78,7 @@ pub struct FlowSpec {
     pub payload: u16,
 }
 
-/// One scheduled packet injection.
+/// One packet injection of a flow ([`TrafficSchedule::shots`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shot {
     /// Offset from fabric construction.
@@ -99,16 +101,80 @@ pub struct McastTableWrite {
     pub mask: u32,
 }
 
+/// One flow's arrival process, drawn one arrival at a time: the flow's
+/// forked RNG stream and where in its window it stands. A fabric holds
+/// one per flow and asks for the next arrival when the last one fires,
+/// so a window of any length costs one pending event per flow.
+#[derive(Clone, Debug)]
+pub struct FlowClock {
+    rng: SimRng,
+    arrivals: Arrivals,
+    /// The last arrival drawn; before the first, the window start (plus
+    /// the CBR phase).
+    at: SimDuration,
+    /// Sequence number of the next arrival.
+    seq: u32,
+    /// Mean (Poisson) or fixed (CBR) inter-arrival gap.
+    gap_ps: f64,
+    /// Window end: no arrival at or after it, and a clock that reached it
+    /// is spent.
+    end: SimDuration,
+}
+
+impl FlowClock {
+    /// The flow's next arrival, as its offset from fabric construction
+    /// and its sequence number; `None` once the window has closed.
+    pub fn next_shot(&mut self) -> Option<(SimDuration, u32)> {
+        if self.at >= self.end {
+            return None;
+        }
+        match self.arrivals {
+            Arrivals::Poisson => {
+                self.at += SimDuration::from_ps(self.rng.gen_exp(self.gap_ps).max(1.0) as u64);
+            }
+            Arrivals::Cbr => {
+                if self.seq > 0 {
+                    self.at += SimDuration::from_ps(self.gap_ps.max(1.0) as u64);
+                }
+            }
+        }
+        if self.at >= self.end {
+            return None;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        Some((self.at, seq))
+    }
+}
+
 /// A [`TrafficPlan`] expanded over a concrete topology: the flow set,
-/// the multicast tables to install, and the time-sorted shot schedule.
+/// the multicast tables to install, and each flow's arrival clock.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficSchedule {
     /// All flows, indexed by [`Shot::flow`].
     pub flows: Vec<FlowSpec>,
     /// Multicast table entries to install before time zero.
     pub writes: Vec<McastTableWrite>,
-    /// Packet injections, sorted by `(at, flow, seq)`.
-    pub shots: Vec<Shot>,
+    /// Each flow's arrival clock, parallel to `flows`.
+    pub clocks: Vec<FlowClock>,
+}
+
+impl TrafficSchedule {
+    /// Every injection of the window at once, sorted by `(at, flow,
+    /// seq)`: the clocks run to the window end on clones, so the schedule
+    /// itself is untouched. The fabric never holds this; it is the eager
+    /// form of the same arrivals, for checking them.
+    pub fn shots(&self) -> Vec<Shot> {
+        let mut shots = Vec::new();
+        for (flow, clock) in (0..).zip(&self.clocks) {
+            let mut clock = clock.clone();
+            while let Some((at, seq)) = clock.next_shot() {
+                shots.push(Shot { at, flow, seq });
+            }
+        }
+        shots.sort_by_key(|s| (s.at, s.flow, s.seq));
+        shots
+    }
 }
 
 fn check_load(name: &str, load: f64) {
@@ -257,8 +323,8 @@ impl TrafficPlan {
     }
 
     /// Expands the plan over a topology into flows, multicast table
-    /// writes, and a time-sorted shot schedule. Pure: depends only on
-    /// the plan, the topology, and the link byte time.
+    /// writes, and one arrival clock per flow. Pure: depends only on the
+    /// plan, the topology, and the link byte time.
     ///
     /// `byte_time` converts offered load into inter-arrival gaps: a flow
     /// at load `l` sends one `wire_size`-byte packet every
@@ -305,7 +371,7 @@ impl TrafficPlan {
                 }
             }
             let n = schedule.flows.len();
-            self.schedule_shots(&mut schedule, &mut rng, 0..n, per_flow, byte_time);
+            self.start_clocks(&mut schedule, &mut rng, 0..n, per_flow, byte_time);
         }
 
         if self.switch_load > 0.0 && !endpoints.is_empty() {
@@ -327,7 +393,7 @@ impl TrafficPlan {
                 });
             }
             let n = schedule.flows.len();
-            self.schedule_shots(
+            self.start_clocks(
                 &mut schedule,
                 &mut rng,
                 first..n,
@@ -361,7 +427,7 @@ impl TrafficPlan {
                 });
             }
             let n = schedule.flows.len();
-            self.schedule_shots(
+            self.start_clocks(
                 &mut schedule,
                 &mut rng,
                 first..n,
@@ -369,14 +435,12 @@ impl TrafficPlan {
                 byte_time,
             );
         }
-
-        schedule.shots.sort_by_key(|s| (s.at, s.flow, s.seq));
         schedule
     }
 
-    /// Fills in the shot schedule for `flows[range]` at `load` each,
-    /// drawing every flow's arrivals from its own forked RNG stream.
-    fn schedule_shots(
+    /// Winds the arrival clocks of `flows[range]` at `load` each, forking
+    /// every flow's RNG stream in flow order.
+    fn start_clocks(
         &self,
         schedule: &mut TrafficSchedule,
         rng: &mut SimRng,
@@ -384,40 +448,22 @@ impl TrafficPlan {
         load: f64,
         byte_time: SimDuration,
     ) {
-        let end = self.start + self.duration;
         for flow in range {
             let spec = &schedule.flows[flow];
             let packet = build_flow_packet(spec, flow as u32, 0, 0);
-            let gap_ps = packet.wire_size() as f64 * byte_time.as_ps() as f64 / load;
-            let mut flow_rng = rng.fork(flow as u64 + 1);
-            let mut t = match self.arrivals {
-                // CBR flows get a deterministic phase stagger so they
-                // don't all fire on the same instant.
-                Arrivals::Cbr => self.start + SimDuration::from_ns(1 + flow as u64),
-                Arrivals::Poisson => self.start,
-            };
-            let mut seq = 0u32;
-            loop {
-                match self.arrivals {
-                    Arrivals::Poisson => {
-                        t += SimDuration::from_ps(flow_rng.gen_exp(gap_ps).max(1.0) as u64);
-                    }
-                    Arrivals::Cbr => {
-                        if seq > 0 {
-                            t += SimDuration::from_ps(gap_ps.max(1.0) as u64);
-                        }
-                    }
-                }
-                if t >= end {
-                    break;
-                }
-                schedule.shots.push(Shot {
-                    at: t,
-                    flow: flow as u32,
-                    seq,
-                });
-                seq += 1;
-            }
+            schedule.clocks.push(FlowClock {
+                rng: rng.fork(flow as u64 + 1),
+                arrivals: self.arrivals,
+                at: match self.arrivals {
+                    // CBR flows get a deterministic phase stagger so they
+                    // don't all fire on the same instant.
+                    Arrivals::Cbr => self.start + SimDuration::from_ns(1 + flow as u64),
+                    Arrivals::Poisson => self.start,
+                },
+                seq: 0,
+                gap_ps: packet.wire_size() as f64 * byte_time.as_ps() as f64 / load,
+                end: self.start + self.duration,
+            });
         }
     }
 }
@@ -546,7 +592,7 @@ mod tests {
             .with_window(SimDuration::ZERO, SimDuration::from_ms(1));
         assert!(groupless.is_inert());
         let sched = windowed.materialize(&mesh(), BYTE_TIME);
-        assert!(sched.flows.is_empty() && sched.writes.is_empty() && sched.shots.is_empty());
+        assert!(sched.flows.is_empty() && sched.writes.is_empty() && sched.clocks.is_empty());
     }
 
     #[test]
@@ -560,18 +606,58 @@ mod tests {
             .with_seed(42);
         let a = plan.materialize(&mesh(), BYTE_TIME);
         let b = plan.materialize(&mesh(), BYTE_TIME);
-        assert_eq!(a.shots, b.shots);
+        let shots = a.shots();
+        assert_eq!(shots, b.shots());
+        assert_eq!(shots, a.shots(), "expanding leaves the clocks as they were");
         assert_eq!(a.writes, b.writes);
         assert_eq!(a.flows.len(), b.flows.len());
         // 9 endpoints × 2 unicast flows + 9 switch flows + 2 group flows.
         assert_eq!(a.flows.len(), 9 * 2 + 9 + 2);
-        assert!(!a.shots.is_empty());
-        assert!(a.shots.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(a.clocks.len(), a.flows.len());
+        assert!(!shots.is_empty());
+        assert!(shots.windows(2).all(|w| w[0].at <= w[1].at));
         let end = SimDuration::from_us(550);
-        assert!(a
-            .shots
+        assert!(shots
             .iter()
             .all(|s| s.at >= SimDuration::from_us(50) && s.at < end));
+    }
+
+    /// FNV-1a over every shot's `(at ps, flow, seq)`, little-endian.
+    fn digest(shots: &[Shot]) -> u64 {
+        let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        shots
+            .iter()
+            .flat_map(|s| {
+                let at = s.at.as_ps().to_le_bytes();
+                let ids = (u64::from(s.flow) | u64::from(s.seq) << 32).to_le_bytes();
+                at.into_iter().chain(ids)
+            })
+            .fold(0xcbf2_9ce4_8422_2325, fnv)
+    }
+
+    /// The arrival clocks replay, shot for shot, the schedule the plan
+    /// expanded into when it was sorted up front: the digests and counts
+    /// were recorded from that eager expansion, for unicast (two flows
+    /// per source), switch-sourced and multicast flows in a window that
+    /// does not open at 0, under both arrival processes.
+    #[test]
+    fn clocks_replay_the_eager_schedule() {
+        for (arrivals, count, want) in [
+            (Arrivals::Poisson, 1133, 0xd384_7036_d096_b896),
+            (Arrivals::Cbr, 1104, 0xbd1f_aeb7_8029_ca40),
+        ] {
+            let shots = TrafficPlan::none()
+                .with_unicast(0.4, 512)
+                .with_flows(2)
+                .with_arrivals(arrivals)
+                .with_multicast(2, 0.05)
+                .with_switch_sourced(0.1)
+                .with_window(SimDuration::from_us(50), SimDuration::from_us(500))
+                .with_seed(42)
+                .materialize(&mesh(), BYTE_TIME)
+                .shots();
+            assert_eq!((shots.len(), digest(&shots)), (count, want), "{arrivals:?}");
+        }
     }
 
     #[test]
@@ -581,7 +667,7 @@ mod tests {
             .with_window(SimDuration::ZERO, SimDuration::from_us(200));
         let a = base.clone().with_seed(1).materialize(&mesh(), BYTE_TIME);
         let b = base.with_seed(2).materialize(&mesh(), BYTE_TIME);
-        assert_ne!(a.shots, b.shots);
+        assert_ne!(a.shots(), b.shots());
     }
 
     #[test]
@@ -592,7 +678,7 @@ mod tests {
             .with_unicast(0.8, 512)
             .with_window(SimDuration::ZERO, SimDuration::from_ms(2));
         let sched = plan.materialize(&mesh(), BYTE_TIME);
-        let per_flow: f64 = sched.shots.len() as f64 / sched.flows.len() as f64;
+        let per_flow: f64 = sched.shots().len() as f64 / sched.flows.len() as f64;
         let wire = build_flow_packet(&sched.flows[0], 0, 0, 0).wire_size() as f64;
         let expected = 2e9 / (wire * 4000.0 / 0.8);
         assert!(
@@ -608,7 +694,7 @@ mod tests {
             .with_arrivals(Arrivals::Cbr)
             .with_window(SimDuration::ZERO, SimDuration::from_us(500));
         let sched = plan.materialize(&mesh(), BYTE_TIME);
-        let shots: Vec<&Shot> = sched.shots.iter().filter(|s| s.flow == 0).collect();
+        let shots: Vec<Shot> = sched.shots().into_iter().filter(|s| s.flow == 0).collect();
         assert!(shots.len() > 2);
         let gap = shots[1].at.as_ps() - shots[0].at.as_ps();
         for w in shots.windows(2) {

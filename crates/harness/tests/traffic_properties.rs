@@ -160,6 +160,7 @@ proptest! {
         let mut exempt_plan = plan;
         exempt_plan.exempt.push(fm.0);
         let schedule = exempt_plan.materialize(&grid.topology, SimDuration::from_ns(4));
+        let shots = schedule.shots();
 
         // Members per group: endpoints whose table entry has the
         // membership bit set.
@@ -176,7 +177,7 @@ proptest! {
         // packet back — the ingress port is skipped at its switch).
         let mut injected: BTreeMap<u16, u64> = BTreeMap::new();
         let mut sources: BTreeMap<u16, u32> = BTreeMap::new();
-        for shot in &schedule.shots {
+        for shot in &shots {
             let flow = &schedule.flows[shot.flow as usize];
             if let asi_fabric::FlowKind::Mcast { group } = flow.kind {
                 *injected.entry(group).or_default() += 1;
@@ -189,7 +190,7 @@ proptest! {
         prop_assert_eq!(counters.dropped_inactive, 0, "no shot fired early");
         prop_assert_eq!(
             counters.mcast_injected,
-            schedule.shots.len() as u64,
+            shots.len() as u64,
             "every scheduled shot injected"
         );
         let deliveries = bench.fabric.mcast_deliveries();

@@ -66,8 +66,12 @@
 //!    activations of a 64×64 mesh's bring-up each moved the whole bucket
 //!    and tripled its set-up time (0.009 → 0.022 s).
 //! 4. **The overflow heap keeps its entries inline** and an entry takes a
-//!    node only when its bucket comes up, so pre-scheduled far-future
-//!    events and timers that never fire early cost one heap push and pop.
+//!    node only when its bucket comes up, so far-future events — timers
+//!    that never fire early, fault and churn plans — cost one heap push
+//!    and pop. An entry is inline but not free (48 bytes for the
+//!    fabric's events), so a model should not lay out a long stream of
+//!    future events at once: the fabric's traffic keeps one pending
+//!    arrival per flow and schedules the next when it fires.
 //!
 //! Entries are ordered by [`EventKey`] — `(time, origin, seq)` — the
 //! deterministic total order shared by the serial and parallel kernels (see

@@ -113,7 +113,8 @@ quiescence, and the churned database equal to a cold re-discovery):
 traffic options (initial discovery under a deterministic data-plane
 workload — see docs/TRAFFIC.md; reports discovery time against a quiet
 twin run plus delivery metrics, all byte-identical across --kernel;
-exits 1 when the loaded discovery misses devices):
+exits 1 when the loaded discovery misses devices, or when data packets
+are still queued once the rest of the window has run to idle):
   --load <f>                   offered unicast load per source endpoint as a
                                fraction of its 2 Gb/s link in [0, 1] (default 0.2)
   --flows <n>                  unicast flows per source endpoint (default 1)
@@ -1394,7 +1395,7 @@ fn traffic_main(inv: &Invocation) -> Report {
         .discovery_time()
         .as_secs_f64();
     let scenario = inv.scenario.clone().with_traffic_plan(plan);
-    let bench = Bench::start(topo, &scenario, &[]);
+    let mut bench = Bench::start(topo, &scenario, &[]);
     let run = bench.last_run();
     let summary = summarize_traffic(&bench.fabric, &scenario.traffic);
     let loaded_time = run.discovery_time().as_secs_f64();
@@ -1404,7 +1405,7 @@ fn traffic_main(inv: &Invocation) -> Report {
         0.0
     };
     let full_topology = run.devices_found == topo.node_count();
-    Report {
+    let mut report = Report {
         json: Json::object()
             .with("topology", topo.name.as_str())
             .with("devices", topo.node_count())
@@ -1470,7 +1471,28 @@ fn traffic_main(inv: &Invocation) -> Report {
                 topo.node_count()
             )
         }),
+    };
+    // The report is the cut where discovery settled. The rest of the
+    // window runs to idle untraced, so neither output gains a byte; a
+    // data plane that stopped delivering still holds packets there.
+    bench
+        .fabric
+        .set_trace(TraceHandle::disabled(), SimDuration::ZERO);
+    bench.fabric.run_until_idle();
+    let queued = bench.fabric.queued_packets();
+    if queued > 0 {
+        let c = bench.fabric.counters();
+        let stalled = format!(
+            "traffic: the data plane stalled with {queued} packets still queued at idle \
+             ({} of {} flow packets delivered)",
+            c.flow_delivered, c.flow_injected
+        );
+        report.failure = Some(match report.failure {
+            Some(lost) => format!("{lost}\n{stalled}"),
+            None => stalled,
+        });
     }
+    report
 }
 
 fn main() {

@@ -1202,6 +1202,30 @@ fn traffic_mode_is_byte_identical_across_kernels() {
     );
 }
 
+/// Minimal routing over one data VC closes a credit cycle on a
+/// dragonfly. On `dragonfly:3,1`, the smallest that stalls, a 50 us
+/// window leaves packets queued once the run goes idle: the report is
+/// still printed, and the stall is exit 1 with the count. A mesh drains.
+#[test]
+fn traffic_mode_exits_1_when_its_data_plane_stalls() {
+    let stalls = [
+        "traffic",
+        "--topology",
+        "dragonfly:3,1",
+        "--duration-us",
+        "50",
+    ];
+    let (stdout, stderr, code) = run_coded(&stalls);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains("205 of 494 packets delivered"), "{stdout}");
+    let line = "traffic: the data plane stalled with 289 packets still queued at idle \
+                (205 of 494 flow packets delivered)";
+    assert_eq!(stderr.trim_end(), line);
+    let (_, stderr, code) = run_coded(&["traffic", "--topology", "mesh:3x3"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
 #[test]
 fn traffic_mode_rejects_malformed_invocations() {
     // Satellite 3: one negative per new flag, all on the exit-2
