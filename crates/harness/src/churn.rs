@@ -12,13 +12,10 @@
 //! simulation state, so a `(topology, scenario)` pair always produces
 //! the same [`ChurnOutcome`].
 
-use crate::scenario::{dsn_of_dev, Bench, Scenario};
+use crate::scenario::{db_matches_fabric, Bench, Scenario};
 use asi_core::TOKEN_START_DISCOVERY;
-use asi_fabric::DevId;
-use asi_proto::PortState;
 use asi_sim::{SimDuration, SimTime};
 use asi_topo::Topology;
-use std::collections::BTreeSet;
 
 /// Steady-state metrics of a churn run.
 #[derive(Clone, Debug)]
@@ -75,44 +72,10 @@ pub fn default_churn_exempt(topo: &Topology) -> Vec<u32> {
     exempt
 }
 
-/// True when the FM's committed database mirrors the fabric exactly:
-/// same reachable-device set and, for every physical link, membership
-/// in the database iff both ports are trained up right now.
-fn db_matches_fabric(bench: &Bench) -> bool {
-    let Some(db) = bench.fm_agent().db() else {
-        return false;
-    };
-    let truth: BTreeSet<u64> = bench
-        .fabric
-        .active_reachable(bench.fm)
-        .into_iter()
-        .map(dsn_of_dev)
-        .collect();
-    let known: BTreeSet<u64> = db.devices().map(|d| d.info.dsn).collect();
-    if truth != known {
-        return false;
-    }
-    let db_links: BTreeSet<((u64, u8), (u64, u8))> = db
-        .links()
-        .map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
-        .collect();
-    let mut live_links = 0usize;
-    for l in bench.topo.links() {
-        let (da, db_end) = (DevId(l.a.node.0), DevId(l.b.node.0));
-        let live = truth.contains(&dsn_of_dev(da))
-            && truth.contains(&dsn_of_dev(db_end))
-            && bench.fabric.port_state(da, l.a.port) == PortState::Active
-            && bench.fabric.port_state(db_end, l.b.port) == PortState::Active;
-        let a = (dsn_of_dev(da), l.a.port);
-        let b = (dsn_of_dev(db_end), l.b.port);
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if live != db_links.contains(&key) {
-            return false;
-        }
-        live_links += usize::from(live);
-    }
-    // Discovery can never invent links, so equal counts close the loop.
-    live_links == db_links.len()
+/// True when the FM's committed database mirrors the fabric right now.
+fn in_sync(bench: &Bench) -> bool {
+    let db = bench.fm_agent().db();
+    db.is_some_and(|db| db_matches_fabric(db, &bench.fabric, bench.fm, &bench.topo))
 }
 
 /// Counters whose movement can change either side of the
@@ -166,7 +129,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     // whenever a relevant counter moves, and the time in between is
     // attributed to whichever state held at the last evaluation.
     let mut sig = signature(&bench);
-    let mut diverged = !db_matches_fabric(&bench);
+    let mut diverged = !in_sync(&bench);
     let mut diverged_since = diverged.then(|| bench.fabric.now());
     let mut last_converged_at = (!diverged).then(|| bench.fabric.now());
     let mut total = SimDuration::ZERO;
@@ -178,7 +141,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
         if s != sig {
             sig = s;
             let now = bench.fabric.now();
-            let d = !db_matches_fabric(&bench);
+            let d = !in_sync(&bench);
             if d != diverged {
                 if d {
                     diverged_since = Some(now);

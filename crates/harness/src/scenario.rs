@@ -7,6 +7,7 @@ use asi_core::{DiscoveryRun, TopologyDb, TrafficSummary};
 use asi_fabric::{
     ChurnPlan, DevId, Fabric, FabricConfig, FaultPlan, FmRoute, TrafficPlan, DSN_BASE,
 };
+use asi_proto::PortState;
 use asi_sim::{KernelSpec, SimDuration, SimRng, TraceHandle};
 use asi_state::Snapshot;
 use asi_topo::{NodeId, Topology};
@@ -302,8 +303,8 @@ impl Scenario {
 
     /// Runs a single initial discovery under this scenario's fault plan
     /// and retry policy, without the [`Bench`] settling machinery — the
-    /// robustness path shared by the CLI's faults mode and the fault
-    /// sweep grids. Returns the completed run and the active-node
+    /// robustness path the CLI's default mode and the sweep take under a
+    /// live fault plan. Returns the completed run and the active-node
     /// count, or `None` when the FM never finished a run.
     pub fn initial_discovery(&self, topo: &Topology) -> Option<(DiscoveryRun, usize)> {
         let mut fabric = self.powered_fabric(topo, self.fabric_config(topo), &[]);
@@ -329,8 +330,8 @@ impl Scenario {
 /// first fault; a churn window instead targets the *steady state* after
 /// discovery, so bring-up stops at half the window start, leaving the
 /// first half for the initial discovery and PI-5 route configuration;
-/// a traffic plan's injections are pre-scheduled over its window, so
-/// bring-up must not run past half the window start (usually zero:
+/// a traffic plan keeps each flow's next arrival in the kernel from its
+/// window start on, so bring-up stops at half that start (usually zero:
 /// loaded discovery is the point of the measurement).
 fn run_bringup(fabric: &mut Fabric, faults: &FaultPlan, churn: &ChurnPlan, traffic: &TrafficPlan) {
     let first_fault = faults.events.iter().map(|e| e.at).min();
@@ -410,6 +411,34 @@ pub fn dev_of_dsn(dsn: u64) -> DevId {
 /// DSN of a fabric device id.
 pub fn dsn_of_dev(dev: DevId) -> u64 {
     DSN_BASE | u64::from(dev.0)
+}
+
+/// True when `db` mirrors the live fabric exactly: the same devices as
+/// those reachable from `fm` over active links, and every physical link
+/// of `topo`, port numbers included, recorded iff both its ends are
+/// reachable and both its ports are trained up right now. The
+/// ground-truth verdict behind `full_topology` in the CLI's `stress` and
+/// `traffic` modes, and churn's divergence measure.
+pub fn db_matches_fabric(db: &TopologyDb, fabric: &Fabric, fm: DevId, topo: &Topology) -> bool {
+    let truth = fabric.active_reachable(fm);
+    if truth.len() != db.device_count() || !truth.iter().all(|&d| db.contains(dsn_of_dev(d))) {
+        return false;
+    }
+    let mut live_links = 0usize;
+    for l in topo.links() {
+        let (a, b) = (DevId(l.a.node.0), DevId(l.b.node.0));
+        let (a_dsn, b_dsn) = (dsn_of_dev(a), dsn_of_dev(b));
+        let live = db.contains(a_dsn)
+            && db.contains(b_dsn)
+            && fabric.port_state(a, l.a.port) == PortState::Active
+            && fabric.port_state(b, l.b.port) == PortState::Active;
+        if live != (db.neighbor(a_dsn, l.a.port) == Some((b_dsn, l.b.port))) {
+            return false;
+        }
+        live_links += usize::from(live);
+    }
+    // Discovery can never invent links, so equal counts close the loop.
+    live_links == db.link_count()
 }
 
 impl Bench {
@@ -799,6 +828,27 @@ mod tests {
         let bench = Bench::start(&g.topology, &Scenario::new(Algorithm::Parallel), &[]);
         assert_eq!(bench.db().device_count(), 18);
         assert_eq!(bench.active_nodes(), 18);
+    }
+
+    /// A link recorded on the wrong port keeps every count right; only
+    /// the comparison with the live fabric catches it.
+    #[test]
+    fn a_link_on_a_wrong_port_fails_the_ground_truth_verdict() {
+        let g = mesh(3, 3).unwrap();
+        let bench = Bench::start(&g.topology, &Scenario::new(Algorithm::Parallel), &[]);
+        let matches = |db: &TopologyDb| db_matches_fabric(db, &bench.fabric, bench.fm, &g.topology);
+        let mut db = bench.db().clone();
+        assert!(matches(&db));
+        let ((a, a_port), b) = db
+            .links()
+            .find(|&((a, _), _)| a == dsn_of_dev(DevId(g.switch_at(1, 1).0)))
+            .unwrap();
+        let wrong = (0..=u8::MAX)
+            .find(|&p| db.neighbor(a, p).is_none())
+            .unwrap();
+        assert!(db.remove_link((a, a_port), b) && db.add_link((a, wrong), b));
+        assert_eq!((db.device_count(), db.link_count()), (18, 21));
+        assert!(!matches(&db));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! asi-fabric-sim --topology torus:8x8 --algorithm all --change remove --json
 //! asi-fabric-sim --topology fattree:4,3 --fm-factor 4 --device-factor 0.2
 //! asi-fabric-sim --topology irregular:20 --seed 7 --loss 0.02 --retries 4
-//! asi-fabric-sim faults --topology mesh:3x3 --loss 0.05 --loss-model bursty \
+//! asi-fabric-sim --topology mesh:3x3 --loss 0.05 --loss-model bursty \
 //!     --retry-policy exponential --retries 10
 //! asi-fabric-sim sweep --grid faults --quick --jobs 4 --json
 //! asi-fabric-sim sweep --grid scale --jobs 2 --csv
@@ -18,19 +18,21 @@
 //! asi-fabric-sim snapshot verify --topology mesh:3x3 --in fabric.snap --json
 //! ```
 //!
-//! The command line is parsed once: [`Args::walk`] checks every token
-//! against the flag table ([`FLAGS`]), [`Invocation::parse`] turns the
-//! values into one [`Scenario`] plus the mode's extras, and each mode is
-//! *run → verdict → report* over that. Every malformed, unknown, misplaced
-//! or repeated flag produces a one-line `error: ...` on stderr plus the
-//! usage text and exit code 2 — never a panic.
+//! The command line is declared once: every mode in [`MODES`], every
+//! flag in [`FLAGS`], and the usage text is rendered from the two.
+//! [`Args::walk`] checks every token against the flag table,
+//! [`Invocation::parse`] turns the values into one [`Scenario`] plus the
+//! mode's extras, and each mode is *run → verdict → report* over that.
+//! Every malformed, unknown, misplaced or repeated flag produces a
+//! one-line `error: ...` on stderr plus the usage text and exit code 2 —
+//! never a panic.
 
-use advanced_switching::core::{snapshot_db, Algorithm, DiscoveryTrigger, RetryPolicy};
+use advanced_switching::core::{snapshot_db, Algorithm, DiscoveryTrigger, FmAgent, RetryPolicy};
 use advanced_switching::fabric::{Arrivals, ChurnPlan, Fabric, FaultPlan, LossModel, TrafficPlan};
 use advanced_switching::harness::{
-    change_experiment, churn_experiment, default_churn_exempt, load_snapshot, save_snapshot,
-    save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench, Json, RingCollector,
-    Scenario, SnapshotFormat, SweepSpec,
+    change_experiment, churn_experiment, db_matches_fabric, default_churn_exempt, load_snapshot,
+    save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench,
+    ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
 };
 use advanced_switching::sim::trace::TraceEvent;
 use advanced_switching::sim::{SimDuration, SimRng, SimTime, TraceHandle};
@@ -43,18 +45,9 @@ use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-const USAGE: &str = "usage: asi-fabric-sim --topology <spec> [options]
-       asi-fabric-sim faults --topology <spec> [options]
-       asi-fabric-sim churn --topology <spec> [options]
-       asi-fabric-sim traffic --topology <spec> [options]
-       asi-fabric-sim sweep [sweep options]
-       asi-fabric-sim stress --topology <spec> [options]
-       asi-fabric-sim certify --topology <spec> [options]
-       asi-fabric-sim snapshot save --topology <spec> --out <path> [options]
-       asi-fabric-sim snapshot load --in <path> [--resave <path>] [options]
-       asi-fabric-sim snapshot diff --old <path> --new <path> [--json]
-       asi-fabric-sim snapshot verify --topology <spec> --in <path> [options]
-
+/// The one hand-written part of the usage text: the `--topology`
+/// grammar, which no flag row can carry.
+const TOPOLOGY_SPECS: &str = "
 topology specs:
   mesh:<W>x<H>        2-D mesh of 16-port switches, one endpoint each (2..=64 per side)
   torus:<W>x<H>       2-D torus (2..=64 per side)
@@ -64,175 +57,85 @@ topology specs:
                       per router, one global link per group pair (diameter 3)
   designed:<N>        automated two-layer fat-tree sized for N endpoints over
                       the stock port catalogue (see docs/TOPOLOGIES.md)
+";
 
-options:
-  --topology <spec>            fabric under test (required; specs above)
-  --algorithm serial-packet|serial-device|parallel|all   (default: all)
-  --change none|remove|add     measure initial discovery or a change (default: none)
-  --fm-factor <f>              FM processing speed factor (default 1)
-  --device-factor <f>          device processing speed factor (default 1)
-  --seed <n>                   RNG seed (default 0xA51)
-  --kernel serial|parallel[:N] event-engine scheduling kernel (default: serial;
-                               parallel = conservative-sync over N shards, 4 when
-                               omitted — output is byte-identical either way,
-                               see docs/PARALLEL.md); taken by the default,
-                               faults, churn, traffic, sweep, stress and
-                               certify modes
-  --trace <path>               write a JSONL discovery trace (see docs/TRACE_FORMAT.md)
-  --json                       emit JSON instead of a table
+/// The usage text, rendered from [`MODES`] and [`FLAGS`]: the synopsis
+/// with one summary line per mode, the topology grammar, then every
+/// flag once with the modes that take it.
+fn usage_text() -> String {
+    let mut text = String::from(
+        "usage: asi-fabric-sim [<mode>] [options]\n\n\
+         modes (a malformed command line is one `error:` line plus this text, exit 2):\n",
+    );
+    for &(_, words, _, summary) in MODES {
+        text += &format!("  {:<16} {summary}\n", mode_name(words));
+    }
+    text += TOPOLOGY_SPECS;
+    text += "\noptions, each with the modes that take it:\n";
+    for flag in FLAGS {
+        let taking = MODES.iter().filter(|m| m.0 & flag.modes != 0);
+        let modes: Vec<&str> = taking.map(|m| mode_name(m.1)).collect();
+        let synopsis = format!("{} {}", flag.name, flag.value);
+        let (synopsis, help, modes) = (synopsis.trim_end(), flag.help, modes.join(", "));
+        text += &format!("  {synopsis:<29} {help}\n  {:29} [{modes}]\n", "");
+    }
+    text
+}
 
-fault options (compose a deterministic fault plan and the FM's retry policy;
-taken by the default, `faults` and `sweep` modes only — `faults` always
-reports the robustness metrics, see docs/FAULTS.md):
-  --loss <p>                   mean per-hop packet loss probability in [0,1) (default 0)
-  --loss-model uniform|bursty  loss process for --loss (default: uniform)
-  --corrupt <p>                completion corruption (CRC drop) probability (default 0)
-  --duplicate <p>              completion duplication probability (default 0)
-  --flap <at_us>:<dev>:<port>:<down_us>   schedule a link flap (repeatable)
-  --hang <at_us>:<dev>:<dur_us>           schedule a device hang (repeatable)
-  --slow <at_us>:<dev>:<factor>:<dur_us>  schedule a device slowdown (repeatable)
-  --retry-policy fixed|exponential|deadline   retry/backoff policy (default: fixed)
-  --retries <n>                retry budget for fixed/exponential (default 0)
-  --deadline-us <n>            per-request budget for --retry-policy deadline
-  --timeout-us <n>             base request timeout under faults (default 800)
-
-churn options (continuous-churn steady state: Poisson link flaps and
-device remove/re-add cycles disturb a live fabric while the FM
-assimilates the PI-5 storm incrementally — see docs/CHURN.md; exits 1
-unless the run ends converged, i.e. full topology, zero divergence at
-quiescence, and the churned database equal to a cold re-discovery):
-  --flap-rate <f>              link flaps per simulated second (default 1500)
-  --flap-down-us <n>           how long a flapped link stays down (default 200)
-  --device-rate <f>            device remove/re-add cycles per second (default 300)
-  --device-down-us <n>         how long a removed device stays out (default 1000)
-  --start-us <n>               churn window start; leave the first half for the
-                               initial discovery to settle (default 6000)
-  --horizon-us <n>             churn window length (default 4000)
-  plus --algorithm/--seed/--kernel/--fm-factor/--device-factor/--trace/--json
-
-traffic options (initial discovery under a deterministic data-plane
-workload — see docs/TRAFFIC.md; reports discovery time against a quiet
-twin run plus delivery metrics, all byte-identical across --kernel;
-exits 1 when the loaded discovery misses devices, or when data packets
-are still queued once the rest of the window has run to idle):
-  --load <f>                   offered unicast load per source endpoint as a
-                               fraction of its 2 Gb/s link in [0, 1] (default 0.2)
-  --flows <n>                  unicast flows per source endpoint (default 1)
-  --payload <bytes>            data payload size (default 512)
-  --arrivals poisson|cbr       packet arrival process (default: poisson)
-  --mcast-groups <n>           multicast groups to provision and feed, at
-                               most 64 (default 0)
-  --mcast-load <f>             offered load of each group's source flow in
-                               [0, 1] (default 0.05)
-  --switch-load <f>            offered load sourced by each switch in [0, 1]
-                               (default 0)
-  --start-us <n>               injection window start (default 0)
-  --duration-us <n>            injection window length (default 8000)
-  plus --algorithm/--seed/--kernel/--fm-factor/--device-factor/--trace/--json
-
-sweep options (deterministic multi-threaded grid; output is byte-identical
-for any --jobs value):
-  --grid fig5|fig6|faults|warmstart|smoke|scale|churn|load   named grid
-                               (default: smoke)
-  --quick                      smaller topology set / fewer repetitions
-  --jobs <n>                   worker threads (default: all cores)
-  --fms <n>                    override the grid's fabric-manager axis with a
-                               single count (>1 = election-based sharded
-                               discovery — see docs/DISTRIBUTED.md; at most
-                               the smallest grid fabric's endpoints, and 255)
-  --fm-factor <f>              FM processing speed factor (default 1)
-  --device-factor <f>          device processing speed factor (default 1)
-  plus any fault option above, applied to every cell
-  --json | --csv               machine-readable output (default: text table)
-  (the scale grid also prints wall-clock throughput on stderr, outside
-  the byte-compared stdout)
-
-stress options (one large-fabric discovery with wall-clock throughput;
-wall_time_s and events_per_sec are execution-dependent by design — the
-deterministic counterpart is `sweep --grid scale`; exits 1 when the
-discovery misses devices):
-  --topology <spec>            fabric under test (e.g. mesh:64x64)
-  --algorithm serial-packet|serial-device|parallel   (default: parallel)
-  --fms <n>                    fabric managers, at most one per endpoint and
-                               255; >1 runs the election-based sharded
-                               discovery with a certified merge
-  --seed / --fm-factor / --device-factor / --kernel / --trace / --json as above
-  (--json also reports peak_rss_mb, the process's peak resident set —
-  execution-dependent like wall_time_s, never byte-compare it — and
-  events_by_kind, the deterministic split of sim_events by event kind)
-
-certify options (the CI topology-certification gate: build the topology,
-re-run the whole-graph validator, then one full discovery that must find
-every device; exits 1 on any mismatch):
-  --topology <spec>            family instance to certify (required)
-  --kernel / --seed / --json as above
-
-snapshot options (cached-topology workflows — see docs/ARCHITECTURE.md):
-  save    run a cold discovery and write the resulting snapshot to --out
-  load    read a snapshot, print its summary; --resave <path> rewrites it
-  diff    structural delta between --old and --new snapshots
-  verify  warm-start discovery on --topology seeded from --in: one probe
-          per cached device, escalating around mismatches
-  --format binary|jsonl        output format for save/--resave (default: binary)
-  --threshold <f>              mismatch fraction that triggers the full
-                               cold fallback during verify (default 0.25)
-  save and verify also take --algorithm/--seed/--fm-factor/--device-factor/
-  --trace; every subcommand takes --json";
+/// A mode's name in the usage text: its words, or `default`.
+fn mode_name(words: &str) -> &str {
+    Some(words).filter(|w| !w.is_empty()).unwrap_or("default")
+}
 
 fn usage() -> ! {
-    let _ = writeln!(std::io::stderr(), "{USAGE}");
+    let _ = write!(std::io::stderr(), "{}", usage_text());
     std::process::exit(2)
 }
 
 /// Friendly fatal error: one line on stderr, then the usage text, exit 2
 /// (also when stderr has gone away — a closed pipe is not a panic).
 fn fail(msg: impl fmt::Display) -> ! {
-    let _ = writeln!(std::io::stderr(), "error: {msg}\n\n{USAGE}");
+    let _ = write!(std::io::stderr(), "error: {msg}\n\n{}", usage_text());
     std::process::exit(2)
 }
 
 /// One bit per mode, so the modes that consume a flag form a mask.
 type Modes = u16;
-const DISCOVER: Modes = 1 << 0;
-const FAULTS: Modes = 1 << 1;
-const CHURN: Modes = 1 << 2;
-const TRAFFIC: Modes = 1 << 3;
-const SWEEP: Modes = 1 << 4;
-const STRESS: Modes = 1 << 5;
-const CERTIFY: Modes = 1 << 6;
-const SAVE: Modes = 1 << 7;
-const LOAD: Modes = 1 << 8;
-const DIFF: Modes = 1 << 9;
-const VERIFY: Modes = 1 << 10;
-const EVERY: Modes = (1 << 11) - 1;
-/// Modes that run one traced discovery on `--topology`.
-const RUNS: Modes = DISCOVER | FAULTS | CHURN | TRAFFIC | STRESS | SAVE | VERIFY;
-/// Modes that take the fault plan and retry policy.
-const FAULTY: Modes = DISCOVER | FAULTS | SWEEP;
 
-/// Each mode: the words that select it, and the hint its
-/// "--topology is required" error carries.
-const MODES: &[(Modes, &str, &str)] = &[
-    (DISCOVER, "", "e.g. --topology mesh:3x3"),
-    (FAULTS, "faults", "e.g. faults --topology mesh:3x3"),
-    (CHURN, "churn", "e.g. churn --topology mesh:3x3"),
-    (TRAFFIC, "traffic", "e.g. traffic --topology mesh:3x3"),
-    (SWEEP, "sweep", ""),
-    (STRESS, "stress", "e.g. stress --topology mesh:64x64"),
-    (CERTIFY, "certify", "e.g. certify --topology dragonfly:2,3"),
-    (
-        SAVE,
-        "snapshot save",
-        "e.g. snapshot save --topology mesh:3x3",
-    ),
-    (LOAD, "snapshot load", ""),
-    (DIFF, "snapshot diff", ""),
-    (
-        VERIFY,
-        "snapshot verify",
-        "the live fabric to verify against",
-    ),
-];
+/// Declares each mode's bit and its [`MODES`] row from one list.
+macro_rules! modes {
+    ($($id:ident $bit:literal $words:literal $hint:literal $summary:literal;)*) => {
+        $(const $id: Modes = 1 << $bit;)*
+        const EVERY: Modes = $($id)|*;
+        /// Each mode: its bit, the words that select it, the hint its
+        /// "--topology is required" error carries, and its usage summary
+        /// (which ends with its exit rule).
+        const MODES: &[(Modes, &str, &str, &str)] = &[$(($id, $words, $hint, $summary)),*];
+    };
+}
+
+modes! {
+    DISCOVER 0 "" "e.g. --topology mesh:3x3"
+        "one discovery, or one --change assimilation, per --algorithm; exit 0";
+    CHURN 1 "churn" "e.g. churn --topology mesh:3x3"
+        "flaps and device churn on a live fabric; exit 1 unless it ends converged";
+    TRAFFIC 2 "traffic" "e.g. traffic --topology mesh:3x3"
+        "loaded discovery; exit 1 unless the database equals the fabric and packets drain";
+    SWEEP 3 "sweep" "" "a deterministic grid, byte-identical for any --jobs; exit 0";
+    STRESS 4 "stress" "e.g. stress --topology mesh:64x64"
+        "one large discovery, wall clock included; exit 1 unless the database equals the fabric";
+    SAVE 5 "snapshot save" "e.g. snapshot save --topology mesh:3x3"
+        "a cold discovery, its snapshot written to --out; exit 0";
+    LOAD 6 "snapshot load" "" "print the snapshot at --in, or re-write it with --resave; exit 0";
+    DIFF 7 "snapshot diff" "" "the structural delta between --old and --new; exit 0";
+    VERIFY 8 "snapshot verify" "the live fabric to verify against"
+        "warm start on --topology, seeded from --in; exit 0";
+}
+
+/// Modes that run one traced discovery on `--topology`.
+const RUNS: Modes = DISCOVER | CHURN | TRAFFIC | STRESS | SAVE | VERIFY;
+/// Modes that take the fault plan and retry policy.
+const FAULTY: Modes = DISCOVER | SWEEP;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Arity {
@@ -244,71 +147,102 @@ enum Arity {
     Repeat,
 }
 
+/// One row of the flag table.
+struct Flag {
+    id: F,
+    name: &'static str,
+    arity: Arity,
+    /// The modes that consume the flag.
+    modes: Modes,
+    /// The value placeholder in the usage text (empty for a switch).
+    value: &'static str,
+    /// The flag's one-line help, defaults included.
+    help: &'static str,
+}
+
 /// Declares the flag identifiers ([`F`]) and the flag table ([`FLAGS`])
 /// from one list, so each flag's literal is written exactly once and
 /// `FLAGS[f as usize]` is always `f`'s row.
 macro_rules! flags {
-    ($($id:ident $name:literal $arity:ident $modes:expr,)*) => {
+    ($($id:ident $name:literal $arity:ident $modes:expr, $value:literal $help:literal;)*) => {
         #[derive(Clone, Copy, PartialEq)]
         enum F { $($id),* }
-        /// The flag table: name, arity, and the modes that consume the flag.
-        const FLAGS: &[(F, &str, Arity, Modes)] =
-            &[$((F::$id, $name, Arity::$arity, $modes)),*];
+        /// The flag table, in usage-text order.
+        const FLAGS: &[Flag] = &[$(Flag {
+            id: F::$id,
+            name: $name,
+            arity: Arity::$arity,
+            modes: $modes,
+            value: $value,
+            help: $help,
+        }),*];
     };
 }
 
 flags! {
-    Topology "--topology" Value RUNS | CERTIFY,
-    Algorithm "--algorithm" Value RUNS,
-    Change "--change" Value DISCOVER,
-    FmFactor "--fm-factor" Value RUNS | SWEEP,
-    DeviceFactor "--device-factor" Value RUNS | SWEEP,
-    Seed "--seed" Value RUNS | CERTIFY,
-    Kernel "--kernel" Value DISCOVER | FAULTS | CHURN | TRAFFIC | SWEEP | STRESS | CERTIFY,
-    Trace "--trace" Value RUNS,
-    Json "--json" Switch EVERY,
-    Loss "--loss" Value FAULTY,
-    LossModel "--loss-model" Value FAULTY,
-    Corrupt "--corrupt" Value FAULTY,
-    Duplicate "--duplicate" Value FAULTY,
-    Flap "--flap" Repeat FAULTY,
-    Hang "--hang" Repeat FAULTY,
-    Slow "--slow" Repeat FAULTY,
-    RetryPolicy "--retry-policy" Value FAULTY,
-    Retries "--retries" Value FAULTY,
-    DeadlineUs "--deadline-us" Value FAULTY,
-    TimeoutUs "--timeout-us" Value FAULTY,
-    FlapRate "--flap-rate" Value CHURN,
-    FlapDownUs "--flap-down-us" Value CHURN,
-    DeviceRate "--device-rate" Value CHURN,
-    DeviceDownUs "--device-down-us" Value CHURN,
-    StartUs "--start-us" Value CHURN | TRAFFIC,
-    HorizonUs "--horizon-us" Value CHURN,
-    Load "--load" Value TRAFFIC,
-    Flows "--flows" Value TRAFFIC,
-    Payload "--payload" Value TRAFFIC,
-    Arrivals "--arrivals" Value TRAFFIC,
-    McastGroups "--mcast-groups" Value TRAFFIC,
-    McastLoad "--mcast-load" Value TRAFFIC,
-    SwitchLoad "--switch-load" Value TRAFFIC,
-    DurationUs "--duration-us" Value TRAFFIC,
-    Grid "--grid" Value SWEEP,
-    Quick "--quick" Switch SWEEP,
-    Jobs "--jobs" Value SWEEP,
-    Csv "--csv" Switch SWEEP,
-    Fms "--fms" Value SWEEP | STRESS,
-    Out "--out" Value SAVE,
-    Format "--format" Value SAVE | LOAD,
-    In "--in" Value LOAD | VERIFY,
-    Resave "--resave" Value LOAD,
-    Old "--old" Value DIFF,
-    New "--new" Value DIFF,
-    Threshold "--threshold" Value VERIFY,
+    Topology "--topology" Value RUNS, "<spec>" "fabric under test (required; specs above)";
+    Algorithm "--algorithm" Value RUNS, "<name>"
+        "serial-packet, serial-device, parallel (default), or all (default mode only, its default)";
+    Change "--change" Value DISCOVER, "<change>"
+        "none (default), remove or add; fault flags take none only";
+    FmFactor "--fm-factor" Value RUNS | SWEEP, "<f>" "FM processing speed factor (default 1)";
+    DeviceFactor "--device-factor" Value RUNS | SWEEP, "<f>" "device speed factor (default 1)";
+    Seed "--seed" Value RUNS, "<n>" "RNG seed (default 0xA51)";
+    Kernel "--kernel" Value DISCOVER | CHURN | TRAFFIC | SWEEP | STRESS, "<kernel>"
+        "serial (default) or parallel[:N], N shards, 4 if omitted (docs/PARALLEL.md)";
+    Trace "--trace" Value RUNS, "<path>" "write a JSONL trace (docs/TRACE_FORMAT.md)";
+    Json "--json" Switch EVERY, "" "emit JSON instead of text";
+    Loss "--loss" Value FAULTY, "<p>" "mean per-hop loss in [0, 1) (default 0; docs/FAULTS.md)";
+    LossModel "--loss-model" Value FAULTY, "<model>" "uniform (default) or bursty";
+    Corrupt "--corrupt" Value FAULTY, "<p>" "completion corruption probability (default 0)";
+    Duplicate "--duplicate" Value FAULTY, "<p>" "completion duplication probability (default 0)";
+    Flap "--flap" Repeat FAULTY, "<at_us>:<dev>:<port>:<down_us>" "schedule a link flap";
+    Hang "--hang" Repeat FAULTY, "<at_us>:<dev>:<dur_us>" "schedule a device hang";
+    Slow "--slow" Repeat FAULTY, "<at_us>:<dev>:<factor>:<dur_us>" "schedule a device slowdown";
+    RetryPolicy "--retry-policy" Value FAULTY, "<policy>" "fixed (default), exponential, deadline";
+    Retries "--retries" Value FAULTY, "<n>" "retry budget for fixed/exponential (default 0)";
+    DeadlineUs "--deadline-us" Value FAULTY, "<us>" "per-request budget for the deadline policy";
+    TimeoutUs "--timeout-us" Value FAULTY, "<us>" "request timeout under a live plan (default 800)";
+    FlapRate "--flap-rate" Value CHURN, "<f>" "link flaps per second (default 1500; docs/CHURN.md)";
+    FlapDownUs "--flap-down-us" Value CHURN, "<us>" "a flapped link's down time (default 200)";
+    DeviceRate "--device-rate" Value CHURN, "<f>" "device remove/re-adds per second (default 300)";
+    DeviceDownUs "--device-down-us" Value CHURN, "<us>" "a removed device's absence (default 1000)";
+    StartUs "--start-us" Value CHURN | TRAFFIC, "<us>"
+        "churn window start, its first half left to the initial discovery (default 6000), \
+         or injection window start (default 0)";
+    HorizonUs "--horizon-us" Value CHURN, "<us>" "churn window length (default 4000)";
+    Load "--load" Value TRAFFIC, "<f>"
+        "unicast load per source, a fraction of its link (default 0.2; docs/TRAFFIC.md)";
+    Flows "--flows" Value TRAFFIC, "<n>" "unicast flows per source endpoint (default 1)";
+    Payload "--payload" Value TRAFFIC, "<bytes>" "data payload size (default 512)";
+    Arrivals "--arrivals" Value TRAFFIC, "<process>" "poisson (default) or cbr";
+    McastGroups "--mcast-groups" Value TRAFFIC, "<n>" "multicast groups, at most 64 (default 0)";
+    McastLoad "--mcast-load" Value TRAFFIC, "<f>" "each group's offered load (default 0.05)";
+    SwitchLoad "--switch-load" Value TRAFFIC, "<f>" "load sourced by each switch (default 0)";
+    DurationUs "--duration-us" Value TRAFFIC, "<us>" "injection window length (default 8000)";
+    Grid "--grid" Value SWEEP, "<name>"
+        "fig5, fig6, faults, warmstart, smoke (default), scale, churn or load";
+    Quick "--quick" Switch SWEEP, "" "smaller topology set, fewer repetitions";
+    Jobs "--jobs" Value SWEEP, "<n>" "worker threads (default: all cores)";
+    Csv "--csv" Switch SWEEP, "" "emit CSV instead of a text table";
+    Fms "--fms" Value SWEEP | STRESS, "<n>"
+        "fabric managers, at most one per endpoint and 255 (default 1; docs/DISTRIBUTED.md)";
+    Out "--out" Value SAVE, "<path>" "where to write the snapshot (required)";
+    Format "--format" Value SAVE | LOAD, "<format>" "binary (default) or jsonl";
+    In "--in" Value LOAD | VERIFY, "<path>" "the snapshot to read (required)";
+    Resave "--resave" Value LOAD, "<path>" "re-write the loaded snapshot there";
+    Old "--old" Value DIFF, "<path>" "the baseline snapshot (required)";
+    New "--new" Value DIFF, "<path>" "the newer snapshot (required)";
+    Threshold "--threshold" Value VERIFY, "<f>" "mismatch share for a cold fallback (default 0.25)";
 }
 
 impl F {
+    fn row(self) -> &'static Flag {
+        &FLAGS[self as usize]
+    }
+
     fn name(self) -> &'static str {
-        FLAGS[self as usize].1
+        self.row().name
     }
 }
 
@@ -339,18 +273,22 @@ impl Args {
                 Some(sub) => fail(format!(
                     "unknown snapshot subcommand {sub:?} (save, load, diff, verify)"
                 )),
-                None => fail(format!(
-                    "unknown mode {words:?} (faults, churn, traffic, sweep, stress, certify, snapshot)"
-                )),
+                None => {
+                    let firsts = MODES.iter().filter_map(|m| m.1.split(' ').next());
+                    let mut known: Vec<&str> = firsts.filter(|w| !w.is_empty()).collect();
+                    known.dedup();
+                    fail(format!("unknown mode {words:?} ({})", known.join(", ")))
+                }
             }
         };
         let mut values: Vec<(F, String)> = Vec::new();
         let mut tokens = argv[words.split_whitespace().count()..].iter();
         while let Some(token) = tokens.next() {
-            let Some(&(flag, name, arity, modes)) = FLAGS.iter().find(|f| f.1 == token) else {
+            let Some(row) = FLAGS.iter().find(|f| f.name == token) else {
                 fail(format!("unknown option {token:?}"));
             };
-            if modes & mode == 0 {
+            let (flag, name, arity) = (row.id, row.name, row.arity);
+            if row.modes & mode == 0 {
                 let mode = if words.is_empty() {
                     "the default mode".to_string()
                 } else {
@@ -621,13 +559,13 @@ fn parse_algorithms(value: Option<&str>, single: Option<&str>) -> Vec<Algorithm>
     }
 }
 
-/// `--change`: `None` measures the initial discovery, `Some(true)`
-/// removes a switch, `Some(false)` adds one.
-fn parse_change(args: &Args) -> Option<bool> {
+/// `--change`: the initial discovery, or the assimilation of one
+/// switch removal or addition.
+fn parse_change(args: &Args) -> ChangeMode {
     match args.get(F::Change) {
-        Some("none") | None => None,
-        Some("remove") => Some(true),
-        Some("add") => Some(false),
+        Some("none") | None => ChangeMode::Initial,
+        Some("remove") => ChangeMode::Remove,
+        Some("add") => ChangeMode::Add,
         Some(other) => fail(format!("unknown change {other:?} (none, remove, add)")),
     }
 }
@@ -674,6 +612,8 @@ struct Invocation {
     /// modes that take no topology).
     topology: Option<(String, Topology)>,
     algorithms: Vec<Algorithm>,
+    /// What the run measures: `--change`, or the sweep grid's own mode.
+    change: ChangeMode,
     /// The scenario spec. Modes that loop over algorithms stamp each
     /// one onto a copy; `sweep` hands it to the grid as its base.
     scenario: Scenario,
@@ -681,24 +621,25 @@ struct Invocation {
 }
 
 impl Invocation {
-    /// `start` is the scenario the flags apply to: the paper defaults,
-    /// or in `sweep` mode the chosen grid's base.
-    fn parse(args: Args, start: Option<Scenario>) -> Invocation {
+    /// `grid` is the sweep grid whose base scenario the flags refine;
+    /// every other mode starts from the paper defaults.
+    fn parse(args: Args, grid: Option<&SweepSpec>) -> Invocation {
         let mode = args.mode;
-        let &(_, words, hint) = MODES.iter().find(|m| m.0 == mode).expect("a known mode");
+        let &(_, words, hint, _) = MODES.iter().find(|m| m.0 == mode).expect("a known mode");
         let seed: u64 = args.num(F::Seed, 0xA51, "an integer");
-        let topology = (FLAGS[F::Topology as usize].3 & mode != 0).then(|| {
+        let topology = (F::Topology.row().modes & mode != 0).then(|| {
             let spec = args.require(F::Topology, hint);
             let topo = parse_topology(&spec, seed).unwrap_or_else(|e| fail(e));
             (spec, topo)
         });
-        let single =
-            (mode & (DISCOVER | FAULTS) == 0).then(|| words.split(' ').next().unwrap_or(""));
+        let single = (mode != DISCOVER).then(|| words.split(' ').next().unwrap_or(""));
         let algorithms = parse_algorithms(args.get(F::Algorithm), single);
         let trace = TraceOut::to(args.get(F::Trace));
 
-        let sweeping = start.is_some();
-        let mut scenario = start.unwrap_or_else(|| Scenario::new(algorithms[0]).with_seed(seed));
+        let mut scenario = match grid {
+            Some(grid) => grid.base.clone(),
+            None => Scenario::new(algorithms[0]).with_seed(seed),
+        };
         scenario.fm_factor = args.num(F::FmFactor, scenario.fm_factor, "a number");
         scenario.device_factor = args.num(F::DeviceFactor, scenario.device_factor, "a number");
         scenario.trace = trace.handle.clone();
@@ -710,23 +651,31 @@ impl Invocation {
         // stays loss-free unless asked).
         let faults = parse_fault_plan(&args);
         let live = !faults.is_inert();
-        if live || !sweeping {
+        if live || grid.is_none() {
             scenario.faults = faults;
         }
         if let Some(retry) = parse_retry(&args) {
             scenario.retry = retry;
         }
-        // The short fault timeout belongs to the robust initial-discovery
-        // path: always in `faults`, elsewhere when a live plan is
-        // measured without a topology change.
+        // A live plan measures the initial discovery, on the robust path
+        // with its short timeout; a change run would wait for PI-5
+        // reports the plan can lose.
         let timeout_us: u64 = args.num(F::TimeoutUs, 800, "an integer");
-        if mode == FAULTS || (live && parse_change(&args).is_none()) {
+        let change = grid.map_or_else(|| parse_change(&args), |g| g.change);
+        if live && change != ChangeMode::Initial {
+            let change = change.name();
+            fail(format!(
+                "fault flags measure the initial discovery, not {change} changes"
+            ));
+        }
+        if live {
             scenario.request_timeout = SimDuration::from_us(timeout_us);
         }
         Invocation {
             args,
             topology,
             algorithms,
+            change,
             scenario,
             trace,
         }
@@ -746,18 +695,17 @@ struct Report {
     failure: Option<String>,
 }
 
-/// The default and `faults` modes: one discovery (or change
-/// assimilation) per algorithm, reported side by side. `faults` forces
-/// the fault-tolerant initial-discovery path even under an inert plan.
+/// The default mode: one discovery (or change assimilation) per
+/// algorithm, reported side by side. A live fault plan takes the
+/// fault-tolerant initial-discovery path shared with the sweep runner.
 fn discover_main(inv: &Invocation) -> Report {
     let topo = inv.topo();
-    let robust = inv.args.mode == FAULTS;
-    let change = parse_change(&inv.args);
+    let change = inv.change;
+    let faulty = !inv.scenario.faults.is_inert();
     let label = match change {
-        _ if robust => "faults",
-        None => "none",
-        Some(true) => "remove",
-        Some(false) => "add",
+        ChangeMode::Initial if faulty => "faults",
+        ChangeMode::Initial => "none",
+        change => change.name(),
     };
     let mut json = Vec::new();
     let mut text = format!(
@@ -776,20 +724,15 @@ fn discover_main(inv: &Invocation) -> Report {
         let mut scenario = inv.scenario.clone();
         scenario.algorithm = algorithm;
         let run = match change {
-            Some(remove) => change_experiment(topo, &scenario, remove).0,
-            // Faulty initial discovery: the robustness path shared with
-            // the sweep runner.
-            None if robust || !scenario.faults.is_inert() => {
-                match scenario.initial_discovery(topo) {
-                    Some((run, _active)) => run,
-                    None if robust => fail("discovery never completed a run under the fault plan"),
-                    None => fail(
-                        "discovery did not complete under the fault plan (give the FM \
-                         a larger --retries budget)",
-                    ),
-                }
-            }
-            None => Bench::start(topo, &scenario, &[]).last_run(),
+            ChangeMode::Initial if faulty => match scenario.initial_discovery(topo) {
+                Some((run, _active)) => run,
+                None => fail(
+                    "discovery did not complete under the fault plan (give the FM \
+                     a larger --retries budget)",
+                ),
+            },
+            ChangeMode::Initial => Bench::start(topo, &scenario, &[]).last_run(),
+            change => change_experiment(topo, &scenario, change == ChangeMode::Remove).0,
         };
         let time_s = run.discovery_time().as_secs_f64();
         let fm_us = run.mean_fm_processing().as_micros_f64();
@@ -911,60 +854,18 @@ fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// `certify`: the CI certification gate for one generator family
-/// instance. Re-runs the whole-graph validator on the generator's
-/// output, then runs one full discovery and requires every device
-/// found. Exits 1 on any mismatch.
-fn certify_main(inv: &Invocation) -> Report {
-    let (spec, topo) = inv.topology.as_ref().expect("certify takes --topology");
-    let validated = topo.validate();
-    let run = Bench::start(topo, &inv.scenario, &[]).last_run();
-    let full_topology = run.devices_found == topo.node_count();
-    let certified = validated.is_ok() && full_topology;
-    let mut failure = Vec::new();
-    if let Err(e) = &validated {
-        failure.push(format!("certify: validation failed: {e}"));
-    }
-    if !full_topology {
-        failure.push(format!(
-            "certify: discovery found {} of {} devices",
-            run.devices_found,
-            topo.node_count()
-        ));
-    }
-    Report {
-        json: Json::object()
-            .with("spec", spec.as_str())
-            .with("topology", topo.name.as_str())
-            .with("devices", topo.node_count())
-            .with("validated", validated.is_ok())
-            .with("full_topology", full_topology)
-            .with("devices_found", run.devices_found)
-            .with("links_found", run.links_found)
-            .with("discovery_time_s", run.discovery_time().as_secs_f64())
-            .with("certified", certified),
-        text: format!(
-            "certify {}: validate {}, discovery {} of {} devices -> {}\n",
-            topo.name,
-            if validated.is_ok() { "ok" } else { "FAILED" },
-            run.devices_found,
-            topo.node_count(),
-            if certified { "certified" } else { "FAILED" },
-        ),
-        failure: (!certified).then(|| failure.join("\n")),
-    }
-}
-
 /// `stress`: one large-fabric discovery with wall-clock throughput
 /// metrics. `wall_time_s`, `events_per_sec` and `peak_rss_mb` depend on
 /// the machine and must never be byte-compared; the deterministic
-/// counterpart is `sweep --grid scale`. Exits 1 when the discovery
-/// misses devices, so CI can assert full coverage directly.
+/// counterpart is `sweep --grid scale`. `full_topology` compares the
+/// manager's database with the live fabric, every link and port number
+/// included, and is the exit status: the CI certification gate.
 ///
 /// With `--fms N` the run is one election-based sharded discovery: the
 /// headline time is election kick-off to the certified merged database,
-/// and the checksum is the merge certificate's canonical-snapshot
-/// checksum, so two runs with the same seed can be compared on it.
+/// the checksum is the merge certificate's canonical-snapshot checksum,
+/// so two runs with the same seed can be compared on it, and the verdict
+/// judges the merged database of the manager holding it.
 fn stress_main(inv: &Invocation) -> Report {
     let topo = inv.topo();
     let fms = parse_fms(&inv.args, topo.endpoint_count());
@@ -980,12 +881,13 @@ fn stress_main(inv: &Invocation) -> Report {
         let kinds = fabric.dispatch_counts();
         kinds.fold(Json::object(), |json, (kind, n)| json.with(kind, n))
     };
-    let (sim_events, events_by_kind, devices, links, time_s, managers, detail, missed) = if fms > 1
-    {
-        let (fabric, _primary, out) = sharded_discovery(topo, fms, &inv.scenario);
+    let (sim_events, events_by_kind, devices, links, time_s, managers, detail, full) = if fms > 1 {
+        let (fabric, holder, out) = sharded_discovery(topo, fms, &inv.scenario);
+        let merged = fabric.agent_as::<FmAgent>(holder).and_then(FmAgent::db);
+        let full = merged.is_some_and(|db| db_matches_fabric(db, &fabric, holder, topo));
         json = json
             .with("fms", fms)
-            .with("full_topology", out.devices == topo.node_count())
+            .with("full_topology", full)
             .with("devices_found", out.devices)
             .with("links_found", out.links)
             .with("boundary_conflicts", out.boundary_conflicts)
@@ -1008,13 +910,14 @@ fn stress_main(inv: &Invocation) -> Report {
             out.merged_time.as_secs_f64(),
             format!(" ({fms} managers)"),
             detail,
-            "sharded discovery merged",
+            full,
         )
     } else {
         let bench = Bench::start(topo, &inv.scenario, &[]);
         let run = bench.last_run();
+        let full = db_matches_fabric(bench.db(), &bench.fabric, bench.fm, topo);
         json = json
-            .with("full_topology", run.devices_found == topo.node_count())
+            .with("full_topology", full)
             .with("devices_found", run.devices_found)
             .with("links_found", run.links_found)
             .with("requests", run.requests_sent)
@@ -1033,7 +936,7 @@ fn stress_main(inv: &Invocation) -> Report {
             run.discovery_time().as_secs_f64(),
             String::new(),
             detail,
-            "discovery found",
+            full,
         )
     };
     let wall_time_s = started.elapsed().as_secs_f64();
@@ -1053,8 +956,12 @@ fn stress_main(inv: &Invocation) -> Report {
              peak RSS {peak_rss_mb:.1} MiB\n",
             topo.name,
         ),
-        failure: (devices != total)
-            .then(|| format!("stress: {missed} {devices} of {total} devices")),
+        failure: (!full).then(|| {
+            format!(
+                "stress: the database ({devices} of {total} devices, {links} links) \
+                 differs from the live fabric"
+            )
+        }),
     }
 }
 
@@ -1347,7 +1254,8 @@ fn churn_main(inv: &Invocation) -> Report {
 /// carries the paper's headline — how much the offered load moved the
 /// discovery time — next to the delivery metrics. Every field is
 /// simulation-derived, so the output is byte-identical across
-/// `--kernel` values. Exits 1 when the loaded discovery misses devices.
+/// `--kernel` values. Exits 1 when the loaded discovery's database
+/// differs from the live fabric.
 fn traffic_main(inv: &Invocation) -> Report {
     let (topo, args) = (inv.topo(), &inv.args);
     let load = args.unit(F::Load, 0.2, "a number");
@@ -1359,9 +1267,9 @@ fn traffic_main(inv: &Invocation) -> Report {
     if payload == 0 {
         fail("--payload must be at least 1 byte");
     }
-    let arrivals = match args.get(F::Arrivals) {
-        Some("poisson") | None => Arrivals::Poisson,
-        Some("cbr") => Arrivals::Cbr,
+    let (arrivals, arrivals_name) = match args.get(F::Arrivals) {
+        Some("poisson") | None => (Arrivals::Poisson, "poisson"),
+        Some("cbr") => (Arrivals::Cbr, "cbr"),
         Some(other) => fail(format!("unknown arrival process {other:?} (poisson, cbr)")),
     };
     let mcast_groups: u16 = args.num(F::McastGroups, 0, "an integer");
@@ -1404,7 +1312,7 @@ fn traffic_main(inv: &Invocation) -> Report {
     } else {
         0.0
     };
-    let full_topology = run.devices_found == topo.node_count();
+    let full_topology = db_matches_fabric(bench.db(), &bench.fabric, bench.fm, topo);
     let mut report = Report {
         json: Json::object()
             .with("topology", topo.name.as_str())
@@ -1414,14 +1322,7 @@ fn traffic_main(inv: &Invocation) -> Report {
             .with("load", load)
             .with("flows_per_source", flows)
             .with("payload", payload)
-            .with(
-                "arrivals",
-                if arrivals == Arrivals::Cbr {
-                    "cbr"
-                } else {
-                    "poisson"
-                },
-            )
+            .with("arrivals", arrivals_name)
             .with("mcast_groups", mcast_groups)
             .with("duration_us", duration_us)
             .with("full_topology", full_topology)
@@ -1466,9 +1367,11 @@ fn traffic_main(inv: &Invocation) -> Report {
         ),
         failure: (!full_topology).then(|| {
             format!(
-                "traffic: discovery found {} of {} devices under load",
+                "traffic: the loaded discovery's database ({} of {} devices, {} links) \
+                 differs from the live fabric",
                 run.devices_found,
-                topo.node_count()
+                topo.node_count(),
+                run.links_found
             )
         }),
     };
@@ -1502,13 +1405,12 @@ fn main() {
     }
     let args = Args::walk(&argv);
     let grid = (args.mode == SWEEP).then(|| parse_grid(&args));
-    let inv = Invocation::parse(args, grid.as_ref().map(|spec| spec.base.clone()));
+    let inv = Invocation::parse(args, grid.as_ref());
     let report = match inv.args.mode {
         CHURN => churn_main(&inv),
         TRAFFIC => traffic_main(&inv),
         SWEEP => sweep_main(&inv, grid.expect("sweep mode built its grid")),
         STRESS => stress_main(&inv),
-        CERTIFY => certify_main(&inv),
         SAVE => save_main(&inv),
         LOAD => load_main(&inv),
         DIFF => diff_main(&inv),
@@ -1530,59 +1432,5 @@ fn main() {
     if let Some(why) = report.failure {
         eprintln!("{why}");
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeSet;
-
-    /// The `--flag` tokens of a piece of usage text.
-    fn flags_in(text: &str) -> BTreeSet<&str> {
-        text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
-            .filter(|t| t.len() > 2 && t.starts_with("--"))
-            .collect()
-    }
-
-    #[test]
-    fn usage_and_flag_table_document_each_other() {
-        // Each option block of USAGE and the modes it describes.
-        let sections: &[(&str, Modes)] = &[
-            ("\noptions:", DISCOVER),
-            ("\nfault options", FAULTY),
-            ("\nchurn options", CHURN),
-            ("\ntraffic options", TRAFFIC),
-            ("\nsweep options", SWEEP),
-            ("\nstress options", STRESS),
-            ("\ncertify options", CERTIFY),
-            ("\nsnapshot options", SAVE | LOAD | DIFF | VERIFY),
-        ];
-        let starts: Vec<usize> = sections
-            .iter()
-            .map(|(header, _)| USAGE.find(header).expect(header))
-            .collect();
-        let blocks: Vec<(BTreeSet<&str>, Modes)> = sections
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, modes))| {
-                let end = starts.get(i + 1).copied().unwrap_or(USAGE.len());
-                (flags_in(&USAGE[starts[i]..end]), modes)
-            })
-            .collect();
-        for &(_, name, _, modes) in FLAGS {
-            assert!(
-                blocks
-                    .iter()
-                    .any(|(flags, described)| described & modes != 0 && flags.contains(name)),
-                "{name} is not documented under a mode that consumes it"
-            );
-        }
-        for token in flags_in(USAGE) {
-            assert!(
-                FLAGS.iter().any(|f| f.1 == token),
-                "USAGE mentions {token}, which is not in the flag table"
-            );
-        }
     }
 }

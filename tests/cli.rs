@@ -219,18 +219,20 @@ fn malformed_fault_flags_report_friendly_errors_not_panics() {
                 "--deadline-us only applies with --retry-policy deadline",
             ),
             (&["--timeout-us", "fast"], "--timeout-us must be an integer"),
-        ],
-    );
-    // The `faults` subcommand shares the same validation.
-    assert_usage_errors(
-        &["faults"],
-        &[
-            (&[], "--topology is required"),
+            // A live fault plan measures the initial discovery only: a
+            // change run would wait for a PI-5 report the plan can lose.
             (
-                &["--topology", "mesh:3x3", "--loss-model", "gaussian"],
-                "unknown loss model",
+                &["--change", "remove", "--loss", "0.05"],
+                "error: fault flags measure the initial discovery, not remove changes",
             ),
         ],
+    );
+    assert_usage_errors(
+        &["sweep", "--quick"],
+        &[(
+            &["--grid", "fig6", "--loss", "0.05", "--retries", "8"],
+            "error: fault flags measure the initial discovery, not alternate changes",
+        )],
     );
 }
 
@@ -240,7 +242,6 @@ fn faults_mode_converges_for_every_algorithm_under_bursty_loss() {
     // Table 1 topology, exponential backoff — every algorithm must
     // still discover the full topology, visibly exercising retries.
     let (stdout, stderr, ok) = run(&[
-        "faults",
         "--topology",
         "mesh:3x3",
         "--algorithm",
@@ -275,13 +276,13 @@ fn faults_mode_converges_for_every_algorithm_under_bursty_loss() {
 #[test]
 fn zero_probability_fault_plan_reproduces_the_loss_free_run_bytes() {
     // An armed Gilbert-Elliott model with mean loss 0 must not perturb
-    // the simulation: same stdout, same trace, byte for byte.
+    // the simulation: same stdout, same trace, byte for byte. Both plans
+    // are inert, so both runs take the ordinary path.
     let dir = std::env::temp_dir().join("asi-cli-ge-zero-test");
     std::fs::create_dir_all(&dir).unwrap();
     let clean = dir.join("clean.jsonl");
     let armed = dir.join("armed.jsonl");
     let base = [
-        "faults",
         "--topology",
         "mesh:3x3",
         "--algorithm",
@@ -359,16 +360,12 @@ fn unsatisfiable_generator_parameters_are_usage_errors_not_panics() {
         &["stress", "--topology", "designed:100000"],
         "no two-layer design reaches 100000 endpoints",
     );
-    assert_usage_error(
-        &["certify", "--topology", "designed:100000"],
-        "no two-layer design reaches 100000 endpoints",
-    );
 }
 
+/// The CI certification gate: one discovery per generator family whose
+/// database must equal the live fabric, links and ports included.
 #[test]
-fn certify_mode_reports_a_certified_topology() {
-    // The CI certification gate: validate + full discovery on one family
-    // instance, with a machine-checkable `certified` verdict.
+fn stress_json_certifies_every_family() {
     for spec in [
         "mesh:3x3",
         "fattree:4,2",
@@ -376,27 +373,23 @@ fn certify_mode_reports_a_certified_topology() {
         "dragonfly:2,3",
         "designed:64",
     ] {
-        let (stdout, stderr, ok) = run(&["certify", "--topology", spec, "--json"]);
+        let (stdout, stderr, ok) = run(&["stress", "--topology", spec, "--json"]);
         assert!(ok, "{spec}: {stderr}");
         let v = parse(&stdout).unwrap();
-        assert_eq!(v.get("certified"), &Json::Bool(true), "{spec}: {stdout}");
-        assert_eq!(v.get("validated"), &Json::Bool(true), "{spec}");
-        assert_eq!(v.get("full_topology"), &Json::Bool(true), "{spec}");
-        assert_eq!(v.get("spec").as_str(), Some(spec));
+        assert_eq!(
+            v.get("full_topology"),
+            &Json::Bool(true),
+            "{spec}: {stdout}"
+        );
         assert!(v.get("devices").as_u64().unwrap() > 0, "{spec}");
         assert_eq!(v.get("devices"), v.get("devices_found"), "{spec}");
     }
-    assert_usage_error(&["certify"], "--topology is required");
-    assert_usage_error(
-        &["certify", "--topology", "ring:9"],
-        "unknown topology kind",
-    );
 }
 
 #[test]
 fn exotic_topologies_run_through_the_discovery_front_door() {
     // Dragonfly and designed fat-trees are first-class `--topology`
-    // citizens of the default discovery mode, not just stress/certify.
+    // citizens of the default discovery mode, not just stress.
     let (stdout, stderr, ok) = run(&[
         "--topology",
         "dragonfly:2,2",
@@ -1053,7 +1046,14 @@ fn kernel_flag_rejects_malformed_specs() {
         "shard count must be >= 1",
     );
     assert_usage_error(
-        &["faults", "--topology", "mesh:3x3", "--kernel", "parallel:x"],
+        &[
+            "--topology",
+            "mesh:3x3",
+            "--loss",
+            "0.1",
+            "--kernel",
+            "parallel:x",
+        ],
         "invalid shard count",
     );
     assert_usage_error(
@@ -1343,12 +1343,6 @@ const MODES: &[(&[&str], &str, &[&str], &str)] = &[
         "--seed",
     ),
     (
-        &["faults", "--topology", "mesh:3x3"],
-        "the `faults` mode",
-        &["--change", "remove"],
-        "--seed",
-    ),
-    (
         &["churn", "--topology", "mesh:3x3"],
         "the `churn` mode",
         &["--loss", "0.1"],
@@ -1365,12 +1359,6 @@ const MODES: &[(&[&str], &str, &[&str], &str)] = &[
         &["stress", "--topology", "mesh:3x3"],
         "the `stress` mode",
         &["--load", "0.4"],
-        "--seed",
-    ),
-    (
-        &["certify", "--topology", "mesh:3x3"],
-        "the `certify` mode",
-        &["--loss", "0.5"],
         "--seed",
     ),
     (
@@ -1431,9 +1419,19 @@ fn every_mode_rejects_flags_it_does_not_consume() {
                 &["frobnicate", "--topology", "mesh:3x3"],
                 "error: unknown mode \"frobnicate\"",
             ),
+            // Folded away: `faults` is the default mode under a live
+            // plan, and `stress --json` is the certification gate.
             (
-                &["certify", "--topology", "mesh:3x3", "--fms", "3"],
-                "error: --fms is not an option of the `certify` mode",
+                &["faults", "--topology", "mesh:3x3"],
+                "error: unknown mode \"faults\" (churn, traffic, sweep, stress, snapshot)",
+            ),
+            (
+                &["certify", "--topology", "mesh:3x3"],
+                "error: unknown mode \"certify\"",
+            ),
+            (
+                &["churn", "--topology", "mesh:3x3", "--fms", "3"],
+                "error: --fms is not an option of the `churn` mode",
             ),
             // More managers than the fabric (the grid's smallest) seats.
             (
@@ -1455,7 +1453,6 @@ fn every_mode_rejects_flags_it_does_not_consume() {
 #[test]
 fn repeatable_fault_events_are_accepted_more_than_once() {
     let (stdout, stderr, ok) = run(&[
-        "faults",
         "--topology",
         "mesh:3x3",
         "--flap",
@@ -1491,12 +1488,10 @@ fn a_closed_stdout_pipe_ends_every_mode_quietly() {
         &["snapshot", "diff", "--old", snap, "--new", snap],
         &["snapshot", "verify", "--topology", "mesh:3x3", "--in", snap],
         &["--topology", "mesh:3x3"],
-        &["faults", "--topology", "mesh:3x3"],
         &["churn", "--topology", "mesh:3x3"],
         &["traffic", "--topology", "mesh:3x3"],
         &["sweep", "--grid", "smoke"],
         &["stress", "--topology", "mesh:3x3"],
-        &["certify", "--topology", "mesh:3x3"],
     ];
     for args in modes {
         let mut child = Command::new(env!("CARGO_BIN_EXE_asi-fabric-sim"))

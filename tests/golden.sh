@@ -49,7 +49,7 @@ run churn churn --topology mesh:3x3
 run save snapshot save --topology mesh:4x4 --out m.snap
 run verify snapshot verify --topology mesh:4x4 --in m.snap
 stress stress stress --topology mesh:16x16 --fms 3
-run faults faults --topology mesh:4x4 --algorithm parallel --loss 0.03 \
+run faults --topology mesh:4x4 --algorithm parallel --loss 0.03 \
     --loss-model bursty --corrupt 0.02 --duplicate 0.02 --retries 8 \
     --flap 300:2:1:200 --hang 200:5:400 --slow 100:7:3:500
 run traffic traffic --topology mesh:4x4 --load 0.3 --mcast-groups 2 --mcast-load 0.05
