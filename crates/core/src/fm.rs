@@ -386,9 +386,7 @@ impl FabricAgent for FmAgent {
             }
             Payload::Pi5(_) => self.cfg.timing.pi5_time(),
             Payload::Fm(_) => self.cfg.timing.merge_time(),
-            Payload::Mcast { .. } | Payload::Data { .. } | Payload::Flow { .. } => {
-                SimDuration::from_ns(100)
-            }
+            Payload::Mcast { .. } | Payload::Data { .. } => SimDuration::from_ns(100),
         };
         if let Some(acc) = self.acc.as_mut() {
             acc.fm_busy += t;
@@ -415,7 +413,7 @@ impl FabricAgent for FmAgent {
             Payload::Pi4(ref pi4) => self.on_pi4(ctx, &packet, pi4),
             Payload::Pi5(event) => self.on_pi5(ctx, event),
             Payload::Fm(msg) => self.on_fm_message(ctx, msg),
-            Payload::Mcast { .. } | Payload::Data { .. } | Payload::Flow { .. } => {}
+            Payload::Mcast { .. } | Payload::Data { .. } => {}
         }
     }
 

@@ -31,6 +31,10 @@
 //! | `fabric/endpoint.rs` | a packet delivered: the serial stages (ingress, PI-4 responder, agent), agent callbacks, traffic arrivals |
 //! | `fabric/inject.rs` | the outside world: activation, scheduled faults, churn |
 //!
+//! `fabric/packets.rs` holds the packet bodies at rest — whole packets in
+//! one slab, the traffic plan's unicast packets as 24-byte flow bodies in
+//! another — and the accessors every handler reads them through.
+//!
 //! The cut-through commit and the credit ledger (an uncontended
 //! management packet crosses a switch in one kernel event, not three),
 //! with the guard list and the rule list that make them unobservable,
@@ -58,10 +62,12 @@ use std::collections::{BTreeMap, VecDeque};
 
 mod endpoint;
 mod inject;
+mod packets;
 mod port;
 mod switch;
 
 use endpoint::{AgentSlot, Responder, Stage, Traffic};
+use packets::{FlowBody, PacketRef, Packets};
 use port::{CreditClass, Ledger, OutEntry, Port, QueueSet, Queues};
 
 /// The route a device uses to report PI-5 events to the FM.
@@ -109,10 +115,6 @@ impl Device {
         self.info.device_type == DeviceType::Endpoint
     }
 }
-
-/// Handle to a packet body in the fabric's payload arena.
-#[derive(Clone, Copy, Debug)]
-struct PacketRef(u32);
 
 /// Declares every fabric event once. A row reads
 /// `Variant { fields } "kind tag" Rank|Control => handler;` and generates
@@ -207,7 +209,7 @@ events! {
     /// Churn-plan event: re-add a previously hot-removed device.
     ChurnAdd {} "churn_add" Control => on_churn_add;
     /// Traffic-plan event: inject one packet of a materialized flow.
-    TrafficInject { flow: u32, seq: u32 } "traffic_inject" Rank => on_traffic_inject;
+    TrafficInject { flow: u32 } "traffic_inject" Rank => on_traffic_inject;
 }
 
 /// The simulated ASI fabric.
@@ -217,11 +219,11 @@ pub struct Fabric {
     config: FabricConfig,
     counters: FabricCounters,
     trace: TraceHandle,
-    /// In-flight packet bodies; events and port queues carry [`PacketRef`]
-    /// handles. Every packet is freed at its single consumption or drop
-    /// point, so [`Fabric::packet_arena_live`] returns to 0 once a run
-    /// drains.
-    packets: Arena<Packet>,
+    /// In-flight packet bodies, whole or as flow bodies (`packets.rs`);
+    /// events and port queues carry [`PacketRef`] handles. Every body is
+    /// freed at its single consumption or drop point, so
+    /// [`Fabric::packet_arena_live`] returns to 0 once a run drains.
+    packets: Packets,
     /// The output queues of the ports that have something queued right
     /// now: a port borrows a set at its first `enqueue_out` and returns it
     /// when it drains (`port.rs`).
@@ -317,7 +319,7 @@ impl Fabric {
             config,
             counters: FabricCounters::default(),
             trace: TraceHandle::disabled(),
-            packets: Arena::new(),
+            packets: Packets::default(),
             queues: Queues::default(),
             scratch_ports: Vec::new(),
             scratch_commands: Vec::new(),
@@ -368,9 +370,10 @@ impl Fabric {
         &self.counters
     }
 
-    /// Live packet bodies in the payload arena. Every in-flight packet is
-    /// freed at its single consumption or drop point, so this returns to 0
-    /// after a drained run (the leak test checks exactly that).
+    /// Live packet bodies, whole packets and flow bodies together. Every
+    /// in-flight packet is freed at its single consumption or drop point,
+    /// so this returns to 0 after a drained run (the leak test checks
+    /// exactly that).
     pub fn packet_arena_live(&self) -> usize {
         self.packets.live()
     }
@@ -643,6 +646,9 @@ mod tests {
         // nodes and the queues: three words each.
         assert_eq!(size_of::<Event>(), 24);
         assert_eq!(size_of::<OutEntry>(), 24);
+        // A queued data packet of a traffic flow: one slot of the flow
+        // slab, 24 bytes where a whole `Packet` is 136.
+        assert!(size_of::<Option<FlowBody>>() <= 24);
     }
 
     /// The wheel's slab node (private to `asi-sim`, mirrored here) for

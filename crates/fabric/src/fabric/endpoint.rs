@@ -167,6 +167,7 @@ impl Fabric {
         }
         let flows = schedule.flows.len();
         self.traffic.stats = vec![FlowStats::default(); flows];
+        self.packets.set_flows(&schedule.flows);
         self.traffic.flows = schedule.flows;
         self.traffic.clocks = schedule.clocks;
         self.traffic.lanes = (0..flows)
@@ -183,7 +184,7 @@ impl Fabric {
     /// are what they would be had the arrival been pending all along.
     fn next_arrival(&mut self, flow: u32) {
         let f = flow as usize;
-        let Some((at, seq)) = self.traffic.clocks[f].next_shot() else {
+        let Some((at, _)) = self.traffic.clocks[f].next_shot() else {
             return;
         };
         let key = EventKey {
@@ -191,15 +192,16 @@ impl Fabric {
             ..self.traffic.lanes[f]
         };
         let dev = DevId(self.traffic.flows[f].src);
-        self.sched_keyed(key, Event::TrafficInject { dev, flow, seq });
+        self.sched_keyed(key, Event::TrafficInject { dev, flow });
     }
 
-    /// A traffic-plan shot fired: draw the flow's next one, then build the
-    /// flow's packet and put it on the source's egress queue (stamped with
-    /// the injection time for latency measurement). Shots at sources that
-    /// are inactive or whose egress link is down are dropped, like any
-    /// other arrival there, and the flow goes on.
-    pub(super) fn on_traffic_inject(&mut self, dev: DevId, flow: u32, seq: u32) {
+    /// A traffic-plan shot fired: draw the flow's next one, then put the
+    /// flow's packet on the source's egress queue — a multicast packet
+    /// whole, any other as a flow body stamped with the injection time for
+    /// latency measurement. Shots at sources that are inactive or whose
+    /// egress link is down are dropped, like any other arrival there, and
+    /// the flow goes on.
+    pub(super) fn on_traffic_inject(&mut self, dev: DevId, flow: u32) {
         self.next_arrival(flow);
         let now = self.sim.now();
         let spec = &self.traffic.flows[flow as usize];
@@ -208,15 +210,25 @@ impl Fabric {
             self.counters.dropped_inactive += 1;
             return;
         }
-        if matches!(spec.kind, FlowKind::Mcast { .. }) {
-            self.counters.mcast_injected += 1;
-        } else {
-            self.counters.flow_injected += 1;
-        }
         self.counters.injected += 1;
         self.trace.emit(now, || TraceEvent::FlowInjected { flow });
-        let packet = build_flow_packet(spec, flow, seq, now.as_ps());
-        self.inject(dev, spec.egress, now, packet);
+        let packet = if let FlowKind::Mcast { .. } = spec.kind {
+            self.counters.mcast_injected += 1;
+            self.packets.alloc(build_flow_packet(spec))
+        } else {
+            self.counters.flow_injected += 1;
+            self.packets.alloc_flow(FlowBody {
+                sent_ps: now.as_ps(),
+                flow,
+                turn_pointer: spec.pool.len_bits(),
+            })
+        };
+        let entry = OutEntry {
+            ready: now,
+            packet,
+            origin: None,
+        };
+        self.enqueue_out(dev, spec.egress, entry);
     }
 
     // ---------------- delivery ----------------
@@ -225,32 +237,18 @@ impl Fabric {
         let now = self.sim.now();
         if !self.devices[dev.idx()].active {
             self.counters.dropped_inactive += 1;
-            self.packets.free(packet.0);
+            self.packets.free(packet);
             return;
         }
         // The packet has been copied out of the input buffer: release it.
         self.release_origin_now(dev, port, packet);
-        match self.packets.get(packet.0).payload {
-            // Traffic-plan deliveries are consumed by the fabric itself:
-            // flow packets always, multicast packets when the member
-            // endpoint runs no agent (agent-driven multicast keeps its
-            // delivery path).
-            Payload::Flow {
-                flow, sent_ps, len, ..
-            } => {
-                let latency_ps = now.as_ps().saturating_sub(sent_ps);
-                self.counters.delivered += 1;
-                self.counters.flow_delivered += 1;
-                self.counters.flow_bytes += u64::from(len);
-                if let Some(stats) = self.traffic.stats.get_mut(flow as usize) {
-                    stats.delivered += 1;
-                    stats.bytes += u64::from(len);
-                    stats.latency_ps.push(latency_ps);
-                }
-                self.trace
-                    .emit(now, || TraceEvent::FlowDelivered { flow, latency_ps });
-                self.packets.free(packet.0);
-            }
+        // Traffic-plan deliveries are consumed by the fabric itself: flow
+        // bodies always, multicast packets when the member endpoint runs
+        // no agent (agent-driven multicast keeps its delivery path).
+        let Some(whole) = self.packets.whole(packet) else {
+            return self.deliver_flow(packet);
+        };
+        match whole.payload {
             Payload::Mcast { group, .. } if self.devices[dev.idx()].agent.is_none() => {
                 self.counters.delivered += 1;
                 self.counters.mcast_delivered += 1;
@@ -259,7 +257,7 @@ impl Fabric {
                 *deliveries.entry((group, device)).or_insert(0) += 1;
                 self.trace
                     .emit(now, || TraceEvent::McastDelivered { group, device });
-                self.packets.free(packet.0);
+                self.packets.free(packet);
             }
             Payload::Pi4(ref pi4) if pi4.is_request() => {
                 self.counters.delivered += 1;
@@ -272,6 +270,24 @@ impl Fabric {
                 self.ingress_enqueue(dev, packet);
             }
         }
+    }
+
+    /// A flow body reached its destination: its latency and its flow's
+    /// payload go to the flow's statistics.
+    fn deliver_flow(&mut self, packet: PacketRef) {
+        let now = self.sim.now();
+        let FlowBody { sent_ps, flow, .. } = self.packets.take_flow(packet);
+        let len = u64::from(self.traffic.flows[flow as usize].payload);
+        let latency_ps = now.as_ps().saturating_sub(sent_ps);
+        self.counters.delivered += 1;
+        self.counters.flow_delivered += 1;
+        self.counters.flow_bytes += len;
+        let stats = &mut self.traffic.stats[flow as usize];
+        stats.delivered += 1;
+        stats.bytes += len;
+        stats.latency_ps.push(latency_ps);
+        self.trace
+            .emit(now, || TraceEvent::FlowDelivered { flow, latency_ps });
     }
 
     /// A PI-4 completion reached its requester, subject to the injected
@@ -291,7 +307,7 @@ impl Fabric {
             self.counters.completions_corrupted += 1;
             self.trace
                 .emit(now, || TraceEvent::FaultCompletionCorrupted { device });
-            self.packets.free(packet.0);
+            self.packets.free(packet);
             return;
         }
         self.counters.delivered += 1;
@@ -302,8 +318,8 @@ impl Fabric {
             self.counters.completions_duplicated += 1;
             self.trace
                 .emit(now, || TraceEvent::FaultCompletionDuplicated { device });
-            let dup = self.packets.get(packet.0).clone();
-            let dup = PacketRef(self.packets.alloc(dup));
+            let dup = self.packets.packet(packet).clone();
+            let dup = self.packets.alloc(dup);
             self.ingress_enqueue(dev, dup);
         }
         self.ingress_enqueue(dev, packet);
@@ -372,7 +388,7 @@ impl Fabric {
             return;
         };
         // The request is consumed by servicing; the reply is a fresh body.
-        let request = self.packets.take(packet.0);
+        let request = self.packets.take(packet);
         if let Some(reply) = service_pi4(&mut d.config, &request) {
             self.counters.injected += 1;
             self.inject(dev, port, now, reply);
@@ -386,7 +402,7 @@ impl Fabric {
             // No consumer: a completion for a dead manager, or data to a
             // plain endpoint. Count as a bad route so tests notice.
             self.counters.dropped_bad_route += 1;
-            self.packets.free(packet.0);
+            self.packets.free(packet);
             return;
         };
         slot.inbox.push(packet);
@@ -397,7 +413,7 @@ impl Fabric {
         let Some(slot) = self.devices[dev.idx()].agent.as_mut() else {
             return;
         };
-        let service = |head: &PacketRef| slot.agent.processing_time(self.packets.get(head.0));
+        let service = |head: &PacketRef| slot.agent.processing_time(self.packets.packet(*head));
         if let Some(at) = slot.inbox.start(self.sim.now(), service) {
             self.sched_at(at, Event::AgentDone { dev });
         }
@@ -410,7 +426,7 @@ impl Fabric {
             return;
         };
         // The agent consumes the packet: move it out of the arena.
-        let packet = self.packets.take(packet.0);
+        let packet = self.packets.take(packet);
         self.with_agent(dev, |agent, ctx| agent.on_packet(ctx, packet));
     }
 
@@ -463,15 +479,17 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::traffic::Shot;
+    use crate::{FaultPlan, LossModel};
     use asi_sim::{TraceRecord, TraceSink, EXTERNAL_RANK};
     use std::cell::RefCell;
     use std::rc::Rc;
 
     /// A 3x3 mesh under every flow kind — unicast (two flows per
     /// source), switch-sourced and multicast — in a window that opens at
-    /// 1 ms, long after bring-up; every device activated at 0. Returns
-    /// the fabric and the plan's arrivals expanded eagerly.
-    fn loaded_mesh() -> (Fabric, Vec<Shot>) {
+    /// 1 ms, long after bring-up, with links that lose packets by `loss`;
+    /// every device activated at 0. Returns the fabric and the plan's
+    /// arrivals expanded eagerly.
+    fn loaded_mesh(loss: LossModel) -> (Fabric, Vec<Shot>) {
         let topo = asi_topo::mesh(3, 3).unwrap().topology;
         let traffic = crate::TrafficPlan::none()
             .with_unicast(0.3, 256)
@@ -482,6 +500,7 @@ mod tests {
             .with_seed(7);
         let config = FabricConfig {
             traffic,
+            faults: FaultPlan::none().with_loss(loss),
             ..FabricConfig::default()
         };
         let shots = (config.traffic.materialize(&topo, config.byte_time)).shots();
@@ -506,7 +525,7 @@ mod tests {
     /// expanded schedule, in its `(at, flow)` order.
     #[test]
     fn arrivals_fire_in_the_order_of_the_eager_schedule() {
-        let (mut fabric, shots) = loaded_mesh();
+        let (mut fabric, shots) = loaded_mesh(LossModel::None);
         let sink = Rc::new(RefCell::new(Injections::default()));
         fabric.set_trace(TraceHandle::to(sink.clone()), SimDuration::ZERO);
         fabric.run_until_idle();
@@ -519,6 +538,68 @@ mod tests {
         assert_eq!(fabric.sim.pending(), 0);
     }
 
+    /// FNV-1a over `words`, little-endian.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        (words.into_iter())
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, step)
+    }
+
+    /// The data path with flow bodies in a slab of their own delivers
+    /// what it did when every queued data packet was a whole `Packet`
+    /// carrying a copy of its route. The counters and, per flow, the
+    /// deliveries, the bytes and an FNV digest of every latency were
+    /// recorded then: loss-free, where management-free data takes the
+    /// queue path and multicast replicates, and under uniform loss, where
+    /// lost packets bounce their credits. Both slabs drain.
+    #[test]
+    fn flow_bodies_deliver_what_whole_packets_did() {
+        let lossless = FabricCounters {
+            injected: 3465,
+            delivered: 3633,
+            forwarded: 9825,
+            credit_stalls: 38,
+            data_bytes: 3_618_840,
+            flow_injected: 3381,
+            flow_delivered: 3381,
+            flow_bytes: 865_536,
+            mcast_injected: 84,
+            mcast_delivered: 252,
+            data_queue_peak: 13,
+            ..FabricCounters::default()
+        };
+        let lossy = FabricCounters {
+            injected: 3465,
+            delivered: 3383,
+            forwarded: 9453,
+            dropped_corrupted: 243,
+            credit_stalls: 14,
+            data_bytes: 3_517_471,
+            flow_injected: 3381,
+            flow_delivered: 3152,
+            flow_bytes: 806_912,
+            mcast_injected: 84,
+            mcast_delivered: 231,
+            data_queue_peak: 12,
+            ..FabricCounters::default()
+        };
+        for (loss, counters, flows) in [
+            (LossModel::None, lossless, 0x9ed4_df60_3f49_a14d),
+            (LossModel::uniform(0.02), lossy, 0x3a5d_d7e9_a5a7_0187),
+        ] {
+            let (mut fabric, _) = loaded_mesh(loss);
+            fabric.run_until_idle();
+            assert_eq!(*fabric.counters(), counters, "{loss:?}");
+            let latencies = |s: &FlowStats| fnv(s.latency_ps.iter().copied());
+            let stats = fabric.flow_stats().iter();
+            let per_flow = stats.flat_map(|s| [s.delivered, s.bytes, latencies(s)]);
+            assert_eq!(fnv(per_flow), flows, "{loss:?}");
+            // Live bodies summed over both slabs: 0 means both are empty.
+            assert_eq!(fabric.packet_arena_live(), 0, "{loss:?}");
+        }
+    }
+
     /// A source that goes down for part of the window drops the arrivals
     /// that fire meanwhile, and its flows go on once it is back: per flow,
     /// injections plus drops are the eager schedule's shots. Every
@@ -527,7 +608,7 @@ mod tests {
     /// arrival's time — and never under a key of its source's.
     #[test]
     fn a_flow_whose_source_goes_down_drops_its_arrivals_and_goes_on() {
-        let (mut fabric, shots) = loaded_mesh();
+        let (mut fabric, shots) = loaded_mesh(LossModel::None);
         let src = DevId(fabric.traffic.flows[0].src);
         let back = SimTime::from_us(1500);
         fabric.schedule_deactivate(src, SimDuration::from_us(1200));
@@ -567,6 +648,9 @@ mod tests {
                 t.2 = fabric.now();
             }
         }
+        // Every body queued at the source's port went with the link, from
+        // whichever slab it was in.
+        assert_eq!(fabric.packet_arena_live(), 0);
         for (flow, &(injected, dropped, last)) in tally.iter().enumerate() {
             let want = shots.iter().filter(|s| s.flow == flow as u32).count();
             assert_eq!((injected + dropped) as usize, want, "flow {flow}");

@@ -106,7 +106,7 @@ impl Fabric {
         }
         // Clear local consumers; queued packets are lost with the device.
         let d = &mut self.devices[dev.idx()];
-        let mut free = |packet: PacketRef| self.packets.free(packet.0);
+        let mut free = |packet: PacketRef| self.packets.free(packet);
         let mut lost = d.ingress.clear(&mut free) + d.responder.stage.clear(|(_, p)| free(p));
         if let Some(slot) = &mut d.agent {
             lost += slot.inbox.clear(free);

@@ -135,7 +135,7 @@ pub(super) enum CreditClass {
 }
 
 impl CreditClass {
-    fn of(packet: &Packet) -> CreditClass {
+    pub(super) fn of(packet: &Packet) -> CreditClass {
         if packet.is_management() {
             CreditClass::Mgmt
         } else {
@@ -165,10 +165,10 @@ pub(super) struct CreditOrigin {
 
 /// A packet waiting on an output port.
 ///
-/// The packet body lives in the fabric's payload [`Arena`]: entries move
-/// through per-port `VecDeque`s and the scheduling kernel, and a [`Packet`]
-/// is ~136 bytes inline — carrying a 4-byte handle keeps those moves cheap
-/// and recycles payload memory through the arena's free list.
+/// The packet body lives in one of the fabric's two slabs (`packets.rs`):
+/// entries move through per-port `VecDeque`s and the scheduling kernel,
+/// and carrying a 4-byte handle keeps those moves cheap and recycles body
+/// memory through the slabs' free lists.
 pub(super) struct OutEntry {
     pub(super) ready: SimTime,
     pub(super) packet: PacketRef,
@@ -487,7 +487,7 @@ impl Port {
         &self,
         now: SimTime,
         config: &FabricConfig,
-        packets: &Arena<Packet>,
+        packets: &Packets,
         queues: &Queues,
         rate_limited: bool,
         held: [u32; 2],
@@ -510,7 +510,7 @@ impl Port {
         } else if entry.ready > now {
             Action::Wait(entry.ready)
         } else {
-            Port::admit(config, held, class, packets.get(entry.packet.0).wire_size())
+            Port::admit(config, held, class, packets.wire_size(entry.packet))
         }
     }
 
@@ -554,7 +554,7 @@ impl Fabric {
     /// send, PI-5 report, multicast replica) enters the fabric: onto
     /// `(dev, port)`'s egress queue, with no upstream buffer to credit.
     pub(super) fn inject(&mut self, dev: DevId, port: u8, ready: SimTime, packet: Packet) {
-        let packet = PacketRef(self.packets.alloc(packet));
+        let packet = self.packets.alloc(packet);
         let entry = OutEntry {
             ready,
             packet,
@@ -568,7 +568,7 @@ impl Fabric {
     pub(super) fn drop_entry(&mut self, entry: OutEntry, counter: DropCounter) {
         *counter(&mut self.counters) += 1;
         self.return_credits(entry.origin, self.sim.now());
-        self.packets.free(entry.packet.0);
+        self.packets.free(entry.packet);
     }
 
     // ---------------- credits ----------------
@@ -585,12 +585,11 @@ impl Fabric {
             return None;
         }
         let peer = self.devices[dev.idx()].ports[usize::from(port)].peer()?;
-        let body = self.packets.get(packet.0);
         Some(CreditOrigin {
             dev: peer.0,
             port: peer.1,
-            class: CreditClass::of(body),
-            amount: self.config.credits_for(body.wire_size()),
+            class: self.packets.class(packet),
+            amount: self.config.credits_for(self.packets.wire_size(packet)),
         })
     }
 
@@ -664,8 +663,8 @@ impl Fabric {
     // ---------------- queues and the serializer ----------------
 
     pub(super) fn enqueue_out(&mut self, dev: DevId, port: u8, entry: OutEntry) {
-        let body = self.packets.get(entry.packet.0);
-        let (class, bypass) = (CreditClass::of(body), body.header.oo);
+        let class = self.packets.class(entry.packet);
+        let bypass = self.packets.bypass(entry.packet);
         let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
         if !p.is_queued() {
             p.q = self.queues.lend();
@@ -762,10 +761,10 @@ impl Fabric {
         if self.control_pending != 0 || !self.config.faults.loss.is_lossless() {
             return None;
         }
-        let body = self.packets.get(entry.packet.0);
-        if CreditClass::of(body) != CreditClass::Mgmt {
+        if self.packets.class(entry.packet) != CreditClass::Mgmt {
             return None;
         }
+        let size = self.packets.wire_size(entry.packet);
         let d = &mut self.devices[dev.idx()];
         let p = &d.ports[usize::from(port)];
         if p.state != PortState::Active
@@ -777,7 +776,7 @@ impl Fabric {
         }
         let peer = p.peer();
         let held = *d.credits(port, self.sim.current_key());
-        match Port::admit(&self.config, held, CreditClass::Mgmt, body.wire_size()) {
+        match Port::admit(&self.config, held, CreditClass::Mgmt, size) {
             Action::Tx(_) => peer,
             _ => None,
         }
@@ -798,7 +797,7 @@ impl Fabric {
         (peer_dev, peer_port): (DevId, u8),
         start: SimTime,
     ) {
-        let size = self.packets.get(entry.packet.0).wire_size();
+        let size = self.packets.wire_size(entry.packet);
         let cost = self.config.credits_for(size);
         let d = &mut self.devices[dev.idx()];
         let rate_limited = class == CreditClass::Data && d.is_endpoint();
@@ -832,10 +831,10 @@ impl Fabric {
             };
             let bounced = self.config.flow_control.then_some(bounced);
             self.return_credits(bounced, start + self.config.propagation);
-            self.packets.free(entry.packet.0);
+            self.packets.free(entry.packet);
         } else {
             // Header arrival downstream (virtual cut-through).
-            let header_bytes = self.packets.get(entry.packet.0).header.wire_size() + 4;
+            let header_bytes = self.packets.header_bytes(entry.packet);
             let arrive_at = start + self.config.tx_time(header_bytes) + self.config.propagation;
             self.sched_at(
                 arrive_at,
@@ -1062,7 +1061,7 @@ mod tests {
             }
             let tags = |q: &VecDeque<OutEntry>| {
                 q.iter()
-                    .map(|e| match self.packets.get(e.packet.0).payload {
+                    .map(|e| match self.packets.packet(e.packet).payload {
                         Payload::Pi4(Pi4::WriteCompletion { req_id }) => req_id as u16,
                         Payload::Data { len } => len,
                         ref other => panic!("unexpected {other:?}"),

@@ -12,30 +12,32 @@ impl Fabric {
         if !d.active || d.ports[usize::from(port)].state != PortState::Active {
             // Nobody is listening: no buffer was taken, none to release.
             self.counters.dropped_inactive += 1;
-            self.packets.free(packet.0);
+            self.packets.free(packet);
             return;
         }
-        let body = self.packets.get(packet.0);
-        if matches!(body.payload, Payload::Mcast { .. }) {
+        if let Some(Packet {
+            payload: Payload::Mcast { .. },
+            ..
+        }) = self.packets.whole(packet)
+        {
             return self.on_arrive_mcast(dev, port, packet);
         }
-        let cursor = TurnCursor {
-            pointer: body.header.turn_pointer,
-            direction: body.header.direction,
-        };
-        if cursor.exhausted(&body.header.pool) {
+        let (cursor, pool) = self.route(packet);
+        if cursor.exhausted(pool) {
             // This device is the destination.
             return self.await_tail(dev, port, packet);
         }
+        let turn = self.take_turn(dev, port, cursor, pool);
         let ready = self.sim.now() + self.config.switch_latency;
         let entry = OutEntry {
             ready,
             packet,
             origin: self.origin_of(dev, port, packet),
         };
-        let Some(egress) = self.take_turn(dev, port, packet, cursor) else {
+        let Some((egress, pointer)) = turn else {
             return self.drop_entry(entry, |c| &mut c.dropped_bad_route);
         };
+        self.advance(packet, pointer);
         self.counters.forwarded += 1;
         match self.cut_through_peer(dev, egress, &entry) {
             Some(peer) => {
@@ -49,37 +51,36 @@ impl Fabric {
         }
     }
 
-    /// The route step: consumes this switch's turn from the header and
-    /// returns the egress port. `None` is a bad route: turns left at an
-    /// endpoint (nowhere to go), an undecodable turn, or a U-turn.
+    /// The route step: reads this switch's turn at the packet's cursor and
+    /// returns the egress port and the turn pointer past it. `None` is a
+    /// bad route: turns left at an endpoint (nowhere to go), an
+    /// undecodable turn, or a U-turn.
     #[inline]
     fn take_turn(
-        &mut self,
+        &self,
         dev: DevId,
         port: u8,
-        packet: PacketRef,
         cursor: TurnCursor,
-    ) -> Option<u8> {
+        pool: &TurnPool,
+    ) -> Option<(u8, u16)> {
         let info = &self.devices[dev.idx()].info;
         if info.device_type != DeviceType::Switch {
             return None;
         }
         let ports = info.port_count as u8;
-        let header = &mut self.packets.get_mut(packet.0).header;
-        let (turn, next) = cursor.take_turn(&header.pool, turn_width(ports)).ok()?;
-        header.turn_pointer = next.pointer;
-        let egress = match header.direction {
+        let (turn, next) = cursor.take_turn(pool, turn_width(ports)).ok()?;
+        let egress = match cursor.direction {
             Direction::Forward => apply_forward(port, turn, ports),
             Direction::Backward => apply_backward(port, turn, ports),
         };
-        (egress != port).then_some(egress)
+        (egress != port).then_some((egress, next.pointer))
     }
 
     /// The header is in and this device consumes the packet: deliver it
     /// once the rest has been received.
     fn await_tail(&mut self, dev: DevId, port: u8, packet: PacketRef) {
-        let body = self.packets.get(packet.0);
-        let remaining = body.wire_size().saturating_sub(body.header.wire_size() + 4);
+        let header = self.packets.header_bytes(packet);
+        let remaining = self.packets.wire_size(packet).saturating_sub(header);
         let at = self.sim.now() + self.config.tx_time(remaining);
         self.sched_at(at, Event::Deliver { dev, port, packet });
     }
@@ -88,7 +89,7 @@ impl Fabric {
     /// group mask (a spanning tree installed by the FM's multicast group
     /// management); member endpoints consume.
     fn on_arrive_mcast(&mut self, dev: DevId, port: u8, packet: PacketRef) {
-        let Payload::Mcast { group, len, hops } = self.packets.get(packet.0).payload else {
+        let Payload::Mcast { group, len, hops } = self.packets.packet(packet).payload else {
             unreachable!("caller checked");
         };
         let d = &self.devices[dev.idx()];
@@ -99,7 +100,7 @@ impl Fabric {
             }
             // Not a member: the NIC filter discards it, uncounted.
             self.release_origin_now(dev, port, packet);
-            self.packets.free(packet.0);
+            self.packets.free(packet);
             return;
         }
         // The input buffer is freed as soon as the replicas are copied to
@@ -117,7 +118,7 @@ impl Fabric {
             }
             replicated = true;
             self.counters.forwarded += 1;
-            let header = self.packets.get(packet.0).header.clone();
+            let header = self.packets.packet(packet).header.clone();
             let payload = Payload::Mcast {
                 group,
                 len,
@@ -130,6 +131,6 @@ impl Fabric {
             self.counters.dropped_bad_route += 1;
         }
         // The inbound copy is consumed here either way.
-        self.packets.free(packet.0);
+        self.packets.free(packet);
     }
 }

@@ -449,8 +449,7 @@ impl TrafficPlan {
         byte_time: SimDuration,
     ) {
         for flow in range {
-            let spec = &schedule.flows[flow];
-            let packet = build_flow_packet(spec, flow as u32, 0, 0);
+            let packet = build_flow_packet(&schedule.flows[flow]);
             schedule.clocks.push(FlowClock {
                 rng: rng.fork(flow as u64 + 1),
                 arrivals: self.arrivals,
@@ -468,30 +467,23 @@ impl TrafficPlan {
     }
 }
 
-/// Builds the packet a shot injects: an instrumented `Flow` payload for
-/// unicast and switch-sourced flows, a group-addressed `Mcast` payload
-/// for multicast flows.
-pub(crate) fn build_flow_packet(spec: &FlowSpec, flow: u32, seq: u32, sent_ps: u64) -> Packet {
+/// The packet a shot of the flow puts on the wire: PI-8 data along the
+/// flow's pool for unicast and switch-sourced flows, a group-addressed
+/// `Mcast` packet for multicast flows. The fabric injects a multicast one
+/// as it is; of the others it keeps only a flow body, and their wire and
+/// header sizes from this.
+pub(crate) fn build_flow_packet(spec: &FlowSpec) -> Packet {
     let header = RouteHeader::forward(ProtocolInterface::Data, 0, spec.pool.clone());
-    match spec.kind {
-        FlowKind::Unicast | FlowKind::SwitchSourced => Packet::new(
-            header,
-            Payload::Flow {
-                flow,
-                seq,
-                sent_ps,
-                len: spec.payload,
-            },
-        ),
-        FlowKind::Mcast { group } => Packet::new(
-            header,
-            Payload::Mcast {
-                group,
-                len: spec.payload,
-                hops: u8::MAX,
-            },
-        ),
-    }
+    let len = spec.payload;
+    let payload = match spec.kind {
+        FlowKind::Unicast | FlowKind::SwitchSourced => Payload::Data { len },
+        FlowKind::Mcast { group } => Payload::Mcast {
+            group,
+            len,
+            hops: u8::MAX,
+        },
+    };
+    Packet::new(header, payload)
 }
 
 /// Picks a deterministic member set for one multicast group: the source
@@ -679,7 +671,7 @@ mod tests {
             .with_window(SimDuration::ZERO, SimDuration::from_ms(2));
         let sched = plan.materialize(&mesh(), BYTE_TIME);
         let per_flow: f64 = sched.shots().len() as f64 / sched.flows.len() as f64;
-        let wire = build_flow_packet(&sched.flows[0], 0, 0, 0).wire_size() as f64;
+        let wire = build_flow_packet(&sched.flows[0]).wire_size() as f64;
         let expected = 2e9 / (wire * 4000.0 / 0.8);
         assert!(
             (per_flow - expected).abs() < expected * 0.25,

@@ -32,22 +32,6 @@ pub enum Payload {
         /// Payload length in bytes.
         len: u16,
     },
-    /// Instrumented data-plane flow packet (traffic engine). On the wire
-    /// this is indistinguishable from [`Payload::Data`] — the flow id,
-    /// sequence number, and send timestamp are simulator-side bookkeeping
-    /// carried out-of-band (zero wire cost) so the delivery path can
-    /// attribute goodput and latency per flow. A decoded PI-Data packet
-    /// therefore comes back as `Data { len }`, never `Flow`.
-    Flow {
-        /// Flow id within the traffic plan.
-        flow: u32,
-        /// Packet sequence number within the flow.
-        seq: u32,
-        /// Injection time in picoseconds (for latency measurement).
-        sent_ps: u64,
-        /// Payload length in bytes.
-        len: u16,
-    },
 }
 
 impl Payload {
@@ -58,7 +42,7 @@ impl Payload {
             Payload::Pi5(_) => ProtocolInterface::EventReporting,
             Payload::Fm(_) => ProtocolInterface::FmExchange,
             Payload::Mcast { .. } => ProtocolInterface::Multicast,
-            Payload::Data { .. } | Payload::Flow { .. } => ProtocolInterface::Data,
+            Payload::Data { .. } => ProtocolInterface::Data,
         }
     }
 
@@ -69,7 +53,7 @@ impl Payload {
             Payload::Pi5(_) => Pi5::WIRE_SIZE,
             Payload::Fm(m) => m.wire_size(),
             Payload::Mcast { len, .. } => 5 + usize::from(*len),
-            Payload::Data { len } | Payload::Flow { len, .. } => usize::from(*len),
+            Payload::Data { len } => usize::from(*len),
         }
     }
 }
@@ -101,6 +85,8 @@ pub enum PacketError {
     UnsupportedPi(u8),
     /// Payload shorter than its declared length.
     Truncated,
+    /// Payload longer than its length field can state.
+    Oversized,
 }
 
 impl core::fmt::Display for PacketError {
@@ -112,6 +98,7 @@ impl core::fmt::Display for PacketError {
             PacketError::Fm(e) => write!(f, "FM exchange payload: {e}"),
             PacketError::UnsupportedPi(pi) => write!(f, "unsupported PI {pi}"),
             PacketError::Truncated => write!(f, "truncated packet"),
+            PacketError::Oversized => write!(f, "payload longer than its length field"),
         }
     }
 }
@@ -154,9 +141,7 @@ impl Packet {
                 out.push(*hops);
                 out.extend(std::iter::repeat_n(0u8, usize::from(*len)));
             }
-            Payload::Data { len } | Payload::Flow { len, .. } => {
-                out.extend(std::iter::repeat_n(0u8, usize::from(*len)))
-            }
+            Payload::Data { len } => out.extend(std::iter::repeat_n(0u8, usize::from(*len))),
         }
         // ECRC over everything so far (simple sum-based 32-bit check; the
         // link layer's LCRC does the heavy lifting in real hardware).
@@ -202,8 +187,10 @@ impl Packet {
                 }
                 Payload::Mcast { group, len, hops }
             }
+            // A body the 16-bit length cannot state would re-encode to
+            // other bytes.
             ProtocolInterface::Data => Payload::Data {
-                len: rest.len() as u16,
+                len: u16::try_from(rest.len()).map_err(|_| PacketError::Oversized)?,
             },
             other => return Err(PacketError::UnsupportedPi(other.to_wire())),
         };
@@ -276,26 +263,28 @@ mod tests {
         assert!(!decoded.is_management());
     }
 
+    /// A PI-8 body's length is what decode sees behind the header, and
+    /// `Data { len }` holds 16 bits of it: a longer body is an error, not
+    /// a length that wraps (65,536 bytes used to decode as 0, 70,000 as
+    /// 4,464) and re-encodes to other bytes.
     #[test]
-    fn flow_packet_wires_like_data() {
-        let flow = Packet::new(
-            header(),
-            Payload::Flow {
-                flow: 9,
-                seq: 3,
-                sent_ps: 1_000_000,
-                len: 256,
-            },
-        );
-        let data = Packet::new(header(), Payload::Data { len: 256 });
-        assert_eq!(flow.header.pi, ProtocolInterface::Data);
-        assert!(!flow.is_management());
-        assert_eq!(flow.wire_size(), data.wire_size());
-        // The sim-side stamp has zero wire cost: the encoding is exactly
-        // the Data encoding, and decode recovers a plain Data payload.
-        assert_eq!(flow.encode(), data.encode());
-        let decoded = Packet::decode(&flow.encode()).unwrap();
-        assert_eq!(decoded.payload, Payload::Data { len: 256 });
+    fn a_data_body_longer_than_its_length_field_is_rejected() {
+        let data = |len: usize| {
+            let mut bytes = Vec::new();
+            RouteHeader::forward(ProtocolInterface::Data, 0, TurnPool::new_spec())
+                .encode(&mut bytes);
+            bytes.resize(bytes.len() + len, 0);
+            let ecrc = ecrc32(&bytes);
+            bytes.extend_from_slice(&ecrc.to_be_bytes());
+            bytes
+        };
+        let longest = data(65_535);
+        let decoded = Packet::decode(&longest).unwrap();
+        assert_eq!(decoded.payload, Payload::Data { len: u16::MAX });
+        assert_eq!(decoded.encode(), longest);
+        for len in [65_536, 70_000] {
+            assert_eq!(Packet::decode(&data(len)), Err(PacketError::Oversized));
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! A slab arena with stable `u32` handles and a free list.
 //!
-//! The fabric keeps every in-flight packet here instead of in per-event
-//! `Box` allocations: events and port queues carry a 4-byte handle, payload
-//! memory is recycled through the free list, and peak footprint is the peak
-//! number of in-flight packets rather than allocator churn. The arena is
+//! The fabric keeps every in-flight packet in one of two of these instead
+//! of in per-event `Box` allocations — whole packets in one, traffic-plan
+//! flow bodies (24 bytes a slot) in the other: events and port queues
+//! carry a 4-byte handle, payload memory is recycled through the free
+//! list, and peak footprint is the peak number of in-flight packets times
+//! the slot size rather than allocator churn. The arena is
 //! deliberately *not* generational — handles are freed exactly once at the
 //! packet's single point of consumption, and the leak test
 //! (`live() == 0` after a drained run) catches double-free/leak bugs.
