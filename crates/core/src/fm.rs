@@ -120,8 +120,9 @@ pub struct FmConfig {
     /// Partial assimilation only: when the coalesced backlog holds more
     /// than this many distinct `(reporter, port)` net changes, the storm
     /// is escalated to one warm-start verification of the whole database
-    /// instead of a scoped partial run (default 8).
-    pub storm_threshold: usize,
+    /// instead of a scoped partial run: 8, and 0 in the test that storms
+    /// on any change.
+    pub(crate) storm_threshold: usize,
 }
 
 impl FmConfig {
@@ -194,14 +195,6 @@ impl FmConfig {
     /// Enables partial (affected-region) assimilation.
     pub fn with_partial_assimilation(mut self, on: bool) -> FmConfig {
         self.partial_assimilation = on;
-        self
-    }
-
-    /// Sets the PI-5 storm-escalation threshold (distinct coalesced
-    /// `(reporter, port)` changes beyond which a partial run becomes one
-    /// warm-start verification pass).
-    pub fn with_storm_threshold(mut self, threshold: usize) -> FmConfig {
-        self.storm_threshold = threshold;
         self
     }
 

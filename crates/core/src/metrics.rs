@@ -184,7 +184,7 @@ pub struct TrafficSummary {
     pub credit_stalls: u64,
     /// Peak management-VC output-queue depth on any port.
     pub mgmt_queue_peak: u64,
-    /// Peak data-VC output-queue depth (bypass + data) on any port.
+    /// Peak data-VC output-queue depth on any port.
     pub data_queue_peak: u64,
 }
 

@@ -38,8 +38,6 @@ pub struct FabricConfig {
     /// maximum packet size (2 KiB = 32 credits), or large packets could
     /// never be forwarded.
     pub data_credits: u32,
-    /// Turn-pool capacity used for routes (31 = strict spec mode).
-    pub turn_pool_capacity: u16,
     /// When false, credit flow control is disabled (infinite credits) —
     /// used by the flow-control ablation bench.
     pub flow_control: bool,
@@ -59,10 +57,6 @@ pub struct FabricConfig {
     /// keeping traffic-free runs byte-identical; see
     /// [`crate::TrafficPlan`].
     pub traffic: TrafficPlan,
-    /// Optional endpoint source injection rate limit in bytes/second for
-    /// *data-class* traffic (one of the ASI congestion-management options
-    /// the paper lists in §2). Management traffic is never limited.
-    pub injection_rate_limit: Option<f64>,
     /// Seed for the fabric's own randomness (loss, corruption and
     /// duplication draws). Each device derives its own stream from this
     /// seed, so random draws are independent of global event order.
@@ -88,14 +82,10 @@ impl Default for FabricConfig {
             device_factor: 1.0,
             mgmt_credits: 8,
             data_credits: 32,
-            // The paper's larger fabrics need paths beyond the 31-bit spec
-            // pool (DESIGN.md §2), so the default is the extended pool.
-            turn_pool_capacity: asi_proto::MAX_POOL_BITS,
             flow_control: true,
             faults: FaultPlan::none(),
             churn: ChurnPlan::none(),
             traffic: TrafficPlan::none(),
-            injection_rate_limit: None,
             seed: 0x1055,
             kernel: KernelSpec::Serial,
         }

@@ -48,7 +48,7 @@ pub struct FabricCounters {
     pub mcast_delivered: u64,
     /// Peak management-VC output-queue depth seen on any port.
     pub mgmt_queue_peak: u64,
-    /// Peak data-VC output-queue depth (bypass + data) seen on any port.
+    /// Peak data-VC output-queue depth seen on any port.
     pub data_queue_peak: u64,
 }
 

@@ -442,11 +442,6 @@ impl Fabric {
         self.devices.len()
     }
 
-    /// General information of a device.
-    pub fn device_info(&self, dev: DevId) -> &DeviceInfo {
-        &self.devices[dev.idx()].info
-    }
-
     /// The live configuration space of a device (harness/bootstrap use;
     /// the FM reads it over the wire).
     pub fn config_space(&self, dev: DevId) -> &ConfigSpace {
@@ -628,13 +623,15 @@ mod tests {
     /// 69,632 on `mesh:64x64` (45,312 of them dangling), 242,688 on
     /// `dragonfly:8,48`, 1,302,528 on `dragonfly:8,128` — where the 96
     /// bytes of inline queue headers `Port` used to carry were 119 MiB,
-    /// and a word more is 10 MiB. At most a cache line, so that the
-    /// cut-through guard reads one line of the egress port; the queues
-    /// are on loan from `Fabric::queues` only while something is queued.
+    /// and a word more is 10 MiB. Six words, so that the cut-through
+    /// guard reads one line of the egress port; the queues are on loan
+    /// from `Fabric::queues`, two `VecDeque`s a set, only while something
+    /// is queued.
     #[test]
     fn port_and_hot_device_prefix_fit_a_cache_line() {
         use std::mem::{offset_of, size_of};
-        assert!(size_of::<Port>() <= 64, "{}", size_of::<Port>());
+        assert!(size_of::<Port>() <= 48, "{}", size_of::<Port>());
+        assert!(size_of::<QueueSet>() <= 64, "{}", size_of::<QueueSet>());
         // What `on_arrive`, the guard, `transmit` and `return_credits`
         // read of a device: two devices per hop, one line each.
         assert!(offset_of!(Device, info) + size_of::<DeviceInfo>() <= 64);

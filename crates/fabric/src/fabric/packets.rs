@@ -5,8 +5,8 @@
 //! traffic plan's unicast or switch-sourced flow is stored as a
 //! [`FlowBody`]: which flow, when it was sent, how far along the flow's
 //! route it has come. Everything else about it is its flow's — the route
-//! (`Traffic::flows`), the direction (forward), the class (data, never
-//! bypass), the payload and the wire size ([`FlowWire`]) — so the packets
+//! (`Traffic::flows`), the direction (forward), the class (data), the
+//! payload and the wire size ([`FlowWire`]) — so the packets
 //! that crowd the data queues under load are 24 bytes a slot, not a copy
 //! of their flow's 72-byte turn pool and a payload sized for PI-4
 //! completions.
@@ -166,15 +166,6 @@ impl Packets {
         match packet.slab() {
             Slab::Whole(at) => CreditClass::of(self.whole.get(at)),
             Slab::Flow(_) => CreditClass::Data,
-        }
-    }
-
-    /// The header's `OO` bit: the packet may take the BVC bypass queue.
-    #[inline]
-    pub(super) fn bypass(&self, packet: PacketRef) -> bool {
-        match packet.slab() {
-            Slab::Whole(at) => self.whole.get(at).header.oo,
-            Slab::Flow(_) => false,
         }
     }
 

@@ -1,4 +1,4 @@
-//! A port: link training and carrier, the three output queues it
+//! A port: link training and carrier, the two output queues it
 //! borrows while it has something to send and the serializer that drains
 //! them (`enqueue_out` → `pump` → `transmit`), credit flow control,
 //! injected loss — and the one way a locally born packet gets in
@@ -36,7 +36,7 @@
 //! |---|---|
 //! | management class only | nothing outranks it and its queue is FIFO; a data packet can be overtaken by management arriving inside the window (`pump` serves the management head first, ready or not) |
 //! | egress port active, with a peer | a dead or dangling port drops the packet instead (the device itself is active: it has just accepted the header) |
-//! | all three egress queues empty | anything queued is ahead of it (management) or shares the serializer |
+//! | both egress queues empty | anything queued is ahead of it (management) or shares the serializer |
 //! | `busy_until <= ready` | otherwise the start time is the serializer's, not `ready` |
 //! | `cut_until <= now` | an earlier commitment that has not started yet is ahead of it |
 //! | credits in hand (or flow control off) | credits only grow until `ready` (nothing else can transmit on the port), so in hand now means in hand then; short now means a stall the counters must see |
@@ -111,10 +111,10 @@
 //!
 //! | | an idle port holds | a port with something queued also borrows |
 //! |---|---|---|
-//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, `rate_next`, the credits in hand, `credits_by_event`, `ge_bad`, and `q = NIL` | management, bypass and ordered-data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew |
-//! | where | 56 bytes in its device's port array | 96 bytes of `Fabric::queues`, at index `q` |
+//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, the credits in hand, `credits_by_event`, `ge_bad`, and `q = NIL` | management and data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew |
+//! | where | 48 bytes in its device's port array | 64 bytes of `Fabric::queues`, at index `q` |
 //! | from, until | `Fabric::new` to the end of the run | the first `enqueue_out` on an empty port, to the `pop_head` or `drain_port` that takes its last entry |
-//! | read by | `on_arrive`, the guard, `transmit`, `return_credits` — one line, no queue: "all three egress queues empty" is `q == NIL` | `enqueue_out`, `pump` (`next_action`, `pop_head`), `drain_port` |
+//! | read by | `on_arrive`, the guard, `transmit`, `return_credits` — one line, no queue: "both egress queues empty" is `q == NIL` | `enqueue_out`, `pump` (`next_action`, `pop_head`), `drain_port` |
 //!
 //! A set goes home empty and the one returned last is lent first, so the
 //! pool is as large as the most ports that were ever non-empty at once
@@ -122,6 +122,12 @@
 //! 16x16 mesh under 0.4 data load) and the set a reply borrows is
 //! usually the one the previous reply warmed. Deep queues stay what they
 //! were: contiguous `VecDeque`s.
+//!
+//! Data is one FIFO. The paper's §2 lists two ASI congestion-management
+//! options, BVC bypass queues and source injection rate limits; its
+//! evaluation uses neither, so a data packet whose header carries `OO`
+//! waits in order with the rest, and an endpoint sends data as fast as
+//! its link and credits allow.
 
 use super::*;
 
@@ -179,15 +185,12 @@ pub(super) struct OutEntry {
 #[derive(Default)]
 pub(super) struct QueueSet {
     mgmt_q: VecDeque<OutEntry>,
-    /// BVC bypass queue: data packets with the `OO` header bit may jump
-    /// ahead of the ordered data queue (paper §2's bypassable VCs).
-    bypass_q: VecDeque<OutEntry>,
     data_q: VecDeque<OutEntry>,
 }
 
 impl QueueSet {
     pub(super) fn len(&self) -> usize {
-        self.mgmt_q.len() + self.bypass_q.len() + self.data_q.len()
+        self.mgmt_q.len() + self.data_q.len()
     }
 }
 
@@ -249,7 +252,7 @@ impl std::ops::IndexMut<u32> for Queues {
 /// of a port with nothing plugged in.
 const NIL: u32 = u32::MAX;
 
-/// One port of a device: 56 bytes, and everything the cut-through guard
+/// One port of a device: 48 bytes, and everything the cut-through guard
 /// asks of it is in them (the table in the module header).
 pub(super) struct Port {
     /// The device at the other end of the link ([`NIL`] if the port is
@@ -276,9 +279,6 @@ pub(super) struct Port {
     /// serializing: it blocks a second commitment and still counts as
     /// queued for `mgmt_queue_peak`.
     pub(super) cut_until: SimTime,
-    /// Source-injection rate limiter: next instant a data-class packet
-    /// may start serializing (endpoints only).
-    rate_next: SimTime,
     /// Credits available at the peer's input buffer, per class; read and
     /// written through [`Device::credits`] alone, which settles the ledger
     /// first.
@@ -402,7 +402,7 @@ const NO_WAKEUP: SimTime = SimTime::MAX;
 /// What [`Fabric::pump`] does next on a port.
 enum Action {
     Idle,
-    /// The serializer, the rate limit or the head's `ready` says not yet.
+    /// The serializer or the head's `ready` says not yet.
     Wait(SimTime),
     /// The head is short of credits; a `CreditReturn` will re-pump.
     Stall,
@@ -423,7 +423,6 @@ impl Port {
             busy_until: SimTime::ZERO,
             try_tx_at: NO_WAKEUP,
             cut_until: SimTime::ZERO,
-            rate_next: SimTime::ZERO,
             peer_credits: PeerCredits::full(config),
             credits_by_event: false,
             ge_bad: false,
@@ -436,22 +435,21 @@ impl Port {
         (self.peer_dev != NIL).then_some((DevId(self.peer_dev), self.peer_port))
     }
 
-    /// Whether anything is queued here: the guard's "all three egress
-    /// queues empty", without reading a queue.
+    /// Whether anything is queued here: the guard's "both egress queues
+    /// empty", without reading a queue.
     #[inline]
     fn is_queued(&self) -> bool {
         self.q != NIL
     }
 
-    /// Pops the head `pump` just inspected for `class`: the management
-    /// queue, or the bypass queue ahead of ordered data. The port's queue
+    /// Pops the head `pump` just inspected for `class`. The port's queue
     /// set goes home with the last entry.
     #[inline]
     fn pop_head(&mut self, queues: &mut Queues, class: CreditClass) -> OutEntry {
         let set = &mut queues[self.q];
         let entry = match class {
             CreditClass::Mgmt => set.mgmt_q.pop_front(),
-            CreditClass::Data => set.bypass_q.pop_front().or_else(|| set.data_q.pop_front()),
+            CreditClass::Data => set.data_q.pop_front(),
         }
         .expect("head inspected above");
         if set.len() == 0 {
@@ -480,8 +478,6 @@ impl Port {
     }
 
     /// Inspects the queue heads at `now`, with `held` credits in hand.
-    /// `rate_limited`: data leaving this port is subject to the source
-    /// injection rate limit.
     #[inline]
     fn next_action(
         &self,
@@ -489,7 +485,6 @@ impl Port {
         config: &FabricConfig,
         packets: &Packets,
         queues: &Queues,
-        rate_limited: bool,
         held: [u32; 2],
     ) -> Action {
         if !self.is_queued() {
@@ -498,16 +493,13 @@ impl Port {
         if self.busy_until > now {
             return Action::Wait(self.busy_until);
         }
-        // Management first, then the BVC bypass queue, then ordered data.
+        // Management first, then data.
         let set = &queues[self.q];
-        let (class, entry) = match (set.mgmt_q.front(), set.bypass_q.front()) {
-            (Some(e), _) => (CreditClass::Mgmt, e),
-            (None, Some(e)) => (CreditClass::Data, e),
-            (None, None) => (CreditClass::Data, set.data_q.front().expect("a lent set")),
+        let (class, entry) = match set.mgmt_q.front() {
+            Some(e) => (CreditClass::Mgmt, e),
+            None => (CreditClass::Data, set.data_q.front().expect("a lent set")),
         };
-        if class == CreditClass::Data && rate_limited && self.rate_next > now {
-            Action::Wait(self.rate_next)
-        } else if entry.ready > now {
+        if entry.ready > now {
             Action::Wait(entry.ready)
         } else {
             Port::admit(config, held, class, packets.wire_size(entry.packet))
@@ -664,7 +656,6 @@ impl Fabric {
 
     pub(super) fn enqueue_out(&mut self, dev: DevId, port: u8, entry: OutEntry) {
         let class = self.packets.class(entry.packet);
-        let bypass = self.packets.bypass(entry.packet);
         let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
         if !p.is_queued() {
             p.q = self.queues.lend();
@@ -672,7 +663,6 @@ impl Fabric {
         let set = &mut self.queues[p.q];
         match class {
             CreditClass::Mgmt => set.mgmt_q.push_back(entry),
-            CreditClass::Data if bypass => set.bypass_q.push_back(entry),
             CreditClass::Data => set.data_q.push_back(entry),
         }
         // Occupancy high-water marks per VC class. Queue depths are
@@ -683,9 +673,7 @@ impl Fabric {
         let committed = usize::from(p.cut_until > self.sim.now());
         let c = &mut self.counters;
         c.mgmt_queue_peak = c.mgmt_queue_peak.max((set.mgmt_q.len() + committed) as u64);
-        c.data_queue_peak = c
-            .data_queue_peak
-            .max((set.bypass_q.len() + set.data_q.len()) as u64);
+        c.data_queue_peak = c.data_queue_peak.max(set.data_q.len() as u64);
         self.pump(dev, port);
     }
 
@@ -711,16 +699,13 @@ impl Fabric {
             self.drain_port(dev, port);
             return;
         }
-        // Source injection rate limiting applies to data leaving an
-        // endpoint.
-        let rate_limited = d.is_endpoint() && self.config.injection_rate_limit.is_some();
         let key = self.sim.current_key();
         loop {
             let d = &mut self.devices[dev.idx()];
             let held = *d.credits(port, key);
             let p = &mut d.ports[usize::from(port)];
             let queues = &mut self.queues;
-            match p.next_action(now, &self.config, &self.packets, queues, rate_limited, held) {
+            match p.next_action(now, &self.config, &self.packets, queues, held) {
                 Action::Idle => return,
                 Action::Wait(at) => {
                     if p.try_tx_at > at {
@@ -800,16 +785,11 @@ impl Fabric {
         let size = self.packets.wire_size(entry.packet);
         let cost = self.config.credits_for(size);
         let d = &mut self.devices[dev.idx()];
-        let rate_limited = class == CreditClass::Data && d.is_endpoint();
         if self.config.flow_control {
             d.credits(port, self.sim.current_key())[class.idx()] -= cost;
         }
         let p = &mut d.ports[usize::from(port)];
         p.busy_until = start + self.config.tx_time(size);
-        if let (true, Some(rate)) = (rate_limited, self.config.injection_rate_limit) {
-            let debit = SimDuration::from_secs_f64(size as f64 / rate.max(1.0));
-            p.rate_next = p.rate_next.max(start) + debit;
-        }
         match class {
             CreditClass::Mgmt => self.counters.mgmt_bytes += size as u64,
             CreditClass::Data => self.counters.data_bytes += size as u64,
@@ -862,9 +842,7 @@ impl Fabric {
         let q = std::mem::replace(&mut p.q, NIL);
         loop {
             let set = &mut self.queues[q];
-            let entry = (set.mgmt_q.pop_front())
-                .or_else(|| set.bypass_q.pop_front())
-                .or_else(|| set.data_q.pop_front());
+            let entry = set.mgmt_q.pop_front().or_else(|| set.data_q.pop_front());
             let Some(entry) = entry else { break };
             self.drop_entry(entry, |c| &mut c.dropped_link_down);
         }
@@ -1002,31 +980,30 @@ mod tests {
         fabric
     }
 
-    /// The three queues of a port, as plain FIFOs of packet tags.
+    /// The two queues of a port, as plain FIFOs of packet tags.
     #[derive(Default, Debug, PartialEq)]
     struct Model {
         mgmt: VecDeque<u16>,
-        bypass: VecDeque<u16>,
         data: VecDeque<u16>,
     }
 
     impl Model {
         fn len(&self) -> usize {
-            self.mgmt.len() + self.bypass.len() + self.data.len()
+            self.mgmt.len() + self.data.len()
         }
 
-        /// Management first, bypass before ordered data, FIFO within.
+        /// Management first, FIFO within.
         fn pop(&mut self) -> Option<u16> {
-            (self.mgmt.pop_front())
-                .or_else(|| self.bypass.pop_front())
-                .or_else(|| self.data.pop_front())
+            self.mgmt.pop_front().or_else(|| self.data.pop_front())
         }
     }
 
+    /// What a tagged packet is: management, data, or data whose header
+    /// carries the `OO` bit (which the fabric carries but ignores).
     #[derive(Clone, Copy)]
     enum Lane {
         Mgmt,
-        Bypass,
+        Oo,
         Data,
     }
 
@@ -1038,7 +1015,7 @@ mod tests {
             _ => (ProtocolInterface::Data, 0),
         };
         let mut header = RouteHeader::forward(pi, tc, TurnPool::new_spec());
-        header.oo = matches!(lane, Lane::Bypass);
+        header.oo = matches!(lane, Lane::Oo);
         let payload = match lane {
             Lane::Mgmt => Payload::Pi4(Pi4::WriteCompletion {
                 req_id: u32::from(tag),
@@ -1071,7 +1048,6 @@ mod tests {
             let set = &self.queues[p.q];
             Model {
                 mgmt: tags(&set.mgmt_q),
-                bypass: tags(&set.bypass_q),
                 data: tags(&set.data_q),
             }
         }
@@ -1098,12 +1074,13 @@ mod tests {
 
         /// The real `enqueue_out` / `pump` / `carrier_lost` /
         /// `on_port_trained` on three ports that borrow from one pool,
-        /// against three plain `VecDeque`s per port. The clock stands
+        /// against two plain `VecDeque`s per port, an `OO`-marked data
+        /// packet queueing with the rest of the data. The clock stands
         /// still, so the test decides what each pump finds: a serializer
         /// that is busy (an enqueue), free (a pump: exactly one head
         /// leaves) or free with no credits in hand (a stall).
         #[test]
-        fn queue_discipline_matches_three_plain_fifos_per_port(
+        fn queue_discipline_matches_two_plain_fifos_per_port(
             ops in prop::collection::vec((0u8..3, 0u8..16), 1..160),
         ) {
             let mut fabric = star();
@@ -1119,12 +1096,12 @@ mod tests {
                     0..=8 => {
                         let (lane, queue) = match op {
                             0..=2 => (Lane::Mgmt, &mut m.mgmt),
-                            3..=4 => (Lane::Bypass, &mut m.bypass),
+                            3..=4 => (Lane::Oo, &mut m.data),
                             _ => (Lane::Data, &mut m.data),
                         };
                         queue.push_back(tag);
                         mgmt_peak = mgmt_peak.max(m.mgmt.len());
-                        data_peak = data_peak.max(m.bypass.len() + m.data.len());
+                        data_peak = data_peak.max(m.data.len());
                         if !up {
                             // Lost on the spot: the port is dead.
                             lost += m.len();
@@ -1204,18 +1181,17 @@ mod tests {
         assert_eq!(fabric.sets_held(), [second]);
         // The next port to queue anything borrows that very set, and
         // finds nothing of E0's in it; S's port 1 still has its own.
-        fabric.inject(S, 2, later, tagged(Lane::Bypass, 3));
+        fabric.inject(S, 2, later, tagged(Lane::Oo, 3));
         assert_eq!(fabric.port(S, 2).q, first);
         let only = |lane: Lane, tag: u16| {
             let mut model = Model::default();
             match lane {
                 Lane::Mgmt => model.mgmt.push_back(tag),
-                Lane::Bypass => model.bypass.push_back(tag),
-                Lane::Data => model.data.push_back(tag),
+                Lane::Oo | Lane::Data => model.data.push_back(tag),
             }
             model
         };
-        assert_eq!(fabric.observed(S, 2), only(Lane::Bypass, 3));
+        assert_eq!(fabric.observed(S, 2), only(Lane::Oo, 3));
         assert_eq!(fabric.observed(S, 1), only(Lane::Data, 2));
         // Re-added and retrained (1 µs), E0 queues again — on a third
         // set, the first being out.
@@ -1225,7 +1201,7 @@ mod tests {
         fabric.inject(E0, 0, later, tagged(Lane::Mgmt, 4));
         assert_eq!(fabric.sets_held().len(), 3);
         assert_eq!(fabric.observed(E0, 0), only(Lane::Mgmt, 4));
-        assert_eq!(fabric.observed(S, 2), only(Lane::Bypass, 3));
+        assert_eq!(fabric.observed(S, 2), only(Lane::Oo, 3));
         assert_eq!(fabric.queued_packets(), 3);
         fabric.run_until_idle();
         assert_eq!(fabric.queued_packets(), 0);

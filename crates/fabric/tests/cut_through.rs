@@ -586,8 +586,8 @@ fn only_a_loss_model_that_cannot_lose_commits() {
 #[test]
 fn oversized_bypass_packet_is_dropped_from_the_queue_it_sits_in() {
     // 4 data credits = 256 bytes: a 512-byte OO packet can never fit and
-    // is dropped at its source port — from the bypass queue, where it
-    // is, not from the (empty, or differently occupied) ordered queue.
+    // is dropped at its source port — from the ordered data queue, where
+    // the fabric keeps it (the bit is carried, not acted on).
     let s = star();
     let config = FabricConfig {
         data_credits: 4,
@@ -607,15 +607,15 @@ fn oversized_bypass_packet_is_dropped_from_the_queue_it_sits_in() {
             vec![],
         ],
     );
-    // Alone: the ordered queue is empty (this used to panic).
+    // Alone.
     s.fire(&mut fabric, 0, 0, 0);
     fabric.run_until_idle();
     assert_eq!(fabric.counters().dropped_bad_route, 1);
     assert_eq!(fabric.packet_arena_live(), 0);
     assert_eq!(fabric.queued_packets(), 0);
-    // Behind a busy serializer, next to an ordered packet that fits
-    // (this used to drop the ordered packet and send the oversized one).
-    for (token, at) in [(1, 1000), (1, 1000), (0, 1000)] {
+    // Behind a busy serializer, between two packets that fit: the head
+    // that can never fit goes, the one behind it is sent.
+    for (token, at) in [(1, 1000), (0, 1000), (1, 1000)] {
         s.fire(&mut fabric, 0, token, at);
     }
     fabric.run_until_idle();

@@ -43,7 +43,8 @@ pub struct ChurnOutcome {
     /// The database still disagreed with the fabric when the
     /// simulation went quiescent (a healthy run ends converged).
     pub diverged_at_end: bool,
-    /// The final database holds every device of the topology.
+    /// The database matched the live fabric — devices, links and ports —
+    /// when the simulation went quiescent ([`db_matches_fabric`]).
     pub full_topology: bool,
     /// Devices in the final committed database.
     pub final_devices: usize,
@@ -59,6 +60,15 @@ pub struct ChurnOutcome {
     /// before this disturbed a manager that had not yet seen the fabric
     /// (see "Placing the window" in `docs/CHURN.md`).
     pub initial_finished_at: SimTime,
+}
+
+impl ChurnOutcome {
+    /// The run's verdict: the database ended matching the fabric, no
+    /// divergence was open at quiescence, and a cold re-discovery of the
+    /// end-state fabric agrees with it.
+    pub fn converged(&self) -> bool {
+        self.full_topology && !self.diverged_at_end && self.cold_db_matches
+    }
 }
 
 /// Devices a churn plan should leave alone so the manager stays
@@ -181,8 +191,8 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     let convergence_lag = last_converged_at
         .map(|at| at.saturating_since(last_event_at))
         .unwrap_or(SimDuration::ZERO);
+    let full_topology = in_sync(&bench);
     let churned = bench.db().clone();
-    let full_topology = churned.device_count() == topo.node_count();
     let final_devices = churned.device_count();
     let final_links = churned.link_count();
     let sim_time = bench.fabric.now().saturating_since(SimTime::ZERO);
@@ -241,8 +251,7 @@ mod tests {
         assert!(out.events_absorbed > 0, "no events absorbed");
         assert!(out.assimilation_runs > 0, "no re-discovery triggered");
         assert!(!out.diverged_at_end, "database stayed stale");
-        assert!(out.full_topology);
-        assert!(out.cold_db_matches);
+        assert!(out.converged(), "{out:?}");
         assert!(out.divergence_windows > 0);
         assert!(out.divergence_total >= out.divergence_max);
     }
@@ -256,9 +265,12 @@ mod tests {
             .with_exempt(default_churn_exempt(&g.topology));
         let out = churn_experiment(&g.topology, &churn_scenario(plan));
         assert!(out.churn_events >= 2, "no remove/re-add pair fired");
-        assert!(!out.diverged_at_end);
-        assert!(out.full_topology, "a removed device never came back");
-        assert!(out.cold_db_matches);
+        assert_eq!(
+            out.final_devices,
+            g.topology.node_count(),
+            "a removed device never came back"
+        );
+        assert!(out.converged(), "{out:?}");
     }
 
     #[test]

@@ -3,19 +3,12 @@
 //! (`fig5_mesh.dot`, `fig5_fattree.dot`; render with
 //! `neato -Tpng fig5_mesh.dot -o fig5_mesh.png`).
 
-use crate::sweep::SweepSpec;
 use asi_topo::Table1;
 use std::path::Path;
 
 /// The two topologies the paper draws.
 pub fn specs() -> [Table1; 2] {
     [Table1::Mesh(6), Table1::FatTree(4, 3)]
-}
-
-/// Initial-discovery sweep grid over the Fig. 5 fabrics (the timing
-/// companion to the rendered topologies; also the CLI's `--grid fig5`).
-pub fn discovery_sweep(quick: bool) -> SweepSpec {
-    SweepSpec::fig5(quick)
 }
 
 /// Writes the DOT files into `dir`; returns `(file name, node count)`

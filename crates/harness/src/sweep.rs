@@ -47,6 +47,9 @@ impl ChangeMode {
     }
 }
 
+/// Seed increment per repetition.
+const SEED_STRIDE: u64 = 7919;
+
 /// A full sweep grid: the cartesian product of `algorithms` ×
 /// `topologies` × `reps` repetitions, plus shared scenario knobs.
 #[derive(Clone, Debug)]
@@ -59,11 +62,9 @@ pub struct SweepSpec {
     pub algorithms: Vec<Algorithm>,
     /// Repetitions per (topology, algorithm) pair.
     pub reps: usize,
-    /// Per-cell seed = `seed_base + rep * seed_stride`
+    /// Per-cell seed = `seed_base + rep * SEED_STRIDE`
     /// (+ the topology's switch count when `salt_by_switches`).
     pub seed_base: u64,
-    /// Seed increment per repetition.
-    pub seed_stride: u64,
     /// Mix the topology's switch count into the seed, so each topology
     /// sees different victims/arrival processes (the Fig. 6 convention).
     pub salt_by_switches: bool,
@@ -118,7 +119,6 @@ impl SweepSpec {
             algorithms: Algorithm::all().to_vec(),
             reps: 1,
             seed_base: 0xA51,
-            seed_stride: 7919,
             salt_by_switches: false,
             change: ChangeMode::Initial,
             base: Scenario::new(Algorithm::Parallel),
@@ -304,7 +304,7 @@ impl SweepSpec {
         } else {
             0
         };
-        self.seed_base + rep as u64 * self.seed_stride + salt
+        self.seed_base + rep as u64 * SEED_STRIDE + salt
     }
 
     /// The warm-axis values this grid sweeps (cold only by default).
@@ -695,10 +695,9 @@ fn run_cell(
 /// Executes one continuous-churn cell. The cell's scenario gains
 /// partial assimilation and a per-cell re-seeded copy of the grid's
 /// churn plan (exempting the manager's corner of this topology), then
-/// runs the [`churn_experiment`] steady-state loop. `completed` means
-/// the run ended converged: full topology, no divergence at
-/// quiescence, and the churned database byte-equal to a cold
-/// re-discovery of the end-state fabric. `discovery_time_s` reports
+/// runs the [`churn_experiment`] steady-state loop. `completed` is
+/// [`ChurnOutcome::converged`](crate::churn::ChurnOutcome::converged).
+/// `discovery_time_s` reports
 /// the convergence lag so the aggregate time columns stay meaningful.
 fn run_churn_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: Scenario) -> CellResult {
     let plan = scenario
@@ -709,7 +708,7 @@ fn run_churn_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: Scenario) ->
     let scenario = scenario.with_partial_assimilation(true).with_churn(plan);
     let out = churn_experiment(topo, &scenario);
     CellResult {
-        completed: out.full_topology && !out.diverged_at_end && out.cold_db_matches,
+        completed: out.converged(),
         active_nodes: topo.node_count(),
         discovery_time_s: out.convergence_lag.as_secs_f64(),
         devices_found: out.final_devices,

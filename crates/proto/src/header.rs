@@ -118,7 +118,7 @@ pub struct RouteHeader {
     /// Traffic class (0–7). Management traffic uses TC 7, the highest.
     pub tc: u8,
     /// Bypassable-ordering flag (`OO`): the packet may use a BVC bypass
-    /// queue.
+    /// queue. `asi-fabric` carries it but queues such a packet in order.
     pub oo: bool,
     /// Turn-pool switching hint (`TS`).
     pub ts: bool,

@@ -86,11 +86,6 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
         &self.kernel
     }
 
-    /// Exclusive access to the kernel.
-    pub fn kernel_mut(&mut self) -> &mut K {
-        &mut self.kernel
-    }
-
     /// Sets a hard cap on the number of events that [`Self::next_event`]
     /// will return; exceeding it panics. Useful to fail fast on runaway
     /// feedback loops in tests.

@@ -58,11 +58,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (NaN when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {

@@ -152,11 +152,6 @@ impl SimDuration {
         }
     }
 
-    /// Builds a span from a fractional count of microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Raw picosecond count.
     #[inline]
     pub const fn as_ps(self) -> u64 {
@@ -173,12 +168,6 @@ impl SimDuration {
     #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// The span expressed in (fractional) nanoseconds.
-    #[inline]
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// The span expressed in (fractional) milliseconds.

@@ -1182,7 +1182,7 @@ fn churn_main(inv: &Invocation) -> Report {
         .with_partial_assimilation(true)
         .with_churn(plan);
     let out = churn_experiment(topo, &scenario);
-    let converged = out.full_topology && !out.diverged_at_end && out.cold_db_matches;
+    let converged = out.converged();
     let failure = (!converged).then(|| {
         let mut why = String::from("churn: the run did not end converged");
         if SimTime::from_us(start_us) < out.initial_finished_at {
