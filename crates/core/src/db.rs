@@ -557,9 +557,25 @@ impl TopologyDb {
         to: u64,
         pool_capacity: u16,
     ) -> HashMap<u64, Result<DeviceRoute, TurnError>> {
-        let mut out = HashMap::new();
+        let mut out = HashMap::with_capacity(self.devices.len());
+        self.for_each_route_to(to, pool_capacity, |dsn, route| {
+            out.insert(dsn, route);
+        });
+        out
+    }
+
+    /// [`Self::routes_to`] without the map: hands each reachable
+    /// device's `(dsn, route)` to `visit` as it is built, in the
+    /// database's device order, so a caller that consumes the routes
+    /// once never holds them all.
+    pub fn for_each_route_to(
+        &self,
+        to: u64,
+        pool_capacity: u16,
+        mut visit: impl FnMut(u64, Result<DeviceRoute, TurnError>),
+    ) {
         if !self.contains(to) {
-            return out;
+            return;
         }
         let prev = self.bfs_tree(to);
         for &dsn in self.devices.keys() {
@@ -599,9 +615,8 @@ impl TopologyDb {
                     hops,
                 }),
             };
-            out.insert(dsn, route);
+            visit(dsn, route);
         }
-        out
     }
 
     /// BFS route from the host to `to`, or from `from` to the host —

@@ -331,8 +331,7 @@ impl FmAgent {
     fn on_pi4(&mut self, ctx: &mut AgentCtx, packet: &Packet, pi4: &Pi4) {
         if let Some(acc) = self.acc.as_mut() {
             acc.bytes_received += packet.wire_size() as u64;
-            let ordinal = acc.timeline.len() + 1;
-            acc.timeline.push(ctx.now, ordinal as f64);
+            acc.timeline.push(ctx.now);
         }
         // Side writes and keepalives use id ranges the engine never does.
         let claimed = match pi4 {

@@ -9,7 +9,6 @@ use crate::engine::{EngineStats, OutOp};
 use crate::metrics::{DiscoveryTrigger, TrafficSummary};
 use crate::snapshot::db_from_snapshot;
 use asi_proto::{DeviceType, FmMessage, PortEvent};
-use asi_sim::TimeSeries;
 use std::collections::hash_map::Entry;
 
 /// Request backlog above which armed timeouts add a congestion term
@@ -27,7 +26,7 @@ pub(super) struct RunAcc {
     started_at: SimTime,
     bytes_sent: u64,
     pub(super) bytes_received: u64,
-    pub(super) timeline: TimeSeries,
+    pub(super) timeline: Vec<SimTime>,
     pub(super) fm_busy: SimDuration,
     /// While the current engine is a verification pass: the device count
     /// of the database it verifies (the fallback-threshold denominator).
@@ -50,7 +49,7 @@ impl RunAcc {
             started_at,
             bytes_sent: 0,
             bytes_received: 0,
-            timeline: TimeSeries::new(),
+            timeline: Vec::new(),
             fm_busy: SimDuration::ZERO,
             verifying,
             base: EngineStats::default(),

@@ -1,7 +1,7 @@
 //! Measurements recorded by the fabric manager — the quantities the
 //! paper's evaluation section plots.
 
-use asi_sim::{SimDuration, SimTime, TimeSeries};
+use asi_sim::{SimDuration, SimTime};
 
 /// The three discovery implementations the paper compares (§3).
 ///
@@ -122,9 +122,10 @@ pub struct DiscoveryRun {
     pub devices_found: usize,
     /// Links in the database when the run finished.
     pub links_found: usize,
-    /// Time each discovery packet finished processing at the FM, with the
-    /// packet ordinal as the value (the paper's Fig. 7a series).
-    pub fm_timeline: TimeSeries,
+    /// Time each discovery packet finished processing at the FM, in
+    /// arrival order: packet *n* is entry *n − 1* (the paper's Fig. 7a
+    /// series).
+    pub fm_timeline: Vec<SimTime>,
     /// Cumulative FM busy time (occupancy) during the run.
     pub fm_busy: SimDuration,
     /// Warm start only: snapshotted devices a verification probe
@@ -259,7 +260,7 @@ mod tests {
             bytes_received: 520,
             devices_found: 5,
             links_found: 4,
-            fm_timeline: TimeSeries::new(),
+            fm_timeline: Vec::new(),
             fm_busy: SimDuration::from_us(130),
             probes_verified: 0,
             verify_mismatches: 0,

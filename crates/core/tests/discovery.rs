@@ -125,7 +125,7 @@ fn serial_packet_keeps_one_request_outstanding() {
     assert!(n > 10);
     let span = run
         .fm_timeline
-        .last_time()
+        .last()
         .unwrap()
         .saturating_since(run.started_at);
     let mean_gap = span / n;

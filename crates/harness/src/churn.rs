@@ -83,9 +83,9 @@ pub fn default_churn_exempt(topo: &Topology) -> Vec<u32> {
 }
 
 /// True when the FM's committed database mirrors the fabric right now.
-fn in_sync(bench: &Bench) -> bool {
+fn in_sync(bench: &Bench, topo: &Topology) -> bool {
     let db = bench.fm_agent().db();
-    db.is_some_and(|db| db_matches_fabric(db, &bench.fabric, bench.fm, &bench.topo))
+    db.is_some_and(|db| db_matches_fabric(db, &bench.fabric, bench.fm, topo))
 }
 
 /// Counters whose movement can change either side of the
@@ -139,7 +139,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     // whenever a relevant counter moves, and the time in between is
     // attributed to whichever state held at the last evaluation.
     let mut sig = signature(&bench);
-    let mut diverged = !in_sync(&bench);
+    let mut diverged = !in_sync(&bench, topo);
     let mut diverged_since = diverged.then(|| bench.fabric.now());
     let mut last_converged_at = (!diverged).then(|| bench.fabric.now());
     let mut total = SimDuration::ZERO;
@@ -151,7 +151,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
         if s != sig {
             sig = s;
             let now = bench.fabric.now();
-            let d = !in_sync(&bench);
+            let d = !in_sync(&bench, topo);
             if d != diverged {
                 if d {
                     diverged_since = Some(now);
@@ -191,7 +191,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     let convergence_lag = last_converged_at
         .map(|at| at.saturating_since(last_event_at))
         .unwrap_or(SimDuration::ZERO);
-    let full_topology = in_sync(&bench);
+    let full_topology = in_sync(&bench, topo);
     let churned = bench.db().clone();
     let final_devices = churned.device_count();
     let final_links = churned.link_count();

@@ -22,7 +22,8 @@ pub fn run_timeline() -> Chart {
         let bench = Bench::start(&g.topology, &Scenario::new(alg), &[]);
         let run = bench.last_run();
         let mut series = Series::new(alg.name());
-        for &(t, ordinal) in run.fm_timeline.points() {
+        for (i, t) in run.fm_timeline.iter().enumerate() {
+            let ordinal = (i + 1) as f64;
             series.push(ordinal, t.saturating_since(run.started_at).as_secs_f64());
         }
         chart.series.push(series);

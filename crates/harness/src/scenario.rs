@@ -398,8 +398,10 @@ pub struct Bench {
     pub fabric: Fabric,
     /// The FM's endpoint.
     pub fm: DevId,
-    /// Ground truth.
-    pub topo: Topology,
+    /// The topology's switches except the one the FM hangs off, in
+    /// topology order: the switches [`Bench::pick_victim_switch`] may
+    /// remove without cutting the manager off.
+    removable: Vec<NodeId>,
     rng: SimRng,
 }
 
@@ -456,6 +458,12 @@ impl Bench {
         );
         let fm = DevId(fm_node.0);
         let rng = SimRng::new(scenario.seed);
+        let fm_neighbor = topo.neighbors(fm_node).next().map(|(_, at)| at.node);
+        let removable = topo
+            .switches()
+            .into_iter()
+            .filter(|&s| Some(s) != fm_neighbor)
+            .collect();
 
         fabric.set_agent(
             fm,
@@ -466,7 +474,7 @@ impl Bench {
         let mut bench = Bench {
             fabric,
             fm,
-            topo: topo.clone(),
+            removable,
             rng,
         };
         bench.settle(1);
@@ -483,7 +491,7 @@ impl Bench {
         // discovery time grows with fabric size (and link density); the
         // deadline must scale with it — a 106k-device Dragonfly takes
         // ~350 simulated seconds to discover.
-        let budget = SimDuration::from_ms(30_000 + 5 * self.topo.node_count() as u64);
+        let budget = SimDuration::from_ms(30_000 + 5 * self.fabric.device_count() as u64);
         let deadline = self.fabric.now() + budget;
         let quiet = SimDuration::from_us(500);
         let mut quiet_since = None;
@@ -548,34 +556,33 @@ impl Bench {
     pub fn configure_pi5_routes(&mut self) {
         // One reversed-tree BFS covers every device but the host;
         // per-device route_between calls would be quadratic on large
-        // fabrics. Each install is independent of the others, so the
-        // map is consumed in its own order.
+        // fabrics. The database lives inside the fabric's FM agent, so
+        // the routes are gathered first and installed after the walk,
+        // in the database's order; each install is independent of the
+        // others.
         let db = self.db();
-        let to_host = db.routes_to(db.host_dsn(), asi_proto::MAX_POOL_BITS);
-        for (dsn, route) in to_host {
+        let mut installs = Vec::with_capacity(db.device_count());
+        db.for_each_route_to(db.host_dsn(), asi_proto::MAX_POOL_BITS, |dsn, route| {
             if let Ok(r) = route {
                 let route = FmRoute {
                     egress: r.egress,
                     pool: r.pool,
                 };
-                self.fabric.set_fm_route(dev_of_dsn(dsn), route);
+                installs.push((dev_of_dsn(dsn), route));
             }
+        });
+        for (dev, route) in installs {
+            self.fabric.set_fm_route(dev, route);
         }
     }
 
     /// Picks a random switch that is safe to remove (never the FM's
     /// attached switch, so the manager stays connected).
     pub fn pick_victim_switch(&mut self) -> NodeId {
-        let fm_neighbor = self
-            .topo
-            .neighbors(NodeId(self.fm.0))
-            .next()
-            .map(|(_, at)| at.node);
         let candidates: Vec<NodeId> = self
-            .topo
-            .switches()
-            .into_iter()
-            .filter(|s| Some(*s) != fm_neighbor)
+            .removable
+            .iter()
+            .copied()
             .filter(|s| self.fabric.is_active(DevId(s.0)))
             .collect();
         *self.rng.choose(&candidates).expect("a removable switch")
@@ -820,7 +827,9 @@ pub fn change_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asi_proto::{apply_forward, turn_width, Direction, TurnCursor, TurnPool, MAX_POOL_BITS};
     use asi_topo::mesh;
+    use std::collections::HashMap;
 
     #[test]
     fn bench_initial_discovery_finds_everything() {
@@ -849,6 +858,62 @@ mod tests {
         assert!(db.remove_link((a, a_port), b) && db.add_link((a, wrong), b));
         assert_eq!((db.device_count(), db.link_count()), (18, 21));
         assert!(!matches(&db));
+    }
+
+    /// Follows a PI-5 route forward over the ground truth from `from`:
+    /// the node it arrives at, or `None` if it falls off the fabric.
+    fn walk(topo: &Topology, from: NodeId, egress: u8, pool: &TurnPool) -> Option<NodeId> {
+        let mut at = topo.peer(from, egress)?;
+        let mut cursor = TurnCursor::start(pool, Direction::Forward);
+        while !cursor.exhausted(pool) {
+            let node = topo.node(at.node)?;
+            let (turn, next) = cursor.take_turn(pool, turn_width(node.ports)).ok()?;
+            at = topo.peer(at.node, apply_forward(at.port, turn, node.ports))?;
+            cursor = next;
+        }
+        Some(at.node)
+    }
+
+    /// The routes `configure_pi5_routes` installs reach the manager: the
+    /// visitor meets every device but the host once, each route walks
+    /// the real fabric to the host, and `routes_to` is the same routes
+    /// in a map.
+    #[test]
+    fn pi5_routes_lead_every_device_to_the_host() {
+        let fabrics = [
+            ("mesh:4x4", mesh(4, 4).unwrap().topology),
+            ("torus:4x4", asi_topo::torus(4, 4).unwrap().topology),
+            ("fattree:4,2", asi_topo::fat_tree(4, 2).unwrap().topology),
+            ("dragonfly:2,4", asi_topo::dragonfly(2, 4).unwrap().topology),
+        ];
+        for (name, topo) in &fabrics {
+            let bench = Bench::start(topo, &Scenario::new(Algorithm::Parallel), &[]);
+            let db = bench.db();
+            let host = db.host_dsn();
+            assert_eq!(dev_of_dsn(host), bench.fm, "{name}");
+            let mut visited = HashMap::new();
+            db.for_each_route_to(host, MAX_POOL_BITS, |dsn, route| {
+                let route =
+                    route.unwrap_or_else(|e| panic!("{name}: {dsn:#x} has no route: {e:?}"));
+                let from = NodeId(dev_of_dsn(dsn).0);
+                assert_eq!(
+                    walk(topo, from, route.egress, &route.pool),
+                    Some(NodeId(bench.fm.0)),
+                    "{name}: the route from {from} misses the host"
+                );
+                assert!(
+                    visited.insert(dsn, Ok(route)).is_none(),
+                    "{name}: {dsn:#x} twice"
+                );
+            });
+            assert!(
+                !visited.contains_key(&host),
+                "{name}: the host routed to itself"
+            );
+            assert_eq!(visited.len(), db.device_count() - 1, "{name}");
+            assert_eq!(visited.len(), topo.node_count() - 1, "{name}");
+            assert_eq!(db.routes_to(host, MAX_POOL_BITS), visited, "{name}");
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   handles that replaces per-event payload boxes;
 //! - [`SimRng`] — seedable xoshiro256** generator so every experiment is
 //!   reproducible from a single seed;
-//! - [`stats`] — online statistics and time series used by the
-//!   measurement harness;
+//! - [`stats`] — online statistics used by the measurement harness;
 //! - [`trace`] — the structured observability layer: typed, sim-timestamped
 //!   [`TraceEvent`]s emitted through a zero-cost-when-disabled
 //!   [`TraceHandle`] by the kernel, the fabric model and the fabric manager.
@@ -41,7 +40,7 @@ pub use kernel::{
     EXTERNAL_RANK,
 };
 pub use rng::SimRng;
-pub use stats::{OnlineStats, TimeSeries};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime, MICROSECOND, MILLISECOND, NANOSECOND, PICOSECOND, SECOND};
 pub use trace::{
     FieldType, TraceEvent, TraceHandle, TraceKind, TraceRecord, TraceSink, TraceValue,

@@ -1,7 +1,4 @@
-//! Measurement utilities: online moments and timestamped series used by
-//! the experiment harness.
-
-use crate::time::SimTime;
+//! Measurement utilities: online moments used by the experiment harness.
 
 /// Numerically stable online mean/variance accumulator (Welford).
 #[derive(Clone, Debug, Default)]
@@ -97,49 +94,6 @@ impl OnlineStats {
     }
 }
 
-/// A timestamped scalar series, e.g. "time each discovery packet is
-/// processed at the FM" (paper Fig. 7a).
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a point. Timestamps must be non-decreasing.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(last, _)| last <= t),
-            "TimeSeries timestamps must be non-decreasing"
-        );
-        self.points.push((t, v));
-    }
-
-    /// All points in order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Last timestamp, if any.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.points.last().map(|&(t, _)| t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,17 +158,5 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeseries_preserves_order() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_ns(1), 1.0);
-        ts.push(SimTime::from_ns(1), 2.0);
-        ts.push(SimTime::from_ns(5), 3.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.last_time(), Some(SimTime::from_ns(5)));
-        assert_eq!(ts.points()[1], (SimTime::from_ns(1), 2.0));
-        assert!(!ts.is_empty());
     }
 }

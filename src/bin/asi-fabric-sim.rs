@@ -339,9 +339,21 @@ impl Args {
 
     /// Parses the flag's value as a fraction in [0, 1].
     fn unit(&self, flag: F, default: f64, what: &str) -> f64 {
-        let v: f64 = self.num(flag, default, what);
-        if !(0.0..=1.0).contains(&v) {
-            fail(format!("{} must be in [0, 1], got {v}", flag.name()));
+        self.checked(flag, default, what, "in [0, 1]", |v| {
+            (0.0..=1.0).contains(&v)
+        })
+    }
+
+    /// Parses the flag's value and holds it to `ok`, which `range`
+    /// names in the error: a value the library would reject with a
+    /// panic (a zero speed factor, a `nan` rate) is a usage error here.
+    fn checked<T>(&self, flag: F, default: T, what: &str, range: &str, ok: fn(T) -> bool) -> T
+    where
+        T: std::str::FromStr + std::fmt::Display + Copy,
+    {
+        let v = self.num(flag, default, what);
+        if !ok(v) {
+            fail(format!("{} must be {range}, got {v}", flag.name()));
         }
         v
     }
@@ -640,8 +652,13 @@ impl Invocation {
             Some(grid) => grid.base.clone(),
             None => Scenario::new(algorithms[0]).with_seed(seed),
         };
-        scenario.fm_factor = args.num(F::FmFactor, scenario.fm_factor, "a number");
-        scenario.device_factor = args.num(F::DeviceFactor, scenario.device_factor, "a number");
+        let factor = |flag, default| {
+            args.checked(flag, default, "a number", "finite and > 0", |v: f64| {
+                v.is_finite() && v > 0.0
+            })
+        };
+        scenario.fm_factor = factor(F::FmFactor, scenario.fm_factor);
+        scenario.device_factor = factor(F::DeviceFactor, scenario.device_factor);
         scenario.trace = trace.handle.clone();
         if let Some(kernel) = args.get(F::Kernel) {
             scenario.kernel = kernel.parse().unwrap_or_else(|e: String| fail(e));
@@ -1155,15 +1172,18 @@ impl TraceOut {
 /// equal to a cold re-discovery of the end-state fabric.
 fn churn_main(inv: &Invocation) -> Report {
     let (topo, args) = (inv.topo(), &inv.args);
-    let flap_rate: f64 = args.num(F::FlapRate, 1_500.0, "a number");
-    let flap_down_us: u64 = args.num(F::FlapDownUs, 200, "an integer");
-    let device_rate: f64 = args.num(F::DeviceRate, 300.0, "a number");
-    let device_down_us: u64 = args.num(F::DeviceDownUs, 1_000, "an integer");
+    let rate = |flag, default| {
+        args.checked(flag, default, "a number", "finite and >= 0", |v: f64| {
+            v.is_finite() && v >= 0.0
+        })
+    };
+    let down_us = |flag, default| args.checked(flag, default, "an integer", "> 0", |v: u64| v > 0);
+    let flap_rate = rate(F::FlapRate, 1_500.0);
+    let flap_down_us = down_us(F::FlapDownUs, 200);
+    let device_rate = rate(F::DeviceRate, 300.0);
+    let device_down_us = down_us(F::DeviceDownUs, 1_000);
     let start_us: u64 = args.num(F::StartUs, 6_000, "an integer");
     let horizon_us: u64 = args.num(F::HorizonUs, 4_000, "an integer");
-    if flap_rate < 0.0 || device_rate < 0.0 {
-        fail("churn rates must be non-negative");
-    }
     let plan = ChurnPlan::none()
         .with_link_flaps(flap_rate, SimDuration::from_us(flap_down_us))
         .with_device_churn(device_rate, SimDuration::from_us(device_down_us))

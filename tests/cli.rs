@@ -236,6 +236,86 @@ fn malformed_fault_flags_report_friendly_errors_not_panics() {
     );
 }
 
+/// Numbers that parse but that the library would refuse with an assert
+/// (a zero speed factor, a `nan` churn rate, a zero down time) are
+/// usage errors, not exit-101 panics — in `sweep`, not even on a worker.
+#[test]
+fn out_of_range_numbers_report_friendly_errors_not_panics() {
+    for prefix in [
+        &["--topology", "mesh:3x3"][..],
+        &["stress", "--topology", "mesh:3x3"],
+        &["sweep", "--quick", "--grid", "smoke"],
+    ] {
+        assert_usage_errors(
+            prefix,
+            &[
+                (
+                    &["--fm-factor", "0"],
+                    "error: --fm-factor must be finite and > 0, got 0",
+                ),
+                (
+                    &["--fm-factor", "-2"],
+                    "--fm-factor must be finite and > 0, got -2",
+                ),
+                (
+                    &["--fm-factor", "nan"],
+                    "--fm-factor must be finite and > 0, got NaN",
+                ),
+                (
+                    &["--device-factor", "0"],
+                    "--device-factor must be finite and > 0",
+                ),
+                (
+                    &["--device-factor", "-0.5"],
+                    "--device-factor must be finite and > 0",
+                ),
+                (
+                    &["--device-factor", "nan"],
+                    "--device-factor must be finite and > 0",
+                ),
+            ],
+        );
+    }
+    assert_usage_errors(
+        &["churn", "--topology", "mesh:3x3"],
+        &[
+            (
+                &["--flap-rate", "nan"],
+                "error: --flap-rate must be finite and >= 0, got NaN",
+            ),
+            (
+                &["--flap-rate", "inf"],
+                "--flap-rate must be finite and >= 0, got inf",
+            ),
+            (
+                &["--device-rate", "nan"],
+                "--device-rate must be finite and >= 0, got NaN",
+            ),
+            (
+                &["--device-rate", "inf"],
+                "--device-rate must be finite and >= 0, got inf",
+            ),
+            (
+                &["--device-rate", "-1"],
+                "--device-rate must be finite and >= 0, got -1",
+            ),
+            (
+                &["--flap-down-us", "0"],
+                "error: --flap-down-us must be > 0, got 0",
+            ),
+            (
+                &["--device-down-us", "0"],
+                "error: --device-down-us must be > 0, got 0",
+            ),
+        ],
+    );
+    let (_, stderr, _) = run_coded(&["--topology", "mesh:3x3", "--fm-factor", "0"]);
+    assert!(
+        stderr.contains("usage:"),
+        "no usage after the error: {stderr}"
+    );
+}
+
 #[test]
 fn faults_mode_converges_for_every_algorithm_under_bursty_loss() {
     // The acceptance scenario: 5% bursty (Gilbert-Elliott) loss on a
