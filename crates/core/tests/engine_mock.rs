@@ -438,7 +438,7 @@ fn render(fabric: &MockFabric, (step, req): &(u64, OutRequest)) -> String {
         if n == fabric.host {
             "host"
         } else {
-            &fabric.topo.node(n).unwrap().label
+            fabric.topo.label(n)
         }
     };
     let target = label(target);
@@ -583,7 +583,10 @@ fn pinned_schedules_cold() {
 /// The node a grid generator labelled `label`.
 fn node(topo: &Topology, label: &str) -> NodeId {
     let mut nodes = topo.nodes();
-    nodes.find(|(_, n)| n.label == label).expect("label").0
+    nodes
+        .find(|&(id, _)| topo.label(id) == label)
+        .expect("label")
+        .0
 }
 
 /// The database of a fully discovered 3x3 mesh that has since lost its

@@ -58,7 +58,7 @@ use asi_sim::{
     Target, TraceEvent, TraceHandle, PICOSECOND,
 };
 use asi_topo::Topology;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 mod endpoint;
 mod inject;
@@ -84,6 +84,15 @@ pub struct FmRoute {
 /// device is up, its port array, its type and port count, its ledger —
 /// comes first, in one cache line (pinned by a test below); what only
 /// a delivery, an agent callback or the control path reads follows.
+///
+/// A fabric holds one per device, tens of thousands on the large ones,
+/// so what is inline is what every device uses. What few devices use is
+/// a word each, out of line: the agent (on the endpoints that host one),
+/// the responder's hang and slow faults (from the first such fault), the
+/// PI-5 route (from its install at the end of a discovery) and the
+/// configuration space's writable tables (from their first write). The
+/// loss, corruption and duplication stream is not here at all: it is in
+/// [`DeviceRngs`], from the device's first draw.
 #[repr(C)]
 struct Device {
     info: DeviceInfo,
@@ -101,13 +110,28 @@ struct Device {
     /// what makes a very slow device family (factor < ~T_dev/T_FM ≈ 1/3)
     /// finally pace even the Parallel discovery (paper Fig. 8b).
     ingress: Stage<PacketRef>,
-    agent: Option<AgentSlot>,
-    fm_route: Option<FmRoute>,
-    /// Per-device random stream for loss/corruption/duplication draws,
-    /// derived from the fabric seed. Device-local draws depend only on
-    /// that device's own dispatch order — which every kernel preserves —
-    /// so faulted runs stay byte-identical across kernels.
-    rng: SimRng,
+    agent: Option<Box<AgentSlot>>,
+    fm_route: Option<Box<FmRoute>>,
+}
+
+/// Each device's random stream for loss, corruption and duplication
+/// draws, derived from the fabric seed and the device id and created at
+/// the device's first draw, so a fault-free run holds none. Device-local
+/// draws depend only on that device's own dispatch order — which every
+/// kernel preserves — so faulted runs stay byte-identical across kernels.
+struct DeviceRngs {
+    seed: u64,
+    streams: HashMap<u32, SimRng>,
+}
+
+impl DeviceRngs {
+    /// `dev`'s stream, created at its first draw.
+    fn of(&mut self, dev: DevId) -> &mut SimRng {
+        let seed = self.seed ^ (u64::from(dev.0) + 1).wrapping_mul(0xA24B_AED4_963E_E407);
+        self.streams
+            .entry(dev.0)
+            .or_insert_with(|| SimRng::new(seed))
+    }
 }
 
 impl Device {
@@ -235,6 +259,8 @@ pub struct Fabric {
     /// Recycled agent command buffer (same rationale).
     scratch_commands: Vec<AgentCommand>,
     traffic: Traffic,
+    /// Each device's fault stream, from its first draw.
+    rngs: DeviceRngs,
     /// Dispatches per [`Event`] variant, indexed by [`Event::kind`].
     dispatched: [u64; Event::KINDS.len()],
     /// [`Target::Control`] events scheduled and not yet dispatched. Only
@@ -295,9 +321,6 @@ impl Fabric {
                 ingress: Stage::default(),
                 agent: None,
                 fm_route: None,
-                rng: SimRng::new(
-                    config.seed ^ (u64::from(id.0) + 1).wrapping_mul(0xA24B_AED4_963E_E407),
-                ),
             });
         }
         // The conservative lookahead is the link propagation delay: no
@@ -316,6 +339,10 @@ impl Fabric {
         let mut fabric = Fabric {
             sim: Simulator::with_kernel(kernel),
             devices,
+            rngs: DeviceRngs {
+                seed: config.seed,
+                streams: HashMap::new(),
+            },
             config,
             counters: FabricCounters::default(),
             trace: TraceHandle::disabled(),
@@ -442,6 +469,13 @@ impl Fabric {
         self.devices.len()
     }
 
+    /// Devices whose loss, corruption and duplication random stream
+    /// exists: a stream is created at its device's first draw, so this is
+    /// 0 after a fault-free run.
+    pub fn rng_streams(&self) -> usize {
+        self.rngs.streams.len()
+    }
+
     /// The live configuration space of a device (harness/bootstrap use;
     /// the FM reads it over the wire).
     pub fn config_space(&self, dev: DevId) -> &ConfigSpace {
@@ -498,7 +532,7 @@ impl Fabric {
         let d = &mut self.devices[dev.idx()];
         assert!(d.is_endpoint(), "agents attach to endpoints");
         let inbox = Stage::default();
-        d.agent = Some(AgentSlot { agent, inbox });
+        d.agent = Some(Box::new(AgentSlot { agent, inbox }));
     }
 
     /// Borrow an installed agent downcast to its concrete type.
@@ -523,9 +557,10 @@ impl Fabric {
         self.sched_after(delay, Event::Timer { dev, token });
     }
 
-    /// Configures the PI-5 reporting route of a device.
+    /// Configures the PI-5 reporting route of a device. The route is
+    /// boxed here, so a device without one pays a word for it.
     pub fn set_fm_route(&mut self, dev: DevId, route: FmRoute) {
-        self.devices[dev.idx()].fm_route = Some(route);
+        self.devices[dev.idx()].fm_route = Some(Box::new(route));
     }
 
     /// Schedules a device power-up.
@@ -639,6 +674,8 @@ mod tests {
         assert!(offset_of!(Device, ledger) + size_of::<Ledger>() <= 64);
         assert!(offset_of!(Device, pi5_seq) < 64);
         assert!(offset_of!(Device, active) < 64);
+        // The whole record: what few devices use is a word each.
+        assert!(size_of::<Device>() <= 224, "{}", size_of::<Device>());
         // `Event` and `OutEntry` move by value through the wheel's slab
         // nodes and the queues: three words each.
         assert_eq!(size_of::<Event>(), 24);

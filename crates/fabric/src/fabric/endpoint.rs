@@ -84,11 +84,19 @@ impl<T> Stage<T> {
 #[derive(Default)]
 pub(super) struct Responder {
     pub(super) stage: Stage<(u8, PacketRef)>,
+    /// The injected faults, from the first hang or slow fault at the
+    /// device on.
+    pub(super) faults: Option<Box<ResponderFaults>>,
+}
+
+/// A responder's injected hang and slow faults.
+#[derive(Default)]
+pub(super) struct ResponderFaults {
     /// While `now < hang_until` the responder is frozen: requests queue
-    /// but no completion leaves (injected fault).
+    /// but no completion leaves.
     pub(super) hang_until: SimTime,
     /// While `now < slow_until` the servicing time is multiplied by
-    /// `slow_factor` (injected fault).
+    /// `slow_factor`.
     pub(super) slow_until: SimTime,
     pub(super) slow_factor: f64,
 }
@@ -297,12 +305,12 @@ impl Fabric {
         let now = self.sim.now();
         let device = dev.0;
         let faults = &self.config.faults;
-        let rng = &mut self.devices[dev.idx()].rng;
         // Injected corruption: the end-to-end CRC catches the mangled
         // payload at delivery, so the completion is discarded whole and
         // the requester times out (a silently garbled completion would
         // leave a permanent hole instead).
-        if faults.corrupt_completions > 0.0 && rng.gen_bool(faults.corrupt_completions) {
+        let corrupt = faults.corrupt_completions;
+        if corrupt > 0.0 && self.rngs.of(dev).gen_bool(corrupt) {
             self.counters.dropped_corrupted += 1;
             self.counters.completions_corrupted += 1;
             self.trace
@@ -314,7 +322,8 @@ impl Fabric {
         // Injected duplication: the requester sees the completion twice;
         // the second copy carries a since-retired req_id and must be
         // ignored upstream.
-        if faults.duplicate_completions > 0.0 && rng.gen_bool(faults.duplicate_completions) {
+        let duplicate = faults.duplicate_completions;
+        if duplicate > 0.0 && self.rngs.of(dev).gen_bool(duplicate) {
             self.counters.completions_duplicated += 1;
             self.trace
                 .emit(now, || TraceEvent::FaultCompletionDuplicated { device });
@@ -360,10 +369,9 @@ impl Fabric {
         let r = &mut self.devices[dev.idx()].responder;
         let service = |_: &(u8, PacketRef)| {
             let base = self.config.effective_device_time();
-            if now < r.slow_until {
-                base.scaled(r.slow_factor)
-            } else {
-                base
+            match &r.faults {
+                Some(f) if now < f.slow_until => base.scaled(f.slow_factor),
+                _ => base,
             }
         };
         if let Some(at) = r.stage.start(now, service) {
@@ -377,7 +385,8 @@ impl Fabric {
         // A hung responder holds every serviced request until the hang
         // ends; the pending completion (and the rest of the queue) is
         // deferred, not lost.
-        let hang_until = d.responder.hang_until;
+        let faults = d.responder.faults.as_ref();
+        let hang_until = faults.map_or(SimTime::ZERO, |f| f.hang_until);
         if now < hang_until {
             if d.responder.stage.defer(now, hang_until) {
                 self.sched_at(hang_until, Event::ResponderDone { dev });
@@ -660,6 +669,76 @@ mod tests {
                 assert!(last > back, "flow {flow} stopped at {last:?}");
             }
         }
+    }
+
+    /// `fault-packet-lost` records' devices.
+    #[derive(Default)]
+    struct Losses(Vec<u32>);
+
+    impl TraceSink for Losses {
+        fn record(&mut self, record: TraceRecord) {
+            if let TraceEvent::FaultPacketLost { device, .. } = record.event {
+                self.0.push(device);
+            }
+        }
+    }
+
+    /// Under uniform loss a device's random stream comes into being at
+    /// its first transmission: the devices that never transmit — here the
+    /// two endpoints the plan exempts, among others — hold none. Every
+    /// stream is the one each device carried from the start before streams
+    /// were created lazily, `SimRng::new(seed ^ (id + 1)·0xA24B_AED4_963E_E407)`,
+    /// one draw per transmission in.
+    #[test]
+    fn a_lossy_run_creates_streams_for_the_devices_that_transmitted() {
+        let topo = asi_topo::mesh(3, 3).unwrap().topology;
+        let exempt = [1, 17];
+        let config = FabricConfig {
+            traffic: crate::TrafficPlan::none()
+                .with_unicast(0.3, 256)
+                .with_window(SimDuration::from_ms(1), SimDuration::from_ms(1))
+                .with_exempt(exempt.to_vec()),
+            faults: FaultPlan::none().with_loss(LossModel::uniform(0.02)),
+            ..FabricConfig::default()
+        };
+        let seed = config.seed;
+        let mut fabric = Fabric::new(&topo, config);
+        fabric.activate_all(SimDuration::ZERO);
+        let lost = Rc::new(RefCell::new(Losses::default()));
+        fabric.set_trace(TraceHandle::to(lost.clone()), SimDuration::ZERO);
+        // Transmissions per device: the far end of every arrival's port,
+        // and the device of every lost packet.
+        let mut sent = vec![0; fabric.device_count()];
+        while let Some(fired) = fabric.sim.next_event() {
+            if let Event::Arrive { dev, port, .. } = fired.event {
+                let port = &fabric.devices[dev.idx()].ports[usize::from(port)];
+                sent[port.peer().expect("a wired port").0.idx()] += 1;
+            }
+            fabric.dispatch(fired.event);
+            fabric.sim.finish_dispatch();
+        }
+        assert!(!lost.borrow().0.is_empty());
+        for &device in &lost.borrow().0 {
+            sent[device as usize] += 1;
+        }
+        for (d, &n) in sent.iter().enumerate() {
+            let stream = fabric.rngs.streams.get(&(d as u32));
+            assert_eq!(stream.is_some(), n > 0, "device {d}: {n} transmissions");
+            let Some(stream) = stream else { continue };
+            let derived = seed ^ (d as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407);
+            let mut want = SimRng::new(derived);
+            for _ in 0..n {
+                want.next_u64();
+            }
+            let draws = |r: &mut SimRng| [r.next_u64(), r.next_u64()];
+            assert_eq!(draws(&mut stream.clone()), draws(&mut want), "device {d}");
+        }
+        for d in exempt {
+            assert_eq!(sent[d as usize], 0, "exempt device {d}");
+        }
+        let transmitted = sent.iter().filter(|&&n| n > 0).count();
+        assert_eq!(fabric.rng_streams(), transmitted);
+        assert!(transmitted < fabric.device_count());
     }
 
     #[test]

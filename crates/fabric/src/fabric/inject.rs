@@ -161,7 +161,8 @@ impl Fabric {
     pub(super) fn on_fault_device_hang(&mut self, dev: DevId, duration: SimDuration) {
         let until = self.sim.now() + duration;
         if let Some(d) = self.devices.get_mut(dev.idx()) {
-            d.responder.hang_until = d.responder.hang_until.max(until);
+            let faults = d.responder.faults.get_or_insert_with(Box::default);
+            faults.hang_until = faults.hang_until.max(until);
             let device = dev.0;
             self.trace
                 .emit(self.sim.now(), || TraceEvent::FaultDeviceHang { device });
@@ -171,7 +172,8 @@ impl Fabric {
     pub(super) fn on_fault_device_slow(&mut self, dev: DevId, factor: f64, duration: SimDuration) {
         let until = self.sim.now() + duration;
         if let Some(d) = self.devices.get_mut(dev.idx()) {
-            (d.responder.slow_until, d.responder.slow_factor) = (until, factor);
+            let faults = d.responder.faults.get_or_insert_with(Box::default);
+            (faults.slow_until, faults.slow_factor) = (until, factor);
             let device = dev.0;
             self.trace
                 .emit(self.sim.now(), || TraceEvent::FaultDeviceSlow { device });

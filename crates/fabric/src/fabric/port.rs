@@ -40,7 +40,7 @@
 //! | `busy_until <= ready` | otherwise the start time is the serializer's, not `ready` |
 //! | `cut_until <= now` | an earlier commitment that has not started yet is ahead of it |
 //! | credits in hand (or flow control off) | credits only grow until `ready` (nothing else can transmit on the port), so in hand now means in hand then; short now means a stall the counters must see |
-//! | a loss model that can never lose | a lossy model draws from the device's RNG per transmission, in transmission order |
+//! | a loss model that can never lose | a lossy model draws from the device's stream per transmission, in transmission order |
 //! | no control event pending | activation, training, link faults and churn change port state; with none pending nothing can take the link down before `ready` (worker dispatches cannot schedule control events) |
 //!
 //! Two more pieces keep the commit unobservable. The committed packet
@@ -794,7 +794,12 @@ impl Fabric {
             CreditClass::Mgmt => self.counters.mgmt_bytes += size as u64,
             CreditClass::Data => self.counters.data_bytes += size as u64,
         }
-        if p.draw_loss(self.config.faults.loss, &mut d.rng) {
+        // A loss-free model draws nothing: no stream to look up or create.
+        let lost = match self.config.faults.loss {
+            LossModel::None => false,
+            model => p.draw_loss(model, self.rngs.of(dev)),
+        };
+        if lost {
             // Injected loss: the receiver's CRC discards the packet. Its
             // input buffer is freed on arrival, so the consumed credits
             // bounce straight back to this port.
@@ -927,7 +932,7 @@ impl Fabric {
         self.with_agent(dev, |agent, ctx| agent.on_port_event(ctx, port, event));
         let now = self.sim.now();
         let d = &mut self.devices[dev.idx()];
-        let Some(route) = d.fm_route.clone() else {
+        let Some(route) = d.fm_route.as_deref().cloned() else {
             return;
         };
         // Sequences are modular (RFC-1982 comparison at the FM), so a

@@ -85,14 +85,14 @@ fn read_request(
 fn bring_up_activates_all_links() {
     let g = mesh(3, 3).unwrap();
     let fabric = up(&g.topology);
-    for (id, node) in g.topology.nodes() {
+    for (id, _) in g.topology.nodes() {
         assert!(fabric.is_active(dev(id)));
         for (port, _) in g.topology.neighbors(id) {
             assert_eq!(
                 fabric.port_state(dev(id), port),
                 PortState::Active,
                 "{} port {port}",
-                node.label
+                g.topology.label(id)
             );
         }
     }

@@ -43,6 +43,16 @@ fn drained(fabric: &mut Fabric) {
     assert_eq!(fabric.queued_packets(), 0);
 }
 
+/// A device's random stream is created at its first loss, corruption or
+/// duplication draw: a loss-free discovery creates none.
+#[test]
+fn a_loss_free_discovery_creates_no_random_stream() {
+    let topo = mesh(4, 4).unwrap().topology;
+    let bench = Bench::start(&topo, &Scenario::new(Algorithm::Parallel), &[]);
+    assert_eq!(bench.last_run().devices_found, 32);
+    assert_eq!(bench.fabric.rng_streams(), 0);
+}
+
 fn start_mesh8(scenario: &Scenario) -> Pinned {
     let mut bench = Bench::start(&mesh(8, 8).unwrap().topology, scenario, &[]);
     let pinned = observe(&bench.last_run(), &bench.fabric);

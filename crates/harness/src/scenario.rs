@@ -398,9 +398,8 @@ pub struct Bench {
     pub fabric: Fabric,
     /// The FM's endpoint.
     pub fm: DevId,
-    /// The topology's switches except the one the FM hangs off, in
-    /// topology order: the switches [`Bench::pick_victim_switch`] may
-    /// remove without cutting the manager off.
+    /// The [`removable_switches`]: what [`Bench::pick_victim_switch`]
+    /// draws from.
     removable: Vec<NodeId>,
     rng: SimRng,
 }
@@ -443,6 +442,19 @@ pub fn db_matches_fabric(db: &TopologyDb, fabric: &Fabric, fm: DevId, topo: &Top
     live_links == db.link_count()
 }
 
+/// The switches a change experiment may remove or hot-add without
+/// cutting the manager off: every switch but the one the FM's endpoint
+/// hangs off, in topology order. Empty on a fabric whose only switch is
+/// the manager's.
+pub fn removable_switches(topo: &Topology) -> Vec<NodeId> {
+    let fm_node = asi_topo::default_fm_endpoint(topo);
+    let fm_neighbor = fm_node.and_then(|fm| topo.neighbors(fm).next());
+    let fm_neighbor = fm_neighbor.map(|(_, at)| at.node);
+    (topo.switches().into_iter())
+        .filter(|&s| Some(s) != fm_neighbor)
+        .collect()
+}
+
 impl Bench {
     /// Builds the fabric, powers everything up (minus `absent` devices),
     /// installs the FM on the first endpoint and runs the initial
@@ -458,12 +470,7 @@ impl Bench {
         );
         let fm = DevId(fm_node.0);
         let rng = SimRng::new(scenario.seed);
-        let fm_neighbor = topo.neighbors(fm_node).next().map(|(_, at)| at.node);
-        let removable = topo
-            .switches()
-            .into_iter()
-            .filter(|&s| Some(s) != fm_neighbor)
-            .collect();
+        let removable = removable_switches(topo);
 
         fabric.set_agent(
             fm,
@@ -794,6 +801,12 @@ pub fn sharded_discovery(
 /// One repetition of the paper's change experiment: bring up the fabric,
 /// discover, inject a random switch removal **or** addition, re-discover.
 /// Returns `(assimilation run, active nodes after the change)`.
+///
+/// # Panics
+///
+/// Panics if the fabric has no switch besides the one the FM's endpoint
+/// hangs off ([`removable_switches`] is empty): there is none to remove
+/// or add without cutting the manager off.
 pub fn change_experiment(
     topo: &Topology,
     scenario: &Scenario,
@@ -809,14 +822,8 @@ pub fn change_experiment(
         // Addition: bring the fabric up with one random switch missing,
         // then hot-add it.
         let mut rng = SimRng::new(scenario.seed ^ 0x5EED);
-        let fm_node = asi_topo::default_fm_endpoint(topo).expect("endpoints");
-        let fm_neighbor = topo.neighbors(fm_node).next().map(|(_, at)| at.node);
-        let candidates: Vec<NodeId> = topo
-            .switches()
-            .into_iter()
-            .filter(|s| Some(*s) != fm_neighbor)
-            .collect();
-        let newcomer = *rng.choose(&candidates).expect("switch");
+        let candidates = removable_switches(topo);
+        let newcomer = *rng.choose(&candidates).expect("a removable switch");
         let mut bench = Bench::start(topo, scenario, &[newcomer]);
         let run = bench.add_device(newcomer);
         let active = bench.active_nodes();

@@ -223,18 +223,22 @@ pub fn port_info_read(first_port: u16, port_count: u16) -> Option<(CapabilityAdd
 }
 
 /// A writable table of a fixed number of words that is all zero until
-/// written: the storage reaches only as far as the highest word written
-/// so far, and reads past it are zero-filled. Most devices never have
-/// either of their tables written — a switch rejects route-table access
-/// outright — so a fabric of tens of thousands of devices does not pay
-/// 2.3 KB each for zeros.
+/// written: it has no storage before its first write, and then only as
+/// far as the highest word written so far; reads past it are
+/// zero-filled. Most devices never have either of their tables written —
+/// a switch rejects route-table access outright — so a fabric of tens of
+/// thousands of devices pays a word per table for them, not 2.3 KB of
+/// zeros, nor an empty `Vec`'s three words.
 #[derive(Clone, Debug, Default)]
-struct Table(Vec<u32>);
+// The box is the point: one word where a bare `Vec` is three.
+#[allow(clippy::box_collection)]
+struct Table(Option<Box<Vec<u32>>>);
 
 impl Table {
     /// Word `index`; zero if never written (or past any bound).
     fn word(&self, index: usize) -> u32 {
-        self.0.get(index).copied().unwrap_or(0)
+        let words = self.0.as_deref().map_or(&[][..], Vec::as_slice);
+        words.get(index).copied().unwrap_or(0)
     }
 
     /// `dwords` words from `offset` of a table of `bound` words.
@@ -254,10 +258,11 @@ impl Table {
         if end > usize::from(bound) {
             return Err(Pi4Status::UnsupportedRequest);
         }
-        if self.0.len() < end {
-            self.0.resize(end, 0);
+        let words = self.0.get_or_insert_with(Box::default);
+        if words.len() < end {
+            words.resize(end, 0);
         }
-        self.0[start..end].copy_from_slice(data);
+        words[start..end].copy_from_slice(data);
         Ok(())
     }
 }
@@ -267,7 +272,7 @@ impl Table {
 #[derive(Clone, Debug)]
 pub struct ConfigSpace {
     info: DeviceInfo,
-    ports: Vec<PortInfo>,
+    ports: Box<[PortInfo]>,
     /// [`ROUTE_TABLE_WORDS`] words.
     route_table: Table,
     ownership: [u32; OWNERSHIP_WORDS as usize],
@@ -278,7 +283,7 @@ pub struct ConfigSpace {
 impl ConfigSpace {
     /// Creates a configuration space with all ports down.
     pub fn new(info: DeviceInfo) -> ConfigSpace {
-        let ports = vec![PortInfo::default(); usize::from(info.port_count)];
+        let ports = vec![PortInfo::default(); usize::from(info.port_count)].into_boxed_slice();
         ConfigSpace {
             info,
             ports,
@@ -521,6 +526,14 @@ mod tests {
     #[test]
     fn ports_per_read_is_two() {
         assert_eq!(PORTS_PER_READ, 2);
+    }
+
+    /// Every fabric device carries one, tens of thousands on the large
+    /// fabrics: seven words, an unwritten table one of them.
+    #[test]
+    fn a_configuration_space_is_at_most_seven_words() {
+        let size = std::mem::size_of::<ConfigSpace>();
+        assert!(size <= 56, "{size}");
     }
 
     /// Every read of a device, in port order.

@@ -233,12 +233,7 @@ mod tests {
         // In an m-port n-tree every switch uses all m ports.
         let ft = fat_tree(4, 3).unwrap();
         for sw in ft.topology.switches() {
-            assert_eq!(
-                ft.topology.degree(sw),
-                4,
-                "{}",
-                ft.topology.node(sw).unwrap().label
-            );
+            assert_eq!(ft.topology.degree(sw), 4, "{}", ft.topology.label(sw));
         }
     }
 

@@ -26,16 +26,23 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A device in the topology.
+/// A device in the topology. Its label and its ports' links live in the
+/// topology's flat tables; the node holds where its share of each is.
 #[derive(Clone, Debug)]
 pub struct Node {
     /// Switch or endpoint.
     pub device_type: DeviceType,
     /// Number of ports.
     pub ports: u8,
-    /// Human-readable label ("sw(2,3)", "ep7", …) for traces and plots.
-    pub label: String,
+    /// Index of port 0's entry in the topology's flat port table.
+    first_port: u32,
+    /// End of this node's label in the topology's label arena; it begins
+    /// where the previous node's ends.
+    label_end: u32,
 }
+
+/// The port table entry of an unlinked port.
+const NO_LINK: u32 = u32::MAX;
 
 /// One end of a link.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -149,12 +156,19 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// An immutable-after-build fabric topology.
+///
+/// What varies in length from node to node — its label, its ports'
+/// links — is kept in one table for the whole topology, in node order,
+/// so a topology is a handful of allocations however many nodes it has.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// `peer[node][port] -> Option<(link index)>`.
-    port_links: Vec<Vec<Option<u32>>>,
+    /// The link index at every port, node by node: `(node, port)` is
+    /// entry `first_port + port` of its node; [`NO_LINK`] if unlinked.
+    port_links: Vec<u32>,
+    /// Every node's label, end to end in node order.
+    labels: String,
     /// Short name of the topology family ("6x6 mesh", …).
     pub name: String,
 }
@@ -186,13 +200,24 @@ impl Topology {
 
     fn add_node(&mut self, device_type: DeviceType, ports: u8, label: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        let first_port = self.port_links.len() as u32;
+        self.port_links
+            .resize(self.port_links.len() + usize::from(ports), NO_LINK);
+        self.labels.push_str(&label.into());
         self.nodes.push(Node {
             device_type,
             ports,
-            label: label.into(),
+            first_port,
+            label_end: self.labels.len() as u32,
         });
-        self.port_links.push(vec![None; usize::from(ports)]);
         id
+    }
+
+    /// The entry of `(node, port)` in the flat port table, if the node
+    /// has that port.
+    fn slot(&self, node: NodeId, port: u8) -> Option<usize> {
+        let n = self.nodes.get(node.idx())?;
+        (port < n.ports).then(|| n.first_port as usize + usize::from(port))
     }
 
     /// Connects `(a, port_a)` to `(b, port_b)`.
@@ -206,19 +231,19 @@ impl Topology {
         if a == b {
             return Err(TopologyError::SelfLoop(a));
         }
-        for &(n, p) in &[(a, port_a), (b, port_b)] {
+        let mut slots = [0; 2];
+        for (slot, (n, p)) in slots.iter_mut().zip([(a, port_a), (b, port_b)]) {
             let node = self
                 .nodes
                 .get(n.idx())
                 .ok_or(TopologyError::UnknownNode(n))?;
-            if p >= node.ports {
-                return Err(TopologyError::PortOutOfRange {
-                    at: Attachment { node: n, port: p },
-                    ports: node.ports,
-                });
-            }
-            if self.port_links[n.idx()][usize::from(p)].is_some() {
-                return Err(TopologyError::PortInUse(Attachment { node: n, port: p }));
+            let at = Attachment { node: n, port: p };
+            *slot = self.slot(n, p).ok_or(TopologyError::PortOutOfRange {
+                at,
+                ports: node.ports,
+            })?;
+            if self.port_links[*slot] != NO_LINK {
+                return Err(TopologyError::PortInUse(at));
             }
         }
         let link_idx = self.links.len() as u32;
@@ -232,8 +257,9 @@ impl Topology {
                 port: port_b,
             },
         });
-        self.port_links[a.idx()][usize::from(port_a)] = Some(link_idx);
-        self.port_links[b.idx()][usize::from(port_b)] = Some(link_idx);
+        for slot in slots {
+            self.port_links[slot] = link_idx;
+        }
         Ok(())
     }
 
@@ -250,6 +276,19 @@ impl Topology {
         self.nodes.get(id.idx())
     }
 
+    /// The human-readable label a generator gave `id` ("sw(2,3)", "ep7",
+    /// …), for traces and plots.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a node of this topology.
+    pub fn label(&self, id: NodeId) -> &str {
+        let start = match id.idx() {
+            0 => 0,
+            i => self.nodes[i - 1].label_end,
+        };
+        &self.labels[start as usize..self.nodes[id.idx()].label_end as usize]
+    }
+
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links
@@ -257,7 +296,10 @@ impl Topology {
 
     /// The peer attached at `(node, port)`, if any.
     pub fn peer(&self, node: NodeId, port: u8) -> Option<Attachment> {
-        let link_idx = (*self.port_links.get(node.idx())?.get(usize::from(port))?)?;
+        let link_idx = self.port_links[self.slot(node, port)?];
+        if link_idx == NO_LINK {
+            return None;
+        }
         let link = self.links[link_idx as usize];
         if link.a.node == node && link.a.port == port {
             Some(link.b)
@@ -362,7 +404,8 @@ impl Topology {
             let _ = writeln!(
                 out,
                 "  n{} [label=\"{}\" shape={shape} style=filled fillcolor={color}];",
-                id.0, node.label
+                id.0,
+                self.label(id)
             );
         }
         for link in &self.links {
@@ -390,32 +433,28 @@ impl Topology {
     pub fn validate(&self) -> Result<(), ValidationError> {
         for (idx, link) in self.links.iter().enumerate() {
             for at in [link.a, link.b] {
-                let in_range = self
-                    .nodes
-                    .get(at.node.idx())
-                    .is_some_and(|n| at.port < n.ports);
-                if !in_range {
+                let Some(slot) = self.slot(at.node, at.port) else {
                     return Err(ValidationError::DanglingLink(at));
-                }
-                match self.port_links[at.node.idx()][usize::from(at.port)] {
-                    Some(back) if back as usize == idx => {}
+                };
+                match self.port_links[slot] {
+                    back if back as usize == idx => {}
+                    NO_LINK => return Err(ValidationError::AsymmetricLink(at)),
                     // The port's back-reference names a different link:
                     // two links claim this port.
-                    Some(_) => return Err(ValidationError::PortDoubleUse(at)),
-                    None => return Err(ValidationError::AsymmetricLink(at)),
+                    _ => return Err(ValidationError::PortDoubleUse(at)),
                 }
             }
             if link.a.node == link.b.node {
                 return Err(ValidationError::DanglingLink(link.a));
             }
         }
-        for (n, ports) in self.port_links.iter().enumerate() {
-            for (p, entry) in ports.iter().enumerate() {
-                let at = Attachment {
-                    node: NodeId(n as u32),
-                    port: p as u8,
-                };
-                let Some(li) = *entry else { continue };
+        for (id, node) in self.nodes() {
+            for port in 0..node.ports {
+                let li = self.port_links[node.first_port as usize + usize::from(port)];
+                if li == NO_LINK {
+                    continue;
+                }
+                let at = Attachment { node: id, port };
                 let attaches = self
                     .links
                     .get(li as usize)
@@ -483,6 +522,27 @@ mod tests {
         assert_eq!(t.peer(sw, 1), Some(Attachment { node: e1, port: 0 }));
         assert_eq!(t.peer(sw, 2), None);
         assert_eq!(t.peer(sw, 99), None);
+    }
+
+    /// One node's ports end where the next node's begin in the flat port
+    /// table: a port past a node's last is no port, even when the entry
+    /// after its last belongs to a linked port of the next node.
+    #[test]
+    fn the_port_after_a_nodes_last_is_none_though_the_next_nodes_first_is_linked() {
+        let mut t = Topology::new("adjacent");
+        let a = t.add_switch(2, "a");
+        let b = t.add_switch(2, "b");
+        let c = t.add_endpoint("c");
+        t.connect(a, 1, b, 0).unwrap();
+        t.connect(b, 1, c, 0).unwrap();
+        assert_eq!(t.peer(a, 1), Some(Attachment { node: b, port: 0 }));
+        assert_eq!(t.peer(b, 0), Some(Attachment { node: a, port: 1 }));
+        assert_eq!(t.peer(a, 2), None);
+        assert_eq!(t.peer(b, 2), None);
+        // The last node's ports end the table.
+        assert_eq!(t.peer(c, 1), None);
+        assert_eq!(t.peer(NodeId(3), 0), None);
+        assert_eq!(t.degree(a), 1);
     }
 
     #[test]
@@ -585,26 +645,23 @@ mod tests {
     #[test]
     fn validate_catches_corrupted_link_tables() {
         // These states are unreachable through the public API; corrupt the
-        // internals directly to prove the checks bite.
+        // flat port table and the link list directly to prove the checks
+        // bite.
+        let at = |node, port| Attachment { node, port };
+        let entry = |t: &Topology, node, port| t.slot(node, port).unwrap();
+
         let (mut t, sw, ..) = tiny();
-        t.port_links[sw.idx()][0] = None; // drop one back-reference
+        let sw0 = entry(&t, sw, 0);
+        t.port_links[sw0] = NO_LINK; // drop one back-reference
         assert_eq!(
             t.validate(),
-            Err(ValidationError::AsymmetricLink(Attachment {
-                node: sw,
-                port: 0
-            }))
+            Err(ValidationError::AsymmetricLink(at(sw, 0)))
         );
 
         let (mut t, sw, ..) = tiny();
-        t.port_links[sw.idx()][0] = Some(1); // point at the wrong link
-        assert_eq!(
-            t.validate(),
-            Err(ValidationError::PortDoubleUse(Attachment {
-                node: sw,
-                port: 0
-            }))
-        );
+        let sw0 = entry(&t, sw, 0);
+        t.port_links[sw0] = 1; // point at the wrong link
+        assert_eq!(t.validate(), Err(ValidationError::PortDoubleUse(at(sw, 0))));
 
         let (mut t, ..) = tiny();
         t.links[0].a.port = 99; // out-of-range attachment
@@ -613,14 +670,34 @@ mod tests {
             Err(ValidationError::DanglingLink(_))
         ));
 
-        let (mut t, _, e0, _) = tiny();
         // Dangling back-reference on an unlinked port.
-        t.port_links[e0.idx()].push(Some(7));
-        t.nodes[e0.idx()].ports = 2;
-        assert!(matches!(
+        let (mut t, sw, ..) = tiny();
+        let sw2 = entry(&t, sw, 2);
+        t.port_links[sw2] = 7;
+        assert_eq!(
             t.validate(),
-            Err(ValidationError::AsymmetricLink(_))
-        ));
+            Err(ValidationError::AsymmetricLink(at(sw, 2)))
+        );
+    }
+
+    #[test]
+    fn labels_are_the_generators() {
+        let grid = crate::mesh(3, 3).unwrap().topology;
+        let want: Vec<String> = (0..3)
+            .flat_map(|y| {
+                (0..3).flat_map(move |x| [format!("sw({x},{y})"), format!("ep({x},{y})")])
+            })
+            .collect();
+        let got: Vec<&str> = grid.nodes().map(|(id, _)| grid.label(id)).collect();
+        assert_eq!(got, want);
+
+        let tree = crate::fat_tree(4, 2).unwrap().topology;
+        let want = [
+            "root[0]", "root[1]", "swA[0,0]", "swA[0,1]", "swB[0,0]", "swB[0,1]", "epA[0,0]",
+            "epA[0,1]", "epA[1,0]", "epA[1,1]", "epB[0,0]", "epB[0,1]", "epB[1,0]", "epB[1,1]",
+        ];
+        let got: Vec<&str> = tree.nodes().map(|(id, _)| tree.label(id)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -632,5 +709,16 @@ mod tests {
         assert_eq!(dot.matches("shape=circle").count(), 2);
         assert_eq!(dot.matches(" -- ").count(), 2);
         assert!(dot.trim_end().ends_with('}'));
+    }
+
+    /// The DOT of a 3x3 mesh, pinned by its length and FNV-1a digest as
+    /// it was rendered when every node carried its own label and port
+    /// vector.
+    #[test]
+    fn dot_of_a_mesh_is_byte_identical() {
+        let dot = crate::mesh(3, 3).unwrap().topology.to_dot();
+        let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        let digest = dot.bytes().fold(0xcbf2_9ce4_8422_2325, step);
+        assert_eq!((dot.len(), digest), (1872, 0x5da1_ef3a_3a9c_b029));
     }
 }

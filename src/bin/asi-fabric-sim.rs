@@ -31,8 +31,8 @@ use advanced_switching::core::{snapshot_db, Algorithm, DiscoveryTrigger, FmAgent
 use advanced_switching::fabric::{Arrivals, ChurnPlan, Fabric, FaultPlan, LossModel, TrafficPlan};
 use advanced_switching::harness::{
     change_experiment, churn_experiment, db_matches_fabric, default_churn_exempt, load_snapshot,
-    save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench,
-    ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
+    removable_switches, save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic,
+    sweep, Bench, ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
 };
 use advanced_switching::sim::trace::TraceEvent;
 use advanced_switching::sim::{SimDuration, SimRng, SimTime, TraceHandle};
@@ -687,6 +687,15 @@ impl Invocation {
         }
         if live {
             scenario.request_timeout = SimDuration::from_us(timeout_us);
+        }
+        // A change removes or hot-adds a switch besides the manager's own.
+        if let Some((spec, topo)) = &topology {
+            if change != ChangeMode::Initial && removable_switches(topo).is_empty() {
+                fail(format!(
+                    "--change {} needs a switch besides the manager's own, and {spec} has none",
+                    change.name()
+                ));
+            }
         }
         Invocation {
             args,

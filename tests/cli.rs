@@ -236,6 +236,38 @@ fn malformed_fault_flags_report_friendly_errors_not_panics() {
     );
 }
 
+/// A change removes or hot-adds a switch besides the one the manager
+/// hangs off; on a fabric whose only switch is the manager's there is
+/// none, and the command line says so instead of panicking.
+#[test]
+fn a_change_needs_a_switch_besides_the_managers() {
+    assert_usage_errors(
+        &[],
+        &[
+            (
+                &["--topology", "irregular:1", "--change", "remove"],
+                "error: --change remove needs a switch besides the manager's own, \
+                 and irregular:1 has none",
+            ),
+            (
+                &["--topology", "designed:1", "--change", "remove"],
+                "error: --change remove needs a switch besides the manager's own, \
+                 and designed:1 has none",
+            ),
+            (
+                &["--topology", "fattree:2,1", "--change", "remove"],
+                "error: --change remove needs a switch besides the manager's own, \
+                 and fattree:2,1 has none",
+            ),
+            (
+                &["--topology", "fattree:2,1", "--change", "add"],
+                "error: --change add needs a switch besides the manager's own, \
+                 and fattree:2,1 has none",
+            ),
+        ],
+    );
+}
+
 /// Numbers that parse but that the library would refuse with an assert
 /// (a zero speed factor, a `nan` churn rate, a zero down time) are
 /// usage errors, not exit-101 panics — in `sweep`, not even on a worker.
