@@ -5,11 +5,13 @@
 //! in the paper's Fig. 2 flow chart).
 
 use asi_proto::{turn_for, turn_width, DeviceInfo, DeviceType, PortInfo, TurnError, TurnPool};
-use std::collections::{HashMap, HashSet, VecDeque};
+use asi_state::TopologyDelta;
+pub use asi_state::{DeviceRecord, DeviceRoute};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A multiply-rotate hasher for the DSN-keyed maps. DSNs are not chosen
-/// by an adversary, and discovery looks one up on every completion, so
+/// A multiply-rotate hasher for the DSN index. DSNs are not chosen by an
+/// adversary, and discovery looks one up on every completion, so
 /// SipHash's flood resistance buys nothing here and costs its rounds.
 #[derive(Clone, Copy, Default)]
 struct DsnHasher(u64);
@@ -33,173 +35,142 @@ impl Hasher for DsnHasher {
 /// A map keyed by DSN.
 type DsnMap<V> = HashMap<u64, V, BuildHasherDefault<DsnHasher>>;
 
-/// A link `(dsn, port, peer, peer port)`, canonical when
-/// `(dsn, port) <= (peer, peer port)`.
-type LinkKey = (u64, u8, u64, u8);
-
-/// How the FM reaches a device: inject on `egress` (the FM endpoint's
-/// port), follow `pool`, arrive at the device's `entry_port`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeviceRoute {
-    /// Egress port at the FM's endpoint.
-    pub egress: u8,
-    /// Turns for the switches along the path.
-    pub pool: TurnPool,
-    /// Port at which packets enter the target device.
-    pub entry_port: u8,
-    /// Switch hops from the FM.
-    pub hops: u16,
+/// One end of a link, as its own slot's row holds it: the port here and
+/// the peer's DSN, slot and port.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    peer_dsn: u64,
+    peer: u32,
+    port: u8,
+    peer_port: u8,
 }
 
-/// A device record in the database.
+impl Edge {
+    /// The row order: by own port, then peer DSN, then peer port.
+    fn key(&self) -> (u8, u64, u8) {
+        (self.port, self.peer_dsn, self.peer_port)
+    }
+}
+
+/// A DSN the database holds: a device, the far end of a link, or both.
 #[derive(Clone, Debug)]
-pub struct DbDevice {
-    /// General information (from the first six baseline words).
-    pub info: DeviceInfo,
-    /// Route used to reach it.
-    pub route: DeviceRoute,
-    /// Per-port attributes; `None` until the port block has been read.
-    pub ports: Vec<Option<PortInfo>>,
-}
-
-impl DbDevice {
-    /// Number of active ports among those read so far.
-    pub fn active_ports(&self) -> usize {
-        self.ports
-            .iter()
-            .flatten()
-            .filter(|p| p.state.is_active())
-            .count()
-    }
-
-    /// True once every port block has been read.
-    pub fn ports_complete(&self) -> bool {
-        self.ports.iter().all(Option::is_some)
-    }
+struct Slot {
+    dsn: u64,
+    device: Option<DeviceRecord>,
+    /// Every link end at this DSN, sorted by [`Edge::key`].
+    row: Vec<Edge>,
 }
 
 /// The discovered topology.
 ///
-/// Links live in one store: a per-device sorted adjacency row, kept
-/// incrementally on every link/device mutation, holding each link once
-/// from each end (a link from a port to itself, once). Route
-/// recomputation therefore never rebuilds adjacency from scratch, BFS
-/// tie-breaking (sorted neighbour order) is identical to what a fresh
-/// rebuild would produce, and the link set is the rows' canonical
-/// entries — those whose own end `(dsn, port)` is the smaller.
+/// Dense slots behind one DSN → slot index. A slot exists for every DSN
+/// that is a device or a link end, and goes on a free list once it is
+/// neither. Each slot's links are a row sorted by own port, peer DSN
+/// and peer port, naming the peer's slot; a link is held once from each
+/// end (a link from a port to itself, once), and the link set is the
+/// rows' canonical entries — those whose own end `(dsn, port)` is the
+/// smaller. Breadth-first search walks known devices in row order, so
+/// neither slot numbering nor insertion order can change a route.
+///
+/// Rows rather than one peer per port: the database holds what it was
+/// told, which may be two links on one port, a link from a device to
+/// itself, or a link to a DSN not (or no longer) known as a device.
 #[derive(Clone, Debug, Default)]
 pub struct TopologyDb {
-    devices: DsnMap<DbDevice>,
-    /// `dsn -> sorted [(own port, neighbour, neighbour port)]`; a row is
-    /// allocated at its device's port count when the device is known.
-    adj: DsnMap<Vec<(u8, u64, u8)>>,
-    /// Links recorded: canonical entries across `adj`.
+    index: DsnMap<u32>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    device_count: usize,
     link_count: usize,
     host_dsn: u64,
-}
-
-/// Compact CSR-style view of the discovered link table: device DSNs map
-/// to dense indices and every device's sorted neighbour list occupies
-/// one contiguous slice of a single edge array. Built in
-/// O(devices + links) from the maintained adjacency; breadth-first
-/// traversals over it touch flat arrays only, which is what lets route
-/// refreshes scale to ~100k-device fabrics with bounded memory.
-///
-/// Only neighbours that are themselves known devices appear as edges —
-/// the `contains` filtering the hash-based BFS performs per visit is
-/// folded into construction.
-#[derive(Clone, Debug)]
-pub struct CompactLinks {
-    /// Sorted device DSNs; position = dense index.
-    dsns: Vec<u64>,
-    /// `edges[offsets[i]..offsets[i+1]]` are device `i`'s neighbours.
-    offsets: Vec<u32>,
-    /// `(own port, neighbour index, neighbour port)`, sorted per device.
-    edges: Vec<(u8, u32, u8)>,
-}
-
-impl CompactLinks {
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.dsns.len()
-    }
-
-    /// True when the table holds no devices.
-    pub fn is_empty(&self) -> bool {
-        self.dsns.is_empty()
-    }
-
-    /// DSN of the device at a dense index.
-    pub fn dsn(&self, index: usize) -> u64 {
-        self.dsns[index]
-    }
-
-    /// Dense index of a DSN, if the device is known.
-    pub fn index_of(&self, dsn: u64) -> Option<usize> {
-        self.dsns.binary_search(&dsn).ok()
-    }
-
-    /// The `(own port, neighbour index, neighbour port)` edge slice of
-    /// the device at `index`, sorted by port.
-    pub fn neighbors(&self, index: usize) -> &[(u8, u32, u8)] {
-        &self.edges[self.offsets[index] as usize..self.offsets[index + 1] as usize]
-    }
 }
 
 impl TopologyDb {
     /// Fresh database rooted at the FM's endpoint.
     pub fn new(host_dsn: u64) -> TopologyDb {
         TopologyDb {
-            devices: DsnMap::default(),
-            adj: DsnMap::default(),
-            link_count: 0,
             host_dsn,
+            ..TopologyDb::default()
         }
     }
 
-    /// True if the directed adjacency entry `at → peer` is recorded.
-    fn adj_contains(&self, at: (u64, u8), peer: (u64, u8)) -> bool {
-        self.adj
-            .get(&at.0)
-            .is_some_and(|v| v.binary_search(&(at.1, peer.0, peer.1)).is_ok())
+    /// The slot of `dsn`, if it holds a known device.
+    fn known(&self, dsn: u64) -> Option<u32> {
+        let s = *self.index.get(&dsn)?;
+        self.slots[s as usize].device.is_some().then_some(s)
     }
 
-    /// Inserts one directed adjacency entry, keeping the vec sorted. A
-    /// known device's row starts at its port count, which is how many
-    /// links it has when cabled one per port.
-    fn adj_insert(&mut self, at: (u64, u8), peer: (u64, u8)) {
-        let devices = &self.devices;
-        let v = self.adj.entry(at.0).or_insert_with(|| {
-            let ports = devices.get(&at.0).map_or(0, |d| d.info.port_count);
-            Vec::with_capacity(usize::from(ports))
-        });
-        let entry = (at.1, peer.0, peer.1);
-        if let Err(pos) = v.binary_search(&entry) {
-            v.insert(pos, entry);
+    /// The slot of `dsn`, taken (a freed one first) if the DSN is new.
+    fn claim(&mut self, dsn: u64) -> u32 {
+        if let Some(&s) = self.index.get(&dsn) {
+            return s;
         }
-    }
-
-    /// Every link as its key `(a, ap, b, bp)` with `(a, ap) <= (b, bp)`:
-    /// the canonical entries of the rows, sorted.
-    fn sorted_link_keys(&self) -> Vec<LinkKey> {
-        let mut v = Vec::with_capacity(self.link_count);
-        for (&d, row) in &self.adj {
-            let canonical = row.iter().filter(|&&(p, m, mp)| (d, p) <= (m, mp));
-            v.extend(canonical.map(|&(p, m, mp)| (d, p, m, mp)));
-        }
-        v.sort_unstable();
-        v
-    }
-
-    /// Removes one directed adjacency entry.
-    fn adj_remove(&mut self, at: (u64, u8), peer: (u64, u8)) {
-        if let Some(v) = self.adj.get_mut(&at.0) {
-            let entry = (at.1, peer.0, peer.1);
-            if let Ok(pos) = v.binary_search(&entry) {
-                v.remove(pos);
+        let slot = Slot {
+            dsn,
+            device: None,
+            row: Vec::new(),
+        };
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = slot;
+                s
             }
-            if v.is_empty() {
-                self.adj.remove(&at.0);
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(dsn, s);
+        s
+    }
+
+    /// Frees slot `s` if it holds neither a device nor a link end; a
+    /// slot already freed stays freed once.
+    fn release(&mut self, s: u32) {
+        let slot = &self.slots[s as usize];
+        if slot.device.is_none() && slot.row.is_empty() && self.index.remove(&slot.dsn).is_some() {
+            self.free.push(s);
+        }
+    }
+
+    /// True if the link end `at → peer` is recorded.
+    fn has_edge(&self, at: (u64, u8), peer: (u64, u8)) -> bool {
+        self.index.get(&at.0).is_some_and(|&s| {
+            let row = &self.slots[s as usize].row;
+            row.binary_search_by_key(&(at.1, peer.0, peer.1), Edge::key)
+                .is_ok()
+        })
+    }
+
+    /// Records the link end `at → peer` in `at`'s row, keeping it sorted
+    /// and claiming both slots. A known device's row starts at its port
+    /// count, which is how many links it has when cabled one per port.
+    fn insert_edge(&mut self, at: (u64, u8), peer: (u64, u8)) {
+        let edge = Edge {
+            peer_dsn: peer.0,
+            peer: self.claim(peer.0),
+            port: at.1,
+            peer_port: peer.1,
+        };
+        let slot = self.claim(at.0);
+        let slot = &mut self.slots[slot as usize];
+        if let Err(pos) = slot.row.binary_search_by_key(&edge.key(), Edge::key) {
+            if slot.row.is_empty() {
+                let ports = slot.device.as_ref().map_or(0, |d| d.info.port_count);
+                slot.row.reserve_exact(usize::from(ports));
+            }
+            slot.row.insert(pos, edge);
+        }
+    }
+
+    /// Removes one link end from slot `s`'s row, dropping the row once
+    /// it empties.
+    fn remove_edge(&mut self, s: u32, key: (u8, u64, u8)) {
+        let row = &mut self.slots[s as usize].row;
+        if let Ok(pos) = row.binary_search_by_key(&key, Edge::key) {
+            row.remove(pos);
+            if row.is_empty() {
+                *row = Vec::new();
             }
         }
     }
@@ -211,7 +182,7 @@ impl TopologyDb {
 
     /// Device count (including the host).
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.device_count
     }
 
     /// Link count.
@@ -221,84 +192,99 @@ impl TopologyDb {
 
     /// True if a DSN is already known.
     pub fn contains(&self, dsn: u64) -> bool {
-        self.devices.contains_key(&dsn)
+        self.known(dsn).is_some()
     }
 
     /// Looks up a device.
-    pub fn device(&self, dsn: u64) -> Option<&DbDevice> {
-        self.devices.get(&dsn)
+    pub fn device(&self, dsn: u64) -> Option<&DeviceRecord> {
+        self.slots[*self.index.get(&dsn)? as usize].device.as_ref()
     }
 
     /// Mutable lookup.
-    pub fn device_mut(&mut self, dsn: u64) -> Option<&mut DbDevice> {
-        self.devices.get_mut(&dsn)
+    pub fn device_mut(&mut self, dsn: u64) -> Option<&mut DeviceRecord> {
+        let s = *self.index.get(&dsn)?;
+        self.slots[s as usize].device.as_mut()
     }
 
-    /// Iterates all devices, in DSN order. Map iteration order is
-    /// per-instance random, so anything user-visible (reports, traces,
-    /// snapshots) must not see it.
-    pub fn devices(&self) -> impl Iterator<Item = &DbDevice> {
-        let mut v: Vec<&DbDevice> = self.devices.values().collect();
+    /// Iterates all devices, in DSN order.
+    pub fn devices(&self) -> impl Iterator<Item = &DeviceRecord> {
+        let mut v: Vec<&DeviceRecord> = self
+            .slots
+            .iter()
+            .filter_map(|s| s.device.as_ref())
+            .collect();
         v.sort_unstable_by_key(|d| d.info.dsn);
         v.into_iter()
     }
 
     /// Iterates all links, in canonical-key order.
-    pub fn links(&self) -> impl Iterator<Item = ((u64, u8), (u64, u8))> + '_ {
-        let keys = self.sorted_link_keys().into_iter();
-        keys.map(|(a, ap, b, bp)| ((a, ap), (b, bp)))
+    pub fn links(&self) -> impl Iterator<Item = ((u64, u8), (u64, u8))> {
+        let mut v = Vec::with_capacity(self.link_count);
+        for slot in &self.slots {
+            let canonical = slot
+                .row
+                .iter()
+                .filter(|e| (slot.dsn, e.port) <= (e.peer_dsn, e.peer_port));
+            v.extend(canonical.map(|e| ((slot.dsn, e.port), (e.peer_dsn, e.peer_port))));
+        }
+        v.sort_unstable();
+        v.into_iter()
+    }
+
+    /// DSNs of all discovered devices of one type, sorted.
+    fn dsns_of(&self, device_type: DeviceType) -> Vec<u64> {
+        let mut v: Vec<u64> = self
+            .slots
+            .iter()
+            .filter(|s| {
+                s.device
+                    .as_ref()
+                    .is_some_and(|d| d.info.device_type == device_type)
+            })
+            .map(|s| s.dsn)
+            .collect();
+        v.sort_unstable();
+        v
     }
 
     /// DSNs of all discovered endpoints.
     pub fn endpoints(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .devices
-            .values()
-            .filter(|d| d.info.device_type == DeviceType::Endpoint)
-            .map(|d| d.info.dsn)
-            .collect();
-        v.sort_unstable();
-        v
+        self.dsns_of(DeviceType::Endpoint)
     }
 
     /// DSNs of all discovered switches.
     pub fn switches(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .devices
-            .values()
-            .filter(|d| d.info.device_type == DeviceType::Switch)
-            .map(|d| d.info.dsn)
-            .collect();
-        v.sort_unstable();
-        v
+        self.dsns_of(DeviceType::Switch)
     }
 
     /// Records a newly discovered device. Returns `false` (and leaves the
     /// record untouched) if the DSN was already present.
     pub fn insert_device(&mut self, info: DeviceInfo, route: DeviceRoute) -> bool {
-        if self.devices.contains_key(&info.dsn) {
+        let s = self.claim(info.dsn);
+        let device = &mut self.slots[s as usize].device;
+        if device.is_some() {
             return false;
         }
         let ports = vec![None; usize::from(info.port_count)];
-        self.devices
-            .insert(info.dsn, DbDevice { info, route, ports });
+        *device = Some(DeviceRecord { info, route, ports });
+        self.device_count += 1;
         true
     }
 
     /// Records a link. Idempotent; returns `true` if the link was new.
     pub fn add_link(&mut self, a: (u64, u8), b: (u64, u8)) -> bool {
-        if self.adj_contains(a, b) {
+        if self.has_edge(a, b) {
             return false;
         }
-        self.adj_insert(a, b);
-        self.adj_insert(b, a);
+        self.insert_edge(a, b);
+        self.insert_edge(b, a);
         self.link_count += 1;
         true
     }
 
     /// Stores a port block for a device.
     pub fn set_port(&mut self, dsn: u64, port: u16, info: PortInfo) {
-        if let Some(d) = self.devices.get_mut(&dsn) {
+        if let Some(d) = self.device_mut(dsn) {
             if let Some(slot) = d.ports.get_mut(usize::from(port)) {
                 *slot = Some(info);
             }
@@ -307,244 +293,144 @@ impl TopologyDb {
 
     /// Removes one link. Returns `true` if it was present.
     pub fn remove_link(&mut self, a: (u64, u8), b: (u64, u8)) -> bool {
-        if !self.adj_contains(a, b) {
+        if !self.has_edge(a, b) {
             return false;
         }
-        self.adj_remove(a, b);
-        self.adj_remove(b, a);
+        let (sa, sb) = (self.index[&a.0], self.index[&b.0]);
+        self.remove_edge(sa, (a.1, b.0, b.1));
+        self.remove_edge(sb, (b.1, a.0, a.1));
         self.link_count -= 1;
+        self.release(sa);
+        self.release(sb);
         true
     }
 
     /// Removes a device and all links touching it. Returns `true` if it
     /// existed.
     pub fn remove_device(&mut self, dsn: u64) -> bool {
-        let existed = self.devices.remove(&dsn).is_some();
-        let doomed: Vec<(u64, u8, u64, u8)> = self
-            .adj
-            .get(&dsn)
-            .into_iter()
-            .flatten()
-            .map(|&(p, m, mp)| (dsn, p, m, mp))
-            .collect();
-        for (a, ap, b, bp) in doomed {
-            self.remove_link((a, ap), (b, bp));
+        let Some(&s) = self.index.get(&dsn) else {
+            return false;
+        };
+        let existed = self.slots[s as usize].device.take().is_some();
+        self.device_count -= usize::from(existed);
+        for e in self.slots[s as usize].row.clone() {
+            self.remove_link((dsn, e.port), (e.peer_dsn, e.peer_port));
         }
+        self.release(s);
         existed
     }
 
     /// The neighbour recorded at `(dsn, port)`, if any. O(log degree)
-    /// over the maintained adjacency.
+    /// over the row.
     pub fn neighbor(&self, dsn: u64, port: u8) -> Option<(u64, u8)> {
-        let v = self.adj.get(&dsn)?;
-        let pos = v.partition_point(|&(p, _, _)| p < port);
-        match v.get(pos) {
-            Some(&(p, m, mp)) if p == port => Some((m, mp)),
-            _ => None,
-        }
+        let row = &self.slots[*self.index.get(&dsn)? as usize].row;
+        let e = row.get(row.partition_point(|e| e.port < port))?;
+        (e.port == port).then_some((e.peer_dsn, e.peer_port))
     }
 
-    /// Drops every device not reachable from the host over recorded links
-    /// (used after removals). Returns the DSNs pruned.
-    pub fn prune_unreachable(&mut self) -> Vec<u64> {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut queue = VecDeque::new();
-        if self.devices.contains_key(&self.host_dsn) {
-            seen.insert(self.host_dsn);
-            queue.push_back(self.host_dsn);
-        }
-        while let Some(d) = queue.pop_front() {
-            for &(_, n, _) in self.adj.get(&d).into_iter().flatten() {
-                if self.devices.contains_key(&n) && seen.insert(n) {
-                    queue.push_back(n);
+    /// Breadth-first walk from the known device in slot `root` over
+    /// known devices, each row in order: hands `tree` every edge that
+    /// reaches a device first, with the slot it leaves.
+    fn bfs(&self, root: u32, mut tree: impl FnMut(u32, &Edge)) {
+        let mut seen = vec![false; self.slots.len()];
+        seen[root as usize] = true;
+        let mut queue = VecDeque::from([root]);
+        while let Some(u) = queue.pop_front() {
+            for e in &self.slots[u as usize].row {
+                let v = e.peer as usize;
+                if !seen[v] && self.slots[v].device.is_some() {
+                    seen[v] = true;
+                    tree(u, e);
+                    queue.push_back(e.peer);
                 }
             }
         }
-        let mut doomed: Vec<u64> = self
-            .devices
-            .keys()
-            .copied()
-            .filter(|d| !seen.contains(d))
-            .collect();
-        doomed.sort_unstable();
-        for d in &doomed {
-            self.remove_device(*d);
-        }
-        doomed
     }
 
-    /// Builds the compact CSR link table from the maintained adjacency.
-    /// Edge order per device is the sorted `(port, dsn, peer port)`
-    /// order, so traversals over it break ties exactly like the
-    /// hash-based BFS did.
-    pub fn compact_links(&self) -> CompactLinks {
-        let mut dsns: Vec<u64> = self.devices.keys().copied().collect();
-        dsns.sort_unstable();
-        let index: HashMap<u64, u32> = dsns
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i as u32))
-            .collect();
-        let mut offsets = Vec::with_capacity(dsns.len() + 1);
-        let mut edges = Vec::with_capacity(2 * self.link_count);
-        offsets.push(0u32);
-        for &d in &dsns {
-            for &(p, m, mp) in self.adj.get(&d).into_iter().flatten() {
-                if let Some(&mi) = index.get(&m) {
-                    edges.push((p, mi, mp));
-                }
-            }
-            offsets.push(edges.len() as u32);
-        }
-        CompactLinks {
-            dsns,
-            offsets,
-            edges,
-        }
+    /// The BFS tree rooted at slot `root`: each reached slot's `(parent
+    /// slot, egress at the parent, entry port here)`.
+    fn tree(&self, root: u32) -> Vec<Option<(u32, u8, u8)>> {
+        let mut parent = vec![None; self.slots.len()];
+        self.bfs(root, |u, e| {
+            parent[e.peer as usize] = Some((u, e.port, e.peer_port))
+        });
+        parent
     }
 
-    /// BFS parent tree rooted at `from`: `node -> (parent, parent's
-    /// egress port, entry port at node)`.
-    fn bfs_tree(&self, from: u64) -> HashMap<u64, (u64, u8, u8)> {
-        let mut prev: HashMap<u64, (u64, u8, u8)> = HashMap::with_capacity(self.devices.len());
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        let mut seen: HashSet<u64> = HashSet::with_capacity(self.devices.len());
-        seen.insert(from);
-        while let Some(n) = queue.pop_front() {
-            for &(p, m, mp) in self.adj.get(&n).into_iter().flatten() {
-                if self.contains(m) && seen.insert(m) {
-                    prev.insert(m, (n, p, mp));
-                    queue.push_back(m);
-                }
-            }
-        }
-        prev
-    }
-
-    /// The `from → to` chain of `(node, egress at node, entry at next)`
-    /// recovered from a `from`-rooted BFS tree, or `None` when `to` is
-    /// unreachable.
-    fn chain_to(
-        from: u64,
-        to: u64,
-        prev: &HashMap<u64, (u64, u8, u8)>,
-    ) -> Option<Vec<(u64, u8, u8)>> {
-        prev.get(&to)?;
-        let mut chain: Vec<(u64, u8, u8)> = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            let &(parent, egress, entry) = prev.get(&cur)?;
-            chain.push((parent, egress, entry));
-            cur = parent;
-        }
-        chain.reverse();
-        Some(chain)
-    }
-
-    /// Encodes the route along a forward chain (see [`Self::chain_to`]).
-    fn route_of_chain(
+    /// Appends the turn at the switch in slot `s` from `ingress` to
+    /// `egress`.
+    fn push_turn(
         &self,
-        chain: &[(u64, u8, u8)],
+        pool: &mut TurnPool,
+        s: u32,
+        ingress: u8,
+        egress: u8,
+    ) -> Result<(), TurnError> {
+        let device = self.slots[s as usize].device.as_ref();
+        let ports = device.expect("routes cross known devices").info.port_count as u8;
+        pool.push_turn(turn_for(ingress, egress, ports), turn_width(ports))
+    }
+
+    /// Routes from slot `root` to every device it reaches, by slot. Each
+    /// route extends its BFS parent's by one turn, so the whole batch
+    /// costs one pool clone and push per device; a target past an
+    /// encoding error inherits the error its parent hit.
+    fn routes_by_slot(
+        &self,
+        root: u32,
         pool_capacity: u16,
-    ) -> Result<DeviceRoute, TurnError> {
-        let egress = chain[0].1;
-        let entry_port = chain.last().unwrap().2;
-        let mut pool = TurnPool::with_capacity(pool_capacity);
-        let mut hops = 0;
-        for i in 1..chain.len() {
-            let (switch_dsn, out, _) = chain[i];
-            let ingress = chain[i - 1].2;
-            let ports = self.devices[&switch_dsn].info.port_count as u8;
-            let turn = turn_for(ingress, out, ports);
-            pool.push_turn(turn, turn_width(ports))?;
-            hops += 1;
-        }
-        Ok(DeviceRoute {
-            egress,
-            pool,
-            entry_port,
-            hops,
-        })
+    ) -> Vec<Option<Result<DeviceRoute, TurnError>>> {
+        let mut routes: Vec<Option<Result<DeviceRoute, TurnError>>> = vec![None; self.slots.len()];
+        self.bfs(root, |u, e| {
+            let route = if u == root {
+                // Direct neighbour of the root: empty pool, zero switch
+                // hops, enter on the far port.
+                Ok(DeviceRoute {
+                    egress: e.port,
+                    pool: TurnPool::with_capacity(pool_capacity),
+                    entry_port: e.peer_port,
+                    hops: 0,
+                })
+            } else {
+                match routes[u as usize]
+                    .as_ref()
+                    .expect("parent visited before child")
+                {
+                    Ok(parent) => {
+                        let mut pool = parent.pool.clone();
+                        self.push_turn(&mut pool, u, parent.entry_port, e.port)
+                            .map(|()| DeviceRoute {
+                                egress: parent.egress,
+                                pool,
+                                entry_port: e.peer_port,
+                                hops: parent.hops + 1,
+                            })
+                    }
+                    Err(err) => Err(*err),
+                }
+            };
+            routes[e.peer as usize] = Some(route);
+        });
+        routes
     }
 
     /// Routes from `from` to every other reachable device, computed with
     /// a single BFS — the batched form of [`Self::route_between`], with
-    /// identical per-target results (same deterministic tie-breaking) at
-    /// O(devices + links) instead of one BFS per target. Targets whose
+    /// identical per-target results at O(devices + links). Targets whose
     /// path cannot be encoded map to the `TurnError`.
-    ///
-    /// Each route is built incrementally at the BFS frontier by
-    /// extending the parent's turn pool with one turn, rather than
-    /// re-walking a parent chain per target — the total work is one pool
-    /// clone + push per device, which is what route refreshes on
-    /// ~100k-device fabrics rely on.
     pub fn routes_from(
         &self,
         from: u64,
         pool_capacity: u16,
     ) -> HashMap<u64, Result<DeviceRoute, TurnError>> {
-        let mut out = HashMap::new();
-        if !self.contains(from) {
-            return out;
-        }
-        let csr = self.compact_links();
-        let root = csr.index_of(from).expect("root is a known device");
-        let mut routes: Vec<Option<Result<DeviceRoute, TurnError>>> = vec![None; csr.len()];
-        let mut seen = vec![false; csr.len()];
-        seen[root] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            for &(p, v, vp) in csr.neighbors(u) {
-                let v = v as usize;
-                if seen[v] {
-                    continue;
-                }
-                seen[v] = true;
-                let route = if u == root {
-                    // Direct neighbour of the root: empty pool, zero
-                    // switch hops, enter on the far port.
-                    Ok(DeviceRoute {
-                        egress: p,
-                        pool: TurnPool::with_capacity(pool_capacity),
-                        entry_port: vp,
-                        hops: 0,
-                    })
-                } else {
-                    match routes[u].as_ref().expect("parent visited before child") {
-                        Ok(parent) => {
-                            let ports = self.devices[&csr.dsn(u)].info.port_count as u8;
-                            let turn = turn_for(parent.entry_port, p, ports);
-                            let mut pool = parent.pool.clone();
-                            match pool.push_turn(turn, turn_width(ports)) {
-                                Ok(()) => Ok(DeviceRoute {
-                                    egress: parent.egress,
-                                    pool,
-                                    entry_port: vp,
-                                    hops: parent.hops + 1,
-                                }),
-                                Err(e) => Err(e),
-                            }
-                        }
-                        // The chain walk stops at its first encoding
-                        // error, so every descendant reports the same
-                        // error the parent hit.
-                        Err(e) => Err(*e),
-                    }
-                };
-                routes[v] = Some(route);
-                queue.push_back(v);
-            }
-        }
-        for (i, r) in routes.into_iter().enumerate() {
-            if i != root {
-                if let Some(r) = r {
-                    out.insert(csr.dsn(i), r);
-                }
-            }
-        }
-        out
+        let Some(root) = self.known(from) else {
+            return HashMap::new();
+        };
+        let routes = self.routes_by_slot(root, pool_capacity);
+        let dsns = self.slots.iter().map(|s| s.dsn);
+        dsns.zip(routes)
+            .filter_map(|(dsn, r)| Some((dsn, r?)))
+            .collect()
     }
 
     /// Routes from every reachable device *to* `to`, derived by
@@ -557,7 +443,7 @@ impl TopologyDb {
         to: u64,
         pool_capacity: u16,
     ) -> HashMap<u64, Result<DeviceRoute, TurnError>> {
-        let mut out = HashMap::with_capacity(self.devices.len());
+        let mut out = HashMap::with_capacity(self.device_count);
         self.for_each_route_to(to, pool_capacity, |dsn, route| {
             out.insert(dsn, route);
         });
@@ -565,75 +451,104 @@ impl TopologyDb {
     }
 
     /// [`Self::routes_to`] without the map: hands each reachable
-    /// device's `(dsn, route)` to `visit` as it is built, in the
-    /// database's device order, so a caller that consumes the routes
-    /// once never holds them all.
+    /// device's `(dsn, route)` to `visit` as it is built, in slot order,
+    /// so a caller that consumes the routes once never holds them all.
     pub fn for_each_route_to(
         &self,
         to: u64,
         pool_capacity: u16,
         mut visit: impl FnMut(u64, Result<DeviceRoute, TurnError>),
     ) {
-        if !self.contains(to) {
+        let Some(root) = self.known(to) else {
             return;
-        }
-        let prev = self.bfs_tree(to);
-        for &dsn in self.devices.keys() {
-            if dsn == to {
-                continue;
-            }
-            let Some(chain) = Self::chain_to(to, dsn, &prev) else {
+        };
+        let tree = self.tree(root);
+        for (slot, &edge) in self.slots.iter().zip(&tree) {
+            // Up the tree from the device: it leaves on the port it was
+            // entered by, and each switch above it is entered on its own
+            // tree egress and left on the port it was itself entered by.
+            let Some((mut up, mut ingress, egress)) = edge else {
                 continue;
             };
-            // `chain` runs to → dsn; walk it backwards to route dsn → to.
-            // Forward, switch chain[i] is entered on chain[i-1]'s entry
-            // port and leaves on its own egress port; reversed, those two
-            // swap roles.
-            let egress = chain.last().unwrap().2;
-            let entry_port = chain[0].1;
             let mut pool = TurnPool::with_capacity(pool_capacity);
             let mut hops = 0;
-            let mut err = None;
-            for i in (1..chain.len()).rev() {
-                let (switch_dsn, out_fwd, _) = chain[i];
-                let ingress = out_fwd;
-                let out_rev = chain[i - 1].2;
-                let ports = self.devices[&switch_dsn].info.port_count as u8;
-                let turn = turn_for(ingress, out_rev, ports);
-                if let Err(e) = pool.push_turn(turn, turn_width(ports)) {
-                    err = Some(e);
-                    break;
+            let route = loop {
+                let Some((next, next_ingress, out)) = tree[up as usize] else {
+                    break Ok(DeviceRoute {
+                        egress,
+                        pool,
+                        entry_port: ingress,
+                        hops,
+                    });
+                };
+                if let Err(err) = self.push_turn(&mut pool, up, ingress, out) {
+                    break Err(err);
                 }
                 hops += 1;
-            }
-            let route = match err {
-                Some(e) => Err(e),
-                None => Ok(DeviceRoute {
-                    egress,
-                    pool,
-                    entry_port,
-                    hops,
-                }),
+                (up, ingress) = (next, next_ingress);
             };
-            visit(dsn, route);
+            visit(slot.dsn, route);
         }
     }
 
-    /// BFS route from the host to `to`, or from `from` to the host —
-    /// computed over the discovered links. Returns `(egress at from,
-    /// pool, entry port at to)`.
+    /// BFS route from `from` to `to` over the discovered links, or `None`
+    /// when either is unknown, they are the same, or `to` is unreachable.
     pub fn route_between(
         &self,
         from: u64,
         to: u64,
         pool_capacity: u16,
     ) -> Option<Result<DeviceRoute, TurnError>> {
-        if from == to || !self.contains(from) || !self.contains(to) {
+        if from == to {
             return None;
         }
-        let prev = self.bfs_tree(from);
-        let chain = Self::chain_to(from, to, &prev)?;
-        Some(self.route_of_chain(&chain, pool_capacity))
+        let (root, target) = (self.known(from)?, self.known(to)?);
+        let tree = self.tree(root);
+        // The tree path, target end first: (slot, egress there, entry
+        // port at the next).
+        let mut path = Vec::new();
+        let mut at = target;
+        while let Some(edge) = tree[at as usize] {
+            path.push(edge);
+            at = edge.0;
+        }
+        let (&(_, egress, _), &(_, _, entry_port)) = (path.last()?, path.first()?);
+        let mut pool = TurnPool::with_capacity(pool_capacity);
+        // Each switch, from the source side, is entered on the port the
+        // edge before it arrives at and left on its own egress.
+        for w in path.windows(2).rev() {
+            let ((switch, out, _), (_, _, ingress)) = (w[0], w[1]);
+            if let Err(err) = self.push_turn(&mut pool, switch, ingress, out) {
+                return Some(Err(err));
+            }
+        }
+        let hops = (path.len() - 1) as u16;
+        Some(Ok(DeviceRoute {
+            egress,
+            pool,
+            entry_port,
+            hops,
+        }))
+    }
+
+    /// Drops every device not reachable from the host over recorded links
+    /// (used after removals). Returns the DSNs pruned.
+    pub fn prune_unreachable(&mut self) -> Vec<u64> {
+        let mut reached = vec![false; self.slots.len()];
+        if let Some(root) = self.known(self.host_dsn) {
+            reached[root as usize] = true;
+            self.bfs(root, |_, e| reached[e.peer as usize] = true);
+        }
+        let stranded = self.slots.iter().zip(reached);
+        let mut doomed: Vec<u64> = stranded
+            .filter(|(s, reached)| s.device.is_some() && !reached)
+            .map(|(s, _)| s.dsn)
+            .collect();
+        doomed.sort_unstable();
+        for &d in &doomed {
+            self.remove_device(d);
+        }
+        doomed
     }
 
     /// Recomputes every device's stored route from the host over the
@@ -642,90 +557,43 @@ impl TopologyDb {
     /// stale one; returns the DSNs whose route could not be refreshed.
     pub fn refresh_routes(&mut self, pool_capacity: u16) -> Vec<u64> {
         let host = self.host_dsn;
-        let mut routes = self.routes_from(host, pool_capacity);
-        let dsns: Vec<u64> = self.devices.keys().copied().collect();
+        let routes = match self.known(host) {
+            Some(root) => self.routes_by_slot(root, pool_capacity),
+            None => vec![None; self.slots.len()],
+        };
         let mut stale = Vec::new();
-        for dsn in dsns {
-            if dsn == host {
+        for (slot, route) in self.slots.iter_mut().zip(routes) {
+            let Some(d) = slot.device.as_mut() else {
                 continue;
-            }
-            match routes.remove(&dsn) {
-                Some(Ok(route)) => {
-                    if let Some(d) = self.devices.get_mut(&dsn) {
-                        d.route = route;
-                    }
-                }
-                _ => stale.push(dsn),
+            };
+            match route {
+                Some(Ok(route)) => d.route = route,
+                _ if slot.dsn == host => {}
+                _ => stale.push(slot.dsn),
             }
         }
         stale.sort_unstable();
         stale
     }
 
-    /// Differences between two databases (for assimilation reports).
-    /// All lists come back sorted, so equal databases always produce
-    /// byte-identical reports.
-    pub fn diff(&self, newer: &TopologyDb) -> DbDiff {
-        let mut added_devices: Vec<u64> = newer
-            .devices
-            .keys()
-            .filter(|d| !self.devices.contains_key(d))
-            .copied()
-            .collect();
-        let mut removed_devices: Vec<u64> = self
-            .devices
-            .keys()
-            .filter(|d| !newer.devices.contains_key(d))
-            .copied()
-            .collect();
-        let (old_links, new_links) = (self.sorted_link_keys(), newer.sorted_link_keys());
-        let only_in = |a: &[LinkKey], b: &[LinkKey]| -> Vec<LinkKey> {
-            a.iter()
-                .filter(|k| b.binary_search(k).is_err())
-                .copied()
-                .collect()
-        };
-        let added_links = only_in(&new_links, &old_links);
-        let removed_links = only_in(&old_links, &new_links);
-        added_devices.sort_unstable();
-        removed_devices.sort_unstable();
-        DbDiff {
-            added_devices,
-            removed_devices,
-            added_links,
-            removed_links,
-        }
-    }
-}
-
-/// Topology delta between two discovery runs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DbDiff {
-    /// DSNs present only in the newer database.
-    pub added_devices: Vec<u64>,
-    /// DSNs present only in the older database.
-    pub removed_devices: Vec<u64>,
-    /// Links present only in the newer database.
-    pub added_links: Vec<(u64, u8, u64, u8)>,
-    /// Links present only in the older database.
-    pub removed_links: Vec<(u64, u8, u64, u8)>,
-}
-
-impl DbDiff {
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.added_devices.is_empty()
-            && self.removed_devices.is_empty()
-            && self.added_links.is_empty()
-            && self.removed_links.is_empty()
+    /// Differences from this database to `newer` (for assimilation
+    /// reports): the same [`TopologyDelta`] their snapshots give, with
+    /// every list sorted.
+    pub fn diff(&self, newer: &TopologyDb) -> TopologyDelta {
+        let dsns = |db: &TopologyDb| db.devices().map(|d| d.info.dsn).collect();
+        let links = |db: &TopologyDb| db.links().map(|(a, b)| (a.0, a.1, b.0, b.1)).collect();
+        TopologyDelta::of_sets(dsns(self), dsns(newer), links(self), links(newer))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asi_proto::PortState;
-    use std::collections::BTreeSet;
+    use crate::snapshot::snapshot_db;
+    use asi_proto::{PortState, MAX_POOL_BITS};
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
+
+    type LinkKey = (u64, u8, u64, u8);
 
     fn info(dsn: u64, device_type: DeviceType, ports: u16) -> DeviceInfo {
         DeviceInfo {
@@ -1005,42 +873,6 @@ mod tests {
         assert_eq!(db.link_count(), 1);
     }
 
-    #[test]
-    fn compact_links_mirror_the_adjacency() {
-        let db = square_db();
-        let csr = db.compact_links();
-        assert_eq!(csr.len(), db.device_count());
-        assert!(!csr.is_empty());
-        for i in 0..csr.len() {
-            let dsn = csr.dsn(i);
-            assert_eq!(csr.index_of(dsn), Some(i));
-            let edges = csr.neighbors(i);
-            // Sorted by port, and each edge agrees with neighbor().
-            assert!(edges.windows(2).all(|w| w[0] <= w[1]));
-            for &(p, mi, mp) in edges {
-                assert_eq!(db.neighbor(dsn, p), Some((csr.dsn(mi as usize), mp)));
-            }
-        }
-        // Total directed edges = 2 * links.
-        let total: usize = (0..csr.len()).map(|i| csr.neighbors(i).len()).sum();
-        assert_eq!(total, 2 * db.link_count());
-        assert_eq!(csr.index_of(999), None);
-    }
-
-    #[test]
-    fn compact_links_skip_unknown_devices() {
-        let mut db = line_db();
-        // A link to a device never inserted must not surface as an edge.
-        db.add_link((2, 7), (42, 0));
-        let csr = db.compact_links();
-        assert_eq!(csr.index_of(42), None);
-        let i2 = csr.index_of(2).unwrap();
-        assert!(csr
-            .neighbors(i2)
-            .iter()
-            .all(|&(_, m, _)| csr.dsn(m as usize) != 42));
-    }
-
     /// The oracle for the one link store: a set of canonical link keys
     /// and a set of known DSNs, mutated the way the database documents.
     #[derive(Clone, Default)]
@@ -1093,11 +925,82 @@ mod tests {
             }
             doomed
         }
+
+        /// Breadth-first from `root` over known devices, each device's
+        /// ends in `directed` order: every reached target's `(egress at
+        /// the root, entry port at the target, switch hops)`. `None` when
+        /// a switch on some path would be crossed through a port it does
+        /// not have (per `ports`) or back out of its entry port: a walk
+        /// the database cannot encode as turns.
+        fn paths(
+            &self,
+            directed: &BTreeSet<LinkKey>,
+            root: u64,
+            ports: impl Fn(u64) -> u16,
+        ) -> Option<BTreeMap<u64, (u8, u8, u16)>> {
+            let mut reached = BTreeMap::new();
+            let mut queue = VecDeque::from([root]);
+            while let Some(d) = queue.pop_front() {
+                let via: Option<(u8, u8, u16)> = reached.get(&d).copied();
+                for &(_, p, m, mp) in ends(directed, d, 0..=u8::MAX) {
+                    if m == root || !self.devices.contains(&m) || reached.contains_key(&m) {
+                        continue;
+                    }
+                    let path = match via {
+                        None => (p, mp, 0),
+                        Some((egress, entry, hops)) => {
+                            let n = ports(d);
+                            if n < 2 || u16::from(entry.max(p)) >= n || entry == p {
+                                return None;
+                            }
+                            (egress, mp, hops + 1)
+                        }
+                    };
+                    reached.insert(m, path);
+                    queue.push_back(m);
+                }
+            }
+            Some(reached)
+        }
+    }
+
+    /// The routes from and to every known device against the model's
+    /// own breadth-first paths, wherever those can be encoded as turns;
+    /// no unreachable device is routed.
+    fn check_routes(
+        db: &TopologyDb,
+        model: &Model,
+        directed: &BTreeSet<LinkKey>,
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        use proptest::prelude::*;
+        let ports = |d: u64| db.device(d).map_or(0, |d| d.info.port_count);
+        for &root in &model.devices {
+            let Some(paths) = model.paths(directed, root, ports) else {
+                continue;
+            };
+            let from: BTreeMap<u64, (u8, u8, u16)> = db
+                .routes_from(root, MAX_POOL_BITS)
+                .into_iter()
+                .map(|(d, r)| (d, r.map(|r| (r.egress, r.entry_port, r.hops)).unwrap()))
+                .collect();
+            prop_assert_eq!(&from, &paths, "routes from {}", root);
+            let mut to = BTreeMap::new();
+            db.for_each_route_to(root, MAX_POOL_BITS, |d, r| {
+                let r = r.unwrap();
+                assert!(
+                    to.insert(d, (r.entry_port, r.egress, r.hops)).is_none(),
+                    "{d} twice"
+                );
+            });
+            prop_assert_eq!(&to, &paths, "routes to {}", root);
+        }
+        Ok(())
     }
 
     /// Everything the database reads its links for, against the model:
-    /// the count, the sorted list, every port's neighbour, the compact
-    /// table and the diff from the state before the last operation.
+    /// the count, the sorted list, every port's neighbour, the routes
+    /// from and to every known device, and the diff from the state
+    /// before the last operation.
     fn check_against(
         db: &TopologyDb,
         model: &Model,
@@ -1105,6 +1008,7 @@ mod tests {
     ) -> Result<(), proptest::prelude::TestCaseError> {
         use proptest::prelude::*;
         prop_assert_eq!(db.link_count(), model.links.len());
+        prop_assert_eq!(db.device_count(), model.devices.len());
         let mut keys: Vec<_> = model.links.iter().copied().collect();
         keys.sort_unstable();
         let links: Vec<_> = db.links().map(|(a, b)| (a.0, a.1, b.0, b.1)).collect();
@@ -1119,17 +1023,7 @@ mod tests {
             }
         }
 
-        let csr = db.compact_links();
-        let dsns: Vec<u64> = model.devices.iter().copied().collect();
-        prop_assert_eq!(csr.len(), dsns.len());
-        for (i, &d) in dsns.iter().enumerate() {
-            prop_assert_eq!(csr.dsn(i), d);
-            let known =
-                |&(_, p, m, mp): &LinkKey| Some((p, dsns.binary_search(&m).ok()? as u32, mp));
-            let want: Vec<(u8, u32, u8)> =
-                ends(&directed, d, 0..=u8::MAX).filter_map(known).collect();
-            prop_assert_eq!(csr.neighbors(i), &want[..], "row of {}", d);
-        }
+        check_routes(db, model, &directed)?;
 
         let (old_db, old) = before;
         let only = |a: &BTreeSet<u64>, b: &BTreeSet<u64>| a.difference(b).copied().collect();
@@ -1138,13 +1032,26 @@ mod tests {
             v.sort_unstable();
             v
         };
-        let want = DbDiff {
+        let (added_links, removed_links) = (
+            only_links(&model.links, &old.links),
+            only_links(&old.links, &model.links),
+        );
+        let survivor = |d: &u64| old.devices.contains(d) && model.devices.contains(d);
+        let touched = added_links.iter().chain(&removed_links);
+        let recabled: BTreeSet<u64> = touched
+            .flat_map(|&(a, _, b, _)| [a, b])
+            .filter(survivor)
+            .collect();
+        let want = TopologyDelta {
             added_devices: only(&model.devices, &old.devices),
             removed_devices: only(&old.devices, &model.devices),
-            added_links: only_links(&model.links, &old.links),
-            removed_links: only_links(&old.links, &model.links),
+            recabled_devices: recabled.into_iter().collect(),
+            added_links,
+            removed_links,
         };
-        prop_assert_eq!(old_db.diff(db), want);
+        let delta = old_db.diff(db);
+        prop_assert_eq!(&delta, &want);
+        prop_assert_eq!(delta, snapshot_db(old_db).diff(&snapshot_db(db)));
         Ok(())
     }
 
@@ -1191,6 +1098,71 @@ mod tests {
                     _ => prop_assert_eq!(db.prune_unreachable(), model.prune_unreachable(0)),
                 }
                 check_against(&db, &model, &before)?;
+            }
+        }
+
+        /// One cabling — at most one link per port, no self-links — built
+        /// directly, and built through stray links (to unknown DSNs too),
+        /// reversed insertion orders, and device removals and re-adds
+        /// that recycle freed slots, gives the same links and the same
+        /// routes from and to every device.
+        #[test]
+        fn routes_do_not_depend_on_slot_history(
+            cabling in proptest::collection::vec((0..DSNS, 0..PORTS, 0..DSNS, 0..PORTS), 0..16),
+            strays in proptest::collection::vec((0..2 * DSNS, 0..PORTS, 0..2 * DSNS, 0..PORTS), 0..12),
+            churn in proptest::collection::vec(0..DSNS, 0..6),
+        ) {
+            use proptest::prelude::*;
+            let mut used = BTreeSet::new();
+            let cabling: Vec<LinkKey> = cabling
+                .into_iter()
+                .filter(|&(a, ap, b, bp)| a != b && used.insert((a, ap)) && used.insert((b, bp)))
+                .map(|(a, ap, b, bp)| Model::key((a, ap), (b, bp)))
+                .collect();
+            let switch = |dsn| info(dsn, DeviceType::Switch, u16::from(PORTS));
+
+            let mut direct = TopologyDb::new(0);
+            for dsn in 0..DSNS {
+                direct.insert_device(switch(dsn), route0());
+            }
+            for &(a, ap, b, bp) in &cabling {
+                direct.add_link((a, ap), (b, bp));
+            }
+
+            let mut churned = TopologyDb::new(0);
+            for &(a, ap, b, bp) in &strays {
+                churned.add_link((a, ap), (b, bp));
+            }
+            for dsn in (0..DSNS).rev() {
+                churned.insert_device(switch(dsn), route0());
+            }
+            for &(a, ap, b, bp) in cabling.iter().rev() {
+                churned.add_link((b, bp), (a, ap));
+            }
+            let cabled = |a, ap, b, bp| cabling.contains(&Model::key((a, ap), (b, bp)));
+            for &(a, ap, b, bp) in &strays {
+                if !cabled(a, ap, b, bp) {
+                    churned.remove_link((a, ap), (b, bp));
+                }
+            }
+            for dsn in churn {
+                churned.remove_device(dsn);
+                churned.insert_device(switch(dsn), route0());
+                for &(a, ap, b, bp) in cabling.iter().filter(|l| l.0 == dsn || l.2 == dsn) {
+                    churned.add_link((a, ap), (b, bp));
+                }
+            }
+
+            prop_assert_eq!(churned.links().collect::<Vec<_>>(), direct.links().collect::<Vec<_>>());
+            prop_assert_eq!(churned.device_count(), direct.device_count());
+            let model = Model {
+                devices: (0..DSNS).collect(),
+                links: cabling.iter().copied().collect(),
+            };
+            check_routes(&direct, &model, &model.directed())?;
+            for root in 0..DSNS {
+                prop_assert_eq!(churned.routes_from(root, MAX_POOL_BITS), direct.routes_from(root, MAX_POOL_BITS));
+                prop_assert_eq!(churned.routes_to(root, MAX_POOL_BITS), direct.routes_to(root, MAX_POOL_BITS));
             }
         }
     }

@@ -441,18 +441,21 @@ impl Engine {
     /// answer land in [`Engine::mismatched`] — the engine does **not**
     /// forget them, the fabric manager decides how to re-discover.
     pub fn verify(cfg: EngineConfig, db: TopologyDb, out: &mut Vec<OutRequest>) -> Engine {
-        Engine::verify_with_probes(cfg, db, &[], out)
+        Engine::verify_with_probes(cfg, db, &[], &[], out)
     }
 
-    /// [`Engine::verify`] that additionally explores through `probe_via`
+    /// [`Engine::verify`] that additionally re-reads the port blocks of
+    /// `reread_ports` devices and explores through `probe_via`
     /// `(known dsn, port)` pairs, the way [`Engine::seeded`] does. Used
     /// when a PI-5 event storm escalates to one verification pass: the
-    /// verify reads confirm what the database already holds, while the
+    /// verify reads confirm what the database already holds, the
+    /// re-reads find the links the reporters' ports now carry, and the
     /// probes find genuinely new devices behind reported port-ups, which
     /// verification alone would never see.
     pub fn verify_with_probes(
         cfg: EngineConfig,
         db: TopologyDb,
+        reread_ports: &[u64],
         probe_via: &[(u64, u8)],
         out: &mut Vec<OutRequest>,
     ) -> Engine {
@@ -467,11 +470,12 @@ impl Engine {
         for (_, dsn) in targets {
             out.extend(engine.issue(Pending::Verify { dsn }));
         }
-        // Pairs whose cached port record is stale (a genuine hot-add
-        // into a port the database last saw down) cannot build a probe
-        // route; fall back to a port-block re-read of the reporter, and
-        // let the fresh port info escalate to the probe.
-        let mut rereads: Vec<u64> = Vec::new();
+        // Besides the caller's re-reads: pairs whose cached port record
+        // is stale (a genuine hot-add into a port the database last saw
+        // down) cannot build a probe route; fall back to a port-block
+        // re-read of the reporter, and let the fresh port info escalate
+        // to the probe.
+        let mut rereads = reread_ports.to_vec();
         for &(dsn, port) in probe_via {
             if !engine.probe(dsn, port) {
                 rereads.push(dsn);

@@ -574,16 +574,18 @@ mod tests {
         db
     }
 
-    /// Sends carrying a PI-4 general-information read (the packet shape
-    /// of a discovery probe and of a verification read).
-    fn general_info_reads(commands: &[asi_fabric::AgentCommand]) -> usize {
+    /// Sends carrying a PI-4 read, general-information (the packet shape
+    /// of a discovery probe and of a verification read) or not (a
+    /// port-block read).
+    fn reads(commands: &[asi_fabric::AgentCommand], general: bool) -> usize {
         let (general_addr, _) = asi_proto::config::general_info_read();
         commands
             .iter()
             .filter(|cmd| {
                 matches!(cmd, asi_fabric::AgentCommand::Send { packet, .. }
                     if matches!(&packet.payload,
-                        Payload::Pi4(Pi4::ReadRequest { addr, .. }) if *addr == general_addr))
+                        Payload::Pi4(Pi4::ReadRequest { addr, .. })
+                            if (*addr == general_addr) == general))
             })
             .count()
     }
@@ -611,7 +613,7 @@ mod tests {
         // the re-read happens to escalate.
         let commands = c.take_commands();
         assert_eq!(
-            general_info_reads(&commands),
+            reads(&commands, true),
             1,
             "the reported port-up is probed directly"
         );
@@ -639,7 +641,44 @@ mod tests {
         assert_eq!(acc.verifying, Some(2), "the storm runs as a verification");
         // One verify read for switch 7 plus one probe through its
         // reported port.
-        assert_eq!(general_info_reads(&c.take_commands()), 2);
+        assert_eq!(reads(&c.take_commands(), true), 2);
+    }
+
+    #[test]
+    fn pi5_storm_rereads_a_live_neighbour_of_a_forgotten_device() {
+        let mut cfg = FmConfig::new(Algorithm::Parallel);
+        cfg.partial_assimilation = true;
+        cfg.storm_threshold = 0;
+        let mut fm = FmAgent::new(cfg);
+        let mut c = ctx();
+        // Switch 8 hangs off switch 7's port 3. The device behind 8's
+        // port 1 was forgotten when its reads timed out, so the
+        // database records no link there, and 8 now reports that port.
+        let mut db = seeded_db();
+        insert(&mut db, 8, DeviceType::Switch, 4, 0, 2);
+        db.add_link((7, 3), (8, 0));
+        fm.db = Some(db);
+        fm.on_pi5(
+            &mut c,
+            Pi5 {
+                reporter_dsn: 8,
+                port: 1,
+                event: PortEvent::PortDown,
+                sequence: 1,
+            },
+        );
+        let acc = fm.acc.as_ref().expect("run in flight");
+        assert_eq!(acc.verifying, Some(3), "the storm runs as a verification");
+        // One verify read each for switches 7 and 8, and the reporter's
+        // port blocks re-read: only they show what its ports now carry.
+        let commands = c.take_commands();
+        assert_eq!(reads(&commands, true), 2);
+        let blocks = asi_proto::config::port_info_reads(4).count();
+        assert_eq!(
+            reads(&commands, false),
+            blocks,
+            "switch 8's port blocks are re-read"
+        );
     }
 
     #[test]

@@ -263,9 +263,11 @@ impl FmAgent {
         let engine = if order.len() > self.cfg.storm_threshold {
             // A correlated PI-5 storm: instead of N scoped re-reads, run
             // one warm-start-style verification of the whole database —
-            // plus probes through reported port-ups, which catch genuine
-            // hot-adds — and let the ordinary warm escalation repair
-            // whatever fails to verify.
+            // plus the scoped re-reads, which catch links that moved
+            // between devices still known (live neighbours of a device
+            // a timeout forgot among them), and probes through reported
+            // port-ups, which catch genuine hot-adds — and let the
+            // ordinary warm escalation repair whatever fails to verify.
             let threshold = self.cfg.storm_threshold as u64;
             self.cfg
                 .trace
@@ -275,7 +277,13 @@ impl FmAgent {
                 });
             db.refresh_routes(self.cfg.pool_capacity);
             verifying = Some(db.device_count() as u64);
-            Engine::verify_with_probes(self.engine_cfg(), db, &probe_via, &mut self.outbox)
+            Engine::verify_with_probes(
+                self.engine_cfg(),
+                db,
+                &rereads,
+                &probe_via,
+                &mut self.outbox,
+            )
         } else {
             Engine::seeded(
                 self.engine_cfg(),

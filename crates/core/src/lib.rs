@@ -34,7 +34,7 @@ pub mod retry;
 pub mod snapshot;
 pub mod timing;
 
-pub use db::{DbDevice, DbDiff, DeviceRoute, TopologyDb};
+pub use db::{DeviceRecord, DeviceRoute, TopologyDb};
 pub use distributed::{
     certify_merge, report_messages, DistributedConfig, FmPeer, MergeCertError, MergeCertificate,
     MergeState,

@@ -7,25 +7,14 @@
 //! rebuilds a database with [`db_from_snapshot`] and verifies it against
 //! the real fabric instead of re-walking it.
 
-use crate::db::{DeviceRoute, TopologyDb};
-use asi_state::{Snapshot, SnapshotDevice, SnapshotRoute};
+use crate::db::TopologyDb;
+use asi_state::Snapshot;
 
 /// Freezes a topology database into a snapshot. The result is already
 /// canonical (the database iterates in sorted order).
 pub fn snapshot_db(db: &TopologyDb) -> Snapshot {
     let mut snap = Snapshot::new(db.host_dsn());
-    for d in db.devices() {
-        snap.devices.push(SnapshotDevice {
-            info: d.info,
-            route: SnapshotRoute {
-                egress: d.route.egress,
-                entry_port: d.route.entry_port,
-                hops: d.route.hops,
-                pool: d.route.pool.clone(),
-            },
-            ports: d.ports.clone(),
-        });
-    }
+    snap.devices.extend(db.devices().cloned());
     for ((a, ap), (b, bp)) in db.links() {
         snap.links.push((a, ap, b, bp));
     }
@@ -39,15 +28,7 @@ pub fn snapshot_db(db: &TopologyDb) -> Snapshot {
 pub fn db_from_snapshot(snap: &Snapshot) -> TopologyDb {
     let mut db = TopologyDb::new(snap.host_dsn);
     for d in &snap.devices {
-        db.insert_device(
-            d.info,
-            DeviceRoute {
-                egress: d.route.egress,
-                pool: d.route.pool.clone(),
-                entry_port: d.route.entry_port,
-                hops: d.route.hops,
-            },
-        );
+        db.insert_device(d.info, d.route.clone());
         for (idx, port) in d.ports.iter().enumerate() {
             if let Some(p) = port {
                 db.set_port(d.info.dsn, idx as u16, *p);
@@ -63,6 +44,7 @@ pub fn db_from_snapshot(snap: &Snapshot) -> TopologyDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::DeviceRoute;
     use asi_proto::{DeviceInfo, DeviceType, PortInfo, PortState, TurnPool};
 
     fn info(dsn: u64, device_type: DeviceType, ports: u16) -> DeviceInfo {

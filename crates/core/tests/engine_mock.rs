@@ -631,7 +631,7 @@ fn pinned_schedules_seeded_and_verify() {
         let (db, sw12, sw21) = warm_db(&topo);
         let mut first = Vec::new();
         let probes = [(sw12, 0), (sw21, 7)];
-        let mut engine = Engine::verify_with_probes(cfg(alg, false), db, &probes, &mut first);
+        let mut engine = Engine::verify_with_probes(cfg(alg, false), db, &[], &probes, &mut first);
         let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
         assert_matches_truth(&engine, &topo);
         assert_eq!(engine.verified().len(), topo.node_count() - 3);

@@ -11,7 +11,7 @@
 
 use crate::json::{self, Json};
 use asi_proto::{DeviceInfo, DeviceType, PortInfo, PortState, TurnPool};
-use asi_state::{checksum_of, Snapshot, SnapshotDevice, SnapshotRoute, SNAPSHOT_VERSION};
+use asi_state::{checksum_of, DeviceRecord, DeviceRoute, Snapshot, SNAPSHOT_VERSION};
 use std::path::Path;
 
 /// On-disk snapshot encodings.
@@ -65,7 +65,7 @@ fn state_tag(s: PortState) -> &'static str {
     }
 }
 
-fn device_to_json(d: &SnapshotDevice) -> Json {
+fn device_to_json(d: &DeviceRecord) -> Json {
     let pool_words: Vec<Json> = d
         .route
         .pool
@@ -102,7 +102,7 @@ fn device_to_json(d: &SnapshotDevice) -> Json {
         .with("ports", Json::Arr(ports))
 }
 
-fn device_from_json(json: &Json) -> Result<SnapshotDevice, String> {
+fn device_from_json(json: &Json) -> Result<DeviceRecord, String> {
     let device_type = match json.get("type").as_str() {
         Some("switch") => DeviceType::Switch,
         Some("endpoint") => DeviceType::Endpoint,
@@ -139,7 +139,7 @@ fn device_from_json(json: &Json) -> Result<SnapshotDevice, String> {
         get_u64(json, "pool_capacity")? as u16,
     )
     .map_err(|e| format!("turn pool: {e:?}"))?;
-    let route = SnapshotRoute {
+    let route = DeviceRoute {
         egress: get_u64(json, "egress")? as u8,
         entry_port: get_u64(json, "entry_port")? as u8,
         hops: get_u64(json, "hops")? as u16,
@@ -165,7 +165,7 @@ fn device_from_json(json: &Json) -> Result<SnapshotDevice, String> {
             peer_port: get_u64(p, "peer_port")? as u8,
         }));
     }
-    Ok(SnapshotDevice { info, route, ports })
+    Ok(DeviceRecord { info, route, ports })
 }
 
 /// Renders a snapshot as JSON Lines. The header repeats the binary
@@ -289,7 +289,7 @@ mod tests {
         let mut pool = TurnPool::new_spec();
         pool.push_turn(3, 5).unwrap();
         let mut s = Snapshot::new(0xA51_0000_0001);
-        s.devices.push(SnapshotDevice {
+        s.devices.push(DeviceRecord {
             info: DeviceInfo {
                 device_type: DeviceType::Endpoint,
                 dsn: 0xA51_0000_0001,
@@ -298,7 +298,7 @@ mod tests {
                 fm_capable: true,
                 fm_priority: 7,
             },
-            route: SnapshotRoute {
+            route: DeviceRoute {
                 egress: 0,
                 entry_port: 0,
                 hops: 0,
@@ -311,7 +311,7 @@ mod tests {
                 peer_port: 4,
             })],
         });
-        s.devices.push(SnapshotDevice {
+        s.devices.push(DeviceRecord {
             info: DeviceInfo {
                 device_type: DeviceType::Switch,
                 dsn: 0xA51_0000_0002,
@@ -320,7 +320,7 @@ mod tests {
                 fm_capable: false,
                 fm_priority: 0,
             },
-            route: SnapshotRoute {
+            route: DeviceRoute {
                 egress: 0,
                 entry_port: 4,
                 hops: 1,

@@ -6,7 +6,7 @@
 use asi_harness::prelude::*;
 use asi_harness::{trace_to_jsonl, RingCollector};
 use asi_sim::{SimDuration, TraceHandle};
-use asi_topo::mesh;
+use asi_topo::{mesh, torus, Grid};
 use proptest::prelude::*;
 
 /// Brings up the 3x3 mesh and runs initial discovery under `churn`,
@@ -91,5 +91,49 @@ proptest! {
         prop_assert!(out.full_topology, "devices missing: {out:?}");
         prop_assert!(!out.diverged_at_end, "still diverged: {out:?}");
         prop_assert!(out.cold_db_matches, "cold mismatch: {out:?}");
+    }
+}
+
+/// Seeds a PI-5 storm used to lose: the storm's verification pass
+/// dropped the port-block re-reads its scoping kept, so the live
+/// neighbours of a device a timeout had forgotten were never re-read
+/// and the database ended short (`churn --topology mesh:4x4 --seed 8`
+/// ended with 30 of 32 devices). Each row is the CLI's `churn` run:
+/// default rates and down times, a 4 ms window at `start_us`.
+#[test]
+fn storm_rereads_keep_the_pinned_churn_seeds_converged() {
+    let rows: [(&str, Grid, u64, &[u64]); 4] = [
+        ("mesh:4x4", mesh(4, 4).unwrap(), 6_000, &[8, 39, 42, 52, 55]),
+        ("torus:4x4", torus(4, 4).unwrap(), 6_000, &[52, 55]),
+        ("mesh:6x6", mesh(6, 6).unwrap(), 40_000, &[6, 35, 37, 39]),
+        ("mesh:8x8", mesh(8, 8).unwrap(), 40_000, &[12]),
+    ];
+    for (name, grid, start_us, seeds) in rows {
+        let topo = &grid.topology;
+        for &seed in seeds {
+            let plan = ChurnPlan::none()
+                .with_link_flaps(1_500.0, SimDuration::from_us(200))
+                .with_device_churn(300.0, SimDuration::from_ms(1))
+                .with_window(SimDuration::from_us(start_us), SimDuration::from_ms(4))
+                .with_seed(seed)
+                .with_exempt(default_churn_exempt(topo));
+            let scenario = Scenario::new(Algorithm::Parallel)
+                .with_seed(seed)
+                .with_partial_assimilation(true)
+                .with_churn(plan);
+            let out = churn_experiment(topo, &scenario);
+            assert!(
+                out.full_topology,
+                "{name} seed {seed}: database short: {out:?}"
+            );
+            assert!(
+                out.cold_db_matches,
+                "{name} seed {seed}: cold mismatch: {out:?}"
+            );
+            assert!(
+                out.converged(),
+                "{name} seed {seed}: not converged: {out:?}"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! preceding byte, so truncation, bit rot and version skew are all caught
 //! before any record is trusted.
 
-use crate::snapshot::{Snapshot, SnapshotDevice, SnapshotRoute};
+use crate::snapshot::{DeviceRecord, DeviceRoute, Snapshot};
 use asi_proto::{DeviceInfo, DeviceType, PortInfo, PortState, TurnPool};
 
 /// First four bytes of every snapshot file.
@@ -101,7 +101,7 @@ fn port_state_tag(s: PortState) -> u8 {
     }
 }
 
-fn encode_device(out: &mut Vec<u8>, d: &SnapshotDevice) {
+fn encode_device(out: &mut Vec<u8>, d: &DeviceRecord) {
     put_u64(out, d.info.dsn);
     out.push(device_type_tag(d.info.device_type));
     put_u16(out, d.info.port_count);
@@ -165,7 +165,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_device(r: &mut Reader<'_>) -> Result<SnapshotDevice, SnapshotError> {
+fn decode_device(r: &mut Reader<'_>) -> Result<DeviceRecord, SnapshotError> {
     let dsn = r.u64()?;
     let device_type = match r.u8()? {
         1 => DeviceType::Switch,
@@ -213,7 +213,7 @@ fn decode_device(r: &mut Reader<'_>) -> Result<SnapshotDevice, SnapshotError> {
             _ => return Err(SnapshotError::Malformed("port presence tag")),
         }
     }
-    Ok(SnapshotDevice {
+    Ok(DeviceRecord {
         info: DeviceInfo {
             device_type,
             dsn,
@@ -222,7 +222,7 @@ fn decode_device(r: &mut Reader<'_>) -> Result<SnapshotDevice, SnapshotError> {
             fm_capable,
             fm_priority,
         },
-        route: SnapshotRoute {
+        route: DeviceRoute {
             egress,
             entry_port,
             hops,
@@ -319,12 +319,12 @@ mod tests {
     use super::*;
     use crate::snapshot::link_key;
 
-    fn device(dsn: u64, switch: bool, nports: u16) -> SnapshotDevice {
+    fn device(dsn: u64, switch: bool, nports: u16) -> DeviceRecord {
         let mut pool = TurnPool::with_capacity(64);
         if switch {
             pool.push_turn(3, 4).unwrap();
         }
-        SnapshotDevice {
+        DeviceRecord {
             info: DeviceInfo {
                 device_type: if switch {
                     DeviceType::Switch
@@ -337,7 +337,7 @@ mod tests {
                 fm_capable: !switch,
                 fm_priority: 7,
             },
-            route: SnapshotRoute {
+            route: DeviceRoute {
                 egress: 0,
                 entry_port: (dsn % 4) as u8,
                 hops: (dsn % 3) as u16,
@@ -534,7 +534,7 @@ mod tests {
         /// with random routes/ports, and random links among them.
         struct ArbSnapshot;
 
-        fn arb_device(rng: &mut TestRng, dsn: u64) -> Result<SnapshotDevice, Rejected> {
+        fn arb_device(rng: &mut TestRng, dsn: u64) -> Result<DeviceRecord, Rejected> {
             let switch = (0u8..2).generate(rng)? == 1;
             let nports: u16 = if switch { (2u16..17).generate(rng)? } else { 1 };
             let mut pool = TurnPool::with_capacity(64);
@@ -559,7 +559,7 @@ mod tests {
                     })
                 });
             }
-            Ok(SnapshotDevice {
+            Ok(DeviceRecord {
                 info: DeviceInfo {
                     device_type: if switch {
                         DeviceType::Switch
@@ -572,7 +572,7 @@ mod tests {
                     fm_capable: (0u8..2).generate(rng)? == 1,
                     fm_priority: (0u8..=255u8).generate(rng).unwrap_or(0),
                 },
-                route: SnapshotRoute {
+                route: DeviceRoute {
                     egress: (0u8..4).generate(rng)?,
                     entry_port: (0u8..16).generate(rng)?,
                     hops: (0u16..12).generate(rng)?,

@@ -1,4 +1,5 @@
-//! Structural diffing between two snapshots.
+//! Structural diffing between two topologies: two snapshots, or two live
+//! databases reduced to the same sets.
 
 use crate::snapshot::{link_key, Snapshot};
 use std::collections::BTreeSet;
@@ -25,12 +26,20 @@ pub struct TopologyDelta {
 impl TopologyDelta {
     /// Computes the delta from `older` to `newer`.
     pub fn between(older: &Snapshot, newer: &Snapshot) -> TopologyDelta {
-        let old_dsns: BTreeSet<u64> = older.devices.iter().map(|d| d.info.dsn).collect();
-        let new_dsns: BTreeSet<u64> = newer.devices.iter().map(|d| d.info.dsn).collect();
-        let old_links: BTreeSet<(u64, u8, u64, u8)> =
-            older.links.iter().map(|&l| link_key(l)).collect();
-        let new_links: BTreeSet<(u64, u8, u64, u8)> =
-            newer.links.iter().map(|&l| link_key(l)).collect();
+        let dsns = |s: &Snapshot| s.devices.iter().map(|d| d.info.dsn).collect();
+        let links = |s: &Snapshot| s.links.iter().map(|&l| link_key(l)).collect();
+        TopologyDelta::of_sets(dsns(older), dsns(newer), links(older), links(newer))
+    }
+
+    /// The delta between two topologies given as their device DSNs and
+    /// their canonical link keys: what both [`TopologyDelta::between`]
+    /// and the live database's diff reduce to.
+    pub fn of_sets(
+        old_dsns: BTreeSet<u64>,
+        new_dsns: BTreeSet<u64>,
+        old_links: BTreeSet<(u64, u8, u64, u8)>,
+        new_links: BTreeSet<(u64, u8, u64, u8)>,
+    ) -> TopologyDelta {
         let added_links: Vec<_> = new_links.difference(&old_links).copied().collect();
         let removed_links: Vec<_> = old_links.difference(&new_links).copied().collect();
         // A surviving device is "re-cabled" when any link touching it

@@ -25,4 +25,4 @@ mod snapshot;
 
 pub use codec::{checksum_of, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use delta::TopologyDelta;
-pub use snapshot::{Snapshot, SnapshotDevice, SnapshotRoute};
+pub use snapshot::{DeviceRecord, DeviceRoute, Snapshot};

@@ -3,31 +3,46 @@
 use crate::delta::TopologyDelta;
 use asi_proto::{DeviceInfo, PortInfo, TurnPool};
 
-/// How the fabric manager reaches a snapshotted device: inject on
-/// `egress` (the FM endpoint's port), follow `pool`, arrive at the
-/// device's `entry_port`. Mirrors `asi-core`'s `DeviceRoute` without
-/// depending on it, so the dependency arrow stays `state → proto`.
+/// How the fabric manager reaches a device: inject on `egress` (the FM
+/// endpoint's port), follow `pool`, arrive at the device's `entry_port`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotRoute {
+pub struct DeviceRoute {
     /// Egress port at the FM's endpoint.
     pub egress: u8,
+    /// Turns for the switches along the path.
+    pub pool: TurnPool,
     /// Port at which packets enter the target device.
     pub entry_port: u8,
     /// Switch hops from the FM.
     pub hops: u16,
-    /// Turns for the switches along the path.
-    pub pool: TurnPool,
 }
 
-/// One device record: general information, route, per-port attributes.
+/// One device record, in the topology database and in a snapshot alike:
+/// general information, route, per-port attributes.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotDevice {
+pub struct DeviceRecord {
     /// The six general-information words, decoded.
     pub info: DeviceInfo,
-    /// Route the FM used to reach it.
-    pub route: SnapshotRoute,
-    /// Per-port attributes; `None` where the port block was never read.
+    /// Route the FM uses to reach it.
+    pub route: DeviceRoute,
+    /// Per-port attributes; `None` until the port block has been read.
     pub ports: Vec<Option<PortInfo>>,
+}
+
+impl DeviceRecord {
+    /// Number of active ports among those read so far.
+    pub fn active_ports(&self) -> usize {
+        self.ports
+            .iter()
+            .flatten()
+            .filter(|p| p.state.is_active())
+            .count()
+    }
+
+    /// True once every port block has been read.
+    pub fn ports_complete(&self) -> bool {
+        self.ports.iter().all(Option::is_some)
+    }
 }
 
 /// A versioned snapshot of one discovered topology.
@@ -42,7 +57,7 @@ pub struct Snapshot {
     /// DSN of the FM endpoint the snapshot is rooted at.
     pub host_dsn: u64,
     /// Every device the discovery recorded (including the host).
-    pub devices: Vec<SnapshotDevice>,
+    pub devices: Vec<DeviceRecord>,
     /// Every link, as `(dsn_a, port_a, dsn_b, port_b)`.
     pub links: Vec<(u64, u8, u64, u8)>,
 }
@@ -77,7 +92,7 @@ impl Snapshot {
     }
 
     /// Looks up a device by DSN.
-    pub fn device(&self, dsn: u64) -> Option<&SnapshotDevice> {
+    pub fn device(&self, dsn: u64) -> Option<&DeviceRecord> {
         self.devices.iter().find(|d| d.info.dsn == dsn)
     }
 

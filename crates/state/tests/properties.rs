@@ -6,7 +6,7 @@
 //! `tests/properties.rs`.)
 
 use asi_proto::{DeviceInfo, DeviceType, PortInfo, PortState, TurnPool};
-use asi_state::{Snapshot, SnapshotDevice, SnapshotRoute, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use asi_state::{DeviceRecord, DeviceRoute, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 
 /// A valid snapshot of `devices` devices, its records filled from `a`:
@@ -30,7 +30,7 @@ fn snapshot_of(devices: u64, a: u64) -> Snapshot {
                 peer_port: (p % 5) as u8,
             })
         };
-        s.devices.push(SnapshotDevice {
+        s.devices.push(DeviceRecord {
             info: DeviceInfo {
                 device_type: [DeviceType::Endpoint, DeviceType::Switch][usize::from(switch)],
                 dsn: a.wrapping_add(i),
@@ -39,7 +39,7 @@ fn snapshot_of(devices: u64, a: u64) -> Snapshot {
                 fm_capable: !switch,
                 fm_priority: (a >> 8) as u8,
             },
-            route: SnapshotRoute {
+            route: DeviceRoute {
                 egress: 0,
                 entry_port: (i % 4) as u8,
                 hops: i as u16,
