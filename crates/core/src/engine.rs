@@ -228,6 +228,12 @@ impl PendingTable {
         Some(taken)
     }
 
+    /// The ids in flight, in increasing order.
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let live = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
+        live.map(|(i, _)| self.head.wrapping_add(i as u32))
+    }
+
     fn contains(&self, req_id: u32) -> bool {
         req_id
             .checked_sub(self.head)
@@ -544,6 +550,11 @@ impl Engine {
     /// True if `req_id` is still awaiting a completion.
     pub fn is_pending(&self, req_id: u32) -> bool {
         self.pending.contains(req_id)
+    }
+
+    /// The ids of the requests in flight, in increasing order.
+    pub fn pending_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.pending.ids()
     }
 
     /// Consumes a PI-4 completion. `words` is the data of a successful

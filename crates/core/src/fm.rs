@@ -49,6 +49,13 @@ const TOKEN_ELECTION_DECIDE: u64 = (1 << 62) + 5;
 /// in bits 32.. (zero for side writes), the request id in the low 32.
 const TIMEOUT_FLAG: u64 = 1 << 63;
 
+/// The timeout token of request `req_id`, sent under `epoch`. Unique
+/// among the manager's pending timers, so it can be cancelled: engine
+/// ids are unique within an epoch, side-write ids never repeat.
+fn timeout_token(epoch: u64, req_id: u32) -> u64 {
+    TIMEOUT_FLAG | (epoch << 32) | u64::from(req_id)
+}
+
 /// How the manager's *initial* discovery runs.
 #[derive(Clone, Debug, Default)]
 pub enum DiscoveryMode {
@@ -335,8 +342,8 @@ impl FmAgent {
         }
         // Side writes and keepalives use id ranges the engine never does.
         let claimed = match pi4 {
-            Pi4::WriteCompletion { req_id } => self.side_complete(ctx.now, *req_id, true),
-            Pi4::ReadError { req_id, .. } if self.side_complete(ctx.now, *req_id, false) => true,
+            Pi4::WriteCompletion { req_id } => self.side_complete(ctx, *req_id, true),
+            Pi4::ReadError { req_id, .. } if self.side_complete(ctx, *req_id, false) => true,
             _ => self.watch.as_mut().is_some_and(|w| w.answered_by(pi4)),
         };
         if claimed {
@@ -346,6 +353,10 @@ impl FmAgent {
             return; // completion for an abandoned run
         };
         engine.set_trace_time(ctx.now);
+        // The request leaves the pending table: its timeout with it.
+        if engine.is_pending(pi4.req_id()) {
+            ctx.cancel_timer(timeout_token(self.epoch, pi4.req_id()));
+        }
         let out = &mut self.outbox;
         match pi4 {
             Pi4::ReadCompletion { req_id, data } => {
@@ -422,7 +433,7 @@ impl FabricAgent for FmAgent {
                 let (epoch, req_id) = ((token >> 32) & 0x3FFF_FFFF, token as u32);
                 // A side write's timeout outlives re-discoveries; an
                 // engine request's is void once a later engine launched.
-                if self.side_complete(ctx.now, req_id, false) || epoch != self.epoch {
+                if self.side_complete(ctx, req_id, false) || epoch != self.epoch {
                     return;
                 }
                 if let Some(engine) = self.engine.as_mut() {
@@ -793,6 +804,42 @@ mod tests {
         assert!(fm.mcast_configured.is_empty(), "a failed group is not");
     }
 
+    /// An acknowledged side write leaves its batch, and its timeout is
+    /// cancelled under the token it was armed with.
+    #[test]
+    fn acknowledged_mcast_writes_cancel_their_timeouts() {
+        let mut db = seeded_db();
+        insert(&mut db, 9, DeviceType::Endpoint, 1, 0, 2);
+        db.add_link((7, 3), (9, 0));
+        let mut fm = FmAgent::new(FmConfig::new(Algorithm::Parallel));
+        fm.db = Some(db);
+        fm.queue_multicast(1, vec![0, 9]);
+        let mut c = ctx();
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_MCAST);
+        let (mut armed, mut writes) = (Vec::new(), Vec::new());
+        for cmd in c.take_commands() {
+            match cmd {
+                asi_fabric::AgentCommand::Timer { token, .. } => armed.push(token),
+                asi_fabric::AgentCommand::Send { packet, .. } => {
+                    if let Payload::Pi4(Pi4::WriteRequest { req_id, .. }) = packet.payload {
+                        writes.push(req_id);
+                    }
+                }
+                asi_fabric::AgentCommand::CancelTimer { .. } => {}
+            }
+        }
+        assert_eq!(writes.len(), 2);
+        for req_id in writes {
+            assert!(fm.side_complete(&mut c, req_id, true));
+        }
+        let cancelled = c.take_commands().into_iter().filter_map(|cmd| match cmd {
+            asi_fabric::AgentCommand::CancelTimer { token } => Some(token),
+            _ => None,
+        });
+        assert_eq!(cancelled.collect::<Vec<_>>(), armed);
+        assert_eq!(fm.mcast_configured, [1]);
+    }
+
     /// One event of a role walk: a timer, or [`RIVAL`]'s claim at a priority.
     enum Ev {
         Timer(u64),
@@ -914,6 +961,44 @@ mod tests {
         ];
         let fm = walk_roles(&mut ctx(), DistributedConfig::new(1), &outvoted);
         assert!(fm.runs.is_empty(), "a bystander does not discover");
+    }
+
+    /// A promotion abandons the collaborator run in flight, and its
+    /// requests leave the pending table with it: their timeouts are
+    /// cancelled, under the epoch they were armed in.
+    #[test]
+    fn failover_cancels_the_abandoned_runs_timeouts() {
+        let mut c = ctx();
+        // An active host port: the collaborator's run waits on its probe.
+        c.host_ports[0].state = asi_proto::PortState::Active;
+        let lost = [
+            (Heard(9), "Electing", false),
+            (Timer(TOKEN_START_ELECTION), "Electing", false),
+            (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Collaborator", true),
+        ];
+        let mut fm = walk_roles(&mut c, paired(1), &lost);
+        assert!(fm.discovering());
+        let timeouts = |commands: Vec<asi_fabric::AgentCommand>, cancelled: bool| {
+            let tokens = commands.into_iter().filter_map(|cmd| match cmd {
+                asi_fabric::AgentCommand::Timer { token, .. } if !cancelled => Some(token),
+                asi_fabric::AgentCommand::CancelTimer { token } if cancelled => Some(token),
+                _ => None,
+            });
+            tokens.filter(|t| t & TIMEOUT_FLAG != 0).collect::<Vec<_>>()
+        };
+        let armed = timeouts(c.take_commands(), false);
+        assert_eq!(armed.len(), 1, "the probe through the host port");
+        for token in [
+            TOKEN_KEEPALIVE_CHECK,
+            TOKEN_START_STANDBY,
+            TOKEN_KEEPALIVE_CHECK,
+            TOKEN_START_STANDBY,
+            TOKEN_KEEPALIVE_CHECK,
+        ] {
+            fm.on_timer(&mut c, token);
+        }
+        assert!(fm.promoted());
+        assert_eq!(timeouts(c.take_commands(), true), armed);
     }
 
     #[test]

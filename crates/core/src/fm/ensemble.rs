@@ -328,7 +328,11 @@ impl FmAgent {
                 self.watch = None;
                 let decided = self.role.decided().expect("only an election arms a watch");
                 self.role = Role::Promoted(decided);
-                self.engine = None;
+                // The run's requests leave the pending table with it.
+                let dropped = self.engine.take();
+                for req_id in dropped.iter().flat_map(Engine::pending_ids) {
+                    ctx.cancel_timer(timeout_token(self.epoch, req_id));
+                }
                 self.acc = None;
                 self.begin_full(ctx, DiscoveryTrigger::Failover);
                 return;

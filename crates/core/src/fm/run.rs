@@ -84,8 +84,8 @@ impl FmAgent {
     /// the opening requests it left in the outbox. `acc` is `Some` when
     /// the engine opens a new run (traced as `RunStarted`, `extra`,
     /// pending-table size), `None` when it continues the run in flight.
-    /// Every engine numbers its requests from 1; the fresh epoch voids
-    /// the previous engine's still-scheduled timeout timers.
+    /// Every engine numbers its requests from 1; the fresh epoch keeps
+    /// its timeout tokens apart from every earlier engine's.
     pub(super) fn launch(
         &mut self,
         ctx: &mut AgentCtx,
@@ -349,10 +349,7 @@ impl FmAgent {
             if let Some(acc) = self.acc.as_mut() {
                 acc.bytes_sent += bytes;
             }
-            ctx.set_timer(
-                req.timeout + congestion,
-                TIMEOUT_FLAG | (self.epoch << 32) | u64::from(req_id),
-            );
+            ctx.set_timer(req.timeout + congestion, timeout_token(self.epoch, req_id));
         }
         self.outbox = out;
     }

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 /// Side-write request ids live in their own range so they can never
 /// collide with engine request ids. They are never reused, which is why
-/// their timeout timers need no epoch.
+/// their timeout tokens need no epoch.
 const SIDE_REQ_BASE: u32 = 0xD000_0000;
 
 /// Who hears that a batch of writes has drained.
@@ -70,7 +70,7 @@ impl FmAgent {
                 run.bytes_sent += bytes;
             }
             pending.insert(req_id);
-            ctx.set_timer(timeout, TIMEOUT_FLAG | u64::from(req_id));
+            ctx.set_timer(timeout, timeout_token(0, req_id));
         }
         if pending.is_empty() {
             self.batch_drained(ctx.now, owner);
@@ -80,8 +80,9 @@ impl FmAgent {
     }
 
     /// A side write finished: acknowledged (`ok`), or rejected / timed
-    /// out. Returns false when `req_id` is not an in-flight side write.
-    pub(super) fn side_complete(&mut self, now: SimTime, req_id: u32, ok: bool) -> bool {
+    /// out; its timeout is cancelled (a no-op if that is what fired).
+    /// Returns false when `req_id` is not an in-flight side write.
+    pub(super) fn side_complete(&mut self, ctx: &mut AgentCtx, req_id: u32, ok: bool) -> bool {
         if req_id < SIDE_REQ_BASE {
             return false;
         }
@@ -89,6 +90,8 @@ impl FmAgent {
         let Some(i) = self.side.batches.iter_mut().position(holds) else {
             return false;
         };
+        ctx.cancel_timer(timeout_token(0, req_id));
+        let now = ctx.now;
         let batch = &mut self.side.batches[i];
         if !ok {
             match &mut batch.owner {

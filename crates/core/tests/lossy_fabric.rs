@@ -6,8 +6,10 @@
 
 use asi_core::{Algorithm, FmAgent, FmConfig, RetryPolicy, TOKEN_START_DISCOVERY};
 use asi_fabric::{DevId, Fabric, FabricConfig, FaultPlan, LossModel};
-use asi_sim::SimDuration;
+use asi_sim::{SimDuration, TraceEvent, TraceHandle, TraceRecord, TraceSink};
 use asi_topo::mesh;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn run_faulty(faults: FaultPlan, retry: RetryPolicy, seed: u64) -> (usize, u64, u64, u64, u64) {
     let g = mesh(3, 3).unwrap();
@@ -264,4 +266,79 @@ fn scheduled_link_flap_is_assimilated() {
     let db = agent.db().unwrap();
     assert_eq!(db.device_count(), 18);
     assert_eq!(db.link_count(), g.topology.links().len());
+}
+
+/// `(t_ps, req_id)` of every `request-timed-out` record.
+#[derive(Default)]
+struct TimedOut(Vec<(u64, u32)>);
+
+impl TraceSink for TimedOut {
+    fn record(&mut self, record: TraceRecord) {
+        if let TraceEvent::RequestTimedOut { req_id } = record.event {
+            self.0.push((record.time.as_ps(), req_id));
+        }
+    }
+}
+
+/// FNV-1a over `words`, little-endian.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    (words.into_iter())
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// A 4x4 mesh discovered under bursty loss with retries, once per
+/// algorithm. After every kernel step from the discovery's start on,
+/// the manager's pending timers are its requests in flight, one each:
+/// an answered request's timeout is cancelled, a timed-out one's has
+/// fired. And every timeout that fires, fires at the instant and in the
+/// order it did when each timeout was a kernel event of its own: the
+/// `(t_ps, req_id)` of the `request-timed-out` records hash to the
+/// digests recorded then.
+#[test]
+fn pending_timers_are_the_requests_in_flight_and_fire_where_they_did() {
+    let g = mesh(4, 4).unwrap();
+    let fm = DevId(g.endpoint_at(0, 0).0);
+    for (algorithm, timeouts, digest) in [
+        (Algorithm::SerialPacket, 66, 0x164a_e104_fcc2_70f9),
+        (Algorithm::SerialDevice, 80, 0x02ed_e59f_5db7_4037),
+        (Algorithm::Parallel, 71, 0x79d2_91a1_3ddc_02a2),
+    ] {
+        let config = FabricConfig {
+            faults: FaultPlan::none().with_loss(LossModel::bursty(0.05)),
+            seed: 3,
+            ..FabricConfig::default()
+        };
+        let mut fabric = Fabric::new(&g.topology, config);
+        fabric.activate_all(SimDuration::ZERO);
+        fabric.run_until_idle();
+        let sink = Rc::new(RefCell::new(TimedOut::default()));
+        let cfg = FmConfig::new(algorithm)
+            .with_retry(RetryPolicy::fixed(8))
+            .with_request_timeout(SimDuration::from_us(500))
+            .with_trace(TraceHandle::to(sink.clone()));
+        fabric.set_agent(fm, Box::new(FmAgent::new(cfg)));
+        fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_START_DISCOVERY);
+        let mut began = false;
+        while fabric.step() {
+            let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
+            began |= agent.discovering();
+            if began {
+                let in_flight = agent.discovery_progress().map_or(0, |(_, n)| n);
+                let at = fabric.now();
+                assert_eq!(fabric.agent_timers(fm), in_flight, "{algorithm:?} at {at}");
+            }
+        }
+        let run = fabric.agent_as::<FmAgent>(fm).unwrap().last_run().unwrap();
+        assert_eq!(run.devices_found, 32, "{algorithm:?}");
+        let fired = &sink.borrow().0;
+        assert_eq!(fired.len() as u64, run.timeouts, "{algorithm:?}");
+        let words = fired.iter().flat_map(|&(t, id)| [t, u64::from(id)]);
+        assert_eq!(
+            (fired.len(), fnv(words)),
+            (timeouts, digest),
+            "{algorithm:?}"
+        );
+    }
 }

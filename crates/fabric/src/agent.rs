@@ -2,9 +2,10 @@
 //! background-traffic generator, …) attaches to an endpoint.
 //!
 //! Agents never touch the fabric directly; callbacks receive an
-//! [`AgentCtx`] and push [`AgentCommand`]s (send a packet, arm a timer)
-//! that the fabric executes when the callback returns. This keeps the
-//! borrow structure trivial and makes agent behaviour easy to unit-test.
+//! [`AgentCtx`] and push [`AgentCommand`]s (send a packet, arm or cancel
+//! a timer) that the fabric executes when the callback returns. This
+//! keeps the borrow structure trivial and makes agent behaviour easy to
+//! unit-test.
 
 use asi_proto::{DeviceInfo, DeviceType, Packet, PortEvent, PortInfo};
 use asi_sim::{SimDuration, SimTime};
@@ -43,6 +44,11 @@ pub enum AgentCommand {
         /// Delay from now.
         delay: SimDuration,
         /// Opaque token returned to the agent.
+        token: u64,
+    },
+    /// Disarm the pending timer armed with `token` (nothing if none is).
+    CancelTimer {
+        /// The token the timer was armed with.
         token: u64,
     },
 }
@@ -107,6 +113,14 @@ impl AgentCtx {
         self.commands.push(AgentCommand::Timer { delay, token });
     }
 
+    /// Disarms the pending timer armed with `token`: it never fires. A
+    /// token the agent cancels must be unique among its pending timers;
+    /// one it never cancels (a keepalive, say) may repeat, and fires
+    /// once per arm.
+    pub fn cancel_timer(&mut self, token: u64) {
+        self.commands.push(AgentCommand::CancelTimer { token });
+    }
+
     /// Drains the queued commands (fabric-internal).
     pub fn take_commands(&mut self) -> Vec<AgentCommand> {
         std::mem::take(&mut self.commands)
@@ -135,7 +149,8 @@ pub trait FabricAgent {
     /// A packet finished processing.
     fn on_packet(&mut self, ctx: &mut AgentCtx, packet: Packet);
 
-    /// A timer armed with [`AgentCtx::set_timer`] fired.
+    /// A timer armed with [`AgentCtx::set_timer`] fired (and was not
+    /// cancelled with [`AgentCtx::cancel_timer`] first).
     fn on_timer(&mut self, _ctx: &mut AgentCtx, _token: u64) {}
 
     /// A local port of the hosting endpoint changed state.
@@ -159,10 +174,15 @@ mod tests {
         assert_eq!(ctx.dev, DevId(7));
         ctx.set_timer(SimDuration::from_us(1), 11);
         ctx.set_timer(SimDuration::from_us(2), 22);
+        ctx.cancel_timer(11);
         let cmds = ctx.take_commands();
-        assert_eq!(cmds.len(), 2);
-        match (&cmds[0], &cmds[1]) {
-            (AgentCommand::Timer { token: 11, .. }, AgentCommand::Timer { token: 22, .. }) => {}
+        assert_eq!(cmds.len(), 3);
+        match (&cmds[0], &cmds[1], &cmds[2]) {
+            (
+                AgentCommand::Timer { token: 11, .. },
+                AgentCommand::Timer { token: 22, .. },
+                AgentCommand::CancelTimer { token: 11 },
+            ) => {}
             other => panic!("unexpected commands: {other:?}"),
         }
         // Drained.

@@ -532,7 +532,14 @@ impl Fabric {
         let d = &mut self.devices[dev.idx()];
         assert!(d.is_endpoint(), "agents attach to endpoints");
         let inbox = Stage::default();
-        d.agent = Some(Box::new(AgentSlot { agent, inbox }));
+        // A replaced agent's pending timers go to its successor, as their
+        // events would.
+        let timers = d.agent.take().map(|slot| slot.timers).unwrap_or_default();
+        d.agent = Some(Box::new(AgentSlot {
+            agent,
+            inbox,
+            timers,
+        }));
     }
 
     /// Borrow an installed agent downcast to its concrete type.
@@ -554,7 +561,14 @@ impl Fabric {
     /// Arms an agent timer from outside (e.g. the harness kicking off
     /// discovery at t=0).
     pub fn schedule_agent_timer(&mut self, dev: DevId, delay: SimDuration, token: u64) {
-        self.sched_after(delay, Event::Timer { dev, token });
+        self.arm_agent_timer(dev, delay, token);
+    }
+
+    /// Timers the agent on `dev` has pending: armed, and neither fired
+    /// nor cancelled (0 without an agent).
+    pub fn agent_timers(&self, dev: DevId) -> usize {
+        let slot = self.devices[dev.idx()].agent.as_ref();
+        slot.map_or(0, |slot| slot.timers.len())
     }
 
     /// Configures the PI-5 reporting route of a device. The route is

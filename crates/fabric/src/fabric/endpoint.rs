@@ -2,8 +2,30 @@
 //! stages — the PI-4 responder every device has, and on endpoints the
 //! ingress pipe and the agent behind it — agent callbacks and timers,
 //! and the traffic plan's arrivals and flow accounting.
+//!
+//! ## Agent timers: a ledger per agent, one event for the earliest
+//!
+//! An agent arms a timer for every request it sends (the FM's PI-4
+//! timeouts), and most are answered long before they are due. So a timer
+//! is not a kernel event of its own: it is an entry `(key, token)` on its
+//! agent's [`Timers`] ledger, and the kernel holds a `Timer` event for
+//! the earliest entry only. An answered request's timer is cancelled
+//! ([`AgentCtx::cancel_timer`]): its entry leaves the ledger, and no event
+//! is ever spent on it. The rules, each there because without it
+//! something observable would move:
+//!
+//! | rule | because otherwise |
+//! |---|---|
+//! | the key is reserved when the timer is armed (`reserve_key`: same origin, same per-origin sequence number as its event would have had) | every later event of that origin would shift its `seq`, and same-instant ties would break differently: a live timer fires under exactly the key it always had |
+//! | an entry gets its event (`sched_keyed` under its own key) only if it is due before every `Timer` event the agent already has in the kernel | an event per entry is what the ledger is there to save |
+//! | when one of those events fires, the entry under `current_key()` goes to the agent if it is still there (not cancelled); then the earliest entry left is armed, unless an event already in the kernel comes before it | a live entry would never fire, or an event would be spent where one due earlier will look again |
+//! | the wheel never cancels: a cancelled entry's event, if it had one, fires and finds nothing | the kernel's order would need a second mechanism |
+//!
+//! The credit ledger (`port.rs`) keeps keys the same way. A timer armed
+//! on a device with no agent is a plain `Timer` event, carrying its token.
 
 use super::*;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// [`Stage::done_at`] of an idle stage.
 const IDLE: SimTime = SimTime::MAX;
@@ -101,10 +123,184 @@ pub(super) struct ResponderFaults {
     pub(super) slow_factor: f64,
 }
 
-/// Endpoint agent hosting state: the agent and the packets waiting for it.
+/// Endpoint agent hosting state: the agent, the packets waiting for it
+/// and its timers.
 pub(super) struct AgentSlot {
     pub(super) agent: Box<dyn FabricAgent>,
     pub(super) inbox: Stage<PacketRef>,
+    pub(super) timers: Timers,
+}
+
+/// A multiplicative hasher for timer tokens: an agent picks its own
+/// tokens, and the ledger looks one up on every arm, move and cancel.
+#[derive(Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// [`Slot::at`] when the token's one pending timer has not moved since a
+/// second timer with its token left the ledger.
+const LOST: u32 = u32::MAX;
+
+/// A token's pending timers: how many, and — while there is exactly one
+/// — its heap index.
+#[derive(Clone, Copy)]
+struct Slot {
+    at: u32,
+    arms: u32,
+}
+
+/// One agent's pending timers (module header): an indexed binary
+/// min-heap on the key, and the keys of the agent's `Timer` events in
+/// the kernel. Nothing is allocated per timer once the buffers have
+/// grown to the most timers pending at once.
+#[derive(Default)]
+pub(super) struct Timers {
+    /// `(key, token)`, a min-heap on the key.
+    heap: Vec<(EventKey, u64)>,
+    /// Each pending token's [`Slot`].
+    slots: HashMap<u64, Slot, BuildHasherDefault<TokenHasher>>,
+    /// The keys of this agent's `Timer` events in the kernel that have
+    /// not fired, live or cancelled. Each was pushed below every key
+    /// already here, so the last is the earliest: the next to fire.
+    armed: Vec<EventKey>,
+}
+
+impl Timers {
+    /// Timers pending: armed, and neither fired nor cancelled.
+    pub(super) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Enters a timer due at `key`, a key reserved now.
+    fn arm(&mut self, key: EventKey, token: u64) {
+        let slot = (self.slots.entry(token)).or_insert(Slot { at: LOST, arms: 0 });
+        slot.arms += 1;
+        self.heap.push((key, token));
+        let at = self.heap.len() - 1;
+        self.moved(at);
+        self.sift_up(at);
+    }
+
+    /// Takes the pending timer armed with `token` off the ledger, if
+    /// there is one.
+    fn cancel(&mut self, token: u64) {
+        let Some(&Slot { at, arms }) = self.slots.get(&token) else {
+            return;
+        };
+        debug_assert_eq!(arms, 1, "a cancelled token {token:#x} is not unique");
+        let at = match at {
+            LOST => (self.heap.iter())
+                .position(|&(_, t)| t == token)
+                .expect("a slot's timer is on the heap"),
+            at => at as usize,
+        };
+        self.remove(at);
+    }
+
+    /// True if the `Timer` event under `key` is one of this ledger's: the
+    /// earliest in the kernel. (Keys are unique; an event armed before
+    /// the agent was installed is not.)
+    fn fires(&self, key: EventKey) -> bool {
+        self.armed.last() == Some(&key)
+    }
+
+    /// The ledger's event under `key` fired: the token of the timer due
+    /// now, or `None` if it was cancelled.
+    fn take_due(&mut self, key: EventKey) -> Option<u64> {
+        debug_assert!(self.fires(key));
+        self.armed.pop();
+        let due = self.heap.first().is_some_and(|&(head, _)| head == key);
+        due.then(|| self.remove(0).1)
+    }
+
+    /// The earliest timer, if it needs its event: no event in the kernel
+    /// comes before it. Its key counts as armed from here on.
+    fn next_event(&mut self) -> Option<(EventKey, u64)> {
+        let &(key, token) = self.heap.first()?;
+        if self.armed.last().is_some_and(|&first| first <= key) {
+            return None;
+        }
+        self.armed.push(key);
+        Some((key, token))
+    }
+
+    fn remove(&mut self, at: usize) -> (EventKey, u64) {
+        let taken = self.heap.swap_remove(at);
+        let slot = self.slots.get_mut(&taken.1).expect("a pending token");
+        slot.arms -= 1;
+        match slot.arms {
+            0 => drop(self.slots.remove(&taken.1)),
+            // The survivor's index is known again at its next move.
+            _ => slot.at = LOST,
+        }
+        if at < self.heap.len() {
+            self.moved(at);
+            self.sift_down(at);
+            self.sift_up(at);
+        }
+        taken
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.heap[parent].0 <= self.heap[at].0 {
+                break;
+            }
+            self.swap(at, parent);
+            at = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let (l, r) = (2 * at + 1, 2 * at + 2);
+            let mut min = at;
+            for child in [l, r] {
+                if child < self.heap.len() && self.heap[child].0 < self.heap[min].0 {
+                    min = child;
+                }
+            }
+            if min == at {
+                break;
+            }
+            self.swap(at, min);
+            at = min;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.moved(a);
+        self.moved(b);
+    }
+
+    /// The timer at `at` has just been put there: a token with one
+    /// pending timer records where it is.
+    fn moved(&mut self, at: usize) {
+        let slot = self
+            .slots
+            .get_mut(&self.heap[at].1)
+            .expect("a pending token");
+        if slot.arms == 1 {
+            slot.at = at as u32;
+        }
+    }
 }
 
 /// The materialized traffic plan and what the fabric has delivered of it.
@@ -441,9 +637,39 @@ impl Fabric {
 
     // ---------------- agent callbacks ----------------
 
+    /// A `Timer` event fired: the agent gets the timer due now, if any
+    /// and if the device is up, and its ledger's next event is armed.
     pub(super) fn on_timer(&mut self, dev: DevId, token: u64) {
-        if self.devices[dev.idx()].active {
+        let key = self.sim.current_key();
+        let d = &mut self.devices[dev.idx()];
+        let active = d.active;
+        let due = match d.agent.as_mut() {
+            Some(slot) if slot.timers.fires(key) => slot.timers.take_due(key),
+            _ => Some(token),
+        };
+        if let Some(token) = due.filter(|_| active) {
             self.with_agent(dev, |agent, ctx| agent.on_timer(ctx, token));
+        }
+        self.arm_next_timer(dev);
+    }
+
+    /// Arms a timer on `dev` due `delay` from now: an entry on its agent's
+    /// ledger, or a plain event where no agent is installed.
+    pub(super) fn arm_agent_timer(&mut self, dev: DevId, delay: SimDuration, token: u64) {
+        let key = self.sim.reserve_key(self.sim.now() + delay);
+        let Some(slot) = self.devices[dev.idx()].agent.as_mut() else {
+            return self.sched_keyed(key, Event::Timer { dev, token });
+        };
+        slot.timers.arm(key, token);
+        self.arm_next_timer(dev);
+    }
+
+    /// Puts the earliest timer of `dev`'s agent on the kernel, if it
+    /// needs its event.
+    fn arm_next_timer(&mut self, dev: DevId) {
+        let slot = self.devices[dev.idx()].agent.as_mut();
+        if let Some((key, token)) = slot.and_then(|slot| slot.timers.next_event()) {
+            self.sched_keyed(key, Event::Timer { dev, token });
         }
     }
 
@@ -475,8 +701,12 @@ impl Fabric {
                     self.counters.injected += 1;
                     self.inject(dev, port, now, packet);
                 }
-                AgentCommand::Timer { delay, token } => {
-                    self.sched_after(delay, Event::Timer { dev, token });
+                AgentCommand::Timer { delay, token } => self.arm_agent_timer(dev, delay, token),
+                AgentCommand::CancelTimer { token } => {
+                    let slot = self.devices[dev.idx()].agent.as_mut();
+                    slot.expect("a command comes from an agent")
+                        .timers
+                        .cancel(token);
                 }
             }
         }
@@ -490,6 +720,7 @@ mod tests {
     use crate::traffic::Shot;
     use crate::{FaultPlan, LossModel};
     use asi_sim::{TraceRecord, TraceSink, EXTERNAL_RANK};
+    use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -739,6 +970,114 @@ mod tests {
         let transmitted = sent.iter().filter(|&&n| n > 0).count();
         assert_eq!(fabric.rng_streams(), transmitted);
         assert!(transmitted < fabric.device_count());
+    }
+
+    /// A token armed again and again and never cancelled, like a
+    /// keepalive's.
+    const REPEAT: u64 = u64::MAX;
+
+    /// An agent that follows a script from its timer callbacks: each
+    /// callback takes the next three steps, arming a timer (0–3 ns out,
+    /// so that instants tie) under a fresh token or under [`REPEAT`], or
+    /// cancelling the earliest pending timer (the one whose event is in
+    /// the kernel) or another one. A fresh token is the arm order.
+    #[derive(Default)]
+    struct Scripted {
+        steps: Vec<(u8, u8)>,
+        next: usize,
+        arms: u64,
+        /// `(due, arm order) → token` of every timer armed and not
+        /// cancelled.
+        armed: BTreeMap<(SimTime, u64), u64>,
+        /// Of those, the ones that have not fired.
+        pending: BTreeMap<(SimTime, u64), u64>,
+        /// `(now, token)` per callback.
+        fired: Vec<(SimTime, u64)>,
+    }
+
+    impl FabricAgent for Scripted {
+        fn processing_time(&mut self, _: &Packet) -> SimDuration {
+            SimDuration::ZERO
+        }
+
+        fn on_packet(&mut self, _: &mut AgentCtx, _: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut AgentCtx, token: u64) {
+            let now = ctx.now;
+            self.fired.push((now, token));
+            let mut due = self.pending.iter();
+            if let Some((&key, _)) = due.find(|&(&(at, _), &t)| at == now && t == token) {
+                self.pending.remove(&key);
+            }
+            for _ in 0..3 {
+                let Some(&(op, r)) = self.steps.get(self.next) else {
+                    return;
+                };
+                self.next += 1;
+                if op % 5 < 3 {
+                    // Not at the kick-off's own instant: armed from an
+                    // external event, that key would sort before it.
+                    let delay = SimDuration::from_ns(u64::from(r % 4) + u64::from(token == 0));
+                    let order = self.arms;
+                    let token = if op % 5 == 2 { REPEAT } else { order };
+                    self.arms += 1;
+                    ctx.set_timer(delay, token);
+                    self.armed.insert((now + delay, order), token);
+                    self.pending.insert((now + delay, order), token);
+                    continue;
+                }
+                let mut cancellable = self.pending.iter().filter(|&(_, &t)| t != REPEAT);
+                let pick = match op % 5 {
+                    3 => cancellable.next(),
+                    _ => cancellable.nth(usize::from(r) % 8),
+                };
+                if let Some((&key, &token)) = pick {
+                    self.pending.remove(&key);
+                    self.armed.remove(&key);
+                    ctx.cancel_timer(token);
+                }
+            }
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever an agent arms and cancels, it receives exactly the
+        /// timers it did not cancel, each at the instant it was armed
+        /// for, in (instant, arm order) — the order of the keys reserved
+        /// at arm time — and no more `Timer` events than it armed timers.
+        #[test]
+        fn an_agent_receives_exactly_its_uncancelled_timers_in_key_order(
+            steps in prop::collection::vec((any::<u8>(), any::<u8>()), 1..200),
+        ) {
+            let topo = asi_topo::mesh(2, 2).unwrap().topology;
+            let mut fabric = Fabric::new(&topo, FabricConfig::default());
+            fabric.activate_all(SimDuration::ZERO);
+            fabric.run_until_idle();
+            let dev = DevId(asi_topo::default_fm_endpoint(&topo).unwrap().0);
+            let scripted = Scripted { steps, arms: 1, ..Scripted::default() };
+            fabric.set_agent(dev, Box::new(scripted));
+            // The kick-off, from outside, under token 0.
+            let kick = fabric.now() + SimDuration::from_ns(1);
+            fabric.schedule_agent_timer(dev, SimDuration::from_ns(1), 0);
+            fabric.run_until_idle();
+            let agent = fabric.agent_as::<Scripted>(dev).unwrap();
+            let armed = agent.armed.iter().map(|(&(at, _), &token)| (at, token));
+            let want: Vec<_> = std::iter::once((kick, 0)).chain(armed).collect();
+            prop_assert_eq!(&agent.fired, &want);
+            prop_assert_eq!(fabric.agent_timers(dev), 0);
+            let (_, timers) = fabric.dispatch_counts().find(|&(kind, _)| kind == "timer").unwrap();
+            prop_assert!(timers <= agent.arms, "{} events for {} timers", timers, agent.arms);
+        }
     }
 
     #[test]

@@ -144,7 +144,8 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     let mut last_converged_at = (!diverged).then(|| bench.fabric.now());
     let mut total = SimDuration::ZERO;
     let mut max = SimDuration::ZERO;
-    let mut windows = 0usize;
+    // A run that opens diverged has its first window open already.
+    let mut windows = usize::from(diverged);
 
     loop {
         let s = signature(&bench);
@@ -174,9 +175,6 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
         let w = bench.fabric.now().saturating_since(since);
         total += w;
         max = max.max(w);
-        if windows == 0 {
-            windows = 1;
-        }
     }
 
     let agent = bench.fm_agent();
@@ -271,6 +269,35 @@ mod tests {
             "a removed device never came back"
         );
         assert!(out.converged(), "{out:?}");
+    }
+
+    /// The CLI's default `churn` plan on `mesh:4x4 --seed 9`: its first
+    /// flap fires inside `Bench::start`, so the measurement opens
+    /// diverged, and the run converges. Made after every step, the
+    /// comparison counts every window: the one open at the start, and
+    /// each that opens later.
+    #[test]
+    fn a_run_that_opens_diverged_counts_its_first_window() {
+        let g = mesh(4, 4).unwrap();
+        let plan = ChurnPlan::none()
+            .with_link_flaps(1_500.0, SimDuration::from_us(200))
+            .with_device_churn(300.0, SimDuration::from_ms(1))
+            .with_window(SimDuration::from_ms(6), SimDuration::from_ms(4))
+            .with_seed(9)
+            .with_exempt(default_churn_exempt(&g.topology));
+        let scenario = churn_scenario(plan).with_seed(9);
+        let out = churn_experiment(&g.topology, &scenario);
+        assert!(out.converged(), "{out:?}");
+        let mut bench = Bench::start(&g.topology, &scenario, &[]);
+        let mut diverged = !in_sync(&bench, &g.topology);
+        assert!(diverged, "the run opens converged");
+        let mut windows = 1;
+        while bench.fabric.step() {
+            let now = !in_sync(&bench, &g.topology);
+            windows += usize::from(now && !diverged);
+            diverged = now;
+        }
+        assert_eq!(out.divergence_windows, windows);
     }
 
     #[test]

@@ -66,18 +66,21 @@
 //!    activations of a 64×64 mesh's bring-up each moved the whole bucket
 //!    and tripled its set-up time (0.009 → 0.022 s).
 //! 4. **The overflow heap keeps its entries inline** and an entry takes a
-//!    node only when its bucket comes up, so far-future events — timers
-//!    that never fire early, fault and churn plans — cost one heap push
+//!    node only when its bucket comes up, so far-future events — each
+//!    agent's earliest timer, fault and churn plans — cost one heap push
 //!    and pop. An entry is inline but not free (48 bytes for the
 //!    fabric's events), so a model should not lay out a long stream of
 //!    future events at once: the fabric's traffic keeps one pending
-//!    arrival per flow and schedules the next when it fires.
+//!    arrival per flow and schedules the next when it fires, and an
+//!    agent's timers wait on its ledger, one event for the earliest,
+//!    so an answered request's timeout never reaches the heap.
 //!
 //! Entries are ordered by [`EventKey`] — `(time, origin, seq)` — the
 //! deterministic total order shared by the serial and parallel kernels (see
 //! [`crate::kernel`]). The wheel does not support cancellation; the kernels
-//! built on it never cancel (the fabric's retry machinery re-checks state on
-//! fire instead of descheduling).
+//! built on it never cancel (the fabric cancels an agent's timer on the
+//! agent's own ledger, and an event already scheduled for it fires and
+//! finds nothing).
 
 use crate::kernel::EventKey;
 use std::cmp::Reverse;

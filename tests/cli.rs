@@ -981,6 +981,20 @@ fn stress_event_count_stays_under_its_budget() {
     assert_eq!(credit_returns, 0, "a credit came back as an event");
 }
 
+/// An answered request's timeout is cancelled, and the kernel holds one
+/// `Timer` event per agent, for its earliest pending timer: three
+/// managers discovering a 16x16 mesh dispatch 13 timer events, where
+/// one per request timeout came to 3,282.
+#[test]
+fn answered_requests_spend_no_timer_events() {
+    let args = ["stress", "--topology", "mesh:16x16", "--fms", "3", "--json"];
+    let (stdout, stderr, ok) = run(&args);
+    assert!(ok, "{stderr}");
+    let report = parse(&stdout).unwrap();
+    let timers = report.get("events_by_kind").get("timer").as_u64().unwrap();
+    assert!(timers <= 20, "{timers} timer events");
+}
+
 #[test]
 fn stress_rejects_malformed_invocations() {
     // One negative per flag, on the same error/usage/exit-2 framework as
