@@ -14,11 +14,11 @@
 
 use crate::churn::{churn_experiment, default_churn_exempt};
 use crate::json::Json;
-use crate::scenario::{change_experiment, sharded_discovery, summarize_traffic, Bench, Scenario};
-use asi_core::{snapshot_db, Algorithm, DiscoveryRun, RetryPolicy};
-use asi_fabric::{ChurnPlan, FaultPlan, LossModel, TrafficPlan};
+use crate::scenario::{db_matches_fabric, sharded_discovery, summarize_traffic, Bench, Scenario};
+use asi_core::{snapshot_db, Algorithm, DiscoveryRun, FmAgent, RetryPolicy};
+use asi_fabric::{ChurnPlan, DevId, Fabric, FaultPlan, LossModel, TrafficPlan};
 use asi_sim::{OnlineStats, SimDuration};
-use asi_topo::Table1;
+use asi_topo::{Table1, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What each cell does after the initial bring-up.
@@ -43,6 +43,17 @@ impl ChangeMode {
             ChangeMode::Remove => "remove",
             ChangeMode::Add => "add",
             ChangeMode::Alternate => "alternate",
+        }
+    }
+
+    /// The change repetition `rep` measures, as [`Bench::measure`] takes
+    /// it (`Some(true)` removes); `Alternate` removes on even reps.
+    pub fn removes(self, rep: usize) -> Option<bool> {
+        match self {
+            ChangeMode::Initial => None,
+            ChangeMode::Remove => Some(true),
+            ChangeMode::Add => Some(false),
+            ChangeMode::Alternate => Some(rep.is_multiple_of(2)),
         }
     }
 }
@@ -73,8 +84,8 @@ pub struct SweepSpec {
     /// The scenario every cell runs: processing factors, fault plan,
     /// retry policy, request timeout, kernel and churn plan are set here
     /// once; [`run`] stamps each cell's algorithm and seed onto a copy.
-    /// A non-inert fault plan measures the initial discovery through
-    /// [`Scenario::initial_discovery`]. A live churn plan switches each
+    /// Single-manager cells run through [`Bench::measure`], a live fault
+    /// plan included. A live churn plan switches each
     /// cell to the [`churn_experiment`] runner, which enables partial
     /// assimilation, re-seeds the plan from the cell seed, exempts the
     /// manager's corner per topology, and fills the `churn_events`,
@@ -93,8 +104,10 @@ pub struct SweepSpec {
     /// Fabric-manager counts to sweep. `1` runs the classic single-FM
     /// bench; larger values run an election-based sharded discovery
     /// ([`sharded_discovery`]) and fill the `fms`, `boundary_conflicts`,
-    /// `failovers` and `merge_time_s` columns. The default `[1]` leaves
-    /// every grid exactly as before.
+    /// `failovers` and `merge_time_s` columns. A sharded discovery is an
+    /// initial cold one, so a count above 1 applies only to cold cells
+    /// of a churn-free grid whose change mode is `Initial`; others run
+    /// as if it were 1. The default `[1]` leaves every grid as before.
     pub fm_counts: Vec<usize>,
     /// Offered-load axis: every `(algorithm, topology)` point runs once
     /// per value, with the [`SweepSpec::traffic`] template's unicast
@@ -392,6 +405,10 @@ pub struct CellResult {
     /// Whether the measured run completed (lossy runs may exhaust their
     /// retry budget and never drain the pending table).
     pub completed: bool,
+    /// The manager's database (a sharded cell's merged one, a churn
+    /// cell's at quiescence) matched the fabric the cell ran on
+    /// ([`db_matches_fabric`]). Not a report column.
+    pub full_topology: bool,
     /// Active reachable devices when the measured run finished.
     pub active_nodes: usize,
     /// The paper's headline metric, in seconds.
@@ -414,11 +431,11 @@ pub struct CellResult {
     /// serial algorithms by construction; the scale grid's headline
     /// memory metric).
     pub peak_outstanding: usize,
-    /// Simulator events processed over the whole cell (bring-up plus
-    /// measured run). A pure function of the cell seed, so it is safe
-    /// for byte-compared reports; the CLI divides the grid total by
-    /// wall time for a throughput figure. Zero for fault and change
-    /// cells, which run their fabric internally without surfacing it.
+    /// Simulator events processed over the whole cell (bring-up, the
+    /// initial discovery and any change). A pure function of the cell
+    /// seed, so it is safe for byte-compared reports; the CLI divides
+    /// the grid total by wall time for a throughput figure. Zero for
+    /// churn cells, whose runner reports PI-5 throughput instead.
     pub sim_events: u64,
     /// Management bytes sent by the FM.
     pub bytes_sent: u64,
@@ -446,10 +463,10 @@ pub struct CellResult {
     /// Churn runs: scheduled churn-plan events that fired.
     pub churn_events: u64,
     /// Simulated-event throughput. Bench and sharded cells report
-    /// simulator events per simulated second of discovery (both terms
-    /// are simulated quantities, so the value is `--jobs`-invariant);
-    /// churn cells report PI-5 events absorbed per simulated second of
-    /// churn; cells that run inside scenario helpers report 0.
+    /// simulator events per simulated second of the measured run (both
+    /// terms are simulated quantities, so the value is
+    /// `--jobs`-invariant); churn cells report PI-5 events absorbed per
+    /// simulated second of churn.
     pub events_per_sec: f64,
     /// Churn runs: lag from the last churn event to the instant the
     /// database last caught up with the fabric (seconds).
@@ -506,7 +523,9 @@ pub struct Aggregate {
     pub mean_timeouts: f64,
     /// Mean retries per completed rep (degradation under faults).
     pub mean_retries: f64,
-    /// Reps that found every device of the (intact) topology.
+    /// Completed reps whose database matched their own fabric
+    /// ([`CellResult::full_topology`]): after a removal that is the
+    /// fabric without the victim.
     pub full_topology: usize,
 }
 
@@ -524,17 +543,6 @@ pub struct SweepResult {
     pub aggregates: Vec<Aggregate>,
 }
 
-/// Simulated events per simulated second: both terms are simulated
-/// quantities, so the value is `--jobs`-invariant. Cells that run inside
-/// scenario helpers surface no event count and report 0.
-fn throughput(sim_events: u64, seconds: f64) -> f64 {
-    if sim_events > 0 && seconds > 0.0 {
-        sim_events as f64 / seconds
-    } else {
-        0.0
-    }
-}
-
 impl CellResult {
     /// The cell's identity columns with every measurement zeroed — what
     /// a run that never completed reports, and the base the runners
@@ -548,6 +556,7 @@ impl CellResult {
             rep: cell.rep,
             seed: cell.seed,
             completed: false,
+            full_topology: false,
             active_nodes: 0,
             discovery_time_s: 0.0,
             devices_found: 0,
@@ -585,8 +594,8 @@ impl CellResult {
         }
     }
 
-    /// Fills every column a [`DiscoveryRun`] measures (a run without a
-    /// traffic summary leaves the load columns at zero).
+    /// Fills every column a [`DiscoveryRun`] measures but its traffic,
+    /// which [`CellResult::with_fabric`] reads off the fabric.
     fn with_run(self, run: &DiscoveryRun) -> CellResult {
         CellResult {
             completed: true,
@@ -606,12 +615,38 @@ impl CellResult {
             probes_verified: run.probes_verified,
             verify_mismatches: run.verify_mismatches,
             warm_fallback: run.warm_fallback,
-            goodput_mbps: run.traffic.goodput_bps / 1e6,
-            flow_delivered: run.traffic.flow_delivered,
-            latency_p50_us: run.traffic.latency_p50_us,
-            latency_p99_us: run.traffic.latency_p99_us,
-            credit_stalls: run.traffic.credit_stalls,
-            data_queue_peak: run.traffic.data_queue_peak,
+            ..self
+        }
+    }
+
+    /// Fills the columns read off the fabric the cell ran on: the verdict
+    /// of `fm`'s database against it, its events and their rate over the
+    /// `discovery_time_s` already set, and the delivery of `traffic`.
+    fn with_fabric(
+        self,
+        fabric: &Fabric,
+        fm: DevId,
+        topo: &Topology,
+        traffic: &TrafficPlan,
+    ) -> Self {
+        let db = fabric.agent_as::<FmAgent>(fm).and_then(FmAgent::db);
+        let sim_events = fabric.events_processed();
+        let load = summarize_traffic(fabric, traffic);
+        CellResult {
+            active_nodes: fabric.active_reachable(fm).len(),
+            full_topology: db.is_some_and(|db| db_matches_fabric(db, fabric, fm, topo)),
+            sim_events,
+            events_per_sec: if self.discovery_time_s > 0.0 {
+                sim_events as f64 / self.discovery_time_s
+            } else {
+                0.0
+            },
+            goodput_mbps: load.goodput_bps / 1e6,
+            flow_delivered: load.flow_delivered,
+            latency_p50_us: load.latency_p50_us,
+            latency_p99_us: load.latency_p99_us,
+            credit_stalls: load.credit_stalls,
+            data_queue_peak: load.data_queue_peak,
             ..self
         }
     }
@@ -644,52 +679,18 @@ fn run_cell(
     if cell.fms > 1 {
         return run_sharded_cell(cell, &topo, &scenario);
     }
-    // Fault and change cells run their fabric inside the scenario
-    // helpers without surfacing it, so their simulator event count
-    // reports as zero.
-    let no_events = |(run, active): (DiscoveryRun, usize)| (run, active, 0u64);
-    let faulty = !scenario.faults.is_inert();
-    let outcome = if cell.warm {
+    let mut change = change.removes(cell.rep);
+    if cell.warm {
         // Warm twin: an unmeasured cold bench produces the snapshot the
-        // measured warm-start verification run is seeded from.
+        // measured warm-start verification run is seeded from. Warm
+        // cells always measure that initial run.
         let snapshot = snapshot_db(Bench::start(&topo, &scenario, &[]).db());
-        let warm = scenario.with_snapshot(snapshot);
-        if faulty {
-            warm.initial_discovery(&topo).map(no_events)
-        } else {
-            let bench = Bench::start(&topo, &warm, &[]);
-            let active = bench.active_nodes();
-            Some((bench.last_run(), active, bench.fabric.events_processed()))
-        }
-    } else if faulty {
-        scenario.initial_discovery(&topo).map(no_events)
-    } else {
-        match change {
-            ChangeMode::Initial => {
-                let bench = Bench::start(&topo, &scenario, &[]);
-                let active = bench.active_nodes();
-                let mut run = bench.last_run();
-                run.traffic = summarize_traffic(&bench.fabric, &scenario.traffic);
-                Some((run, active, bench.fabric.events_processed()))
-            }
-            ChangeMode::Remove => Some(no_events(change_experiment(&topo, &scenario, true))),
-            ChangeMode::Add => Some(no_events(change_experiment(&topo, &scenario, false))),
-            ChangeMode::Alternate => Some(no_events(change_experiment(
-                &topo,
-                &scenario,
-                cell.rep.is_multiple_of(2),
-            ))),
-        }
-    };
-    match outcome {
-        Some((run, active, sim_events)) => CellResult {
-            active_nodes: active,
-            sim_events,
-            events_per_sec: throughput(sim_events, run.discovery_time().as_secs_f64()),
-            ..CellResult::blank(cell).with_run(&run)
-        },
-        None => CellResult::blank(cell),
+        scenario = scenario.with_snapshot(snapshot);
+        change = None;
     }
+    let (bench, run) = Bench::measure(&topo, &scenario, change);
+    let cell = CellResult::blank(cell).with_run(&run);
+    cell.with_fabric(&bench.fabric, bench.fm, &topo, &scenario.traffic)
 }
 
 /// Executes one continuous-churn cell. The cell's scenario gains
@@ -699,7 +700,7 @@ fn run_cell(
 /// [`ChurnOutcome::converged`](crate::churn::ChurnOutcome::converged).
 /// `discovery_time_s` reports
 /// the convergence lag so the aggregate time columns stay meaningful.
-fn run_churn_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: Scenario) -> CellResult {
+fn run_churn_cell(cell: &Cell, topo: &Topology, scenario: Scenario) -> CellResult {
     let plan = scenario
         .churn
         .clone()
@@ -709,6 +710,7 @@ fn run_churn_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: Scenario) ->
     let out = churn_experiment(topo, &scenario);
     CellResult {
         completed: out.converged(),
+        full_topology: out.full_topology,
         active_nodes: topo.node_count(),
         discovery_time_s: out.convergence_lag.as_secs_f64(),
         devices_found: out.final_devices,
@@ -726,27 +728,24 @@ fn run_churn_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: Scenario) ->
 /// distributed discovery whose headline time is the interval from the
 /// election kick-off to the certified merged database. The request and
 /// byte columns describe the elected primary's own exploration; the
-/// device/link counts describe the merged view.
-fn run_sharded_cell(cell: &Cell, topo: &asi_topo::Topology, scenario: &Scenario) -> CellResult {
-    let (fabric, primary, out) = sharded_discovery(topo, cell.fms, scenario);
+/// device/link counts and the verdict describe the merged view.
+fn run_sharded_cell(cell: &Cell, topo: &Topology, scenario: &Scenario) -> CellResult {
+    let (fabric, holder, out) = sharded_discovery(topo, cell.fms, scenario);
     let run = fabric
-        .agent_as::<asi_core::FmAgent>(primary)
+        .agent_as::<FmAgent>(holder)
         .and_then(|a| a.last_run())
         .expect("sharded primary recorded a run");
-    let merged_s = out.merged_time.as_secs_f64();
     CellResult {
-        active_nodes: fabric.active_reachable(primary).len(),
-        discovery_time_s: merged_s,
+        discovery_time_s: out.merged_time.as_secs_f64(),
         devices_found: out.devices,
         links_found: out.links,
-        sim_events: fabric.events_processed(),
         fms: cell.fms,
         boundary_conflicts: out.boundary_conflicts,
         failovers: out.failovers,
         merge_time_s: out.merge_time.as_secs_f64(),
-        events_per_sec: throughput(fabric.events_processed(), merged_s),
         ..CellResult::blank(cell).with_run(run)
     }
+    .with_fabric(&fabric, holder, topo, &scenario.traffic)
 }
 
 /// Runs the whole grid on `jobs` worker threads (clamped to at least 1
@@ -834,10 +833,7 @@ fn aggregate(cells: &[Cell], results: &[CellResult], reps: usize) -> Vec<Aggrega
                 mean_requests: mean(done.iter().map(|c| c.requests).sum(), completed),
                 mean_timeouts: mean(done.iter().map(|c| c.timeouts).sum(), completed),
                 mean_retries: mean(done.iter().map(|c| c.retries).sum(), completed),
-                full_topology: done
-                    .iter()
-                    .filter(|c| c.devices_found == c.total_devices)
-                    .count(),
+                full_topology: done.iter().filter(|c| c.full_topology).count(),
             }
         })
         .collect()
@@ -1055,6 +1051,11 @@ mod tests {
         assert_eq!(agg.completed, 2);
         assert!(agg.mean_time_s > 0.0);
         assert!(agg.min_time_s <= agg.max_time_s);
+        // Each rep is judged against its own fabric, so the removal rep
+        // (one switch and its endpoint fewer) counts as full too, and
+        // each reports the events of the fabric it kept.
+        assert_eq!(agg.full_topology, agg.completed);
+        assert!(result.cells.iter().all(|c| c.sim_events > 0));
     }
 
     #[test]

@@ -18,9 +18,8 @@ fn traced_run(seed: u64, algorithm: Algorithm, faults: FaultPlan) -> (String, St
         .with_seed(seed)
         .with_faults(faults)
         .with_trace(TraceHandle::to(sink.clone()));
-    let (run, active) = scenario
-        .initial_discovery(&mesh(3, 3).unwrap().topology)
-        .expect("lossless discovery completes");
+    let bench = Bench::start(&mesh(3, 3).unwrap().topology, &scenario, &[]);
+    let (run, active) = (bench.last_run(), bench.active_nodes());
     let jsonl = trace_to_jsonl(sink.borrow().records());
     let summary = format!(
         "{} devices={} links={} requests={} responses={} timeouts={} \

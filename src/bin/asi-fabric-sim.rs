@@ -30,16 +30,16 @@
 use advanced_switching::core::{snapshot_db, Algorithm, DiscoveryTrigger, FmAgent, RetryPolicy};
 use advanced_switching::fabric::{Arrivals, ChurnPlan, Fabric, FaultPlan, LossModel, TrafficPlan};
 use advanced_switching::harness::{
-    change_experiment, churn_experiment, db_matches_fabric, default_churn_exempt, load_snapshot,
-    removable_switches, save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic,
-    sweep, Bench, ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
+    churn_experiment, db_matches_fabric, default_churn_exempt, load_snapshot, removable_switches,
+    save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench,
+    ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
 };
 use advanced_switching::sim::trace::TraceEvent;
 use advanced_switching::sim::{SimDuration, SimRng, SimTime, TraceHandle};
 use advanced_switching::state::{checksum_of, Snapshot, TopologyDelta};
 use advanced_switching::topo::{
-    design_fat_tree, dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, PortCatalogue,
-    Topology,
+    design_fat_tree, dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, NodeId,
+    PortCatalogue, Topology,
 };
 use std::fmt;
 use std::io::Write;
@@ -471,10 +471,27 @@ fn spec_us(flag: F, field: &str, what: &str) -> SimDuration {
     SimDuration::from_us(spec_field(flag, field, what))
 }
 
+/// Parses a scheduled fault's device field. Given the fabric the run
+/// builds, the device must be one of its nodes: a fault on a device the
+/// fabric lacks would do nothing.
+fn spec_device(flag: F, field: &str, topo: Option<&Topology>) -> u32 {
+    let device = spec_field(flag, field, "a device id");
+    if let Some(nodes) = topo.map(Topology::node_count) {
+        if device as usize >= nodes {
+            fail(format!(
+                "{}: the fabric has no device {device} (it has {nodes})",
+                flag.name()
+            ));
+        }
+    }
+    device
+}
+
 /// Composes the fault plan from the loss flags, the completion
 /// corruption/duplication probabilities, and any scheduled
-/// flap/hang/slow events.
-fn parse_fault_plan(args: &Args) -> FaultPlan {
+/// flap/hang/slow events, checked against `topo` when the mode knows
+/// its fabric (the sweep builds one per cell).
+fn parse_fault_plan(args: &Args, topo: Option<&Topology>) -> FaultPlan {
     let loss: f64 = args.num(F::Loss, 0.0, "a probability");
     if !(0.0..1.0).contains(&loss) {
         fail(format!("{} must be in [0, 1), got {loss}", F::Loss.name()));
@@ -490,10 +507,20 @@ fn parse_fault_plan(args: &Args) -> FaultPlan {
         .with_duplication(args.unit(F::Duplicate, 0.0, "a probability"));
     for spec in args.all(F::Flap) {
         let p = split_spec(F::Flap, spec, "<at_us>:<device>:<port>:<down_us>", 4);
+        let device = spec_device(F::Flap, p[1], topo);
+        let port: u8 = spec_field(F::Flap, p[2], "a port number");
+        if let Some(node) = topo.and_then(|t| t.node(NodeId(device))) {
+            if port >= node.ports {
+                fail(format!(
+                    "--flap: device {device} has no port {port} (it has {})",
+                    node.ports
+                ));
+            }
+        }
         plan = plan.with_link_flap(
             spec_us(F::Flap, p[0], "a time in µs"),
-            spec_field(F::Flap, p[1], "a device id"),
-            spec_field(F::Flap, p[2], "a port number"),
+            device,
+            port,
             spec_us(F::Flap, p[3], "a duration in µs"),
         );
     }
@@ -501,7 +528,7 @@ fn parse_fault_plan(args: &Args) -> FaultPlan {
         let p = split_spec(F::Hang, spec, "<at_us>:<device>:<dur_us>", 3);
         plan = plan.with_device_hang(
             spec_us(F::Hang, p[0], "a time in µs"),
-            spec_field(F::Hang, p[1], "a device id"),
+            spec_device(F::Hang, p[1], topo),
             spec_us(F::Hang, p[2], "a duration in µs"),
         );
     }
@@ -513,7 +540,7 @@ fn parse_fault_plan(args: &Args) -> FaultPlan {
         }
         plan = plan.with_device_slow(
             spec_us(F::Slow, p[0], "a time in µs"),
-            spec_field(F::Slow, p[1], "a device id"),
+            spec_device(F::Slow, p[1], topo),
             factor,
             spec_us(F::Slow, p[3], "a duration in µs"),
         );
@@ -666,7 +693,7 @@ impl Invocation {
         // Fault flags replace a grid's own plan only when they compose a
         // live one (the `faults` grid carries defaults; any other grid
         // stays loss-free unless asked).
-        let faults = parse_fault_plan(&args);
+        let faults = parse_fault_plan(&args, topology.as_ref().map(|(_, topo)| topo));
         let live = !faults.is_inert();
         if live || grid.is_none() {
             scenario.faults = faults;
@@ -674,9 +701,9 @@ impl Invocation {
         if let Some(retry) = parse_retry(&args) {
             scenario.retry = retry;
         }
-        // A live plan measures the initial discovery, on the robust path
-        // with its short timeout; a change run would wait for PI-5
-        // reports the plan can lose.
+        // A live plan measures the initial discovery, with its short
+        // timeout; a change run would wait for PI-5 reports the plan can
+        // lose.
         let timeout_us: u64 = args.num(F::TimeoutUs, 800, "an integer");
         let change = grid.map_or_else(|| parse_change(&args), |g| g.change);
         if live && change != ChangeMode::Initial {
@@ -722,8 +749,8 @@ struct Report {
 }
 
 /// The default mode: one discovery (or change assimilation) per
-/// algorithm, reported side by side. A live fault plan takes the
-/// fault-tolerant initial-discovery path shared with the sweep runner.
+/// algorithm, reported side by side, each measured by the
+/// [`Bench::measure`] the sweep's cells run through.
 fn discover_main(inv: &Invocation) -> Report {
     let topo = inv.topo();
     let change = inv.change;
@@ -749,17 +776,7 @@ fn discover_main(inv: &Invocation) -> Report {
     for &algorithm in &inv.algorithms {
         let mut scenario = inv.scenario.clone();
         scenario.algorithm = algorithm;
-        let run = match change {
-            ChangeMode::Initial if faulty => match scenario.initial_discovery(topo) {
-                Some((run, _active)) => run,
-                None => fail(
-                    "discovery did not complete under the fault plan (give the FM \
-                     a larger --retries budget)",
-                ),
-            },
-            ChangeMode::Initial => Bench::start(topo, &scenario, &[]).last_run(),
-            change => change_experiment(topo, &scenario, change == ChangeMode::Remove).0,
-        };
+        let (_, run) = Bench::measure(topo, &scenario, change.removes(0));
         let time_s = run.discovery_time().as_secs_f64();
         let fm_us = run.mean_fm_processing().as_micros_f64();
         json.push(
@@ -808,11 +825,21 @@ fn sweep_main(inv: &Invocation, mut spec: SweepSpec) -> Report {
     if jobs == 0 {
         fail("--jobs must be at least 1");
     }
+    spec.base = inv.scenario.clone();
     if inv.args.has(F::Fms) {
         let smallest = spec.topologies.iter().map(|t| t.endpoints()).min();
-        spec.fm_counts = vec![parse_fms(&inv.args, smallest.unwrap_or(0))];
+        let fms = parse_fms(&inv.args, smallest.unwrap_or(0));
+        // A sharded discovery is an initial cold one (`SweepSpec::fm_counts`).
+        let cold = spec.change == ChangeMode::Initial && !spec.warm_axis;
+        if fms > 1 && !(cold && spec.base.churn.is_inert()) {
+            fail(format!(
+                "--fms above 1 runs an initial cold discovery without churn, \
+                 which grid {} does not measure",
+                spec.name
+            ));
+        }
+        spec.fm_counts = vec![fms];
     }
-    spec.base = inv.scenario.clone();
     let started = std::time::Instant::now();
     let result = sweep::run(&spec, jobs);
     if spec.name == "scale" {
@@ -939,8 +966,7 @@ fn stress_main(inv: &Invocation) -> Report {
             full,
         )
     } else {
-        let bench = Bench::start(topo, &inv.scenario, &[]);
-        let run = bench.last_run();
+        let (bench, run) = Bench::measure(topo, &inv.scenario, None);
         let full = db_matches_fabric(bench.db(), &bench.fabric, bench.fm, topo);
         json = json
             .with("full_topology", full)

@@ -58,28 +58,30 @@ fn change_scenario_reports_the_shrunken_fabric() {
     assert_eq!(*reports.idx(0).get("scenario"), "remove");
 }
 
+/// Lost requests are retried; a link flap at t = 0 stops bring-up
+/// before any port trained, and the manager still starts after it.
 #[test]
 fn lossy_run_with_retries_recovers() {
-    let (stdout, _, ok) = run(&[
+    let base = [
         "--topology",
         "mesh:3x3",
         "--algorithm",
         "parallel",
-        "--loss",
-        "0.05",
-        "--retries",
-        "8",
-        "--seed",
-        "3",
         "--json",
-    ]);
-    assert!(ok);
-    let reports: Json = parse(&stdout).unwrap();
-    assert_eq!(
-        *reports.idx(0).get("devices_found"),
-        18,
-        "retries must recover"
-    );
+    ];
+    for faults in [
+        &["--loss", "0.05", "--retries", "8", "--seed", "3"][..],
+        &["--flap", "0:0:0:0"],
+    ] {
+        let (stdout, stderr, ok) = run(&[&base[..], faults].concat());
+        assert!(ok, "{faults:?}: {stderr}");
+        let reports: Json = parse(&stdout).unwrap();
+        assert_eq!(
+            *reports.idx(0).get("devices_found"),
+            18,
+            "{faults:?} must recover"
+        );
+    }
 }
 
 #[test]
@@ -205,6 +207,19 @@ fn malformed_fault_flags_report_friendly_errors_not_panics() {
             ),
             (&["--slow", "100:3:0:50"], "--slow factor must be positive"),
             (&["--slow", "100:3:-2:50"], "--slow factor must be positive"),
+            // mesh:3x3 has 18 devices; its switches have 16 ports.
+            (
+                &["--flap", "10:99:0:10"],
+                "error: --flap: the fabric has no device 99 (it has 18)",
+            ),
+            (
+                &["--flap", "10:0:99:10"],
+                "error: --flap: device 0 has no port 99 (it has 16)",
+            ),
+            (
+                &["--hang", "10:999:10"],
+                "error: --hang: the fabric has no device 999 (it has 18)",
+            ),
             (&["--retry-policy", "psychic"], "unknown retry policy"),
             (
                 &["--retry-policy", "deadline"],
@@ -536,6 +551,16 @@ fn sweep_rejects_bad_grid_and_jobs() {
     assert_usage_error(&["sweep", "--grid", "fig99"], "unknown grid");
     assert_usage_error(&["sweep", "--jobs", "zero"], "--jobs must be an integer");
     assert_usage_error(&["sweep", "--jobs", "0"], "--jobs must be at least 1");
+    // Sharded cells run an initial cold discovery only.
+    for grid in ["fig6", "warmstart", "churn"] {
+        assert_usage_error(
+            &["sweep", "--quick", "--fms", "2", "--grid", grid],
+            &format!(
+                "error: --fms above 1 runs an initial cold discovery without churn, \
+                 which grid {grid} does not measure"
+            ),
+        );
+    }
 }
 
 #[test]
@@ -1077,6 +1102,19 @@ fn churn_mode_reports_a_converged_steady_state() {
     let (again, _, ok2) = run(&["churn", "--topology", "mesh:3x3", "--json"]);
     assert!(ok2);
     assert_eq!(stdout, again, "churn runs must be reproducible");
+    // A sparse window of 70 simulated seconds still runs to quiescence.
+    let (_, stderr, ok) = run(&[
+        "churn",
+        "--topology",
+        "mesh:3x3",
+        "--horizon-us",
+        "70000000",
+        "--flap-rate",
+        "1",
+        "--device-rate",
+        "0",
+    ]);
+    assert!(ok, "{stderr}");
 }
 
 /// The default window opens at 6 ms; a 6x6 mesh is still being discovered
