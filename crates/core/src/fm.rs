@@ -338,7 +338,6 @@ impl FmAgent {
     fn on_pi4(&mut self, ctx: &mut AgentCtx, packet: &Packet, pi4: &Pi4) {
         if let Some(acc) = self.acc.as_mut() {
             acc.bytes_received += packet.wire_size() as u64;
-            acc.timeline.push(ctx.now);
         }
         // Side writes and keepalives use id ranges the engine never does.
         let claimed = match pi4 {

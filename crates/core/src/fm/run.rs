@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::engine::{EngineStats, OutOp};
-use crate::metrics::{DiscoveryTrigger, TrafficSummary};
+use crate::metrics::DiscoveryTrigger;
 use crate::snapshot::db_from_snapshot;
 use asi_proto::{DeviceType, FmMessage, PortEvent};
 use std::collections::hash_map::Entry;
@@ -26,7 +26,6 @@ pub(super) struct RunAcc {
     started_at: SimTime,
     bytes_sent: u64,
     pub(super) bytes_received: u64,
-    pub(super) timeline: Vec<SimTime>,
     pub(super) fm_busy: SimDuration,
     /// While the current engine is a verification pass: the device count
     /// of the database it verifies (the fallback-threshold denominator).
@@ -49,7 +48,6 @@ impl RunAcc {
             started_at,
             bytes_sent: 0,
             bytes_received: 0,
-            timeline: Vec::new(),
             fm_busy: SimDuration::ZERO,
             verifying,
             base: EngineStats::default(),
@@ -455,7 +453,6 @@ impl FmAgent {
             bytes_received: acc.bytes_received,
             devices_found: db.device_count(),
             links_found: db.link_count(),
-            fm_timeline: acc.timeline,
             fm_busy: acc.fm_busy,
             probes_verified: acc.probes_verified,
             verify_mismatches: acc.verify_mismatches,
@@ -465,7 +462,6 @@ impl FmAgent {
             // Only a promotion starts a failover run.
             failovers: u32::from(acc.trigger == DiscoveryTrigger::Failover),
             merge_time: SimDuration::ZERO,
-            traffic: TrafficSummary::default(),
         };
         self.cfg.trace.emit(ctx.now, || TraceEvent::RunFinished {
             devices_found: run.devices_found as u64,

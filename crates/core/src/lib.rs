@@ -46,7 +46,7 @@ pub use fm::{
     TOKEN_START_ELECTION,
 };
 pub use mcast::{plan_multicast, McastError, McastWrite};
-pub use metrics::{Algorithm, DiscoveryRun, DiscoveryTrigger, DistributionRun, TrafficSummary};
+pub use metrics::{Algorithm, DiscoveryRun, DiscoveryTrigger, DistributionRun};
 pub use pathdist::{decode_route_table, plan_distribution, PlannedWrite, RouteTableEntry};
 pub use retry::RetryPolicy;
 pub use snapshot::{db_from_snapshot, snapshot_db};

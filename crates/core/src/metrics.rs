@@ -89,8 +89,10 @@ impl DiscoveryTrigger {
     }
 }
 
-/// Everything measured during one discovery run.
-#[derive(Clone, Debug)]
+/// Everything measured during one discovery run: plain numbers. The
+/// time each completion reached the manager is the trace's
+/// `request-completed` record, not a field here.
+#[derive(Clone, Copy, Debug)]
 pub struct DiscoveryRun {
     /// Which algorithm ran.
     pub algorithm: Algorithm,
@@ -122,10 +124,6 @@ pub struct DiscoveryRun {
     pub devices_found: usize,
     /// Links in the database when the run finished.
     pub links_found: usize,
-    /// Time each discovery packet finished processing at the FM, in
-    /// arrival order: packet *n* is entry *n − 1* (the paper's Fig. 7a
-    /// series).
-    pub fm_timeline: Vec<SimTime>,
     /// Cumulative FM busy time (occupancy) during the run.
     pub fm_busy: SimDuration,
     /// Warm start only: snapshotted devices a verification probe
@@ -150,43 +148,6 @@ pub struct DiscoveryRun {
     /// exploration to the merged database becoming final (zero
     /// elsewhere).
     pub merge_time: SimDuration,
-    /// Data-plane traffic delivered while this run executed (all zeros
-    /// when the fabric carried no traffic plan). Filled in by the
-    /// harness after the run from the fabric's counters.
-    pub traffic: TrafficSummary,
-}
-
-/// Data-plane delivery measurements for one run under a traffic plan.
-///
-/// All zeros when the fabric ran without traffic — the summary is
-/// `Default` and deliberately cheap to carry on every [`DiscoveryRun`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TrafficSummary {
-    /// Offered unicast load per source endpoint, as a fraction of link
-    /// capacity (the plan's `load` knob).
-    pub offered_load: f64,
-    /// Traffic-plan unicast/switch-sourced packets injected.
-    pub flow_injected: u64,
-    /// Traffic-plan packets delivered end-to-end.
-    pub flow_delivered: u64,
-    /// Payload bytes delivered end-to-end.
-    pub flow_bytes: u64,
-    /// Delivered goodput in bits per second over the measurement window.
-    pub goodput_bps: f64,
-    /// Median end-to-end flow latency in microseconds.
-    pub latency_p50_us: f64,
-    /// 99th-percentile end-to-end flow latency in microseconds.
-    pub latency_p99_us: f64,
-    /// Multicast packets injected at their source member.
-    pub mcast_injected: u64,
-    /// Multicast deliveries across all member endpoints.
-    pub mcast_delivered: u64,
-    /// Times a transmission waited for credits during the run.
-    pub credit_stalls: u64,
-    /// Peak management-VC output-queue depth on any port.
-    pub mgmt_queue_peak: u64,
-    /// Peak data-VC output-queue depth on any port.
-    pub data_queue_peak: u64,
 }
 
 impl DiscoveryRun {
@@ -260,7 +221,6 @@ mod tests {
             bytes_received: 520,
             devices_found: 5,
             links_found: 4,
-            fm_timeline: Vec::new(),
             fm_busy: SimDuration::from_us(130),
             probes_verified: 0,
             verify_mismatches: 0,
@@ -269,8 +229,14 @@ mod tests {
             boundary_conflicts: 0,
             failovers: 0,
             merge_time: SimDuration::ZERO,
-            traffic: TrafficSummary::default(),
         }
+    }
+
+    /// A run is plain numbers: reading one copies it.
+    #[test]
+    fn discovery_run_is_copy() {
+        fn copy<T: Copy>() {}
+        copy::<DiscoveryRun>();
     }
 
     #[test]

@@ -117,18 +117,13 @@ fn serial_packet_keeps_one_request_outstanding() {
     // max_outstanding is internal to the engine; we verify through the
     // run's arithmetic instead: with one request in flight, responses can
     // never outpace requests, and the FM processed them strictly
-    // alternately — so the mean gap between timeline points must be at
-    // least the full round trip (FM time + transport + device time).
+    // alternately — so the mean gap between responses must be at least
+    // the full round trip (FM time + transport + device time).
     let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
     let run = agent.last_run().unwrap();
-    let n = run.fm_timeline.len() as u64;
+    let n = run.responses_received;
     assert!(n > 10);
-    let span = run
-        .fm_timeline
-        .last()
-        .unwrap()
-        .saturating_since(run.started_at);
-    let mean_gap = span / n;
+    let mean_gap = run.discovery_time() / n;
     // Round trip: FM ~19us + device 4us + wire; gap must exceed 22us.
     assert!(
         mean_gap >= SimDuration::from_us(22),

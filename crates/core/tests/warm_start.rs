@@ -77,12 +77,11 @@ fn warm_start_verifies_unchanged_topologies_cheaply() {
             &topo,
             FmConfig::new(Algorithm::Parallel),
         );
-        let cold_run = cold_fabric
+        let cold_run = *cold_fabric
             .agent_as::<FmAgent>(cold_fm)
             .unwrap()
             .last_run()
-            .unwrap()
-            .clone();
+            .unwrap();
         let snapshot = snapshot_of(&cold_fabric, cold_fm);
         assert_eq!(snapshot.device_count() as u64, n, "{}", spec.name());
 

@@ -12,7 +12,7 @@
 //! simulation state, so a `(topology, scenario)` pair always produces
 //! the same [`ChurnOutcome`].
 
-use crate::scenario::{db_matches_fabric, Bench, Scenario};
+use crate::scenario::{db_matches_fabric, db_routes_execute, Bench, Scenario};
 use asi_core::TOKEN_START_DISCOVERY;
 use asi_sim::{SimDuration, SimTime};
 use asi_topo::Topology;
@@ -44,7 +44,8 @@ pub struct ChurnOutcome {
     /// simulation went quiescent (a healthy run ends converged).
     pub diverged_at_end: bool,
     /// The database matched the live fabric — devices, links and ports —
-    /// when the simulation went quiescent ([`db_matches_fabric`]).
+    /// when the simulation went quiescent ([`db_matches_fabric`]), and
+    /// every route it stores executed there ([`db_routes_execute`]).
     pub full_topology: bool,
     /// Devices in the final committed database.
     pub final_devices: usize,
@@ -187,7 +188,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     let convergence_lag = last_converged_at
         .map(|at| at.saturating_since(last_event_at))
         .unwrap_or(SimDuration::ZERO);
-    let full_topology = in_sync(&bench, topo);
+    let full_topology = in_sync(&bench, topo) && db_routes_execute(bench.db(), &bench.fabric, topo);
     let churned = bench.db().clone();
     let final_devices = churned.device_count();
     let final_links = churned.link_count();

@@ -2,14 +2,15 @@
 //! the FM during the 3×3-mesh initial discovery, and (b) the idealized
 //! serial/parallel pipelining model.
 
-use crate::report::{Chart, Series};
+use crate::report::{Chart, RingCollector, Series};
 use crate::scenario::{Bench, Scenario};
 use asi_core::{ideal, Algorithm};
-use asi_sim::SimDuration;
+use asi_sim::{SimDuration, TraceEvent, TraceHandle};
 use asi_topo::mesh;
 
 /// Fig. 7(a): per-packet FM timeline for the 3×3 mesh, all devices
-/// active.
+/// active, read from the trace: packet *n* is the run's *n*-th
+/// `request-completed` record.
 pub fn run_timeline() -> Chart {
     let g = mesh(3, 3).expect("known-good grid");
     let mut chart = Chart::new(
@@ -19,12 +20,19 @@ pub fn run_timeline() -> Chart {
         "Simulation Time (sec)",
     );
     for alg in Algorithm::all() {
-        let bench = Bench::start(&g.topology, &Scenario::new(alg), &[]);
-        let run = bench.last_run();
+        let ring = RingCollector::shared(1 << 20);
+        let scenario = Scenario::new(alg).with_trace(TraceHandle::to(ring.clone()));
+        let started_at = Bench::start(&g.topology, &scenario, &[])
+            .last_run()
+            .started_at;
         let mut series = Series::new(alg.name());
-        for (i, t) in run.fm_timeline.iter().enumerate() {
+        let ring = ring.borrow();
+        let completed = ring
+            .records()
+            .filter(|r| matches!(r.event, TraceEvent::RequestCompleted { .. }));
+        for (i, r) in completed.enumerate() {
             let ordinal = (i + 1) as f64;
-            series.push(ordinal, t.saturating_since(run.started_at).as_secs_f64());
+            series.push(ordinal, r.time.saturating_since(started_at).as_secs_f64());
         }
         chart.series.push(series);
     }

@@ -40,8 +40,9 @@ pub use report::{
     TraceSummary,
 };
 pub use scenario::{
-    change_experiment, db_matches_fabric, dev_of_dsn, dsn_of_dev, removable_switches,
-    sharded_discovery, summarize_traffic, Bench, Scenario, ShardedOutcome,
+    change_experiment, db_matches_fabric, db_routes_execute, dev_of_dsn, dsn_of_dev,
+    removable_switches, sharded_discovery, summarize_traffic, Bench, Scenario, ShardedOutcome,
+    TrafficSummary,
 };
 pub use snapshot::{
     load_snapshot, save_snapshot, snapshot_from_jsonl, snapshot_to_jsonl, SnapshotFormat,

@@ -3,14 +3,15 @@
 //! injection — the exact procedure of the paper's §4.1.
 
 use asi_core::{Algorithm, FmAgent, FmConfig, FmTiming, RetryPolicy, TOKEN_START_DISCOVERY};
-use asi_core::{DiscoveryRun, TopologyDb, TrafficSummary};
+use asi_core::{DiscoveryRun, TopologyDb};
 use asi_fabric::{
-    ChurnPlan, DevId, Fabric, FabricConfig, FaultPlan, FmRoute, TrafficPlan, DSN_BASE,
+    ChurnPlan, DevId, Fabric, FabricConfig, FabricCounters, FaultPlan, FmRoute, TrafficPlan,
+    DSN_BASE,
 };
-use asi_proto::PortState;
+use asi_proto::{apply_forward, turn_width, Direction, PortState, TurnCursor, TurnPool};
 use asi_sim::{KernelSpec, SimDuration, SimRng, TraceHandle};
 use asi_state::Snapshot;
-use asi_topo::{NodeId, Topology};
+use asi_topo::{Attachment, NodeId, Topology};
 
 /// Simulator-kernel queue-depth sampling period used when a scenario
 /// carries a trace sink: one `queue-sample` record per this much
@@ -331,14 +332,29 @@ fn run_bringup(fabric: &mut Fabric, faults: &FaultPlan, churn: &ChurnPlan, traff
     }
 }
 
+/// Data-plane delivery after a run under a traffic plan: the fabric's
+/// counters and the three numbers derived from them and the flows'
+/// latency samples. All zeros under an inert plan, so traffic-free
+/// reports stay unchanged.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TrafficSummary {
+    /// The fabric's counters when the run was summarized.
+    pub counters: FabricCounters,
+    /// Delivered goodput in bits per second over the plan's window.
+    pub goodput_bps: f64,
+    /// Median end-to-end flow latency in microseconds.
+    pub latency_p50_us: f64,
+    /// 99th-percentile end-to-end flow latency in microseconds.
+    pub latency_p99_us: f64,
+}
+
 /// Summarizes data-plane delivery after a run under `plan` — the
-/// load-sweep columns and the `traffic` report. All zeros for an inert
-/// plan, so traffic-free reports stay unchanged.
+/// load-sweep columns and the `traffic` report.
 pub fn summarize_traffic(fabric: &Fabric, plan: &TrafficPlan) -> TrafficSummary {
     if plan.is_inert() {
         return TrafficSummary::default();
     }
-    let c = fabric.counters();
+    let counters = *fabric.counters();
     let mut latencies: Vec<u64> = fabric
         .flow_stats()
         .iter()
@@ -355,22 +371,14 @@ pub fn summarize_traffic(fabric: &Fabric, plan: &TrafficPlan) -> TrafficSummary 
     };
     let window = plan.duration.as_secs_f64();
     TrafficSummary {
-        offered_load: plan.load,
-        flow_injected: c.flow_injected,
-        flow_delivered: c.flow_delivered,
-        flow_bytes: c.flow_bytes,
+        counters,
         goodput_bps: if window > 0.0 {
-            c.flow_bytes as f64 * 8.0 / window
+            counters.flow_bytes as f64 * 8.0 / window
         } else {
             0.0
         },
         latency_p50_us: pct_us(0.50),
         latency_p99_us: pct_us(0.99),
-        mcast_injected: c.mcast_injected,
-        mcast_delivered: c.mcast_delivered,
-        credit_stalls: c.credit_stalls,
-        mgmt_queue_peak: c.mgmt_queue_peak,
-        data_queue_peak: c.data_queue_peak,
     }
 }
 
@@ -399,9 +407,9 @@ pub fn dsn_of_dev(dev: DevId) -> u64 {
 /// True when `db` mirrors the live fabric exactly: the same devices as
 /// those reachable from `fm` over active links, and every physical link
 /// of `topo`, port numbers included, recorded iff both its ends are
-/// reachable and both its ports are trained up right now. The
-/// ground-truth verdict behind `full_topology` in the CLI's `stress` and
-/// `traffic` modes, and churn's divergence measure.
+/// reachable and both its ports are trained up right now. With
+/// [`db_routes_execute`], the ground-truth verdict behind every
+/// `full_topology`; alone, churn's divergence measure.
 pub fn db_matches_fabric(db: &TopologyDb, fabric: &Fabric, fm: DevId, topo: &Topology) -> bool {
     let truth = fabric.active_reachable(fm);
     if truth.len() != db.device_count() || !truth.iter().all(|&d| db.contains(dsn_of_dev(d))) {
@@ -422,6 +430,49 @@ pub fn db_matches_fabric(db: &TopologyDb, fabric: &Fabric, fm: DevId, topo: &Top
     }
     // Discovery can never invent links, so equal counts close the loop.
     live_links == db.link_count()
+}
+
+/// True when every route `db` stores executes on the live fabric: out of
+/// the host's `egress` port and through one switch per turn of its pool,
+/// every hop lands on an active device, and the last lands on the
+/// route's own device at its `entry_port`. The routing half of the
+/// ground-truth verdict; it stays apart from [`db_matches_fabric`],
+/// which churn's divergence accounting reads on its own.
+pub fn db_routes_execute(db: &TopologyDb, fabric: &Fabric, topo: &Topology) -> bool {
+    let host = db.host_dsn();
+    let from = NodeId(dev_of_dsn(host).0);
+    db.devices().filter(|d| d.info.dsn != host).all(|d| {
+        let route = &d.route;
+        let to = Attachment {
+            node: NodeId(dev_of_dsn(d.info.dsn).0),
+            port: route.entry_port,
+        };
+        walk(topo, fabric, from, route.egress, &route.pool) == Some(to)
+    })
+}
+
+/// Follows a route forward over `topo` from `from`: out of `egress`,
+/// then one turn per switch the pool names. The attachment it arrives
+/// at, or `None` if it falls off the fabric or enters a device that is
+/// not active in `fabric`.
+fn walk(
+    topo: &Topology,
+    fabric: &Fabric,
+    from: NodeId,
+    egress: u8,
+    pool: &TurnPool,
+) -> Option<Attachment> {
+    let active = |at: &Attachment| fabric.is_active(DevId(at.node.0));
+    let hop = |node, port| topo.peer(node, port).filter(active);
+    let mut at = hop(from, egress)?;
+    let mut cursor = TurnCursor::start(pool, Direction::Forward);
+    while !cursor.exhausted(pool) {
+        let node = topo.node(at.node)?;
+        let (turn, next) = cursor.take_turn(pool, turn_width(node.ports)).ok()?;
+        at = hop(at.node, apply_forward(at.port, turn, node.ports))?;
+        cursor = next;
+    }
+    Some(at)
 }
 
 /// The switches a change experiment may remove or hot-add without
@@ -538,10 +589,10 @@ impl Bench {
 
     /// The latest discovery run.
     pub fn last_run(&self) -> DiscoveryRun {
-        self.fm_agent()
+        *self
+            .fm_agent()
             .last_run()
             .expect("a discovery has completed")
-            .clone()
     }
 
     /// The FM's current database.
@@ -800,7 +851,7 @@ pub fn change_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asi_proto::{apply_forward, turn_width, Direction, TurnCursor, TurnPool, MAX_POOL_BITS};
+    use asi_proto::MAX_POOL_BITS;
     use asi_topo::mesh;
     use std::collections::HashMap;
 
@@ -840,18 +891,20 @@ mod tests {
         assert!(!matches(&db));
     }
 
-    /// Follows a PI-5 route forward over the ground truth from `from`:
-    /// the node it arrives at, or `None` if it falls off the fabric.
-    fn walk(topo: &Topology, from: NodeId, egress: u8, pool: &TurnPool) -> Option<NodeId> {
-        let mut at = topo.peer(from, egress)?;
-        let mut cursor = TurnCursor::start(pool, Direction::Forward);
-        while !cursor.exhausted(pool) {
-            let node = topo.node(at.node)?;
-            let (turn, next) = cursor.take_turn(pool, turn_width(node.ports)).ok()?;
-            at = topo.peer(at.node, apply_forward(at.port, turn, node.ports))?;
-            cursor = next;
-        }
-        Some(at.node)
+    /// A device record that routes to another device keeps every count,
+    /// device and link right; only executing the stored routes catches it.
+    #[test]
+    fn a_misrouted_record_fails_the_route_verdict() {
+        let g = mesh(3, 3).unwrap();
+        let bench = Bench::start(&g.topology, &Scenario::new(Algorithm::Parallel), &[]);
+        let routes_execute = |db: &TopologyDb| db_routes_execute(db, &bench.fabric, &g.topology);
+        let mut db = bench.db().clone();
+        assert!(routes_execute(&db));
+        let [near, far] = [(1, 1), (2, 2)].map(|(x, y)| dsn_of_dev(DevId(g.switch_at(x, y).0)));
+        let detour = db.device(near).unwrap().route.clone();
+        db.device_mut(far).unwrap().route = detour;
+        assert!(db_matches_fabric(&db, &bench.fabric, bench.fm, &g.topology));
+        assert!(!routes_execute(&db));
     }
 
     /// The routes `configure_pi5_routes` installs reach the manager: the
@@ -876,8 +929,9 @@ mod tests {
                 let route =
                     route.unwrap_or_else(|e| panic!("{name}: {dsn:#x} has no route: {e:?}"));
                 let from = NodeId(dev_of_dsn(dsn).0);
+                let arrival = walk(topo, &bench.fabric, from, route.egress, &route.pool);
                 assert_eq!(
-                    walk(topo, from, route.egress, &route.pool),
+                    arrival.map(|at| at.node),
                     Some(NodeId(bench.fm.0)),
                     "{name}: the route from {from} misses the host"
                 );
@@ -997,7 +1051,7 @@ mod tests {
         assert!(counters.flow_injected > 0, "no traffic injected");
         assert!(counters.flow_delivered > 0, "no traffic delivered");
         let summary = summarize_traffic(&bench.fabric, &s.traffic);
-        assert_eq!(summary.flow_delivered, counters.flow_delivered);
+        assert_eq!(summary.counters, *counters);
         assert!(summary.goodput_bps > 0.0);
         assert!(summary.latency_p50_us > 0.0);
         assert!(summary.latency_p99_us >= summary.latency_p50_us);
@@ -1025,7 +1079,7 @@ mod tests {
         );
         assert_eq!(
             summarize_traffic(&loaded.fabric, &zero.traffic),
-            asi_core::TrafficSummary::default()
+            TrafficSummary::default()
         );
     }
 }

@@ -12,9 +12,12 @@
 //! are built on this module; the `asi-fabric-sim sweep` CLI mode exposes
 //! the same grids from the command line.
 
-use crate::churn::{churn_experiment, default_churn_exempt};
+use crate::churn::{churn_experiment, default_churn_exempt, ChurnOutcome};
 use crate::json::Json;
-use crate::scenario::{db_matches_fabric, sharded_discovery, summarize_traffic, Bench, Scenario};
+use crate::scenario::{
+    db_matches_fabric, db_routes_execute, sharded_discovery, summarize_traffic, Bench, Scenario,
+    ShardedOutcome, TrafficSummary,
+};
 use asi_core::{snapshot_db, Algorithm, DiscoveryRun, FmAgent, RetryPolicy};
 use asi_fabric::{ChurnPlan, DevId, Fabric, FaultPlan, LossModel, TrafficPlan};
 use asi_sim::{OnlineStats, SimDuration};
@@ -105,9 +108,12 @@ pub struct SweepSpec {
     /// bench; larger values run an election-based sharded discovery
     /// ([`sharded_discovery`]) and fill the `fms`, `boundary_conflicts`,
     /// `failovers` and `merge_time_s` columns. A sharded discovery is an
-    /// initial cold one, so a count above 1 applies only to cold cells
-    /// of a churn-free grid whose change mode is `Initial`; others run
-    /// as if it were 1. The default `[1]` leaves every grid as before.
+    /// initial cold one on a fault-free fabric (a lost boundary read
+    /// leaves the merged database short), so the CLI takes a count above
+    /// 1 only for a grid whose change mode is `Initial`, with no warm
+    /// axis, no churn and no live fault plan; a churn grid runs every
+    /// cell as if it were 1. The default `[1]` leaves every grid as
+    /// before.
     pub fm_counts: Vec<usize>,
     /// Offered-load axis: every `(algorithm, topology)` point runs once
     /// per value, with the [`SweepSpec::traffic`] template's unicast
@@ -387,7 +393,9 @@ pub struct Cell {
     pub seed: u64,
 }
 
-/// Measurements of one executed cell.
+/// Measurements of one executed cell: its identity, the columns each
+/// runner sets its own way, and the records the runner measured. The
+/// report's other columns read those records.
 #[derive(Clone, Debug)]
 pub struct CellResult {
     /// Topology display name.
@@ -402,96 +410,41 @@ pub struct CellResult {
     pub rep: usize,
     /// The seed the cell ran with.
     pub seed: u64,
+    /// Offered unicast load per source endpoint (the load axis; 0.0
+    /// for grids without one).
+    pub load: f64,
     /// Whether the measured run completed (lossy runs may exhaust their
     /// retry budget and never drain the pending table).
     pub completed: bool,
     /// The manager's database (a sharded cell's merged one, a churn
     /// cell's at quiescence) matched the fabric the cell ran on
-    /// ([`db_matches_fabric`]). Not a report column.
+    /// ([`db_matches_fabric`]) and every route it stores executed there
+    /// ([`db_routes_execute`]). Not a report column.
     pub full_topology: bool,
     /// Active reachable devices when the measured run finished.
     pub active_nodes: usize,
-    /// The paper's headline metric, in seconds.
-    pub discovery_time_s: f64,
-    /// Devices in the FM database at the end of the run.
-    pub devices_found: usize,
-    /// Links in the FM database at the end of the run.
-    pub links_found: usize,
-    /// PI-4 requests injected.
-    pub requests: u64,
-    /// Completions processed.
-    pub responses: u64,
-    /// Request attempts that timed out.
-    pub timeouts: u64,
-    /// Timed-out requests the retry policy re-issued.
-    pub retries: u64,
-    /// Requests abandoned after exhausting the retry budget.
-    pub abandoned: u64,
-    /// Peak pending-table occupancy during the measured run (1 for the
-    /// serial algorithms by construction; the scale grid's headline
-    /// memory metric).
-    pub peak_outstanding: usize,
     /// Simulator events processed over the whole cell (bring-up, the
     /// initial discovery and any change). A pure function of the cell
     /// seed, so it is safe for byte-compared reports; the CLI divides
     /// the grid total by wall time for a throughput figure. Zero for
     /// churn cells, whose runner reports PI-5 throughput instead.
     pub sim_events: u64,
-    /// Management bytes sent by the FM.
-    pub bytes_sent: u64,
-    /// Management bytes received by the FM.
-    pub bytes_received: u64,
-    /// Mean per-packet FM processing time (µs).
-    pub mean_fm_processing_us: f64,
-    /// Fraction of the run the FM was busy.
-    pub fm_utilization: f64,
-    /// Warm runs: snapshotted devices a verification probe confirmed.
-    pub probes_verified: u64,
-    /// Warm runs: snapshotted devices that failed verification.
-    pub verify_mismatches: u64,
-    /// Warm runs: whether the run fell back to a full cold discovery.
-    pub warm_fallback: bool,
-    /// Fabric managers that ran the discovery (1 = classic bench).
-    pub fms: usize,
-    /// Sharded runs: boundary devices ceded to a rival, summed over
-    /// every manager.
-    pub boundary_conflicts: u64,
-    /// Sharded runs: primary failovers during the cell.
-    pub failovers: u32,
-    /// Sharded runs: the primary's merge tail (seconds).
-    pub merge_time_s: f64,
-    /// Churn runs: scheduled churn-plan events that fired.
-    pub churn_events: u64,
-    /// Simulated-event throughput. Bench and sharded cells report
-    /// simulator events per simulated second of the measured run (both
-    /// terms are simulated quantities, so the value is
-    /// `--jobs`-invariant); churn cells report PI-5 events absorbed per
-    /// simulated second of churn.
-    pub events_per_sec: f64,
-    /// Churn runs: lag from the last churn event to the instant the
-    /// database last caught up with the fabric (seconds).
-    pub convergence_lag_s: f64,
-    /// Churn runs: distinct DB-vs-fabric divergence windows.
-    pub divergence_windows: usize,
-    /// Churn runs: total simulated time the database disagreed with
-    /// the fabric (seconds).
-    pub divergence_s: f64,
-    /// Offered unicast load per source endpoint (the load axis; 0.0
-    /// for grids without one).
-    pub load: f64,
-    /// Load cells: delivered data-plane goodput in Mb/s over the
-    /// traffic window.
-    pub goodput_mbps: f64,
-    /// Load cells: traffic-plan packets delivered end-to-end.
-    pub flow_delivered: u64,
-    /// Load cells: median end-to-end flow latency (µs).
-    pub latency_p50_us: f64,
-    /// Load cells: 99th-percentile end-to-end flow latency (µs).
-    pub latency_p99_us: f64,
-    /// Load cells: transmissions that waited for credits.
-    pub credit_stalls: u64,
-    /// Load cells: peak data-VC output-queue depth on any port.
-    pub data_queue_peak: u64,
+    /// The paper's headline metric, in seconds.
+    pub discovery_time_s: f64,
+    /// Devices in the FM database at the end of the run.
+    pub devices_found: usize,
+    /// Links in the FM database at the end of the run.
+    pub links_found: usize,
+    /// The measured discovery run: a bench cell's, or the last run of
+    /// the manager holding a sharded cell's merged database.
+    pub run: Option<DiscoveryRun>,
+    /// Data-plane delivery on the cell's fabric (zeros without a traffic
+    /// plan, and for churn cells).
+    pub traffic: TrafficSummary,
+    /// Churn cells: the steady-state outcome.
+    pub churn: Option<ChurnOutcome>,
+    /// Sharded cells: the election-based discovery's outcome.
+    pub sharded: Option<ShardedOutcome>,
 }
 
 /// Per-(topology, algorithm) summary over the repetitions.
@@ -544,9 +497,9 @@ pub struct SweepResult {
 }
 
 impl CellResult {
-    /// The cell's identity columns with every measurement zeroed — what
-    /// a run that never completed reports, and the base the runners
-    /// update with `..`.
+    /// The cell's identity with every measurement zeroed — what a run
+    /// that never completed reports, and the base the runners update
+    /// with `..`.
     fn blank(cell: &Cell) -> CellResult {
         CellResult {
             topology: cell.topology.name(),
@@ -555,73 +508,24 @@ impl CellResult {
             warm: cell.warm,
             rep: cell.rep,
             seed: cell.seed,
+            load: cell.load,
             completed: false,
             full_topology: false,
             active_nodes: 0,
+            sim_events: 0,
             discovery_time_s: 0.0,
             devices_found: 0,
             links_found: 0,
-            requests: 0,
-            responses: 0,
-            timeouts: 0,
-            retries: 0,
-            abandoned: 0,
-            peak_outstanding: 0,
-            sim_events: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            mean_fm_processing_us: 0.0,
-            fm_utilization: 0.0,
-            probes_verified: 0,
-            verify_mismatches: 0,
-            warm_fallback: false,
-            fms: 1,
-            boundary_conflicts: 0,
-            failovers: 0,
-            merge_time_s: 0.0,
-            churn_events: 0,
-            events_per_sec: 0.0,
-            convergence_lag_s: 0.0,
-            divergence_windows: 0,
-            divergence_s: 0.0,
-            load: cell.load,
-            goodput_mbps: 0.0,
-            flow_delivered: 0,
-            latency_p50_us: 0.0,
-            latency_p99_us: 0.0,
-            credit_stalls: 0,
-            data_queue_peak: 0,
-        }
-    }
-
-    /// Fills every column a [`DiscoveryRun`] measures but its traffic,
-    /// which [`CellResult::with_fabric`] reads off the fabric.
-    fn with_run(self, run: &DiscoveryRun) -> CellResult {
-        CellResult {
-            completed: true,
-            discovery_time_s: run.discovery_time().as_secs_f64(),
-            devices_found: run.devices_found,
-            links_found: run.links_found,
-            requests: run.requests_sent,
-            responses: run.responses_received,
-            timeouts: run.timeouts,
-            retries: run.retries,
-            abandoned: run.abandoned,
-            peak_outstanding: run.peak_outstanding,
-            bytes_sent: run.bytes_sent,
-            bytes_received: run.bytes_received,
-            mean_fm_processing_us: run.mean_fm_processing().as_micros_f64(),
-            fm_utilization: run.fm_utilization(),
-            probes_verified: run.probes_verified,
-            verify_mismatches: run.verify_mismatches,
-            warm_fallback: run.warm_fallback,
-            ..self
+            run: None,
+            traffic: TrafficSummary::default(),
+            churn: None,
+            sharded: None,
         }
     }
 
     /// Fills the columns read off the fabric the cell ran on: the verdict
-    /// of `fm`'s database against it, its events and their rate over the
-    /// `discovery_time_s` already set, and the delivery of `traffic`.
+    /// of `fm`'s database against it, its events, and the delivery of
+    /// `traffic`.
     fn with_fabric(
         self,
         fabric: &Fabric,
@@ -630,24 +534,28 @@ impl CellResult {
         traffic: &TrafficPlan,
     ) -> Self {
         let db = fabric.agent_as::<FmAgent>(fm).and_then(FmAgent::db);
-        let sim_events = fabric.events_processed();
-        let load = summarize_traffic(fabric, traffic);
+        let full_topology = db.is_some_and(|db| {
+            db_matches_fabric(db, fabric, fm, topo) && db_routes_execute(db, fabric, topo)
+        });
         CellResult {
             active_nodes: fabric.active_reachable(fm).len(),
-            full_topology: db.is_some_and(|db| db_matches_fabric(db, fabric, fm, topo)),
-            sim_events,
-            events_per_sec: if self.discovery_time_s > 0.0 {
-                sim_events as f64 / self.discovery_time_s
-            } else {
-                0.0
-            },
-            goodput_mbps: load.goodput_bps / 1e6,
-            flow_delivered: load.flow_delivered,
-            latency_p50_us: load.latency_p50_us,
-            latency_p99_us: load.latency_p99_us,
-            credit_stalls: load.credit_stalls,
-            data_queue_peak: load.data_queue_peak,
+            full_topology,
+            sim_events: fabric.events_processed(),
+            traffic: summarize_traffic(fabric, traffic),
             ..self
+        }
+    }
+
+    /// Simulated-event throughput. Bench and sharded cells report
+    /// simulator events per simulated second of the measured run (both
+    /// terms are simulated quantities, so the value is
+    /// `--jobs`-invariant); churn cells report PI-5 events absorbed per
+    /// simulated second of churn.
+    fn events_per_sec(&self) -> f64 {
+        match &self.churn {
+            Some(out) => out.events_per_sec,
+            None if self.discovery_time_s > 0.0 => self.sim_events as f64 / self.discovery_time_s,
+            None => 0.0,
         }
     }
 }
@@ -689,8 +597,15 @@ fn run_cell(
         change = None;
     }
     let (bench, run) = Bench::measure(&topo, &scenario, change);
-    let cell = CellResult::blank(cell).with_run(&run);
-    cell.with_fabric(&bench.fabric, bench.fm, &topo, &scenario.traffic)
+    CellResult {
+        completed: true,
+        discovery_time_s: run.discovery_time().as_secs_f64(),
+        devices_found: run.devices_found,
+        links_found: run.links_found,
+        run: Some(run),
+        ..CellResult::blank(cell)
+    }
+    .with_fabric(&bench.fabric, bench.fm, &topo, &scenario.traffic)
 }
 
 /// Executes one continuous-churn cell. The cell's scenario gains
@@ -715,11 +630,7 @@ fn run_churn_cell(cell: &Cell, topo: &Topology, scenario: Scenario) -> CellResul
         discovery_time_s: out.convergence_lag.as_secs_f64(),
         devices_found: out.final_devices,
         links_found: out.final_links,
-        churn_events: out.churn_events,
-        events_per_sec: out.events_per_sec,
-        convergence_lag_s: out.convergence_lag.as_secs_f64(),
-        divergence_windows: out.divergence_windows,
-        divergence_s: out.divergence_total.as_secs_f64(),
+        churn: Some(out),
         ..CellResult::blank(cell)
     }
 }
@@ -733,17 +644,16 @@ fn run_sharded_cell(cell: &Cell, topo: &Topology, scenario: &Scenario) -> CellRe
     let (fabric, holder, out) = sharded_discovery(topo, cell.fms, scenario);
     let run = fabric
         .agent_as::<FmAgent>(holder)
-        .and_then(|a| a.last_run())
+        .and_then(FmAgent::last_run)
         .expect("sharded primary recorded a run");
     CellResult {
+        completed: true,
         discovery_time_s: out.merged_time.as_secs_f64(),
         devices_found: out.devices,
         links_found: out.links,
-        fms: cell.fms,
-        boundary_conflicts: out.boundary_conflicts,
-        failovers: out.failovers,
-        merge_time_s: out.merge_time.as_secs_f64(),
-        ..CellResult::blank(cell).with_run(run)
+        run: Some(*run),
+        sharded: Some(out),
+        ..CellResult::blank(cell)
     }
     .with_fabric(&fabric, holder, topo, &scenario.traffic)
 }
@@ -806,7 +716,6 @@ pub fn run(spec: &SweepSpec, jobs: usize) -> SweepResult {
 /// dependence.
 fn aggregate(cells: &[Cell], results: &[CellResult], reps: usize) -> Vec<Aggregate> {
     let reps = reps.max(1);
-    let mean = |sum: u64, n: usize| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
     cells
         .chunks(reps)
         .zip(results.chunks(reps))
@@ -819,6 +728,10 @@ fn aggregate(cells: &[Cell], results: &[CellResult], reps: usize) -> Vec<Aggrega
             }
             let completed = done.len();
             let time = |stat: f64| if completed == 0 { 0.0 } else { stat };
+            let mean = |get: fn(&DiscoveryRun) -> u64| {
+                let sum: u64 = done.iter().filter_map(|c| c.run.as_ref()).map(get).sum();
+                time(sum as f64 / completed as f64)
+            };
             Aggregate {
                 topology: key.topology.name(),
                 total_devices: key.topology.total_devices(),
@@ -830,9 +743,9 @@ fn aggregate(cells: &[Cell], results: &[CellResult], reps: usize) -> Vec<Aggrega
                 mean_time_s: time(stats.mean()),
                 min_time_s: time(stats.min()),
                 max_time_s: time(stats.max()),
-                mean_requests: mean(done.iter().map(|c| c.requests).sum(), completed),
-                mean_timeouts: mean(done.iter().map(|c| c.timeouts).sum(), completed),
-                mean_retries: mean(done.iter().map(|c| c.retries).sum(), completed),
+                mean_requests: mean(|r| r.requests_sent),
+                mean_timeouts: mean(|r| r.timeouts),
+                mean_retries: mean(|r| r.retries),
                 full_topology: done.iter().filter(|c| c.full_topology).count(),
             }
         })
@@ -853,6 +766,12 @@ pub fn csv_field(field: &str) -> String {
 /// A report column: its name and how to read it off a cell.
 type Column = (&'static str, fn(&CellResult) -> Json);
 
+/// A column read off one of a cell's records: zero (`T`'s default)
+/// when the cell's runner did not measure that record.
+fn read<R, T: Default + Into<Json>>(record: &Option<R>, get: impl Fn(&R) -> T) -> Json {
+    record.as_ref().map_or_else(T::default, get).into()
+}
+
 /// Every column of the per-cell reports, in output order: the one list
 /// behind the JSON keys, the CSV header and the CSV rows.
 const COLUMNS: &[Column] = &[
@@ -867,36 +786,59 @@ const COLUMNS: &[Column] = &[
     ("discovery_time_s", |c| c.discovery_time_s.into()),
     ("devices_found", |c| c.devices_found.into()),
     ("links_found", |c| c.links_found.into()),
-    ("requests", |c| c.requests.into()),
-    ("responses", |c| c.responses.into()),
-    ("timeouts", |c| c.timeouts.into()),
-    ("retries", |c| c.retries.into()),
-    ("abandoned", |c| c.abandoned.into()),
-    ("peak_outstanding", |c| c.peak_outstanding.into()),
+    ("requests", |c| read(&c.run, |r| r.requests_sent)),
+    ("responses", |c| read(&c.run, |r| r.responses_received)),
+    ("timeouts", |c| read(&c.run, |r| r.timeouts)),
+    ("retries", |c| read(&c.run, |r| r.retries)),
+    ("abandoned", |c| read(&c.run, |r| r.abandoned)),
+    ("peak_outstanding", |c| read(&c.run, |r| r.peak_outstanding)),
     ("sim_events", |c| c.sim_events.into()),
-    ("bytes_sent", |c| c.bytes_sent.into()),
-    ("bytes_received", |c| c.bytes_received.into()),
-    ("mean_fm_processing_us", |c| c.mean_fm_processing_us.into()),
-    ("fm_utilization", |c| c.fm_utilization.into()),
-    ("probes_verified", |c| c.probes_verified.into()),
-    ("verify_mismatches", |c| c.verify_mismatches.into()),
-    ("warm_fallback", |c| c.warm_fallback.into()),
-    ("fms", |c| c.fms.into()),
-    ("boundary_conflicts", |c| c.boundary_conflicts.into()),
-    ("failovers", |c| c.failovers.into()),
-    ("merge_time_s", |c| c.merge_time_s.into()),
-    ("churn_events", |c| c.churn_events.into()),
-    ("events_per_sec", |c| c.events_per_sec.into()),
-    ("convergence_lag_s", |c| c.convergence_lag_s.into()),
-    ("divergence_windows", |c| c.divergence_windows.into()),
-    ("divergence_s", |c| c.divergence_s.into()),
+    ("bytes_sent", |c| read(&c.run, |r| r.bytes_sent)),
+    ("bytes_received", |c| read(&c.run, |r| r.bytes_received)),
+    ("mean_fm_processing_us", |c| {
+        read(&c.run, |r| r.mean_fm_processing().as_micros_f64())
+    }),
+    ("fm_utilization", |c| {
+        read(&c.run, DiscoveryRun::fm_utilization)
+    }),
+    ("probes_verified", |c| read(&c.run, |r| r.probes_verified)),
+    ("verify_mismatches", |c| {
+        read(&c.run, |r| r.verify_mismatches)
+    }),
+    ("warm_fallback", |c| read(&c.run, |r| r.warm_fallback)),
+    ("fms", |c| {
+        let managers = c.sharded.as_ref().map(|s| s.per_fm_devices.len());
+        managers.unwrap_or(1).into()
+    }),
+    ("boundary_conflicts", |c| {
+        read(&c.sharded, |s| s.boundary_conflicts)
+    }),
+    ("failovers", |c| read(&c.sharded, |s| s.failovers)),
+    ("merge_time_s", |c| {
+        read(&c.sharded, |s| s.merge_time.as_secs_f64())
+    }),
+    ("churn_events", |c| read(&c.churn, |o| o.churn_events)),
+    ("events_per_sec", |c| c.events_per_sec().into()),
+    ("convergence_lag_s", |c| {
+        read(&c.churn, |o| o.convergence_lag.as_secs_f64())
+    }),
+    ("divergence_windows", |c| {
+        read(&c.churn, |o| o.divergence_windows)
+    }),
+    ("divergence_s", |c| {
+        read(&c.churn, |o| o.divergence_total.as_secs_f64())
+    }),
     ("load", |c| c.load.into()),
-    ("goodput_mbps", |c| c.goodput_mbps.into()),
-    ("flow_delivered", |c| c.flow_delivered.into()),
-    ("latency_p50_us", |c| c.latency_p50_us.into()),
-    ("latency_p99_us", |c| c.latency_p99_us.into()),
-    ("credit_stalls", |c| c.credit_stalls.into()),
-    ("data_queue_peak", |c| c.data_queue_peak.into()),
+    ("goodput_mbps", |c| (c.traffic.goodput_bps / 1e6).into()),
+    ("flow_delivered", |c| {
+        c.traffic.counters.flow_delivered.into()
+    }),
+    ("latency_p50_us", |c| c.traffic.latency_p50_us.into()),
+    ("latency_p99_us", |c| c.traffic.latency_p99_us.into()),
+    ("credit_stalls", |c| c.traffic.counters.credit_stalls.into()),
+    ("data_queue_peak", |c| {
+        c.traffic.counters.data_queue_peak.into()
+    }),
 ];
 
 impl CellResult {
@@ -1100,12 +1042,9 @@ mod tests {
         let result = run(&spec, 1);
         let serial = &result.cells[0];
         let parallel = &result.cells[1];
-        assert_eq!(serial.peak_outstanding, 1, "serial keeps one in flight");
-        assert!(
-            parallel.peak_outstanding > 1,
-            "parallel peak {}",
-            parallel.peak_outstanding
-        );
+        let peak = |c: &CellResult| c.run.unwrap().peak_outstanding;
+        assert_eq!(peak(serial), 1, "serial keeps one in flight");
+        assert!(peak(parallel) > 1, "parallel peak {}", peak(parallel));
         assert!(serial.sim_events > 0);
         assert!(parallel.sim_events > 0);
     }
@@ -1140,15 +1079,18 @@ mod tests {
         let sequential = run(&spec, 1);
         assert_eq!(sequential.cells.len(), 2);
         let (solo, duo) = (&sequential.cells[0], &sequential.cells[1]);
-        assert_eq!(solo.fms, 1);
-        assert_eq!(duo.fms, 2);
+        assert!(solo.sharded.is_none());
+        let sharded = duo.sharded.as_ref().expect("a sharded cell");
+        assert_eq!(sharded.per_fm_devices.len(), 2);
         // Both find the whole fabric; the sharded cell carries the
-        // distributed columns.
+        // distributed record.
         assert_eq!(solo.devices_found, solo.total_devices);
         assert_eq!(duo.devices_found, duo.total_devices);
-        assert_eq!(solo.merge_time_s, 0.0);
-        assert!(duo.merge_time_s > 0.0, "primary merged a report stream");
-        assert_eq!(duo.failovers, 0);
+        assert!(
+            sharded.merge_time > SimDuration::ZERO,
+            "primary merged a report stream"
+        );
+        assert_eq!(sharded.failovers, 0);
         // The speedup gate: two managers beat one on a 128-device mesh.
         assert!(
             duo.discovery_time_s < solo.discovery_time_s,
@@ -1180,10 +1122,11 @@ mod tests {
         // The steady-state columns carry the churn story: events fired
         // and were absorbed, and the run ended converged.
         assert!(cell.completed, "churn cell ended converged");
-        assert!(cell.churn_events > 0, "plan fired events");
-        assert!(cell.events_per_sec > 0.0, "FM absorbed PI-5 events");
-        assert!(cell.divergence_windows > 0, "churn opened divergence");
-        assert!(cell.divergence_s > 0.0);
+        let out = cell.churn.as_ref().expect("a churn cell");
+        assert!(out.churn_events > 0, "plan fired events");
+        assert!(out.events_per_sec > 0.0, "FM absorbed PI-5 events");
+        assert!(out.divergence_windows > 0, "churn opened divergence");
+        assert!(out.divergence_total > SimDuration::ZERO);
         assert_eq!(cell.devices_found, cell.total_devices);
         // Byte-identical across worker counts, like every other grid.
         let parallel = run(&spec, 4);
@@ -1211,25 +1154,27 @@ mod tests {
         // the same seed run with no plan at all (sweep-level byte
         // identity with the plain grids).
         let quiet = by_load(0.0);
-        assert_eq!(quiet.flow_delivered, 0);
-        assert_eq!(quiet.goodput_mbps, 0.0);
+        assert_eq!(quiet.traffic, TrafficSummary::default());
         let mut plain = SweepSpec::new("load", vec![Table1::Mesh(3)]);
         plain.algorithms = vec![Algorithm::Parallel];
         plain.seed_base = spec.seed_base;
         let baseline = run(&plain, 1);
         assert_eq!(quiet.discovery_time_s, baseline.cells[0].discovery_time_s);
-        assert_eq!(quiet.requests, baseline.cells[0].requests);
+        let requests = |c: &CellResult| c.run.unwrap().requests_sent;
+        assert_eq!(requests(quiet), requests(&baseline.cells[0]));
         // Delivered goodput grows with offered load, and every loaded
         // cell measured real latency and queue pressure.
         let (low, mid, high) = (by_load(0.2), by_load(0.4), by_load(0.8));
-        assert!(low.goodput_mbps > 0.0);
-        assert!(low.goodput_mbps < mid.goodput_mbps);
-        assert!(mid.goodput_mbps < high.goodput_mbps);
+        let goodput = |c: &CellResult| c.traffic.goodput_bps;
+        assert!(goodput(low) > 0.0);
+        assert!(goodput(low) < goodput(mid));
+        assert!(goodput(mid) < goodput(high));
         for c in [low, mid, high] {
-            assert!(c.flow_delivered > 0, "load {}", c.load);
-            assert!(c.latency_p99_us >= c.latency_p50_us, "load {}", c.load);
-            assert!(c.latency_p50_us > 0.0, "load {}", c.load);
-            assert!(c.data_queue_peak > 0, "load {}", c.load);
+            let t = &c.traffic;
+            assert!(t.counters.flow_delivered > 0, "load {}", c.load);
+            assert!(t.latency_p99_us >= t.latency_p50_us, "load {}", c.load);
+            assert!(t.latency_p50_us > 0.0, "load {}", c.load);
+            assert!(t.counters.data_queue_peak > 0, "load {}", c.load);
         }
         // The paper's headline survives saturation pressure: discovery
         // under 80 % offered load stays under twice the quiet time.
@@ -1342,10 +1287,11 @@ mod tests {
         let cold = &result.cells[0];
         let warm = &result.cells[1];
         assert!(!cold.warm && warm.warm);
-        assert_eq!(cold.probes_verified, 0);
-        assert_eq!(warm.probes_verified, warm.total_devices as u64 - 1);
-        assert_eq!(warm.verify_mismatches, 0);
-        assert!(!warm.warm_fallback);
+        let (cold_run, warm_run) = (cold.run.unwrap(), warm.run.unwrap());
+        assert_eq!(cold_run.probes_verified, 0);
+        assert_eq!(warm_run.probes_verified, warm.total_devices as u64 - 1);
+        assert_eq!(warm_run.verify_mismatches, 0);
+        assert!(!warm_run.warm_fallback);
         assert_eq!(warm.devices_found, cold.devices_found);
         assert!(
             warm.discovery_time_s < cold.discovery_time_s,

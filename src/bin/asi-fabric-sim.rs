@@ -30,9 +30,9 @@
 use advanced_switching::core::{snapshot_db, Algorithm, DiscoveryTrigger, FmAgent, RetryPolicy};
 use advanced_switching::fabric::{Arrivals, ChurnPlan, Fabric, FaultPlan, LossModel, TrafficPlan};
 use advanced_switching::harness::{
-    churn_experiment, db_matches_fabric, default_churn_exempt, load_snapshot, removable_switches,
-    save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench,
-    ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
+    churn_experiment, db_matches_fabric, db_routes_execute, default_churn_exempt, load_snapshot,
+    removable_switches, save_snapshot, save_trace_jsonl, sharded_discovery, summarize_traffic,
+    sweep, Bench, ChangeMode, Json, RingCollector, Scenario, SnapshotFormat, SweepSpec,
 };
 use advanced_switching::sim::trace::TraceEvent;
 use advanced_switching::sim::{SimDuration, SimRng, SimTime, TraceHandle};
@@ -838,6 +838,9 @@ fn sweep_main(inv: &Invocation, mut spec: SweepSpec) -> Report {
                 spec.name
             ));
         }
+        if fms > 1 && !spec.base.faults.is_inert() {
+            fail("--fms above 1 runs a fault-free discovery, but this sweep carries a live fault plan");
+        }
         spec.fm_counts = vec![fms];
     }
     let started = std::time::Instant::now();
@@ -912,7 +915,8 @@ fn peak_rss_mb() -> f64 {
 /// the machine and must never be byte-compared; the deterministic
 /// counterpart is `sweep --grid scale`. `full_topology` compares the
 /// manager's database with the live fabric, every link and port number
-/// included, and is the exit status: the CI certification gate.
+/// included, and executes every route it stores there; it is the exit
+/// status: the CI certification gate.
 ///
 /// With `--fms N` the run is one election-based sharded discovery: the
 /// headline time is election kick-off to the certified merged database,
@@ -937,7 +941,9 @@ fn stress_main(inv: &Invocation) -> Report {
     let (sim_events, events_by_kind, devices, links, time_s, managers, detail, full) = if fms > 1 {
         let (fabric, holder, out) = sharded_discovery(topo, fms, &inv.scenario);
         let merged = fabric.agent_as::<FmAgent>(holder).and_then(FmAgent::db);
-        let full = merged.is_some_and(|db| db_matches_fabric(db, &fabric, holder, topo));
+        let full = merged.is_some_and(|db| {
+            db_matches_fabric(db, &fabric, holder, topo) && db_routes_execute(db, &fabric, topo)
+        });
         json = json
             .with("fms", fms)
             .with("full_topology", full)
@@ -967,7 +973,9 @@ fn stress_main(inv: &Invocation) -> Report {
         )
     } else {
         let (bench, run) = Bench::measure(topo, &inv.scenario, None);
-        let full = db_matches_fabric(bench.db(), &bench.fabric, bench.fm, topo);
+        let db = bench.db();
+        let full = db_matches_fabric(db, &bench.fabric, bench.fm, topo)
+            && db_routes_execute(db, &bench.fabric, topo);
         json = json
             .with("full_topology", full)
             .with("devices_found", run.devices_found)
@@ -1361,13 +1369,16 @@ fn traffic_main(inv: &Invocation) -> Report {
     let mut bench = Bench::start(topo, &scenario, &[]);
     let run = bench.last_run();
     let summary = summarize_traffic(&bench.fabric, &scenario.traffic);
+    let counters = summary.counters;
     let loaded_time = run.discovery_time().as_secs_f64();
     let delta_pct = if quiet_time > 0.0 {
         100.0 * (loaded_time - quiet_time) / quiet_time
     } else {
         0.0
     };
-    let full_topology = db_matches_fabric(bench.db(), &bench.fabric, bench.fm, topo);
+    let db = bench.db();
+    let full_topology = db_matches_fabric(db, &bench.fabric, bench.fm, topo)
+        && db_routes_execute(db, &bench.fabric, topo);
     let mut report = Report {
         json: Json::object()
             .with("topology", topo.name.as_str())
@@ -1387,17 +1398,17 @@ fn traffic_main(inv: &Invocation) -> Report {
             .with("quiet_discovery_time_s", quiet_time)
             .with("discovery_time_s", loaded_time)
             .with("discovery_delta_pct", delta_pct)
-            .with("flow_injected", summary.flow_injected)
-            .with("flow_delivered", summary.flow_delivered)
-            .with("flow_bytes", summary.flow_bytes)
+            .with("flow_injected", counters.flow_injected)
+            .with("flow_delivered", counters.flow_delivered)
+            .with("flow_bytes", counters.flow_bytes)
             .with("goodput_mbps", summary.goodput_bps / 1e6)
             .with("latency_p50_us", summary.latency_p50_us)
             .with("latency_p99_us", summary.latency_p99_us)
-            .with("mcast_injected", summary.mcast_injected)
-            .with("mcast_delivered", summary.mcast_delivered)
-            .with("credit_stalls", summary.credit_stalls)
-            .with("mgmt_queue_peak", summary.mgmt_queue_peak)
-            .with("data_queue_peak", summary.data_queue_peak),
+            .with("mcast_injected", counters.mcast_injected)
+            .with("mcast_delivered", counters.mcast_delivered)
+            .with("credit_stalls", counters.credit_stalls)
+            .with("mgmt_queue_peak", counters.mgmt_queue_peak)
+            .with("data_queue_peak", counters.data_queue_peak),
         text: format!(
             "traffic {}: discovery {:.3}ms quiet -> {:.3}ms at {:.0}% offered load ({:+.2}%)\n  \
              {} of {} packets delivered ({:.1} Mb/s goodput), \
@@ -1409,16 +1420,16 @@ fn traffic_main(inv: &Invocation) -> Report {
             loaded_time * 1e3,
             load * 100.0,
             delta_pct,
-            summary.flow_delivered,
-            summary.flow_injected,
+            counters.flow_delivered,
+            counters.flow_injected,
             summary.goodput_bps / 1e6,
             summary.latency_p50_us,
             summary.latency_p99_us,
-            summary.mcast_delivered,
-            summary.mcast_injected,
-            summary.credit_stalls,
-            summary.mgmt_queue_peak,
-            summary.data_queue_peak,
+            counters.mcast_delivered,
+            counters.mcast_injected,
+            counters.credit_stalls,
+            counters.mgmt_queue_peak,
+            counters.data_queue_peak,
         ),
         failure: (!full_topology).then(|| {
             format!(

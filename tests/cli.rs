@@ -561,6 +561,19 @@ fn sweep_rejects_bad_grid_and_jobs() {
             ),
         );
     }
+    // And on a fault-free fabric only: a lost boundary read leaves the merged
+    // database short.
+    let faulty: [&[&str]; 2] = [
+        &["sweep", "--grid", "faults", "--quick", "--fms", "2"],
+        &["sweep", "--grid", "smoke", "--fms", "2", "--loss", "0.05"],
+    ];
+    for args in faulty {
+        assert_usage_error(
+            args,
+            "error: --fms above 1 runs a fault-free discovery, \
+             but this sweep carries a live fault plan",
+        );
+    }
 }
 
 #[test]

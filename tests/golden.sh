@@ -8,8 +8,8 @@
 #
 # Together the runs cover change assimilation (remove and add), churn +
 # storms, warm start, election/merge, every injected fault kind, data
-# packets with multicast replication, and claim-partitioned discovery
-# under each of the three algorithms. A PR that declares an output change
+# packets with multicast replication, claim-partitioned discovery under
+# each of the three algorithms, and every quick sweep grid's report. A PR that declares an output change
 # re-blesses and says why; any other PR must pass `check` untouched.
 set -eu
 export LC_ALL=C
@@ -29,6 +29,18 @@ run() {
     name=$1
     shift
     if ! "$bin" "$@" --json --trace "$name.jsonl" >"$name.json" 2>"$name.err"; then
+        cat "$name.err" >&2
+        echo "golden: run '$name' failed" >&2
+        exit 1
+    fi
+    rm -f "$name.err"
+}
+
+# sweep NAME ARGS...: a sweep report, stdout only (its cells run untraced).
+sweep() {
+    name=$1
+    shift
+    if ! "$bin" sweep "$@" >"$name" 2>"$name.err"; then
         cat "$name.err" >&2
         echo "golden: run '$name' failed" >&2
         exit 1
@@ -56,8 +68,14 @@ run traffic traffic --topology mesh:4x4 --load 0.3 --mcast-groups 2 --mcast-load
 for alg in serial-packet serial-device parallel; do
     stress "fms2_$alg" stress --topology mesh:8x8 --fms 2 --algorithm "$alg"
 done
+for grid in smoke fig5 fig6 faults warmstart scale churn load; do
+    sweep "sweep_$grid.json" --grid "$grid" --quick --json
+done
+for grid in scale load; do
+    sweep "sweep_$grid.csv" --grid "$grid" --quick --csv
+done
 
-cksum -- *.json *.jsonl >actual
+cksum -- *.json *.jsonl *.csv >actual
 case $mode in
 bless)
     cp actual "$sums"
