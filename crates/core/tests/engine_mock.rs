@@ -10,7 +10,7 @@ use asi_core::{
 };
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
-    Direction, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP, GENERAL_INFO_WORDS,
+    Direction, Pi4Status, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP, GENERAL_INFO_WORDS,
     PORT_BLOCK_WORDS,
 };
 use asi_sim::SimRng;
@@ -19,17 +19,37 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A zero-time fabric: executes routes and services PI-4 reads exactly
-/// like the real simulator, but synchronously.
+/// like the real simulator, but synchronously. It keeps its devices' port
+/// blocks in tables of its own, and reads them through the same
+/// [`ConfigSpace::read`].
 struct MockFabric {
     topo: Topology,
-    configs: Vec<ConfigSpace>,
+    devices: Vec<MockDevice>,
     host: NodeId,
+}
+
+/// A device of the mock: what its configuration space reads.
+struct MockDevice {
+    info: DeviceInfo,
+    ports: Vec<PortInfo>,
+    config: ConfigSpace,
+}
+
+impl MockDevice {
+    fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+        let port = |p: u16| self.ports[usize::from(p)];
+        self.config.read(&self.info, port, addr, dwords)
+    }
+
+    fn write(&mut self, addr: CapabilityAddr, data: &[u32]) -> Result<(), Pi4Status> {
+        self.config.write(&self.info, addr, data)
+    }
 }
 
 impl MockFabric {
     fn new(topo: &Topology) -> MockFabric {
         let host = asi_topo::default_fm_endpoint(topo).expect("endpoint");
-        let mut configs = Vec::new();
+        let mut devices = Vec::new();
         for (id, node) in topo.nodes() {
             let info = DeviceInfo {
                 device_type: node.device_type,
@@ -39,11 +59,15 @@ impl MockFabric {
                 fm_capable: node.device_type == DeviceType::Endpoint,
                 fm_priority: 0,
             };
-            configs.push(ConfigSpace::new(info));
+            devices.push(MockDevice {
+                info,
+                ports: vec![PortInfo::default(); usize::from(node.ports)],
+                config: ConfigSpace::default(),
+            });
         }
         let mut fabric = MockFabric {
             topo: topo.clone(),
-            configs,
+            devices,
             host,
         };
         fabric.train_all();
@@ -54,15 +78,12 @@ impl MockFabric {
         for (id, node) in self.topo.nodes() {
             for p in 0..node.ports {
                 if let Some(peer) = self.topo.peer(id, p) {
-                    self.configs[id.idx()].set_port(
-                        u16::from(p),
-                        PortInfo {
-                            state: PortState::Active,
-                            link_width: 1,
-                            link_speed: 10,
-                            peer_port: peer.port,
-                        },
-                    );
+                    self.devices[id.idx()].ports[usize::from(p)] = PortInfo {
+                        state: PortState::Active,
+                        link_width: 1,
+                        link_speed: 10,
+                        peer_port: peer.port,
+                    };
                 }
             }
         }
@@ -98,8 +119,8 @@ impl MockFabric {
             panic!("engine emitted a request that routes off the fabric");
         };
         let result = match &req.op {
-            OutOp::Read { addr, dwords } => self.configs[target.idx()].read(*addr, *dwords),
-            OutOp::Write { addr, data } => self.configs[target.idx()]
+            OutOp::Read { addr, dwords } => self.devices[target.idx()].read(*addr, *dwords),
+            OutOp::Write { addr, data } => self.devices[target.idx()]
                 .write(*addr, data)
                 .map(|()| Vec::new()),
         };
@@ -170,12 +191,9 @@ fn deliver(
 
 /// Starts a full discovery of `fabric` from its host endpoint.
 fn start(fabric: &MockFabric, cfg: EngineConfig) -> (Engine, Vec<OutRequest>) {
-    let host = &fabric.configs[fabric.host.idx()];
-    let host_ports: Vec<PortInfo> = (0..host.info().port_count)
-        .map(|p| *host.port(p).unwrap())
-        .collect();
+    let host = &fabric.devices[fabric.host.idx()];
     let mut first = Vec::new();
-    let engine = Engine::start(cfg, *host.info(), &host_ports, &mut first);
+    let engine = Engine::start(cfg, host.info, &host.ports, &mut first);
     (engine, first)
 }
 
@@ -388,7 +406,7 @@ fn cold(topo: &Topology, algorithm: Algorithm, claims: bool) -> (MockFabric, Eng
             capability: CAP_OWNERSHIP,
             offset: 0,
         };
-        fabric.configs[last_switch(topo).idx()]
+        fabric.devices[last_switch(topo).idx()]
             .write(owner, &[(RIVAL >> 32) as u32, RIVAL as u32])
             .unwrap();
     }

@@ -49,13 +49,14 @@ fn distribution_phase_writes_every_endpoint_table() {
         if ep_dsn == db.host_dsn() {
             continue;
         }
-        let cs = fabric.config_space(DevId((ep_dsn & 0xFFFF_FFFF) as u32));
+        let ep = DevId((ep_dsn & 0xFFFF_FFFF) as u32);
         let mut words = Vec::new();
         let mut offset = 0u16;
         // 8 entries × 6 words = 48 words, read 8 at a time.
         while words.len() < 48 {
-            let chunk = cs
-                .read(
+            let chunk = fabric
+                .read_config(
+                    ep,
                     CapabilityAddr {
                         capability: CAP_ROUTE_TABLE,
                         offset,
@@ -82,9 +83,9 @@ fn no_distribution_without_the_flag() {
     let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
     assert!(agent.distributions.is_empty());
     // Tables remain zeroed.
-    let cs = fabric.config_space(DevId(3));
-    let words = cs
-        .read(
+    let words = fabric
+        .read_config(
+            DevId(3),
             CapabilityAddr {
                 capability: CAP_ROUTE_TABLE,
                 offset: 0,
@@ -135,19 +136,20 @@ fn distributed_routes_actually_deliver_packets() {
     let dst_dsn = DSN_BASE | u64::from(dst.0);
 
     let entry = {
-        let cs = fabric.config_space(src);
         let mut words = Vec::new();
         let mut offset = 0u16;
         while words.len() < 48 {
             words.extend(
-                cs.read(
-                    CapabilityAddr {
-                        capability: CAP_ROUTE_TABLE,
-                        offset,
-                    },
-                    8,
-                )
-                .unwrap(),
+                fabric
+                    .read_config(
+                        src,
+                        CapabilityAddr {
+                            capability: CAP_ROUTE_TABLE,
+                            offset,
+                        },
+                        8,
+                    )
+                    .unwrap(),
             );
             offset += 8;
         }

@@ -40,7 +40,11 @@
 //! with the guard list and the rule list that make them unobservable,
 //! are documented in the module header of `port.rs`; so is what a port
 //! holds (one cache line) and what it borrows from the fabric-wide
-//! queue pool while it has something queued.
+//! queue pool while it has something queued. The serial stages borrow
+//! their FIFOs the same way, from a pool of the same kind
+//! (`endpoint.rs`). And a device's configuration space stores only its
+//! writable registers: a PI-4 read of the baseline capability encodes
+//! the device's own [`DeviceInfo`] and live ports ([`Device`]).
 
 use crate::agent::{AgentCommand, AgentCtx, DevId, FabricAgent};
 use crate::churn::ChurnAction;
@@ -49,9 +53,9 @@ use crate::counters::FabricCounters;
 use crate::faults::{FaultKind, LossModel};
 use crate::traffic::{build_flow_packet, FlowClock, FlowKind, FlowSpec};
 use asi_proto::{
-    apply_backward, apply_forward, turn_width, ConfigSpace, DeviceInfo, DeviceType, Direction,
-    Packet, Payload, Pi4, Pi5, PortEvent, PortInfo, PortState, ProtocolInterface, RouteHeader,
-    TurnCursor, TurnPool, MANAGEMENT_TC,
+    apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
+    Direction, Packet, Payload, Pi4, Pi4Status, Pi5, PortEvent, PortInfo, PortState,
+    ProtocolInterface, RouteHeader, TurnCursor, TurnPool, MANAGEMENT_TC,
 };
 use asi_sim::{
     AnyKernel, Arena, EventKey, KernelSpec, ParallelStats, SimDuration, SimRng, SimTime, Simulator,
@@ -66,9 +70,9 @@ mod packets;
 mod port;
 mod switch;
 
-use endpoint::{AgentSlot, Responder, Stage, Traffic};
+use endpoint::{AgentSlot, Fifos, Held, Responder, Stage, Traffic};
 use packets::{FlowBody, PacketRef, Packets};
-use port::{CreditClass, Ledger, OutEntry, Port, QueueSet, Queues};
+use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, NIL};
 
 /// The route a device uses to report PI-5 events to the FM.
 #[derive(Clone, Debug)]
@@ -86,13 +90,17 @@ pub struct FmRoute {
 /// a delivery, an agent callback or the control path reads follows.
 ///
 /// A fabric holds one per device, tens of thousands on the large ones,
-/// so what is inline is what every device uses. What few devices use is
-/// a word each, out of line: the agent (on the endpoints that host one),
-/// the responder's hang and slow faults (from the first such fault), the
-/// PI-5 route (from its install at the end of a discovery) and the
-/// configuration space's writable tables (from their first write). The
-/// loss, corruption and duplication stream is not here at all: it is in
-/// [`DeviceRngs`], from the device's first draw.
+/// so a device holds only what nothing else holds, and what few devices
+/// use is a word each, out of line: the agent (on the endpoints that
+/// host one), the responder's hang and slow faults (from the first such
+/// fault), the PI-5 route (from its install at the end of a discovery)
+/// and the configuration space's writable tables (from their first
+/// write). The configuration space stores no copy of the baseline
+/// capability: a read encodes `info` and the ports as they are
+/// ([`Device::read_config`]). A serial stage is a handle and an instant;
+/// its FIFO is on loan from [`Fabric::fifos`] only while it holds
+/// something. The loss, corruption and duplication stream is not here at
+/// all: it is in [`DeviceRngs`], from the device's first draw.
 #[repr(C)]
 struct Device {
     info: DeviceInfo,
@@ -102,6 +110,8 @@ struct Device {
     pi5_seq: u32,
     active: bool,
     // ---- cold from here on ----
+    /// The writable registers; the baseline capability is `info` and
+    /// `ports`.
     config: ConfigSpace,
     responder: Responder,
     /// Inbound management pipe in front of the agent: the endpoint's PI-4
@@ -109,7 +119,7 @@ struct Device {
     /// processing time before the agent software sees it. This stage is
     /// what makes a very slow device family (factor < ~T_dev/T_FM ≈ 1/3)
     /// finally pace even the Parallel discovery (paper Fig. 8b).
-    ingress: Stage<PacketRef>,
+    ingress: Stage,
     agent: Option<Box<AgentSlot>>,
     fm_route: Option<Box<FmRoute>>,
 }
@@ -137,6 +147,14 @@ impl DeviceRngs {
 impl Device {
     fn is_endpoint(&self) -> bool {
         self.info.device_type == DeviceType::Endpoint
+    }
+
+    /// A PI-4 read of this device's configuration space: the baseline
+    /// capability from `info` and the live ports, the rest from the
+    /// registers.
+    fn read_config(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+        let port = |p: u16| self.ports[usize::from(p)].info();
+        self.config.read(&self.info, port, addr, dwords)
     }
 }
 
@@ -252,6 +270,10 @@ pub struct Fabric {
     /// now: a port borrows a set at its first `enqueue_out` and returns it
     /// when it drains (`port.rs`).
     queues: Queues,
+    /// The FIFOs of the serial stages that hold something right now: a
+    /// stage borrows one at its first `push` and returns it with its last
+    /// item (`endpoint.rs`).
+    fifos: Fifos,
     /// Recycled [`AgentCtx`] port-snapshot buffer: agent callbacks fire on
     /// every delivered management packet, so allocating a fresh `Vec` per
     /// callback shows up in discovery profiles.
@@ -316,7 +338,7 @@ impl Fabric {
                 ledger: Ledger::default(),
                 pi5_seq: 0,
                 active: false,
-                config: ConfigSpace::new(info),
+                config: ConfigSpace::default(),
                 responder: Responder::default(),
                 ingress: Stage::default(),
                 agent: None,
@@ -348,6 +370,7 @@ impl Fabric {
             trace: TraceHandle::disabled(),
             packets: Packets::default(),
             queues: Queues::default(),
+            fifos: Fifos::default(),
             scratch_ports: Vec::new(),
             scratch_commands: Vec::new(),
             traffic: Traffic::default(),
@@ -476,10 +499,16 @@ impl Fabric {
         self.rngs.streams.len()
     }
 
-    /// The live configuration space of a device (harness/bootstrap use;
-    /// the FM reads it over the wire).
-    pub fn config_space(&self, dev: DevId) -> &ConfigSpace {
-        &self.devices[dev.idx()].config
+    /// What a PI-4 read of `dwords` words at `addr` of a device's
+    /// configuration space returns right now (harness and test use; the
+    /// FM reads it over the wire).
+    pub fn read_config(
+        &self,
+        dev: DevId,
+        addr: CapabilityAddr,
+        dwords: u8,
+    ) -> Result<Vec<u32>, Pi4Status> {
+        self.devices[dev.idx()].read_config(addr, dwords)
     }
 
     /// Whether a device is powered.
@@ -531,13 +560,19 @@ impl Fabric {
     pub fn set_agent(&mut self, dev: DevId, agent: Box<dyn FabricAgent>) {
         let d = &mut self.devices[dev.idx()];
         assert!(d.is_endpoint(), "agents attach to endpoints");
-        let inbox = Stage::default();
         // A replaced agent's pending timers go to its successor, as their
-        // events would.
-        let timers = d.agent.take().map(|slot| slot.timers).unwrap_or_default();
+        // events would; the packets waiting for it go with it.
+        let timers = match d.agent.take() {
+            Some(mut slot) => {
+                let free = |(_, packet): Held| self.packets.free(packet);
+                slot.inbox.clear(&mut self.fifos, free);
+                slot.timers
+            }
+            None => Default::default(),
+        };
         d.agent = Some(Box::new(AgentSlot {
             agent,
-            inbox,
+            inbox: Stage::default(),
             timers,
         }));
     }
@@ -688,8 +723,10 @@ mod tests {
         assert!(offset_of!(Device, ledger) + size_of::<Ledger>() <= 64);
         assert!(offset_of!(Device, pi5_seq) < 64);
         assert!(offset_of!(Device, active) < 64);
-        // The whole record: what few devices use is a word each.
-        assert!(size_of::<Device>() <= 224, "{}", size_of::<Device>());
+        // The whole record: what few devices use is a word each, and a
+        // serial stage is a FIFO handle and an instant.
+        assert!(size_of::<Device>() <= 144, "{}", size_of::<Device>());
+        assert!(size_of::<Stage>() <= 16, "{}", size_of::<Stage>());
         // `Event` and `OutEntry` move by value through the wheel's slab
         // nodes and the queues: three words each.
         assert_eq!(size_of::<Event>(), 24);

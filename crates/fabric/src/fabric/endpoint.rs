@@ -3,6 +3,24 @@
 //! ingress pipe and the agent behind it — agent callbacks and timers,
 //! and the traffic plan's arrivals and flow accounting.
 //!
+//! ## The serial stages borrow their FIFOs
+//!
+//! A [`Stage`] is a FIFO handle and an instant, 16 bytes. Every device
+//! has a responder stage, and every endpoint an ingress stage, but at
+//! any moment few of them hold anything: a device is read a handful of
+//! times per discovery, and a request waits behind another only at a
+//! switch whose port reads are in flight. So a stage owns no FIFO. It
+//! borrows one from [`Fabric::fifos`] at the `push` that finds it empty
+//! and hands it back, buffer and all, at the `finish` or `clear` that
+//! takes its last item; the item in service stays at the head until its
+//! `*Done`, so a stage in service always holds one. The pool is the
+//! [`Pool`] that lends ports their output queues, and it holds as many
+//! FIFOs as stages ever held something at once (8 for the whole
+//! discovery of `dragonfly:8,48`). An item is a [`Held`], the packet and
+//! the port it came in on, so that one pool serves the responder, which
+//! replies through that port, and the ingress pipe and the agent, which
+//! carry it along.
+//!
 //! ## Agent timers: a ledger per agent, one event for the earliest
 //!
 //! An agent arms a timer for every request it sends (the FM's PI-4
@@ -30,6 +48,16 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// [`Stage::done_at`] of an idle stage.
 const IDLE: SimTime = SimTime::MAX;
 
+/// What waits in a serial stage: a delivered packet and the port it came
+/// in on. The responder replies through that port; the ingress pipe and
+/// the agent carry it along, so that one kind of FIFO serves all three.
+pub(super) type Held = (u8, PacketRef);
+
+/// The FIFOs of the serial stages that hold something right now: a
+/// stage borrows one at the `push` that finds it empty and hands it
+/// back, buffer and all, at the `finish` or `clear` that empties it.
+pub(super) type Fifos = Pool<VecDeque<Held>>;
+
 /// One server behind a FIFO: the serial-stage mechanism of the ingress
 /// pipe, the PI-4 responder and the agent.
 ///
@@ -38,48 +66,68 @@ const IDLE: SimTime = SimTime::MAX;
 /// ([`Stage::finish`]): a device that powers down clears its stages, and
 /// a `*Done` that outlives the power cycle finds a stage armed for
 /// another instant, or not at all, and does nothing.
-pub(super) struct Stage<T> {
-    queue: VecDeque<T>,
+///
+/// The FIFO is on loan from [`Fabric::fifos`] while the stage holds
+/// something, the item in service included, and `q` is [`NIL`] while it
+/// holds nothing (module header).
+pub(super) struct Stage {
+    /// The FIFO this stage has borrowed, or [`NIL`].
+    q: u32,
     /// When the current service ends ([`IDLE`] when idle: a sentinel, like
     /// `Port::try_tx_at`).
     done_at: SimTime,
 }
 
-impl<T> Default for Stage<T> {
+impl Default for Stage {
     fn default() -> Self {
         Stage {
-            queue: VecDeque::new(),
+            q: NIL,
             done_at: IDLE,
         }
     }
 }
 
-impl<T> Stage<T> {
-    fn push(&mut self, item: T) {
-        self.queue.push_back(item);
+impl Stage {
+    fn push(&mut self, fifos: &mut Fifos, item: Held) {
+        if self.q == NIL {
+            self.q = fifos.lend();
+        }
+        fifos[self.q].push_back(item);
     }
 
     /// If the stage is idle with something queued, begins serving the
     /// head and returns the instant, `service(head)` from `now`, at which
     /// the caller must fire the stage's `*Done`. Called after every `push`
     /// and every `finish`, so in between idle means empty.
-    fn start(&mut self, now: SimTime, service: impl FnOnce(&T) -> SimDuration) -> Option<SimTime> {
-        if self.done_at != IDLE {
+    fn start(
+        &mut self,
+        fifos: &Fifos,
+        now: SimTime,
+        service: impl FnOnce(&Held) -> SimDuration,
+    ) -> Option<SimTime> {
+        if self.done_at != IDLE || self.q == NIL {
             return None;
         }
-        self.done_at = now + service(self.queue.front()?);
+        self.done_at = now + service(fifos[self.q].front()?);
         Some(self.done_at)
     }
 
     /// A `*Done` fired at `now`: yields the item whose service ends now,
     /// leaving the stage idle — or nothing, and no change, if this is not
-    /// the event the stage is armed for.
-    fn finish(&mut self, now: SimTime) -> Option<T> {
+    /// the event the stage is armed for. The FIFO goes home with its last
+    /// item.
+    fn finish(&mut self, fifos: &mut Fifos, now: SimTime) -> Option<Held> {
         if self.done_at != now {
             return None;
         }
         self.done_at = IDLE;
-        self.queue.pop_front()
+        // Armed means serving a head, so a FIFO is on loan.
+        let fifo = &mut fifos[self.q];
+        let head = fifo.pop_front();
+        if fifo.is_empty() {
+            fifos.take_back(std::mem::replace(&mut self.q, NIL));
+        }
+        head
     }
 
     /// Holds the service that would end at `now` until `until` instead.
@@ -92,12 +140,17 @@ impl<T> Stage<T> {
         armed
     }
 
-    /// Empties and disarms the stage, handing each queued item to `lose`.
-    /// Returns how many there were.
-    pub(super) fn clear(&mut self, lose: impl FnMut(T)) -> usize {
+    /// Empties and disarms the stage, handing each queued item to `lose`
+    /// and the FIFO back to `fifos`. Returns how many items there were.
+    pub(super) fn clear(&mut self, fifos: &mut Fifos, lose: impl FnMut(Held)) -> usize {
         self.done_at = IDLE;
-        let lost = self.queue.len();
-        self.queue.drain(..).for_each(lose);
+        let q = std::mem::replace(&mut self.q, NIL);
+        if q == NIL {
+            return 0;
+        }
+        let lost = fifos[q].len();
+        fifos[q].drain(..).for_each(lose);
+        fifos.take_back(q);
         lost
     }
 }
@@ -105,7 +158,7 @@ impl<T> Stage<T> {
 /// The PI-4 responder of a device: requests wait with their ingress port.
 #[derive(Default)]
 pub(super) struct Responder {
-    pub(super) stage: Stage<(u8, PacketRef)>,
+    pub(super) stage: Stage,
     /// The injected faults, from the first hang or slow fault at the
     /// device on.
     pub(super) faults: Option<Box<ResponderFaults>>,
@@ -127,7 +180,7 @@ pub(super) struct ResponderFaults {
 /// and its timers.
 pub(super) struct AgentSlot {
     pub(super) agent: Box<dyn FabricAgent>,
-    pub(super) inbox: Stage<PacketRef>,
+    pub(super) inbox: Stage,
     pub(super) timers: Timers,
 }
 
@@ -321,9 +374,10 @@ pub(super) struct Traffic {
     pub(super) mcast_deliveries: BTreeMap<(u16, u32), u64>,
 }
 
-/// Services one PI-4 request against a device's configuration space.
-/// The reply retraces the request's path.
-fn service_pi4(config: &mut ConfigSpace, request: &Packet) -> Option<Packet> {
+/// Services one PI-4 request against a device's configuration space: the
+/// writable registers it stores, and its own info and ports for the
+/// baseline capability. The reply retraces the request's path.
+fn service_pi4(d: &mut Device, request: &Packet) -> Option<Packet> {
     let (req_id, result) = match &request.payload {
         Payload::Pi4(Pi4::ReadRequest {
             req_id,
@@ -331,13 +385,13 @@ fn service_pi4(config: &mut ConfigSpace, request: &Packet) -> Option<Packet> {
             dwords,
         }) => {
             let req_id = *req_id;
-            let read = config.read(*addr, *dwords);
+            let read = d.read_config(*addr, *dwords);
             let done = read.map(|data| Pi4::ReadCompletion { req_id, data });
             (req_id, done)
         }
         Payload::Pi4(Pi4::WriteRequest { req_id, addr, data }) => {
             let req_id = *req_id;
-            let done = config.write(*addr, data);
+            let done = d.config.write(&d.info, *addr, data);
             (req_id, done.map(|()| Pi4::WriteCompletion { req_id }))
         }
         _ => return None,
@@ -465,13 +519,14 @@ impl Fabric {
             }
             Payload::Pi4(ref pi4) if pi4.is_request() => {
                 self.counters.delivered += 1;
-                self.devices[dev.idx()].responder.stage.push((port, packet));
+                let stage = &mut self.devices[dev.idx()].responder.stage;
+                stage.push(&mut self.fifos, (port, packet));
                 self.responder_start(dev);
             }
-            Payload::Pi4(_) => self.deliver_completion(dev, packet),
+            Payload::Pi4(_) => self.deliver_completion(dev, port, packet),
             _ => {
                 self.counters.delivered += 1;
-                self.ingress_enqueue(dev, packet);
+                self.ingress_enqueue(dev, (port, packet));
             }
         }
     }
@@ -497,7 +552,7 @@ impl Fabric {
     /// A PI-4 completion reached its requester, subject to the injected
     /// completion faults. Corruption and duplication are drawn from the
     /// *receiving* device's stream (kernel-order independent).
-    fn deliver_completion(&mut self, dev: DevId, packet: PacketRef) {
+    fn deliver_completion(&mut self, dev: DevId, port: u8, packet: PacketRef) {
         let now = self.sim.now();
         let device = dev.0;
         let faults = &self.config.faults;
@@ -525,9 +580,9 @@ impl Fabric {
                 .emit(now, || TraceEvent::FaultCompletionDuplicated { device });
             let dup = self.packets.packet(packet).clone();
             let dup = self.packets.alloc(dup);
-            self.ingress_enqueue(dev, dup);
+            self.ingress_enqueue(dev, (port, dup));
         }
-        self.ingress_enqueue(dev, packet);
+        self.ingress_enqueue(dev, (port, packet));
     }
 
     // ---------------- the three stages ----------------
@@ -535,26 +590,26 @@ impl Fabric {
 
     /// Inbound management pipe: one device-time per received packet, then
     /// the agent queue.
-    fn ingress_enqueue(&mut self, dev: DevId, packet: PacketRef) {
-        self.devices[dev.idx()].ingress.push(packet);
+    fn ingress_enqueue(&mut self, dev: DevId, item: Held) {
+        let stage = &mut self.devices[dev.idx()].ingress;
+        stage.push(&mut self.fifos, item);
         self.ingress_start(dev);
     }
 
     fn ingress_start(&mut self, dev: DevId) {
-        let service = |_: &PacketRef| self.config.effective_device_time();
-        if let Some(at) = self.devices[dev.idx()]
-            .ingress
-            .start(self.sim.now(), service)
-        {
+        let service = |_: &Held| self.config.effective_device_time();
+        let stage = &mut self.devices[dev.idx()].ingress;
+        if let Some(at) = stage.start(&self.fifos, self.sim.now(), service) {
             self.sched_at(at, Event::IngressDone { dev });
         }
     }
 
     pub(super) fn on_ingress_done(&mut self, dev: DevId) {
-        let Some(packet) = self.devices[dev.idx()].ingress.finish(self.sim.now()) else {
+        let stage = &mut self.devices[dev.idx()].ingress;
+        let Some(item) = stage.finish(&mut self.fifos, self.sim.now()) else {
             return;
         };
-        self.agent_enqueue(dev, packet);
+        self.agent_enqueue(dev, item);
         self.ingress_start(dev);
     }
 
@@ -563,14 +618,14 @@ impl Fabric {
     fn responder_start(&mut self, dev: DevId) {
         let now = self.sim.now();
         let r = &mut self.devices[dev.idx()].responder;
-        let service = |_: &(u8, PacketRef)| {
+        let service = |_: &Held| {
             let base = self.config.effective_device_time();
             match &r.faults {
                 Some(f) if now < f.slow_until => base.scaled(f.slow_factor),
                 _ => base,
             }
         };
-        if let Some(at) = r.stage.start(now, service) {
+        if let Some(at) = r.stage.start(&self.fifos, now, service) {
             self.sched_at(at, Event::ResponderDone { dev });
         }
     }
@@ -589,12 +644,12 @@ impl Fabric {
             }
             return;
         }
-        let Some((port, packet)) = d.responder.stage.finish(now) else {
+        let Some((port, packet)) = d.responder.stage.finish(&mut self.fifos, now) else {
             return;
         };
         // The request is consumed by servicing; the reply is a fresh body.
         let request = self.packets.take(packet);
-        if let Some(reply) = service_pi4(&mut d.config, &request) {
+        if let Some(reply) = service_pi4(d, &request) {
             self.counters.injected += 1;
             self.inject(dev, port, now, reply);
         }
@@ -602,15 +657,15 @@ impl Fabric {
     }
 
     /// The agent: each packet occupies it for the time it asks for.
-    fn agent_enqueue(&mut self, dev: DevId, packet: PacketRef) {
+    fn agent_enqueue(&mut self, dev: DevId, item: Held) {
         let Some(slot) = self.devices[dev.idx()].agent.as_mut() else {
             // No consumer: a completion for a dead manager, or data to a
             // plain endpoint. Count as a bad route so tests notice.
             self.counters.dropped_bad_route += 1;
-            self.packets.free(packet);
+            self.packets.free(item.1);
             return;
         };
-        slot.inbox.push(packet);
+        slot.inbox.push(&mut self.fifos, item);
         self.agent_start(dev);
     }
 
@@ -618,8 +673,8 @@ impl Fabric {
         let Some(slot) = self.devices[dev.idx()].agent.as_mut() else {
             return;
         };
-        let service = |head: &PacketRef| slot.agent.processing_time(self.packets.packet(*head));
-        if let Some(at) = slot.inbox.start(self.sim.now(), service) {
+        let service = |&(_, head): &Held| slot.agent.processing_time(self.packets.packet(head));
+        if let Some(at) = slot.inbox.start(&self.fifos, self.sim.now(), service) {
             self.sched_at(at, Event::AgentDone { dev });
         }
     }
@@ -627,7 +682,8 @@ impl Fabric {
     pub(super) fn on_agent_done(&mut self, dev: DevId) {
         let now = self.sim.now();
         let slot = self.devices[dev.idx()].agent.as_mut();
-        let Some(packet) = slot.and_then(|slot| slot.inbox.finish(now)) else {
+        let Some((_, packet)) = slot.and_then(|slot| slot.inbox.finish(&mut self.fifos, now))
+        else {
             return;
         };
         // The agent consumes the packet: move it out of the arena.
@@ -688,7 +744,7 @@ impl Fabric {
         let Some(slot) = d.agent.as_mut() else { return };
         let mut ports = std::mem::take(&mut self.scratch_ports);
         ports.clear();
-        ports.extend((0..d.info.port_count).map(|p| *d.config.port(p).expect("port in range")));
+        ports.extend(d.ports.iter().map(Port::info));
         let mut ctx = AgentCtx::new(now, dev, d.info, ports);
         ctx.recycle_commands(std::mem::take(&mut self.scratch_commands));
         call(slot.agent.as_mut(), &mut ctx);
@@ -719,6 +775,8 @@ mod tests {
     use super::*;
     use crate::traffic::Shot;
     use crate::{FaultPlan, LossModel};
+    use asi_proto::config::{general_info_read, port_info_read, port_info_reads};
+    use asi_proto::CapabilityAddr;
     use asi_sim::{TraceRecord, TraceSink, EXTERNAL_RANK};
     use proptest::prelude::*;
     use std::cell::RefCell;
@@ -1080,50 +1138,331 @@ mod tests {
         }
     }
 
+    /// What a PI-4 read of `(addr, dwords)` at `dev` returns through the
+    /// responder's own servicing, `service_pi4`.
+    fn serviced_read(
+        fabric: &mut Fabric,
+        dev: DevId,
+        (addr, dwords): (CapabilityAddr, u8),
+    ) -> Vec<u32> {
+        let header = RouteHeader::forward(
+            ProtocolInterface::DeviceManagement,
+            MANAGEMENT_TC,
+            TurnPool::new_spec(),
+        );
+        let request = Packet::new(
+            header,
+            Payload::Pi4(Pi4::ReadRequest {
+                req_id: 1,
+                addr,
+                dwords,
+            }),
+        );
+        let reply = service_pi4(&mut fabric.devices[dev.idx()], &request);
+        match reply.map(|reply| reply.payload) {
+            Some(Payload::Pi4(Pi4::ReadCompletion { data, .. })) => data,
+            other => panic!("{dev:?}: {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The baseline capability is encoded from the device's own state
+        /// at every read, and what goes on the wire is what the device
+        /// is: after each activation, deactivation or flap, every
+        /// general-information and port-block read equals words built
+        /// from the topology, `Fabric::port_state` and the device's
+        /// `DeviceInfo` — an x1 link at 2.5 Gb/s, the partner's port while
+        /// the link is up, and all zero on a port that has never been up
+        /// on a device that has never been powered down.
+        #[test]
+        fn a_baseline_read_is_the_device_as_it_is(
+            dragonfly in any::<bool>(),
+            ops in prop::collection::vec((0u8..3, any::<u16>(), any::<u8>()), 1..24),
+        ) {
+            let topo = match dragonfly {
+                false => asi_topo::mesh(3, 3).unwrap().topology,
+                true => asi_topo::dragonfly(2, 3).unwrap().topology,
+            };
+            let mut fabric = Fabric::new(&topo, FabricConfig::default());
+            fabric.activate_all(SimDuration::ZERO);
+            fabric.run_until_idle();
+            let n = topo.node_count();
+            // Per device and port: whether a link width and speed have
+            // been negotiated there.
+            let mut negotiated: Vec<Vec<bool>> =
+                topo.nodes().map(|(_, node)| vec![false; usize::from(node.ports)]).collect();
+            // Step 0 is the bring-up itself.
+            let steps = std::iter::once(None).chain(ops.into_iter().map(Some));
+            for (step, op) in steps.enumerate() {
+                if let Some((op, at, port)) = op {
+                    let dev = DevId(u32::from(at) % n as u32);
+                    match op {
+                        0 => fabric.schedule_activate(dev, SimDuration::ZERO),
+                        1 => {
+                            if fabric.is_active(dev) {
+                                negotiated[dev.idx()].fill(true);
+                            }
+                            fabric.schedule_deactivate(dev, SimDuration::ZERO);
+                        }
+                        _ => {
+                            let port = port % topo.node(asi_topo::NodeId(dev.0)).unwrap().ports;
+                            let down_for = SimDuration::from_us(2);
+                            let flap = Event::FaultLinkDown { dev, port, down_for };
+                            fabric.sched_at(fabric.now(), flap);
+                        }
+                    }
+                    fabric.run_until_idle();
+                }
+                for (id, node) in topo.nodes() {
+                    let dev = DevId(id.0);
+                    let info = DeviceInfo {
+                        device_type: node.device_type,
+                        dsn: DSN_BASE | u64::from(id.0),
+                        port_count: u16::from(node.ports),
+                        max_packet_size: 2048,
+                        fm_capable: node.device_type == DeviceType::Endpoint,
+                        fm_priority: 0,
+                    };
+                    let general = serviced_read(&mut fabric, dev, general_info_read());
+                    prop_assert_eq!(&general[..], &info.to_words()[..], "step {} {:?}", step, dev);
+                    let mut want = Vec::new();
+                    for p in 0..node.ports {
+                        let state = fabric.port_state(dev, p);
+                        let seen = &mut negotiated[dev.idx()][usize::from(p)];
+                        *seen |= state != PortState::Down;
+                        let peer_port = match (state, topo.peer(id, p)) {
+                            (PortState::Active, Some(peer)) => peer.port,
+                            _ => 0,
+                        };
+                        let block = PortInfo {
+                            state,
+                            link_width: if *seen { 1 } else { 0 },
+                            link_speed: if *seen { 10 } else { 0 },
+                            peer_port,
+                        };
+                        want.extend(block.to_words());
+                    }
+                    let mut got = Vec::new();
+                    for first in port_info_reads(info.port_count) {
+                        let read = port_info_read(first, info.port_count).unwrap();
+                        got.extend(serviced_read(&mut fabric, dev, read));
+                    }
+                    prop_assert_eq!(got, want, "step {} {:?}", step, dev);
+                }
+            }
+        }
+    }
+
+    impl Fabric {
+        /// The stage pool's conservation law: the FIFOs on loan are
+        /// exactly the FIFOs of the stages that hold something — each lent
+        /// to one stage, none of them empty — every stage in service holds
+        /// one, and every FIFO at home is empty. Returns the items held.
+        fn stage_items(&self) -> usize {
+            let stages = (self.devices.iter()).flat_map(|d| {
+                let inbox = d.agent.as_ref().map(|slot| &slot.inbox);
+                [Some(&d.ingress), Some(&d.responder.stage), inbox]
+            });
+            let stages: Vec<&Stage> = stages.flatten().collect();
+            for stage in &stages {
+                assert!(
+                    stage.done_at == IDLE || stage.q != NIL,
+                    "in service, holding nothing"
+                );
+            }
+            let mut held: Vec<u32> = (stages.iter())
+                .filter(|s| s.q != NIL)
+                .map(|s| s.q)
+                .collect();
+            held.sort_unstable();
+            assert!(held.windows(2).all(|w| w[0] != w[1]), "a FIFO lent twice");
+            assert_eq!(held.len(), self.fifos.lent(), "a FIFO on loan to no stage");
+            let on_loan: Vec<usize> = held.iter().map(|&q| self.fifos[q].len()).collect();
+            assert!(on_loan.iter().all(|&n| n > 0), "an empty FIFO on loan");
+            let items: usize = self.fifos.iter().map(VecDeque::len).sum();
+            assert_eq!(
+                items,
+                on_loan.iter().sum::<usize>(),
+                "items in a FIFO at home"
+            );
+            items
+        }
+    }
+
+    /// An agent that reads every device's configuration space at its
+    /// first timer, general information and every port block, and takes
+    /// 1 µs per packet it receives, so that completions queue in its
+    /// inbox and requests in the switches' responders.
+    struct Reader {
+        reads: Vec<(u8, Packet)>,
+    }
+
+    impl FabricAgent for Reader {
+        fn processing_time(&mut self, _: &Packet) -> SimDuration {
+            SimDuration::from_us(1)
+        }
+
+        fn on_packet(&mut self, _: &mut AgentCtx, _: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut AgentCtx, _: u64) {
+            for (port, packet) in self.reads.drain(..) {
+                ctx.send(port, packet);
+            }
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The conservation law holds after every event of a lossy 4x4 mesh
+    /// under data load, with a manager reading every device, a link flap,
+    /// and a switch that goes down while its responder has requests in
+    /// service and waiting; once the fabric drains, no FIFO is on loan.
+    #[test]
+    fn the_fifos_on_loan_are_the_stages_that_hold_something() {
+        let g = asi_topo::mesh(4, 4).unwrap();
+        let topo = &g.topology;
+        let host = g.endpoint_at(0, 0);
+        let traffic = crate::TrafficPlan::none()
+            .with_unicast(0.2, 256)
+            .with_window(SimDuration::from_us(20), SimDuration::from_us(200))
+            .with_exempt(vec![host.0]);
+        let config = FabricConfig {
+            traffic,
+            faults: FaultPlan::none().with_loss(LossModel::uniform(0.02)),
+            ..FabricConfig::default()
+        };
+        let mut fabric = Fabric::new(topo, config);
+        fabric.activate_all(SimDuration::ZERO);
+        fabric.run_until(SimTime::from_us(10));
+        let mut reads = Vec::new();
+        for (id, node) in topo.nodes().filter(|&(id, _)| id != host) {
+            let route = asi_topo::shortest_route(topo, host, id).unwrap();
+            let pool = route.encode(topo, asi_proto::MAX_POOL_BITS).unwrap();
+            let port_count = u16::from(node.ports);
+            let blocks =
+                port_info_reads(port_count).map(|first| port_info_read(first, port_count).unwrap());
+            for (addr, dwords) in std::iter::once(general_info_read()).chain(blocks) {
+                let header = RouteHeader::forward(
+                    ProtocolInterface::DeviceManagement,
+                    MANAGEMENT_TC,
+                    pool.clone(),
+                );
+                let req_id = reads.len() as u32;
+                let read = Pi4::ReadRequest {
+                    req_id,
+                    addr,
+                    dwords,
+                };
+                reads.push((route.source_port, Packet::new(header, Payload::Pi4(read))));
+            }
+        }
+        let host = DevId(host.0);
+        fabric.set_agent(host, Box::new(Reader { reads }));
+        fabric.schedule_agent_timer(host, SimDuration::ZERO, 0);
+        // The far corner switch goes down mid-service; a link between two
+        // other switches flaps.
+        let victim = DevId(g.switch_at(3, 3).0);
+        let flapped = DevId(g.switch_at(1, 1).0);
+        let (mut deep, mut most_lent, mut deactivated) = (0, 0, false);
+        while fabric.step() {
+            fabric.stage_items();
+            most_lent = most_lent.max(fabric.fifos.lent());
+            let responder = &fabric.devices[victim.idx()].responder.stage;
+            let waiting = match responder.q {
+                NIL => 0,
+                q => fabric.fifos[q].len(),
+            };
+            deep = deep.max(waiting);
+            if !deactivated && waiting >= 2 {
+                deactivated = true;
+                let now = fabric.now();
+                fabric.schedule_deactivate(victim, SimDuration::ZERO);
+                let down_for = SimDuration::from_us(5);
+                fabric.sched_at(
+                    now,
+                    Event::FaultLinkDown {
+                        dev: flapped,
+                        port: 0,
+                        down_for,
+                    },
+                );
+            }
+        }
+        assert!(deactivated, "the corner switch never held two requests");
+        assert!(most_lent > 2, "{most_lent} FIFOs on loan at most");
+        assert!(fabric.counters().dropped_inactive > 0);
+        assert!(fabric.counters().dropped_corrupted > 0);
+        assert_eq!(fabric.counters().link_flaps, 1);
+        assert_eq!(fabric.stage_items(), 0);
+        assert_eq!(fabric.fifos.lent(), 0);
+        assert_eq!(fabric.packet_arena_live(), 0);
+    }
+
     #[test]
     fn stage_serves_one_item_at_a_time_and_only_for_its_own_done() {
         enum Op {
-            Push(u32),
+            Push(u8),
             Finish,
             Defer(u64),
             Clear,
         }
         use Op::*;
-        // (now, operation, its result, `done_at` afterwards); times in ps,
-        // every service takes 10.
+        // (now, operation, its result, `done_at` afterwards, items held
+        // afterwards); times in ps, every service takes 10.
         let steps = [
-            (0, Push(1), Some(10), Some(10)),    // push on idle arms
-            (3, Push(2), None, Some(10)),        // push on busy does not
-            (7, Finish, None, Some(10)),         // not the armed instant: nothing
-            (10, Finish, Some(1), Some(20)),     // the armed `Done`: head, re-armed
-            (20, Defer(50), Some(50), Some(50)), // a hang re-arms at its end
-            (20, Finish, None, Some(50)),
-            (30, Defer(60), None, Some(50)), // a stale `Done` cannot defer
-            (50, Finish, Some(2), None),     // nothing more queued: idle
-            (60, Push(3), Some(70), Some(70)),
-            (61, Clear, Some(1), None), // one item lost, disarmed
-            (70, Finish, None, None),   // the `Done` armed before the clear
+            (0, Push(1), Some(10), Some(10), 1),    // push on idle arms
+            (3, Push(2), None, Some(10), 2),        // push on busy does not
+            (7, Finish, None, Some(10), 2),         // not the armed instant: nothing
+            (10, Finish, Some(1), Some(20), 1),     // the armed `Done`: head, re-armed
+            (20, Defer(50), Some(50), Some(50), 1), // a hang re-arms at its end
+            (20, Finish, None, Some(50), 1),
+            (30, Defer(60), None, Some(50), 1), // a stale `Done` cannot defer
+            (50, Finish, Some(2), None, 0),     // nothing more queued: idle
+            (60, Push(3), Some(70), Some(70), 1),
+            (61, Clear, Some(1), None, 0), // one item lost, disarmed
+            (70, Finish, None, None, 0),   // the `Done` armed before the clear
         ];
-        let service = |_: &u32| SimDuration::from_ps(10);
+        let service = |_: &Held| SimDuration::from_ps(10);
+        let mut packets = Packets::default();
+        let mut fifos = Fifos::default();
         let mut stage = Stage::default();
-        for (i, (now, op, result, done_at)) in steps.into_iter().enumerate() {
+        for (i, (now, op, result, done_at, held)) in steps.into_iter().enumerate() {
             let now = SimTime::from_ps(now);
             // A push or a finished item is followed by `start`, as in
-            // every `*_enqueue` and `on_*_done`.
+            // every `*_enqueue` and `on_*_done`. The port is the tag.
             let got = match op {
-                Push(item) => {
-                    stage.push(item);
-                    stage.start(now, service).map(SimTime::as_ps)
+                Push(tag) => {
+                    let header =
+                        RouteHeader::forward(ProtocolInterface::Data, 0, TurnPool::new_spec());
+                    let body = packets.alloc(Packet::new(header, Payload::Data { len: 0 }));
+                    stage.push(&mut fifos, (tag, body));
+                    stage.start(&fifos, now, service).map(SimTime::as_ps)
                 }
-                Finish => stage.finish(now).map(|item| {
-                    stage.start(now, service);
-                    u64::from(item)
+                Finish => stage.finish(&mut fifos, now).map(|(tag, body)| {
+                    packets.free(body);
+                    stage.start(&fifos, now, service);
+                    u64::from(tag)
                 }),
                 Defer(until) => stage.defer(now, SimTime::from_ps(until)).then_some(until),
-                Clear => Some(stage.clear(drop) as u64),
+                Clear => Some(stage.clear(&mut fifos, |(_, body)| packets.free(body)) as u64),
             };
             let armed = (stage.done_at != IDLE).then_some(stage.done_at.as_ps());
             assert_eq!((got, armed), (result, done_at), "step {i}");
+            // A FIFO is on loan exactly while the stage holds something,
+            // the item in service included; one FIFO serves every loan.
+            let fifo = (stage.q != NIL).then(|| fifos[stage.q].len());
+            assert_eq!(fifo.unwrap_or(0), held, "step {i}");
+            assert_eq!(fifos.lent(), usize::from(held > 0), "step {i}");
+            assert_eq!(fifos.iter().len(), 1, "step {i}");
         }
+        assert_eq!(packets.live(), 0);
     }
 }

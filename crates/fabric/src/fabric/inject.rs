@@ -106,10 +106,12 @@ impl Fabric {
         }
         // Clear local consumers; queued packets are lost with the device.
         let d = &mut self.devices[dev.idx()];
-        let mut free = |packet: PacketRef| self.packets.free(packet);
-        let mut lost = d.ingress.clear(&mut free) + d.responder.stage.clear(|(_, p)| free(p));
+        let fifos = &mut self.fifos;
+        let mut free = |(_, packet): Held| self.packets.free(packet);
+        let mut lost =
+            d.ingress.clear(fifos, &mut free) + d.responder.stage.clear(fifos, &mut free);
         if let Some(slot) = &mut d.agent {
-            lost += slot.inbox.clear(free);
+            lost += slot.inbox.clear(fifos, free);
         }
         self.counters.dropped_inactive += lost as u64;
     }

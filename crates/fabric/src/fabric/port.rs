@@ -194,63 +194,78 @@ impl QueueSet {
     }
 }
 
-/// The fabric's queue sets, lent to ports by index and taken back with
-/// whatever buffers they have grown: as many as were ever out at once,
-/// not one per port.
-#[derive(Default)]
-pub(super) struct Queues {
-    sets: Vec<QueueSet>,
-    /// Indices of the sets at home; the one returned last (and so most
+/// Buffers the fabric lends by index and takes back with whatever they
+/// have grown: as many as were ever out at once, not one per holder.
+/// [`Queues`] lends ports their output queues, [`Fifos`] lends the
+/// serial stages theirs (`endpoint.rs`).
+pub(super) struct Pool<T> {
+    sets: Vec<T>,
+    /// Indices of the buffers at home; the one returned last (and so most
     /// likely still cached) is lent first.
     free: Vec<u32>,
 }
 
-impl Queues {
-    /// Lends a set: the one returned last, or a new one.
+/// The output queues of the ports that have something queued.
+pub(super) type Queues = Pool<QueueSet>;
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool {
+            sets: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Pool<T> {
+    /// Lends a buffer: the one returned last, or a new one.
     #[inline]
-    fn lend(&mut self) -> u32 {
+    pub(super) fn lend(&mut self) -> u32 {
         self.free.pop().unwrap_or_else(|| {
             let at = u32::try_from(self.sets.len()).ok().filter(|&at| at != NIL);
-            self.sets.push(QueueSet::default());
-            at.expect("queue set indices stay below the NIL sentinel")
+            self.sets.push(T::default());
+            at.expect("pool indices stay below the NIL sentinel")
         })
     }
+}
 
-    /// Takes set `at` back; the port that held it has emptied it.
+impl<T> Pool<T> {
+    /// Takes buffer `at` back; its holder has emptied it.
     #[inline]
-    fn take_back(&mut self, at: u32) {
+    pub(super) fn take_back(&mut self, at: u32) {
         self.free.push(at);
     }
 
-    /// How many sets are out.
+    /// How many buffers are out.
     pub(super) fn lent(&self) -> usize {
         self.sets.len() - self.free.len()
     }
 
-    /// Every set, lent or at home.
-    pub(super) fn iter(&self) -> std::slice::Iter<'_, QueueSet> {
+    /// Every buffer, lent or at home.
+    pub(super) fn iter(&self) -> std::slice::Iter<'_, T> {
         self.sets.iter()
     }
 }
 
-impl std::ops::Index<u32> for Queues {
-    type Output = QueueSet;
+impl<T> std::ops::Index<u32> for Pool<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, at: u32) -> &QueueSet {
+    fn index(&self, at: u32) -> &T {
         &self.sets[at as usize]
     }
 }
 
-impl std::ops::IndexMut<u32> for Queues {
+impl<T> std::ops::IndexMut<u32> for Pool<T> {
     #[inline]
-    fn index_mut(&mut self, at: u32) -> &mut QueueSet {
+    fn index_mut(&mut self, at: u32) -> &mut T {
         &mut self.sets[at as usize]
     }
 }
 
 /// No index: [`Port::q`] of a port with nothing queued, [`Port::peer_dev`]
-/// of a port with nothing plugged in.
-const NIL: u32 = u32::MAX;
+/// of a port with nothing plugged in, a stage's FIFO while it holds
+/// nothing.
+pub(super) const NIL: u32 = u32::MAX;
 
 /// One port of a device: 48 bytes, and everything the cut-through guard
 /// asks of it is in them (the table in the module header).
@@ -260,7 +275,7 @@ pub(super) struct Port {
     peer_dev: u32,
     peer_port: u8,
     /// Down → Training → Active; written by [`Fabric::set_port_state`]
-    /// alone, which keeps the device's configuration space in step.
+    /// alone.
     pub(super) state: PortState,
     /// The queue set this port has on loan from [`Fabric::queues`], or
     /// [`NIL`]: a port borrows one at its first `enqueue_out` and hands
@@ -290,6 +305,10 @@ pub(super) struct Port {
     /// Gilbert–Elliott loss state of the outgoing link: true while the
     /// link is in its bad (bursty-loss) state.
     ge_bad: bool,
+    /// Whether the port has had a state set since power-on: until then
+    /// no link width or speed is negotiated on it, and its block in the
+    /// configuration space reads all zero ([`Port::info`]).
+    negotiated: bool,
 }
 
 pub(super) use ledger::Ledger;
@@ -426,6 +445,28 @@ impl Port {
             peer_credits: PeerCredits::full(config),
             credits_by_event: false,
             ge_bad: false,
+            negotiated: false,
+        }
+    }
+
+    /// The port's block in its device's configuration space, as the FM
+    /// reads it: the state, an x1 link at 2.5 Gb/s, and while the link is
+    /// up the partner's port number, exchanged during link training. A
+    /// port that has never had a state set reads all zero.
+    #[inline]
+    pub(super) fn info(&self) -> PortInfo {
+        if !self.negotiated {
+            return PortInfo::default();
+        }
+        let peer_port = match (self.state, self.peer()) {
+            (PortState::Active, Some((_, pp))) => pp,
+            _ => 0,
+        };
+        PortInfo {
+            state: self.state,
+            link_width: 1,
+            link_speed: 10,
+            peer_port,
         }
     }
 
@@ -856,24 +897,12 @@ impl Fabric {
 
     // ---------------- training and carrier ----------------
 
-    /// The one place a port changes state: the port and its block in the
-    /// configuration space (what the FM reads over the wire) move together.
+    /// The one place a port changes state. The configuration space reads
+    /// the port itself ([`Port::info`]), so nothing else moves with it.
     fn set_port_state(&mut self, dev: DevId, port: u8, state: PortState) {
-        let d = &mut self.devices[dev.idx()];
-        let p = &mut d.ports[usize::from(port)];
+        let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
         p.state = state;
-        // The partner's port number is exchanged during link training.
-        let peer_port = match (state, p.peer()) {
-            (PortState::Active, Some((_, pp))) => pp,
-            _ => 0,
-        };
-        let info = PortInfo {
-            state,
-            link_width: 1,
-            link_speed: 10,
-            peer_port,
-        };
-        d.config.set_port(u16::from(port), info);
+        p.negotiated = true;
     }
 
     /// The one carrier-loss path: `(dev, port)` goes down and what it had

@@ -227,8 +227,8 @@ fn write_to_endpoint_route_table_acks() {
     ));
     // The write landed in the destination's config space.
     let words = fabric
-        .config_space(dev(dst))
-        .read(
+        .read_config(
+            dev(dst),
             CapabilityAddr {
                 capability: asi_proto::CAP_ROUTE_TABLE,
                 offset: 0,

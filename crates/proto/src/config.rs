@@ -11,6 +11,14 @@
 //! switch needs 1 general read + 8 port reads, which reproduces the paper's
 //! packet-count regime (DESIGN.md §2). A second, writable capability (id 1)
 //! stores endpoint route tables for the path-distribution extension.
+//!
+//! The baseline capability is read-only, and everything in it is state
+//! the device keeps anyway: its [`DeviceInfo`] and its ports. So a
+//! [`ConfigSpace`] does not store it. A read takes the device's info and
+//! a function from port number to [`PortInfo`] from the caller, and
+//! encodes them on the spot. What a `ConfigSpace` stores is only what a
+//! PI-4 write can change: the route table, the ownership claim and the
+//! multicast table, three words.
 
 use crate::pi4::{CapabilityAddr, Pi4Status, MAX_COMPLETION_DWORDS};
 
@@ -267,12 +275,11 @@ impl Table {
     }
 }
 
-/// A device's live configuration space: typed state materialized into
-/// words on each PI-4 access.
-#[derive(Clone, Debug)]
+/// The writable registers of a device's configuration space, three
+/// words; the baseline capability comes from the device itself (module
+/// header).
+#[derive(Clone, Debug, Default)]
 pub struct ConfigSpace {
-    info: DeviceInfo,
-    ports: Box<[PortInfo]>,
     /// [`ROUTE_TABLE_WORDS`] words.
     route_table: Table,
     ownership: [u32; OWNERSHIP_WORDS as usize],
@@ -281,18 +288,6 @@ pub struct ConfigSpace {
 }
 
 impl ConfigSpace {
-    /// Creates a configuration space with all ports down.
-    pub fn new(info: DeviceInfo) -> ConfigSpace {
-        let ports = vec![PortInfo::default(); usize::from(info.port_count)].into_boxed_slice();
-        ConfigSpace {
-            info,
-            ports,
-            route_table: Table::default(),
-            ownership: [0; OWNERSHIP_WORDS as usize],
-            mcast_table: Table::default(),
-        }
-    }
-
     /// Output-port bitmask (switch) or membership flag (endpoint) for a
     /// multicast group.
     pub fn mcast_entry(&self, group: u16) -> u32 {
@@ -311,49 +306,22 @@ impl ConfigSpace {
         (u64::from(self.ownership[0]) << 32) | u64::from(self.ownership[1])
     }
 
-    /// The general-information block.
-    pub fn info(&self) -> &DeviceInfo {
-        &self.info
-    }
-
-    /// Current attributes of port `p`.
-    pub fn port(&self, p: u16) -> Option<&PortInfo> {
-        self.ports.get(usize::from(p))
-    }
-
-    /// Mutates port `p`'s attributes (the fabric model calls this as links
-    /// train and fail). Returns the previous state.
-    pub fn set_port(&mut self, p: u16, info: PortInfo) -> Option<PortInfo> {
-        let slot = self.ports.get_mut(usize::from(p))?;
-        Some(std::mem::replace(slot, info))
-    }
-
-    /// Number of ports currently active.
-    pub fn active_ports(&self) -> usize {
-        self.ports.iter().filter(|p| p.state.is_active()).count()
-    }
-
-    /// Services a PI-4 read.
-    pub fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+    /// Services a PI-4 read of the device `info` describes, whose port
+    /// `p` is `port(p)` right now.
+    pub fn read(
+        &self,
+        info: &DeviceInfo,
+        port: impl Fn(u16) -> PortInfo,
+        addr: CapabilityAddr,
+        dwords: u8,
+    ) -> Result<Vec<u32>, Pi4Status> {
         if dwords == 0 || usize::from(dwords) > MAX_COMPLETION_DWORDS {
             return Err(Pi4Status::UnsupportedRequest);
         }
         match addr.capability {
-            CAP_BASELINE => {
-                let total = port_block_offset(self.info.port_count);
-                let end = addr.offset.checked_add(u16::from(dwords));
-                match end {
-                    Some(end) if end <= total => {}
-                    _ => return Err(Pi4Status::UnsupportedRequest),
-                }
-                let mut words = Vec::with_capacity(usize::from(dwords));
-                for off in addr.offset..addr.offset + u16::from(dwords) {
-                    words.push(self.baseline_word(off));
-                }
-                Ok(words)
-            }
+            CAP_BASELINE => read_baseline(info, port, addr.offset, dwords),
             CAP_ROUTE_TABLE => {
-                if self.info.device_type != DeviceType::Endpoint {
+                if info.device_type != DeviceType::Endpoint {
                     return Err(Pi4Status::UnsupportedRequest);
                 }
                 self.route_table
@@ -371,14 +339,20 @@ impl ConfigSpace {
         }
     }
 
-    /// Services a PI-4 write. Only the route-table capability is writable.
-    pub fn write(&mut self, addr: CapabilityAddr, data: &[u32]) -> Result<(), Pi4Status> {
+    /// Services a PI-4 write to the device `info` describes. The baseline
+    /// capability is read-only.
+    pub fn write(
+        &mut self,
+        info: &DeviceInfo,
+        addr: CapabilityAddr,
+        data: &[u32],
+    ) -> Result<(), Pi4Status> {
         if data.is_empty() || data.len() > MAX_COMPLETION_DWORDS {
             return Err(Pi4Status::UnsupportedRequest);
         }
         match addr.capability {
             CAP_ROUTE_TABLE => {
-                if self.info.device_type != DeviceType::Endpoint {
+                if info.device_type != DeviceType::Endpoint {
                     return Err(Pi4Status::UnsupportedRequest);
                 }
                 self.route_table.write(ROUTE_TABLE_WORDS, addr.offset, data)
@@ -404,17 +378,28 @@ impl ConfigSpace {
             _ => Err(Pi4Status::UnsupportedRequest),
         }
     }
+}
 
-    fn baseline_word(&self, off: u16) -> u32 {
-        if off < GENERAL_INFO_WORDS {
-            self.info.to_words()[usize::from(off)]
-        } else {
-            let rel = off - GENERAL_INFO_WORDS;
-            let port = rel / PORT_BLOCK_WORDS;
-            let word = rel % PORT_BLOCK_WORDS;
-            self.ports[usize::from(port)].to_words()[usize::from(word)]
+/// `dwords` words from `offset` of the baseline capability of the device
+/// `info` describes, its ports' blocks from `port`.
+fn read_baseline(
+    info: &DeviceInfo,
+    port: impl Fn(u16) -> PortInfo,
+    offset: u16,
+    dwords: u8,
+) -> Result<Vec<u32>, Pi4Status> {
+    let end = (offset.checked_add(u16::from(dwords)))
+        .filter(|&end| end <= port_block_offset(info.port_count))
+        .ok_or(Pi4Status::UnsupportedRequest)?;
+    let general = info.to_words();
+    let word = |off: u16| match off.checked_sub(GENERAL_INFO_WORDS) {
+        None => general[usize::from(off)],
+        Some(rel) => {
+            let block = port(rel / PORT_BLOCK_WORDS).to_words();
+            block[usize::from(rel % PORT_BLOCK_WORDS)]
         }
-    }
+    };
+    Ok((offset..end).map(word).collect())
 }
 
 #[cfg(test)]
@@ -443,9 +428,48 @@ mod tests {
         }
     }
 
+    /// A device as a fabric holds one: its info and its ports, beside the
+    /// writable registers it dereferences to.
+    struct Device {
+        info: DeviceInfo,
+        ports: Vec<PortInfo>,
+        cs: ConfigSpace,
+    }
+
+    impl Device {
+        /// All ports down.
+        fn new(info: DeviceInfo) -> Device {
+            let ports = vec![PortInfo::default(); usize::from(info.port_count)];
+            let cs = ConfigSpace::default();
+            Device { info, ports, cs }
+        }
+
+        fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+            let port = |p: u16| self.ports[usize::from(p)];
+            self.cs.read(&self.info, port, addr, dwords)
+        }
+
+        fn write(&mut self, addr: CapabilityAddr, data: &[u32]) -> Result<(), Pi4Status> {
+            self.cs.write(&self.info, addr, data)
+        }
+    }
+
+    impl std::ops::Deref for Device {
+        type Target = ConfigSpace;
+        fn deref(&self) -> &ConfigSpace {
+            &self.cs
+        }
+    }
+
+    impl std::ops::DerefMut for Device {
+        fn deref_mut(&mut self) -> &mut ConfigSpace {
+            &mut self.cs
+        }
+    }
+
     #[test]
     fn set_mcast_entry_round_trips_and_ignores_out_of_range() {
-        let mut cfg = ConfigSpace::new(switch_info());
+        let mut cfg = Device::new(switch_info());
         assert_eq!(cfg.mcast_entry(5), 0);
         cfg.set_mcast_entry(5, 0b1010);
         assert_eq!(cfg.mcast_entry(5), 0b1010);
@@ -495,7 +519,7 @@ mod tests {
     #[test]
     fn ownership_register_is_writable_everywhere() {
         for info in [switch_info(), endpoint_info()] {
-            let mut cs = ConfigSpace::new(info);
+            let mut cs = Device::new(info);
             assert_eq!(cs.owner_dsn(), 0);
             let addr = CapabilityAddr {
                 capability: CAP_OWNERSHIP,
@@ -529,11 +553,12 @@ mod tests {
     }
 
     /// Every fabric device carries one, tens of thousands on the large
-    /// fabrics: seven words, an unwritten table one of them.
+    /// fabrics: three words, the writable registers only, an unwritten
+    /// table one word.
     #[test]
-    fn a_configuration_space_is_at_most_seven_words() {
+    fn a_configuration_space_is_at_most_three_words() {
         let size = std::mem::size_of::<ConfigSpace>();
-        assert!(size <= 56, "{size}");
+        assert!(size <= 24, "{size}");
     }
 
     /// Every read of a device, in port order.
@@ -571,7 +596,7 @@ mod tests {
 
     #[test]
     fn read_general_info_through_pi4() {
-        let cs = ConfigSpace::new(switch_info());
+        let cs = Device::new(switch_info());
         let (addr, n) = general_info_read();
         let words = cs.read(addr, n).unwrap();
         assert_eq!(DeviceInfo::from_words(&words), Some(switch_info()));
@@ -579,16 +604,13 @@ mod tests {
 
     #[test]
     fn read_port_blocks_through_pi4() {
-        let mut cs = ConfigSpace::new(switch_info());
-        cs.set_port(
-            3,
-            PortInfo {
-                state: PortState::Active,
-                link_width: 1,
-                link_speed: 10,
-                peer_port: 2,
-            },
-        );
+        let mut cs = Device::new(switch_info());
+        cs.ports[3] = PortInfo {
+            state: PortState::Active,
+            link_width: 1,
+            link_speed: 10,
+            peer_port: 2,
+        };
         // Port 3 lives in the second two-port read (ports 2..4).
         let (addr, dwords) = port_info_read(2, 16).unwrap();
         let words = cs.read(addr, dwords).unwrap();
@@ -600,7 +622,7 @@ mod tests {
 
     #[test]
     fn out_of_range_reads_fail() {
-        let cs = ConfigSpace::new(endpoint_info());
+        let cs = Device::new(endpoint_info());
         // Endpoint baseline = 6 + 4 = 10 words.
         assert!(cs.read(CapabilityAddr::baseline(9), 1).is_ok());
         assert_eq!(
@@ -619,7 +641,7 @@ mod tests {
 
     #[test]
     fn unknown_capability_fails() {
-        let cs = ConfigSpace::new(switch_info());
+        let cs = Device::new(switch_info());
         assert_eq!(
             cs.read(
                 CapabilityAddr {
@@ -634,7 +656,7 @@ mod tests {
 
     #[test]
     fn route_table_write_read_round_trip() {
-        let mut cs = ConfigSpace::new(endpoint_info());
+        let mut cs = Device::new(endpoint_info());
         let addr = CapabilityAddr {
             capability: CAP_ROUTE_TABLE,
             offset: 8,
@@ -648,7 +670,7 @@ mod tests {
     #[test]
     fn unwritten_table_words_read_as_zero_within_the_same_bounds() {
         let table = |capability, offset| CapabilityAddr { capability, offset };
-        let mut cs = ConfigSpace::new(endpoint_info());
+        let mut cs = Device::new(endpoint_info());
         // Read before any write: zeros, up to the last word and no further.
         for (cap, bound) in [
             (CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS),
@@ -694,7 +716,7 @@ mod tests {
 
     #[test]
     fn route_table_rejected_on_switches() {
-        let mut cs = ConfigSpace::new(switch_info());
+        let mut cs = Device::new(switch_info());
         let addr = CapabilityAddr {
             capability: CAP_ROUTE_TABLE,
             offset: 0,
@@ -705,30 +727,10 @@ mod tests {
 
     #[test]
     fn baseline_is_read_only() {
-        let mut cs = ConfigSpace::new(endpoint_info());
+        let mut cs = Device::new(endpoint_info());
         assert_eq!(
             cs.write(CapabilityAddr::baseline(0), &[0]),
             Err(Pi4Status::UnsupportedRequest)
         );
-    }
-
-    #[test]
-    fn set_port_returns_previous_and_counts_active() {
-        let mut cs = ConfigSpace::new(switch_info());
-        assert_eq!(cs.active_ports(), 0);
-        let prev = cs
-            .set_port(
-                0,
-                PortInfo {
-                    state: PortState::Active,
-                    link_width: 1,
-                    link_speed: 10,
-                    peer_port: 0,
-                },
-            )
-            .unwrap();
-        assert_eq!(prev.state, PortState::Down);
-        assert_eq!(cs.active_ports(), 1);
-        assert!(cs.set_port(99, PortInfo::default()).is_none());
     }
 }

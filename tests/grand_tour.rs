@@ -105,19 +105,20 @@ fn full_lifecycle() {
         "the runner-up keeps its agent"
     );
     let entry = {
-        let cs = fabric.config_space(user);
         let mut words = Vec::new();
         let mut offset = 0u16;
         while words.len() < 6 * 31 {
             words.extend(
-                cs.read(
-                    CapabilityAddr {
-                        capability: CAP_ROUTE_TABLE,
-                        offset,
-                    },
-                    6,
-                )
-                .unwrap(),
+                fabric
+                    .read_config(
+                        user,
+                        CapabilityAddr {
+                            capability: CAP_ROUTE_TABLE,
+                            offset,
+                        },
+                        6,
+                    )
+                    .unwrap(),
             );
             offset += 6;
         }
