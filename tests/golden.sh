@@ -7,9 +7,11 @@
 #   tests/golden.sh bless [binary]   rewrite tests/golden.cksum
 #
 # Together the runs cover change assimilation (remove and add), churn +
-# storms, warm start, election/merge, every injected fault kind, data
-# packets with multicast replication, claim-partitioned discovery under
-# each of the three algorithms, and every quick sweep grid's report. A PR that declares an output change
+# storms (one escalated to a verification pass), warm start (intact,
+# scoped re-discovery around mismatches, cold fallback), election/merge,
+# every injected fault kind, data packets with multicast replication,
+# claim-partitioned discovery under each of the three algorithms, and
+# every quick sweep grid's report. A PR that declares an output change
 # re-blesses and says why; any other PR must pass `check` untouched.
 set -eu
 export LC_ALL=C
@@ -58,8 +60,11 @@ stress() {
 run change --topology mesh:4x4 --change remove
 run change_add --topology mesh:4x4 --change add
 run churn churn --topology mesh:3x3
+run storm churn --topology mesh:3x3 --device-rate 3000
 run save snapshot save --topology mesh:4x4 --out m.snap
 run verify snapshot verify --topology mesh:4x4 --in m.snap
+run verify_scoped snapshot verify --topology mesh:4x3 --in m.snap
+run verify_fallback snapshot verify --topology mesh:3x3 --in m.snap
 stress stress stress --topology mesh:16x16 --fms 3
 run faults --topology mesh:4x4 --algorithm parallel --loss 0.03 \
     --loss-model bursty --corrupt 0.02 --duplicate 0.02 --retries 8 \
