@@ -328,6 +328,14 @@ impl TopologyDb {
         (e.port == port).then_some((e.peer_dsn, e.peer_port))
     }
 
+    /// The far end of every link at `dsn`, in row order: two links on
+    /// one port give two ends, a link between two of its ports both, a
+    /// link from a port to itself one. O(degree).
+    pub fn peers(&self, dsn: u64) -> impl Iterator<Item = (u64, u8)> + '_ {
+        let row = self.index.get(&dsn).map(|&s| &self.slots[s as usize].row);
+        row.into_iter().flatten().map(|e| (e.peer_dsn, e.peer_port))
+    }
+
     /// Breadth-first walk from the known device in slot `root` over
     /// known devices, each row in order: hands `tree` every edge that
     /// reaches a device first, with the slot it leaves.
@@ -554,26 +562,18 @@ impl TopologyDb {
     /// Recomputes every device's stored route from the host over the
     /// current link set (the "new set of paths" step the paper requires
     /// after every topological change). Devices with no route keep their
-    /// stale one; returns the DSNs whose route could not be refreshed.
-    pub fn refresh_routes(&mut self, pool_capacity: u16) -> Vec<u64> {
-        let host = self.host_dsn;
-        let routes = match self.known(host) {
-            Some(root) => self.routes_by_slot(root, pool_capacity),
-            None => vec![None; self.slots.len()],
+    /// stale one: with no link recorded (a cold start's database), all.
+    pub fn refresh_routes(&mut self, pool_capacity: u16) {
+        let host = self.known(self.host_dsn);
+        let Some(root) = host.filter(|_| self.link_count > 0) else {
+            return;
         };
-        let mut stale = Vec::new();
+        let routes = self.routes_by_slot(root, pool_capacity);
         for (slot, route) in self.slots.iter_mut().zip(routes) {
-            let Some(d) = slot.device.as_mut() else {
-                continue;
-            };
-            match route {
-                Some(Ok(route)) => d.route = route,
-                _ if slot.dsn == host => {}
-                _ => stale.push(slot.dsn),
+            if let (Some(d), Some(Ok(route))) = (slot.device.as_mut(), route) {
+                d.route = route;
             }
         }
-        stale.sort_unstable();
-        stale
     }
 
     /// Differences from this database to `newer` (for assimilation
@@ -649,6 +649,28 @@ mod tests {
         assert_eq!(db.neighbor(2, 4), Some((1, 0)));
         assert_eq!(db.neighbor(2, 5), Some((3, 0)));
         assert_eq!(db.neighbor(2, 9), None);
+    }
+
+    /// A device's link ends are its row, whatever the row holds: two
+    /// links on one port, a link between two of its own ports (both
+    /// ends) and from a port to itself (one), and a link to a DSN that
+    /// is not a device.
+    #[test]
+    fn peers_are_the_row() {
+        let mut db = line_db();
+        db.add_link((2, 5), (4, 1)); // a second link on port 5
+        db.add_link((2, 6), (2, 7));
+        db.add_link((2, 8), (2, 8));
+        db.add_link((2, 9), (99, 3)); // 99 is no device
+        let peers: Vec<_> = db.peers(2).collect();
+        let want = [(1, 0), (3, 0), (4, 1), (2, 7), (2, 6), (2, 8), (99, 3)];
+        assert_eq!(peers, want);
+        assert_eq!(db.peers(99).collect::<Vec<_>>(), [(2, 9)]);
+        assert_eq!(db.peers(5).count(), 0, "an unknown DSN has no ends");
+        // A removed device takes its ends with it.
+        db.remove_device(2);
+        assert_eq!(db.peers(2).count(), 0);
+        assert_eq!(db.peers(1).count(), 0);
     }
 
     #[test]
@@ -1016,6 +1038,11 @@ mod tests {
 
         let directed = model.directed();
         for dsn in 0..DSNS {
+            let ends_at = ends(&directed, dsn, 0..=u8::MAX).map(|&(_, _, m, mp)| (m, mp));
+            prop_assert_eq!(
+                db.peers(dsn).collect::<Vec<_>>(),
+                ends_at.collect::<Vec<_>>()
+            );
             for port in 0..PORTS {
                 let first = ends(&directed, dsn, port..=port).next();
                 let want = first.map(|&(_, _, m, mp)| (m, mp));

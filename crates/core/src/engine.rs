@@ -26,10 +26,10 @@
 //! only queue behind the FM's serial response processing (Figs. 7–8)
 //! while host memory grew with the fabric's fan-out.
 //!
-//! The claim exchange (ownership write, then its read-back), warm-start
-//! verify reads, the refresh re-reads of [`Engine::seeded`] /
-//! [`Engine::verify_with_probes`] and retries belong to an operation
-//! already in flight and never wait, under any algorithm.
+//! The claim exchange (ownership write, then its read-back), the verify
+//! reads and port-block re-reads a [`Region`] lists, and retries belong
+//! to an operation already in flight and never wait, under any
+//! algorithm.
 //!
 //! ## One queue, one pump
 //!
@@ -335,6 +335,48 @@ impl std::ops::AddAssign for EngineStats {
     }
 }
 
+/// What one [`Engine::reconcile`] covers: three lists over the database
+/// it is given. A region is a set — order, duplicates and DSNs the
+/// database does not hold change nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Region {
+    /// Devices to confirm with one general-information read each (warm
+    /// start, PI-5 storm). A device that answers differently, answers
+    /// with an error or never answers lands in [`Engine::mismatched`];
+    /// the engine does not forget it — the FM decides what follows.
+    pub verify: Vec<u64>,
+    /// Devices whose port blocks to re-read: a refresh of what the
+    /// database holds, which re-probes whatever their ports now face.
+    pub reread: Vec<u64>,
+    /// `(known dsn, port)` pairs to probe through.
+    pub probe_via: Vec<(u64, u8)>,
+}
+
+impl Region {
+    /// The cold start: a fresh database holding the host endpoint, read
+    /// locally, with its ports, and the region that probes through each
+    /// of them.
+    pub fn cold(host: DeviceInfo, ports: &[PortInfo], pool_capacity: u16) -> (TopologyDb, Region) {
+        let mut db = TopologyDb::new(host.dsn);
+        let route = DeviceRoute {
+            egress: 0,
+            pool: TurnPool::with_capacity(pool_capacity),
+            entry_port: 0,
+            hops: 0,
+        };
+        db.insert_device(host, route);
+        for (p, info) in ports.iter().enumerate() {
+            db.set_port(host.dsn, p as u16, *info);
+        }
+        let probe_via = (0..ports.len()).map(|p| (host.dsn, p as u8)).collect();
+        let region = Region {
+            probe_via,
+            ..Region::default()
+        };
+        (db, region)
+    }
+}
+
 /// The discovery state machine.
 pub struct Engine {
     cfg: EngineConfig,
@@ -353,9 +395,11 @@ pub struct Engine {
     next_req: u32,
     stats: EngineStats,
     my_dsn: u64,
-    /// Warm-start verification outcomes (empty outside verify runs).
+    /// Verification outcomes (empty unless the region verifies).
     verified: Vec<u64>,
     mismatched: Vec<u64>,
+    /// See [`Engine::reconciled_devices`].
+    reconciled: usize,
     /// Observability sink (disabled by default; see [`Engine::set_trace`]).
     trace: TraceHandle,
     /// The engine is clockless: the caller stamps the current simulated
@@ -365,11 +409,42 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An idle engine over `db`: nothing in flight, nothing waiting.
-    fn new(cfg: EngineConfig, db: TopologyDb) -> Engine {
-        Engine {
+    /// The one way into discovery: reconciles `db` with the fabric over
+    /// `region`. It refreshes every stored route over the current link
+    /// set first (the paper's "obtain a new set of paths": a stored route
+    /// may cross the very device whose loss started this run). Then it
+    /// issues the verify reads, closest first, queues the probes, issues
+    /// the port-block re-reads in DSN order, and pumps; probes only
+    /// queue, so they go out last. A pair that cannot build a probe (a
+    /// hot-add into a port the database last saw down) re-reads its
+    /// device instead, and the fresh port info leads to the probe. The
+    /// region is consumed and canonicalised in place, without a copy.
+    /// The first requests to inject are appended to `out`.
+    pub fn reconcile(
+        cfg: EngineConfig,
+        mut db: TopologyDb,
+        region: Region,
+        out: &mut Vec<OutRequest>,
+    ) -> Engine {
+        db.refresh_routes(cfg.pool_capacity);
+        let Region {
+            mut verify,
+            mut reread,
+            mut probe_via,
+        } = region;
+        let host = db.host_dsn();
+        // Closest first; the host is read locally.
+        verify.retain(|&dsn| dsn != host && db.contains(dsn));
+        verify.sort_unstable_by_key(|&dsn| (db.device(dsn).map(|d| d.route.hops), dsn));
+        verify.dedup();
+        reread.retain(|&dsn| db.contains(dsn));
+        probe_via.retain(|&(dsn, _)| db.contains(dsn));
+        probe_via.sort_unstable();
+        probe_via.dedup();
+        let mut engine = Engine {
             cfg,
-            my_dsn: db.host_dsn(),
+            my_dsn: host,
+            reconciled: db.device_count(),
             db,
             rivals: BTreeSet::new(),
             ceded: Vec::new(),
@@ -381,119 +456,28 @@ impl Engine {
             mismatched: Vec::new(),
             trace: TraceHandle::disabled(),
             trace_now: SimTime::ZERO,
-        }
-    }
-
-    /// Starts a full discovery: reads the host endpoint locally, then
-    /// probes every active host port. The first requests to inject are
-    /// appended to `out`, as by every entry point below.
-    pub fn start(
-        cfg: EngineConfig,
-        host_info: DeviceInfo,
-        host_ports: &[PortInfo],
-        out: &mut Vec<OutRequest>,
-    ) -> Engine {
-        let mut db = TopologyDb::new(host_info.dsn);
-        db.insert_device(
-            host_info,
-            DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(cfg.pool_capacity),
-                entry_port: 0,
-                hops: 0,
-            },
-        );
-        let mut engine = Engine::new(cfg, db);
-        for (p, info) in host_ports.iter().enumerate() {
-            engine.db.set_port(host_info.dsn, p as u16, *info);
-            engine.probe(host_info.dsn, p as u8);
-        }
-        engine.pump(out);
-        engine
-    }
-
-    /// Starts a *partial* discovery (affected-region assimilation,
-    /// extension): keeps `db`, re-reads the port blocks of
-    /// `reread_ports` devices, and probes through `probe_via`
-    /// `(known dsn, port)` pairs.
-    pub fn seeded(
-        cfg: EngineConfig,
-        mut db: TopologyDb,
-        reread_ports: &[u64],
-        probe_via: &[(u64, u8)],
-        out: &mut Vec<OutRequest>,
-    ) -> Engine {
-        // Stored routes may traverse the very device whose disappearance
-        // triggered this run: recompute them over the updated link set
-        // first (the paper's "obtain a new set of paths" step).
-        db.refresh_routes(cfg.pool_capacity);
-        let mut engine = Engine::new(cfg, db);
-        for &dsn in reread_ports {
-            engine.reread_ports(dsn, out);
-        }
-        for &(dsn, port) in probe_via {
-            engine.probe(dsn, port);
-        }
-        engine.pump(out);
-        engine
-    }
-
-    /// Starts a warm-start *verification* pass: `db` is a snapshot-seeded
-    /// database whose routes have already been refreshed; one targeted
-    /// general-information read per non-host device is issued eagerly in
-    /// propagation order (closest first, Parallel-style). Devices whose
-    /// responses match the cached record land in [`Engine::verified`];
-    /// devices that answer differently, answer with an error, or never
-    /// answer land in [`Engine::mismatched`] — the engine does **not**
-    /// forget them, the fabric manager decides how to re-discover.
-    pub fn verify(cfg: EngineConfig, db: TopologyDb, out: &mut Vec<OutRequest>) -> Engine {
-        Engine::verify_with_probes(cfg, db, &[], &[], out)
-    }
-
-    /// [`Engine::verify`] that additionally re-reads the port blocks of
-    /// `reread_ports` devices and explores through `probe_via`
-    /// `(known dsn, port)` pairs, the way [`Engine::seeded`] does. Used
-    /// when a PI-5 event storm escalates to one verification pass: the
-    /// verify reads confirm what the database already holds, the
-    /// re-reads find the links the reporters' ports now carry, and the
-    /// probes find genuinely new devices behind reported port-ups, which
-    /// verification alone would never see.
-    pub fn verify_with_probes(
-        cfg: EngineConfig,
-        db: TopologyDb,
-        reread_ports: &[u64],
-        probe_via: &[(u64, u8)],
-        out: &mut Vec<OutRequest>,
-    ) -> Engine {
-        let mut engine = Engine::new(cfg, db);
-        let mut targets: Vec<(u16, u64)> = engine
-            .db
-            .devices()
-            .filter(|d| d.info.dsn != engine.my_dsn)
-            .map(|d| (d.route.hops, d.info.dsn))
-            .collect();
-        targets.sort_unstable();
-        for (_, dsn) in targets {
+        };
+        for dsn in verify {
             out.extend(engine.issue(Pending::Verify { dsn }));
         }
-        // Besides the caller's re-reads: pairs whose cached port record
-        // is stale (a genuine hot-add into a port the database last saw
-        // down) cannot build a probe route; fall back to a port-block
-        // re-read of the reporter, and let the fresh port info escalate
-        // to the probe.
-        let mut rereads = reread_ports.to_vec();
-        for &(dsn, port) in probe_via {
+        for (dsn, port) in probe_via {
             if !engine.probe(dsn, port) {
-                rereads.push(dsn);
+                reread.push(dsn);
             }
         }
-        rereads.sort_unstable();
-        rereads.dedup();
-        for dsn in rereads {
+        reread.sort_unstable();
+        reread.dedup();
+        for dsn in reread {
             engine.reread_ports(dsn, out);
         }
         engine.pump(out);
         engine
+    }
+
+    /// Devices the database held when it was reconciled, host included:
+    /// what a verification's mismatches are a fraction of.
+    pub fn reconciled_devices(&self) -> usize {
+        self.reconciled
     }
 
     /// DSNs confirmed unchanged by a verification pass, in completion
@@ -1020,6 +1004,25 @@ mod tests {
         EngineConfig::new(algorithm, asi_proto::MAX_POOL_BITS)
     }
 
+    /// A cold start from the host endpoint `host` with `ports`.
+    fn start(
+        cfg: EngineConfig,
+        host: DeviceInfo,
+        ports: &[PortInfo],
+        out: &mut Vec<OutRequest>,
+    ) -> Engine {
+        let (db, region) = Region::cold(host, ports, cfg.pool_capacity);
+        Engine::reconcile(cfg, db, region, out)
+    }
+
+    /// The region that only probes through `probe_via`.
+    fn probes(probe_via: &[(u64, u8)]) -> Region {
+        Region {
+            probe_via: probe_via.to_vec(),
+            ..Region::default()
+        }
+    }
+
     /// The requests one engine call appends to a fresh buffer.
     fn step(call: impl FnOnce(&mut Vec<OutRequest>)) -> Vec<OutRequest> {
         let mut out = Vec::new();
@@ -1031,7 +1034,7 @@ mod tests {
     fn isolated_host_finishes_immediately() {
         for alg in Algorithm::all() {
             let mut out = Vec::new();
-            let engine = Engine::start(
+            let engine = start(
                 cfg(alg),
                 endpoint_info(1),
                 &[PortInfo::default()], // port down
@@ -1048,7 +1051,7 @@ mod tests {
         let mut two_port = endpoint_info(1);
         two_port.port_count = 2;
         let mut out = Vec::new();
-        let engine = Engine::start(
+        let engine = start(
             cfg(Algorithm::Parallel),
             two_port,
             &[active_port(3), active_port(5)],
@@ -1061,7 +1064,7 @@ mod tests {
         assert_eq!(engine.outstanding(), 2);
         // Serial variants issue only the first probe.
         let mut out = Vec::new();
-        Engine::start(
+        start(
             cfg(Algorithm::SerialPacket),
             two_port,
             &[active_port(3), active_port(5)],
@@ -1073,7 +1076,7 @@ mod tests {
     #[test]
     fn error_completion_on_probe_moves_on() {
         let mut out = Vec::new();
-        let mut engine = Engine::start(
+        let mut engine = start(
             cfg(Algorithm::SerialPacket),
             endpoint_info(1),
             &[active_port(0)],
@@ -1089,7 +1092,7 @@ mod tests {
     #[test]
     fn timeout_on_probe_moves_on() {
         let mut out = Vec::new();
-        let mut engine = Engine::start(
+        let mut engine = start(
             cfg(Algorithm::Parallel),
             endpoint_info(1),
             &[active_port(0)],
@@ -1110,7 +1113,7 @@ mod tests {
     #[test]
     fn garbled_general_info_is_tolerated() {
         let mut out = Vec::new();
-        let mut engine = Engine::start(
+        let mut engine = start(
             cfg(Algorithm::SerialDevice),
             endpoint_info(1),
             &[active_port(0)],
@@ -1125,7 +1128,7 @@ mod tests {
     #[test]
     fn discovering_one_switch_reads_its_ports() {
         let mut out = Vec::new();
-        let mut engine = Engine::start(
+        let mut engine = start(
             cfg(Algorithm::SerialDevice),
             endpoint_info(1),
             &[active_port(2)], // host's link enters switch port 2
@@ -1169,56 +1172,44 @@ mod tests {
     fn seeded_with_nothing_is_done() {
         let db = TopologyDb::new(1);
         let mut out = Vec::new();
-        let engine = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[], &mut out);
+        let engine = Engine::reconcile(cfg(Algorithm::Parallel), db, Region::default(), &mut out);
         assert!(out.is_empty());
         assert!(engine.is_done());
     }
 
-    #[test]
-    fn seeded_probe_via_explores_through_a_known_port() {
-        // Database: host(1) -- sw(7, 4 ports); sw port 1 is active and
-        // unexplored (a hot-added neighbour).
+    /// Database: host(1) -- sw(7, 4 ports) at the switch's port 2; sw
+    /// port 1 is active and unexplored (a hot-added neighbour).
+    fn host_and_switch() -> TopologyDb {
         let mut db = TopologyDb::new(1);
-        db.insert_device(
-            endpoint_info(1),
-            crate::db::DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(64),
-                entry_port: 0,
-                hops: 0,
-            },
-        );
-        db.insert_device(
-            DeviceInfo {
-                device_type: DeviceType::Switch,
-                dsn: 7,
-                port_count: 4,
-                max_packet_size: 2048,
-                fm_capable: false,
-                fm_priority: 0,
-            },
-            crate::db::DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(64),
-                entry_port: 2,
-                hops: 1,
-            },
-        );
+        let route = |entry_port, hops| DeviceRoute {
+            egress: 0,
+            pool: TurnPool::with_capacity(64),
+            entry_port,
+            hops,
+        };
+        db.insert_device(endpoint_info(1), route(0, 0));
+        let switch = DeviceInfo::from_words(&switch_words(7)).unwrap();
+        db.insert_device(switch, route(2, 1));
         db.add_link((1, 0), (7, 2));
         for p in 0..4 {
-            db.set_port(
-                7,
-                p,
-                if p == 2 || p == 1 {
-                    // Both peers are endpoints, so the peer port is 0.
-                    active_port(0)
-                } else {
-                    PortInfo::default()
-                },
-            );
+            // Both peers are endpoints, so the peer port is 0.
+            let active = p == 2 || p == 1;
+            let info = if active {
+                active_port(0)
+            } else {
+                PortInfo::default()
+            };
+            db.set_port(7, p, info);
         }
+        db
+    }
+
+    #[test]
+    fn seeded_probe_via_explores_through_a_known_port() {
+        let db = host_and_switch();
         let mut out = Vec::new();
-        let mut engine = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[(7, 1)], &mut out);
+        let mut engine =
+            Engine::reconcile(cfg(Algorithm::Parallel), db, probes(&[(7, 1)]), &mut out);
         assert_eq!(out.len(), 1, "one probe through (7, 1)");
         assert!(!engine.is_done());
         // The probe's pool carries the turn through switch 7 (entry 2 →
@@ -1241,51 +1232,15 @@ mod tests {
 
     #[test]
     fn stale_probe_answered_by_its_own_origin_records_no_loopback_link() {
-        // Same seeded layout as above, but the probe through (7, 1)
-        // is answered by switch 7 itself — what happens when a route
-        // goes stale mid-run (fabric churn) and the turn pool walks
-        // the packet back to its origin. Recording the answer would
-        // cable 7 to itself, a link no re-discovery could ever remove.
-        let mut db = TopologyDb::new(1);
-        db.insert_device(
-            endpoint_info(1),
-            crate::db::DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(64),
-                entry_port: 0,
-                hops: 0,
-            },
-        );
-        db.insert_device(
-            DeviceInfo {
-                device_type: DeviceType::Switch,
-                dsn: 7,
-                port_count: 4,
-                max_packet_size: 2048,
-                fm_capable: false,
-                fm_priority: 0,
-            },
-            crate::db::DeviceRoute {
-                egress: 0,
-                pool: TurnPool::with_capacity(64),
-                entry_port: 2,
-                hops: 1,
-            },
-        );
-        db.add_link((1, 0), (7, 2));
-        for p in 0..4 {
-            db.set_port(
-                7,
-                p,
-                if p == 2 || p == 1 {
-                    active_port(0)
-                } else {
-                    PortInfo::default()
-                },
-            );
-        }
+        // The probe through (7, 1) is answered by switch 7 itself — what
+        // happens when a route goes stale mid-run (fabric churn) and the
+        // turn pool walks the packet back to its origin. Recording the
+        // answer would cable 7 to itself, a link no re-discovery could
+        // ever remove.
+        let db = host_and_switch();
         let mut out = Vec::new();
-        let mut engine = Engine::seeded(cfg(Algorithm::Parallel), db, &[], &[(7, 1)], &mut out);
+        let mut engine =
+            Engine::reconcile(cfg(Algorithm::Parallel), db, probes(&[(7, 1)]), &mut out);
         assert_eq!(out.len(), 1);
         let done = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
         assert!(done.is_empty());
@@ -1295,12 +1250,61 @@ mod tests {
         assert_eq!(engine.db.neighbor(7, 1), None, "no loopback cable");
     }
 
+    /// A region is a set: shuffled, with duplicates and with a DSN the
+    /// database does not hold, it issues exactly the requests of its
+    /// canonical form — verifies closest first, then re-reads in DSN
+    /// order (a probe that cannot be built among them), then probes.
+    #[test]
+    fn a_region_is_a_set() {
+        // host(1) -- sw(7) port 2; sw(8) on 7's port 3; ep(9) on 7's
+        // port 1, whose probe stays buildable.
+        let mut db = host_and_switch();
+        let far = DeviceInfo::from_words(&switch_words(8)).unwrap();
+        let route = DeviceRoute {
+            egress: 0,
+            pool: TurnPool::with_capacity(64),
+            entry_port: 0,
+            hops: 2,
+        };
+        db.insert_device(far, route.clone());
+        db.insert_device(endpoint_info(9), route);
+        db.add_link((7, 3), (8, 0));
+        db.add_link((7, 1), (9, 0));
+        db.set_port(7, 3, active_port(0));
+        db.set_port(8, 0, active_port(3));
+        for alg in Algorithm::all() {
+            let messy = Region {
+                verify: vec![9, 42, 7, 1, 8, 9],
+                reread: vec![8, 42, 7, 8],
+                probe_via: vec![(8, 1), (7, 1), (42, 0), (7, 1)],
+            };
+            let canonical = Region {
+                verify: vec![1, 7, 8, 9],
+                reread: vec![7, 8],
+                probe_via: vec![(7, 1), (8, 1)],
+            };
+            let issue = |region: &Region| {
+                step(|o| drop(Engine::reconcile(cfg(alg), db.clone(), region.clone(), o)))
+            };
+            let (a, b) = (issue(&messy), issue(&canonical));
+            // Three verifies and four port-block re-reads (two per
+            // switch), then the probe through (7, 1) where probes may go
+            // at once.
+            assert_eq!(
+                a.len(),
+                7 + usize::from(alg == Algorithm::Parallel),
+                "{alg}"
+            );
+            assert_eq!(a, b, "{alg}");
+        }
+    }
+
     #[test]
     fn claim_flow_cedes_to_rival() {
         let mut c = cfg(Algorithm::Parallel);
         c.claim_partitioning = true;
         let mut out = Vec::new();
-        let mut engine = Engine::start(c, endpoint_info(1), &[active_port(2)], &mut out);
+        let mut engine = start(c, endpoint_info(1), &[active_port(2)], &mut out);
         // General info answered: engine must claim before reading ports.
         let claim = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
         assert_eq!(claim.len(), 1);
@@ -1332,7 +1336,7 @@ mod tests {
         let mut c = cfg(Algorithm::Parallel);
         c.claim_partitioning = true;
         let mut out = Vec::new();
-        let mut engine = Engine::start(c, endpoint_info(1), &[active_port(2)], &mut out);
+        let mut engine = start(c, endpoint_info(1), &[active_port(2)], &mut out);
         let claim = step(|o| engine.handle_completion(out[0].req_id, Ok(&switch_words(7)), o));
         let check = step(|o| engine.handle_completion(claim[0].req_id, Ok(&[]), o));
         // Read-back shows our own DSN (1): proceed with port reads.

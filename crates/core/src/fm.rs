@@ -120,15 +120,16 @@ pub struct FmConfig {
     pub trace: TraceHandle,
     /// How the initial discovery runs (cold, or warm from a snapshot).
     pub mode: DiscoveryMode,
-    /// Warm start only: the run falls back to a full cold discovery when
-    /// the number of unverifiable devices exceeds this fraction of the
-    /// snapshot's device count (default 0.25).
+    /// A run falls back to a full cold discovery when the devices a
+    /// verifying phase (warm start, PI-5 storm) could not confirm
+    /// outnumber this fraction of the database it verified, host
+    /// included (default 0.25).
     pub warm_fallback_threshold: f64,
     /// Partial assimilation only: when the coalesced backlog holds more
-    /// than this many distinct `(reporter, port)` net changes, the storm
-    /// is escalated to one warm-start verification of the whole database
-    /// instead of a scoped partial run: 8, and 0 in the test that storms
-    /// on any change.
+    /// than this many distinct `(reporter, port)` net changes, the
+    /// partial run's region also verifies every device of the database
+    /// (a storm); at most that many, it only re-reads and probes: 8, and
+    /// 0 in the tests that storm on any change.
     pub(crate) storm_threshold: usize,
 }
 
@@ -629,12 +630,43 @@ mod tests {
         );
     }
 
+    /// The kinds of the trace records a manager emits.
+    #[derive(Default)]
+    struct Kinds(Vec<&'static str>);
+
+    impl asi_sim::TraceSink for Kinds {
+        fn record(&mut self, record: asi_sim::TraceRecord) {
+            self.0.push(record.event.kind());
+        }
+    }
+
+    /// A partial-assimilation manager on which any coalesced change is a
+    /// storm, and the kinds it traces.
+    fn storming() -> (FmAgent, std::rc::Rc<std::cell::RefCell<Kinds>>) {
+        let kinds = std::rc::Rc::new(std::cell::RefCell::new(Kinds::default()));
+        let mut cfg = FmConfig::new(Algorithm::Parallel).with_trace(TraceHandle::to(kinds.clone()));
+        cfg.partial_assimilation = true;
+        cfg.storm_threshold = 0;
+        (FmAgent::new(cfg), kinds)
+    }
+
+    /// The storm was escalated once, to a verification of a `devices`
+    /// database.
+    fn assert_storm(fm: &FmAgent, kinds: &std::cell::RefCell<Kinds>, devices: usize) {
+        let escalated = kinds
+            .borrow()
+            .0
+            .iter()
+            .filter(|&&k| k == "pi5-storm-escalated")
+            .count();
+        assert_eq!(escalated, 1);
+        let engine = fm.engine.as_ref().expect("run in flight");
+        assert_eq!(engine.reconciled_devices(), devices);
+    }
+
     #[test]
     fn pi5_storm_escalates_to_one_verification_pass() {
-        let mut cfg = FmConfig::new(Algorithm::Parallel);
-        cfg.partial_assimilation = true;
-        cfg.storm_threshold = 0; // any coalesced change is a storm
-        let mut fm = FmAgent::new(cfg);
+        let (mut fm, kinds) = storming();
         let mut c = ctx();
         fm.db = Some(seeded_db());
         fm.on_pi5(
@@ -647,19 +679,15 @@ mod tests {
             },
         );
         assert!(fm.discovering());
-        let acc = fm.acc.as_ref().expect("run in flight");
-        assert_eq!(acc.verifying, Some(2), "the storm runs as a verification");
+        assert_storm(&fm, &kinds, 2);
         // One verify read for switch 7 plus one probe through its
-        // reported port.
+        // reported port; a scoped run would issue the probe alone.
         assert_eq!(reads(&c.take_commands(), true), 2);
     }
 
     #[test]
     fn pi5_storm_rereads_a_live_neighbour_of_a_forgotten_device() {
-        let mut cfg = FmConfig::new(Algorithm::Parallel);
-        cfg.partial_assimilation = true;
-        cfg.storm_threshold = 0;
-        let mut fm = FmAgent::new(cfg);
+        let (mut fm, kinds) = storming();
         let mut c = ctx();
         // Switch 8 hangs off switch 7's port 3. The device behind 8's
         // port 1 was forgotten when its reads timed out, so the
@@ -677,8 +705,7 @@ mod tests {
                 sequence: 1,
             },
         );
-        let acc = fm.acc.as_ref().expect("run in flight");
-        assert_eq!(acc.verifying, Some(3), "the storm runs as a verification");
+        assert_storm(&fm, &kinds, 3);
         // One verify read each for switches 7 and 8, and the reporter's
         // port blocks re-read: only they show what its ports now carry.
         let commands = c.take_commands();

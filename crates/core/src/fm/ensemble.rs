@@ -334,7 +334,7 @@ impl FmAgent {
                     ctx.cancel_timer(timeout_token(self.epoch, req_id));
                 }
                 self.acc = None;
-                self.begin_full(ctx, DiscoveryTrigger::Failover);
+                self.begin_full(ctx, Some(DiscoveryTrigger::Failover));
                 return;
             }
         }

@@ -1,11 +1,12 @@
 //! The discovery-run driver: begins runs (initially, and to assimilate
 //! PI-5 reports), launches their engines, sends their requests, and turns
-//! a drained engine into a [`DiscoveryRun`]. A run is one [`RunAcc`] over
-//! one or more engine phases: cold; partial; or verify (warm start, PI-5
-//! storm) → done | scoped | cold fallback.
+//! a drained engine into a [`DiscoveryRun`]. Every phase is one
+//! [`Engine::reconcile`] over a [`Region`] — cold, warm start, partial,
+//! or PI-5 storm — and every drained phase goes through one escalation
+//! rule ([`FmAgent::escalate`]): done, scoped re-discovery, or cold.
 
 use super::*;
-use crate::engine::{EngineStats, OutOp};
+use crate::engine::{EngineStats, OutOp, Region};
 use crate::metrics::DiscoveryTrigger;
 use crate::snapshot::db_from_snapshot;
 use asi_proto::{DeviceType, FmMessage, PortEvent};
@@ -18,8 +19,8 @@ use std::collections::hash_map::Entry;
 const CONGESTION_BACKLOG_FLOOR: usize = 512;
 
 /// Accumulates per-run measurements while a discovery is in flight. A
-/// warm-start run spans up to three engine phases (verify → scoped
-/// re-discovery → cold fallback); `base` folds in the stats of phases
+/// run spans at most two engine phases (a verifying one, then a scoped
+/// re-discovery or a cold fallback); `base` folds in the stats of phases
 /// already finished so the final [`DiscoveryRun`] covers the whole run.
 pub(super) struct RunAcc {
     trigger: DiscoveryTrigger,
@@ -27,9 +28,6 @@ pub(super) struct RunAcc {
     bytes_sent: u64,
     pub(super) bytes_received: u64,
     pub(super) fm_busy: SimDuration,
-    /// While the current engine is a verification pass: the device count
-    /// of the database it verifies (the fallback-threshold denominator).
-    pub(super) verifying: Option<u64>,
     /// Engine stats of completed phases of this run.
     base: EngineStats,
     probes_verified: u64,
@@ -38,18 +36,13 @@ pub(super) struct RunAcc {
 }
 
 impl RunAcc {
-    pub(super) fn new(
-        trigger: DiscoveryTrigger,
-        started_at: SimTime,
-        verifying: Option<u64>,
-    ) -> RunAcc {
+    fn new(trigger: DiscoveryTrigger, started_at: SimTime) -> RunAcc {
         RunAcc {
             trigger,
             started_at,
             bytes_sent: 0,
             bytes_received: 0,
             fm_busy: SimDuration::ZERO,
-            verifying,
             base: EngineStats::default(),
             probes_verified: 0,
             verify_mismatches: 0,
@@ -66,36 +59,30 @@ fn pi5_newer(seq: u32, last: u32) -> bool {
     seq != last && seq.wrapping_sub(last) < 0x8000_0000
 }
 
-/// Canonical re-discovery scope: sorted, de-duplicated, and restricted
-/// to devices still in `db`.
-fn scope(db: &TopologyDb, rereads: &mut Vec<u64>, probe_via: &mut Vec<(u64, u8)>) {
-    rereads.sort_unstable();
-    rereads.dedup();
-    rereads.retain(|d| db.contains(*d));
-    probe_via.sort_unstable();
-    probe_via.dedup();
-    probe_via.retain(|(d, _)| db.contains(*d));
-}
-
 impl FmAgent {
-    /// Installs a freshly built engine as the current phase and sends
-    /// the opening requests it left in the outbox. `acc` is `Some` when
-    /// the engine opens a new run (traced as `RunStarted`, `extra`,
-    /// pending-table size), `None` when it continues the run in flight.
-    /// Every engine numbers its requests from 1; the fresh epoch keeps
-    /// its timeout tokens apart from every earlier engine's.
-    pub(super) fn launch(
+    /// Reconciles `db` over `region` as the current phase and sends the
+    /// opening requests. `trigger` is `Some` when the phase opens a new
+    /// run (traced as `RunStarted`, `extra`, pending-table size), `None`
+    /// when it continues the run in flight. The engine's trace is
+    /// installed only after construction, so its opening requests emit
+    /// no engine records. Every engine numbers its requests from 1; the
+    /// fresh epoch keeps its timeout tokens apart from every earlier
+    /// engine's.
+    fn launch(
         &mut self,
         ctx: &mut AgentCtx,
-        mut engine: Engine,
-        acc: Option<RunAcc>,
+        db: TopologyDb,
+        region: Region,
+        trigger: Option<DiscoveryTrigger>,
         extra: Option<TraceEvent>,
     ) {
+        let mut engine = Engine::reconcile(self.engine_cfg(), db, region, &mut self.outbox);
         self.epoch += 1;
         engine.set_trace(self.cfg.trace.clone());
         engine.set_trace_time(ctx.now);
-        if let Some(acc) = acc {
-            let (algorithm, trigger) = (self.cfg.algorithm.name(), acc.trigger.tag());
+        if let Some(trigger) = trigger {
+            let acc = RunAcc::new(trigger, ctx.now);
+            let (algorithm, trigger) = (self.cfg.algorithm.name(), trigger.tag());
             self.cfg
                 .trace
                 .emit(ctx.now, || TraceEvent::RunStarted { algorithm, trigger });
@@ -115,20 +102,19 @@ impl FmAgent {
 
     /// Starts the initial discovery per the configured mode: cold, or
     /// warm — seed a database from the snapshot and verify it with one
-    /// targeted probe per device. Escalation (scoped re-discovery, cold
-    /// fallback) happens in [`FmAgent::maybe_finish`] when the verify
-    /// phase drains.
+    /// targeted probe per device. What follows the verify phase is
+    /// [`FmAgent::escalate`]'s to decide.
     pub(super) fn begin_initial(&mut self, ctx: &mut AgentCtx) {
         if self.engine.is_some() {
             return;
         }
         let DiscoveryMode::WarmStart(snapshot) = &self.cfg.mode else {
-            self.begin_full(ctx, DiscoveryTrigger::Initial);
+            self.begin_full(ctx, Some(DiscoveryTrigger::Initial));
             return;
         };
         if snapshot.host_dsn != ctx.host_info.dsn || snapshot.device(snapshot.host_dsn).is_none() {
             // The snapshot was taken on a different host: useless here.
-            self.begin_full(ctx, DiscoveryTrigger::Initial);
+            self.begin_full(ctx, Some(DiscoveryTrigger::Initial));
             return;
         }
         let mut db = db_from_snapshot(snapshot);
@@ -136,17 +122,20 @@ impl FmAgent {
         for (p, info) in ctx.host_ports.iter().enumerate() {
             db.set_port(db.host_dsn(), p as u16, *info);
         }
-        // Recompute routes over the snapshot's link set so stale stored
-        // routes cannot mask an intact topology.
-        db.refresh_routes(self.cfg.pool_capacity);
         let (devices, links) = (snapshot.device_count() as u64, snapshot.link_count() as u64);
-        let engine = Engine::verify(self.engine_cfg(), db, &mut self.outbox);
-        let acc = RunAcc::new(DiscoveryTrigger::WarmStart, ctx.now, Some(devices));
         let loaded = TraceEvent::SnapshotLoaded { devices, links };
-        self.launch(ctx, engine, Some(acc), Some(loaded));
+        let verify = db.devices().map(|d| d.info.dsn).collect();
+        let region = Region {
+            verify,
+            ..Region::default()
+        };
+        let warm = Some(DiscoveryTrigger::WarmStart);
+        self.launch(ctx, db, region, warm, Some(loaded));
     }
 
-    pub(super) fn begin_full(&mut self, ctx: &mut AgentCtx, trigger: DiscoveryTrigger) {
+    /// A cold start: opens a run under `trigger`, or with `None`
+    /// continues the run in flight (a warm fallback).
+    pub(super) fn begin_full(&mut self, ctx: &mut AgentCtx, trigger: Option<DiscoveryTrigger>) {
         // The host endpoint enters the database locally, not through a
         // traced completion: emit its discovery here so the
         // device-discovered count reconciles with `devices_found`.
@@ -156,9 +145,8 @@ impl FmAgent {
             switch: host.device_type == DeviceType::Switch,
             ports: host.port_count,
         };
-        let engine = Engine::start(self.engine_cfg(), host, &ctx.host_ports, &mut self.outbox);
-        let acc = RunAcc::new(trigger, ctx.now, None);
-        self.launch(ctx, engine, Some(acc), Some(host_discovered));
+        let (db, region) = Region::cold(host, &ctx.host_ports, self.cfg.pool_capacity);
+        self.launch(ctx, db, region, trigger, Some(host_discovered));
     }
 
     pub(super) fn on_pi5(&mut self, ctx: &mut AgentCtx, event: Pi5) {
@@ -208,7 +196,7 @@ impl FmAgent {
         let scoped = self.cfg.partial_assimilation && !self.partial_backlog.is_empty();
         let Some(mut db) = self.db.as_ref().filter(|_| scoped).cloned() else {
             self.partial_backlog.clear();
-            self.begin_full(ctx, DiscoveryTrigger::ChangeAssimilation);
+            self.begin_full(ctx, Some(DiscoveryTrigger::ChangeAssimilation));
             return;
         };
         let events = std::mem::take(&mut self.partial_backlog);
@@ -234,38 +222,34 @@ impl FmAgent {
         self.cfg
             .trace
             .emit(ctx.now, || TraceEvent::Pi5Coalesced { raw, coalesced });
-        let mut rereads: Vec<u64> = Vec::new();
-        let mut probe_via: Vec<(u64, u8)> = Vec::new();
+        let mut region = Region::default();
         for key in &order {
             let (saw_down, last) = net[key];
             if saw_down {
                 if let Some((x, xp)) = db.neighbor(key.0, key.1) {
                     db.remove_link((key.0, key.1), (x, xp));
-                    rereads.push(x);
+                    region.reread.push(x);
                 }
-                rereads.push(key.0);
+                region.reread.push(key.0);
             }
             if last == PortEvent::PortUp {
                 // Probe straight through the reported port so a
                 // genuinely new neighbor is explored directly, instead
                 // of hoping the reporter re-read escalates to it.
-                rereads.push(key.0);
-                probe_via.push(*key);
+                region.reread.push(key.0);
+                region.probe_via.push(*key);
             }
         }
         // The pruning of now-unreachable devices happens as probes time
         // out; links already removed may strand devices immediately.
         db.prune_unreachable();
-        scope(&db, &mut rereads, &mut probe_via);
-        let mut verifying = None;
-        let engine = if order.len() > self.cfg.storm_threshold {
-            // A correlated PI-5 storm: instead of N scoped re-reads, run
-            // one warm-start-style verification of the whole database —
-            // plus the scoped re-reads, which catch links that moved
-            // between devices still known (live neighbours of a device
-            // a timeout forgot among them), and probes through reported
-            // port-ups, which catch genuine hot-adds — and let the
-            // ordinary warm escalation repair whatever fails to verify.
+        if order.len() > self.cfg.storm_threshold {
+            // A correlated PI-5 storm: the same region verifies the
+            // whole database as well. The re-reads still catch links that
+            // moved between devices still known (live neighbours of a
+            // device a timeout forgot among them), the probes genuine
+            // hot-adds, and the escalation rule repairs whatever fails
+            // to verify.
             let threshold = self.cfg.storm_threshold as u64;
             self.cfg
                 .trace
@@ -273,26 +257,9 @@ impl FmAgent {
                     events: coalesced,
                     threshold,
                 });
-            db.refresh_routes(self.cfg.pool_capacity);
-            verifying = Some(db.device_count() as u64);
-            Engine::verify_with_probes(
-                self.engine_cfg(),
-                db,
-                &rereads,
-                &probe_via,
-                &mut self.outbox,
-            )
-        } else {
-            Engine::seeded(
-                self.engine_cfg(),
-                db,
-                &rereads,
-                &probe_via,
-                &mut self.outbox,
-            )
-        };
-        let acc = RunAcc::new(DiscoveryTrigger::Partial, ctx.now, verifying);
-        self.launch(ctx, engine, Some(acc), None);
+            region.verify = db.devices().map(|d| d.info.dsn).collect();
+        }
+        self.launch(ctx, db, region, Some(DiscoveryTrigger::Partial), None);
     }
 
     /// Sends the requests in the outbox, arms their timeouts, and keeps
@@ -352,71 +319,51 @@ impl FmAgent {
         self.outbox = out;
     }
 
-    /// The verify phase over a `devices`-device database drained. Returns
-    /// `Some(db)` when every device verified (the run is finished);
-    /// `None` when a scoped re-discovery or cold fallback engine took
-    /// over — its own drain re-enters [`FmAgent::maybe_finish`].
-    fn escalate(&mut self, ctx: &mut AgentCtx, engine: Engine, devices: u64) -> Option<TopologyDb> {
-        let mismatched: Vec<u64> = engine.mismatched().to_vec();
+    /// The one escalation rule, for every drained phase, after its stats
+    /// join the run's. No mismatch ends the run: `Some(db)`. More than
+    /// `warm_fallback_threshold` of the devices reconciled continue the
+    /// run cold (the snapshot is too wrong to patch); fewer drop the
+    /// mismatched devices and continue over a region that re-reads
+    /// their surviving neighbours (which re-probes whatever now sits
+    /// behind those ports) and probes through the host ports that faced
+    /// them. Either way a new phase took over: `None`, and its own drain
+    /// comes back here.
+    fn escalate(&mut self, ctx: &mut AgentCtx, engine: Engine) -> Option<TopologyDb> {
+        let mismatched = engine.mismatched().to_vec();
         let mismatches = mismatched.len() as u64;
         let acc = self.acc.as_mut().expect("run accumulator present");
+        acc.base += engine.stats();
         acc.probes_verified += engine.verified().len() as u64;
         acc.verify_mismatches += mismatches;
-        let mut db = engine.db;
         if mismatched.is_empty() {
-            return Some(db);
+            return Some(engine.db);
         }
-        let threshold = (self.cfg.warm_fallback_threshold * devices as f64).floor() as u64;
+        let devices = engine.reconciled_devices() as f64;
+        let threshold = (self.cfg.warm_fallback_threshold * devices).floor() as u64;
         if mismatches > threshold {
-            // The snapshot is too wrong to patch: full cold discovery,
-            // accounted to the same run.
             acc.warm_fallback = true;
             self.cfg.trace.emit(ctx.now, || TraceEvent::WarmFallback {
                 mismatches,
                 threshold,
             });
-            let (host, ports) = (ctx.host_info, &ctx.host_ports);
-            let engine = Engine::start(self.engine_cfg(), host, ports, &mut self.outbox);
-            self.launch(ctx, engine, None, None);
+            self.begin_full(ctx, None);
             return None;
         }
-        // Scoped re-discovery: drop the mismatching devices, re-read
-        // their surviving neighbours' port blocks (which re-probes
-        // whatever actually sits behind those ports), and probe straight
-        // through host ports that faced a mismatching device.
+        let mut db = engine.db;
         let host = db.host_dsn();
-        let mut rereads: Vec<u64> = Vec::new();
-        let mut probe_via: Vec<(u64, u8)> = Vec::new();
-        let links: Vec<_> = db.links().collect();
+        let mut region = Region::default();
         for &dsn in &mismatched {
-            for &((a, ap), (b, bp)) in &links {
-                let (n, np) = if a == dsn {
-                    (b, bp)
-                } else if b == dsn {
-                    (a, ap)
-                } else {
-                    continue;
-                };
+            for (n, np) in db.peers(dsn) {
                 if n == host {
-                    probe_via.push((n, np));
+                    region.probe_via.push((n, np));
                 } else {
-                    rereads.push(n);
+                    region.reread.push(n);
                 }
             }
-        }
-        for &dsn in &mismatched {
             db.remove_device(dsn);
         }
         db.prune_unreachable();
-        scope(&db, &mut rereads, &mut probe_via);
-        let engine = Engine::seeded(
-            self.engine_cfg(),
-            db,
-            &rereads,
-            &probe_via,
-            &mut self.outbox,
-        );
-        self.launch(ctx, engine, None, None);
+        self.launch(ctx, db, region, None, None);
         None
     }
 
@@ -428,14 +375,8 @@ impl FmAgent {
         };
         self.rivals.extend(engine.rivals.iter().copied());
         let ceded = std::mem::take(&mut engine.ceded);
-        let acc = self.acc.as_mut().expect("run accumulator present");
-        acc.base += engine.stats();
-        let db = match acc.verifying.take() {
-            None => engine.db,
-            Some(devices) => match self.escalate(ctx, engine, devices) {
-                Some(db) => db,
-                None => return,
-            },
+        let Some(db) = self.escalate(ctx, engine) else {
+            return;
         };
         let acc = self.acc.take().expect("run accumulator present");
         let run = DiscoveryRun {

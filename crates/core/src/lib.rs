@@ -40,7 +40,7 @@ pub use distributed::{
     MergeState,
 };
 pub use election::{elect, Ballot, Claim, ElectionResult};
-pub use engine::{Engine, EngineConfig, EngineStats, OutOp, OutRequest, REQUEST_WINDOW};
+pub use engine::{Engine, EngineConfig, EngineStats, OutOp, OutRequest, Region, REQUEST_WINDOW};
 pub use fm::{
     DiscoveryMode, FmAgent, FmConfig, TOKEN_CONFIGURE_MCAST, TOKEN_START_DISCOVERY,
     TOKEN_START_ELECTION,

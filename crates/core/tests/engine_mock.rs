@@ -5,8 +5,8 @@
 //! lets property tests drive it with adversarial completion orderings.
 
 use asi_core::{
-    Algorithm, DeviceRoute, Engine, EngineConfig, OutOp, OutRequest, RetryPolicy, TopologyDb,
-    REQUEST_WINDOW,
+    Algorithm, DeviceRoute, Engine, EngineConfig, OutOp, OutRequest, Region, RetryPolicy,
+    TopologyDb, REQUEST_WINDOW,
 };
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
@@ -193,7 +193,8 @@ fn deliver(
 fn start(fabric: &MockFabric, cfg: EngineConfig) -> (Engine, Vec<OutRequest>) {
     let host = &fabric.devices[fabric.host.idx()];
     let mut first = Vec::new();
-    let engine = Engine::start(cfg, host.info, &host.ports, &mut first);
+    let (db, region) = Region::cold(host.info, &host.ports, cfg.pool_capacity);
+    let engine = Engine::reconcile(cfg, db, region, &mut first);
     (engine, first)
 }
 
@@ -619,27 +620,33 @@ fn warm_db(topo: &Topology) -> (asi_core::TopologyDb, u64, u64) {
 }
 
 const SEEDED_AND_VERIFY: &str = "
-seeded Serial Packet: c09a9dacb3bff2c9 req=34 resp=34 to=0 max=16 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
+seeded Serial Packet: 68270ebdca14057d req=34 resp=34 to=0 max=16 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
 verify Serial Packet: 3f5479912e3c5167 req=38 resp=38 to=0 max=23 retry=0 dup=4 ceded=0 aband=0 stale=0 dev=18
-seeded Serial Device: 4333d22ade8d8eb2 req=34 resp=34 to=0 max=16 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
+seeded Serial Device: e72c9a3ccf96704e req=34 resp=34 to=0 max=16 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
 verify Serial Device: 545eb28c4abed98d req=38 resp=38 to=0 max=23 retry=0 dup=4 ceded=0 aband=0 stale=0 dev=18
-seeded Parallel: 83c45b6ddcdab160 req=34 resp=34 to=0 max=18 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
+seeded Parallel: 9cde165d76ca8753 req=34 resp=34 to=0 max=17 retry=0 dup=7 ceded=0 aband=0 stale=0 dev=18
 verify Parallel: 26cee3b3944b8ce1 req=38 resp=38 to=0 max=24 retry=0 dup=4 ceded=0 aband=0 stale=0 dev=18
 ";
 
-/// Partial and warm-start runs: the refresh re-reads never wait, the
-/// probes and what they discover follow the algorithm.
+/// A partial region and a verifying one: the refresh re-reads never
+/// wait, and go out in DSN order whatever order the region lists them
+/// in; the probes and what they discover follow the algorithm.
 #[test]
 fn pinned_schedules_seeded_and_verify() {
     let topo = mesh(3, 3).unwrap().topology;
     let mut actual = String::new();
     for alg in Algorithm::all() {
-        // Two re-reads and one probe that re-discovers the lost corner.
+        // Two re-reads, listed out of DSN order, and one probe that
+        // re-discovers the lost corner.
         let (db, sw12, sw21) = warm_db(&topo);
         let mut fabric = MockFabric::new(&topo);
         let mut first = Vec::new();
-        let mut engine =
-            Engine::seeded(cfg(alg, false), db, &[sw12, sw21], &[(sw12, 0)], &mut first);
+        let region = Region {
+            reread: vec![sw12, sw21],
+            probe_via: vec![(sw12, 0)],
+            ..Region::default()
+        };
+        let mut engine = Engine::reconcile(cfg(alg, false), db, region, &mut first);
         let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
         assert_matches_truth(&engine, &topo);
         actual += &format!("seeded {alg}: {}\n", summary(&engine, &run));
@@ -648,8 +655,12 @@ fn pinned_schedules_seeded_and_verify() {
         // falls back to a re-read of its reporter.
         let (db, sw12, sw21) = warm_db(&topo);
         let mut first = Vec::new();
-        let probes = [(sw12, 0), (sw21, 7)];
-        let mut engine = Engine::verify_with_probes(cfg(alg, false), db, &[], &probes, &mut first);
+        let region = Region {
+            verify: db.devices().map(|d| d.info.dsn).collect(),
+            probe_via: vec![(sw12, 0), (sw21, 7)],
+            ..Region::default()
+        };
+        let mut engine = Engine::reconcile(cfg(alg, false), db, region, &mut first);
         let run = deliver(&mut engine, &mut fabric, first, None, |_, _| false);
         assert_matches_truth(&engine, &topo);
         assert_eq!(engine.verified().len(), topo.node_count() - 3);
@@ -726,7 +737,11 @@ fn a_probe_through_the_host_port_stores_the_cold_routes() {
         assert!(db.remove_device(switch));
         assert_eq!(db.prune_unreachable().len(), topo.node_count() - 2);
         let mut first = Vec::new();
-        let mut seeded = Engine::seeded(cfg(alg, false), db, &[], &[(host, 0)], &mut first);
+        let region = Region {
+            probe_via: vec![(host, 0)],
+            ..Region::default()
+        };
+        let mut seeded = Engine::reconcile(cfg(alg, false), db, region, &mut first);
         deliver(&mut seeded, &mut fabric, first, None, |_, _| false);
         assert_matches_truth(&seeded, &topo);
         assert_eq!(stored_routes(&seeded.db), from_host, "{alg}: seeded");
