@@ -35,17 +35,12 @@ pub struct FabricCounters {
     pub link_flaps: u64,
     /// Churn-plan events that fired (flaps, removals and re-adds).
     pub churn_events: u64,
-    /// Traffic-plan unicast/switch-sourced packets injected.
+    /// Traffic-plan packets injected.
     pub flow_injected: u64,
-    /// Traffic-plan unicast/switch-sourced packets delivered end-to-end.
+    /// Traffic-plan packets delivered end-to-end.
     pub flow_delivered: u64,
     /// Payload bytes delivered end-to-end by traffic-plan flows (goodput).
     pub flow_bytes: u64,
-    /// Traffic-plan multicast packets injected at their source member.
-    pub mcast_injected: u64,
-    /// Traffic-plan multicast deliveries at member endpoints (one per
-    /// reached member, so replication multiplies this).
-    pub mcast_delivered: u64,
     /// Peak management-VC output-queue depth seen on any port.
     pub mgmt_queue_peak: u64,
     /// Peak data-VC output-queue depth seen on any port.

@@ -51,7 +51,7 @@ use crate::churn::ChurnAction;
 use crate::config::FabricConfig;
 use crate::counters::FabricCounters;
 use crate::faults::{FaultKind, LossModel};
-use crate::traffic::{build_flow_packet, FlowClock, FlowKind, FlowSpec};
+use crate::traffic::{build_flow_packet, FlowClock, FlowSpec};
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
     Direction, Packet, Payload, Pi4, Pi4Status, Pi5, PortEvent, PortInfo, PortState,
@@ -62,7 +62,7 @@ use asi_sim::{
     Target, TraceEvent, TraceHandle, PICOSECOND,
 };
 use asi_topo::Topology;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 mod endpoint;
 mod inject;
@@ -459,11 +459,6 @@ impl Fabric {
     /// [`Fabric::traffic_flows`].
     pub fn flow_stats(&self) -> &[FlowStats] {
         &self.traffic.stats
-    }
-
-    /// Plan-driven multicast deliveries per `(group, member device)`.
-    pub fn mcast_deliveries(&self) -> &BTreeMap<(u16, u32), u64> {
-        &self.traffic.mcast_deliveries
     }
 
     /// Conservative-sync window statistics when running on the parallel

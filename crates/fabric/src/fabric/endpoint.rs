@@ -370,8 +370,6 @@ pub(super) struct Traffic {
     lanes: Vec<EventKey>,
     /// Per-flow delivery statistics (parallel to `flows`).
     pub(super) stats: Vec<FlowStats>,
-    /// Plan-driven multicast deliveries per `(group, member device)`.
-    pub(super) mcast_deliveries: BTreeMap<(u16, u32), u64>,
 }
 
 /// Services one PI-4 request against a device's configuration space: the
@@ -404,10 +402,10 @@ fn service_pi4(d: &mut Device, request: &Packet) -> Option<Packet> {
 impl Fabric {
     // ---------------- the traffic plan ----------------
 
-    /// Materializes the traffic plan: group tables written, each flow's
-    /// first arrival on the clock. An inert plan materializes to nothing
-    /// (no RNG seeded, no table written, no event scheduled), so zero-load
-    /// runs replay traffic-free runs byte-for-byte.
+    /// Materializes the traffic plan: each flow's first arrival on the
+    /// clock. An inert plan materializes to nothing (no RNG seeded, no
+    /// event scheduled), so zero-load runs replay traffic-free runs
+    /// byte-for-byte.
     ///
     /// Every arrival of flow `f` is keyed `(at, EXTERNAL_RANK, b + f)`,
     /// `b + f` its lane, which orders the arrivals exactly as one external
@@ -419,10 +417,6 @@ impl Fabric {
     /// for every such key.
     pub(super) fn schedule_traffic(&mut self, topo: &Topology) {
         let schedule = self.config.traffic.materialize(topo, self.config.byte_time);
-        for w in &schedule.writes {
-            let config = &mut self.devices[w.device as usize].config;
-            config.set_mcast_entry(w.group, w.mask);
-        }
         let flows = schedule.flows.len();
         self.traffic.stats = vec![FlowStats::default(); flows];
         self.packets.set_flows(&schedule.flows);
@@ -454,11 +448,10 @@ impl Fabric {
     }
 
     /// A traffic-plan shot fired: draw the flow's next one, then put the
-    /// flow's packet on the source's egress queue — a multicast packet
-    /// whole, any other as a flow body stamped with the injection time for
-    /// latency measurement. Shots at sources that are inactive or whose
-    /// egress link is down are dropped, like any other arrival there, and
-    /// the flow goes on.
+    /// flow's packet on the source's egress queue as a flow body stamped
+    /// with the injection time for latency measurement. Shots at sources
+    /// that are inactive or whose egress link is down are dropped, like
+    /// any other arrival there, and the flow goes on.
     pub(super) fn on_traffic_inject(&mut self, dev: DevId, flow: u32) {
         self.next_arrival(flow);
         let now = self.sim.now();
@@ -469,18 +462,13 @@ impl Fabric {
             return;
         }
         self.counters.injected += 1;
+        self.counters.flow_injected += 1;
         self.trace.emit(now, || TraceEvent::FlowInjected { flow });
-        let packet = if let FlowKind::Mcast { .. } = spec.kind {
-            self.counters.mcast_injected += 1;
-            self.packets.alloc(build_flow_packet(spec))
-        } else {
-            self.counters.flow_injected += 1;
-            self.packets.alloc_flow(FlowBody {
-                sent_ps: now.as_ps(),
-                flow,
-                turn_pointer: spec.pool.len_bits(),
-            })
-        };
+        let packet = self.packets.alloc_flow(FlowBody {
+            sent_ps: now.as_ps(),
+            flow,
+            turn_pointer: spec.pool.len_bits(),
+        });
         let entry = OutEntry {
             ready: now,
             packet,
@@ -492,7 +480,6 @@ impl Fabric {
     // ---------------- delivery ----------------
 
     pub(super) fn on_deliver(&mut self, dev: DevId, port: u8, packet: PacketRef) {
-        let now = self.sim.now();
         if !self.devices[dev.idx()].active {
             self.counters.dropped_inactive += 1;
             self.packets.free(packet);
@@ -500,23 +487,11 @@ impl Fabric {
         }
         // The packet has been copied out of the input buffer: release it.
         self.release_origin_now(dev, port, packet);
-        // Traffic-plan deliveries are consumed by the fabric itself: flow
-        // bodies always, multicast packets when the member endpoint runs
-        // no agent (agent-driven multicast keeps its delivery path).
+        // Flow bodies are the traffic plan's, consumed by the fabric itself.
         let Some(whole) = self.packets.whole(packet) else {
             return self.deliver_flow(packet);
         };
         match whole.payload {
-            Payload::Mcast { group, .. } if self.devices[dev.idx()].agent.is_none() => {
-                self.counters.delivered += 1;
-                self.counters.mcast_delivered += 1;
-                let device = dev.0;
-                let deliveries = &mut self.traffic.mcast_deliveries;
-                *deliveries.entry((group, device)).or_insert(0) += 1;
-                self.trace
-                    .emit(now, || TraceEvent::McastDelivered { group, device });
-                self.packets.free(packet);
-            }
             Payload::Pi4(ref pi4) if pi4.is_request() => {
                 self.counters.delivered += 1;
                 let stage = &mut self.devices[dev.idx()].responder.stage;
@@ -780,12 +755,12 @@ mod tests {
     use asi_sim::{TraceRecord, TraceSink, EXTERNAL_RANK};
     use proptest::prelude::*;
     use std::cell::RefCell;
+    use std::collections::BTreeMap;
     use std::rc::Rc;
 
-    /// A 3x3 mesh under every flow kind — unicast (two flows per
-    /// source), switch-sourced and multicast — in a window that opens at
-    /// 1 ms, long after bring-up, with links that lose packets by `loss`;
-    /// every device activated at 0. Returns the fabric and the plan's
+    /// A 3x3 mesh under unicast (two flows per source) and switch-sourced
+    /// flows in a window that opens at 1 ms, long after bring-up, with
+    /// links that lose packets by `loss`; every device activated at 0. Returns the fabric and the plan's
     /// arrivals expanded eagerly.
     fn loaded_mesh(loss: LossModel) -> (Fabric, Vec<Shot>) {
         let topo = asi_topo::mesh(3, 3).unwrap().topology;
@@ -793,7 +768,6 @@ mod tests {
             .with_unicast(0.3, 256)
             .with_flows(2)
             .with_switch_sourced(0.1)
-            .with_multicast(2, 0.05)
             .with_window(SimDuration::from_ms(1), SimDuration::from_ms(1))
             .with_seed(7);
         let config = FabricConfig {
@@ -848,43 +822,40 @@ mod tests {
     /// what it did when every queued data packet was a whole `Packet`
     /// carrying a copy of its route. The counters and, per flow, the
     /// deliveries, the bytes and an FNV digest of every latency were
-    /// recorded then: loss-free, where management-free data takes the
-    /// queue path and multicast replicates, and under uniform loss, where
-    /// lost packets bounce their credits. Both slabs drain.
+    /// recorded then (and again when the plan's multicast flows went):
+    /// loss-free, where management-free data takes the queue path, and
+    /// under uniform loss, where lost packets bounce their credits. Both
+    /// slabs drain.
     #[test]
     fn flow_bodies_deliver_what_whole_packets_did() {
         let lossless = FabricCounters {
-            injected: 3465,
-            delivered: 3633,
-            forwarded: 9825,
-            credit_stalls: 38,
-            data_bytes: 3_618_840,
+            injected: 3381,
+            delivered: 3381,
+            forwarded: 9117,
+            credit_stalls: 39,
+            data_bytes: 3_399_456,
             flow_injected: 3381,
             flow_delivered: 3381,
             flow_bytes: 865_536,
-            mcast_injected: 84,
-            mcast_delivered: 252,
             data_queue_peak: 13,
             ..FabricCounters::default()
         };
         let lossy = FabricCounters {
-            injected: 3465,
-            delivered: 3383,
-            forwarded: 9453,
-            dropped_corrupted: 243,
-            credit_stalls: 14,
-            data_bytes: 3_517_471,
+            injected: 3381,
+            delivered: 3150,
+            forwarded: 8773,
+            dropped_corrupted: 231,
+            credit_stalls: 10,
+            data_bytes: 3_305_888,
             flow_injected: 3381,
-            flow_delivered: 3152,
-            flow_bytes: 806_912,
-            mcast_injected: 84,
-            mcast_delivered: 231,
+            flow_delivered: 3150,
+            flow_bytes: 806_400,
             data_queue_peak: 12,
             ..FabricCounters::default()
         };
         for (loss, counters, flows) in [
-            (LossModel::None, lossless, 0x9ed4_df60_3f49_a14d),
-            (LossModel::uniform(0.02), lossy, 0x3a5d_d7e9_a5a7_0187),
+            (LossModel::None, lossless, 0xb167_c5cb_3505_c562),
+            (LossModel::uniform(0.02), lossy, 0x9dbc_bad7_c933_ce5e),
         ] {
             let (mut fabric, _) = loaded_mesh(loss);
             fabric.run_until_idle();

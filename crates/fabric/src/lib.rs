@@ -19,8 +19,8 @@
 //!   (Poisson link flaps and device hot-remove/re-add streams);
 //! - [`FabricAgent`]/[`AgentCtx`] — endpoint management software hooks;
 //! - [`TrafficPlan`] — deterministic data-plane workloads (offered-load
-//!   unicast, multicast over the group tables, switch-sourced flows)
-//!   with per-flow goodput and latency instrumentation.
+//!   unicast and switch-sourced flows) with per-flow goodput and latency
+//!   instrumentation.
 
 #![warn(missing_docs)]
 
@@ -38,6 +38,4 @@ pub use config::{FabricConfig, CREDIT_UNIT};
 pub use counters::FabricCounters;
 pub use fabric::{Fabric, FlowStats, FmRoute, DSN_BASE};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, LossModel};
-pub use traffic::{
-    Arrivals, FlowClock, FlowKind, FlowSpec, McastTableWrite, Shot, TrafficPlan, TrafficSchedule,
-};
+pub use traffic::{Arrivals, FlowClock, FlowSpec, Shot, TrafficPlan, TrafficSchedule};

@@ -6,20 +6,20 @@
 //! stress-tests that claim at scale: it describes a whole fabric's data
 //! plane as pure data — endpoint-to-endpoint unicast flows with Poisson
 //! or CBR arrivals at a configurable offered load (a fraction of link
-//! capacity), multicast flows replicated through the switches' per-group
-//! forwarding masks, and optional switch-sourced flows (in-switch
-//! processing, ACiS-style).
+//! capacity), and optional switch-sourced flows (in-switch processing,
+//! ACiS-style). Multicast is not part of a plan: group tables are the
+//! fabric manager's to write, over PI-4 (`asi-core`'s `mcast`).
 //!
 //! Determinism guarantees (the same contract as
 //! [`ChurnPlan`](crate::ChurnPlan) and [`FaultPlan`](crate::FaultPlan)):
 //!
 //! - [`TrafficPlan::materialize`] is a pure function of `(plan,
 //!   topology, byte_time)`: the same plan over the same fabric always
-//!   yields the same flow set, group tables, and arrival clocks — hence
-//!   the same injection schedule, [`TrafficSchedule::shots`].
+//!   yields the same flow set and arrival clocks — hence the same
+//!   injection schedule, [`TrafficSchedule::shots`].
 //! - An inert plan (zero load everywhere — see [`TrafficPlan::is_inert`])
-//!   never touches an RNG, installs nothing, and schedules nothing, so a
-//!   zero-load run is byte-identical to a traffic-free run.
+//!   never touches an RNG and schedules nothing, so a zero-load run is
+//!   byte-identical to a traffic-free run.
 //! - Each flow's arrival process draws from its own forked RNG stream
 //!   (its [`FlowClock`]), so the schedule of one flow never depends on
 //!   another's draws, nor on when the fabric asks for them.
@@ -29,12 +29,9 @@
 //! gap = `wire_size × byte_time / l`), so `l = 1.0` saturates the link
 //! before management traffic is even accounted for.
 
-use asi_proto::{
-    Packet, Payload, ProtocolInterface, RouteHeader, TurnPool, MAX_POOL_BITS, MCAST_GROUPS,
-};
+use asi_proto::{Packet, Payload, ProtocolInterface, RouteHeader, TurnPool, MAX_POOL_BITS};
 use asi_sim::{SimDuration, SimRng};
 use asi_topo::{shortest_route, NodeId, Topology};
-use std::collections::VecDeque;
 
 /// Arrival process of a flow's packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,33 +44,19 @@ pub enum Arrivals {
     Cbr,
 }
 
-/// What kind of traffic a materialized flow carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowKind {
-    /// Endpoint-to-endpoint source-routed data.
-    Unicast,
-    /// Switch-sourced data toward an endpoint (in-switch processing).
-    SwitchSourced,
-    /// Group-addressed data replicated by the switches' multicast masks.
-    Mcast {
-        /// The multicast group the flow feeds.
-        group: u16,
-    },
-}
-
-/// One materialized flow: a fixed source, route, and payload size.
+/// One materialized flow: a fixed source, route, and payload size. An
+/// endpoint-sourced flow and a switch-sourced one (in-switch processing)
+/// put the same PI-8 data packet on the wire.
 #[derive(Clone, Debug)]
 pub struct FlowSpec {
     /// Source device.
     pub src: u32,
     /// Egress port at the source.
     pub egress: u8,
-    /// Turn pool toward the destination (empty for multicast).
+    /// Turn pool toward the destination.
     pub pool: TurnPool,
-    /// Destination device (the root member for multicast flows).
+    /// Destination device.
     pub dst: u32,
-    /// Unicast, switch-sourced, or multicast.
-    pub kind: FlowKind,
     /// Payload bytes per packet.
     pub payload: u16,
 }
@@ -87,18 +70,6 @@ pub struct Shot {
     pub flow: u32,
     /// Sequence number within the flow.
     pub seq: u32,
-}
-
-/// A multicast forwarding-table entry to pre-provision: an output-port
-/// bitmask on a switch, or a membership flag on an endpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct McastTableWrite {
-    /// Device whose table is written.
-    pub device: u32,
-    /// Group index.
-    pub group: u16,
-    /// Mask value (see [`asi_proto::ConfigSpace::mcast_entry`]).
-    pub mask: u32,
 }
 
 /// One flow's arrival process, drawn one arrival at a time: the flow's
@@ -147,14 +118,12 @@ impl FlowClock {
     }
 }
 
-/// A [`TrafficPlan`] expanded over a concrete topology: the flow set,
-/// the multicast tables to install, and each flow's arrival clock.
+/// A [`TrafficPlan`] expanded over a concrete topology: the flow set
+/// and each flow's arrival clock.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficSchedule {
     /// All flows, indexed by [`Shot::flow`].
     pub flows: Vec<FlowSpec>,
-    /// Multicast table entries to install before time zero.
-    pub writes: Vec<McastTableWrite>,
     /// Each flow's arrival clock, parallel to `flows`.
     pub clocks: Vec<FlowClock>,
 }
@@ -195,7 +164,6 @@ fn check_load(name: &str, load: f64) {
 ///
 /// let plan = TrafficPlan::none()
 ///     .with_unicast(0.4, 512)
-///     .with_multicast(2, 0.05)
 ///     .with_window(SimDuration::ZERO, SimDuration::from_ms(2));
 /// assert!(!plan.is_inert());
 /// assert!(TrafficPlan::none().is_inert());
@@ -212,10 +180,6 @@ pub struct TrafficPlan {
     /// Unicast flows sourced by each endpoint (the per-endpoint load is
     /// split evenly across them).
     pub flows_per_source: u32,
-    /// Number of multicast groups to provision and feed.
-    pub mcast_groups: u16,
-    /// Offered load of each multicast group's source flow.
-    pub mcast_load: f64,
     /// Offered load sourced by each switch (in-switch processing).
     pub switch_load: f64,
     /// Offset of the injection window from fabric construction.
@@ -226,7 +190,7 @@ pub struct TrafficPlan {
     /// Seed of the dedicated traffic RNG.
     pub seed: u64,
     /// Devices that never source traffic and are never picked as
-    /// destinations or group members (e.g. the FM's endpoint, so data
+    /// destinations (e.g. the FM's endpoint, so data
     /// never contends on the manager's own ingress pipe).
     pub exempt: Vec<u32>,
 }
@@ -239,8 +203,6 @@ impl TrafficPlan {
             payload: 512,
             arrivals: Arrivals::Poisson,
             flows_per_source: 1,
-            mcast_groups: 0,
-            mcast_load: 0.0,
             switch_load: 0.0,
             start: SimDuration::ZERO,
             duration: SimDuration::ZERO,
@@ -268,19 +230,6 @@ impl TrafficPlan {
     pub fn with_flows(mut self, flows_per_source: u32) -> TrafficPlan {
         assert!(flows_per_source >= 1, "flows_per_source must be at least 1");
         self.flows_per_source = flows_per_source;
-        self
-    }
-
-    /// Provisions `groups` multicast groups, each fed by one member at
-    /// the given offered load.
-    pub fn with_multicast(mut self, groups: u16, load: f64) -> TrafficPlan {
-        check_load("mcast_load", load);
-        assert!(
-            groups <= MCAST_GROUPS,
-            "mcast_groups must be at most {MCAST_GROUPS}, got {groups}"
-        );
-        self.mcast_groups = groups;
-        self.mcast_load = load;
         self
     }
 
@@ -312,19 +261,17 @@ impl TrafficPlan {
     }
 
     /// True when the plan injects nothing: every load zero or an empty
-    /// window. Inert plans are skipped entirely — no RNG is seeded, no
-    /// table is written — which is what makes zero-load runs
-    /// byte-identical to traffic-free runs.
+    /// window. Inert plans are skipped entirely — no RNG is seeded —
+    /// which is what makes zero-load runs byte-identical to traffic-free
+    /// runs.
     pub fn is_inert(&self) -> bool {
-        let loaded = self.load > 0.0
-            || self.switch_load > 0.0
-            || (self.mcast_load > 0.0 && self.mcast_groups > 0);
+        let loaded = self.load > 0.0 || self.switch_load > 0.0;
         !loaded || self.duration.is_zero()
     }
 
-    /// Expands the plan over a topology into flows, multicast table
-    /// writes, and one arrival clock per flow. Pure: depends only on the
-    /// plan, the topology, and the link byte time.
+    /// Expands the plan over a topology into flows and one arrival clock
+    /// per flow. Pure: depends only on the plan, the topology, and the
+    /// link byte time.
     ///
     /// `byte_time` converts offered load into inter-arrival gaps: a flow
     /// at load `l` sends one `wire_size`-byte packet every
@@ -365,7 +312,6 @@ impl TrafficPlan {
                         egress: route.source_port,
                         pool,
                         dst: dst.0,
-                        kind: FlowKind::Unicast,
                         payload: self.payload,
                     });
                 }
@@ -388,7 +334,6 @@ impl TrafficPlan {
                     egress: route.source_port,
                     pool,
                     dst: dst.0,
-                    kind: FlowKind::SwitchSourced,
                     payload: self.payload,
                 });
             }
@@ -402,39 +347,6 @@ impl TrafficPlan {
             );
         }
 
-        // An endpoint a tree cannot reach (see `tree_port`) is not drawn as
-        // a member; with switches of at most 32 ports that is none of them.
-        let mut reachable = endpoints;
-        reachable.retain(|&e| topo.neighbors(e).any(|(p, at)| tree_port(p, at.port)));
-        if self.mcast_groups > 0 && self.mcast_load > 0.0 && reachable.len() >= 2 {
-            let first = schedule.flows.len();
-            for group in 0..self.mcast_groups {
-                let members = pick_members(&reachable, &mut pick_rng);
-                for (device, mask) in group_masks(topo, &members) {
-                    schedule.writes.push(McastTableWrite {
-                        device,
-                        group,
-                        mask,
-                    });
-                }
-                schedule.flows.push(FlowSpec {
-                    src: members[0].0,
-                    egress: 0,
-                    pool: TurnPool::new_spec(),
-                    dst: members[0].0,
-                    kind: FlowKind::Mcast { group },
-                    payload: self.payload,
-                });
-            }
-            let n = schedule.flows.len();
-            self.start_clocks(
-                &mut schedule,
-                &mut rng,
-                first..n,
-                self.mcast_load,
-                byte_time,
-            );
-        }
         schedule
     }
 
@@ -468,96 +380,11 @@ impl TrafficPlan {
 }
 
 /// The packet a shot of the flow puts on the wire: PI-8 data along the
-/// flow's pool for unicast and switch-sourced flows, a group-addressed
-/// `Mcast` packet for multicast flows. The fabric injects a multicast one
-/// as it is; of the others it keeps only a flow body, and their wire and
-/// header sizes from this.
+/// flow's pool. The fabric keeps only a flow body per shot, and the
+/// packet's wire and header sizes from this.
 pub(crate) fn build_flow_packet(spec: &FlowSpec) -> Packet {
     let header = RouteHeader::forward(ProtocolInterface::Data, 0, spec.pool.clone());
-    let len = spec.payload;
-    let payload = match spec.kind {
-        FlowKind::Unicast | FlowKind::SwitchSourced => Payload::Data { len },
-        FlowKind::Mcast { group } => Payload::Mcast {
-            group,
-            len,
-            hops: u8::MAX,
-        },
-    };
-    Packet::new(header, payload)
-}
-
-/// Picks a deterministic member set for one multicast group: the source
-/// plus up to three other endpoints.
-fn pick_members(endpoints: &[NodeId], rng: &mut SimRng) -> Vec<NodeId> {
-    let want = endpoints.len().min(4);
-    let mut members: Vec<NodeId> = Vec::with_capacity(want);
-    while members.len() < want {
-        let pick = endpoints[rng.gen_index(endpoints.len())];
-        if !members.contains(&pick) {
-            members.push(pick);
-        }
-    }
-    members
-}
-
-/// Whether a link between these two ports can be a tree edge: a multicast
-/// table entry is one configuration-space dword, bit `p` for port `p`, so
-/// a port past 31 cannot be named in one (and the switch replicates to
-/// none).
-fn tree_port(a: u8, b: u8) -> bool {
-    u32::from(a.max(b)) < u32::BITS
-}
-
-/// Computes per-device multicast masks realizing a spanning tree over
-/// the group members: the union of each member's shortest path (in the
-/// BFS tree rooted at the first member). Switch entries get an
-/// output-port bitmask covering their tree edges; member endpoints get
-/// the membership flag (bit 0). Because every tree edge is marked on
-/// both switch sides and the replication path skips the ingress port,
-/// a packet sourced by *any* member reaches every other member exactly
-/// once.
-fn group_masks(topo: &Topology, members: &[NodeId]) -> Vec<(u32, u32)> {
-    let n = topo.node_count();
-    // BFS parent tree from the root member, over port adjacency:
-    // parent[v] = (u, port on u toward v, port on v toward u).
-    let root = members[0];
-    let mut parent: Vec<Option<(NodeId, u8, u8)>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[root.idx()] = true;
-    let mut queue = VecDeque::from([root]);
-    while let Some(u) = queue.pop_front() {
-        let ports = topo.node(u).expect("BFS visits known nodes").ports;
-        for p in 0..ports {
-            if let Some(at) = topo.peer(u, p).filter(|at| tree_port(p, at.port)) {
-                if !seen[at.node.idx()] {
-                    seen[at.node.idx()] = true;
-                    parent[at.node.idx()] = Some((u, p, at.port));
-                    queue.push_back(at.node);
-                }
-            }
-        }
-    }
-    let is_switch = |id: NodeId| {
-        topo.node(id).expect("mask for known node").device_type == asi_proto::DeviceType::Switch
-    };
-    let mut masks = vec![0u32; n];
-    for &m in members {
-        masks[m.idx()] |= 1; // membership flag on the endpoint
-        let mut v = m;
-        while let Some((u, port_u, port_v)) = parent[v.idx()] {
-            if is_switch(u) {
-                masks[u.idx()] |= 1 << port_u;
-            }
-            if is_switch(v) {
-                masks[v.idx()] |= 1 << port_v;
-            }
-            v = u;
-        }
-    }
-    (0..n as u32)
-        .filter(|&d| masks[d as usize] != 0)
-        .map(|d| (d, masks[d as usize]))
-        .collect()
+    Packet::new(header, Payload::Data { len: spec.payload })
 }
 
 #[cfg(test)]
@@ -578,13 +405,8 @@ mod tests {
         assert!(windowed.is_inert());
         let loaded = TrafficPlan::none().with_unicast(0.5, 512);
         assert!(loaded.is_inert());
-        // Multicast load without groups is inert as well.
-        let groupless = TrafficPlan::none()
-            .with_multicast(0, 0.5)
-            .with_window(SimDuration::ZERO, SimDuration::from_ms(1));
-        assert!(groupless.is_inert());
         let sched = windowed.materialize(&mesh(), BYTE_TIME);
-        assert!(sched.flows.is_empty() && sched.writes.is_empty() && sched.clocks.is_empty());
+        assert!(sched.flows.is_empty() && sched.clocks.is_empty());
     }
 
     #[test]
@@ -592,7 +414,6 @@ mod tests {
         let plan = TrafficPlan::none()
             .with_unicast(0.4, 512)
             .with_flows(2)
-            .with_multicast(2, 0.05)
             .with_switch_sourced(0.1)
             .with_window(SimDuration::from_us(50), SimDuration::from_us(500))
             .with_seed(42);
@@ -601,10 +422,9 @@ mod tests {
         let shots = a.shots();
         assert_eq!(shots, b.shots());
         assert_eq!(shots, a.shots(), "expanding leaves the clocks as they were");
-        assert_eq!(a.writes, b.writes);
         assert_eq!(a.flows.len(), b.flows.len());
-        // 9 endpoints × 2 unicast flows + 9 switch flows + 2 group flows.
-        assert_eq!(a.flows.len(), 9 * 2 + 9 + 2);
+        // 9 endpoints × 2 unicast flows + 9 switch flows.
+        assert_eq!(a.flows.len(), 9 * 2 + 9);
         assert_eq!(a.clocks.len(), a.flows.len());
         assert!(!shots.is_empty());
         assert!(shots.windows(2).all(|w| w[0].at <= w[1].at));
@@ -630,19 +450,18 @@ mod tests {
     /// The arrival clocks replay, shot for shot, the schedule the plan
     /// expanded into when it was sorted up front: the digests and counts
     /// were recorded from that eager expansion, for unicast (two flows
-    /// per source), switch-sourced and multicast flows in a window that
-    /// does not open at 0, under both arrival processes.
+    /// per source) and switch-sourced flows in a window that does not
+    /// open at 0, under both arrival processes.
     #[test]
     fn clocks_replay_the_eager_schedule() {
         for (arrivals, count, want) in [
-            (Arrivals::Poisson, 1133, 0xd384_7036_d096_b896),
-            (Arrivals::Cbr, 1104, 0xbd1f_aeb7_8029_ca40),
+            (Arrivals::Poisson, 1106, 0x696c_53c3_c5c1_30c4),
+            (Arrivals::Cbr, 1080, 0x6a65_631d_d510_76b0),
         ] {
             let shots = TrafficPlan::none()
                 .with_unicast(0.4, 512)
                 .with_flows(2)
                 .with_arrivals(arrivals)
-                .with_multicast(2, 0.05)
                 .with_switch_sourced(0.1)
                 .with_window(SimDuration::from_us(50), SimDuration::from_us(500))
                 .with_seed(42)
@@ -699,7 +518,6 @@ mod tests {
         let exempt: Vec<u32> = vec![0, 9];
         let plan = TrafficPlan::none()
             .with_unicast(0.5, 512)
-            .with_multicast(4, 0.1)
             .with_switch_sourced(0.2)
             .with_window(SimDuration::ZERO, SimDuration::from_us(200))
             .with_exempt(exempt.clone());
@@ -707,94 +525,6 @@ mod tests {
         for f in &sched.flows {
             assert!(!exempt.contains(&f.src), "exempt device sources a flow");
             assert!(!exempt.contains(&f.dst), "exempt device is a destination");
-        }
-        let topo = mesh();
-        for w in &sched.writes {
-            // Exempt devices may forward multicast (an exempt switch can sit
-            // on the tree, where bit 0 is just the east-port bit) but an
-            // exempt *endpoint* must never hold the membership flag.
-            let is_endpoint = topo.node(asi_topo::NodeId(w.device)).unwrap().device_type
-                == asi_proto::DeviceType::Endpoint;
-            if exempt.contains(&w.device) && is_endpoint {
-                assert_eq!(w.mask & 1, 0, "exempt endpoint is a group member");
-            }
-        }
-    }
-
-    #[test]
-    fn group_masks_form_a_member_spanning_tree() {
-        let topo = mesh();
-        let endpoints: Vec<asi_topo::NodeId> = topo.endpoints();
-        let members = [endpoints[0], endpoints[3], endpoints[7]];
-        let masks = group_masks(&topo, &members);
-        let mask_of = |d: u32| {
-            masks
-                .iter()
-                .find(|(dev, _)| *dev == d)
-                .map(|(_, m)| *m)
-                .unwrap_or(0)
-        };
-        // Every member endpoint carries the membership flag.
-        for m in &members {
-            assert_eq!(mask_of(m.0) & 1, 1);
-        }
-        // Non-member endpoints carry nothing.
-        for e in &endpoints {
-            if !members.contains(e) {
-                assert_eq!(mask_of(e.0), 0);
-            }
-        }
-        // Tree edges are marked symmetrically on switch-switch links.
-        for (dev, mask) in &masks {
-            let node = topo.node(asi_topo::NodeId(*dev)).unwrap();
-            if node.device_type != asi_proto::DeviceType::Switch {
-                continue;
-            }
-            for p in 0..node.ports {
-                if (mask >> p) & 1 == 0 {
-                    continue;
-                }
-                let peer = topo
-                    .peer(asi_topo::NodeId(*dev), p)
-                    .expect("masked port has a peer");
-                let peer_node = topo.node(peer.node).unwrap();
-                if peer_node.device_type == asi_proto::DeviceType::Switch {
-                    assert_eq!(
-                        (mask_of(peer.node.0) >> peer.port) & 1,
-                        1,
-                        "tree edge marked on one switch side only"
-                    );
-                } else {
-                    assert_eq!(
-                        mask_of(peer.node.0) & 1,
-                        1,
-                        "masked port leads to non-member"
-                    );
-                }
-            }
-        }
-    }
-
-    /// `dragonfly:4,20` has 35-port routers with endpoints on ports
-    /// 23..=34: no tree may use a port the one-dword entry cannot name.
-    #[test]
-    fn multicast_trees_avoid_ports_past_31() {
-        let topo = asi_topo::dragonfly(4, 20).unwrap().topology;
-        let sched = TrafficPlan::none()
-            .with_multicast(8, 0.05)
-            .with_window(SimDuration::ZERO, SimDuration::from_us(10))
-            .materialize(&topo, BYTE_TIME);
-        let is_endpoint = |w: &&McastTableWrite| {
-            topo.node(NodeId(w.device)).unwrap().device_type == asi_proto::DeviceType::Endpoint
-        };
-        let members: Vec<_> = sched.writes.iter().filter(is_endpoint).collect();
-        assert_eq!(members.len(), 8 * 4);
-        for w in members {
-            // The member's router names the port the member hangs off.
-            let at = topo.peer(NodeId(w.device), 0).unwrap();
-            let on_router = |s: &&McastTableWrite| s.device == at.node.0 && s.group == w.group;
-            let entry = sched.writes.iter().find(on_router).unwrap();
-            assert!(at.port < 32 && (entry.mask >> at.port) & 1 == 1, "{at:?}");
         }
     }
 }

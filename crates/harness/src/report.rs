@@ -698,7 +698,7 @@ mod tests {
         assert_eq!(s.count("request-injected"), 1);
         assert_eq!(s.count("pi5-emitted"), 1);
         assert_eq!(s.count("no-such-kind"), 0);
-        assert_eq!(s.counts.values().sum::<u64>(), 40);
+        assert_eq!(s.counts.values().sum::<u64>(), 39);
         assert_eq!(s.first, Some(SimTime::ZERO));
         assert_eq!(s.last, Some(SimTime::from_ps(39)));
         assert_eq!(s.max_pending, 3);

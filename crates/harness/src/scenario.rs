@@ -50,8 +50,8 @@ pub struct Scenario {
     pub device_factor: f64,
     /// Partial (affected-region) assimilation instead of full re-runs.
     pub partial_assimilation: bool,
-    /// Data-plane traffic plan (offered-load unicast, multicast over the
-    /// group tables, switch-sourced flows) materialized by the fabric.
+    /// Data-plane traffic plan (offered-load unicast and switch-sourced
+    /// flows) materialized by the fabric.
     /// The inert default injects nothing and leaves traffic-free runs
     /// byte-identical.
     pub traffic: TrafficPlan,

@@ -294,13 +294,6 @@ impl ConfigSpace {
         self.mcast_table.word(usize::from(group))
     }
 
-    /// Directly installs a multicast table entry, bypassing the PI-4
-    /// write path (used by the traffic engine to pre-provision group
-    /// forwarding masks before a run). Out-of-range groups are ignored.
-    pub fn set_mcast_entry(&mut self, group: u16, mask: u32) {
-        let _out_of_range = self.mcast_table.write(MCAST_GROUPS, group, &[mask]);
-    }
-
     /// DSN of the manager currently claiming this device (0 = unclaimed).
     pub fn owner_dsn(&self) -> u64 {
         (u64::from(self.ownership[0]) << 32) | u64::from(self.ownership[1])
@@ -468,19 +461,21 @@ mod tests {
     }
 
     #[test]
-    fn set_mcast_entry_round_trips_and_ignores_out_of_range() {
+    fn mcast_write_round_trips_and_refuses_out_of_range() {
         let mut cfg = Device::new(switch_info());
+        let group = |offset| CapabilityAddr {
+            capability: CAP_MCAST_TABLE,
+            offset,
+        };
         assert_eq!(cfg.mcast_entry(5), 0);
-        cfg.set_mcast_entry(5, 0b1010);
+        cfg.write(group(5), &[0b1010]).unwrap();
         assert_eq!(cfg.mcast_entry(5), 0b1010);
         // Matches what a PI-4 read of the multicast capability sees.
-        let addr = CapabilityAddr {
-            capability: CAP_MCAST_TABLE,
-            offset: 5,
-        };
-        let words = cfg.read(addr, 1).unwrap();
-        assert_eq!(words, vec![0b1010]);
-        cfg.set_mcast_entry(MCAST_GROUPS, 0xFFFF);
+        assert_eq!(cfg.read(group(5), 1).unwrap(), vec![0b1010]);
+        assert_eq!(
+            cfg.write(group(MCAST_GROUPS), &[0xFFFF]),
+            Err(Pi4Status::UnsupportedRequest)
+        );
         assert_eq!(cfg.mcast_entry(MCAST_GROUPS), 0);
     }
 
@@ -698,8 +693,7 @@ mod tests {
         // A lower write afterwards leaves the higher words alone.
         cs.write(table(CAP_ROUTE_TABLE, 2), &[9]).unwrap();
         assert_eq!(cs.read(table(CAP_ROUTE_TABLE, 40), 2).unwrap(), vec![7, 8]);
-        // The last word is writable, and both write paths of the
-        // multicast table agree.
+        // The last word of either table is writable.
         cs.write(table(CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS - 1), &[5])
             .unwrap();
         assert_eq!(
@@ -707,7 +701,8 @@ mod tests {
                 .unwrap(),
             vec![5]
         );
-        cs.set_mcast_entry(MCAST_GROUPS - 1, 3);
+        cs.write(table(CAP_MCAST_TABLE, MCAST_GROUPS - 1), &[3])
+            .unwrap();
         cs.write(table(CAP_MCAST_TABLE, 1), &[6]).unwrap();
         assert_eq!(cs.mcast_entry(MCAST_GROUPS - 1), 3);
         assert_eq!(cs.mcast_entry(1), 6);

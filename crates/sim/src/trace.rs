@@ -446,13 +446,6 @@ trace_events! {
         /// Injection-to-delivery latency in picoseconds.
         latency_ps: u64,
     }
-    /// A traffic-plan multicast packet reached a member endpoint.
-    McastDelivered "mcast-delivered" {
-        /// Multicast group id.
-        group: u16,
-        /// The member device that consumed the packet.
-        device: u32,
-    }
 }
 
 /// A trace event stamped with the simulated time it fired at.

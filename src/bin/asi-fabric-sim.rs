@@ -216,8 +216,6 @@ flags! {
     Flows "--flows" Value TRAFFIC, "<n>" "unicast flows per source endpoint (default 1)";
     Payload "--payload" Value TRAFFIC, "<bytes>" "data payload size (default 512)";
     Arrivals "--arrivals" Value TRAFFIC, "<process>" "poisson (default) or cbr";
-    McastGroups "--mcast-groups" Value TRAFFIC, "<n>" "multicast groups, at most 64 (default 0)";
-    McastLoad "--mcast-load" Value TRAFFIC, "<f>" "each group's offered load (default 0.05)";
     SwitchLoad "--switch-load" Value TRAFFIC, "<f>" "load sourced by each switch (default 0)";
     DurationUs "--duration-us" Value TRAFFIC, "<us>" "injection window length (default 8000)";
     Grid "--grid" Value SWEEP, "<name>"
@@ -1335,17 +1333,10 @@ fn traffic_main(inv: &Invocation) -> Report {
         Some("cbr") => (Arrivals::Cbr, "cbr"),
         Some(other) => fail(format!("unknown arrival process {other:?} (poisson, cbr)")),
     };
-    let mcast_groups: u16 = args.num(F::McastGroups, 0, "an integer");
-    if mcast_groups > 64 {
-        fail(format!(
-            "--mcast-groups must be at most 64, got {mcast_groups}"
-        ));
-    }
-    let mcast_load = args.unit(F::McastLoad, 0.05, "a number");
     let switch_load = args.unit(F::SwitchLoad, 0.0, "a number");
     let start_us: u64 = args.num(F::StartUs, 0, "an integer");
     let duration_us: u64 = args.num(F::DurationUs, 8_000, "an integer");
-    let mut plan = TrafficPlan::none()
+    let plan = TrafficPlan::none()
         .with_unicast(load, payload)
         .with_flows(flows)
         .with_arrivals(arrivals)
@@ -1355,9 +1346,6 @@ fn traffic_main(inv: &Invocation) -> Report {
             SimDuration::from_us(duration_us),
         )
         .with_seed(inv.scenario.seed ^ 0x7AF1C);
-    if mcast_groups > 0 {
-        plan = plan.with_multicast(mcast_groups, mcast_load);
-    }
     // Quiet twin: same scenario, no plan, no trace — the delta is the
     // headline.
     let quiet = inv.scenario.clone().with_trace(TraceHandle::disabled());
@@ -1389,7 +1377,6 @@ fn traffic_main(inv: &Invocation) -> Report {
             .with("flows_per_source", flows)
             .with("payload", payload)
             .with("arrivals", arrivals_name)
-            .with("mcast_groups", mcast_groups)
             .with("duration_us", duration_us)
             .with("full_topology", full_topology)
             .with("devices_found", run.devices_found)
@@ -1404,8 +1391,6 @@ fn traffic_main(inv: &Invocation) -> Report {
             .with("goodput_mbps", summary.goodput_bps / 1e6)
             .with("latency_p50_us", summary.latency_p50_us)
             .with("latency_p99_us", summary.latency_p99_us)
-            .with("mcast_injected", counters.mcast_injected)
-            .with("mcast_delivered", counters.mcast_delivered)
             .with("credit_stalls", counters.credit_stalls)
             .with("mgmt_queue_peak", counters.mgmt_queue_peak)
             .with("data_queue_peak", counters.data_queue_peak),
@@ -1413,8 +1398,7 @@ fn traffic_main(inv: &Invocation) -> Report {
             "traffic {}: discovery {:.3}ms quiet -> {:.3}ms at {:.0}% offered load ({:+.2}%)\n  \
              {} of {} packets delivered ({:.1} Mb/s goodput), \
              latency p50 {:.2}us / p99 {:.2}us\n  \
-             {} multicast deliveries from {} group packets, {} credit stalls, \
-             queue peaks mgmt {} / data {}\n",
+             {} credit stalls, queue peaks mgmt {} / data {}\n",
             topo.name,
             quiet_time * 1e3,
             loaded_time * 1e3,
@@ -1425,8 +1409,6 @@ fn traffic_main(inv: &Invocation) -> Report {
             summary.goodput_bps / 1e6,
             summary.latency_p50_us,
             summary.latency_p99_us,
-            counters.mcast_delivered,
-            counters.mcast_injected,
             counters.credit_stalls,
             counters.mgmt_queue_peak,
             counters.data_queue_peak,

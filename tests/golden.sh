@@ -9,7 +9,7 @@
 # Together the runs cover change assimilation (remove and add), churn +
 # storms (one escalated to a verification pass), warm start (intact,
 # scoped re-discovery around mismatches, cold fallback), election/merge,
-# every injected fault kind, data packets with multicast replication,
+# every injected fault kind, data packets under offered load,
 # claim-partitioned discovery under each of the three algorithms, and
 # every quick sweep grid's report. A PR that declares an output change
 # re-blesses and says why; any other PR must pass `check` untouched.
@@ -69,7 +69,7 @@ stress stress stress --topology mesh:16x16 --fms 3
 run faults --topology mesh:4x4 --algorithm parallel --loss 0.03 \
     --loss-model bursty --corrupt 0.02 --duplicate 0.02 --retries 8 \
     --flap 300:2:1:200 --hang 200:5:400 --slow 100:7:3:500
-run traffic traffic --topology mesh:4x4 --load 0.3 --mcast-groups 2 --mcast-load 0.05
+run traffic traffic --topology mesh:4x4 --load 0.3
 for alg in serial-packet serial-device parallel; do
     stress "fms2_$alg" stress --topology mesh:8x8 --fms 2 --algorithm "$alg"
 done
