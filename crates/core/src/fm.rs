@@ -7,7 +7,7 @@
 //! one submodule per seam of the state machine (`docs/ARCHITECTURE.md`):
 //! `run` (how discovery runs begin — PI-5 assimilation included —
 //! proceed and finish), `ensemble` (election, merge, watch, promotion),
-//! `side` (path distribution and multicast writes).
+//! `side` (path distribution, multicast and PI-5 reporting-route writes).
 
 mod ensemble;
 mod run;
@@ -27,7 +27,7 @@ use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle};
 use asi_state::Snapshot;
 use ensemble::{Role, Watch, TOKEN_KEEPALIVE_CHECK, TOKEN_START_STANDBY};
 use run::RunAcc;
-use side::SideWrites;
+use side::{Reporting, SideWrites};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 
@@ -45,6 +45,11 @@ pub const TOKEN_CONFIGURE_MCAST: u64 = (1 << 62) + 3;
 /// [`TOKEN_START_DISCOVERY`].
 pub const TOKEN_START_ELECTION: u64 = (1 << 62) + 4;
 const TOKEN_ELECTION_DECIDE: u64 = (1 << 62) + 5;
+/// Timer token that configures PI-5 reporting: the manager writes every
+/// device's reporting route over PI-4 (now, or when the run in flight
+/// finishes), and from then on, after every run, the routes that
+/// changed. Re-arming it writes only what changed.
+pub const TOKEN_CONFIGURE_PI5: u64 = (1 << 62) + 6;
 /// Request-timeout tokens: this flag, the sending engine's launch epoch
 /// in bits 32.. (zero for side writes), the request id in the low 32.
 const TIMEOUT_FLAG: u64 = 1 << 63;
@@ -215,7 +220,8 @@ impl FmConfig {
 
 /// The fabric manager. `cfg` is input; what the manager learns or decides
 /// at run time is state: the run phase (`engine` + `acc`), the ensemble
-/// `role` and its `watch`, and the in-flight `side` writes.
+/// `role` and its `watch`, the in-flight `side` writes and the
+/// `reporting` routes written.
 pub struct FmAgent {
     cfg: FmConfig,
     engine: Option<Engine>,
@@ -239,6 +245,8 @@ pub struct FmAgent {
     /// Merge-side state (primary of a distributed discovery).
     pub merge: MergeState,
     side: SideWrites,
+    /// `None` until [`TOKEN_CONFIGURE_PI5`] arms it.
+    reporting: Option<Box<Reporting>>,
     /// Completed path-distribution phases.
     pub distributions: Vec<DistributionRun>,
     /// Rival manager DSNs observed via ownership claims across all runs.
@@ -282,6 +290,7 @@ impl FmAgent {
             watch: None,
             merge: MergeState::default(),
             side: SideWrites::default(),
+            reporting: None,
             distributions: Vec::new(),
             rivals: BTreeSet::new(),
             mcast_queue: Vec::new(),
@@ -427,6 +436,7 @@ impl FabricAgent for FmAgent {
             TOKEN_START_STANDBY => self.send_keepalive(ctx),
             TOKEN_KEEPALIVE_CHECK => self.on_keepalive_check(ctx),
             TOKEN_CONFIGURE_MCAST => self.flush_mcast(ctx),
+            TOKEN_CONFIGURE_PI5 => self.configure_pi5(ctx),
             TOKEN_START_ELECTION => self.start_election(ctx),
             TOKEN_ELECTION_DECIDE => self.decide_election(ctx),
             _ if token & TIMEOUT_FLAG != 0 => {
@@ -685,6 +695,30 @@ mod tests {
         assert_eq!(reads(&c.take_commands(), true), 2);
     }
 
+    /// A storm also probes through every active port the database holds
+    /// no link for, reported or not: there a device was forgotten after
+    /// a lost request, or a port-up report was lost.
+    #[test]
+    fn pi5_storm_probes_an_active_port_without_a_link() {
+        let (mut fm, kinds) = storming();
+        let mut c = ctx();
+        fm.db = Some(seeded_db());
+        // Switch 7 reports its idle port 3; its port 1 is active, with
+        // no link and no report.
+        fm.on_pi5(
+            &mut c,
+            Pi5 {
+                reporter_dsn: 7,
+                port: 3,
+                event: PortEvent::PortDown,
+                sequence: 1,
+            },
+        );
+        assert_storm(&fm, &kinds, 2);
+        // One verify read for switch 7 and one probe through its port 1.
+        assert_eq!(reads(&c.take_commands(), true), 2);
+    }
+
     #[test]
     fn pi5_storm_rereads_a_live_neighbour_of_a_forgotten_device() {
         let (mut fm, kinds) = storming();
@@ -706,10 +740,11 @@ mod tests {
             },
         );
         assert_storm(&fm, &kinds, 3);
-        // One verify read each for switches 7 and 8, and the reporter's
-        // port blocks re-read: only they show what its ports now carry.
+        // One verify read each for switches 7 and 8, one probe through
+        // 7's unlinked port 1, and the reporter's port blocks re-read:
+        // only they show what its ports now carry.
         let commands = c.take_commands();
-        assert_eq!(reads(&commands, true), 2);
+        assert_eq!(reads(&commands, true), 3);
         let blocks = asi_proto::config::port_info_reads(4).count();
         assert_eq!(
             reads(&commands, false),
@@ -864,6 +899,205 @@ mod tests {
         });
         assert_eq!(cancelled.collect::<Vec<_>>(), armed);
         assert_eq!(fm.mcast_configured, [1]);
+    }
+
+    /// The reporting-route writes `commands` send, `(req_id, addr,
+    /// words)`, and the timeout token each armed.
+    fn route_writes(
+        commands: Vec<asi_fabric::AgentCommand>,
+    ) -> Vec<(u32, asi_proto::CapabilityAddr, Vec<u32>)> {
+        let mut writes = Vec::new();
+        for cmd in commands {
+            if let asi_fabric::AgentCommand::Send { packet, .. } = cmd {
+                if let Payload::Pi4(Pi4::WriteRequest { req_id, addr, data }) = packet.payload {
+                    assert_eq!(addr.capability, asi_proto::CAP_EVENT_ROUTE);
+                    writes.push((req_id, addr, data));
+                }
+            }
+        }
+        writes
+    }
+
+    /// The egress port a reporting-route write's header names.
+    fn egress(data: &[u32]) -> u8 {
+        asi_proto::config::event_route_from_words(data).unwrap().0
+    }
+
+    /// Host 0, switch 7 and endpoint 9 behind 7's port 3: the database
+    /// the reporting-route tests configure.
+    fn reporting_db() -> TopologyDb {
+        let mut db = seeded_db();
+        insert(&mut db, 9, DeviceType::Endpoint, 1, 0, 2);
+        db.add_link((7, 3), (9, 0));
+        db
+    }
+
+    /// Acknowledges, or with `ok` false times out, every write in `writes`.
+    fn drain(
+        fm: &mut FmAgent,
+        c: &mut AgentCtx,
+        writes: &[(u32, asi_proto::CapabilityAddr, Vec<u32>)],
+        ok: bool,
+    ) {
+        for (req_id, ..) in writes {
+            match ok {
+                true => assert!(fm.side_complete(c, *req_id, true)),
+                false => fm.on_timer(c, timeout_token(0, *req_id)),
+            }
+        }
+    }
+
+    /// Armed, the manager writes every device's route; re-armed, only
+    /// the one whose write timed out; then nothing. A run whose
+    /// database lost the devices forgets their routes, so they are
+    /// written afresh when they return.
+    #[test]
+    fn reporting_routes_are_written_once_and_retried_after_a_failure() {
+        let db = reporting_db();
+        let mut fm = FmAgent::new(FmConfig::new(Algorithm::Parallel));
+        fm.db = Some(db.clone());
+        let mut c = ctx();
+        assert!(fm.pi5_routes_settled() && fm.pi5_routes_configured_at().is_none());
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let writes = route_writes(c.take_commands());
+        // Switch 7 reports out of its port 2, to the host; endpoint 9
+        // out of its only port, through 7.
+        let mut egresses: Vec<u8> = writes.iter().map(|(.., data)| egress(data)).collect();
+        egresses.sort();
+        assert_eq!(egresses, [0, 2]);
+        assert!(!fm.pi5_routes_settled());
+        // 7 acknowledges; 9's write is lost and times out, and the
+        // paper's retry policy allows no second attempt.
+        let (to_7, to_9): (Vec<_>, Vec<_>) = writes.into_iter().partition(|w| egress(&w.2) == 2);
+        drain(&mut fm, &mut c, &to_7, true);
+        drain(&mut fm, &mut c, &to_9, false);
+        assert!(route_writes(c.take_commands()).is_empty());
+        assert!(fm.pi5_routes_settled());
+        assert_eq!(fm.pi5_routes_configured_at(), Some(c.now));
+        assert_eq!(fm.pi5_route_failures(), 1);
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let retry = route_writes(c.take_commands());
+        assert_eq!(retry.len(), 1);
+        assert_eq!(egress(&retry[0].2), 0, "only endpoint 9 again");
+        drain(&mut fm, &mut c, &retry, true);
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        assert!(route_writes(c.take_commands()).is_empty());
+        // A (trivial) run finds only the host: nothing to write, and the
+        // routes of 7 and 9 are forgotten.
+        fm.on_timer(&mut c, TOKEN_START_DISCOVERY);
+        assert!(route_writes(c.take_commands()).is_empty());
+        fm.db = Some(db);
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        assert_eq!(route_writes(c.take_commands()).len(), 2);
+    }
+
+    /// Under a retry policy a lost write goes again, with the policy's
+    /// timeout, until the budget is spent; then it counts as failed.
+    #[test]
+    fn a_lost_reporting_write_is_retried_under_the_retry_policy() {
+        let cfg = FmConfig::new(Algorithm::Parallel).with_retry(RetryPolicy::fixed(2));
+        let mut fm = FmAgent::new(cfg);
+        fm.db = Some(reporting_db());
+        let mut c = ctx();
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let writes = route_writes(c.take_commands());
+        let (to_7, mut to_9): (Vec<_>, Vec<_>) =
+            writes.into_iter().partition(|w| egress(&w.2) == 2);
+        drain(&mut fm, &mut c, &to_7, true);
+        for _ in 0..2 {
+            drain(&mut fm, &mut c, &to_9, false);
+            let again = route_writes(c.take_commands());
+            assert_eq!(again.len(), 1);
+            assert_eq!(again[0].2, to_9[0].2, "the same route");
+            assert!(!fm.pi5_routes_settled());
+            to_9 = again;
+        }
+        drain(&mut fm, &mut c, &to_9, false);
+        assert!(route_writes(c.take_commands()).is_empty());
+        assert!(fm.pi5_routes_settled());
+        assert_eq!(fm.pi5_route_failures(), 1);
+    }
+
+    /// Two walks back to back, the second over a database in which
+    /// endpoint 9 moved to switch 7's port 0, before any write is
+    /// acknowledged: 7's unchanged one-write route goes again beside
+    /// the first copy, but 9's new route waits for its old one to drain
+    /// and only then goes, so the two can never land out of order.
+    #[test]
+    fn a_changed_route_waits_for_the_write_in_flight() {
+        let mut fm = FmAgent::new(FmConfig::new(Algorithm::Parallel));
+        let mut db = reporting_db();
+        fm.db = Some(db.clone());
+        let mut c = ctx();
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let first = route_writes(c.take_commands());
+        assert_eq!(first.len(), 2);
+        db.remove_link((7, 3), (9, 0));
+        db.add_link((7, 0), (9, 0));
+        fm.db = Some(db);
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let second = route_writes(c.take_commands());
+        assert_eq!(second.len(), 1);
+        assert_eq!(egress(&second[0].2), 2, "switch 7's route again");
+        let (to_7, to_9): (Vec<_>, Vec<_>) = first.into_iter().partition(|w| egress(&w.2) == 2);
+        drain(&mut fm, &mut c, &to_7, true);
+        drain(&mut fm, &mut c, &second, true);
+        assert!(route_writes(c.take_commands()).is_empty());
+        assert!(!fm.pi5_routes_settled());
+        drain(&mut fm, &mut c, &to_9, true);
+        let third = route_writes(c.take_commands());
+        assert_eq!(third.len(), 1);
+        assert_eq!(egress(&third[0].2), 0);
+        assert_ne!(third[0].2, to_9[0].2, "9's new route");
+        drain(&mut fm, &mut c, &third, true);
+        assert!(fm.pi5_routes_settled());
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        assert!(route_writes(c.take_commands()).is_empty());
+        assert_eq!(fm.pi5_route_failures(), 0);
+    }
+
+    /// A route too long for one write goes as its pool words first and
+    /// its header only once they are acknowledged: the device never
+    /// holds a valid mix of two routes.
+    #[test]
+    fn a_long_reporting_route_sends_its_header_last() {
+        // The host, then a chain of 60 sixteen-port switches: the far
+        // end's route to the host turns at 59 switches, 236 bits.
+        let mut db = TopologyDb::new(0);
+        insert(&mut db, 0, DeviceType::Endpoint, 1, 0, 0);
+        for dsn in 1..=60 {
+            insert(&mut db, dsn, DeviceType::Switch, 16, 0, dsn as u16 - 1);
+            db.add_link((dsn - 1, u8::from(dsn > 1)), (dsn, 0));
+        }
+        let mut fm = FmAgent::new(FmConfig::new(Algorithm::Parallel));
+        fm.db = Some(db);
+        let mut c = ctx();
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let first = route_writes(c.take_commands());
+        // Switches 58-60 turn at 57-59 switches, over 224 bits: their
+        // pool tails go first, the other 57 routes in one write each.
+        let (tails, whole): (Vec<_>, Vec<_>) = first.iter().partition(|(_, a, _)| a.offset > 0);
+        assert_eq!((tails.len(), whole.len()), (3, 57));
+        assert!(tails.iter().all(|(_, a, d)| a.offset == 8 && d.len() == 1));
+        for (req_id, ..) in &whole {
+            assert!(fm.side_complete(&mut c, *req_id, true));
+        }
+        assert!(route_writes(c.take_commands()).is_empty());
+        for (req_id, ..) in &tails {
+            assert!(fm.side_complete(&mut c, *req_id, true));
+        }
+        let headers = route_writes(c.take_commands());
+        assert_eq!(headers.len(), 3);
+        assert!(headers
+            .iter()
+            .all(|(_, a, d)| a.offset == 0 && d.len() == 8));
+        assert!(!fm.pi5_routes_settled());
+        for (req_id, ..) in &headers {
+            assert!(fm.side_complete(&mut c, *req_id, true));
+        }
+        assert!(fm.pi5_routes_settled());
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        assert!(route_writes(c.take_commands()).is_empty());
     }
 
     /// One event of a role walk: a timer, or [`RIVAL`]'s claim at a priority.

@@ -258,6 +258,19 @@ impl FmAgent {
                     threshold,
                 });
             region.verify = db.devices().map(|d| d.info.dsn).collect();
+            // A device forgotten after a lost request leaves the port it
+            // was found through active with no link, and no report names
+            // that port: probe through every such port as well.
+            for d in db.devices() {
+                let dsn = d.info.dsn;
+                for (port, info) in (0..).zip(&d.ports) {
+                    let active = info.is_some_and(|i| i.state.is_active());
+                    if active && db.neighbor(dsn, port).is_none() && !net.contains_key(&(dsn, port))
+                    {
+                        region.probe_via.push((dsn, port));
+                    }
+                }
+            }
         }
         self.launch(ctx, db, region, Some(DiscoveryTrigger::Partial), None);
     }
@@ -430,8 +443,12 @@ impl FmAgent {
         }
         self.share_database(ctx);
         if std::mem::take(&mut self.restart_pending) {
+            // The next run's database supersedes this one's routes.
             self.assimilate(ctx);
-        } else if self.cfg.distribute_paths {
+            return;
+        }
+        self.write_pi5_routes(ctx);
+        if self.cfg.distribute_paths {
             self.begin_distribution(ctx);
         }
     }

@@ -42,8 +42,8 @@ pub use distributed::{
 pub use election::{elect, Ballot, Claim, ElectionResult};
 pub use engine::{Engine, EngineConfig, EngineStats, OutOp, OutRequest, Region, REQUEST_WINDOW};
 pub use fm::{
-    DiscoveryMode, FmAgent, FmConfig, TOKEN_CONFIGURE_MCAST, TOKEN_START_DISCOVERY,
-    TOKEN_START_ELECTION,
+    DiscoveryMode, FmAgent, FmConfig, TOKEN_CONFIGURE_MCAST, TOKEN_CONFIGURE_PI5,
+    TOKEN_START_DISCOVERY, TOKEN_START_ELECTION,
 };
 pub use mcast::{plan_multicast, McastError, McastWrite};
 pub use metrics::{Algorithm, DiscoveryRun, DiscoveryTrigger, DistributionRun};

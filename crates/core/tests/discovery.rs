@@ -2,15 +2,11 @@
 //! paper's three algorithms over simulated fabrics and must reconstruct
 //! the exact ground-truth topology.
 
-use asi_core::{Algorithm, FmAgent, FmConfig, TOKEN_START_DISCOVERY};
-use asi_fabric::{DevId, Fabric, FabricConfig, FmRoute, DSN_BASE};
+use asi_core::{Algorithm, FmAgent, FmConfig, TOKEN_CONFIGURE_PI5, TOKEN_START_DISCOVERY};
+use asi_fabric::{DevId, Fabric, FabricConfig, DSN_BASE};
 use asi_sim::SimDuration;
 use asi_topo::{mesh, torus, Table1, Topology};
 use std::collections::BTreeSet;
-
-fn dev_of_dsn(dsn: u64) -> DevId {
-    DevId((dsn & 0xFFFF_FFFF) as u32)
-}
 
 /// Brings up a fabric with an FM on the first endpoint and runs the
 /// initial discovery to completion.
@@ -170,28 +166,9 @@ fn rediscovery_after_switch_removal() {
     let topo = &g.topology;
     let (mut fabric, fm) = discover(topo, Algorithm::Parallel);
 
-    // Configure PI-5 routes from the FM's own database.
-    let routes: Vec<(u64, asi_core::DeviceRoute)> = {
-        let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
-        let db = agent.db().unwrap();
-        db.devices()
-            .filter(|d| d.info.dsn != db.host_dsn())
-            .filter_map(|d| {
-                db.route_between(d.info.dsn, db.host_dsn(), asi_proto::MAX_POOL_BITS)
-                    .and_then(Result::ok)
-                    .map(|r| (d.info.dsn, r))
-            })
-            .collect()
-    };
-    for (dsn, r) in routes {
-        fabric.set_fm_route(
-            dev_of_dsn(dsn),
-            FmRoute {
-                egress: r.egress,
-                pool: r.pool,
-            },
-        );
-    }
+    // The FM writes every device's PI-5 reporting route.
+    fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_CONFIGURE_PI5);
+    fabric.run_until_idle();
 
     // Remove a non-articulation switch (centre of the mesh).
     let victim = DevId(g.switch_at(1, 1).0);
@@ -247,28 +224,9 @@ fn rediscovery_after_switch_addition() {
         assert_eq!(agent.db().unwrap().device_count(), 16);
     }
 
-    // Configure PI-5 routes, then hot-add the missing switch.
-    let routes: Vec<(u64, asi_core::DeviceRoute)> = {
-        let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
-        let db = agent.db().unwrap();
-        db.devices()
-            .filter(|d| d.info.dsn != db.host_dsn())
-            .filter_map(|d| {
-                db.route_between(d.info.dsn, db.host_dsn(), asi_proto::MAX_POOL_BITS)
-                    .and_then(Result::ok)
-                    .map(|r| (d.info.dsn, r))
-            })
-            .collect()
-    };
-    for (dsn, r) in routes {
-        fabric.set_fm_route(
-            dev_of_dsn(dsn),
-            FmRoute {
-                egress: r.egress,
-                pool: r.pool,
-            },
-        );
-    }
+    // Configure PI-5 reporting, then hot-add the missing switch.
+    fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_CONFIGURE_PI5);
+    fabric.run_until_idle();
     fabric.schedule_activate(newcomer, SimDuration::from_us(50));
     fabric.run_until_idle();
 
@@ -327,27 +285,8 @@ fn partial_assimilation_is_cheaper_than_full() {
         fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_START_DISCOVERY);
         fabric.run_until_idle();
 
-        let routes: Vec<(u64, asi_core::DeviceRoute)> = {
-            let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
-            let db = agent.db().unwrap();
-            db.devices()
-                .filter(|d| d.info.dsn != db.host_dsn())
-                .filter_map(|d| {
-                    db.route_between(d.info.dsn, db.host_dsn(), asi_proto::MAX_POOL_BITS)
-                        .and_then(Result::ok)
-                        .map(|r| (d.info.dsn, r))
-                })
-                .collect()
-        };
-        for (dsn, r) in routes {
-            fabric.set_fm_route(
-                dev_of_dsn(dsn),
-                FmRoute {
-                    egress: r.egress,
-                    pool: r.pool,
-                },
-            );
-        }
+        fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_CONFIGURE_PI5);
+        fabric.run_until_idle();
         let victim = DevId(g.switch_at(2, 2).0);
         fabric.schedule_deactivate(victim, SimDuration::from_us(50));
         fabric.run_until_idle();

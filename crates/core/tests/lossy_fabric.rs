@@ -4,7 +4,9 @@
 //! topology is still found — robustness the paper's loss-free OPNET
 //! links never exercised.
 
-use asi_core::{Algorithm, FmAgent, FmConfig, RetryPolicy, TOKEN_START_DISCOVERY};
+use asi_core::{
+    Algorithm, FmAgent, FmConfig, RetryPolicy, TOKEN_CONFIGURE_PI5, TOKEN_START_DISCOVERY,
+};
 use asi_fabric::{DevId, Fabric, FabricConfig, FaultPlan, LossModel};
 use asi_sim::{SimDuration, TraceEvent, TraceHandle, TraceRecord, TraceSink};
 use asi_topo::mesh;
@@ -236,29 +238,11 @@ fn scheduled_link_flap_is_assimilated() {
     fabric.set_agent(fm, Box::new(FmAgent::new(cfg)));
     fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_START_DISCOVERY);
     // Let the initial discovery finish (well before the 40 ms flap),
-    // then install PI-5 reporting routes from the FM's own database.
+    // then have the FM write every device's PI-5 reporting route.
     fabric.run_until(asi_sim::SimTime::from_ms(30));
-    let routes: Vec<(u64, asi_core::DeviceRoute)> = {
-        let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
-        let db = agent.db().expect("initial discovery finished");
-        db.devices()
-            .filter(|d| d.info.dsn != db.host_dsn())
-            .filter_map(|d| {
-                db.route_between(d.info.dsn, db.host_dsn(), asi_proto::MAX_POOL_BITS)
-                    .and_then(Result::ok)
-                    .map(|r| (d.info.dsn, r))
-            })
-            .collect()
-    };
-    for (dsn, r) in routes {
-        fabric.set_fm_route(
-            DevId((dsn & 0xFFFF_FFFF) as u32),
-            asi_fabric::FmRoute {
-                egress: r.egress,
-                pool: r.pool,
-            },
-        );
-    }
+    let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
+    assert!(agent.db().is_some(), "initial discovery finished");
+    fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_CONFIGURE_PI5);
     fabric.run_until_idle();
     assert!(fabric.counters().link_flaps > 0, "flap never fired");
     let agent = fabric.agent_as::<FmAgent>(fm).unwrap();

@@ -5,9 +5,10 @@
 //! threshold — when the fabric changed behind its back.
 
 use asi_core::{
-    snapshot_db, Algorithm, DiscoveryTrigger, FmAgent, FmConfig, RetryPolicy, TOKEN_START_DISCOVERY,
+    snapshot_db, Algorithm, DiscoveryTrigger, FmAgent, FmConfig, RetryPolicy, TOKEN_CONFIGURE_PI5,
+    TOKEN_START_DISCOVERY,
 };
-use asi_fabric::{DevId, Fabric, FabricConfig, FaultPlan, FmRoute, LossModel, DSN_BASE};
+use asi_fabric::{DevId, Fabric, FabricConfig, FaultPlan, LossModel, DSN_BASE};
 use asi_sim::SimDuration;
 use asi_state::Snapshot;
 use asi_topo::{mesh, Table1, Topology};
@@ -301,29 +302,13 @@ fn warm_start_then_partial_assimilation_of_a_change() {
     fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_START_DISCOVERY);
     fabric.run_until_idle();
 
-    // Install PI-5 reporting routes from the warm-started database.
-    let routes: Vec<(u64, asi_core::DeviceRoute)> = {
-        let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
-        let db = agent.db().expect("warm run finished");
-        assert_eq!(db.device_count(), 18, "warm start incomplete");
-        db.devices()
-            .filter(|d| d.info.dsn != db.host_dsn())
-            .filter_map(|d| {
-                db.route_between(d.info.dsn, db.host_dsn(), asi_proto::MAX_POOL_BITS)
-                    .and_then(Result::ok)
-                    .map(|r| (d.info.dsn, r))
-            })
-            .collect()
-    };
-    for (dsn, r) in routes {
-        fabric.set_fm_route(
-            DevId((dsn & 0xFFFF_FFFF) as u32),
-            FmRoute {
-                egress: r.egress,
-                pool: r.pool,
-            },
-        );
-    }
+    // The FM writes the PI-5 reporting routes of its warm-started
+    // database.
+    let agent = fabric.agent_as::<FmAgent>(fm).unwrap();
+    let db = agent.db().expect("warm run finished");
+    assert_eq!(db.device_count(), 18, "warm start incomplete");
+    fabric.schedule_agent_timer(fm, SimDuration::ZERO, TOKEN_CONFIGURE_PI5);
+    fabric.run_until_idle();
     let victim = DevId(g.switch_at(1, 1).0);
     fabric.schedule_deactivate(victim, SimDuration::from_us(50));
     fabric.run_until_idle();

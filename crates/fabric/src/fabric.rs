@@ -74,15 +74,6 @@ use endpoint::{AgentSlot, Fifos, Held, Responder, Stage, Traffic};
 use packets::{FlowBody, PacketRef, Packets};
 use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, NIL};
 
-/// The route a device uses to report PI-5 events to the FM.
-#[derive(Clone, Debug)]
-pub struct FmRoute {
-    /// Egress port at the reporting device.
-    pub egress: u8,
-    /// Turns for the switches along the way.
-    pub pool: TurnPool,
-}
-
 /// One device. `repr(C)`: the declaration order is the memory order, and
 /// what a switch hop reads of the two devices it touches — whether the
 /// device is up, its port array, its type and port count, its ledger —
@@ -93,9 +84,9 @@ pub struct FmRoute {
 /// so a device holds only what nothing else holds, and what few devices
 /// use is a word each, out of line: the agent (on the endpoints that
 /// host one), the responder's hang and slow faults (from the first such
-/// fault), the PI-5 route (from its install at the end of a discovery)
-/// and the configuration space's writable tables (from their first
-/// write). The configuration space stores no copy of the baseline
+/// fault) and the configuration space's writable registers (from their
+/// first write; the PI-5 reporting route is one of them, written by the
+/// FM after discovery). The configuration space stores no copy of the baseline
 /// capability: a read encodes `info` and the ports as they are
 /// ([`Device::read_config`]). A serial stage is a handle and an instant;
 /// its FIFO is on loan from [`Fabric::fifos`] only while it holds
@@ -121,7 +112,6 @@ struct Device {
     /// finally pace even the Parallel discovery (paper Fig. 8b).
     ingress: Stage,
     agent: Option<Box<AgentSlot>>,
-    fm_route: Option<Box<FmRoute>>,
 }
 
 /// Each device's random stream for loss, corruption and duplication
@@ -342,7 +332,6 @@ impl Fabric {
                 responder: Responder::default(),
                 ingress: Stage::default(),
                 agent: None,
-                fm_route: None,
             });
         }
         // The conservative lookahead is the link propagation delay: no
@@ -601,12 +590,6 @@ impl Fabric {
         slot.map_or(0, |slot| slot.timers.len())
     }
 
-    /// Configures the PI-5 reporting route of a device. The route is
-    /// boxed here, so a device without one pays a word for it.
-    pub fn set_fm_route(&mut self, dev: DevId, route: FmRoute) {
-        self.devices[dev.idx()].fm_route = Some(Box::new(route));
-    }
-
     /// Schedules a device power-up.
     pub fn schedule_activate(&mut self, dev: DevId, after: SimDuration) {
         self.sched_control_from_outside(after, Event::Activate { dev });
@@ -720,7 +703,7 @@ mod tests {
         assert!(offset_of!(Device, active) < 64);
         // The whole record: what few devices use is a word each, and a
         // serial stage is a FIFO handle and an instant.
-        assert!(size_of::<Device>() <= 144, "{}", size_of::<Device>());
+        assert!(size_of::<Device>() <= 136, "{}", size_of::<Device>());
         assert!(size_of::<Stage>() <= 16, "{}", size_of::<Stage>());
         // `Event` and `OutEntry` move by value through the wheel's slab
         // nodes and the queues: three words each.

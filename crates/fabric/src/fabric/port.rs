@@ -955,20 +955,21 @@ impl Fabric {
     }
 
     /// Fires the local agent's port-event hook and emits PI-5 toward the
-    /// FM if a reporting route is configured.
+    /// FM if the device's reporting-route register holds a valid route
+    /// (the FM writes it over PI-4 after discovery).
     fn notify_port_change(&mut self, dev: DevId, port: u8, event: PortEvent) {
         // Local agent callback (e.g. the FM watching its own link).
         self.with_agent(dev, |agent, ctx| agent.on_port_event(ctx, port, event));
         let now = self.sim.now();
         let d = &mut self.devices[dev.idx()];
-        let Some(route) = d.fm_route.as_deref().cloned() else {
+        let Some((egress, pool)) = d.config.event_route() else {
             return;
         };
         // Sequences are modular (RFC-1982 comparison at the FM), so a
         // long-lived reporter wraps rather than overflowing.
         d.pi5_seq = d.pi5_seq.wrapping_add(1);
         // Don't report through the port that just died.
-        if route.egress == port && event == PortEvent::PortDown {
+        if egress == port && event == PortEvent::PortDown {
             return;
         }
         let report = Pi5 {
@@ -977,8 +978,7 @@ impl Fabric {
             event,
             sequence: d.pi5_seq,
         };
-        let header =
-            RouteHeader::forward(ProtocolInterface::EventReporting, MANAGEMENT_TC, route.pool);
+        let header = RouteHeader::forward(ProtocolInterface::EventReporting, MANAGEMENT_TC, pool);
         self.counters.pi5_emitted += 1;
         self.counters.injected += 1;
         self.trace.emit(now, || TraceEvent::Pi5Emitted {
@@ -987,7 +987,7 @@ impl Fabric {
             up: event == PortEvent::PortUp,
         });
         let packet = Packet::new(header, Payload::Pi5(report));
-        self.inject(dev, route.egress, now, packet);
+        self.inject(dev, egress, now, packet);
     }
 }
 

@@ -36,6 +36,6 @@ pub use agent::{AgentCommand, AgentCtx, DevId, FabricAgent};
 pub use churn::{ChurnAction, ChurnEvent, ChurnPlan};
 pub use config::{FabricConfig, CREDIT_UNIT};
 pub use counters::FabricCounters;
-pub use fabric::{Fabric, FlowStats, FmRoute, DSN_BASE};
+pub use fabric::{Fabric, FlowStats, DSN_BASE};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, LossModel};
 pub use traffic::{Arrivals, FlowClock, FlowSpec, Shot, TrafficPlan, TrafficSchedule};

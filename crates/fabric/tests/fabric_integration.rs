@@ -1,9 +1,8 @@
 //! End-to-end fabric tests: packets crossing real multi-hop topologies,
 //! device PI-4 responders, PI-5 change notification, drops and credits.
 
-use asi_fabric::{
-    AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, FmRoute, TrafficPlan, DSN_BASE,
-};
+use asi_fabric::{AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, TrafficPlan, DSN_BASE};
+use asi_proto::config::event_route_writes;
 use asi_proto::{
     CapabilityAddr, DeviceInfo, Packet, Payload, Pi4, Pi4Status, PortEvent, PortState,
     ProtocolInterface, RouteHeader, MANAGEMENT_TC,
@@ -54,6 +53,19 @@ fn up(topo: &Topology) -> Fabric {
     fabric
 }
 
+/// A PI-4 request packet along a ground-truth route.
+fn pi4_request(topo: &Topology, src: NodeId, dst: NodeId, request: Pi4) -> (u8, Packet) {
+    let route = shortest_route(topo, src, dst).expect("route exists");
+    let pool = route
+        .encode(topo, asi_proto::MAX_POOL_BITS)
+        .expect("pool fits");
+    let header = RouteHeader::forward(ProtocolInterface::DeviceManagement, MANAGEMENT_TC, pool);
+    (
+        route.source_port,
+        Packet::new(header, Payload::Pi4(request)),
+    )
+}
+
 /// A PI-4 read-request packet along a ground-truth route.
 fn read_request(
     topo: &Topology,
@@ -63,22 +75,50 @@ fn read_request(
     addr: CapabilityAddr,
     dwords: u8,
 ) -> (u8, Packet) {
-    let route = shortest_route(topo, src, dst).expect("route exists");
-    let pool = route
-        .encode(topo, asi_proto::MAX_POOL_BITS)
-        .expect("pool fits");
-    let header = RouteHeader::forward(ProtocolInterface::DeviceManagement, MANAGEMENT_TC, pool);
-    (
-        route.source_port,
-        Packet::new(
-            header,
-            Payload::Pi4(Pi4::ReadRequest {
-                req_id,
-                addr,
-                dwords,
-            }),
-        ),
-    )
+    let read = Pi4::ReadRequest {
+        req_id,
+        addr,
+        dwords,
+    };
+    pi4_request(topo, src, dst, read)
+}
+
+/// The PI-4 writes from `fm` that set the PI-5 reporting route of every
+/// device but `fm` and `skip` to its ground-truth route toward `fm`: the
+/// configuration step a fabric manager performs, with no manager.
+fn reporting_route_writes(topo: &Topology, fm: NodeId, skip: &[NodeId]) -> Vec<(u8, Packet)> {
+    let mut writes = Vec::new();
+    for (id, _) in topo.nodes() {
+        if id == fm || skip.contains(&id) {
+            continue;
+        }
+        let route = shortest_route(topo, id, fm).expect("route exists");
+        let pool = route.encode(topo, asi_proto::MAX_POOL_BITS).unwrap();
+        for (addr, data) in event_route_writes(route.source_port, &pool) {
+            let req_id = writes.len() as u32 + 1;
+            let write = Pi4::WriteRequest { req_id, addr, data };
+            writes.push(pi4_request(topo, fm, id, write));
+        }
+    }
+    writes
+}
+
+/// Installs a [`Prober`] on `fm` that sends `writes`, and runs until
+/// every one is acknowledged; the prober's record starts empty after.
+fn configure_reporting(fabric: &mut Fabric, fm: NodeId, writes: Vec<(u8, Packet)>) {
+    let count = writes.len();
+    let prober = Prober {
+        outbox: writes,
+        ..Prober::default()
+    };
+    fabric.set_agent(dev(fm), Box::new(prober));
+    fabric.schedule_agent_timer(dev(fm), SimDuration::ZERO, 0);
+    fabric.run_until_idle();
+    let prober = fabric.agent_as_mut::<Prober>(dev(fm)).unwrap();
+    let acks = std::mem::take(&mut prober.received);
+    let acked =
+        |(_, p): &(SimTime, Packet)| matches!(p.payload, Payload::Pi4(Pi4::WriteCompletion { .. }));
+    assert_eq!(acks.iter().filter(|r| acked(r)).count(), count);
 }
 
 #[test]
@@ -267,23 +307,10 @@ fn removal_triggers_pi5_from_neighbors() {
     let g = mesh(3, 3).unwrap();
     let mut fabric = up(&g.topology);
     let fm = g.endpoint_at(0, 0);
-    fabric.set_agent(dev(fm), Box::new(Prober::default()));
 
     // Configure every device's PI-5 route toward the FM endpoint.
-    for (id, _) in g.topology.nodes() {
-        if id == fm {
-            continue;
-        }
-        let route = shortest_route(&g.topology, id, fm).unwrap();
-        let pool = route.encode(&g.topology, asi_proto::MAX_POOL_BITS).unwrap();
-        fabric.set_fm_route(
-            dev(id),
-            FmRoute {
-                egress: route.source_port,
-                pool,
-            },
-        );
-    }
+    let writes = reporting_route_writes(&g.topology, fm, &[]);
+    configure_reporting(&mut fabric, fm, writes);
 
     // Remove the centre switch: its 5 neighbours (4 switches + 1 endpoint)
     // lose a port.
@@ -341,24 +368,12 @@ fn hot_addition_triggers_pi5_port_up() {
         }
     }
     topo_fabric.run_until_idle();
-    topo_fabric.set_agent(dev(fm), Box::new(Prober::default()));
-    for (id, _) in g.topology.nodes() {
-        if id == fm || id == newcomer {
-            continue;
-        }
-        // Routes computed on the full ground truth still work because the
-        // newcomer is on the fabric edge.
-        if let Some(route) = shortest_route(&g.topology, id, fm) {
-            let pool = route.encode(&g.topology, asi_proto::MAX_POOL_BITS).unwrap();
-            topo_fabric.set_fm_route(
-                dev(id),
-                FmRoute {
-                    egress: route.source_port,
-                    pool,
-                },
-            );
-        }
-    }
+    // Routes computed on the full ground truth still work because the
+    // newcomer is on the fabric edge; only its endpoint, stranded behind
+    // it, cannot be written.
+    let stranded = g.endpoint_at(2, 2);
+    let writes = reporting_route_writes(&g.topology, fm, &[newcomer, stranded]);
+    configure_reporting(&mut topo_fabric, fm, writes);
 
     topo_fabric.schedule_activate(dev(newcomer), SimDuration::from_us(5));
     topo_fabric.run_until_idle();

@@ -9,6 +9,10 @@
 //! of `fabric/port.rs`) have no runtime switch to diff against, so these
 //! numbers are the reference: a change to them is a change to the
 //! simulated model, not a host-side optimisation.
+//!
+//! The two torus change runs' counters also hold the FM's PI-5
+//! configuration: a PI-4 write and its completion per device before the
+//! change, and one per device whose route it moved after.
 
 use asi_core::DiscoveryRun;
 use asi_fabric::{Fabric, FabricCounters};
@@ -122,12 +126,12 @@ fn torus4_change_remove() {
             responses: 191,
             timeouts: 0,
             counters: FabricCounters {
-                injected: 1184,
-                delivered: 1184,
-                forwarded: 2690,
-                mgmt_bytes: 146_552,
+                injected: 1246,
+                delivered: 1246,
+                forwarded: 2848,
+                mgmt_bytes: 152_598,
                 pi5_emitted: 4,
-                mgmt_queue_peak: 7,
+                mgmt_queue_peak: 30,
                 ..FabricCounters::default()
             },
         }
@@ -150,12 +154,12 @@ fn torus4_change_add() {
             responses: 208,
             timeouts: 0,
             counters: FabricCounters {
-                injected: 1218,
-                delivered: 1218,
-                forwarded: 2836,
-                mgmt_bytes: 153_304,
+                injected: 1280,
+                delivered: 1280,
+                forwarded: 2994,
+                mgmt_bytes: 159_350,
                 pi5_emitted: 4,
-                mgmt_queue_peak: 7,
+                mgmt_queue_peak: 28,
                 ..FabricCounters::default()
             },
         }

@@ -57,10 +57,12 @@ pub struct ChurnOutcome {
     pub cold_db_matches: bool,
     /// Total simulated time, bring-up and drain included.
     pub sim_time: SimDuration,
-    /// When the initial discovery finished. A churn window that starts
-    /// before this disturbed a manager that had not yet seen the fabric
-    /// (see "Placing the window" in `docs/CHURN.md`).
-    pub initial_finished_at: SimTime,
+    /// When the FM's PI-5 configuration after the initial discovery
+    /// drained: from then on every device reports along the route the
+    /// FM wrote to it. A churn window that opens before this disturbed a
+    /// manager that had not yet seen the fabric, or devices that could
+    /// not yet report (see "Placing the window" in `docs/CHURN.md`).
+    pub configured_at: SimTime,
 }
 
 impl ChurnOutcome {
@@ -104,19 +106,23 @@ fn signature(bench: &Bench) -> (u64, u64, u64, usize) {
     )
 }
 
-/// Runs the continuous-churn experiment: initial discovery, then the
-/// scenario's churn window end to end, measuring divergence piecewise
-/// while the FM absorbs the event stream, and finally a cold
-/// re-discovery of the end-state fabric to certify the churned
-/// database. Requires a non-inert churn plan; background traffic is
-/// unsupported here (the quiescence detection relies on the event
-/// queue draining).
+/// Runs the continuous-churn experiment: initial discovery and PI-5
+/// configuration, then the scenario's churn window end to end,
+/// measuring divergence piecewise while the FM absorbs the event
+/// stream, and finally a cold re-discovery of the end-state fabric to
+/// certify the churned database. Requires a non-inert churn plan;
+/// background traffic is unsupported here (the quiescence detection
+/// relies on the event queue draining).
 ///
 /// Bring-up stops at half the churn window start and the initial
 /// discovery launches from there, so pick a `start` whose first half
-/// comfortably covers the initial discovery (≥ 6 ms for the paper's
-/// meshes) — a window opening mid-discovery measures a manager that
-/// never saw the pre-churn fabric.
+/// covers the initial discovery, `Bench::start`'s settle and the PI-5
+/// configuration after it: a window opening mid-discovery measures a
+/// manager that never saw the pre-churn fabric, one opening
+/// mid-configuration loses the reports of devices not yet written. The
+/// default 6 ms does not cover it even on a 4x4 mesh; "Placing the
+/// window" in `docs/CHURN.md` gives the figures and how to find the
+/// smallest start that clears it.
 pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     assert!(
         !scenario.churn.is_inert(),
@@ -133,7 +139,10 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
             .map(|e| e.at)
             .unwrap_or(scenario.churn.start);
 
+    // PI-5 configuration is armed, not settled: the measurement covers
+    // the writes, which may overlap the first churn events.
     let mut bench = Bench::start(topo, scenario, &[]);
+    bench.arm_pi5_configuration();
 
     // Piecewise divergence accounting: the comparison is re-evaluated
     // whenever a relevant counter moves, and the time in between is
@@ -177,9 +186,11 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
     }
 
     let agent = bench.fm_agent();
+    let configured_at = agent
+        .pi5_routes_configured_at()
+        .expect("configured before quiescence");
     let events_absorbed = agent.pi5_events;
     let assimilation_runs = agent.runs().len().saturating_sub(1);
-    let initial_finished_at = agent.runs()[0].finished_at;
     let churn_events = bench.fabric.counters().churn_events;
     let span = last_event_at
         .saturating_since(SimTime::ZERO + scenario.churn.start)
@@ -218,7 +229,7 @@ pub fn churn_experiment(topo: &Topology, scenario: &Scenario) -> ChurnOutcome {
         final_links,
         cold_db_matches,
         sim_time,
-        initial_finished_at,
+        configured_at,
     }
 }
 
@@ -288,6 +299,7 @@ mod tests {
         let out = churn_experiment(&g.topology, &scenario);
         assert!(out.converged(), "{out:?}");
         let mut bench = Bench::start(&g.topology, &scenario, &[]);
+        bench.arm_pi5_configuration();
         let mut diverged = !in_sync(&bench, &g.topology);
         assert!(diverged, "the run opens converged");
         let mut windows = 1;

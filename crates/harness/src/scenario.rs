@@ -1,12 +1,15 @@
 //! The experiment scenario runner: fabric bring-up, FM installation,
 //! initial discovery, PI-5 configuration, and topological-change
-//! injection — the exact procedure of the paper's §4.1.
+//! injection — the exact procedure of the paper's §4.1, each step a
+//! [`Bench`] call. PI-5 configuration is the FM's own step, like
+//! discovery: it writes every device's reporting route over PI-4
+//! ([`Bench::configure_pi5_routes`]), and nothing here writes device
+//! state any other way.
 
-use asi_core::{Algorithm, FmAgent, FmConfig, FmTiming, RetryPolicy, TOKEN_START_DISCOVERY};
-use asi_core::{DiscoveryRun, TopologyDb};
+use asi_core::{Algorithm, FmAgent, FmConfig, FmTiming, RetryPolicy};
+use asi_core::{DiscoveryRun, TopologyDb, TOKEN_CONFIGURE_PI5, TOKEN_START_DISCOVERY};
 use asi_fabric::{
-    ChurnPlan, DevId, Fabric, FabricConfig, FabricCounters, FaultPlan, FmRoute, TrafficPlan,
-    DSN_BASE,
+    ChurnPlan, DevId, Fabric, FabricConfig, FabricCounters, FaultPlan, TrafficPlan, DSN_BASE,
 };
 use asi_proto::{apply_forward, turn_width, Direction, PortState, TurnCursor, TurnPool};
 use asi_sim::{KernelSpec, SimDuration, SimRng, TraceHandle};
@@ -382,7 +385,12 @@ pub fn summarize_traffic(fabric: &Fabric, plan: &TrafficPlan) -> TrafficSummary 
     }
 }
 
-/// A scenario bound to a live fabric.
+/// A scenario bound to a live fabric: each method is one step of the
+/// paper's §4.1 procedure. [`Bench::start`] brings the fabric up and
+/// runs the initial discovery; [`Bench::configure_pi5_routes`] has the
+/// FM write every device's PI-5 reporting route; [`Bench::remove_switch`]
+/// and [`Bench::add_device`] configure, inject their change and wait
+/// until the FM has assimilated it and rewritten the routes it changed.
 pub struct Bench {
     /// The fabric under test.
     pub fabric: Fabric,
@@ -517,8 +525,7 @@ impl Bench {
             removable,
             rng,
         };
-        bench.settle(1);
-        bench.configure_pi5_routes();
+        bench.settle(|fm| !fm.runs().is_empty() && !fm.discovering());
         bench
     }
 
@@ -555,16 +562,14 @@ impl Bench {
         (bench, run)
     }
 
-    /// Steps the fabric until the FM has completed at least `target_runs`
-    /// discoveries and been quiet for a grace period. Works both with and
-    /// without background traffic (which never lets the event queue go
-    /// idle).
-    fn settle(&mut self, target_runs: usize) {
+    /// Steps the fabric until `done` holds of the FM and has held for a
+    /// grace period. Works both with and without background traffic
+    /// (which never lets the event queue go idle).
+    fn settle(&mut self, done: impl Fn(&FmAgent) -> bool) {
         let quiet = SimDuration::from_us(500);
         let mut quiet_since = None;
         loop {
-            let agent = self.fm_agent();
-            let ready = agent.runs().len() >= target_runs && !agent.discovering();
+            let ready = done(self.fm_agent());
             if ready {
                 let since = *quiet_since.get_or_insert(self.fabric.now());
                 if self.fabric.now().saturating_since(since) >= quiet {
@@ -574,7 +579,7 @@ impl Bench {
                 quiet_since = None;
             }
             if !self.fabric.step() {
-                assert!(ready, "fabric went idle before discovery finished");
+                assert!(ready, "fabric went idle before the FM was done");
                 break;
             }
         }
@@ -606,29 +611,25 @@ impl Bench {
         self.fabric.active_reachable(self.fm).len()
     }
 
-    /// Installs PI-5 reporting routes on every device, computed from the
-    /// FM's own database (the configuration step after discovery).
+    /// The PI-5 configuration step after discovery: arms the FM's
+    /// [`TOKEN_CONFIGURE_PI5`] and settles until its reporting-route
+    /// writes have drained. The FM writes each device's route to the
+    /// host, from its own database, over PI-4 along the route its reads
+    /// used; a second call writes only the routes that changed since.
+    /// Panics if a write failed with no retry left: that device would
+    /// report nothing.
     pub fn configure_pi5_routes(&mut self) {
-        // One reversed-tree BFS covers every device but the host;
-        // per-device route_between calls would be quadratic on large
-        // fabrics. The database lives inside the fabric's FM agent, so
-        // the routes are gathered first and installed after the walk,
-        // in the database's order; each install is independent of the
-        // others.
-        let db = self.db();
-        let mut installs = Vec::with_capacity(db.device_count());
-        db.for_each_route_to(db.host_dsn(), asi_proto::MAX_POOL_BITS, |dsn, route| {
-            if let Ok(r) = route {
-                let route = FmRoute {
-                    egress: r.egress,
-                    pool: r.pool,
-                };
-                installs.push((dev_of_dsn(dsn), route));
-            }
-        });
-        for (dev, route) in installs {
-            self.fabric.set_fm_route(dev, route);
-        }
+        let failures = self.fm_agent().pi5_route_failures();
+        self.arm_pi5_configuration();
+        self.settle(|fm| fm.pi5_routes_settled() && !fm.discovering());
+        let failed = self.fm_agent().pi5_route_failures() - failures;
+        assert_eq!(failed, 0, "{failed} reporting-route writes failed");
+    }
+
+    /// Arms the FM's [`TOKEN_CONFIGURE_PI5`] 1 µs from now, without
+    /// waiting for its writes.
+    pub(crate) fn arm_pi5_configuration(&mut self) {
+        (self.fabric).schedule_agent_timer(self.fm, SimDuration::from_us(1), TOKEN_CONFIGURE_PI5);
     }
 
     /// Picks a random switch that is safe to remove (never the FM's
@@ -643,26 +644,29 @@ impl Bench {
         *self.rng.choose(&candidates).expect("a removable switch")
     }
 
-    /// Removes `victim` and runs until the FM has assimilated the change.
-    /// Returns the assimilation run.
+    /// Configures PI-5 reporting, removes `victim` and runs until the FM
+    /// has assimilated the change. Returns the assimilation run.
     pub fn remove_switch(&mut self, victim: NodeId) -> DiscoveryRun {
+        self.configure_pi5_routes();
         self.fabric
             .schedule_deactivate(DevId(victim.0), SimDuration::from_us(1));
         self.assimilate()
     }
 
-    /// Activates a previously absent device and runs until assimilated.
+    /// Configures PI-5 reporting, activates a previously absent device
+    /// and runs until assimilated.
     pub fn add_device(&mut self, newcomer: NodeId) -> DiscoveryRun {
+        self.configure_pi5_routes();
         self.fabric
             .schedule_activate(DevId(newcomer.0), SimDuration::from_us(1));
         self.assimilate()
     }
 
-    /// Settles until the FM has finished one more run (`settle` returns
-    /// only then), re-installs the PI-5 routes and returns that run.
+    /// Settles until the FM has finished one more run and rewritten the
+    /// reporting routes it changed, and returns that run.
     fn assimilate(&mut self) -> DiscoveryRun {
-        self.settle(self.fm_agent().runs().len() + 1);
-        self.configure_pi5_routes();
+        let target = self.fm_agent().runs().len() + 1;
+        self.settle(|fm| fm.runs().len() >= target && !fm.discovering() && fm.pi5_routes_settled());
         self.last_run()
     }
 }
@@ -851,7 +855,8 @@ pub fn change_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asi_proto::MAX_POOL_BITS;
+    use asi_proto::config::event_route_from_words;
+    use asi_proto::{EVENT_ROUTE_WORDS, MAX_COMPLETION_DWORDS, MAX_POOL_BITS};
     use asi_topo::mesh;
     use std::collections::HashMap;
 
@@ -907,10 +912,35 @@ mod tests {
         assert!(!routes_execute(&db));
     }
 
-    /// The routes `configure_pi5_routes` installs reach the manager: the
-    /// visitor meets every device but the host once, each route walks
-    /// the real fabric to the host, and `routes_to` is the same routes
-    /// in a map.
+    /// A device's PI-5 reporting route as a PI-4 read of its register
+    /// returns it: `(egress, pool)`, or `None` while it holds no valid
+    /// route.
+    fn reporting_route(fabric: &Fabric, dev: DevId) -> Option<(u8, TurnPool)> {
+        let mut words = Vec::new();
+        for offset in (0..EVENT_ROUTE_WORDS).step_by(MAX_COMPLETION_DWORDS) {
+            let capability = asi_proto::CAP_EVENT_ROUTE;
+            let n = (EVENT_ROUTE_WORDS - offset).min(MAX_COMPLETION_DWORDS as u16);
+            let addr = asi_proto::CapabilityAddr { capability, offset };
+            words.extend(fabric.read_config(dev, addr, n as u8).unwrap());
+        }
+        event_route_from_words(&words)
+    }
+
+    /// Each device's route to the host in `db`, by DSN.
+    fn routes_to_host(db: &TopologyDb) -> HashMap<u64, (u8, TurnPool)> {
+        let mut routes = HashMap::new();
+        db.for_each_route_to(db.host_dsn(), MAX_POOL_BITS, |dsn, route| {
+            let route = route.unwrap();
+            assert!(routes.insert(dsn, (route.egress, route.pool)).is_none());
+        });
+        routes
+    }
+
+    /// The routes the FM's configuration step writes reach the manager:
+    /// every device but the host holds one, read back over PI-4, that
+    /// walks the real fabric to the host, and it is the route the
+    /// database's walk to the host gives; `routes_to` is the same routes
+    /// in a map. On the long thin mesh the far routes exceed one write.
     #[test]
     fn pi5_routes_lead_every_device_to_the_host() {
         let fabrics = [
@@ -918,35 +948,99 @@ mod tests {
             ("torus:4x4", asi_topo::torus(4, 4).unwrap().topology),
             ("fattree:4,2", asi_topo::fat_tree(4, 2).unwrap().topology),
             ("dragonfly:2,4", asi_topo::dragonfly(2, 4).unwrap().topology),
+            ("mesh:58x2", mesh(58, 2).unwrap().topology),
         ];
         for (name, topo) in &fabrics {
-            let bench = Bench::start(topo, &Scenario::new(Algorithm::Parallel), &[]);
+            let mut bench = Bench::start(topo, &Scenario::new(Algorithm::Parallel), &[]);
+            bench.configure_pi5_routes();
             let db = bench.db();
             let host = db.host_dsn();
             assert_eq!(dev_of_dsn(host), bench.fm, "{name}");
-            let mut visited = HashMap::new();
-            db.for_each_route_to(host, MAX_POOL_BITS, |dsn, route| {
-                let route =
-                    route.unwrap_or_else(|e| panic!("{name}: {dsn:#x} has no route: {e:?}"));
-                let from = NodeId(dev_of_dsn(dsn).0);
-                let arrival = walk(topo, &bench.fabric, from, route.egress, &route.pool);
+            let routes = routes_to_host(db);
+            assert!(
+                !routes.contains_key(&host),
+                "{name}: the host routed to itself"
+            );
+            assert_eq!(routes.len(), topo.node_count() - 1, "{name}");
+            let longest = routes.values().map(|(_, pool)| pool.len_bits()).max();
+            assert_eq!(longest > Some(224), *name == "mesh:58x2", "{name}");
+            for (id, _) in topo.nodes().filter(|&(id, _)| DevId(id.0) != bench.fm) {
+                let (egress, pool) = reporting_route(&bench.fabric, DevId(id.0))
+                    .unwrap_or_else(|| panic!("{name}: {id} holds no route"));
+                let arrival = walk(topo, &bench.fabric, id, egress, &pool);
                 assert_eq!(
                     arrival.map(|at| at.node),
                     Some(NodeId(bench.fm.0)),
-                    "{name}: the route from {from} misses the host"
+                    "{name}: the route from {id} misses the host"
                 );
-                assert!(
-                    visited.insert(dsn, Ok(route)).is_none(),
-                    "{name}: {dsn:#x} twice"
-                );
-            });
-            assert!(
-                !visited.contains_key(&host),
-                "{name}: the host routed to itself"
-            );
-            assert_eq!(visited.len(), db.device_count() - 1, "{name}");
-            assert_eq!(visited.len(), topo.node_count() - 1, "{name}");
-            assert_eq!(db.routes_to(host, MAX_POOL_BITS), visited, "{name}");
+                let dsn = dsn_of_dev(DevId(id.0));
+                assert_eq!(routes.get(&dsn), Some(&(egress, pool)), "{name}");
+            }
+            let in_a_map = db.routes_to(host, MAX_POOL_BITS);
+            assert_eq!(in_a_map.len(), routes.len(), "{name}");
+            for (dsn, route) in in_a_map {
+                let route = route.unwrap();
+                assert_eq!(routes[&dsn], (route.egress, route.pool), "{name}");
+            }
+        }
+    }
+
+    /// Reporting-route writes the fabric carried between two counter
+    /// readings over which the FM ran `runs`: every packet injected is a
+    /// run's request or its response, a PI-5, or a route write or its
+    /// acknowledgement.
+    fn route_writes(before: &FabricCounters, after: &FabricCounters, runs: &[DiscoveryRun]) -> u64 {
+        let reads: u64 = runs
+            .iter()
+            .map(|r| r.requests_sent + r.responses_received)
+            .sum();
+        let pi5 = after.pi5_emitted - before.pi5_emitted;
+        let writes = after.injected - before.injected - reads - pi5;
+        assert_eq!(writes % 2, 0, "a write without its acknowledgement");
+        writes / 2
+    }
+
+    /// A second configuration sends nothing; a removal rewrites exactly
+    /// the devices whose route to the host changed, and every register
+    /// then holds the new route.
+    #[test]
+    fn configuration_rewrites_only_the_routes_that_changed() {
+        let g = mesh(4, 4).unwrap();
+        let mut bench = Bench::start(&g.topology, &Scenario::new(Algorithm::Parallel), &[]);
+        let held = |bench: &Bench| {
+            let devs = g.topology.nodes().map(|(id, _)| DevId(id.0));
+            devs.filter(|&dev| reporting_route(&bench.fabric, dev).is_some())
+                .count()
+        };
+        assert_eq!(held(&bench), 0, "start configures nothing");
+        let started = *bench.fabric.counters();
+        bench.configure_pi5_routes();
+        let configured = *bench.fabric.counters();
+        assert_eq!(held(&bench), 31);
+        assert_eq!(route_writes(&started, &configured, &[]), 31);
+        bench.configure_pi5_routes();
+        assert_eq!(
+            bench.fabric.counters().injected,
+            configured.injected,
+            "a packet was sent"
+        );
+
+        let before = routes_to_host(bench.db());
+        let runs = bench.fm_agent().runs().len();
+        bench.remove_switch(g.switch_at(1, 1));
+        let new_runs = &bench.fm_agent().runs()[runs..];
+        assert!(!new_runs.is_empty(), "no PI-5 reached the FM");
+        let after = routes_to_host(bench.db());
+        let changed = after
+            .iter()
+            .filter(|&(dsn, r)| before.get(dsn) != Some(r))
+            .count();
+        assert!(changed > 0);
+        let removed = route_writes(&configured, bench.fabric.counters(), new_runs);
+        assert_eq!(removed, changed as u64);
+        for (dsn, route) in &after {
+            let held = reporting_route(&bench.fabric, dev_of_dsn(*dsn));
+            assert_eq!(held.as_ref(), Some(route));
         }
     }
 

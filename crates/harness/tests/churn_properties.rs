@@ -94,20 +94,9 @@ proptest! {
     }
 }
 
-/// Seeds a PI-5 storm used to lose: the storm's verification pass
-/// dropped the port-block re-reads its scoping kept, so the live
-/// neighbours of a device a timeout had forgotten were never re-read
-/// and the database ended short (`churn --topology mesh:4x4 --seed 8`
-/// ended with 30 of 32 devices). Each row is the CLI's `churn` run:
-/// default rates and down times, a 4 ms window at `start_us`.
-#[test]
-fn storm_rereads_keep_the_pinned_churn_seeds_converged() {
-    let rows: [(&str, Grid, u64, &[u64]); 4] = [
-        ("mesh:4x4", mesh(4, 4).unwrap(), 6_000, &[8, 39, 42, 52, 55]),
-        ("torus:4x4", torus(4, 4).unwrap(), 6_000, &[52, 55]),
-        ("mesh:6x6", mesh(6, 6).unwrap(), 40_000, &[6, 35, 37, 39]),
-        ("mesh:8x8", mesh(8, 8).unwrap(), 40_000, &[12]),
-    ];
+/// Asserts that the CLI's `churn` run converges on every seed of every
+/// row: default rates and down times, a 4 ms window at `start_us`.
+fn assert_converged(rows: Vec<(&str, Grid, u64, &[u64])>) {
     for (name, grid, start_us, seeds) in rows {
         let topo = &grid.topology;
         for &seed in seeds {
@@ -136,4 +125,46 @@ fn storm_rereads_keep_the_pinned_churn_seeds_converged() {
             );
         }
     }
+}
+
+/// Seeds a PI-5 storm used to lose: the storm's verification pass
+/// dropped the port-block re-reads its scoping kept, so the live
+/// neighbours of a device a timeout had forgotten were never re-read
+/// and the database ended short (`churn --topology mesh:4x4 --seed 8`
+/// ended with 30 of 32 devices).
+#[test]
+fn storm_rereads_keep_the_pinned_churn_seeds_converged() {
+    assert_converged(vec![
+        ("mesh:4x4", mesh(4, 4).unwrap(), 6_000, &[8, 39, 42, 52, 55]),
+        ("torus:4x4", torus(4, 4).unwrap(), 6_000, &[52, 55]),
+        ("mesh:6x6", mesh(6, 6).unwrap(), 40_000, &[6, 35, 37, 39]),
+        ("mesh:8x8", mesh(8, 8).unwrap(), 40_000, &[12]),
+    ]);
+}
+
+/// Seeds that left the churn ledger when the FM began writing the PI-5
+/// reporting routes over PI-4 after the initial discovery, in place of
+/// the harness's instant install: their reports now travel routes the
+/// FM wrote, and those it rewrites after each change.
+#[test]
+fn fm_written_reporting_routes_keep_the_seeds_they_cleared_converged() {
+    assert_converged(vec![
+        ("mesh:4x4", mesh(4, 4).unwrap(), 6_000, &[37]),
+        ("torus:4x4", torus(4, 4).unwrap(), 6_000, &[41]),
+        ("mesh:8x8", mesh(8, 8).unwrap(), 40_000, &[21]),
+    ]);
+}
+
+/// Seeds that left the churn ledger when a PI-5 storm began probing
+/// through every active port its database holds no link for: on each, a
+/// device forgotten after a request lost on a flapped link, or a link
+/// whose port-up reports were lost, was never probed again
+/// (`churn --topology mesh:4x4 --seed 33` ended without link
+/// (22,2)-(30,3)).
+#[test]
+fn storm_probes_keep_the_seeds_they_cleared_converged() {
+    assert_converged(vec![
+        ("mesh:4x4", mesh(4, 4).unwrap(), 6_000, &[33]),
+        ("mesh:6x6", mesh(6, 6).unwrap(), 40_000, &[19]),
+    ]);
 }

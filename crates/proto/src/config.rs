@@ -9,18 +9,23 @@
 //! We fix the per-port block at **4 words**, so a PI-4 completion (≤ 8
 //! words) carries the attributes of **two ports per read**: a 16-port
 //! switch needs 1 general read + 8 port reads, which reproduces the paper's
-//! packet-count regime (DESIGN.md §2). A second, writable capability (id 1)
-//! stores endpoint route tables for the path-distribution extension.
+//! packet-count regime (DESIGN.md §2). Writable capabilities follow: the
+//! endpoint route table of the path-distribution extension (id 1), the
+//! ownership claim (id 2), the multicast table (id 3) and the PI-5
+//! reporting route (id 4).
 //!
 //! The baseline capability is read-only, and everything in it is state
 //! the device keeps anyway: its [`DeviceInfo`] and its ports. So a
 //! [`ConfigSpace`] does not store it. A read takes the device's info and
 //! a function from port number to [`PortInfo`] from the caller, and
 //! encodes them on the spot. What a `ConfigSpace` stores is only what a
-//! PI-4 write can change: the route table, the ownership claim and the
-//! multicast table, three words.
+//! PI-4 write can change, in three words: the reporting route, which
+//! every configured device holds, and one box for the three registers
+//! few devices ever have written.
 
 use crate::pi4::{CapabilityAddr, Pi4Status, MAX_COMPLETION_DWORDS};
+use crate::turn::{TurnPool, MAX_POOL_BITS, POOL_WORDS};
+use std::ops::Range;
 
 /// Words of general information at the head of the baseline capability.
 pub const GENERAL_INFO_WORDS: u16 = 6;
@@ -47,6 +52,22 @@ pub const OWNERSHIP_WORDS: u16 = 2;
 pub const CAP_MCAST_TABLE: u16 = 3;
 /// Number of multicast groups the table supports.
 pub const MCAST_GROUPS: u16 = 64;
+/// Capability id of the (writable) PI-5 reporting route: the egress port
+/// and turn pool a device's port-change events take to the FM, written by
+/// the FM's configuration step after discovery (paper §4.1). Word 0 is
+/// the header — [`EVENT_ROUTE_VALID`], the egress port in bits 16..24,
+/// the pool length in bits in bits 0..10 — and the pool's
+/// [`TurnPool::words`] follow, low half first. Present on every device.
+pub const CAP_EVENT_ROUTE: u16 = 4;
+/// Words in the reporting-route capability: the header and a full pool.
+pub const EVENT_ROUTE_WORDS: u16 = 1 + MAX_POOL_BITS / 32;
+/// The header bit that makes a reporting route usable. A write that
+/// leaves the header out clears it, and the header write sets it as
+/// written, so a device never reports along a half-written route
+/// ([`event_route_writes`]).
+pub const EVENT_ROUTE_VALID: u32 = 1 << 31;
+/// The header's pool-length field.
+const EVENT_ROUTE_BITS: u32 = 0x3FF;
 
 /// What kind of fabric device this is.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -230,73 +251,135 @@ pub fn port_info_read(first_port: u16, port_count: u16) -> Option<(CapabilityAdd
     })
 }
 
-/// A writable table of a fixed number of words that is all zero until
-/// written: it has no storage before its first write, and then only as
-/// far as the highest word written so far; reads past it are
-/// zero-filled. Most devices never have either of their tables written —
-/// a switch rejects route-table access outright — so a fabric of tens of
-/// thousands of devices pays a word per table for them, not 2.3 KB of
-/// zeros, nor an empty `Vec`'s three words.
-#[derive(Clone, Debug, Default)]
-// The box is the point: one word where a bare `Vec` is three.
-#[allow(clippy::box_collection)]
-struct Table(Option<Box<Vec<u32>>>);
-
-impl Table {
-    /// Word `index`; zero if never written (or past any bound).
-    fn word(&self, index: usize) -> u32 {
-        let words = self.0.as_deref().map_or(&[][..], Vec::as_slice);
-        words.get(index).copied().unwrap_or(0)
-    }
-
-    /// `dwords` words from `offset` of a table of `bound` words.
-    fn read(&self, bound: u16, offset: u16, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
-        let start = usize::from(offset);
-        let end = start + usize::from(dwords);
-        if end > usize::from(bound) {
-            return Err(Pi4Status::UnsupportedRequest);
-        }
-        Ok((start..end).map(|i| self.word(i)).collect())
-    }
-
-    /// Stores `data` from `offset` of a table of `bound` words.
-    fn write(&mut self, bound: u16, offset: u16, data: &[u32]) -> Result<(), Pi4Status> {
-        let start = usize::from(offset);
-        let end = start + data.len();
-        if end > usize::from(bound) {
-            return Err(Pi4Status::UnsupportedRequest);
-        }
-        let words = self.0.get_or_insert_with(Box::default);
-        if words.len() < end {
-            words.resize(end, 0);
-        }
-        words[start..end].copy_from_slice(data);
-        Ok(())
-    }
+/// The PI-4 writes that install the reporting route `egress` + `pool`
+/// ([`CAP_EVENT_ROUTE`]), at most [`MAX_COMPLETION_DWORDS`] words each,
+/// in the order they must take effect: the pool words past the first
+/// write's, then the write that carries the header and makes the route
+/// valid. A route of up to 224 pool bits is that one write. The header
+/// write must leave only once the others are acknowledged: a tail write
+/// that lands after it, or is lost before it, would leave a route that
+/// is neither the old one nor the new one.
+pub fn event_route_writes(egress: u8, pool: &TurnPool) -> Vec<(CapabilityAddr, Vec<u32>)> {
+    let bits = pool.len_bits();
+    let pool_words =
+        (0..usize::from(bits.div_ceil(32))).map(|i| (pool.words()[i / 2] >> (32 * (i % 2))) as u32);
+    let header = EVENT_ROUTE_VALID | (u32::from(egress) << 16) | u32::from(bits);
+    let words: Vec<u32> = std::iter::once(header).chain(pool_words).collect();
+    let at = |i: usize| CapabilityAddr {
+        capability: CAP_EVENT_ROUTE,
+        offset: (i * MAX_COMPLETION_DWORDS) as u16,
+    };
+    let mut writes: Vec<_> = (words.chunks(MAX_COMPLETION_DWORDS).enumerate())
+        .map(|(i, chunk)| (at(i), chunk.to_vec()))
+        .collect();
+    writes.rotate_left(1);
+    writes
 }
+
+/// The reporting route that register words `words` (header first) hold:
+/// `(egress, pool)`, or `None` unless the header is valid and the pool
+/// words it names are all there.
+pub fn event_route_from_words(words: &[u32]) -> Option<(u8, TurnPool)> {
+    let (&header, pool_words) = words.split_first()?;
+    let bits = (header & EVENT_ROUTE_BITS) as u16;
+    let n = usize::from(bits.div_ceil(32));
+    if header & EVENT_ROUTE_VALID == 0 || bits > MAX_POOL_BITS || pool_words.len() < n {
+        return None;
+    }
+    let mut raw = [0u64; POOL_WORDS];
+    for (i, &w) in pool_words[..n].iter().enumerate() {
+        raw[i / 2] |= u64::from(w) << (32 * (i % 2));
+    }
+    let pool = TurnPool::from_words(raw, bits, MAX_POOL_BITS).ok()?;
+    Some(((header >> 16) as u8, pool))
+}
+
+/// Words `offset..offset + len` of a register of `bound` words, or
+/// `UnsupportedRequest` past its end.
+fn span(bound: u16, offset: u16, len: usize) -> Result<Range<usize>, Pi4Status> {
+    let start = usize::from(offset);
+    let end = start + len;
+    if end > usize::from(bound) {
+        return Err(Pi4Status::UnsupportedRequest);
+    }
+    Ok(start..end)
+}
+
+/// `range` of a register that stores only its first `words`: the rest
+/// reads as zero.
+fn zero_filled(words: &[u32], range: Range<usize>) -> Vec<u32> {
+    range.map(|i| words.get(i).copied().unwrap_or(0)).collect()
+}
+
+/// Stores `data` at `range` of a register that grows as far as its
+/// highest word written so far.
+fn store(words: &mut Vec<u32>, range: Range<usize>, data: &[u32]) {
+    if words.len() < range.end {
+        words.resize(range.end, 0);
+    }
+    words[range].copy_from_slice(data);
+}
+
+/// The registers few devices ever have written: a switch rejects
+/// route-table access outright, only group members have multicast
+/// entries, and only a sharded discovery claims ownership. Each table
+/// stores words only as far as the highest written so far.
+#[derive(Clone, Debug, Default)]
+struct Rare {
+    /// [`ROUTE_TABLE_WORDS`] words.
+    route_table: Vec<u32>,
+    ownership: [u32; OWNERSHIP_WORDS as usize],
+    /// [`MCAST_GROUPS`] words.
+    mcast_table: Vec<u32>,
+}
+
+/// What every [`Rare`] register reads before its first write.
+static UNWRITTEN: Rare = Rare {
+    route_table: Vec::new(),
+    ownership: [0; OWNERSHIP_WORDS as usize],
+    mcast_table: Vec::new(),
+};
 
 /// The writable registers of a device's configuration space, three
 /// words; the baseline capability comes from the device itself (module
-/// header).
+/// header). A fabric of tens of thousands of devices pays a word for
+/// the registers few of them have written, and the reporting route is
+/// one allocation exactly as long as the route, from its first write.
 #[derive(Clone, Debug, Default)]
 pub struct ConfigSpace {
-    /// [`ROUTE_TABLE_WORDS`] words.
-    route_table: Table,
-    ownership: [u32; OWNERSHIP_WORDS as usize],
-    /// [`MCAST_GROUPS`] words.
-    mcast_table: Table,
+    /// From the first write to any of them.
+    rare: Option<Box<Rare>>,
+    /// [`CAP_EVENT_ROUTE`]: the header, then as many pool words as the
+    /// header names (more while a multi-write update is under way).
+    event_route: Option<Box<[u32]>>,
 }
 
 impl ConfigSpace {
+    fn rare(&self) -> &Rare {
+        self.rare.as_deref().unwrap_or(&UNWRITTEN)
+    }
+
+    fn rare_mut(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
     /// Output-port bitmask (switch) or membership flag (endpoint) for a
     /// multicast group.
     pub fn mcast_entry(&self, group: u16) -> u32 {
-        self.mcast_table.word(usize::from(group))
+        let table = &self.rare().mcast_table;
+        table.get(usize::from(group)).copied().unwrap_or(0)
     }
 
     /// DSN of the manager currently claiming this device (0 = unclaimed).
     pub fn owner_dsn(&self) -> u64 {
-        (u64::from(self.ownership[0]) << 32) | u64::from(self.ownership[1])
+        let ownership = self.rare().ownership;
+        (u64::from(ownership[0]) << 32) | u64::from(ownership[1])
+    }
+
+    /// The valid PI-5 reporting route, `(egress, pool)`; `None` before
+    /// the FM has written one, and while an update is under way.
+    pub fn event_route(&self) -> Option<(u8, TurnPool)> {
+        event_route_from_words(self.event_route.as_deref()?)
     }
 
     /// Services a PI-4 read of the device `info` describes, whose port
@@ -311,29 +394,35 @@ impl ConfigSpace {
         if dwords == 0 || usize::from(dwords) > MAX_COMPLETION_DWORDS {
             return Err(Pi4Status::UnsupportedRequest);
         }
+        let (offset, len) = (addr.offset, usize::from(dwords));
+        let rare = self.rare();
         match addr.capability {
-            CAP_BASELINE => read_baseline(info, port, addr.offset, dwords),
+            CAP_BASELINE => read_baseline(info, port, offset, dwords),
             CAP_ROUTE_TABLE => {
                 if info.device_type != DeviceType::Endpoint {
                     return Err(Pi4Status::UnsupportedRequest);
                 }
-                self.route_table
-                    .read(ROUTE_TABLE_WORDS, addr.offset, dwords)
+                let range = span(ROUTE_TABLE_WORDS, offset, len)?;
+                Ok(zero_filled(&rare.route_table, range))
             }
-            CAP_OWNERSHIP => {
-                let end = usize::from(addr.offset) + usize::from(dwords);
-                if end > self.ownership.len() {
-                    return Err(Pi4Status::UnsupportedRequest);
-                }
-                Ok(self.ownership[usize::from(addr.offset)..end].to_vec())
+            CAP_OWNERSHIP => Ok(zero_filled(
+                &rare.ownership,
+                span(OWNERSHIP_WORDS, offset, len)?,
+            )),
+            CAP_MCAST_TABLE => Ok(zero_filled(
+                &rare.mcast_table,
+                span(MCAST_GROUPS, offset, len)?,
+            )),
+            CAP_EVENT_ROUTE => {
+                let words = self.event_route.as_deref().unwrap_or(&[]);
+                Ok(zero_filled(words, span(EVENT_ROUTE_WORDS, offset, len)?))
             }
-            CAP_MCAST_TABLE => self.mcast_table.read(MCAST_GROUPS, addr.offset, dwords),
             _ => Err(Pi4Status::UnsupportedRequest),
         }
     }
 
     /// Services a PI-4 write to the device `info` describes. The baseline
-    /// capability is read-only.
+    /// capability is read-only; a write that fails changes nothing.
     pub fn write(
         &mut self,
         info: &DeviceInfo,
@@ -343,19 +432,17 @@ impl ConfigSpace {
         if data.is_empty() || data.len() > MAX_COMPLETION_DWORDS {
             return Err(Pi4Status::UnsupportedRequest);
         }
+        let offset = addr.offset;
         match addr.capability {
             CAP_ROUTE_TABLE => {
                 if info.device_type != DeviceType::Endpoint {
                     return Err(Pi4Status::UnsupportedRequest);
                 }
-                self.route_table.write(ROUTE_TABLE_WORDS, addr.offset, data)
+                let range = span(ROUTE_TABLE_WORDS, offset, data.len())?;
+                store(&mut self.rare_mut().route_table, range, data);
             }
             CAP_OWNERSHIP => {
-                let start = usize::from(addr.offset);
-                let end = start + data.len();
-                if end > self.ownership.len() {
-                    return Err(Pi4Status::UnsupportedRequest);
-                }
+                let range = span(OWNERSHIP_WORDS, offset, data.len())?;
                 // Claim-and-hold semantics: a non-zero owner can only be
                 // overwritten by zeros (release). This gives racing
                 // managers a deterministic winner: the first write sticks,
@@ -364,12 +451,44 @@ impl ConfigSpace {
                 if self.owner_dsn() != 0 && !releasing {
                     return Ok(()); // write ignored, completion still OK
                 }
-                self.ownership[start..end].copy_from_slice(data);
-                Ok(())
+                self.rare_mut().ownership[range].copy_from_slice(data);
             }
-            CAP_MCAST_TABLE => self.mcast_table.write(MCAST_GROUPS, addr.offset, data),
-            _ => Err(Pi4Status::UnsupportedRequest),
+            CAP_MCAST_TABLE => {
+                let range = span(MCAST_GROUPS, offset, data.len())?;
+                store(&mut self.rare_mut().mcast_table, range, data);
+            }
+            CAP_EVENT_ROUTE => self.write_event_route(offset, data)?,
+            _ => return Err(Pi4Status::UnsupportedRequest),
         }
+        Ok(())
+    }
+
+    /// A write of the reporting route. One that carries the header sizes
+    /// the register to the route the header names, keeping pool words
+    /// written before it; one that does not stores its pool words and
+    /// clears the valid bit. So a route written as
+    /// [`event_route_writes`] orders it is never usable half-written.
+    fn write_event_route(&mut self, offset: u16, data: &[u32]) -> Result<(), Pi4Status> {
+        let range = span(EVENT_ROUTE_WORDS, offset, data.len())?;
+        let old = self.event_route.as_deref().unwrap_or(&[]);
+        let len = if offset == 0 {
+            let bits = data[0] & EVENT_ROUTE_BITS;
+            if bits > u32::from(MAX_POOL_BITS) {
+                return Err(Pi4Status::UnsupportedRequest);
+            }
+            1 + bits.div_ceil(32) as usize
+        } else {
+            old.len().max(range.end)
+        };
+        let mut words = zero_filled(old, 0..len);
+        for (i, &w) in range.zip(data).filter(|&(i, _)| i < len) {
+            words[i] = w;
+        }
+        if offset != 0 {
+            words[0] &= !EVENT_ROUTE_VALID;
+        }
+        self.event_route = Some(words.into_boxed_slice());
+        Ok(())
     }
 }
 
@@ -548,8 +667,8 @@ mod tests {
     }
 
     /// Every fabric device carries one, tens of thousands on the large
-    /// fabrics: three words, the writable registers only, an unwritten
-    /// table one word.
+    /// fabrics: three words, the writable registers only — the reporting
+    /// route's slice, and a word for the rest until one is written.
     #[test]
     fn a_configuration_space_is_at_most_three_words() {
         let size = std::mem::size_of::<ConfigSpace>();
@@ -718,6 +837,117 @@ mod tests {
         };
         assert_eq!(cs.write(addr, &[1]), Err(Pi4Status::UnsupportedRequest));
         assert_eq!(cs.read(addr, 1), Err(Pi4Status::UnsupportedRequest));
+    }
+
+    /// A pool of `turns` four-bit turns, each a function of its index
+    /// and `salt`.
+    fn pool(turns: u16, salt: u8) -> TurnPool {
+        let mut pool = TurnPool::with_capacity(MAX_POOL_BITS);
+        for i in 0..turns {
+            pool.push_turn((i as u8).wrapping_mul(7).wrapping_add(salt) & 0xF, 4)
+                .unwrap();
+        }
+        pool
+    }
+
+    fn install(cs: &mut Device, egress: u8, pool: &TurnPool) {
+        for (addr, data) in event_route_writes(egress, pool) {
+            cs.write(addr, &data).unwrap();
+        }
+    }
+
+    /// The whole register, read over PI-4 as the FM would.
+    fn read_event_route(cs: &Device) -> Vec<u32> {
+        let mut words = Vec::new();
+        for offset in (0..EVENT_ROUTE_WORDS).step_by(MAX_COMPLETION_DWORDS) {
+            let n = (EVENT_ROUTE_WORDS - offset).min(MAX_COMPLETION_DWORDS as u16);
+            let addr = CapabilityAddr {
+                capability: CAP_EVENT_ROUTE,
+                offset,
+            };
+            words.extend(cs.read(addr, n as u8).unwrap());
+        }
+        words
+    }
+
+    #[test]
+    fn the_event_route_round_trips_through_pi4_up_to_a_full_pool() {
+        for info in [switch_info(), endpoint_info()] {
+            // Empty (the FM's own switch), one write, the longest single
+            // write, and a full 512-bit pool over three offset writes.
+            for turns in [0, 5, 56, 128] {
+                let mut cs = Device::new(info);
+                let p = pool(turns, 3);
+                let writes = event_route_writes(9, &p);
+                let words = 1 + usize::from(p.len_bits().div_ceil(32));
+                assert_eq!(writes.len(), words.div_ceil(MAX_COMPLETION_DWORDS));
+                assert_eq!(writes.last().unwrap().0.offset, 0, "the header goes last");
+                install(&mut cs, 9, &p);
+                assert_eq!(cs.event_route(), Some((9, p.clone())), "{turns} turns");
+                let read = read_event_route(&cs);
+                assert_eq!(event_route_from_words(&read), Some((9, p)));
+                assert!(read[words..].iter().all(|&w| w == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn an_unwritten_event_route_reads_zero_and_yields_no_route() {
+        let cs = Device::new(switch_info());
+        assert_eq!(cs.event_route(), None);
+        assert_eq!(read_event_route(&cs), vec![0; EVENT_ROUTE_WORDS as usize]);
+        assert_eq!(event_route_from_words(&[]), None);
+    }
+
+    #[test]
+    fn a_refused_event_route_write_leaves_the_register_unchanged() {
+        let mut cs = Device::new(switch_info());
+        let p = pool(40, 1);
+        install(&mut cs, 2, &p);
+        let before = read_event_route(&cs);
+        let at = |offset| CapabilityAddr {
+            capability: CAP_EVENT_ROUTE,
+            offset,
+        };
+        let header = EVENT_ROUTE_VALID | u32::from(MAX_POOL_BITS + 1);
+        for (addr, data) in [
+            (at(0), vec![1; MAX_COMPLETION_DWORDS + 1]), // oversize
+            (at(EVENT_ROUTE_WORDS - 1), vec![1, 2]),     // past the end
+            (at(EVENT_ROUTE_WORDS), vec![1]),
+            (at(0), vec![header]), // a pool longer than any
+        ] {
+            assert_eq!(cs.write(addr, &data), Err(Pi4Status::UnsupportedRequest));
+            assert_eq!(read_event_route(&cs), before);
+        }
+        assert_eq!(
+            cs.read(at(EVENT_ROUTE_WORDS - 1), 2),
+            Err(Pi4Status::UnsupportedRequest)
+        );
+        assert_eq!(cs.event_route(), Some((2, p)));
+    }
+
+    /// After every prefix of an update's writes the device reports along
+    /// the old route, the new one, or none: never a mix of the two.
+    #[test]
+    fn no_state_of_a_multi_write_update_is_a_third_route() {
+        let routes = [
+            (1, pool(128, 0)),
+            (4, pool(70, 5)),
+            (6, pool(3, 9)),
+            (8, pool(100, 2)),
+            (1, pool(128, 11)),
+        ];
+        let mut cs = Device::new(switch_info());
+        install(&mut cs, routes[0].0, &routes[0].1);
+        for pair in routes.windows(2) {
+            let [old, new] = [&pair[0], &pair[1]].map(|(e, p)| Some((*e, p.clone())));
+            for (addr, data) in event_route_writes(pair[1].0, &pair[1].1) {
+                cs.write(addr, &data).unwrap();
+                let now = cs.event_route();
+                assert!(now.is_none() || now == old || now == new, "{now:?}");
+            }
+            assert_eq!(cs.event_route(), new);
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! - [`pi5`] — the PI-5 event-reporting protocol used to detect topology
 //!   changes;
 //! - [`config`] — device configuration space: the baseline capability's
-//!   general-information block and per-port blocks;
+//!   general-information block and per-port blocks, and the writable
+//!   registers (route and multicast tables, ownership claim, PI-5
+//!   reporting route);
 //! - [`packet`] — complete packets (header + payload + ECRC) with
 //!   byte-accurate sizes, which the fabric model uses for serialization
 //!   timing;
@@ -35,9 +37,9 @@ pub mod turn;
 pub mod vc;
 
 pub use config::{
-    ConfigSpace, DeviceInfo, DeviceType, PortInfo, PortState, CAP_BASELINE, CAP_MCAST_TABLE,
-    CAP_OWNERSHIP, CAP_ROUTE_TABLE, GENERAL_INFO_WORDS, MCAST_GROUPS, PORTS_PER_READ,
-    PORT_BLOCK_WORDS,
+    ConfigSpace, DeviceInfo, DeviceType, PortInfo, PortState, CAP_BASELINE, CAP_EVENT_ROUTE,
+    CAP_MCAST_TABLE, CAP_OWNERSHIP, CAP_ROUTE_TABLE, EVENT_ROUTE_WORDS, GENERAL_INFO_WORDS,
+    MCAST_GROUPS, PORTS_PER_READ, PORT_BLOCK_WORDS,
 };
 pub use header::{HeaderError, ProtocolInterface, RouteHeader};
 pub use packet::{Packet, PacketError, Payload, ECRC_BYTES};

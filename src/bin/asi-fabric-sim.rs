@@ -1246,18 +1246,24 @@ fn churn_main(inv: &Invocation) -> Report {
     let converged = out.converged();
     let failure = (!converged).then(|| {
         let mut why = String::from("churn: the run did not end converged");
-        if SimTime::from_us(start_us) < out.initial_finished_at {
+        if SimTime::from_us(start_us) < out.configured_at {
             // The initial discovery launches 1 us after bring-up stops at
-            // half the window start, so the window clears a discovery from
-            // twice its length on; a quiet twin (no plan, no trace) gives
-            // the length this one would have had undisturbed.
+            // half the window start, and PI-5 configuration follows it,
+            // so the window clears both from twice their length on; a
+            // quiet twin (no plan, no trace) gives the length they would
+            // have had undisturbed: from its discovery's start to its
+            // configuration's drain.
             let quiet = inv.scenario.clone().with_trace(TraceHandle::disabled());
-            let undisturbed = Bench::start(topo, &quiet, &[]).last_run().discovery_time();
+            let mut twin = Bench::start(topo, &quiet, &[]);
+            twin.configure_pi5_routes();
+            let fm = twin.fm_agent();
+            let configured = fm.pi5_routes_configured_at().expect("the twin configured");
+            let undisturbed = configured.saturating_since(fm.runs()[0].started_at);
             why += &format!(
                 "\nchurn: the window opened at {start_us} us, before the initial discovery \
-                 finished at {:.0} us; --start-us {:.0} is the smallest that clears it \
-                 (docs/CHURN.md, \"Placing the window\")",
-                out.initial_finished_at.as_micros_f64(),
+                 and its PI-5 configuration finished at {:.0} us; --start-us {:.0} is the \
+                 smallest that clears it (docs/CHURN.md, \"Placing the window\")",
+                out.configured_at.as_micros_f64(),
                 (undisturbed.as_micros_f64() * 2.0).ceil() + 2.0,
             );
         }

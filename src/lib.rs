@@ -47,8 +47,8 @@ pub mod prelude {
         FmTiming, RetryPolicy, TopologyDb, TOKEN_START_DISCOVERY,
     };
     pub use asi_fabric::{
-        AgentCtx, ChurnPlan, DevId, Fabric, FabricAgent, FabricConfig, FaultPlan, FmRoute,
-        LossModel, TrafficPlan,
+        AgentCtx, ChurnPlan, DevId, Fabric, FabricAgent, FabricConfig, FaultPlan, LossModel,
+        TrafficPlan,
     };
     pub use asi_harness::{
         change_experiment, churn_experiment, default_churn_exempt, load_snapshot, save_snapshot,

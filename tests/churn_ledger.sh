@@ -43,10 +43,10 @@ row() {
     fi
 }
 
-row "33 37" 60 --topology mesh:4x4
-row "41" 60 --topology torus:4x4
-row "19 33" 40 --topology mesh:6x6 --start-us 40000
-row "21 26 33" 40 --topology mesh:8x8 --start-us 40000
+row "" 60 --topology mesh:4x4
+row "" 60 --topology torus:4x4
+row "33" 40 --topology mesh:6x6 --start-us 40000
+row "26 33" 40 --topology mesh:8x8 --start-us 40000
 row "" 60 --topology fattree:4,2
 
 [ "$status" -eq 0 ] && echo "churn ledger: every row matches"

@@ -1131,17 +1131,20 @@ fn churn_mode_reports_a_converged_steady_state() {
 }
 
 /// The default window opens at 6 ms; a 6x6 mesh is still being discovered
-/// then. The failure names that cause and the start that avoids it.
+/// then. The failure names that cause and the start that avoids it: one
+/// that clears the undisturbed discovery and the PI-5 configuration
+/// after it.
 #[test]
 fn churn_mode_names_a_window_that_opened_mid_discovery() {
     let at = ["churn", "--topology", "mesh:6x6", "--seed", "1"];
     let (_, stderr, code) = run_coded(&at);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("did not end converged"), "{stderr}");
-    let cause = "the window opened at 6000 us, before the initial discovery finished at 13577 us; \
-                 --start-us 11739 is the smallest that clears it";
+    let cause = "the window opened at 6000 us, before the initial discovery and its PI-5 \
+                 configuration finished at 14476 us; --start-us 21391 is the smallest that \
+                 clears it";
     assert!(stderr.contains(cause), "{stderr}");
-    let (_, stderr, code) = run_coded(&[&at[..], &["--start-us", "11739"]].concat());
+    let (_, stderr, code) = run_coded(&[&at[..], &["--start-us", "21391"]].concat());
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
 }

@@ -7,10 +7,12 @@
 
 use advanced_switching::core::{
     decode_route_table, plan_multicast, DiscoveryTrigger, TOKEN_CONFIGURE_MCAST,
+    TOKEN_CONFIGURE_PI5,
 };
 use advanced_switching::harness::{dev_of_dsn, dsn_of_dev, sharded_discovery};
 use advanced_switching::prelude::*;
-use advanced_switching::proto::{CapabilityAddr, CAP_ROUTE_TABLE};
+use advanced_switching::proto::config::EVENT_ROUTE_VALID;
+use advanced_switching::proto::{CapabilityAddr, CAP_EVENT_ROUTE, CAP_ROUTE_TABLE};
 use advanced_switching::topo::torus;
 use std::any::Any;
 
@@ -76,25 +78,25 @@ fn full_lifecycle() {
         assert!(!fabric.agent_as::<FmAgent>(secondary).unwrap().promoted());
     }
 
-    // PI-5 routes from the primary's database.
-    let routes: Vec<(u64, u8, TurnPool)> = {
-        let db = fabric.agent_as::<FmAgent>(primary).unwrap().db().unwrap();
-        let host = db.host_dsn();
-        db.devices()
-            .filter(|d| d.info.dsn != host)
-            .filter_map(|d| {
-                db.route_between(d.info.dsn, host, advanced_switching::proto::MAX_POOL_BITS)
-                    .and_then(Result::ok)
-                    .map(|r| (d.info.dsn, r.egress, r.pool))
-            })
-            .collect()
-    };
-    for (d, egress, pool) in routes {
-        fabric.set_fm_route(
-            dev_of_dsn(d),
-            advanced_switching::fabric::FmRoute { egress, pool },
-        );
+    // The primary writes every device's PI-5 reporting route.
+    fabric.schedule_agent_timer(primary, SimDuration::from_us(1), TOKEN_CONFIGURE_PI5);
+    let deadline = fabric.now() + SimDuration::from_ms(5);
+    fabric.run_until(deadline);
+    {
+        let p = fabric.agent_as::<FmAgent>(primary).unwrap();
+        assert!(p.pi5_routes_settled() && p.pi5_routes_configured_at().is_some());
+        assert_eq!(p.pi5_route_failures(), 0);
     }
+    // Every device but the primary's endpoint holds a valid route.
+    let header = CapabilityAddr {
+        capability: CAP_EVENT_ROUTE,
+        offset: 0,
+    };
+    let holding = (0..fabric.device_count() as u32)
+        .map(|d| fabric.read_config(DevId(d), header, 1).unwrap()[0])
+        .filter(|&word| word & EVENT_ROUTE_VALID != 0)
+        .count();
+    assert_eq!(holding, 31);
 
     // ---- Phase 4: a user endpoint sends data over its distributed
     // route table. -------------------------------------------------------
