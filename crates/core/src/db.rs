@@ -200,6 +200,24 @@ impl TopologyDb {
         self.slots[*self.index.get(&dsn)? as usize].device.as_ref()
     }
 
+    /// The slot of a known device: a handle that [`TopologyDb::device_at`]
+    /// reads while the device is known. Once it is removed, the slot may
+    /// be claimed again for another DSN.
+    pub(crate) fn slot_of(&self, dsn: u64) -> Option<u32> {
+        self.known(dsn)
+    }
+
+    /// The device in slot `s`, if the slot holds one.
+    pub(crate) fn device_at(&self, s: u32) -> Option<&DeviceRecord> {
+        self.slots.get(s as usize)?.device.as_ref()
+    }
+
+    /// The DSN slot `s` was last claimed for: a removed device's until
+    /// the slot is claimed again.
+    pub(crate) fn dsn_at(&self, s: u32) -> u64 {
+        self.slots[s as usize].dsn
+    }
+
     /// Mutable lookup.
     pub fn device_mut(&mut self, dsn: u64) -> Option<&mut DeviceRecord> {
         let s = *self.index.get(&dsn)?;

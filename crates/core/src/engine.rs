@@ -48,19 +48,21 @@
 //! and is skipped. The run is done when the table and the queue are both
 //! empty.
 //!
-//! A waiting operation is a 16-byte `Waiting` record, not a route: a
-//! port read names its device and first port, a probe the device and
-//! port it looks through plus the peer port it will enter by (captured
-//! when queued, because a re-read may change it while the probe waits).
-//! The probe's route is rebuilt when it is issued — the via device's
-//! stored route plus one turn — which is the route it had when queued,
-//! because inside one engine a stored route, a device type and a port
-//! count never change while the device is known. Only forgetting a
-//! device ends that, so before the engine forgets anything it turns
-//! every waiting probe into one that carries the route it was queued
-//! with, and the probe is issued exactly as before. Requests in flight
-//! keep their full operation, so retries and completions read it
-//! unchanged.
+//! A waiting operation is an 8-byte record, not a route: a port read
+//! names its device by database slot and its first port, a probe the
+//! slot and port it looks through plus the peer port it will enter by
+//! (captured when queued, because a re-read may change it while the
+//! probe waits). The probe's route is rebuilt when it is issued — the via
+//! device's stored route plus one turn — which is the route it had when
+//! queued, because inside one engine a stored route, a device type and a
+//! port count never change while the device is known. Only forgetting a
+//! device ends that, and frees its slot for reuse. So before the engine
+//! forgets anything it detaches every waiting probe, with the route it
+//! was queued with, and after, every waiting read of a device it forgot,
+//! by DSN, into a side table: no waiting operation names a slot that no
+//! longer holds its device, and each is issued (or skipped) exactly as
+//! before. Requests in flight keep their full operation, so retries and
+//! completions read it unchanged.
 //!
 //! ## Exploration bookkeeping
 //!
@@ -79,7 +81,7 @@ use asi_proto::{
     turn_for, turn_width, CapabilityAddr, DeviceInfo, DeviceType, Pi4Status, PortInfo, TurnPool,
     PORT_BLOCK_WORDS,
 };
-use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle};
+use asi_sim::{Arena, SimDuration, SimTime, TraceEvent, TraceHandle};
 use std::collections::{BTreeSet, VecDeque};
 
 /// The ownership claim register every device carries.
@@ -250,18 +252,20 @@ impl PendingTable {
     }
 }
 
-/// An exploration operation waiting for its turn (module header): 16
-/// bytes, where a [`Pending`] probe carries a 72-byte turn pool.
+/// An exploration operation waiting for its turn (module header): 8
+/// bytes, where a [`Pending`] probe carries a 72-byte turn pool. A known
+/// device is named by its database slot.
 #[derive(Debug)]
 enum Waiting {
-    /// A probe through `port` of the known device `dsn`, entering the
-    /// device behind it at `entry_port`; its route is built at issue.
-    Probe { dsn: u64, port: u8, entry_port: u8 },
-    /// The read of up to two port blocks of a known device.
-    Ports { dsn: u64, first_port: u16 },
-    /// A probe whose via device was forgotten while it waited, with the
-    /// route it was queued with.
-    Routed(Box<ProbeTarget>),
+    /// A probe through `port` of the known device in slot `via`, entering
+    /// the device behind it at `entry_port`; its route is built at issue.
+    Probe { via: u32, port: u8, entry_port: u8 },
+    /// The read of up to two port blocks of the known device in `slot`.
+    Ports { slot: u32, first_port: u16 },
+    /// An operation detached by [`Engine::forget`]: entry `0` of
+    /// [`Engine::detached`], a probe with the route it was queued with or
+    /// a port read by DSN.
+    Detached(u32),
 }
 
 /// A discovery operation. The kind alone says which device to address
@@ -392,6 +396,9 @@ pub struct Engine {
     pending: PendingTable,
     /// Exploration waiting for its turn, in issue order (module header).
     queue: VecDeque<Waiting>,
+    /// The waiting operations [`Engine::forget`] detached from their
+    /// slots, whole: a [`Pending::General`] or a [`Pending::Ports`].
+    detached: Arena<Pending>,
     next_req: u32,
     stats: EngineStats,
     my_dsn: u64,
@@ -450,6 +457,7 @@ impl Engine {
             ceded: Vec::new(),
             pending: PendingTable::new(),
             queue: VecDeque::new(),
+            detached: Arena::new(),
             next_req: 1,
             stats: EngineStats::default(),
             verified: Vec::new(),
@@ -675,7 +683,11 @@ impl Engine {
         let (port_reads_wait, probes_wait) = self.serial_kinds();
         let serial = match waiting {
             Waiting::Ports { .. } => port_reads_wait,
-            Waiting::Probe { .. } | Waiting::Routed(_) => probes_wait,
+            Waiting::Probe { .. } => probes_wait,
+            Waiting::Detached(at) => match self.detached.get(*at) {
+                Pending::General(_) => probes_wait,
+                _ => port_reads_wait,
+            },
         };
         let outstanding = self.pending.len();
         if serial {
@@ -695,12 +707,17 @@ impl Engine {
             }
             let kind = match self.queue.pop_front().expect("front was just seen") {
                 Waiting::Probe {
-                    dsn,
+                    via,
                     port,
                     entry_port,
-                } => Pending::General(self.probe_target(dsn, port, entry_port)),
-                Waiting::Ports { dsn, first_port } => Pending::Ports { dsn, first_port },
-                Waiting::Routed(target) => Pending::General(*target),
+                } => Pending::General(self.probe_target(via, port, entry_port)),
+                Waiting::Ports { slot, first_port } => {
+                    let device = self.db.device_at(slot);
+                    let device = device.expect("forget detaches the reads of what it drops");
+                    let dsn = device.info.dsn;
+                    Pending::Ports { dsn, first_port }
+                }
+                Waiting::Detached(at) => self.detached.take(at),
             };
             out.extend(self.issue(kind));
         }
@@ -754,9 +771,12 @@ impl Engine {
     /// port order: ahead of every probe already waiting where probes
     /// wait, else behind everything waiting, in the flood's own order.
     fn explore_ports(&mut self, dsn: u64) {
-        let Some(d) = self.db.device(dsn) else { return };
-        let reads = port_info_reads(d.info.port_count);
-        let reads = reads.map(|first_port| Waiting::Ports { dsn, first_port });
+        let Some(slot) = self.db.slot_of(dsn) else {
+            return;
+        };
+        let port_count = self.db.device_at(slot).expect("known").info.port_count;
+        let reads = port_info_reads(port_count);
+        let reads = reads.map(|first_port| Waiting::Ports { slot, first_port });
         if self.serial_kinds().1 {
             for read in reads.rev() {
                 self.queue.push_front(read);
@@ -806,9 +826,10 @@ impl Engine {
     /// active, is the switch's own way back to the FM, or its turn would
     /// overflow the route's pool.
     fn probe(&mut self, dsn: u64, port: u8) -> bool {
-        let Some(device) = self.db.device(dsn) else {
+        let Some(via) = self.db.slot_of(dsn) else {
             return false;
         };
+        let device = self.db.device_at(via).expect("a known device's slot");
         let Some(Some(pinfo)) = device.ports.get(usize::from(port)) else {
             return false;
         };
@@ -829,22 +850,23 @@ impl Engine {
         }
         let entry_port = pinfo.peer_port;
         self.queue.push_back(Waiting::Probe {
-            dsn,
+            via,
             port,
             entry_port,
         });
         true
     }
 
-    /// The probe through `(dsn, port)` that [`Engine::probe`] accepted,
-    /// its route built from the via device's: one turn more through a
-    /// switch, none out of an endpoint, and the host's own port is the
-    /// egress of a route with no switch hop yet.
-    fn probe_target(&self, dsn: u64, port: u8, entry_port: u8) -> ProbeTarget {
+    /// The probe through `port` of the device in slot `via` that
+    /// [`Engine::probe`] accepted, its route built from the via device's:
+    /// one turn more through a switch, none out of an endpoint, and the
+    /// host's own port is the egress of a route with no switch hop yet.
+    fn probe_target(&self, via: u32, port: u8, entry_port: u8) -> ProbeTarget {
         let device = self
             .db
-            .device(dsn)
-            .expect("a waiting probe's via device is known: forget routes them first");
+            .device_at(via)
+            .expect("a waiting probe's via device is known: forget detaches them first");
+        let dsn = device.info.dsn;
         let mut pool = device.route.pool.clone();
         let (egress, hops) = if dsn == self.my_dsn {
             (port, 0)
@@ -871,25 +893,38 @@ impl Engine {
     /// Drops a half-explored device (it stopped answering). Requests in
     /// flight to it will be answered or time out, and its waiting reads
     /// will be pumped; all three paths tolerate the missing DSN. Waiting
-    /// probes are routed first, while every via device is still known,
-    /// so that each is issued on the route it was queued with.
+    /// probes are detached first, while every via device is still known,
+    /// so that each is issued on the route it was queued with; the
+    /// waiting reads of every device dropped are detached after, by the
+    /// DSN their slot held, so that a slot claimed again later is not
+    /// read for them.
     fn forget(&mut self, dsn: u64) {
         if dsn == self.my_dsn {
             return;
         }
         for i in 0..self.queue.len() {
             if let Waiting::Probe {
-                dsn,
+                via,
                 port,
                 entry_port,
             } = self.queue[i]
             {
-                let target = self.probe_target(dsn, port, entry_port);
-                self.queue[i] = Waiting::Routed(Box::new(target));
+                let target = self.probe_target(via, port, entry_port);
+                let at = self.detached.alloc(Pending::General(target));
+                self.queue[i] = Waiting::Detached(at);
             }
         }
         self.db.remove_device(dsn);
         self.db.prune_unreachable();
+        for i in 0..self.queue.len() {
+            if let Waiting::Ports { slot, first_port } = self.queue[i] {
+                if self.db.device_at(slot).is_none() {
+                    let dsn = self.db.dsn_at(slot);
+                    let at = self.detached.alloc(Pending::Ports { dsn, first_port });
+                    self.queue[i] = Waiting::Detached(at);
+                }
+            }
+        }
     }
 
     /// The one place an operation becomes a route and a PI-4 request —
@@ -1345,11 +1380,45 @@ mod tests {
         assert!(engine.rivals.is_empty());
     }
 
-    /// What a window-held flood keeps per waiting operation: two words,
-    /// where a probe in flight carries its 72-byte turn pool.
+    /// What a window-held flood keeps per waiting operation: one word
+    /// (a database slot, not a DSN), where a probe in flight carries its
+    /// 72-byte turn pool.
     #[test]
-    fn a_waiting_operation_is_two_words() {
-        assert_eq!(std::mem::size_of::<Waiting>(), 16);
+    fn a_waiting_operation_is_one_word() {
+        assert_eq!(std::mem::size_of::<Waiting>(), 8);
+    }
+
+    /// A port read that waits while its device is forgotten keeps
+    /// addressing that device by DSN: the slot it named is claimed again
+    /// by another device before the read is pumped, and the read is still
+    /// skipped, as a read of a DSN the database no longer holds.
+    #[test]
+    fn a_waiting_read_of_a_forgotten_device_does_not_follow_its_slot() {
+        let db = host_and_switch();
+        let slot = db.slot_of(7).unwrap();
+        let region = Region {
+            verify: vec![7],
+            ..Region::default()
+        };
+        let mut out = Vec::new();
+        let mut engine = Engine::reconcile(cfg(Algorithm::SerialPacket), db, region, &mut out);
+        assert_eq!(out.len(), 1, "the verify read is in flight");
+        // A read of switch 7's ports waits behind it (Serial Packet).
+        let first_port = 0;
+        engine.queue.push_back(Waiting::Ports { slot, first_port });
+        engine.pump(&mut out);
+        assert_eq!(out.len(), 1);
+        // 7 is forgotten and its slot goes to a newcomer, 9.
+        engine.forget(7);
+        let route = engine.db.device(1).unwrap().route.clone();
+        engine.db.insert_device(endpoint_info(9), route);
+        assert_eq!(engine.db.slot_of(9), Some(slot));
+        // The verify fails; the waiting read finds no device 7 and is
+        // skipped: nothing is read of 9.
+        let next = step(|o| engine.handle_completion(out[0].req_id, Err(Pi4Status::Abort), o));
+        assert!(next.is_empty(), "{next:?}");
+        assert!(engine.is_done());
+        assert_eq!(engine.detached.live(), 0);
     }
 
     fn flight() -> InFlight {

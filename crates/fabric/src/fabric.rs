@@ -72,7 +72,7 @@ mod switch;
 
 use endpoint::{AgentSlot, Fifos, Held, Responder, Stage, Traffic};
 use packets::{FlowBody, PacketRef, Packets};
-use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, NIL};
+use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, Spill, NIL};
 
 /// One device. `repr(C)`: the declaration order is the memory order, and
 /// what a switch hop reads of the two devices it touches — whether the
@@ -96,7 +96,8 @@ use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, NIL};
 struct Device {
     info: DeviceInfo,
     ports: Box<[Port]>,
-    /// Credit returns owed to `ports` that spent no event (`port.rs`).
+    /// The first credit return owed to `ports` that spent no event
+    /// (`port.rs`); the rest spill to `spill`.
     ledger: Ledger,
     pi5_seq: u32,
     active: bool,
@@ -112,6 +113,8 @@ struct Device {
     /// finally pace even the Parallel discovery (paper Fig. 8b).
     ingress: Stage,
     agent: Option<Box<AgentSlot>>,
+    /// The credit returns owed beyond the ledger's inline first.
+    spill: Spill,
 }
 
 /// Each device's random stream for loss, corruption and duplication
@@ -211,7 +214,7 @@ events! {
     /// Output serializer / queue retry.
     TryTx { port: u8 } "try_tx" Rank => on_try_tx;
     /// Flow-control credits coming back from the downstream input buffer.
-    CreditReturn { port: u8, class: CreditClass, amount: u32 } "credit_return" Rank => on_credit_return;
+    CreditReturn { port: u8, class: CreditClass, amount: u16 } "credit_return" Rank => on_credit_return;
     /// The endpoint agent finished its per-packet occupancy.
     AgentDone {} "agent_done" Rank => on_agent_done;
     /// The endpoint's inbound PI-4 engine finished handling a packet.
@@ -220,8 +223,9 @@ events! {
     ResponderDone {} "responder_done" Rank => on_responder_done;
     /// Agent timer.
     Timer { token: u64 } "timer" Rank => on_timer;
-    /// Link training completed on `(dev, port)`.
-    PortTrained { port: u8 } "port_trained" Control => on_port_trained;
+    /// Link training completed on `(dev, port)` and, with `both`, on the
+    /// far end of its link: one event per link trained.
+    PortTrained { port: u8, both: bool } "port_trained" Control => on_port_trained;
     /// Device power-up.
     Activate {} "activate" Control => on_activate;
     /// Device removal / failure.
@@ -268,7 +272,8 @@ pub struct Fabric {
     /// every delivered management packet, so allocating a fresh `Vec` per
     /// callback shows up in discovery profiles.
     scratch_ports: Vec<PortInfo>,
-    /// Recycled agent command buffer (same rationale).
+    /// Recycled agent command buffer (same rationale), up to a bound: a
+    /// burst's is given back (`endpoint.rs`).
     scratch_commands: Vec<AgentCommand>,
     traffic: Traffic,
     /// Each device's fault stream, from its first draw.
@@ -305,7 +310,19 @@ impl Fabric {
     /// Instantiates a fabric from a ground-truth topology. All devices
     /// start powered off; use [`Fabric::schedule_activate`] /
     /// [`Fabric::activate_all`].
+    ///
+    /// # Panics
+    ///
+    /// If a configured credit count is above `u16::MAX` (a port holds
+    /// its credits in hand as a `u16` per class).
     pub fn new(topo: &Topology, config: FabricConfig) -> Fabric {
+        for credits in [config.mgmt_credits, config.data_credits] {
+            assert!(
+                u16::try_from(credits).is_ok(),
+                "a port holds at most {} credits per class, not {credits}",
+                u16::MAX
+            );
+        }
         let mut devices = Vec::with_capacity(topo.node_count());
         for (id, node) in topo.nodes() {
             let info = DeviceInfo {
@@ -332,6 +349,7 @@ impl Fabric {
                 responder: Responder::default(),
                 ingress: Stage::default(),
                 agent: None,
+                spill: Spill::default(),
             });
         }
         // The conservative lookahead is the link propagation delay: no
@@ -685,14 +703,14 @@ mod tests {
     /// 69,632 on `mesh:64x64` (45,312 of them dangling), 242,688 on
     /// `dragonfly:8,48`, 1,302,528 on `dragonfly:8,128` — where the 96
     /// bytes of inline queue headers `Port` used to carry were 119 MiB,
-    /// and a word more is 10 MiB. Six words, so that the cut-through
-    /// guard reads one line of the egress port; the queues are on loan
-    /// from `Fabric::queues`, two `VecDeque`s a set, only while something
-    /// is queued.
+    /// and a word more is 10 MiB. Five words (`u16` credits, three flags
+    /// in one byte), so that the cut-through guard reads one line of the
+    /// egress port; the queues are on loan from `Fabric::queues`, two
+    /// `VecDeque`s a set, only while something is queued.
     #[test]
     fn port_and_hot_device_prefix_fit_a_cache_line() {
         use std::mem::{offset_of, size_of};
-        assert!(size_of::<Port>() <= 48, "{}", size_of::<Port>());
+        assert!(size_of::<Port>() <= 40, "{}", size_of::<Port>());
         assert!(size_of::<QueueSet>() <= 64, "{}", size_of::<QueueSet>());
         // What `on_arrive`, the guard, `transmit` and `return_credits`
         // read of a device: two devices per hop, one line each.
@@ -701,9 +719,10 @@ mod tests {
         assert!(offset_of!(Device, ledger) + size_of::<Ledger>() <= 64);
         assert!(offset_of!(Device, pi5_seq) < 64);
         assert!(offset_of!(Device, active) < 64);
-        // The whole record: what few devices use is a word each, and a
-        // serial stage is a FIFO handle and an instant.
-        assert!(size_of::<Device>() <= 136, "{}", size_of::<Device>());
+        // The whole record: what few devices use is a word each, a
+        // serial stage is a FIFO handle and an instant, and the credit
+        // returns owed beyond the inline first spill to a `Vec` of its own.
+        assert!(size_of::<Device>() <= 160, "{}", size_of::<Device>());
         assert!(size_of::<Stage>() <= 16, "{}", size_of::<Stage>());
         // `Event` and `OutEntry` move by value through the wheel's slab
         // nodes and the queues: three words each.
@@ -760,15 +779,16 @@ mod tests {
         let mut fabric = Fabric::new(&topo, FabricConfig::default());
         fabric.activate_all(SimDuration::ZERO);
         fabric.run_until_idle();
-        // Bring-up is activations and link training and nothing else.
+        // Bring-up is activations and link training and nothing else: one
+        // training event per link (eight), not one per port.
         for (kind, n) in fabric.dispatch_counts() {
             let expected = match kind {
                 "activate" => 8,
-                "port_trained" => 16,
+                "port_trained" => 8,
                 _ => 0,
             };
             assert_eq!(n, expected, "{kind}");
         }
-        assert_eq!(fabric.events_processed(), 24);
+        assert_eq!(fabric.events_processed(), 16);
     }
 }

@@ -48,6 +48,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// [`Stage::done_at`] of an idle stage.
 const IDLE: SimTime = SimTime::MAX;
 
+/// The largest agent command buffer [`Fabric::with_agent`] keeps for the
+/// next callback: what one completion's exploration queues at most, a
+/// send and a timer for each port-block read of a 255-port switch (128
+/// reads) and the answered request's cancel, 257 commands in a buffer
+/// grown to 512. A burst past it — a request window's first pump, a
+/// manager's configuration writes — is given back once executed.
+const KEPT_COMMANDS: usize = 512;
+
 /// What waits in a serial stage: a delivered packet and the port it came
 /// in on. The responder replies through that port; the ingress pipe and
 /// the agent carry it along, so that one kind of FIFO serves all three.
@@ -741,7 +749,10 @@ impl Fabric {
                 }
             }
         }
-        self.scratch_commands = commands;
+        // A burst gives its buffer back instead of holding it all run.
+        if commands.capacity() <= KEPT_COMMANDS {
+            self.scratch_commands = commands;
+        }
     }
 }
 

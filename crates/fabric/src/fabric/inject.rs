@@ -82,8 +82,21 @@ impl Fabric {
         if !self.devices[dev.idx()].active || !self.devices[peer_dev.idx()].active {
             return false;
         }
-        self.begin_training(dev, port);
-        self.begin_training(peer_dev, peer_port);
+        // One event for the link, due when the ends that started training
+        // here are done.
+        let event = match (
+            self.begin_training(dev, port),
+            self.begin_training(peer_dev, peer_port),
+        ) {
+            (true, both) => Event::PortTrained { dev, port, both },
+            (false, true) => Event::PortTrained {
+                dev: peer_dev,
+                port: peer_port,
+                both: false,
+            },
+            (false, false) => return true,
+        };
+        self.sched_after(self.config.train_time, event);
         true
     }
 

@@ -2,7 +2,8 @@
 //! borrows while it has something to send and the serializer that drains
 //! them (`enqueue_out` → `pump` → `transmit`), credit flow control,
 //! injected loss — and the one way a locally born packet gets in
-//! (`inject`) and a dead one gets out (`drop_entry`).
+//! (`inject`) and a dead one gets out (`drop_entry`). A port is 40
+//! bytes, and one training event trains both ends of its link.
 //!
 //! ## Events per switch hop: three, two, one
 //!
@@ -111,8 +112,8 @@
 //!
 //! | | an idle port holds | a port with something queued also borrows |
 //! |---|---|---|
-//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, the credits in hand, `credits_by_event`, `ge_bad`, and `q = NIL` | management and data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew |
-//! | where | 48 bytes in its device's port array | 64 bytes of `Fabric::queues`, at index `q` |
+//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, the credits in hand (a `u16` per class), three flags in one byte (credits by event, the loss state, negotiated), and `q = NIL` | management and data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew |
+//! | where | 40 bytes in its device's port array | 64 bytes of `Fabric::queues`, at index `q` |
 //! | from, until | `Fabric::new` to the end of the run | the first `enqueue_out` on an empty port, to the `pop_head` or `drain_port` that takes its last entry |
 //! | read by | `on_arrive`, the guard, `transmit`, `return_credits` — one line, no queue: "both egress queues empty" is `q == NIL` | `enqueue_out`, `pump` (`next_action`, `pop_head`), `drain_port` |
 //!
@@ -122,6 +123,21 @@
 //! 16x16 mesh under 0.4 data load) and the set a reply borrows is
 //! usually the one the previous reply warmed. Deep queues stay what they
 //! were: contiguous `VecDeque`s.
+//!
+//! ## Training: one event per link
+//!
+//! Activation and a flap's up edge (`retrain`) start training on the
+//! ends of a link that are down and schedule one `PortTrained` for the
+//! link, naming one end and whether the other started with it. Two
+//! events, one per end, would have taken two consecutive keys — same
+//! instant, same origin, consecutive `seq` — so no other event could fire
+//! between them; the one event's handler completes the named end, then
+//! the other, in that order, and judges each on its own: an end whose
+//! device or peer died meanwhile goes down, one that was taken down stays
+//! down, and a stale end that finds its port retrained comes up, as its
+//! own event used to bring it up. Bring-up spends one event per link,
+//! and the kernel's burst (every link of the fabric at the same instant)
+//! is half as deep.
 //!
 //! Data is one FIFO. The paper's §2 lists two ASI congestion-management
 //! options, BVC bypass queues and source injection rate limits; its
@@ -155,9 +171,17 @@ impl CreditClass {
 }
 
 /// A port's full set of credits — the peer's input buffer, empty — per
-/// class, indexed by [`CreditClass::idx`].
-fn credit_capacity(config: &FabricConfig) -> [u32; 2] {
-    [config.mgmt_credits, config.data_credits]
+/// class, indexed by [`CreditClass::idx`]. [`Fabric::new`] rejects a
+/// configured count that does not fit a `u16`.
+fn credit_capacity(config: &FabricConfig) -> [u16; 2] {
+    [config.mgmt_credits as u16, config.data_credits as u16]
+}
+
+/// What a `size`-byte packet costs in credits, as a port holds them. A
+/// payload's length is at most a `u16` of bytes, so a packet's cost
+/// (one credit per 64 bytes) always fits.
+fn credit_cost(config: &FabricConfig, size: usize) -> u16 {
+    u16::try_from(config.credits_for(size)).expect("a packet costs at most 1,100 credits")
 }
 
 /// Where a queued packet's input-buffer credits must be released.
@@ -166,7 +190,7 @@ pub(super) struct CreditOrigin {
     dev: DevId,
     port: u8,
     class: CreditClass,
-    amount: u32,
+    amount: u16,
 }
 
 /// A packet waiting on an output port.
@@ -267,7 +291,7 @@ impl<T> std::ops::IndexMut<u32> for Pool<T> {
 /// nothing.
 pub(super) const NIL: u32 = u32::MAX;
 
-/// One port of a device: 48 bytes, and everything the cut-through guard
+/// One port of a device: 40 bytes, and everything the cut-through guard
 /// asks of it is in them (the table in the module header).
 pub(super) struct Port {
     /// The device at the other end of the link ([`NIL`] if the port is
@@ -298,21 +322,25 @@ pub(super) struct Port {
     /// written through [`Device::credits`] alone, which settles the ledger
     /// first.
     peer_credits: PeerCredits,
-    /// How credits come back to this port: as `CreditReturn` events once a
-    /// head has stalled here, through the device's ledger otherwise (a
-    /// flag in the padding next to `ge_bad`: `Port` does not grow).
-    credits_by_event: bool,
-    /// Gilbert–Elliott loss state of the outgoing link: true while the
-    /// link is in its bad (bursty-loss) state.
-    ge_bad: bool,
-    /// Whether the port has had a state set since power-on: until then
-    /// no link width or speed is negotiated on it, and its block in the
-    /// configuration space reads all zero ([`Port::info`]).
-    negotiated: bool,
+    /// Three flags in one byte ([`Port::flag`]): [`BY_EVENT`], [`GE_BAD`]
+    /// and [`NEGOTIATED`].
+    flags: u8,
 }
 
-pub(super) use ledger::Ledger;
+/// [`Port::flags`]: credits come back to this port as `CreditReturn`
+/// events (once a head has stalled here), not through the device's
+/// ledger.
+const BY_EVENT: u8 = 1;
+/// [`Port::flags`]: the Gilbert–Elliott loss state of the outgoing link
+/// is bad (bursty loss).
+const GE_BAD: u8 = 2;
+/// [`Port::flags`]: the port has had a state set since power-on. Until
+/// then no link width or speed is negotiated on it, and its block in the
+/// configuration space reads all zero ([`Port::info`]).
+const NEGOTIATED: u8 = 4;
+
 use ledger::PeerCredits;
+pub(super) use ledger::{Ledger, Spill};
 
 /// The credits a port holds and the credits on their way back to it.
 /// [`PeerCredits`]' field is private to this module, so that
@@ -322,7 +350,7 @@ mod ledger {
     use super::*;
 
     /// Credits in hand for the peer's input buffer, per class.
-    pub(in crate::fabric) struct PeerCredits([u32; 2]);
+    pub(in crate::fabric) struct PeerCredits([u16; 2]);
 
     impl PeerCredits {
         pub(super) fn full(config: &FabricConfig) -> PeerCredits {
@@ -336,56 +364,91 @@ mod ledger {
         key: EventKey,
         port: u8,
         class: CreditClass,
-        amount: u32,
+        amount: u16,
     }
 
-    /// The returns owed to one device's ports, in no particular order:
-    /// a handful at most on a quiet fabric (one wire flight's worth, plus
-    /// what no dispatch has had a reason to take in yet).
+    /// The returns owed to one device's ports, in no particular order.
+    /// The first is inline, in the device's first cache line: on a quiet
+    /// fabric one is nearly always all there is (one wire flight's worth,
+    /// plus what no dispatch has had a reason to take in yet). Only a
+    /// second return owed at once goes to the device's [`Spill`], which
+    /// is empty whenever the inline entry is.
     #[derive(Default)]
-    pub(in crate::fabric) struct Ledger(Vec<Owed>);
+    pub(in crate::fabric) struct Ledger(Option<Owed>);
+
+    /// The returns owed beyond a [`Ledger`]'s first, out of the device's
+    /// first line: allocated at the first second return a device is owed
+    /// and kept from then on, so it is rare where memory matters (a
+    /// quiet fabric) and allocated once per device where it is common (a
+    /// busy one).
+    #[derive(Default)]
+    pub(in crate::fabric) struct Spill(Vec<Owed>);
 
     impl Device {
         /// The credits `port` holds, once every return due before `upto`
         /// — the key of the event being dispatched — is in: exactly the
         /// `CreditReturn`s that would have fired by now.
         #[inline]
-        pub(super) fn credits(&mut self, port: u8, upto: EventKey) -> &mut [u32; 2] {
-            if !self.ledger.0.is_empty() {
-                let ports = &mut self.ports;
-                self.ledger.0.retain(|owed| {
-                    let due = owed.key < upto;
-                    if due {
-                        let held = &mut ports[usize::from(owed.port)].peer_credits;
-                        held.0[owed.class.idx()] += owed.amount;
-                    }
-                    !due
-                });
+        pub(super) fn credits(&mut self, port: u8, upto: EventKey) -> &mut [u16; 2] {
+            if self.ledger.0.is_some() {
+                self.settle(upto);
             }
             &mut self.ports[usize::from(port)].peer_credits.0
+        }
+
+        /// Takes in every return due before `upto`; if the inline entry
+        /// was due, a spilled one left takes its place.
+        #[inline]
+        fn settle(&mut self, upto: EventKey) {
+            let ports = &mut self.ports;
+            let mut take_in = |owed: &Owed| {
+                let due = owed.key < upto;
+                if due {
+                    let held = &mut ports[usize::from(owed.port)].peer_credits;
+                    held.0[owed.class.idx()] += owed.amount;
+                }
+                due
+            };
+            if !self.spill.0.is_empty() {
+                self.spill.0.retain(|owed| !take_in(owed));
+            }
+            if self.ledger.0.as_ref().is_some_and(take_in) {
+                self.ledger.0 = self.spill.0.pop();
+            }
         }
 
         /// Enters a return to one of this device's ports, due at `key`.
         #[inline]
         pub(super) fn owe(&mut self, key: EventKey, to: CreditOrigin) {
-            self.ledger.0.push(Owed {
+            let owed = Owed {
                 key,
                 port: to.port,
                 class: to.class,
                 amount: to.amount,
-            });
+            };
+            if self.ledger.0.is_none() {
+                self.ledger.0 = Some(owed);
+            } else {
+                self.spill.0.push(owed);
+            }
         }
 
         /// Takes one of `port`'s returns off the ledger, if any is left
         /// (`dev` is this device: the ledger does not store it).
         pub(super) fn call_in(&mut self, dev: DevId, port: u8) -> Option<(EventKey, CreditOrigin)> {
-            let at = self.ledger.0.iter().position(|owed| owed.port == port)?;
+            let owed = if self.ledger.0.as_ref()?.port == port {
+                let next = self.spill.0.pop();
+                std::mem::replace(&mut self.ledger.0, next)?
+            } else {
+                let at = self.spill.0.iter().position(|owed| owed.port == port)?;
+                self.spill.0.swap_remove(at)
+            };
             let Owed {
                 key,
                 port,
                 class,
                 amount,
-            } = self.ledger.0.swap_remove(at);
+            } = owed;
             let to = CreditOrigin {
                 dev,
                 port,
@@ -399,13 +462,13 @@ mod ledger {
         /// nor on the ledger.
         pub(in crate::fabric) fn credits_away(&self, config: &FabricConfig) -> u64 {
             let active = |p: &Port| p.state == PortState::Active;
-            let capacity: u32 = credit_capacity(config).iter().sum();
+            let capacity: u64 = credit_capacity(config).iter().copied().map(u64::from).sum();
             let (mut full, mut home) = (0u64, 0u64);
             for p in self.ports.iter().filter(|p| active(p)) {
-                full += u64::from(capacity);
-                home += u64::from(p.peer_credits.0.iter().sum::<u32>());
+                full += capacity;
+                home += p.peer_credits.0.iter().copied().map(u64::from).sum::<u64>();
             }
-            for owed in &self.ledger.0 {
+            for owed in self.ledger.0.iter().chain(&self.spill.0) {
                 if active(&self.ports[usize::from(owed.port)]) {
                     home += u64::from(owed.amount);
                 }
@@ -427,7 +490,8 @@ enum Action {
     Stall,
     /// The head can never fit the downstream buffer: drop, don't stall.
     Oversized(CreditClass),
-    Tx(CreditClass),
+    /// The head may start: its class and its size on the wire.
+    Tx(CreditClass, usize),
 }
 
 impl Port {
@@ -443,10 +507,26 @@ impl Port {
             try_tx_at: NO_WAKEUP,
             cut_until: SimTime::ZERO,
             peer_credits: PeerCredits::full(config),
-            credits_by_event: false,
-            ge_bad: false,
-            negotiated: false,
+            flags: 0,
         }
+    }
+
+    /// Whether flag `bit` of [`Port::flags`] is set.
+    #[inline]
+    fn flag(&self, bit: u8) -> bool {
+        self.flags & bit != 0
+    }
+
+    /// Sets flag `bit` of [`Port::flags`] to `on`; returns what it was.
+    #[inline]
+    fn set_flag(&mut self, bit: u8, on: bool) -> bool {
+        let was = self.flag(bit);
+        self.flags = if on {
+            self.flags | bit
+        } else {
+            self.flags & !bit
+        };
+        was
     }
 
     /// The port's block in its device's configuration space, as the FM
@@ -455,7 +535,7 @@ impl Port {
     /// port that has never had a state set reads all zero.
     #[inline]
     pub(super) fn info(&self) -> PortInfo {
-        if !self.negotiated {
+        if !self.flag(NEGOTIATED) {
             return PortInfo::default();
         }
         let peer_port = match (self.state, self.peer()) {
@@ -504,17 +584,17 @@ impl Port {
     /// or `Oversized`. The queue path and the cut-through guard both ask
     /// here, so they cannot drift.
     #[inline]
-    fn admit(config: &FabricConfig, held: [u32; 2], class: CreditClass, size: usize) -> Action {
+    fn admit(config: &FabricConfig, held: [u16; 2], class: CreditClass, size: usize) -> Action {
         if !config.flow_control {
-            return Action::Tx(class);
+            return Action::Tx(class, size);
         }
         let cost = config.credits_for(size);
-        if cost > credit_capacity(config)[class.idx()] {
+        if cost > u32::from(credit_capacity(config)[class.idx()]) {
             Action::Oversized(class)
-        } else if held[class.idx()] < cost {
+        } else if u32::from(held[class.idx()]) < cost {
             Action::Stall
         } else {
-            Action::Tx(class)
+            Action::Tx(class, size)
         }
     }
 
@@ -526,7 +606,7 @@ impl Port {
         config: &FabricConfig,
         packets: &Packets,
         queues: &Queues,
-        held: [u32; 2],
+        held: [u16; 2],
     ) -> Action {
         if !self.is_queued() {
             return Action::Idle;
@@ -566,11 +646,16 @@ impl Port {
                 loss_good,
                 loss_bad,
             } => {
-                let flip_p = if self.ge_bad { p_exit_bad } else { p_enter_bad };
+                let bad = self.flag(GE_BAD);
+                let flip_p = if bad { p_exit_bad } else { p_enter_bad };
                 if flip_p > 0.0 && rng.gen_bool(flip_p) {
-                    self.ge_bad = !self.ge_bad;
+                    self.set_flag(GE_BAD, !bad);
                 }
-                let p = if self.ge_bad { loss_bad } else { loss_good };
+                let p = if self.flag(GE_BAD) {
+                    loss_bad
+                } else {
+                    loss_good
+                };
                 p > 0.0 && rng.gen_bool(p)
             }
         }
@@ -606,13 +691,14 @@ impl Fabric {
 
     // ---------------- credits ----------------
 
-    /// Input-buffer release record for a packet that arrived at
-    /// `(dev, port)` from a live upstream hop.
+    /// Input-buffer release record for a `size`-byte packet that arrived
+    /// at `(dev, port)` from a live upstream hop.
     pub(super) fn origin_of(
         &self,
         dev: DevId,
         port: u8,
         packet: PacketRef,
+        size: usize,
     ) -> Option<CreditOrigin> {
         if !self.config.flow_control {
             return None;
@@ -622,12 +708,13 @@ impl Fabric {
             dev: peer.0,
             port: peer.1,
             class: self.packets.class(packet),
-            amount: self.config.credits_for(self.packets.wire_size(packet)),
+            amount: credit_cost(&self.config, size),
         })
     }
 
     pub(super) fn release_origin_now(&mut self, dev: DevId, port: u8, packet: PacketRef) {
-        self.return_credits(self.origin_of(dev, port, packet), self.sim.now());
+        let size = self.packets.wire_size(packet);
+        self.return_credits(self.origin_of(dev, port, packet, size), self.sim.now());
     }
 
     /// Returns the credits of an input buffer freed at `freed_at`, if the
@@ -643,7 +730,7 @@ impl Fabric {
         let up = &mut self.devices[origin.dev.idx()];
         // A zero-length wire could date the return at this very instant,
         // behind the event being dispatched: only an event fires there.
-        if up.ports[usize::from(origin.port)].credits_by_event || key.time <= self.sim.now() {
+        if up.ports[usize::from(origin.port)].flag(BY_EVENT) || key.time <= self.sim.now() {
             self.sched_credit_return(key, origin);
         } else {
             up.owe(key, origin);
@@ -666,7 +753,7 @@ impl Fabric {
         dev: DevId,
         port: u8,
         class: CreditClass,
-        amount: u32,
+        amount: u16,
     ) {
         let d = &mut self.devices[dev.idx()];
         let held = d.credits(port, self.sim.current_key());
@@ -674,7 +761,7 @@ impl Fabric {
         // Everything home: nothing is outstanding in either form, so the
         // port can go back to the ledger.
         if *held == credit_capacity(&self.config) {
-            d.ports[usize::from(port)].credits_by_event = false;
+            d.ports[usize::from(port)].set_flag(BY_EVENT, false);
         }
         self.pump(dev, port);
     }
@@ -685,7 +772,7 @@ impl Fabric {
     /// key it reserved.
     fn take_credits_by_event(&mut self, dev: DevId, port: u8) {
         let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
-        if std::mem::replace(&mut p.credits_by_event, true) {
+        if p.set_flag(BY_EVENT, true) {
             return;
         }
         while let Some((key, to)) = self.devices[dev.idx()].call_in(dev, port) {
@@ -764,8 +851,10 @@ impl Fabric {
                     let entry = p.pop_head(queues, class);
                     self.drop_entry(entry, |c| &mut c.dropped_bad_route);
                 }
-                Action::Tx(class) => match (p.pop_head(queues, class), p.peer()) {
-                    (entry, Some(peer)) => self.transmit(dev, port, class, entry, peer, now),
+                Action::Tx(class, size) => match (p.pop_head(queues, class), p.peer()) {
+                    (entry, Some(peer)) => {
+                        self.transmit(dev, port, (class, size), entry, peer, now)
+                    }
                     // Dangling port: count as link-down drop.
                     (entry, None) => self.drop_entry(entry, |c| &mut c.dropped_link_down),
                 },
@@ -773,16 +862,18 @@ impl Fabric {
         }
     }
 
-    /// The cut-through guard: the egress peer if `entry`'s transmission
-    /// on `(dev, port)` at `entry.ready` is already determined now, at
-    /// header arrival — nothing that can happen before `entry.ready`
-    /// would make `pump` do anything but transmit it then. The module
-    /// header gives the reason for each condition.
+    /// The cut-through guard: the egress peer if the transmission of
+    /// `entry`, `size` bytes on the wire, on `(dev, port)` at
+    /// `entry.ready` is already determined now, at header arrival —
+    /// nothing that can happen before `entry.ready` would make `pump` do
+    /// anything but transmit it then. The module header gives the reason
+    /// for each condition.
     pub(super) fn cut_through_peer(
         &mut self,
         dev: DevId,
         port: u8,
         entry: &OutEntry,
+        size: usize,
     ) -> Option<(DevId, u8)> {
         if self.control_pending != 0 || !self.config.faults.loss.is_lossless() {
             return None;
@@ -790,7 +881,6 @@ impl Fabric {
         if self.packets.class(entry.packet) != CreditClass::Mgmt {
             return None;
         }
-        let size = self.packets.wire_size(entry.packet);
         let d = &mut self.devices[dev.idx()];
         let p = &d.ports[usize::from(port)];
         if p.state != PortState::Active
@@ -803,28 +893,27 @@ impl Fabric {
         let peer = p.peer();
         let held = *d.credits(port, self.sim.current_key());
         match Port::admit(&self.config, held, CreditClass::Mgmt, size) {
-            Action::Tx(_) => peer,
+            Action::Tx(..) => peer,
             _ => None,
         }
     }
 
-    /// Puts `entry` on the wire of `(dev, port)` toward `peer`, the
-    /// serializer starting at `start`: `now` from `pump`, or the future
-    /// `ready` of a cut-through commitment, whose guard has established
-    /// that nothing else can claim the port or the credits before then.
-    /// Everything downstream of the transmission is scheduled relative to
-    /// `start`.
+    /// Puts `entry`, of `class` and `size` bytes on the wire, on the wire
+    /// of `(dev, port)` toward `peer`, the serializer starting at `start`:
+    /// `now` from `pump`, or the future `ready` of a cut-through
+    /// commitment, whose guard has established that nothing else can
+    /// claim the port or the credits before then. Everything downstream
+    /// of the transmission is scheduled relative to `start`.
     pub(super) fn transmit(
         &mut self,
         dev: DevId,
         port: u8,
-        class: CreditClass,
+        (class, size): (CreditClass, usize),
         entry: OutEntry,
         (peer_dev, peer_port): (DevId, u8),
         start: SimTime,
     ) {
-        let size = self.packets.wire_size(entry.packet);
-        let cost = self.config.credits_for(size);
+        let cost = credit_cost(&self.config, size);
         let d = &mut self.devices[dev.idx()];
         if self.config.flow_control {
             d.credits(port, self.sim.current_key())[class.idx()] -= cost;
@@ -902,7 +991,7 @@ impl Fabric {
     fn set_port_state(&mut self, dev: DevId, port: u8, state: PortState) {
         let p = &mut self.devices[dev.idx()].ports[usize::from(port)];
         p.state = state;
-        p.negotiated = true;
+        p.set_flag(NEGOTIATED, true);
     }
 
     /// The one carrier-loss path: `(dev, port)` goes down and what it had
@@ -922,16 +1011,33 @@ impl Fabric {
     }
 
     /// Starts link training on a port that is down (a port already
-    /// training or active is left alone).
-    pub(super) fn begin_training(&mut self, dev: DevId, port: u8) {
+    /// training or active is left alone); true if it started. The caller
+    /// schedules the [`Event::PortTrained`] that ends it.
+    pub(super) fn begin_training(&mut self, dev: DevId, port: u8) -> bool {
         if self.devices[dev.idx()].ports[usize::from(port)].state != PortState::Down {
-            return;
+            return false;
         }
         self.set_port_state(dev, port, PortState::Training);
-        self.sched_after(self.config.train_time, Event::PortTrained { dev, port });
+        true
     }
 
-    pub(super) fn on_port_trained(&mut self, dev: DevId, port: u8) {
+    /// Training ends on `(dev, port)` and, with `both`, on the far end of
+    /// its link, whose training started in the same call: the order in
+    /// which two events under consecutive keys would have fired, with
+    /// nothing able to sort between them. Each end is judged on its own.
+    pub(super) fn on_port_trained(&mut self, dev: DevId, port: u8, both: bool) {
+        self.port_trained(dev, port);
+        if both {
+            let peer = self.devices[dev.idx()].ports[usize::from(port)].peer();
+            let (peer_dev, peer_port) = peer.expect("a link has two ends");
+            self.port_trained(peer_dev, peer_port);
+        }
+    }
+
+    /// One end's training is over: the port comes up unless it was taken
+    /// down (or retrained: then this is a stale end, and it comes up
+    /// early, as it always has) or either device died meanwhile.
+    fn port_trained(&mut self, dev: DevId, port: u8) {
         let d = &self.devices[dev.idx()];
         let p = &d.ports[usize::from(port)];
         if !d.active || p.state != PortState::Training {
@@ -1097,7 +1203,7 @@ mod tests {
         }
 
         /// Sets the credits `(S, port)` has in hand, both classes.
-        fn set_credits(&mut self, port: u8, held: [u32; 2]) {
+        fn set_credits(&mut self, port: u8, held: [u16; 2]) {
             let key = self.sim.current_key();
             *self.devices[S.idx()].credits(port, key) = held;
         }
@@ -1165,7 +1271,7 @@ mod tests {
                     }
                     _ => {
                         fabric.begin_training(S, port);
-                        fabric.on_port_trained(S, port);
+                        fabric.port_trained(S, port);
                     }
                 }
                 // Same contents in the same order, so the same pops; a

@@ -29,23 +29,26 @@ impl Fabric {
         }
         let turn = self.take_turn(dev, port, cursor, pool);
         let ready = self.sim.now() + self.config.switch_latency;
+        // Once per hop: the credit release, the guard and the transmission
+        // all read it.
+        let size = self.packets.wire_size(packet);
         let entry = OutEntry {
             ready,
             packet,
-            origin: self.origin_of(dev, port, packet),
+            origin: self.origin_of(dev, port, packet, size),
         };
         let Some((egress, pointer)) = turn else {
             return self.drop_entry(entry, |c| &mut c.dropped_bad_route);
         };
         self.advance(packet, pointer);
         self.counters.forwarded += 1;
-        match self.cut_through_peer(dev, egress, &entry) {
+        match self.cut_through_peer(dev, egress, &entry, size) {
             Some(peer) => {
                 // Commit now what `pump` would do at `ready`.
                 self.devices[dev.idx()].ports[usize::from(egress)].cut_until = ready;
                 self.cut_latest = self.cut_latest.max(ready);
                 self.counters.mgmt_queue_peak = self.counters.mgmt_queue_peak.max(1);
-                self.transmit(dev, egress, CreditClass::Mgmt, entry, peer, ready);
+                self.transmit(dev, egress, (CreditClass::Mgmt, size), entry, peer, ready);
             }
             None => self.enqueue_out(dev, egress, entry),
         }

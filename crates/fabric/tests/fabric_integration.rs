@@ -1,15 +1,19 @@
 //! End-to-end fabric tests: packets crossing real multi-hop topologies,
 //! device PI-4 responders, PI-5 change notification, drops and credits.
 
-use asi_fabric::{AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, TrafficPlan, DSN_BASE};
+use asi_fabric::{
+    AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, FaultPlan, TrafficPlan, DSN_BASE,
+};
 use asi_proto::config::event_route_writes;
 use asi_proto::{
     CapabilityAddr, DeviceInfo, Packet, Payload, Pi4, Pi4Status, PortEvent, PortState,
     ProtocolInterface, RouteHeader, MANAGEMENT_TC,
 };
-use asi_sim::{SimDuration, SimTime};
+use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink};
 use asi_topo::{mesh, shortest_route, NodeId, Topology};
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Test agent: fires queued packets on its first timer, records everything
 /// it receives with timestamps.
@@ -388,6 +392,89 @@ fn hot_addition_triggers_pi5_port_up() {
         })
         .collect();
     assert!(!ups.is_empty(), "no PortUp events reached the FM");
+}
+
+/// The `pi5-emitted` records of a run, as `(time, dsn, port, up)`.
+#[derive(Default)]
+struct Pi5Log(Vec<(SimTime, u64, u16, bool)>);
+
+impl TraceSink for Pi5Log {
+    fn record(&mut self, record: TraceRecord) {
+        if let TraceEvent::Pi5Emitted { dsn, port, up } = record.event {
+            self.0.push((record.time, dsn, port, up));
+        }
+    }
+}
+
+/// A flap's up edge spends one training event on the link: the dispatch
+/// after `FaultLinkUp` brings both ends `Active`, and the two PI-5
+/// `PortUp`s leave in the order two events used to send them, the
+/// flapped end first, and reach the manager in that order.
+#[test]
+fn a_flap_up_edge_trains_both_ends_in_one_dispatch() {
+    let g = mesh(3, 3).unwrap();
+    let fm = g.endpoint_at(0, 0);
+    let (a, b) = (g.switch_at(1, 1), g.switch_at(2, 1));
+    let (a_port, b_at) = (g.topology.neighbors(a))
+        .find(|(_, at)| at.node == b)
+        .expect("neighbours");
+    let (down_at, up_at) = (SimDuration::from_ms(2), SimDuration::from_ms(3));
+    let faults = FaultPlan::none().with_link_flap(down_at, a.0, a_port, up_at - down_at);
+    let config = FabricConfig {
+        faults,
+        ..FabricConfig::default()
+    };
+    let mut fabric = Fabric::new(&g.topology, config);
+    let log = Rc::new(RefCell::new(Pi5Log::default()));
+    fabric.set_trace(TraceHandle::to(log.clone()), SimDuration::ZERO);
+    fabric.activate_all(SimDuration::ZERO);
+    // Every reporting route written before the flap.
+    let writes = reporting_route_writes(&g.topology, fm, &[]);
+    let count = writes.len();
+    let prober = Prober {
+        outbox: writes,
+        ..Prober::default()
+    };
+    fabric.set_agent(dev(fm), Box::new(prober));
+    fabric.schedule_agent_timer(dev(fm), SimDuration::from_us(10), 0);
+    fabric.run_until(SimTime::ZERO + SimDuration::from_ms(1));
+    let prober = fabric.agent_as_mut::<Prober>(dev(fm)).unwrap();
+    assert_eq!(std::mem::take(&mut prober.received).len(), count);
+    // The up edge: both ends start training.
+    fabric.run_until(SimTime::ZERO + up_at);
+    let ends = [(dev(a), a_port), (dev(b), b_at.port)];
+    for (d, p) in ends {
+        assert_eq!(fabric.port_state(d, p), PortState::Training);
+    }
+    let trained = |fabric: &Fabric| {
+        let mut counts = fabric.dispatch_counts();
+        counts.find(|&(kind, _)| kind == "port_trained").unwrap().1
+    };
+    let (before, events) = (trained(&fabric), fabric.events_processed());
+    log.borrow_mut().0.clear();
+    // One dispatch brings both ends up.
+    assert!(fabric.step());
+    assert_eq!(trained(&fabric), before + 1);
+    assert_eq!(fabric.events_processed(), events + 1);
+    for (d, p) in ends {
+        assert_eq!(fabric.port_state(d, p), PortState::Active);
+    }
+    let at = SimTime::ZERO + up_at + FabricConfig::default().train_time;
+    let dsn = |n: NodeId| DSN_BASE | u64::from(n.0);
+    let ups = [
+        (at, dsn(a), u16::from(a_port), true),
+        (at, dsn(b), u16::from(b_at.port), true),
+    ];
+    assert_eq!(log.borrow().0, ups);
+    fabric.run_until_idle();
+    let prober = fabric.agent_as::<Prober>(dev(fm)).unwrap();
+    let reports: Vec<_> = (prober.received.iter())
+        .filter_map(|(_, p)| match &p.payload {
+            Payload::Pi5(e) if e.event == PortEvent::PortUp => Some((e.reporter_dsn, e.port)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reports, [(dsn(a), a_port), (dsn(b), b_at.port)]);
 }
 
 #[test]

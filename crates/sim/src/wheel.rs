@@ -31,7 +31,7 @@
 //!
 //!     slab: Vec<Node { key, next, val }> — one node per entry of the ring
 //!           and the current bucket; a freed node heads the free list and
-//!           is the next one taken; handed back by release() once drained
+//!           is the next one taken; shrunk by release() once drained
 //! ```
 //!
 //! The four rules of the storage:
@@ -48,8 +48,8 @@
 //!    interleaved rounds, and still 3% with the arena's free list made
 //!    intrusive.) The slab grows to the peak residency and keeps it until
 //!    `TimingWheel::release` hands it back, which the serial kernel does
-//!    whenever it drains: bring-up trains every port of a fabric at once
-//!    (242,688 on `dragonfly:8,48`, a slab of 262,144 nodes), and
+//!    whenever it drains: bring-up trains every link of a fabric at once
+//!    (121,152 on `dragonfly:8,48`, a slab of 131,072 nodes), and
 //!    discovery, which follows, needs a small fraction of that.
 //! 2. **A bucket is sorted once, when it comes up.** Its list — plus
 //!    whatever the overflow heap holds for it — is copied out as
@@ -93,6 +93,19 @@ pub const DEFAULT_BUCKETS: usize = 4096;
 
 /// End of a bucket's list and of the free list.
 const NIL: u32 = u32::MAX;
+
+/// What [`TimingWheel::release`] leaves each of its three buffers: a few
+/// entries, not none. A burst's buffers are mapped blocks of their own,
+/// and glibc's `malloc` raises its mmap threshold to the size of any
+/// mapped block that is *freed* (up to 32 MiB); from then on it carves
+/// every smaller block from the heap, where each doubling of a growing
+/// table leaves its old buffer behind, resident. A block shrunk by
+/// `realloc` is remapped, and the threshold stays where it was. On
+/// `dragonfly:8,48` that is the difference between 9.6 MB of such holes
+/// in the heap at the end of the discovery (the database's slots and
+/// index, the engine's waiting queue) and 0.3 MB. Elsewhere a shrink
+/// hands the memory back as a free would.
+const KEPT_ON_RELEASE: usize = 64;
 
 /// A slab node: one entry of the ring or of the current bucket, or free.
 struct Node<T> {
@@ -261,18 +274,21 @@ impl<T> TimingWheel<T> {
         Some((key, val))
     }
 
-    /// Hands the slab back: drops the nodes and the current bucket's two
-    /// buffers, which a burst (bring-up trains every port at once) has
-    /// sized for itself. Only for a drained wheel; the next push starts a
-    /// new slab. The serial kernel calls this when it runs dry; the
-    /// parallel kernel, whose shard wheels run empty in most windows,
-    /// does not.
+    /// Hands the slab back: shrinks the nodes and the current bucket's
+    /// two buffers, which a burst (bring-up trains every link at once)
+    /// has sized for itself, to [`KEPT_ON_RELEASE`] entries. Only for a
+    /// drained wheel; the next push starts the slab again from its first
+    /// node. The serial kernel calls this when it runs dry; the parallel
+    /// kernel, whose shard wheels run empty in most windows, does not.
     pub(crate) fn release(&mut self) {
         debug_assert!(self.is_empty(), "released a wheel with entries");
-        self.nodes = Vec::new();
+        self.nodes.clear();
+        self.nodes.shrink_to(KEPT_ON_RELEASE);
         self.free = NIL;
-        self.sorted = Vec::new();
-        self.late = BinaryHeap::new();
+        self.sorted.clear();
+        self.sorted.shrink_to(KEPT_ON_RELEASE);
+        self.late.clear();
+        self.late.shrink_to(KEPT_ON_RELEASE);
     }
 
     /// Slab nodes allocated, live or free.
@@ -634,7 +650,7 @@ mod tests {
                     prop_assert_eq!(wheel.peek_key(), model.keys().next().copied());
                 } else if op == 7 && wheel.is_empty() {
                     wheel.release();
-                    prop_assert_eq!(wheel.nodes.capacity(), 0);
+                    prop_assert!(wheel.nodes.capacity() <= KEPT_ON_RELEASE);
                     peak = 0;
                 } else {
                     let got = wheel.pop();
@@ -653,7 +669,7 @@ mod tests {
             }
             prop_assert_eq!(wheel.nodes.len(), peak);
             wheel.release();
-            prop_assert_eq!(wheel.nodes.capacity(), 0);
+            prop_assert!(wheel.nodes.capacity() <= KEPT_ON_RELEASE);
             // A released wheel starts again from an empty slab.
             let k = key(last.time.as_ps() + 1, 0, 0);
             wheel.push(k, 0);
