@@ -3,12 +3,38 @@
 //! Keyed by DSN (device serial number), which is how the FM recognizes a
 //! device it has already reached through a different path (the dedup step
 //! in the paper's Fig. 2 flow chart).
+//!
+//! ## What a slot holds
+//!
+//! One slot per DSN, 104 bytes: the DSN, the device's record if it is a
+//! known device, and its row of link ends. The record is the general
+//! information (16 bytes), the route (32: egress, entry port, hops and a
+//! [`PackedPool`] — the turn bits inline up to 64, a boxed slice of just
+//! the words they fill beyond) and the port blocks (24: a
+//! [`PortBlocks`], up to four inline). A row is one `Edge` inline, or a
+//! `Vec` of two or more.
+//!
+//! The first entries are inline because of what the large fabrics are
+//! made of: on `dragonfly:8,48`, 36,864 of the 39,936 devices are
+//! one-port endpoints a few switches from the manager. Such a device has
+//! one link, one port and a route of under 64 bits, so its slot holds
+//! all of it and it allocates nothing; a 72-byte [`TurnPool`] in every
+//! record would be 48 bytes more per slot, and a `Vec` of one entry a
+//! heap chunk. A switch keeps a `Vec` row (sized by its port count at
+//! its second link) and a boxed port slice.
+//!
+//! A full [`TurnPool`] exists only where one is sent, handed out or
+//! extended: a request's header, the batch route builders
+//! ([`TopologyDb::routes_from`], [`TopologyDb::routes_to`] and
+//! [`TopologyDb::refresh_routes`], which packs what it stores), the
+//! snapshot codecs.
 
 use asi_proto::{turn_for, turn_width, DeviceInfo, DeviceType, PortInfo, TurnError, TurnPool};
 use asi_state::TopologyDelta;
-pub use asi_state::{DeviceRecord, DeviceRoute};
+pub use asi_state::{DeviceRecord, DeviceRoute, PackedPool, PortBlocks};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 
 /// A multiply-rotate hasher for the DSN index. DSNs are not chosen by an
 /// adversary, and discovery looks one up on every completion, so
@@ -36,19 +62,70 @@ impl Hasher for DsnHasher {
 type DsnMap<V> = HashMap<u64, V, BuildHasherDefault<DsnHasher>>;
 
 /// One end of a link, as its own slot's row holds it: the port here and
-/// the peer's DSN, slot and port.
+/// the peer's slot and port. The peer's DSN is its slot's
+/// ([`TopologyDb::peer_of`]): the slot holds the link's other end, so it
+/// is not freed while this end is recorded.
 #[derive(Clone, Copy, Debug)]
 struct Edge {
-    peer_dsn: u64,
     peer: u32,
     port: u8,
     peer_port: u8,
 }
 
-impl Edge {
-    /// The row order: by own port, then peer DSN, then peer port.
-    fn key(&self) -> (u8, u64, u8) {
-        (self.port, self.peer_dsn, self.peer_port)
+/// Every link end at one DSN, sorted by own port, then peer DSN, then
+/// peer port ([`TopologyDb::find`]): a single end inline, more in a
+/// `Vec`, none as an empty `Vec` (no allocation).
+#[derive(Clone, Debug)]
+enum Row {
+    One(Edge),
+    Many(Vec<Edge>),
+}
+
+impl Default for Row {
+    fn default() -> Row {
+        Row::Many(Vec::new())
+    }
+}
+
+impl Deref for Row {
+    type Target = [Edge];
+
+    fn deref(&self) -> &[Edge] {
+        match self {
+            Row::One(e) => std::slice::from_ref(e),
+            Row::Many(v) => v,
+        }
+    }
+}
+
+impl Row {
+    /// Inserts `edge` at `pos`; a second end moves the row to a `Vec`
+    /// of at least `reserve` ends.
+    fn insert(&mut self, pos: usize, edge: Edge, reserve: usize) {
+        match self {
+            Row::Many(v) if v.is_empty() => *self = Row::One(edge),
+            Row::Many(v) => v.insert(pos, edge),
+            Row::One(first) => {
+                let mut v = Vec::with_capacity(reserve.max(2));
+                v.push(*first);
+                v.insert(pos, edge);
+                *self = Row::Many(v);
+            }
+        }
+    }
+
+    /// Removes the end at `pos`; the one end left goes back inline, and
+    /// an emptied row frees its `Vec`.
+    fn remove(&mut self, pos: usize) {
+        match self {
+            Row::One(_) => *self = Row::default(),
+            Row::Many(v) => {
+                v.remove(pos);
+                if let [only] = v[..] {
+                    *self = Row::One(only);
+                }
+            }
+        }
     }
 }
 
@@ -57,8 +134,7 @@ impl Edge {
 struct Slot {
     dsn: u64,
     device: Option<DeviceRecord>,
-    /// Every link end at this DSN, sorted by [`Edge::key`].
-    row: Vec<Edge>,
+    row: Row,
 }
 
 /// The discovered topology.
@@ -108,7 +184,7 @@ impl TopologyDb {
         let slot = Slot {
             dsn,
             device: None,
-            row: Vec::new(),
+            row: Row::default(),
         };
         let s = match self.free.pop() {
             Some(s) => {
@@ -133,45 +209,46 @@ impl TopologyDb {
         }
     }
 
+    /// The far end of `e`: its peer's DSN and port.
+    fn peer_of(&self, e: &Edge) -> (u64, u8) {
+        (self.slots[e.peer as usize].dsn, e.peer_port)
+    }
+
+    /// Binary search of slot `s`'s row for the end at `port` facing
+    /// `peer`. The row is sorted by port first, so the peer's DSN is read
+    /// only where two ends share a port.
+    fn find(&self, s: u32, port: u8, peer: (u64, u8)) -> Result<usize, usize> {
+        let row = &self.slots[s as usize].row;
+        row.binary_search_by(|e| (e.port.cmp(&port)).then_with(|| self.peer_of(e).cmp(&peer)))
+    }
+
     /// True if the link end `at → peer` is recorded.
     fn has_edge(&self, at: (u64, u8), peer: (u64, u8)) -> bool {
-        self.index.get(&at.0).is_some_and(|&s| {
-            let row = &self.slots[s as usize].row;
-            row.binary_search_by_key(&(at.1, peer.0, peer.1), Edge::key)
-                .is_ok()
-        })
+        (self.index.get(&at.0)).is_some_and(|&s| self.find(s, at.1, peer).is_ok())
     }
 
     /// Records the link end `at → peer` in `at`'s row, keeping it sorted
-    /// and claiming both slots. A known device's row starts at its port
-    /// count, which is how many links it has when cabled one per port.
+    /// and claiming both slots. A known device's row grows to its port
+    /// count at its second end, which is how many links it has when
+    /// cabled one per port.
     fn insert_edge(&mut self, at: (u64, u8), peer: (u64, u8)) {
         let edge = Edge {
-            peer_dsn: peer.0,
             peer: self.claim(peer.0),
             port: at.1,
             peer_port: peer.1,
         };
-        let slot = self.claim(at.0);
-        let slot = &mut self.slots[slot as usize];
-        if let Err(pos) = slot.row.binary_search_by_key(&edge.key(), Edge::key) {
-            if slot.row.is_empty() {
-                let ports = slot.device.as_ref().map_or(0, |d| d.info.port_count);
-                slot.row.reserve_exact(usize::from(ports));
-            }
-            slot.row.insert(pos, edge);
+        let s = self.claim(at.0);
+        if let Err(pos) = self.find(s, at.1, peer) {
+            let slot = &mut self.slots[s as usize];
+            let ports = slot.device.as_ref().map_or(0, |d| d.info.port_count);
+            slot.row.insert(pos, edge, usize::from(ports));
         }
     }
 
-    /// Removes one link end from slot `s`'s row, dropping the row once
-    /// it empties.
-    fn remove_edge(&mut self, s: u32, key: (u8, u64, u8)) {
-        let row = &mut self.slots[s as usize].row;
-        if let Ok(pos) = row.binary_search_by_key(&key, Edge::key) {
-            row.remove(pos);
-            if row.is_empty() {
-                *row = Vec::new();
-            }
+    /// Removes the link end at `port` facing `peer` from slot `s`'s row.
+    fn remove_edge(&mut self, s: u32, port: u8, peer: (u64, u8)) {
+        if let Ok(pos) = self.find(s, port, peer) {
+            self.slots[s as usize].row.remove(pos);
         }
     }
 
@@ -239,11 +316,11 @@ impl TopologyDb {
     pub fn links(&self) -> impl Iterator<Item = ((u64, u8), (u64, u8))> {
         let mut v = Vec::with_capacity(self.link_count);
         for slot in &self.slots {
-            let canonical = slot
+            let ends = slot
                 .row
                 .iter()
-                .filter(|e| (slot.dsn, e.port) <= (e.peer_dsn, e.peer_port));
-            v.extend(canonical.map(|e| ((slot.dsn, e.port), (e.peer_dsn, e.peer_port))));
+                .map(|e| ((slot.dsn, e.port), self.peer_of(e)));
+            v.extend(ends.filter(|(here, there)| here <= there));
         }
         v.sort_unstable();
         v.into_iter()
@@ -275,16 +352,24 @@ impl TopologyDb {
         self.dsns_of(DeviceType::Switch)
     }
 
-    /// Records a newly discovered device. Returns `false` (and leaves the
-    /// record untouched) if the DSN was already present.
-    pub fn insert_device(&mut self, info: DeviceInfo, route: DeviceRoute) -> bool {
+    /// Records a newly discovered device, its route packed. Returns
+    /// `false` (and leaves the record untouched) if the DSN was already
+    /// present.
+    pub fn insert_device(
+        &mut self,
+        info: DeviceInfo,
+        route: impl Into<DeviceRoute<PackedPool>>,
+    ) -> bool {
         let s = self.claim(info.dsn);
         let device = &mut self.slots[s as usize].device;
         if device.is_some() {
             return false;
         }
-        let ports = vec![None; usize::from(info.port_count)];
-        *device = Some(DeviceRecord { info, route, ports });
+        *device = Some(DeviceRecord {
+            info,
+            route: route.into(),
+            ports: PortBlocks::unread(usize::from(info.port_count)),
+        });
         self.device_count += 1;
         true
     }
@@ -315,8 +400,8 @@ impl TopologyDb {
             return false;
         }
         let (sa, sb) = (self.index[&a.0], self.index[&b.0]);
-        self.remove_edge(sa, (a.1, b.0, b.1));
-        self.remove_edge(sb, (b.1, a.0, a.1));
+        self.remove_edge(sa, a.1, b);
+        self.remove_edge(sb, b.1, a);
         self.link_count -= 1;
         self.release(sa);
         self.release(sb);
@@ -331,8 +416,10 @@ impl TopologyDb {
         };
         let existed = self.slots[s as usize].device.take().is_some();
         self.device_count -= usize::from(existed);
-        for e in self.slots[s as usize].row.clone() {
-            self.remove_link((dsn, e.port), (e.peer_dsn, e.peer_port));
+        let row = &self.slots[s as usize].row;
+        let ends: Vec<_> = row.iter().map(|e| (e.port, self.peer_of(e))).collect();
+        for (port, peer) in ends {
+            self.remove_link((dsn, port), peer);
         }
         self.release(s);
         existed
@@ -343,15 +430,18 @@ impl TopologyDb {
     pub fn neighbor(&self, dsn: u64, port: u8) -> Option<(u64, u8)> {
         let row = &self.slots[*self.index.get(&dsn)? as usize].row;
         let e = row.get(row.partition_point(|e| e.port < port))?;
-        (e.port == port).then_some((e.peer_dsn, e.peer_port))
+        (e.port == port).then(|| self.peer_of(e))
     }
 
     /// The far end of every link at `dsn`, in row order: two links on
     /// one port give two ends, a link between two of its ports both, a
     /// link from a port to itself one. O(degree).
     pub fn peers(&self, dsn: u64) -> impl Iterator<Item = (u64, u8)> + '_ {
-        let row = self.index.get(&dsn).map(|&s| &self.slots[s as usize].row);
-        row.into_iter().flatten().map(|e| (e.peer_dsn, e.peer_port))
+        let row = self
+            .index
+            .get(&dsn)
+            .map(|&s| &self.slots[s as usize].row[..]);
+        row.into_iter().flatten().map(|e| self.peer_of(e))
     }
 
     /// Breadth-first walk from the known device in slot `root` over
@@ -362,7 +452,7 @@ impl TopologyDb {
         seen[root as usize] = true;
         let mut queue = VecDeque::from([root]);
         while let Some(u) = queue.pop_front() {
-            for e in &self.slots[u as usize].row {
+            for e in self.slots[u as usize].row.iter() {
                 let v = e.peer as usize;
                 if !seen[v] && self.slots[v].device.is_some() {
                     seen[v] = true;
@@ -589,7 +679,7 @@ impl TopologyDb {
         let routes = self.routes_by_slot(root, pool_capacity);
         for (slot, route) in self.slots.iter_mut().zip(routes) {
             if let (Some(d), Some(Ok(route))) = (slot.device.as_mut(), route) {
-                d.route = route;
+                d.route = route.into();
             }
         }
     }
@@ -607,8 +697,9 @@ impl TopologyDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::snapshot_db;
+    use crate::snapshot::{db_from_snapshot, snapshot_db};
     use asi_proto::{PortState, MAX_POOL_BITS};
+    use asi_state::Snapshot;
     use std::collections::{BTreeMap, BTreeSet, HashSet};
 
     type LinkKey = (u64, u8, u64, u8);
@@ -897,6 +988,53 @@ mod tests {
         assert!(routes[&5].is_err(), "past the 8-bit pool capacity");
     }
 
+    /// A route of `turns` 4-bit turns: 16 fill a record's inline word
+    /// exactly, 17 spill it.
+    fn route_of(turns: u16, egress: u8) -> DeviceRoute {
+        let mut pool = TurnPool::with_capacity(MAX_POOL_BITS);
+        for t in 0..turns {
+            pool.push_turn((t * 7 % 16) as u8, 4).unwrap();
+        }
+        DeviceRoute {
+            egress,
+            pool,
+            entry_port: egress,
+            hops: turns,
+        }
+    }
+
+    /// An endpoint's whole slot — record, one edge, one port block, a
+    /// route of up to 64 bits — in 104 bytes and no heap chunk.
+    #[test]
+    fn a_slot_holds_an_endpoint_whole() {
+        use std::mem::size_of;
+        assert!(size_of::<Slot>() <= 104, "{}", size_of::<Slot>());
+        assert!(size_of::<DeviceRecord>() <= 72);
+        assert!(size_of::<DeviceRoute<PackedPool>>() <= 32);
+        assert!(size_of::<Row>() <= 24);
+        // A switch's row is a word per link end.
+        assert!(size_of::<Edge>() <= 8);
+    }
+
+    /// A slot freed by a removal is claimed by the next new DSN, whose
+    /// record of another shape — a switch's ports where an endpoint's
+    /// were, a spilled route where an inline one was — reads back whole.
+    #[test]
+    fn a_freed_slot_takes_a_record_of_another_shape() {
+        let mut db = line_db();
+        db.device_mut(3).unwrap().route = route_of(2, 0).into();
+        let slot = db.slot_of(3).unwrap();
+        assert!(db.remove_device(3));
+        db.insert_device(info(9, DeviceType::Switch, 12), route_of(30, 1));
+        db.add_link((2, 5), (9, 11));
+        assert_eq!(db.slot_of(9), Some(slot), "the freed slot is reused");
+        let d = db.device(9).unwrap();
+        assert_eq!(d.route.unpack(), route_of(30, 1));
+        assert_eq!(d.ports.len(), 12);
+        assert!(d.ports.iter().all(Option::is_none));
+        assert_eq!(db.peers(9).collect::<Vec<_>>(), [(2, 5)]);
+    }
+
     #[test]
     fn neighbor_tracks_link_mutations() {
         let mut db = line_db();
@@ -1144,6 +1282,65 @@ mod tests {
                 }
                 check_against(&db, &model, &before)?;
             }
+        }
+
+        /// Records of every shape — routes on both sides of the inline
+        /// word, port vectors on both sides of the inline blocks — read
+        /// back as written, through removals and prunes whose freed slots
+        /// are claimed again by records of other shapes, and through a
+        /// snapshot round trip, in memory and encoded.
+        #[test]
+        fn records_read_back_as_written(
+            ops in proptest::collection::vec((0u8..6, 0..2 * DSNS, 0u16..40, 1u16..9), 1..60),
+        ) {
+            use proptest::prelude::*;
+            let mut db = TopologyDb::new(0);
+            let mut model: BTreeMap<u64, (DeviceRoute, Vec<Option<PortInfo>>)> = BTreeMap::new();
+            for (op, dsn, n, ports) in ops {
+                match op {
+                    0 | 1 => {
+                        let kind = if ports <= 4 { DeviceType::Endpoint } else { DeviceType::Switch };
+                        let route = route_of(n, (n % 3) as u8);
+                        let new = db.insert_device(info(dsn, kind, ports), route.clone());
+                        prop_assert_eq!(new, !model.contains_key(&dsn));
+                        model.entry(dsn).or_insert((route, vec![None; usize::from(ports)]));
+                    }
+                    2 => {
+                        let (port, state) = (n % 9, [PortState::Down, PortState::Active][usize::from(n % 2)]);
+                        let block = PortInfo { state, link_width: 1, link_speed: 10, peer_port: n as u8 };
+                        db.set_port(dsn, port, block);
+                        if let Some(slot) = model.get_mut(&dsn).and_then(|(_, p)| p.get_mut(usize::from(port))) {
+                            *slot = Some(block);
+                        }
+                    }
+                    3 => {
+                        db.add_link((u64::from(n) % DSNS, (n % 3) as u8), (dsn, 0));
+                    }
+                    4 => prop_assert_eq!(db.remove_device(dsn), model.remove(&dsn).is_some()),
+                    _ => {
+                        for gone in db.prune_unreachable() {
+                            prop_assert!(model.remove(&gone).is_some());
+                        }
+                    }
+                }
+                prop_assert_eq!(db.device_count(), model.len());
+                for dsn in 0..2 * DSNS {
+                    let d = db.device(dsn);
+                    prop_assert_eq!(d.is_some(), model.contains_key(&dsn));
+                    if let (Some(d), Some((route, ports))) = (d, model.get(&dsn)) {
+                        let back = d.route.unpack();
+                        prop_assert_eq!(&back, route);
+                        prop_assert_eq!(back.pool.capacity(), MAX_POOL_BITS);
+                        prop_assert_eq!(&d.ports[..], &ports[..]);
+                    }
+                }
+            }
+            let snap = snapshot_db(&db);
+            let back = db_from_snapshot(&snap);
+            prop_assert_eq!(&snapshot_db(&back), &snap);
+            prop_assert_eq!(back.devices().collect::<Vec<_>>(), db.devices().collect::<Vec<_>>());
+            prop_assert_eq!(back.links().collect::<Vec<_>>(), db.links().collect::<Vec<_>>());
+            prop_assert_eq!(&Snapshot::from_bytes(&snap.to_bytes()).unwrap(), &snap);
         }
 
         /// One cabling — at most one link per port, no self-links — built

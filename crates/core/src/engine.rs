@@ -867,7 +867,7 @@ impl Engine {
             .device_at(via)
             .expect("a waiting probe's via device is known: forget detaches them first");
         let dsn = device.info.dsn;
-        let mut pool = device.route.pool.clone();
+        let mut pool = device.route.pool.to_pool();
         let (egress, hops) = if dsn == self.my_dsn {
             (port, 0)
         } else {
@@ -932,13 +932,13 @@ impl Engine {
     /// it addresses has left the database.
     fn request_for(&self, kind: &Pending) -> Option<(DeviceRoute, OutOp)> {
         let read = |(addr, dwords)| OutOp::Read { addr, dwords };
-        let route_to = |dsn: u64| Some(self.db.device(dsn)?.route.clone());
+        let route_to = |dsn: u64| Some(self.db.device(dsn)?.route.unpack());
         Some(match *kind {
             Pending::General(ref target) => (target.route.clone(), read(general_info_read())),
             Pending::Ports { dsn, first_port } => {
                 let d = self.db.device(dsn)?;
                 let block = port_info_read(first_port, d.info.port_count)?;
-                (d.route.clone(), read(block))
+                (d.route.unpack(), read(block))
             }
             Pending::ClaimWrite { dsn } => {
                 let data = vec![(self.my_dsn >> 32) as u32, self.my_dsn as u32];

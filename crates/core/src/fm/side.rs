@@ -398,9 +398,10 @@ impl FmAgent {
             .entry(dsn)
             .or_insert((route_digest(&route), 0))
             .1 += 1;
+        let to = device.route.unpack();
         let mut writes: Vec<SideWrite> = event_route_writes(route.0, &route.1)
             .into_iter()
-            .map(|(addr, data)| (device.route.clone(), addr, data))
+            .map(|(addr, data)| (to.clone(), addr, data))
             .collect();
         let queued = self.side.pending.len() + writes.len();
         let timeout = self.pipelined_timeout(db, queued);

@@ -710,7 +710,7 @@ fn pinned_schedules_with_a_switch_that_drops_its_first_port_read() {
 fn stored_routes(db: &TopologyDb) -> BTreeMap<u64, DeviceRoute> {
     let host = db.host_dsn();
     let routes = db.devices().filter(|d| d.info.dsn != host);
-    routes.map(|d| (d.info.dsn, d.route.clone())).collect()
+    routes.map(|d| (d.info.dsn, d.route.unpack())).collect()
 }
 
 /// A probe through the FM's own endpoint follows the one rule a cold

@@ -91,16 +91,21 @@ use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, Spill, N
 /// ([`Device::read_config`]). A serial stage is a handle and an instant;
 /// its FIFO is on loan from [`Fabric::fifos`] only while it holds
 /// something. The loss, corruption and duplication stream is not here at
-/// all: it is in [`DeviceRngs`], from the device's first draw.
+/// all: it is in [`DeviceRngs`], from the device's first draw; nor are
+/// the credit returns owed beyond the ledger's first, which few devices
+/// are ever owed at once: they are in [`Fabric::spill`], and a device
+/// holds a flag.
 #[repr(C)]
 struct Device {
     info: DeviceInfo,
     ports: Box<[Port]>,
     /// The first credit return owed to `ports` that spent no event
-    /// (`port.rs`); the rest spill to `spill`.
+    /// (`port.rs`); the rest spill to [`Fabric::spill`].
     ledger: Ledger,
     pi5_seq: u32,
     active: bool,
+    /// True while [`Fabric::spill`] holds returns owed to `ports`.
+    spilled: bool,
     // ---- cold from here on ----
     /// The writable registers; the baseline capability is `info` and
     /// `ports`.
@@ -113,8 +118,6 @@ struct Device {
     /// finally pace even the Parallel discovery (paper Fig. 8b).
     ingress: Stage,
     agent: Option<Box<AgentSlot>>,
-    /// The credit returns owed beyond the ledger's inline first.
-    spill: Spill,
 }
 
 /// Each device's random stream for loss, corruption and duplication
@@ -268,6 +271,9 @@ pub struct Fabric {
     /// stage borrows one at its first `push` and returns it with its last
     /// item (`endpoint.rs`).
     fifos: Fifos,
+    /// The credit returns owed beyond each device's inline first
+    /// (`port.rs`): one list per device that was ever owed two at once.
+    spill: Spill,
     /// Recycled [`AgentCtx`] port-snapshot buffer: agent callbacks fire on
     /// every delivered management packet, so allocating a fresh `Vec` per
     /// callback shows up in discovery profiles.
@@ -345,11 +351,11 @@ impl Fabric {
                 ledger: Ledger::default(),
                 pi5_seq: 0,
                 active: false,
+                spilled: false,
                 config: ConfigSpace::default(),
                 responder: Responder::default(),
                 ingress: Stage::default(),
                 agent: None,
-                spill: Spill::default(),
             });
         }
         // The conservative lookahead is the link propagation delay: no
@@ -378,6 +384,7 @@ impl Fabric {
             packets: Packets::default(),
             queues: Queues::default(),
             fifos: Fifos::default(),
+            spill: Spill::default(),
             scratch_ports: Vec::new(),
             scratch_commands: Vec::new(),
             traffic: Traffic::default(),
@@ -452,8 +459,8 @@ impl Fabric {
     /// 0 after a drained run, if no device or link went down under a
     /// packet.
     pub fn credits_outstanding(&self) -> u64 {
-        (self.devices.iter())
-            .map(|d| d.credits_away(&self.config))
+        (self.devices.iter().zip(0..))
+            .map(|(d, i)| d.credits_away(&self.config, &self.spill, DevId(i)))
             .sum()
     }
 
@@ -719,10 +726,12 @@ mod tests {
         assert!(offset_of!(Device, ledger) + size_of::<Ledger>() <= 64);
         assert!(offset_of!(Device, pi5_seq) < 64);
         assert!(offset_of!(Device, active) < 64);
+        assert!(offset_of!(Device, spilled) < 64);
         // The whole record: what few devices use is a word each, a
         // serial stage is a FIFO handle and an instant, and the credit
-        // returns owed beyond the inline first spill to a `Vec` of its own.
-        assert!(size_of::<Device>() <= 160, "{}", size_of::<Device>());
+        // returns owed beyond the inline one spill to the fabric's
+        // table, a flag here.
+        assert!(size_of::<Device>() <= 136, "{}", size_of::<Device>());
         assert!(size_of::<Stage>() <= 16, "{}", size_of::<Stage>());
         // `Event` and `OutEntry` move by value through the wheel's slab
         // nodes and the queues: three words each.

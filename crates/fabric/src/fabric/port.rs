@@ -371,27 +371,74 @@ mod ledger {
     /// The first is inline, in the device's first cache line: on a quiet
     /// fabric one is nearly always all there is (one wire flight's worth,
     /// plus what no dispatch has had a reason to take in yet). Only a
-    /// second return owed at once goes to the device's [`Spill`], which
-    /// is empty whenever the inline entry is.
+    /// second return owed at once goes to the fabric's [`Spill`]; the
+    /// device's `spilled` flag, beside the ledger, says whether the spill
+    /// holds any of its returns, and it holds none whenever the inline
+    /// entry is empty.
     #[derive(Default)]
     pub(in crate::fabric) struct Ledger(Option<Owed>);
 
-    /// The returns owed beyond a [`Ledger`]'s first, out of the device's
-    /// first line: allocated at the first second return a device is owed
-    /// and kept from then on, so it is rare where memory matters (a
-    /// quiet fabric) and allocated once per device where it is common (a
-    /// busy one).
+    /// The returns owed beyond each device's [`Ledger`] entry, for the
+    /// whole fabric. Where memory matters (a quiet fabric) few devices
+    /// are ever owed two at once — 881 of 39,936 in `dragonfly:8,48`'s
+    /// discovery — so a device holds a flag instead of a `Vec` of its
+    /// own. A device's `Vec` is allocated at the first second return it
+    /// is owed and kept from then on, so where spilling is common (a busy
+    /// fabric) it is allocated once per device.
     #[derive(Default)]
-    pub(in crate::fabric) struct Spill(Vec<Owed>);
+    pub(in crate::fabric) struct Spill {
+        /// By device id: 1 + the index of its `Vec` in `lists`, or 0 for
+        /// none; empty until a device spills, then as long as the highest
+        /// id that has.
+        at: Vec<u32>,
+        lists: Vec<Vec<Owed>>,
+    }
+
+    impl Spill {
+        /// The returns spilled for `dev`.
+        #[inline]
+        fn of(&mut self, dev: DevId) -> &mut Vec<Owed> {
+            match self.at.get(dev.idx()) {
+                Some(&at) if at > 0 => &mut self.lists[at as usize - 1],
+                _ => self.open(dev),
+            }
+        }
+
+        /// `dev`'s first spill: a `Vec` of its own from here on.
+        #[cold]
+        fn open(&mut self, dev: DevId) -> &mut Vec<Owed> {
+            if dev.idx() >= self.at.len() {
+                self.at.resize(dev.idx() + 1, 0);
+            }
+            self.lists.push(Vec::new());
+            self.at[dev.idx()] = self.lists.len() as u32;
+            self.lists.last_mut().expect("just pushed")
+        }
+
+        /// The same, read-only.
+        fn owed_to(&self, dev: DevId) -> &[Owed] {
+            match self.at.get(dev.idx()) {
+                Some(&at) if at > 0 => &self.lists[at as usize - 1],
+                _ => &[],
+            }
+        }
+    }
 
     impl Device {
         /// The credits `port` holds, once every return due before `upto`
         /// — the key of the event being dispatched — is in: exactly the
-        /// `CreditReturn`s that would have fired by now.
+        /// `CreditReturn`s that would have fired by now. `spill` is the
+        /// fabric's, and `dev` this device (it does not store its id).
         #[inline]
-        pub(super) fn credits(&mut self, port: u8, upto: EventKey) -> &mut [u16; 2] {
+        pub(super) fn credits(
+            &mut self,
+            port: u8,
+            upto: EventKey,
+            spill: &mut Spill,
+            dev: DevId,
+        ) -> &mut [u16; 2] {
             if self.ledger.0.is_some() {
-                self.settle(upto);
+                self.settle(upto, spill, dev);
             }
             &mut self.ports[usize::from(port)].peer_credits.0
         }
@@ -399,7 +446,7 @@ mod ledger {
         /// Takes in every return due before `upto`; if the inline entry
         /// was due, a spilled one left takes its place.
         #[inline]
-        fn settle(&mut self, upto: EventKey) {
+        fn settle(&mut self, upto: EventKey, spill: &mut Spill, dev: DevId) {
             let ports = &mut self.ports;
             let mut take_in = |owed: &Owed| {
                 let due = owed.key < upto;
@@ -409,17 +456,21 @@ mod ledger {
                 }
                 due
             };
-            if !self.spill.0.is_empty() {
-                self.spill.0.retain(|owed| !take_in(owed));
-            }
-            if self.ledger.0.as_ref().is_some_and(take_in) {
-                self.ledger.0 = self.spill.0.pop();
+            if self.spilled {
+                let rest = spill.of(dev);
+                rest.retain(|owed| !take_in(owed));
+                if self.ledger.0.as_ref().is_some_and(take_in) {
+                    self.ledger.0 = rest.pop();
+                }
+                self.spilled = !rest.is_empty();
+            } else if self.ledger.0.as_ref().is_some_and(take_in) {
+                self.ledger.0 = None;
             }
         }
 
         /// Enters a return to one of this device's ports, due at `key`.
         #[inline]
-        pub(super) fn owe(&mut self, key: EventKey, to: CreditOrigin) {
+        pub(super) fn owe(&mut self, key: EventKey, to: CreditOrigin, spill: &mut Spill) {
             let owed = Owed {
                 key,
                 port: to.port,
@@ -429,20 +480,30 @@ mod ledger {
             if self.ledger.0.is_none() {
                 self.ledger.0 = Some(owed);
             } else {
-                self.spill.0.push(owed);
+                spill.of(to.dev).push(owed);
+                self.spilled = true;
             }
         }
 
         /// Takes one of `port`'s returns off the ledger, if any is left
         /// (`dev` is this device: the ledger does not store it).
-        pub(super) fn call_in(&mut self, dev: DevId, port: u8) -> Option<(EventKey, CreditOrigin)> {
+        pub(super) fn call_in(
+            &mut self,
+            dev: DevId,
+            port: u8,
+            spill: &mut Spill,
+        ) -> Option<(EventKey, CreditOrigin)> {
             let owed = if self.ledger.0.as_ref()?.port == port {
-                let next = self.spill.0.pop();
+                let next = self.spilled.then(|| spill.of(dev).pop()).flatten();
                 std::mem::replace(&mut self.ledger.0, next)?
+            } else if self.spilled {
+                let rest = spill.of(dev);
+                let at = rest.iter().position(|owed| owed.port == port)?;
+                rest.swap_remove(at)
             } else {
-                let at = self.spill.0.iter().position(|owed| owed.port == port)?;
-                self.spill.0.swap_remove(at)
+                return None;
             };
+            self.spilled &= !spill.owed_to(dev).is_empty();
             let Owed {
                 key,
                 port,
@@ -459,8 +520,13 @@ mod ledger {
         }
 
         /// Credits of this device's active ports that are neither in hand
-        /// nor on the ledger.
-        pub(in crate::fabric) fn credits_away(&self, config: &FabricConfig) -> u64 {
+        /// nor on the ledger (`spill` and `dev` as for `credits`).
+        pub(in crate::fabric) fn credits_away(
+            &self,
+            config: &FabricConfig,
+            spill: &Spill,
+            dev: DevId,
+        ) -> u64 {
             let active = |p: &Port| p.state == PortState::Active;
             let capacity: u64 = credit_capacity(config).iter().copied().map(u64::from).sum();
             let (mut full, mut home) = (0u64, 0u64);
@@ -468,7 +534,7 @@ mod ledger {
                 full += capacity;
                 home += p.peer_credits.0.iter().copied().map(u64::from).sum::<u64>();
             }
-            for owed in self.ledger.0.iter().chain(&self.spill.0) {
+            for owed in self.ledger.0.iter().chain(spill.owed_to(dev)) {
                 if active(&self.ports[usize::from(owed.port)]) {
                     home += u64::from(owed.amount);
                 }
@@ -733,7 +799,7 @@ impl Fabric {
         if up.ports[usize::from(origin.port)].flag(BY_EVENT) || key.time <= self.sim.now() {
             self.sched_credit_return(key, origin);
         } else {
-            up.owe(key, origin);
+            up.owe(key, origin, &mut self.spill);
         }
     }
 
@@ -756,7 +822,7 @@ impl Fabric {
         amount: u16,
     ) {
         let d = &mut self.devices[dev.idx()];
-        let held = d.credits(port, self.sim.current_key());
+        let held = d.credits(port, self.sim.current_key(), &mut self.spill, dev);
         held[class.idx()] += amount;
         // Everything home: nothing is outstanding in either form, so the
         // port can go back to the ledger.
@@ -775,7 +841,7 @@ impl Fabric {
         if p.set_flag(BY_EVENT, true) {
             return;
         }
-        while let Some((key, to)) = self.devices[dev.idx()].call_in(dev, port) {
+        while let Some((key, to)) = self.devices[dev.idx()].call_in(dev, port, &mut self.spill) {
             self.sched_credit_return(key, to);
         }
     }
@@ -830,7 +896,7 @@ impl Fabric {
         let key = self.sim.current_key();
         loop {
             let d = &mut self.devices[dev.idx()];
-            let held = *d.credits(port, key);
+            let held = *d.credits(port, key, &mut self.spill, dev);
             let p = &mut d.ports[usize::from(port)];
             let queues = &mut self.queues;
             match p.next_action(now, &self.config, &self.packets, queues, held) {
@@ -891,7 +957,7 @@ impl Fabric {
             return None;
         }
         let peer = p.peer();
-        let held = *d.credits(port, self.sim.current_key());
+        let held = *d.credits(port, self.sim.current_key(), &mut self.spill, dev);
         match Port::admit(&self.config, held, CreditClass::Mgmt, size) {
             Action::Tx(..) => peer,
             _ => None,
@@ -916,7 +982,7 @@ impl Fabric {
         let cost = credit_cost(&self.config, size);
         let d = &mut self.devices[dev.idx()];
         if self.config.flow_control {
-            d.credits(port, self.sim.current_key())[class.idx()] -= cost;
+            d.credits(port, self.sim.current_key(), &mut self.spill, dev)[class.idx()] -= cost;
         }
         let p = &mut d.ports[usize::from(port)];
         p.busy_until = start + self.config.tx_time(size);
@@ -1054,7 +1120,8 @@ impl Fabric {
         let d = &mut self.devices[dev.idx()];
         // Fresh link: peer buffers are empty. (A return still on its way
         // lands on top of the fresh set, on the ledger as in an event.)
-        *d.credits(port, self.sim.current_key()) = credit_capacity(&self.config);
+        *d.credits(port, self.sim.current_key(), &mut self.spill, dev) =
+            credit_capacity(&self.config);
         d.ports[usize::from(port)].busy_until = self.sim.now();
         self.notify_port_change(dev, port, PortEvent::PortUp);
         self.pump(dev, port);
@@ -1205,7 +1272,7 @@ mod tests {
         /// Sets the credits `(S, port)` has in hand, both classes.
         fn set_credits(&mut self, port: u8, held: [u16; 2]) {
             let key = self.sim.current_key();
-            *self.devices[S.idx()].credits(port, key) = held;
+            *self.devices[S.idx()].credits(port, key, &mut self.spill, S) = held;
         }
     }
 

@@ -455,7 +455,7 @@ pub fn db_routes_execute(db: &TopologyDb, fabric: &Fabric, topo: &Topology) -> b
             node: NodeId(dev_of_dsn(d.info.dsn).0),
             port: route.entry_port,
         };
-        walk(topo, fabric, from, route.egress, &route.pool) == Some(to)
+        walk(topo, fabric, from, route.egress, &route.pool.to_pool()) == Some(to)
     })
 }
 

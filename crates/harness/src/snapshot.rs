@@ -69,6 +69,7 @@ fn device_to_json(d: &DeviceRecord) -> Json {
     let pool_words: Vec<Json> = d
         .route
         .pool
+        .to_pool()
         .words()
         .iter()
         .map(|&w| Json::Str(hex(w)))
@@ -144,7 +145,8 @@ fn device_from_json(json: &Json) -> Result<DeviceRecord, String> {
         entry_port: get_u64(json, "entry_port")? as u8,
         hops: get_u64(json, "hops")? as u16,
         pool,
-    };
+    }
+    .into();
     let ports_json = json.get("ports").as_array().ok_or("missing `ports`")?;
     let mut ports = Vec::with_capacity(ports_json.len());
     for p in ports_json {
@@ -165,6 +167,7 @@ fn device_from_json(json: &Json) -> Result<DeviceRecord, String> {
             peer_port: get_u64(p, "peer_port")? as u8,
         }));
     }
+    let ports = ports.into();
     Ok(DeviceRecord { info, route, ports })
 }
 
@@ -303,13 +306,15 @@ mod tests {
                 entry_port: 0,
                 hops: 0,
                 pool: TurnPool::new_spec(),
-            },
+            }
+            .into(),
             ports: vec![Some(PortInfo {
                 state: PortState::Active,
                 link_width: 1,
                 link_speed: 10,
                 peer_port: 4,
-            })],
+            })]
+            .into(),
         });
         s.devices.push(DeviceRecord {
             info: DeviceInfo {
@@ -325,7 +330,8 @@ mod tests {
                 entry_port: 4,
                 hops: 1,
                 pool,
-            },
+            }
+            .into(),
             ports: vec![
                 Some(PortInfo {
                     state: PortState::Active,
@@ -340,7 +346,8 @@ mod tests {
                     link_speed: 0,
                     peer_port: 0,
                 }),
-            ],
+            ]
+            .into(),
         });
         s.links.push((0xA51_0000_0001, 0, 0xA51_0000_0002, 4));
         s.canonicalize();

@@ -113,7 +113,7 @@ fn encode_device(out: &mut Vec<u8>, d: &DeviceRecord) {
     put_u16(out, d.route.hops);
     put_u16(out, d.route.pool.len_bits());
     put_u16(out, d.route.pool.capacity());
-    for w in d.route.pool.words() {
+    for w in d.route.pool.to_pool().words() {
         put_u64(out, *w);
     }
     put_u16(out, d.ports.len() as u16);
@@ -227,8 +227,9 @@ fn decode_device(r: &mut Reader<'_>) -> Result<DeviceRecord, SnapshotError> {
             entry_port,
             hops,
             pool,
-        },
-        ports,
+        }
+        .into(),
+        ports: ports.into(),
     })
 }
 
@@ -342,7 +343,8 @@ mod tests {
                 entry_port: (dsn % 4) as u8,
                 hops: (dsn % 3) as u16,
                 pool,
-            },
+            }
+            .into(),
             ports: (0..nports)
                 .map(|p| {
                     if p % 3 == 2 {
@@ -537,8 +539,9 @@ mod tests {
         fn arb_device(rng: &mut TestRng, dsn: u64) -> Result<DeviceRecord, Rejected> {
             let switch = (0u8..2).generate(rng)? == 1;
             let nports: u16 = if switch { (2u16..17).generate(rng)? } else { 1 };
-            let mut pool = TurnPool::with_capacity(64);
-            for _ in 0..(0u8..4).generate(rng)? {
+            // Up to 94 bits: both sides of a record's inline word.
+            let mut pool = TurnPool::with_capacity(128);
+            for _ in 0..(0u8..48).generate(rng)? {
                 let turn = (0u8..4).generate(rng)?;
                 pool.push_turn(turn, 2).map_err(|_| Rejected)?;
             }
@@ -577,8 +580,9 @@ mod tests {
                     entry_port: (0u8..16).generate(rng)?,
                     hops: (0u16..12).generate(rng)?,
                     pool,
-                },
-                ports,
+                }
+                .into(),
+                ports: ports.into(),
             })
         }
 

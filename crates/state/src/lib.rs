@@ -20,9 +20,11 @@
 #![warn(missing_docs)]
 
 mod codec;
+mod compact;
 mod delta;
 mod snapshot;
 
 pub use codec::{checksum_of, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use compact::{PackedPool, PortBlocks};
 pub use delta::TopologyDelta;
 pub use snapshot::{DeviceRecord, DeviceRoute, Snapshot};

@@ -1,20 +1,47 @@
 //! Snapshot types: the serializable form of a discovered topology.
 
+use crate::compact::{PackedPool, PortBlocks};
 use crate::delta::TopologyDelta;
-use asi_proto::{DeviceInfo, PortInfo, TurnPool};
+use asi_proto::{DeviceInfo, TurnPool};
 
 /// How the fabric manager reaches a device: inject on `egress` (the FM
 /// endpoint's port), follow `pool`, arrive at the device's `entry_port`.
+///
+/// A route to send on holds a full [`TurnPool`]; a device record holds
+/// the same route with its pool packed ([`PackedPool`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeviceRoute {
+pub struct DeviceRoute<P = TurnPool> {
     /// Egress port at the FM's endpoint.
     pub egress: u8,
     /// Turns for the switches along the path.
-    pub pool: TurnPool,
+    pub pool: P,
     /// Port at which packets enter the target device.
     pub entry_port: u8,
     /// Switch hops from the FM.
     pub hops: u16,
+}
+
+impl From<DeviceRoute> for DeviceRoute<PackedPool> {
+    fn from(route: DeviceRoute) -> DeviceRoute<PackedPool> {
+        DeviceRoute {
+            egress: route.egress,
+            pool: PackedPool::from(&route.pool),
+            entry_port: route.entry_port,
+            hops: route.hops,
+        }
+    }
+}
+
+impl DeviceRoute<PackedPool> {
+    /// The route with its full pool, to send on.
+    pub fn unpack(&self) -> DeviceRoute {
+        DeviceRoute {
+            egress: self.egress,
+            pool: self.pool.to_pool(),
+            entry_port: self.entry_port,
+            hops: self.hops,
+        }
+    }
 }
 
 /// One device record, in the topology database and in a snapshot alike:
@@ -24,9 +51,9 @@ pub struct DeviceRecord {
     /// The six general-information words, decoded.
     pub info: DeviceInfo,
     /// Route the FM uses to reach it.
-    pub route: DeviceRoute,
+    pub route: DeviceRoute<PackedPool>,
     /// Per-port attributes; `None` until the port block has been read.
-    pub ports: Vec<Option<PortInfo>>,
+    pub ports: PortBlocks,
 }
 
 impl DeviceRecord {

@@ -44,7 +44,8 @@ fn snapshot_of(devices: u64, a: u64) -> Snapshot {
                 entry_port: (i % 4) as u8,
                 hops: i as u16,
                 pool,
-            },
+            }
+            .into(),
             ports: (0..port_count).map(port).collect(),
         });
         if i > 0 {
