@@ -59,7 +59,7 @@ use asi_proto::{
 };
 use asi_sim::{
     AnyKernel, Arena, EventKey, KernelSpec, ParallelStats, SimDuration, SimRng, SimTime, Simulator,
-    Target, TraceEvent, TraceHandle, PICOSECOND,
+    Target, TraceEvent, TraceHandle, EXTERNAL_RANK, PICOSECOND,
 };
 use asi_topo::Topology;
 use std::collections::{HashMap, VecDeque};
@@ -72,7 +72,7 @@ mod switch;
 
 use endpoint::{AgentSlot, Fifos, Held, Responder, Stage, Traffic};
 use packets::{FlowBody, PacketRef, Packets};
-use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, Spill, NIL};
+use port::{CreditClass, Ledger, OutEntry, Pool, Port, QueueSet, Queues, Spill, Training, NIL};
 
 /// One device. `repr(C)`: the declaration order is the memory order, and
 /// what a switch hop reads of the two devices it touches — whether the
@@ -226,11 +226,15 @@ events! {
     ResponderDone {} "responder_done" Rank => on_responder_done;
     /// Agent timer.
     Timer { token: u64 } "timer" Rank => on_timer;
-    /// Link training completed on `(dev, port)` and, with `both`, on the
-    /// far end of its link: one event per link trained.
-    PortTrained { port: u8, both: bool } "port_trained" Control => on_port_trained;
-    /// Device power-up.
-    Activate {} "activate" Control => on_activate;
+    /// Link training completed on every link of the batch at the head of
+    /// [`Fabric::training`], in the order the links began (`port.rs`);
+    /// `dev` is the first link's device. One event per batch: the links
+    /// that began under consecutive keys, as every link one dispatch
+    /// starts does.
+    PortTrained {} "port_trained" Control => on_links_trained;
+    /// Power-up of devices `dev..dev + count`, in id order: one event for
+    /// a run of devices (`inject.rs`).
+    Activate { count: u32 } "activate" Control => on_activate;
     /// Device removal / failure.
     Deactivate {} "deactivate" Control => on_deactivate;
     /// Scheduled fault: take a link down, retrain after `down_for`.
@@ -274,6 +278,11 @@ pub struct Fabric {
     /// The credit returns owed beyond each device's inline first
     /// (`port.rs`): one list per device that was ever owed two at once.
     spill: Spill,
+    /// The links in training, in the order their trainings end, a
+    /// `PortTrained` event per batch (`port.rs`). Boxed: inline, rustc
+    /// lays this cold field out first, ahead of `sim`, which the run
+    /// loop reads on every event (pinned by a test below).
+    training: Box<Training>,
     /// Recycled [`AgentCtx`] port-snapshot buffer: agent callbacks fire on
     /// every delivered management packet, so allocating a fresh `Vec` per
     /// callback shows up in discovery profiles.
@@ -385,6 +394,7 @@ impl Fabric {
             queues: Queues::default(),
             fifos: Fifos::default(),
             spill: Spill::default(),
+            training: Box::default(),
             scratch_ports: Vec::new(),
             scratch_commands: Vec::new(),
             traffic: Traffic::default(),
@@ -617,7 +627,18 @@ impl Fabric {
 
     /// Schedules a device power-up.
     pub fn schedule_activate(&mut self, dev: DevId, after: SimDuration) {
-        self.sched_control_from_outside(after, Event::Activate { dev });
+        self.schedule_activate_run(dev, 1, after);
+    }
+
+    /// Schedules the power-up of devices `first..first + count`, in id
+    /// order, as one event: the same as a `schedule_activate` for each in
+    /// turn, whose events would have fired under consecutive keys with
+    /// nothing able to sort between them (`inject.rs`).
+    pub fn schedule_activate_run(&mut self, first: DevId, count: u32, after: SimDuration) {
+        if count > 0 {
+            let event = Event::Activate { dev: first, count };
+            self.sched_control_from_outside(after, event);
+        }
     }
 
     /// Schedules a device removal.
@@ -635,10 +656,15 @@ impl Fabric {
         self.sched_at(at, event);
     }
 
-    /// Activates every device `stagger` apart (transient bring-up).
+    /// Activates every device `stagger` apart (transient bring-up); with
+    /// no stagger, in one event.
     pub fn activate_all(&mut self, stagger: SimDuration) {
-        for i in 0..self.devices.len() {
-            self.schedule_activate(DevId(i as u32), stagger * i as u64);
+        let count = self.devices.len() as u32;
+        if stagger == SimDuration::ZERO {
+            return self.schedule_activate_run(DevId(0), count, stagger);
+        }
+        for i in 0..count {
+            self.schedule_activate(DevId(i), stagger * u64::from(i));
         }
     }
 
@@ -733,6 +759,9 @@ mod tests {
         // table, a flag here.
         assert!(size_of::<Device>() <= 136, "{}", size_of::<Device>());
         assert!(size_of::<Stage>() <= 16, "{}", size_of::<Stage>());
+        // The kernel, which the run loop reads on every event, leads the
+        // fabric.
+        assert_eq!(offset_of!(Fabric, sim), 0);
         // `Event` and `OutEntry` move by value through the wheel's slab
         // nodes and the queues: three words each.
         assert_eq!(size_of::<Event>(), 24);
@@ -789,15 +818,16 @@ mod tests {
         fabric.activate_all(SimDuration::ZERO);
         fabric.run_until_idle();
         // Bring-up is activations and link training and nothing else: one
-        // training event per link (eight), not one per port.
+        // event powers up the run of eight devices, one ends the training
+        // of the eight links it started.
         for (kind, n) in fabric.dispatch_counts() {
             let expected = match kind {
-                "activate" => 8,
-                "port_trained" => 8,
+                "activate" => 1,
+                "port_trained" => 1,
                 _ => 0,
             };
             assert_eq!(n, expected, "{kind}");
         }
-        assert_eq!(fabric.events_processed(), 16);
+        assert_eq!(fabric.events_processed(), 2);
     }
 }

@@ -55,8 +55,28 @@ impl Fabric {
     }
 
     // ---------------- activation ----------------
+    //
+    // A run of activations is one event. Activations scheduled one by one
+    // from outside a dispatch at one instant take consecutive external
+    // keys, and no other key can sort between two of them: an event
+    // their dispatches schedule carries a later external key (control
+    // dispatches key as `EXTERNAL_RANK`), and an event of a device origin
+    // at that instant sorts before the first of them. So the run's event,
+    // under the first one's key, powers the devices up in the order their
+    // own events would have, with nothing in between; and since only the
+    // relative order of keys is observable, the sequence numbers the
+    // other events of the run no longer take change nothing.
 
-    pub(super) fn on_activate(&mut self, dev: DevId) {
+    /// Powers up `dev..dev + count`, in id order.
+    pub(super) fn on_activate(&mut self, dev: DevId, count: u32) {
+        for id in dev.0..dev.0 + count {
+            self.activate(DevId(id));
+        }
+    }
+
+    /// Powers one device up and starts training its links whose peers
+    /// are up.
+    fn activate(&mut self, dev: DevId) {
         if self.devices[dev.idx()].active {
             return;
         }
@@ -82,21 +102,22 @@ impl Fabric {
         if !self.devices[dev.idx()].active || !self.devices[peer_dev.idx()].active {
             return false;
         }
-        // One event for the link, due when the ends that started training
-        // here are done.
-        let event = match (
+        // One entry for the link, due when the ends that started training
+        // here are done; its key is the one its own event would carry.
+        let (dev, port, both) = match (
             self.begin_training(dev, port),
             self.begin_training(peer_dev, peer_port),
         ) {
-            (true, both) => Event::PortTrained { dev, port, both },
-            (false, true) => Event::PortTrained {
-                dev: peer_dev,
-                port: peer_port,
-                both: false,
-            },
+            (true, both) => (dev, port, both),
+            (false, true) => (peer_dev, peer_port, false),
             (false, false) => return true,
         };
-        self.sched_after(self.config.train_time, event);
+        let key = self
+            .sim
+            .reserve_key(self.sim.now() + self.config.train_time);
+        if self.training.push(key, dev, port, both) {
+            self.sched_keyed(key, Event::PortTrained { dev });
+        }
         true
     }
 
@@ -231,7 +252,7 @@ impl Fabric {
     pub(super) fn on_churn_add(&mut self, dev: DevId) {
         let readded = TraceEvent::ChurnDeviceReadded { device: dev.0 };
         if self.churn(dev.idx() < self.devices.len(), readded) {
-            self.on_activate(dev);
+            self.activate(dev);
         }
     }
 }

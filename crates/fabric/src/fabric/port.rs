@@ -3,7 +3,8 @@
 //! them (`enqueue_out` → `pump` → `transmit`), credit flow control,
 //! injected loss — and the one way a locally born packet gets in
 //! (`inject`) and a dead one gets out (`drop_entry`). A port is 40
-//! bytes, and one training event trains both ends of its link.
+//! bytes, and one training event ends every training a dispatch
+//! started, both ends of each link.
 //!
 //! ## Events per switch hop: three, two, one
 //!
@@ -124,20 +125,41 @@
 //! usually the one the previous reply warmed. Deep queues stay what they
 //! were: contiguous `VecDeque`s.
 //!
-//! ## Training: one event per link
+//! ## Training: one event per batch of links
 //!
 //! Activation and a flap's up edge (`retrain`) start training on the
-//! ends of a link that are down and schedule one `PortTrained` for the
-//! link, naming one end and whether the other started with it. Two
-//! events, one per end, would have taken two consecutive keys — same
-//! instant, same origin, consecutive `seq` — so no other event could fire
-//! between them; the one event's handler completes the named end, then
-//! the other, in that order, and judges each on its own: an end whose
-//! device or peer died meanwhile goes down, one that was taken down stays
-//! down, and a stale end that finds its port retrained comes up, as its
-//! own event used to bring it up. Bring-up spends one event per link,
-//! and the kernel's burst (every link of the fabric at the same instant)
-//! is half as deep.
+//! ends of a link that are down and enter the link on the fabric's
+//! [`Training`] FIFO: 8 bytes naming one end and whether the other
+//! started with it (`both`). The link takes the key its own
+//! `PortTrained` would have carried (`reserve_key`, `now + train_time`),
+//! and only a link that opens a batch schedules the event, under that
+//! key; a link whose key is the one right after the newest entry's joins
+//! that entry's batch instead, and is its `last` from then on. The event
+//! runs `on_port_trained` on every link of its batch, in FIFO order:
+//! the named end, then the other, each judged on its own — an end whose
+//! device or peer died meanwhile goes down, one that was taken down
+//! stays down, and a stale end that finds its port retrained comes up,
+//! as its own event used to bring it up.
+//!
+//! Why that is the order the links' own events fired in, with nothing
+//! between them:
+//!
+//! | claim | because |
+//! |---|---|
+//! | a batch's keys are consecutive: same instant, same origin, `seq` one apart | a link joins only under the key right after the newest entry's, so no other key was reserved in between; a batch stays open only while nothing else takes a key |
+//! | no event can sort between a batch's first key and its last | an event's key sorts between two such keys only with the same instant and origin and a `seq` between theirs, and every such `seq` is a batch member's |
+//! | nothing a member's completion schedules fires before the next member | every `retrain` caller is a `Control` dispatch, so the batch's keys carry `EXTERNAL_RANK`, as does every key its own dispatch reserves, with a `seq` above the whole batch's |
+//! | the credit reset reads the same credits | `Device::credits` takes in the ledger entries below `current_key()`, now the batch's first key, where it was the member's own; a ledger entry's key was reserved for a credit return, never for a batch member, so none falls between the two |
+//! | the keys the completions reserve sort as they did | the members' keys are still reserved, one per link, so a batch takes the sequence numbers its links' events took, and the completions run in the same order with nothing between; a key's place among the others is all that is observable of it |
+//! | FIFO order is key order | `train_time` is constant and control dispatches run in key order at nondecreasing instants, each reserving larger `seq`s (asserted in debug builds) |
+//!
+//! A batch's event is pending while any of its links trains, so the
+//! cut-through guard's "no control event pending" reads as it did. What
+//! changes is `sim_events`, `queue-sample`'s `depth`/`processed`, and
+//! the kernel's burst: bring-up, one activation event for a run of
+//! devices (`inject.rs`) and one training event for every link it
+//! starts, holds two events in the kernel where `dragonfly:8,48` held
+//! 121,152, and the FIFO, 8 bytes a link, shrinks once it drains.
 //!
 //! Data is one FIFO. The paper's §2 lists two ASI congestion-management
 //! options, BVC bypass queues and source injection rate limits; its
@@ -540,6 +562,82 @@ mod ledger {
                 }
             }
             full.abs_diff(home)
+        }
+    }
+}
+
+/// One link in training, on [`Training`]'s FIFO: 8 bytes.
+#[derive(Clone, Copy)]
+struct Trainee {
+    /// The end named first, as [`Fabric::on_port_trained`] takes it.
+    dev: u32,
+    port: u8,
+    /// The far end started training with it.
+    both: bool,
+    /// The last link of its batch.
+    last: bool,
+}
+
+/// What [`Training::release_if_drained`] leaves the FIFO: a few entries,
+/// for the reason `TimingWheel::release` keeps a few (glibc's mmap
+/// threshold; `asi-sim`'s `wheel.rs`).
+const KEPT_TRAINEES: usize = 64;
+
+/// The links in training, in key order: one entry per link, and one
+/// `PortTrained` event per batch of entries whose own events' keys would
+/// have been consecutive (the module header).
+#[derive(Default)]
+pub(super) struct Training {
+    fifo: VecDeque<Trainee>,
+    /// The key the newest entry's own event would have carried.
+    newest: Option<EventKey>,
+}
+
+impl Training {
+    /// Enters a link whose training ends at `key`, a key reserved for it
+    /// and not scheduled. True if it opens a batch, whose event the
+    /// caller schedules under `key`; false if it joins the newest batch,
+    /// which it does when no other key was reserved since that batch's
+    /// last link took its own.
+    pub(super) fn push(&mut self, key: EventKey, dev: DevId, port: u8, both: bool) -> bool {
+        debug_assert_eq!(key.origin, EXTERNAL_RANK, "a retrain is a control dispatch");
+        debug_assert!(
+            self.fifo.is_empty() || self.newest < Some(key),
+            "FIFO order is key order"
+        );
+        let next = (self.newest).map(|newest| EventKey {
+            seq: newest.seq.wrapping_add(1),
+            ..newest
+        });
+        let joins = match self.fifo.back_mut() {
+            Some(tail) if next == Some(key) => {
+                tail.last = false;
+                true
+            }
+            _ => false,
+        };
+        self.fifo.push_back(Trainee {
+            dev: dev.0,
+            port,
+            both,
+            last: true,
+        });
+        self.newest = Some(key);
+        !joins
+    }
+
+    /// The next link of the batch whose event is being dispatched.
+    fn pop(&mut self) -> Trainee {
+        self.fifo
+            .pop_front()
+            .expect("a PortTrained event has a batch")
+    }
+
+    /// Shrinks the FIFO once it drains: bring-up's burst is every link of
+    /// the fabric, what follows a link or two.
+    fn release_if_drained(&mut self) {
+        if self.fifo.is_empty() {
+            self.fifo.shrink_to(KEPT_TRAINEES);
         }
     }
 }
@@ -1078,13 +1176,28 @@ impl Fabric {
 
     /// Starts link training on a port that is down (a port already
     /// training or active is left alone); true if it started. The caller
-    /// schedules the [`Event::PortTrained`] that ends it.
+    /// enters the link on [`Fabric::training`], whose batch's
+    /// [`Event::PortTrained`] ends it.
     pub(super) fn begin_training(&mut self, dev: DevId, port: u8) -> bool {
         if self.devices[dev.idx()].ports[usize::from(port)].state != PortState::Down {
             return false;
         }
         self.set_port_state(dev, port, PortState::Training);
         true
+    }
+
+    /// A `PortTrained` event fired: training ends on every link of the
+    /// batch at the head of [`Fabric::training`], in the order the links
+    /// began, as their own events would have fired.
+    pub(super) fn on_links_trained(&mut self, _first: DevId) {
+        loop {
+            let link = self.training.pop();
+            self.on_port_trained(DevId(link.dev), link.port, link.both);
+            if link.last {
+                break;
+            }
+        }
+        self.training.release_if_drained();
     }
 
     /// Training ends on `(dev, port)` and, with `both`, on the far end of
@@ -1367,6 +1480,54 @@ mod tests {
             prop_assert_eq!(fabric.queued_packets(), 0);
             prop_assert_eq!(fabric.packet_arena_live(), 0);
         }
+    }
+
+    /// A link joins the newest batch only under the key after that
+    /// batch's last link's: a key reserved in between, a later instant
+    /// or a batch that has fired opens a new one.
+    #[test]
+    fn a_link_joins_a_batch_only_under_the_next_key() {
+        let key = |ns, seq| EventKey {
+            time: SimTime::from_ns(ns),
+            origin: EXTERNAL_RANK,
+            seq,
+        };
+        let mut training = Training::default();
+        assert!(training.push(key(1_000, 5), S, 0, true));
+        assert!(!training.push(key(1_000, 6), S, 1, true));
+        assert!(training.push(key(1_000, 8), S, 2, false));
+        assert!(training.push(key(1_500, 9), S, 0, true));
+        let batches: Vec<(u8, bool)> = (0..4)
+            .map(|_| training.pop())
+            .map(|link| (link.port, link.last))
+            .collect();
+        assert_eq!(batches, [(0, false), (1, true), (2, true), (0, true)]);
+        training.release_if_drained();
+        assert!(training.push(key(1_500, 10), S, 1, true));
+    }
+
+    /// Two links retrained half a training apart end apart, in a batch
+    /// each: the second did not join the first's pending batch.
+    #[test]
+    fn trainings_started_apart_end_apart() {
+        let mut fabric = star();
+        let now = fabric.now();
+        for port in [0, 1] {
+            fabric.carrier_lost(S, port, true);
+        }
+        let (train, gap) = (fabric.config.train_time, SimDuration::from_ns(500));
+        fabric.sched_at(now, Event::FaultLinkUp { dev: S, port: 0 });
+        fabric.sched_at(now + gap, Event::FaultLinkUp { dev: S, port: 1 });
+        fabric.run_until(now + train);
+        assert_eq!(fabric.port(S, 0).state, PortState::Active);
+        assert_eq!(fabric.port(S, 1).state, PortState::Training);
+        fabric.run_until_idle();
+        assert_eq!(fabric.port(S, 1).state, PortState::Active);
+        assert_eq!(fabric.now(), now + gap + train);
+        let trained = fabric
+            .dispatch_counts()
+            .find(|&(kind, _)| kind == "port_trained");
+        assert_eq!(trained, Some(("port_trained", 3)));
     }
 
     #[test]

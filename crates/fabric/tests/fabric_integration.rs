@@ -10,7 +10,7 @@ use asi_proto::{
     ProtocolInterface, RouteHeader, MANAGEMENT_TC,
 };
 use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink};
-use asi_topo::{mesh, shortest_route, NodeId, Topology};
+use asi_topo::{default_fm_endpoint, dragonfly, fat_tree, mesh, shortest_route, NodeId, Topology};
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -475,6 +475,224 @@ fn a_flap_up_edge_trains_both_ends_in_one_dispatch() {
         })
         .collect();
     assert_eq!(reports, [(dsn(a), a_port), (dsn(b), b_at.port)]);
+}
+
+/// How a bring-up schedules its activations.
+#[derive(Clone, Copy, Debug)]
+enum PowerUp {
+    /// `activate_all(ZERO)`: one event for every device.
+    All,
+    /// One `schedule_activate` per device.
+    OneByOne,
+    /// One run per stretch of ids around the gap device, and the gap
+    /// device alone between them if it is present.
+    Runs,
+}
+
+/// Every trace record but the kernel's queue samples, which count events.
+#[derive(Default)]
+struct Records(Vec<TraceRecord>);
+
+impl TraceSink for Records {
+    fn record(&mut self, record: TraceRecord) {
+        if !matches!(record.event, TraceEvent::QueueSample { .. }) {
+            self.0.push(record);
+        }
+    }
+}
+
+/// A traced fabric with every device powered up as `how` says, but
+/// `gap` when `gap_absent`, and brought up.
+fn powered(
+    topo: &Topology,
+    how: PowerUp,
+    gap: NodeId,
+    gap_absent: bool,
+) -> (Fabric, Rc<RefCell<Records>>) {
+    let mut fabric = Fabric::new(topo, FabricConfig::default());
+    fabric.set_event_limit(5_000_000);
+    let records = Rc::new(RefCell::new(Records::default()));
+    fabric.set_trace(TraceHandle::to(records.clone()), SimDuration::from_ns(250));
+    let (n, zero) = (topo.node_count() as u32, SimDuration::ZERO);
+    match how {
+        PowerUp::All => {
+            assert!(!gap_absent, "activate_all powers every device");
+            fabric.activate_all(zero);
+        }
+        PowerUp::OneByOne => {
+            for id in (0..n).filter(|&id| !gap_absent || id != gap.0) {
+                fabric.schedule_activate(DevId(id), zero);
+            }
+        }
+        PowerUp::Runs => {
+            fabric.schedule_activate_run(DevId(0), gap.0, zero);
+            if !gap_absent {
+                fabric.schedule_activate(dev(gap), zero);
+            }
+            fabric.schedule_activate_run(DevId(gap.0 + 1), n - gap.0 - 1, zero);
+        }
+    }
+    fabric.run_until_idle();
+    (fabric, records)
+}
+
+/// Every port's state, device by device.
+fn port_states(fabric: &Fabric, topo: &Topology) -> Vec<PortState> {
+    (topo.nodes())
+        .flat_map(|(id, node)| (0..node.ports).map(move |p| fabric.port_state(dev(id), p)))
+        .collect()
+}
+
+/// The PI-5 `PortUp`s a [`Prober`] on `fm` received, as
+/// `(time, reporter, port)`.
+fn port_ups(fabric: &Fabric, fm: NodeId) -> Vec<(SimTime, u64, u8)> {
+    let prober = fabric.agent_as::<Prober>(dev(fm)).unwrap();
+    (prober.received.iter())
+        .filter_map(|(at, p)| match &p.payload {
+            Payload::Pi5(e) if e.event == PortEvent::PortUp => Some((*at, e.reporter_dsn, e.port)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The test fabrics, each with a switch in the middle of its ids.
+fn bring_up_fabrics() -> Vec<(&'static str, Topology, NodeId)> {
+    let fabrics = [
+        ("mesh:4x4", mesh(4, 4).unwrap().topology),
+        ("dragonfly:2,4", dragonfly(2, 4).unwrap().topology),
+        ("fattree:4,2", fat_tree(4, 2).unwrap().topology),
+    ];
+    (fabrics.into_iter())
+        .map(|(name, topo)| {
+            let switches = topo.switches();
+            let gap = switches[switches.len() / 2];
+            assert!(gap.0 > 0 && (gap.0 as usize) < topo.node_count() - 1);
+            (name, topo, gap)
+        })
+        .collect()
+}
+
+/// A run of activations is one event, and the trainings one dispatch
+/// starts end in one event; a bring-up scheduled as one event, as one
+/// per device, or as runs around a device, traces the same records
+/// (queue samples aside) and leaves every port in the same state.
+#[test]
+fn one_event_per_run_brings_a_fabric_up_as_one_per_device() {
+    for (name, topo, gap) in bring_up_fabrics() {
+        let (reference, records) = powered(&topo, PowerUp::OneByOne, gap, false);
+        let states = port_states(&reference, &topo);
+        assert!(states.contains(&PortState::Active), "{name}");
+        assert!(!states.contains(&PortState::Training), "{name}");
+        for how in [PowerUp::All, PowerUp::Runs] {
+            let (fabric, seen) = powered(&topo, how, gap, false);
+            assert_eq!(seen.borrow().0, records.borrow().0, "{name} {how:?}");
+            assert_eq!(port_states(&fabric, &topo), states, "{name} {how:?}");
+        }
+        // One event powers every device up; in one-by-one's, one per
+        // device; either way one ends every training.
+        let (fabric, _) = powered(&topo, PowerUp::All, gap, false);
+        assert_eq!(fabric.events_processed(), 2, "{name}");
+        let devices = topo.node_count() as u64;
+        assert_eq!(reference.events_processed(), devices + 1, "{name}");
+    }
+}
+
+/// With one device absent, two runs around it bring the rest up as one
+/// activation each did; then, with every reachable reporting route
+/// written, the absent device powers up, and the PI-5 `PortUp`s its
+/// links' batch sends — several injected in one dispatch — leave and
+/// arrive as they did.
+#[test]
+fn runs_around_an_absent_device_and_its_later_power_up_match_one_per_device() {
+    for (name, topo, gap) in bring_up_fabrics() {
+        let fm = default_fm_endpoint(&topo).unwrap();
+        // Devices whose route to the manager crosses the gap cannot be
+        // written before it comes up.
+        let stranded: Vec<NodeId> = (topo.nodes())
+            .map(|(id, _)| id)
+            .filter(|&id| id != fm)
+            .filter(|&id| {
+                let route = shortest_route(&topo, id, fm).unwrap();
+                id == gap || route.hops.iter().any(|hop| hop.switch == gap)
+            })
+            .collect();
+        let mut runs = Vec::new();
+        for how in [PowerUp::OneByOne, PowerUp::Runs] {
+            let (mut fabric, records) = powered(&topo, how, gap, true);
+            let states = port_states(&fabric, &topo);
+            let writes = reporting_route_writes(&topo, fm, &stranded);
+            configure_reporting(&mut fabric, fm, writes);
+            fabric.schedule_activate(dev(gap), SimDuration::from_us(5));
+            fabric.run_until_idle();
+            let ups = port_ups(&fabric, fm);
+            assert!(!ups.is_empty(), "{name}: no PortUp reached the manager");
+            let records = std::mem::take(&mut records.borrow_mut().0);
+            // One `PortUp` per reporting neighbour, in the gap's port
+            // order: the order the links began training in.
+            let pi5s: Vec<(u64, u16)> = (records.iter())
+                .filter_map(|r| match r.event {
+                    TraceEvent::Pi5Emitted { dsn, port, up } if up => Some((dsn, port)),
+                    _ => None,
+                })
+                .collect();
+            let reporters: Vec<(u64, u16)> = (topo.neighbors(gap))
+                .filter(|(_, at)| at.node != fm && !stranded.contains(&at.node))
+                .map(|(_, at)| (DSN_BASE | u64::from(at.node.0), u16::from(at.port)))
+                .collect();
+            assert_eq!(pi5s, reporters, "{name} {how:?}");
+            assert_eq!(pi5s.len(), ups.len(), "{name} {how:?}");
+            runs.push((states, records, port_states(&fabric, &topo), ups));
+        }
+        assert!(runs[0] == runs[1], "{name}: runs around the gap differ");
+    }
+}
+
+/// A device removed while the batch that trains its links is pending:
+/// the batch still ends every other link's training, and the removed
+/// device's links end `Down` on both sides, as their own events left
+/// them.
+#[test]
+fn a_device_removed_while_its_links_train_leaves_them_down() {
+    let g = mesh(4, 4).unwrap();
+    let topo = &g.topology;
+    let victim = g.switch_at(1, 2);
+    let half = FabricConfig::default().train_time / 2;
+    let mut states = Vec::new();
+    for how in [PowerUp::All, PowerUp::OneByOne] {
+        let mut fabric = Fabric::new(topo, FabricConfig::default());
+        match how {
+            PowerUp::All => fabric.activate_all(SimDuration::ZERO),
+            _ => (0..topo.node_count() as u32)
+                .for_each(|id| fabric.schedule_activate(DevId(id), SimDuration::ZERO)),
+        }
+        fabric.schedule_deactivate(dev(victim), half);
+        // Removed, and every other link still training.
+        fabric.run_until(SimTime::ZERO + half);
+        assert!(!fabric.is_active(dev(victim)));
+        let (port, _) = topo.neighbors(g.switch_at(0, 0)).next().unwrap();
+        assert_eq!(
+            fabric.port_state(dev(g.switch_at(0, 0)), port),
+            PortState::Training
+        );
+        fabric.run_until_idle();
+        assert!(!fabric.is_active(dev(victim)));
+        for (id, _) in topo.nodes() {
+            for (port, at) in topo.neighbors(id) {
+                let expected = if id == victim || at.node == victim {
+                    PortState::Down
+                } else {
+                    PortState::Active
+                };
+                assert_eq!(
+                    fabric.port_state(dev(id), port),
+                    expected,
+                    "{how:?} {id:?}:{port}"
+                );
+            }
+        }
+        states.push(port_states(&fabric, topo));
+    }
+    assert_eq!(states[0], states[1]);
 }
 
 #[test]

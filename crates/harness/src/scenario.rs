@@ -299,11 +299,16 @@ impl Scenario {
         let mut fabric = Fabric::new(topo, config);
         fabric.set_event_limit(2_000_000_000);
         fabric.set_trace(self.trace.clone(), QUEUE_SAMPLE_PERIOD);
+        // One activation per run of ids with no absent device in it.
+        let mut first = 0;
         for (id, _) in topo.nodes() {
-            if !absent.contains(&id) {
-                fabric.schedule_activate(DevId(id.0), SimDuration::ZERO);
+            if absent.contains(&id) {
+                fabric.schedule_activate_run(DevId(first), id.0 - first, SimDuration::ZERO);
+                first = id.0 + 1;
             }
         }
+        let count = topo.node_count() as u32 - first;
+        fabric.schedule_activate_run(DevId(first), count, SimDuration::ZERO);
         run_bringup(&mut fabric, &self.faults, &self.churn, &self.traffic);
         fabric
     }

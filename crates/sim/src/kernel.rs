@@ -376,7 +376,7 @@ impl<E> Kernel<E> for SerialKernel<E> {
     fn pop(&mut self) -> Option<(SimTime, E)> {
         let Some((key, (rank, event))) = self.wheel.pop() else {
             // Drained: what a burst left in the slab is not held through
-            // the quiet phase that follows (bring-up, then discovery).
+            // the quieter phase that follows.
             self.wheel.release();
             return None;
         };
@@ -989,7 +989,7 @@ mod tests {
         assert_eq!(Kernel::pop(&mut k).map(|(_, e)| e), Some("ext-2"));
     }
 
-    /// Bring-up's burst is not held through what follows: once a 100k
+    /// A burst is not held through what follows: once a 100k
     /// same-instant burst drains, the serial kernel holds no more than a
     /// token slab, and what is pushed afterwards still pops in key order.
     #[test]

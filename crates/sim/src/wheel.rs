@@ -48,9 +48,11 @@
 //!    interleaved rounds, and still 3% with the arena's free list made
 //!    intrusive.) The slab grows to the peak residency and keeps it until
 //!    `TimingWheel::release` hands it back, which the serial kernel does
-//!    whenever it drains: bring-up trains every link of a fabric at once
-//!    (121,152 on `dragonfly:8,48`, a slab of 131,072 nodes), and
-//!    discovery, which follows, needs a small fraction of that.
+//!    whenever it drains, so that a burst's slab is not held through the
+//!    quieter phase after it. The fabric's bring-up is no such burst (two
+//!    events: one activation run, one training batch); the FM's first
+//!    PI-5 configuration, which injects every device's reporting-route
+//!    write at once, is.
 //! 2. **A bucket is sorted once, when it comes up.** Its list — plus
 //!    whatever the overflow heap holds for it — is copied out as
 //!    `(key, index)` pairs, sorted, and consumed from the tail:
@@ -63,8 +65,9 @@
 //!    [`TimingWheel::peek_key`] has left `cur` far ahead of the clock and
 //!    every push lands "late". Inserting into the sorted run instead is as
 //!    fast on a steady run but linear per push: the 8,192 same-instant
-//!    activations of a 64×64 mesh's bring-up each moved the whole bucket
-//!    and tripled its set-up time (0.009 → 0.022 s).
+//!    activations of a 64×64 mesh's bring-up, one event per device then,
+//!    each moved the whole bucket and tripled its set-up time
+//!    (0.009 → 0.022 s).
 //! 4. **The overflow heap keeps its entries inline** and an entry takes a
 //!    node only when its bucket comes up, so far-future events — each
 //!    agent's earliest timer, fault and churn plans — cost one heap push
@@ -275,8 +278,8 @@ impl<T> TimingWheel<T> {
     }
 
     /// Hands the slab back: shrinks the nodes and the current bucket's
-    /// two buffers, which a burst (bring-up trains every link at once)
-    /// has sized for itself, to [`KEPT_ON_RELEASE`] entries. Only for a
+    /// two buffers, which a burst (the FM's first PI-5 configuration
+    /// writes every device's route at once) has sized for itself, to [`KEPT_ON_RELEASE`] entries. Only for a
     /// drained wheel; the next push starts the slab again from its first
     /// node. The serial kernel calls this when it runs dry; the parallel
     /// kernel, whose shard wheels run empty in most windows, does not.
@@ -550,8 +553,7 @@ mod tests {
         assert_eq!(w.pop().map(|(_, v)| v), None);
     }
 
-    /// A mesh's bring-up: `activate_all` schedules one event per device
-    /// at one instant, and they land in the bucket already being drained.
+    /// A same-instant burst lands in the bucket already being drained.
     #[test]
     fn a_same_instant_burst_into_the_bucket_being_drained_pops_in_order() {
         let mut w: TimingWheel<u32> = TimingWheel::new();

@@ -90,7 +90,7 @@ const INLINE_PORTS: usize = 4;
 
 /// A device's per-port attributes, `None` until the port's block has
 /// been read: a fixed-length slice (through `Deref`) whose first
-/// [`INLINE_PORTS`] blocks are inline, so an endpoint's need no heap
+/// `INLINE_PORTS` (4) blocks are inline, so an endpoint's need no heap
 /// chunk; a switch's are one boxed slice.
 #[derive(Clone)]
 pub struct PortBlocks(Blocks);

@@ -5,6 +5,10 @@
 #                                    cksum of each stdout JSON and --trace
 #                                    JSONL with tests/golden.cksum
 #   tests/golden.sh bless [binary]   rewrite tests/golden.cksum
+#   tests/golden.sh diff OLD [NEW]   run every command with both binaries
+#                                    (NEW defaults to this tree's build)
+#                                    and print a diff of each output that
+#                                    differs: which fields a re-bless moves
 #
 # Together the runs cover change assimilation (remove and add), churn +
 # storms (one escalated to a verification pass), warm start (intact,
@@ -18,8 +22,20 @@ export LC_ALL=C
 
 mode=${1:-check}
 root=$(cd "$(dirname "$0")/.." && pwd)
-bin=${2:-$root/target/release/asi-fabric-sim}
+built=$root/target/release/asi-fabric-sim
 sums=$root/tests/golden.cksum
+case $mode in
+diff)
+    if [ $# -lt 2 ]; then
+        echo "usage: tests/golden.sh diff OLD_BIN [NEW_BIN]" >&2
+        exit 2
+    fi
+    old=$2
+    bin=${3:-$built}
+    case $old in /*) ;; *) old=$PWD/$old ;; esac
+    ;;
+*) bin=${2:-$built} ;;
+esac
 case $bin in /*) ;; *) bin=$PWD/$bin ;; esac
 
 tmp=$(mktemp -d)
@@ -57,29 +73,49 @@ stress() {
     mv "$1.tmp" "$1.json"
 }
 
-run change --topology mesh:4x4 --change remove
-run change_add --topology mesh:4x4 --change add
-run churn churn --topology mesh:3x3
-run storm churn --topology mesh:3x3 --device-rate 3000
-run save snapshot save --topology mesh:4x4 --out m.snap
-run verify snapshot verify --topology mesh:4x4 --in m.snap
-run verify_scoped snapshot verify --topology mesh:4x3 --in m.snap
-run verify_fallback snapshot verify --topology mesh:3x3 --in m.snap
-stress stress stress --topology mesh:16x16 --fms 3
-run faults --topology mesh:4x4 --algorithm parallel --loss 0.03 \
-    --loss-model bursty --corrupt 0.02 --duplicate 0.02 --retries 8 \
-    --flap 300:2:1:200 --hang 200:5:400 --slow 100:7:3:500
-run traffic traffic --topology mesh:4x4 --load 0.3
-for alg in serial-packet serial-device parallel; do
-    stress "fms2_$alg" stress --topology mesh:8x8 --fms 2 --algorithm "$alg"
-done
-for grid in smoke fig5 fig6 faults warmstart scale churn load; do
-    sweep "sweep_$grid.json" --grid "$grid" --quick --json
-done
-for grid in scale load; do
-    sweep "sweep_$grid.csv" --grid "$grid" --quick --csv
-done
+# Every golden command, its outputs in the current directory.
+golden() {
+    run change --topology mesh:4x4 --change remove
+    run change_add --topology mesh:4x4 --change add
+    run churn churn --topology mesh:3x3
+    run storm churn --topology mesh:3x3 --device-rate 3000
+    run save snapshot save --topology mesh:4x4 --out m.snap
+    run verify snapshot verify --topology mesh:4x4 --in m.snap
+    run verify_scoped snapshot verify --topology mesh:4x3 --in m.snap
+    run verify_fallback snapshot verify --topology mesh:3x3 --in m.snap
+    stress stress stress --topology mesh:16x16 --fms 3
+    run faults --topology mesh:4x4 --algorithm parallel --loss 0.03 \
+        --loss-model bursty --corrupt 0.02 --duplicate 0.02 --retries 8 \
+        --flap 300:2:1:200 --hang 200:5:400 --slow 100:7:3:500
+    run traffic traffic --topology mesh:4x4 --load 0.3
+    for alg in serial-packet serial-device parallel; do
+        stress "fms2_$alg" stress --topology mesh:8x8 --fms 2 --algorithm "$alg"
+    done
+    for grid in smoke fig5 fig6 faults warmstart scale churn load; do
+        sweep "sweep_$grid.json" --grid "$grid" --quick --json
+    done
+    for grid in scale load; do
+        sweep "sweep_$grid.csv" --grid "$grid" --quick --csv
+    done
+}
 
+if [ "$mode" = diff ]; then
+    mkdir old new
+    (cd old && bin=$old && golden)
+    (cd new && golden)
+    differ=0
+    for f in $(cd new && ls -- *.json *.jsonl *.csv); do
+        if ! cmp -s "old/$f" "new/$f"; then
+            echo "=== $f"
+            diff "old/$f" "new/$f" || true
+            differ=$((differ + 1))
+        fi
+    done
+    echo "golden: $differ of $(cd new && ls -- *.json *.jsonl *.csv | wc -l) outputs differ"
+    exit 0
+fi
+
+golden
 cksum -- *.json *.jsonl *.csv >actual
 case $mode in
 bless)
@@ -94,7 +130,7 @@ check)
     echo "golden: $(wc -l <actual) digests match"
     ;;
 *)
-    echo "usage: tests/golden.sh check|bless [binary]" >&2
+    echo "usage: tests/golden.sh check|bless [binary] | diff OLD_BIN [NEW_BIN]" >&2
     exit 2
     ;;
 esac
