@@ -7,7 +7,8 @@
 //! one submodule per seam of the state machine (`docs/ARCHITECTURE.md`):
 //! `run` (how discovery runs begin — PI-5 assimilation included —
 //! proceed and finish), `ensemble` (election, merge, watch, promotion),
-//! `side` (path distribution, multicast and PI-5 reporting-route writes).
+//! `side` (the manager's own requests: path distribution, multicast and
+//! PI-5 reporting-route writes, and keepalive reads).
 
 mod ensemble;
 mod run;
@@ -27,7 +28,7 @@ use asi_sim::{SimDuration, SimTime, TraceEvent, TraceHandle};
 use asi_state::Snapshot;
 use ensemble::{Role, Watch, TOKEN_KEEPALIVE_CHECK, TOKEN_START_STANDBY};
 use run::RunAcc;
-use side::{Reporting, SideWrites};
+use side::{Reporting, Requests, OWN_REQ_BASE};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 
@@ -51,12 +52,13 @@ const TOKEN_ELECTION_DECIDE: u64 = (1 << 62) + 5;
 /// changed. Re-arming it writes only what changed.
 pub const TOKEN_CONFIGURE_PI5: u64 = (1 << 62) + 6;
 /// Request-timeout tokens: this flag, the sending engine's launch epoch
-/// in bits 32.. (zero for side writes), the request id in the low 32.
+/// in bits 32.. (zero for the manager's own requests, `fm/side.rs`), the
+/// request id in the low 32.
 const TIMEOUT_FLAG: u64 = 1 << 63;
 
 /// The timeout token of request `req_id`, sent under `epoch`. Unique
 /// among the manager's pending timers, so it can be cancelled: engine
-/// ids are unique within an epoch, side-write ids never repeat.
+/// ids are unique within an epoch, the own table's never repeat.
 fn timeout_token(epoch: u64, req_id: u32) -> u64 {
     TIMEOUT_FLAG | (epoch << 32) | u64::from(req_id)
 }
@@ -220,7 +222,7 @@ impl FmConfig {
 
 /// The fabric manager. `cfg` is input; what the manager learns or decides
 /// at run time is state: the run phase (`engine` + `acc`), the ensemble
-/// `role` and its `watch`, the in-flight `side` writes and the
+/// `role` and its `watch`, the manager's own `requests` in flight and the
 /// `reporting` routes written.
 pub struct FmAgent {
     cfg: FmConfig,
@@ -244,7 +246,7 @@ pub struct FmAgent {
     watch: Option<Watch>,
     /// Merge-side state (primary of a distributed discovery).
     pub merge: MergeState,
-    side: SideWrites,
+    requests: Requests,
     /// `None` until [`TOKEN_CONFIGURE_PI5`] arms it.
     reporting: Option<Box<Reporting>>,
     /// Completed path-distribution phases.
@@ -289,7 +291,7 @@ impl FmAgent {
             role: Role::Solo,
             watch: None,
             merge: MergeState::default(),
-            side: SideWrites::default(),
+            requests: Requests::default(),
             reporting: None,
             distributions: Vec::new(),
             rivals: BTreeSet::new(),
@@ -349,14 +351,9 @@ impl FmAgent {
         if let Some(acc) = self.acc.as_mut() {
             acc.bytes_received += packet.wire_size() as u64;
         }
-        // Side writes and keepalives use id ranges the engine never does.
-        let claimed = match pi4 {
-            Pi4::WriteCompletion { req_id } => self.side_complete(ctx, *req_id, true),
-            Pi4::ReadError { req_id, .. } if self.side_complete(ctx, *req_id, false) => true,
-            _ => self.watch.as_mut().is_some_and(|w| w.answered_by(pi4)),
-        };
-        if claimed {
-            return;
+        if pi4.req_id() >= OWN_REQ_BASE {
+            let ok = !matches!(pi4, Pi4::ReadError { .. });
+            return self.complete_own(ctx, pi4.req_id(), ok);
         }
         let Some(engine) = self.engine.as_mut() else {
             return; // completion for an abandoned run
@@ -441,9 +438,12 @@ impl FabricAgent for FmAgent {
             TOKEN_ELECTION_DECIDE => self.decide_election(ctx),
             _ if token & TIMEOUT_FLAG != 0 => {
                 let (epoch, req_id) = ((token >> 32) & 0x3FFF_FFFF, token as u32);
-                // A side write's timeout outlives re-discoveries; an
+                // The own table's timeouts outlive re-discoveries; an
                 // engine request's is void once a later engine launched.
-                if self.side_complete(ctx, req_id, false) || epoch != self.epoch {
+                if req_id >= OWN_REQ_BASE {
+                    return self.complete_own(ctx, req_id, false);
+                }
+                if epoch != self.epoch {
                     return;
                 }
                 if let Some(engine) = self.engine.as_mut() {
@@ -471,6 +471,7 @@ impl FabricAgent for FmAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::REQUEST_WINDOW;
     use crate::metrics::DiscoveryTrigger;
     use asi_fabric::DevId;
     use asi_proto::{DeviceType, FmMessage, PortEvent, TurnPool};
@@ -891,7 +892,7 @@ mod tests {
         }
         assert_eq!(writes.len(), 2);
         for req_id in writes {
-            assert!(fm.side_complete(&mut c, req_id, true));
+            fm.complete_own(&mut c, req_id, true);
         }
         let cancelled = c.take_commands().into_iter().filter_map(|cmd| match cmd {
             asi_fabric::AgentCommand::CancelTimer { token } => Some(token),
@@ -941,7 +942,7 @@ mod tests {
     ) {
         for (req_id, ..) in writes {
             match ok {
-                true => assert!(fm.side_complete(c, *req_id, true)),
+                true => fm.complete_own(c, *req_id, true),
                 false => fm.on_timer(c, timeout_token(0, *req_id)),
             }
         }
@@ -1080,11 +1081,11 @@ mod tests {
         assert_eq!((tails.len(), whole.len()), (3, 57));
         assert!(tails.iter().all(|(_, a, d)| a.offset == 8 && d.len() == 1));
         for (req_id, ..) in &whole {
-            assert!(fm.side_complete(&mut c, *req_id, true));
+            fm.complete_own(&mut c, *req_id, true);
         }
         assert!(route_writes(c.take_commands()).is_empty());
         for (req_id, ..) in &tails {
-            assert!(fm.side_complete(&mut c, *req_id, true));
+            fm.complete_own(&mut c, *req_id, true);
         }
         let headers = route_writes(c.take_commands());
         assert_eq!(headers.len(), 3);
@@ -1093,19 +1094,65 @@ mod tests {
             .all(|(_, a, d)| a.offset == 0 && d.len() == 8));
         assert!(!fm.pi5_routes_settled());
         for (req_id, ..) in &headers {
-            assert!(fm.side_complete(&mut c, *req_id, true));
+            fm.complete_own(&mut c, *req_id, true);
         }
         assert!(fm.pi5_routes_settled());
         fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
         assert!(route_writes(c.take_commands()).is_empty());
     }
 
-    /// One event of a role walk: a timer, or [`RIVAL`]'s claim at a priority.
+    /// More devices than [`REQUEST_WINDOW`]: the first configuration
+    /// keeps at most a window of writes in flight, each acknowledgement
+    /// sends the next waiting one, and the configuration drains once.
+    #[test]
+    fn reporting_writes_issue_through_the_request_window() {
+        // The host, then a tree of sixteen-port switches under switch 1:
+        // switch `n` hangs off port `(n - 2) % 15 + 1` of `(n - 2) / 15 + 1`.
+        let devices = REQUEST_WINDOW as u64 + 100;
+        let mut db = TopologyDb::new(0);
+        insert(&mut db, 0, DeviceType::Endpoint, 1, 0, 0);
+        insert(&mut db, 1, DeviceType::Switch, 16, 0, 1);
+        db.add_link((0, 0), (1, 0));
+        let mut hops = vec![0, 1];
+        for dsn in 2..devices {
+            let parent = (dsn - 2) / 15 + 1;
+            hops.push(hops[parent as usize] + 1);
+            insert(&mut db, dsn, DeviceType::Switch, 16, 0, hops[dsn as usize]);
+            db.add_link((parent, ((dsn - 2) % 15 + 1) as u8), (dsn, 0));
+        }
+        let mut fm = FmAgent::new(FmConfig::new(Algorithm::Parallel));
+        fm.db = Some(db);
+        let mut c = ctx();
+        fm.on_timer(&mut c, TOKEN_CONFIGURE_PI5);
+        let mut in_flight: std::collections::VecDeque<u32> = route_writes(c.take_commands())
+            .iter()
+            .map(|w| w.0)
+            .collect();
+        let mut written = in_flight.len();
+        assert_eq!(written, REQUEST_WINDOW);
+        while let Some(req_id) = in_flight.pop_front() {
+            assert!(fm.pi5_routes_configured_at().is_none());
+            fm.complete_own(&mut c, req_id, true);
+            let sent = route_writes(c.take_commands());
+            written += sent.len();
+            in_flight.extend(sent.iter().map(|w| w.0));
+            assert!(in_flight.len() <= REQUEST_WINDOW);
+        }
+        assert_eq!(written as u64, devices - 1, "every switch's route");
+        assert!(fm.pi5_routes_settled());
+        assert_eq!(fm.pi5_routes_configured_at(), Some(c.now));
+        assert_eq!(fm.pi5_route_failures(), 0);
+    }
+
+    /// One event of a role walk: a timer, [`RIVAL`]'s claim at a
+    /// priority, or the answer to the `n`-th request of the manager's
+    /// own table (its `n`-th keepalive, in a walk that writes nothing).
     enum Ev {
         Timer(u64),
         Heard(u8),
+        Answer(u32),
     }
-    use Ev::{Heard, Timer};
+    use Ev::{Answer, Heard, Timer};
     const RIVAL: u64 = 0xFFFF_0000_0001;
 
     /// An ensemble of this manager, at `priority`, and [`RIVAL`].
@@ -1132,6 +1179,20 @@ mod tests {
                 Heard(priority) => {
                     let dsn = RIVAL;
                     fm.on_fm_message(c, FmMessage::Claim { dsn, priority });
+                }
+                Answer(n) => {
+                    let req_id = OWN_REQ_BASE + n;
+                    let pi4 = Pi4::ReadCompletion {
+                        req_id,
+                        data: vec![0; 8],
+                    };
+                    let pool = TurnPool::new_spec();
+                    let header = RouteHeader::forward(
+                        ProtocolInterface::DeviceManagement,
+                        MANAGEMENT_TC,
+                        pool,
+                    );
+                    fm.on_packet(c, Packet::new(header, Payload::Pi4(pi4)));
                 }
             }
             let now = format!("{:?}", fm.role);
@@ -1186,8 +1247,9 @@ mod tests {
     }
 
     /// The remaining legal transitions: winning against a routable rival,
-    /// promotion of the watching runner-up at its third missed keepalive,
-    /// and standing down when the winner is not a routable peer.
+    /// promotion of the watching runner-up at its third missed keepalive
+    /// (an answer that comes after its window closed counts nothing), and
+    /// standing down when the winner is not a routable peer.
     #[test]
     fn role_transitions_follow_the_table() {
         let winning = [
@@ -1205,6 +1267,7 @@ mod tests {
             (Timer(TOKEN_ELECTION_DECIDE), "Sharded(Collaborator", true),
             (Timer(TOKEN_KEEPALIVE_CHECK), "Sharded(Collaborator", true),
             (Timer(TOKEN_START_STANDBY), "Sharded(Collaborator", true),
+            (Answer(1), "Sharded(Collaborator", true),
             (Timer(TOKEN_KEEPALIVE_CHECK), "Sharded(Collaborator", true),
             (Timer(TOKEN_START_STANDBY), "Sharded(Collaborator", true),
             (Timer(TOKEN_KEEPALIVE_CHECK), "Promoted", false),

@@ -14,9 +14,6 @@ use asi_proto::{config::general_info_read, FmMessage};
 pub(super) const TOKEN_START_STANDBY: u64 = (1 << 62) + 1;
 /// Timer token closing one keepalive's answer window.
 pub(super) const TOKEN_KEEPALIVE_CHECK: u64 = (1 << 62) + 2;
-/// Keepalive request ids live in their own range so they can never
-/// collide with engine or side-write request ids.
-const KEEPALIVE_REQ_BASE: u32 = 0xF000_0000;
 /// Consecutive missed keepalives that promote the watching runner-up.
 const MISS_THRESHOLD: u32 = 3;
 
@@ -66,9 +63,8 @@ pub(super) struct Watch {
     timeout: SimDuration,
     /// Gap between keepalive reads.
     interval: SimDuration,
-    outstanding: Option<u32>,
-    misses: u32,
-    seq: u32,
+    /// Consecutive keepalives not answered inside their window.
+    pub(super) misses: u32,
 }
 
 impl Watch {
@@ -83,22 +79,8 @@ impl Watch {
             primary,
             timeout,
             interval: SimDuration::from_us(100).max(timeout * 2),
-            outstanding: None,
             misses: 0,
-            seq: 0,
         }
-    }
-
-    /// True when `pi4` answers the outstanding keepalive (any completion
-    /// proves the primary alive).
-    pub(super) fn answered_by(&mut self, pi4: &Pi4) -> bool {
-        let answered = matches!(pi4, Pi4::ReadCompletion { .. } | Pi4::ReadError { .. })
-            && self.outstanding == Some(pi4.req_id());
-        if answered {
-            self.outstanding = None;
-            self.misses = 0;
-        }
-        answered
     }
 }
 
@@ -293,14 +275,13 @@ impl FmAgent {
         }
     }
 
-    /// Watching: issue one keepalive read of the primary's general info.
+    /// Watching: issue one keepalive read of the primary's general info,
+    /// a request of the manager's own table.
     pub(super) fn send_keepalive(&mut self, ctx: &mut AgentCtx) {
-        let Some(watch) = self.watch.as_mut() else {
+        let Some(watch) = self.watch.as_ref() else {
             return;
         };
-        watch.seq += 1;
-        let req_id = KEEPALIVE_REQ_BASE + watch.seq;
-        watch.outstanding = Some(req_id);
+        let req_id = self.requests.open_keepalive();
         let (addr, dwords) = general_info_read();
         let read = Pi4::ReadRequest {
             req_id,
@@ -316,7 +297,7 @@ impl FmAgent {
         let Some(watch) = self.watch.as_mut() else {
             return;
         };
-        if watch.outstanding.take().is_some() {
+        if self.requests.close_keepalive() {
             watch.misses += 1;
             if watch.misses >= MISS_THRESHOLD {
                 // The primary is gone: take over the fabric, abandoning

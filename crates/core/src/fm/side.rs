@@ -1,20 +1,24 @@
-//! Side-channel configuration writes — path distribution, multicast
-//! tables and PI-5 reporting routes — behind one tracker: issue a batch
-//! of pipelined writes, hold each until it is acknowledged, rejected or
-//! timed out, and tell the batch's owner when the last one drains.
+//! The manager's own requests — path distribution, multicast-table and
+//! PI-5 reporting-route writes, and the watch's keepalive reads — in one
+//! table: one id range, one owner per request in flight, one completion
+//! path. Writes go out as batches, at most [`REQUEST_WINDOW`] of the
+//! table's requests in flight; the rest wait their turn, and a batch's
+//! owner hears when its last write drains.
 
 use super::*;
 use crate::db::DeviceRoute;
+use crate::engine::REQUEST_WINDOW;
 use crate::mcast::plan_multicast;
 use crate::pathdist::plan_distribution;
 use asi_proto::config::event_route_writes;
 use asi_proto::{CapabilityAddr, MAX_COMPLETION_DWORDS};
+use std::collections::VecDeque;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-/// Side-write request ids live in their own range so they can never
-/// collide with engine request ids. They are never reused, which is why
-/// their timeout tokens need no epoch.
-const SIDE_REQ_BASE: u32 = 0xD000_0000;
+/// The table's ids are every id from here up, a range no engine reaches
+/// (each numbers its requests from 1). They are never reused, which is
+/// why their timeout tokens need no epoch.
+pub(super) const OWN_REQ_BASE: u32 = 1 << 31;
 
 /// One write: delivery route, target region, blocks.
 type SideWrite = (DeviceRoute, CapabilityAddr, Vec<u32>);
@@ -43,19 +47,56 @@ enum SideOwner {
 
 struct Batch {
     owner: SideOwner,
-    /// Writes still in flight.
+    /// Writes waiting or in flight.
     pending: usize,
 }
 
-/// In-flight side writes, by batch.
+/// What a request in flight belongs to.
+enum Owner {
+    /// A write of the batch under this id.
+    Write(u32),
+    /// The watch's keepalive read: its window is the watch's own
+    /// [`TOKEN_KEEPALIVE_CHECK`], not a timeout token.
+    Keepalive,
+}
+
+/// The manager's own requests: every one it sends that no engine owns.
 #[derive(Default)]
-pub(super) struct SideWrites {
-    /// Each in-flight batch, under the id of its first write.
+pub(super) struct Requests {
+    /// The owner of each request in flight.
+    owners: HashMap<u32, Owner>,
+    /// Writes waiting for the window, in issue order: batch, write and
+    /// the timeout it is armed with when it goes.
+    waiting: VecDeque<(u32, SideWrite, SimDuration)>,
+    /// Each batch with a write waiting or in flight.
     batches: HashMap<u32, Batch>,
-    /// The batch of each in-flight write.
-    pending: HashMap<u32, u32>,
-    /// Writes issued so far; the next id is `SIDE_REQ_BASE` plus this.
-    issued: u32,
+    /// Ids taken so far, by requests and batches; the next is
+    /// `OWN_REQ_BASE` plus one more.
+    taken: u32,
+}
+
+impl Requests {
+    fn take_id(&mut self) -> u32 {
+        self.taken += 1;
+        OWN_REQ_BASE + self.taken
+    }
+
+    /// Enters a keepalive read in flight; returns its id.
+    pub(super) fn open_keepalive(&mut self) -> u32 {
+        let req_id = self.take_id();
+        self.owners.insert(req_id, Owner::Keepalive);
+        req_id
+    }
+
+    /// Closes the keepalive's answer window: true when the read was
+    /// still unanswered. Its answer, if it comes now, counts nothing.
+    /// (A scan, but of at most a window of entries.)
+    pub(super) fn close_keepalive(&mut self) -> bool {
+        let before = self.owners.len();
+        self.owners
+            .retain(|_, owner| matches!(owner, Owner::Write(_)));
+        self.owners.len() < before
+    }
 }
 
 /// A PI-5 reporting route: the egress port and the turn pool.
@@ -107,7 +148,7 @@ impl FmAgent {
     /// True once every injected multicast-table write has completed.
     pub fn mcast_settled(&self) -> bool {
         let writing = |b: &Batch| matches!(b.owner, SideOwner::Multicast { .. });
-        self.mcast_queue.is_empty() && !self.side.batches.values().any(writing)
+        self.mcast_queue.is_empty() && !self.requests.batches.values().any(writing)
     }
 
     /// True while no reporting-route write is in flight.
@@ -129,48 +170,61 @@ impl FmAgent {
         self.reporting.as_ref().map_or(0, |r| r.failures)
     }
 
-    /// Injects `writes` as one pipelined batch.
+    /// Queues `writes` as one pipelined batch and sends what the window
+    /// lets through.
     fn issue_batch(
         &mut self,
         ctx: &mut AgentCtx,
-        mut owner: SideOwner,
+        owner: SideOwner,
         timeout: SimDuration,
         writes: Vec<SideWrite>,
     ) {
-        let first = SIDE_REQ_BASE + self.side.issued + 1;
-        let pending = writes.len();
-        for (route, addr, data) in writes {
-            self.side.issued += 1;
-            let req_id = SIDE_REQ_BASE + self.side.issued;
-            let write = Pi4::WriteRequest { req_id, addr, data };
-            let bytes = send_pi4(ctx, route.egress, route.pool, write);
-            if let SideOwner::Distribution(run) = &mut owner {
-                run.writes += 1;
-                run.bytes_sent += bytes;
-            }
-            self.side.pending.insert(req_id, first);
-            ctx.set_timer(timeout, timeout_token(0, req_id));
+        if writes.is_empty() {
+            return self.batch_drained(ctx, owner);
         }
-        if pending == 0 {
-            self.batch_drained(ctx, owner);
-        } else {
-            self.side.batches.insert(first, Batch { owner, pending });
+        let table = &mut self.requests;
+        let (batch, pending) = (table.take_id(), writes.len());
+        table.batches.insert(batch, Batch { owner, pending });
+        (table.waiting).extend(writes.into_iter().map(|write| (batch, write, timeout)));
+        self.send_waiting(ctx);
+    }
+
+    /// Sends waiting writes, oldest first, while fewer than
+    /// [`REQUEST_WINDOW`] of the table's requests are in flight.
+    fn send_waiting(&mut self, ctx: &mut AgentCtx) {
+        let table = &mut self.requests;
+        while table.owners.len() < REQUEST_WINDOW {
+            let Some((batch, (route, addr, data), timeout)) = table.waiting.pop_front() else {
+                break;
+            };
+            let req_id = table.take_id();
+            let write = Pi4::WriteRequest { req_id, addr, data };
+            send_pi4(ctx, route.egress, route.pool, write);
+            table.owners.insert(req_id, Owner::Write(batch));
+            ctx.set_timer(timeout, timeout_token(0, req_id));
         }
     }
 
-    /// A side write finished: acknowledged (`ok`), or rejected / timed
-    /// out; its timeout is cancelled (a no-op if that is what fired).
-    /// Returns false when `req_id` is not an in-flight side write.
-    pub(super) fn side_complete(&mut self, ctx: &mut AgentCtx, req_id: u32, ok: bool) -> bool {
-        let Some(id) = self.side.pending.remove(&req_id) else {
-            return false;
+    /// One of the table's requests finished: answered (`ok`), or
+    /// rejected / timed out. A keepalive's answer, either way, proves the
+    /// primary alive. A write's timeout is cancelled (a no-op if that is
+    /// what fired), its batch hears of it, and the next waiting write
+    /// goes. An id the table no longer holds — a keepalive answered after
+    /// its window closed — counts nothing.
+    pub(super) fn complete_own(&mut self, ctx: &mut AgentCtx, req_id: u32, ok: bool) {
+        let id = match self.requests.owners.remove(&req_id) {
+            Some(Owner::Write(id)) => id,
+            Some(Owner::Keepalive) => {
+                if let Some(watch) = self.watch.as_mut() {
+                    watch.misses = 0;
+                }
+                return;
+            }
+            None => return,
         };
         ctx.cancel_timer(timeout_token(0, req_id));
-        let batch = self
-            .side
-            .batches
-            .get_mut(&id)
-            .expect("a pending write's batch");
+        let table = &mut self.requests;
+        let batch = table.batches.get_mut(&id).expect("a pending write's batch");
         batch.pending -= 1;
         if !ok {
             match &mut batch.owner {
@@ -183,16 +237,18 @@ impl FmAgent {
             }
         }
         if batch.pending == 0 {
-            let owner = self.side.batches.remove(&id).expect("present").owner;
+            let owner = table.batches.remove(&id).expect("present").owner;
             self.batch_drained(ctx, owner);
-            if self.side.batches.is_empty() {
+            let table = &mut self.requests;
+            if table.batches.is_empty() {
                 // A burst of writes sized these maps; do not hold that
                 // for the rest of the run.
-                self.side.batches.shrink_to_fit();
-                self.side.pending.shrink_to_fit();
+                table.batches.shrink_to_fit();
+                table.waiting.shrink_to_fit();
+                table.owners.shrink_to_fit();
             }
         }
-        true
+        self.send_waiting(ctx);
     }
 
     fn batch_drained(&mut self, ctx: &mut AgentCtx, owner: SideOwner) {
@@ -279,7 +335,6 @@ impl FmAgent {
             writes: 0,
             failures: 0,
             unencodable: unencodable.len() as u64,
-            bytes_sent: 0,
         };
         // One BFS from the host serves every write's delivery route.
         let host_routes = db.routes_from(db.host_dsn(), self.cfg.pool_capacity);
@@ -290,6 +345,7 @@ impl FmAgent {
                 _ => run.failures += 1,
             }
         }
+        run.writes = planned.len() as u64;
         let timeout = self.pipelined_timeout(db, planned.len());
         self.issue_batch(ctx, SideOwner::Distribution(run), timeout, planned);
     }
@@ -403,7 +459,7 @@ impl FmAgent {
             .into_iter()
             .map(|(addr, data)| (to.clone(), addr, data))
             .collect();
-        let queued = self.side.pending.len() + writes.len();
+        let queued = self.requests.owners.len() + writes.len();
         let timeout = self.pipelined_timeout(db, queued);
         let timeout = (self.cfg.retry).attempt_timeout(timeout, attempt, dsn as u32);
         let header = writes.pop().expect("a route has a header");

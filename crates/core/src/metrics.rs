@@ -180,7 +180,8 @@ impl DiscoveryRun {
 /// Measurements of one path-distribution phase (extension).
 #[derive(Clone, Debug)]
 pub struct DistributionRun {
-    /// When the first write was injected.
+    /// When the writes were planned and queued; the first goes at once
+    /// unless the manager's request window is full.
     pub started_at: SimTime,
     /// When the last acknowledgement arrived.
     pub finished_at: SimTime,
@@ -190,8 +191,6 @@ pub struct DistributionRun {
     pub failures: u64,
     /// Endpoint-destination pairs whose route could not be encoded.
     pub unencodable: u64,
-    /// Bytes of route-table traffic injected.
-    pub bytes_sent: u64,
 }
 
 impl DistributionRun {

@@ -11,7 +11,7 @@
 //! benchmark's `peak_rss_mb` notices. The measured figures are printed
 //! with `--nocapture`.
 
-use asi_core::Algorithm;
+use asi_core::{Algorithm, FmAgent, TOKEN_CONFIGURE_MCAST};
 use asi_fabric::{Fabric, FabricConfig};
 use asi_harness::{Bench, Scenario};
 use asi_sim::SimDuration;
@@ -168,21 +168,30 @@ fn discovery_peak_per_device() {
 }
 
 /// The manager's PI-5 configuration writes every device's reporting
-/// route at once; what stays live once they drain is the routes the
-/// devices hold and the manager's record of them, not the burst, plus
-/// the timing wheel's slab, sorted run and late heap as far as the burst
-/// is the first to grow them (4.2 KB here: a bring-up of two events
-/// leaves them small, where a training burst left them 64 entries each).
+/// route; what stays live once they drain is the routes the devices hold
+/// and the manager's record of them, not the burst. A burst as large
+/// runs first, one multicast group over every endpoint, so the buffers
+/// that any first burst grows, the timing wheel's among them, are not
+/// counted as the configuration's.
 #[test]
 fn pi5_configuration_leaves_little_live() {
     let topo = asi_topo::torus(16, 16).unwrap().topology;
     let mut bench = Bench::start(&topo, &Scenario::new(Algorithm::Parallel), &[]);
+    let endpoints = bench.db().endpoints();
+    let fm = bench.fabric.agent_as_mut::<FmAgent>(bench.fm).unwrap();
+    fm.queue_multicast(1, endpoints);
+    let warm = SimDuration::from_us(1);
+    (bench.fabric).schedule_agent_timer(bench.fm, warm, TOKEN_CONFIGURE_MCAST);
+    while !bench.fm_agent().mcast_settled() {
+        assert!(bench.fabric.step(), "the multicast writes drain");
+    }
+    assert_eq!(bench.fm_agent().mcast_configured, [1]);
     let ((), heap) = measure(|| bench.configure_pi5_routes());
     within(
         "torus:16x16 configure_pi5_routes live",
         heap.live,
         &topo,
-        100,
+        83,
     );
 }
 
@@ -203,10 +212,9 @@ fn database_bytes_per_device() {
     }
 }
 
-/// The first PI-5 configuration's transient: the manager injects every
-/// device's reporting-route write at once, with no window, so its peak
-/// grows with the fabric. This pins the burst's figure; a windowed
-/// writer shows up here as a drop.
+/// The first PI-5 configuration's transient: 1,663 reporting-route
+/// writes, of which the manager keeps at most `REQUEST_WINDOW` (1,024)
+/// in flight and the rest waiting in its request table.
 #[test]
 fn pi5_configuration_peak_per_device() {
     let topo = dragonfly_4_8();
@@ -216,6 +224,6 @@ fn pi5_configuration_peak_per_device() {
         "dragonfly:4,8 configure_pi5_routes peak",
         heap.peak,
         &topo,
-        680,
+        545,
     );
 }

@@ -51,8 +51,8 @@
 //!    whenever it drains, so that a burst's slab is not held through the
 //!    quieter phase after it. The fabric's bring-up is no such burst (two
 //!    events: one activation run, one training batch); the FM's first
-//!    PI-5 configuration, which injects every device's reporting-route
-//!    write at once, is.
+//!    PI-5 configuration, which puts a request window (1,024) of
+//!    reporting-route writes in flight at once, is.
 //! 2. **A bucket is sorted once, when it comes up.** Its list — plus
 //!    whatever the overflow heap holds for it — is copied out as
 //!    `(key, index)` pairs, sorted, and consumed from the tail:
@@ -279,7 +279,8 @@ impl<T> TimingWheel<T> {
 
     /// Hands the slab back: shrinks the nodes and the current bucket's
     /// two buffers, which a burst (the FM's first PI-5 configuration
-    /// writes every device's route at once) has sized for itself, to [`KEPT_ON_RELEASE`] entries. Only for a
+    /// puts a request window of route writes in flight at once) has sized
+    /// for itself, to [`KEPT_ON_RELEASE`] entries. Only for a
     /// drained wheel; the next push starts the slab again from its first
     /// node. The serial kernel calls this when it runs dry; the parallel
     /// kernel, whose shard wheels run empty in most windows, does not.
