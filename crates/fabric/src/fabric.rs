@@ -32,7 +32,7 @@
 //! | `fabric/inject.rs` | the outside world: activation, scheduled faults, churn |
 //!
 //! `fabric/packets.rs` holds the packet bodies at rest — whole packets in
-//! one slab, the traffic plan's unicast packets as 24-byte flow bodies in
+//! one slab, the traffic plan's unicast packets as 16-byte flow bodies in
 //! another — and the accessors every handler reads them through.
 //!
 //! The cut-through commit and the credit ledger (an uncontended
@@ -303,6 +303,8 @@ pub struct Fabric {
     /// Latest start time of any cut-through commitment: externally
     /// scheduled control events fire no earlier.
     cut_latest: SimTime,
+    /// Agent callbacks so far, of every kind (`with_agent`).
+    agent_calls: u64,
 }
 
 /// Per-flow delivery statistics accumulated by the fabric for
@@ -401,6 +403,7 @@ impl Fabric {
             dispatched: [0; Event::KINDS.len()],
             control_pending: 0,
             cut_latest: SimTime::ZERO,
+            agent_calls: 0,
         };
         // The plans are pure data: faults and churn go on the clock up
         // front, traffic one arrival per flow at a time, drawn from the
@@ -709,6 +712,26 @@ impl Fabric {
         }
     }
 
+    /// Dispatches events until one has called an agent, or one dated at
+    /// or after `deadline` has been dispatched; `false` if the queue runs
+    /// dry first. A loop that waits on agent state, which only an agent
+    /// callback changes, need look at it only when this returns.
+    pub fn run_until_agent_call(&mut self, deadline: SimTime) -> bool {
+        let calls = self.agent_calls;
+        loop {
+            match self.sim.next_event() {
+                Some(fired) => {
+                    self.dispatch(fired.event);
+                    self.sim.finish_dispatch();
+                    if self.agent_calls != calls || self.sim.now() >= deadline {
+                        return true;
+                    }
+                }
+                None => return false,
+            }
+        }
+    }
+
     /// Runs until the event queue drains.
     pub fn run_until_idle(&mut self) {
         while self.step() {}
@@ -762,13 +785,22 @@ mod tests {
         // The kernel, which the run loop reads on every event, leads the
         // fabric.
         assert_eq!(offset_of!(Fabric, sim), 0);
-        // `Event` and `OutEntry` move by value through the wheel's slab
-        // nodes and the queues: three words each.
+        // `Event` moves by value through the wheel's slab nodes: three
+        // words. `OutEntry` moves through the queues: two, the port a
+        // packet came in on standing for where its credits go back to.
         assert_eq!(size_of::<Event>(), 24);
-        assert_eq!(size_of::<OutEntry>(), 24);
+        assert_eq!(size_of::<OutEntry>(), 16);
         // A queued data packet of a traffic flow: one slot of the flow
-        // slab, 24 bytes where a whole `Packet` is 136.
-        assert!(size_of::<Option<FlowBody>>() <= 24);
+        // slab, 16 bytes where a whole `Packet` is 136, and neither slab's
+        // free list adds to its slot (the arena's slot is private to
+        // `asi-sim`, mirrored here).
+        #[allow(dead_code)]
+        enum Slot<T> {
+            Live(T),
+            Free(u32),
+        }
+        assert!(size_of::<Slot<FlowBody>>() <= 16);
+        assert!(size_of::<Slot<Packet>>() <= 136);
     }
 
     /// The wheel's slab node (private to `asi-sim`, mirrored here) for

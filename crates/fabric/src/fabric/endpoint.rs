@@ -472,16 +472,8 @@ impl Fabric {
         self.counters.injected += 1;
         self.counters.flow_injected += 1;
         self.trace.emit(now, || TraceEvent::FlowInjected { flow });
-        let packet = self.packets.alloc_flow(FlowBody {
-            sent_ps: now.as_ps(),
-            flow,
-            turn_pointer: spec.pool.len_bits(),
-        });
-        let entry = OutEntry {
-            ready: now,
-            packet,
-            origin: None,
-        };
+        let body = FlowBody::new(now.as_ps(), flow, spec.pool.len_bits());
+        let entry = OutEntry::born(now, self.packets.alloc_flow(body));
         self.enqueue_out(dev, spec.egress, entry);
     }
 
@@ -725,6 +717,7 @@ impl Fabric {
         let now = self.sim.now();
         let d = &mut self.devices[dev.idx()];
         let Some(slot) = d.agent.as_mut() else { return };
+        self.agent_calls += 1;
         let mut ports = std::mem::take(&mut self.scratch_ports);
         ports.clear();
         ports.extend(d.ports.iter().map(Port::info));

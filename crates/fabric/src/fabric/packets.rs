@@ -7,7 +7,7 @@
 //! route it has come. Everything else about it is its flow's — the route
 //! (`Traffic::flows`), the direction (forward), the class (data), the
 //! payload and the wire size ([`FlowWire`]) — so the packets
-//! that crowd the data queues under load are 24 bytes a slot, not a copy
+//! that crowd the data queues under load are 16 bytes a slot, not a copy
 //! of their flow's 72-byte turn pool and a payload sized for PI-4
 //! completions.
 //!
@@ -48,8 +48,9 @@ impl PacketRef {
     }
 }
 
-/// A traffic-plan unicast packet at rest. A slot of its slab is 24 bytes
-/// (pinned by a test in `fabric.rs`).
+/// A traffic-plan unicast packet at rest. A slot of its slab is 16 bytes
+/// (pinned by a test in `fabric.rs`): the body's 14, and in its padding
+/// the [`FlowTag`] whose unused values tell the slab's free slots apart.
 pub(super) struct FlowBody {
     /// Injection time in picoseconds, for the delivery's latency.
     pub(super) sent_ps: u64,
@@ -57,6 +58,29 @@ pub(super) struct FlowBody {
     pub(super) flow: u32,
     /// Where in the flow's pool the next switch reads its turn.
     pub(super) turn_pointer: u16,
+    /// Never read: its one value leaves the slab the byte's other 255
+    /// to mark a free slot with.
+    _tag: FlowTag,
+}
+
+/// A byte that can hold one value: what makes [`FlowBody`] a type with a
+/// niche, so that its arena slot (a body or a free-list link) needs no
+/// separate discriminant.
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum FlowTag {
+    Body,
+}
+
+impl FlowBody {
+    pub(super) fn new(sent_ps: u64, flow: u32, turn_pointer: u16) -> FlowBody {
+        FlowBody {
+            sent_ps,
+            flow,
+            turn_pointer,
+            _tag: FlowTag::Body,
+        }
+    }
 }
 
 /// What the wire sees of each packet of one flow, worked out once from

@@ -113,8 +113,8 @@
 //!
 //! | | an idle port holds | a port with something queued also borrows |
 //! |---|---|---|
-//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, the credits in hand (a `u16` per class), three flags in one byte (credits by event, the loss state, negotiated), and `q = NIL` | management and data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew |
-//! | where | 40 bytes in its device's port array | 64 bytes of `Fabric::queues`, at index `q` |
+//! | what | peer, state, `busy_until`, `try_tx_at`, `cut_until`, the credits in hand (a `u16` per class), three flags in one byte (credits by event, the loss state, negotiated), and `q = NIL` | management and data `VecDeque<OutEntry>`, with the buffers earlier borrowers grew; an entry is the time it is ready, the body's handle and the port it came in on, whose fixed peer is where its input-buffer credits go back to |
+//! | where | 40 bytes in its device's port array | 64 bytes of `Fabric::queues`, at index `q`, and 16 bytes of buffer an entry (the body is in a slab, `packets.rs`: 16 bytes a flow body, 136 a whole packet) |
 //! | from, until | `Fabric::new` to the end of the run | the first `enqueue_out` on an empty port, to the `pop_head` or `drain_port` that takes its last entry |
 //! | read by | `on_arrive`, the guard, `transmit`, `return_credits` — one line, no queue: "both egress queues empty" is `q == NIL` | `enqueue_out`, `pump` (`next_action`, `pop_head`), `drain_port` |
 //!
@@ -206,7 +206,8 @@ fn credit_cost(config: &FabricConfig, size: usize) -> u16 {
     u16::try_from(config.credits_for(size)).expect("a packet costs at most 1,100 credits")
 }
 
-/// Where a queued packet's input-buffer credits must be released.
+/// Where a packet's input-buffer credits must be released: the
+/// transmitter at the far end of the link it came in on.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct CreditOrigin {
     dev: DevId,
@@ -215,16 +216,38 @@ pub(super) struct CreditOrigin {
     amount: u16,
 }
 
-/// A packet waiting on an output port.
+/// A packet waiting on an output port: 16 bytes.
 ///
 /// The packet body lives in one of the fabric's two slabs (`packets.rs`):
-/// entries move through per-port `VecDeque`s and the scheduling kernel,
-/// and carrying a 4-byte handle keeps those moves cheap and recycles body
-/// memory through the slabs' free lists.
+/// entries move through per-port `VecDeque`s, and carrying a 4-byte
+/// handle keeps those moves cheap and recycles body memory through the
+/// slabs' free lists. Where the input-buffer credits the packet holds go
+/// back to is not stored but worked out where they are released
+/// ([`Fabric::upstream`]): the peer of the port it came in on, which is
+/// fixed from [`Fabric::new`] on, and the class and cost of the packet
+/// itself.
 pub(super) struct OutEntry {
     pub(super) ready: SimTime,
     pub(super) packet: PacketRef,
-    pub(super) origin: Option<CreditOrigin>,
+    /// The port the packet came in on, or [`BORN`] for a packet that holds
+    /// no input buffer on this device.
+    pub(super) from: u8,
+}
+
+/// [`OutEntry::from`] of a packet born on its device: a traffic shot, a
+/// reply, an agent's send, a PI-5 report, a multicast replica. A device
+/// has at most 255 ports, so no port has this number.
+pub(super) const BORN: u8 = u8::MAX;
+
+impl OutEntry {
+    /// A packet born on the device, ready to leave at `ready`.
+    pub(super) fn born(ready: SimTime, packet: PacketRef) -> OutEntry {
+        OutEntry {
+            ready,
+            packet,
+            from: BORN,
+        }
+    }
 }
 
 /// The output queues of one port, for as long as it has something queued.
@@ -836,49 +859,49 @@ impl Fabric {
     /// send, PI-5 report, multicast replica) enters the fabric: onto
     /// `(dev, port)`'s egress queue, with no upstream buffer to credit.
     pub(super) fn inject(&mut self, dev: DevId, port: u8, ready: SimTime, packet: Packet) {
-        let packet = self.packets.alloc(packet);
-        let entry = OutEntry {
-            ready,
-            packet,
-            origin: None,
-        };
+        let entry = OutEntry::born(ready, self.packets.alloc(packet));
         self.enqueue_out(dev, port, entry);
     }
 
-    /// The one way a forwarded packet dies: charge the counter, hand the
-    /// credits of the input buffer it holds back upstream, free the body.
-    pub(super) fn drop_entry(&mut self, entry: OutEntry, counter: DropCounter) {
+    /// The one way a queued or forwarded packet on `dev` dies: charge the
+    /// counter, hand the credits of the input buffer it holds back
+    /// upstream, free the body.
+    pub(super) fn drop_entry(&mut self, dev: DevId, entry: OutEntry, counter: DropCounter) {
         *counter(&mut self.counters) += 1;
-        self.return_credits(entry.origin, self.sim.now());
+        self.release_origin_now(dev, entry.from, entry.packet);
         self.packets.free(entry.packet);
     }
 
     // ---------------- credits ----------------
 
-    /// Input-buffer release record for a `size`-byte packet that arrived
-    /// at `(dev, port)` from a live upstream hop.
-    pub(super) fn origin_of(
+    /// Where the credits of the input buffer a packet of `class`, `size`
+    /// bytes on the wire, holds on `(dev, from)` go back to: the far end
+    /// of that port's link. `None` with flow control off, or for a packet
+    /// born on `dev` ([`BORN`]), which holds no input buffer.
+    fn upstream(
         &self,
         dev: DevId,
-        port: u8,
-        packet: PacketRef,
+        from: u8,
+        class: CreditClass,
         size: usize,
     ) -> Option<CreditOrigin> {
-        if !self.config.flow_control {
+        if from == BORN || !self.config.flow_control {
             return None;
         }
-        let peer = self.devices[dev.idx()].ports[usize::from(port)].peer()?;
+        let (dev, port) = self.devices[dev.idx()].ports[usize::from(from)].peer()?;
+        let amount = credit_cost(&self.config, size);
         Some(CreditOrigin {
-            dev: peer.0,
-            port: peer.1,
-            class: self.packets.class(packet),
-            amount: credit_cost(&self.config, size),
+            dev,
+            port,
+            class,
+            amount,
         })
     }
 
-    pub(super) fn release_origin_now(&mut self, dev: DevId, port: u8, packet: PacketRef) {
-        let size = self.packets.wire_size(packet);
-        self.return_credits(self.origin_of(dev, port, packet, size), self.sim.now());
+    /// Releases, now, the input buffer `packet` holds on `(dev, from)`.
+    pub(super) fn release_origin_now(&mut self, dev: DevId, from: u8, packet: PacketRef) {
+        let (class, size) = (self.packets.class(packet), self.packets.wire_size(packet));
+        self.return_credits(self.upstream(dev, from, class, size), self.sim.now());
     }
 
     /// Returns the credits of an input buffer freed at `freed_at`, if the
@@ -1013,14 +1036,14 @@ impl Fabric {
                 }
                 Action::Oversized(class) => {
                     let entry = p.pop_head(queues, class);
-                    self.drop_entry(entry, |c| &mut c.dropped_bad_route);
+                    self.drop_entry(dev, entry, |c| &mut c.dropped_bad_route);
                 }
                 Action::Tx(class, size) => match (p.pop_head(queues, class), p.peer()) {
                     (entry, Some(peer)) => {
                         self.transmit(dev, port, (class, size), entry, peer, now)
                     }
                     // Dangling port: count as link-down drop.
-                    (entry, None) => self.drop_entry(entry, |c| &mut c.dropped_link_down),
+                    (entry, None) => self.drop_entry(dev, entry, |c| &mut c.dropped_link_down),
                 },
             }
         }
@@ -1067,7 +1090,8 @@ impl Fabric {
     /// `now` from `pump`, or the future `ready` of a cut-through
     /// commitment, whose guard has established that nothing else can
     /// claim the port or the credits before then. Everything downstream
-    /// of the transmission is scheduled relative to `start`.
+    /// of the transmission is scheduled relative to `start`, the release
+    /// of the input buffer the packet held on its way in among it.
     pub(super) fn transmit(
         &mut self,
         dev: DevId,
@@ -1078,6 +1102,7 @@ impl Fabric {
         start: SimTime,
     ) {
         let cost = credit_cost(&self.config, size);
+        let upstream = self.upstream(dev, entry.from, class, size);
         let d = &mut self.devices[dev.idx()];
         if self.config.flow_control {
             d.credits(port, self.sim.current_key(), &mut self.spill, dev)[class.idx()] -= cost;
@@ -1127,7 +1152,7 @@ impl Fabric {
         // The packet has left this device: release the input buffer it
         // occupied upstream (after the downstream `Arrive`: the order of
         // the two is a same-timestamp tie-break).
-        self.return_credits(entry.origin, start);
+        self.return_credits(upstream, start);
     }
 
     /// Everything queued on a port that went down is lost with the link.
@@ -1143,7 +1168,7 @@ impl Fabric {
             let set = &mut self.queues[q];
             let entry = set.mgmt_q.pop_front().or_else(|| set.data_q.pop_front());
             let Some(entry) = entry else { break };
-            self.drop_entry(entry, |c| &mut c.dropped_link_down);
+            self.drop_entry(dev, entry, |c| &mut c.dropped_link_down);
         }
         self.queues.take_back(q);
     }
@@ -1528,6 +1553,46 @@ mod tests {
             .dispatch_counts()
             .find(|&(kind, _)| kind == "port_trained");
         assert_eq!(trained, Some(("port_trained", 3)));
+    }
+
+    /// A forwarded packet queued behind a busy port holds the input
+    /// buffer it came in on; when a flap drains the queue, that buffer's
+    /// credits go back to the transmitter upstream, worked out from the
+    /// port the packet came in on.
+    #[test]
+    fn a_packet_drained_by_a_flap_returns_its_upstream_credits() {
+        const E1: DevId = DevId(2);
+        let mut fabric = star();
+        let now = fabric.now();
+        // E0 → S → E1: one turn at S, from port 0 to port 1.
+        let mut pool = TurnPool::new_spec();
+        let turn = asi_proto::turn_for(0, 1, 16);
+        pool.push_turn(turn, turn_width(16)).unwrap();
+        let header = RouteHeader::forward(ProtocolInterface::Data, 0, pool);
+        let packet = Packet::new(header, Payload::Data { len: 512 });
+        let cost = u64::from(credit_cost(&fabric.config, packet.wire_size()));
+        fabric.port(S, 1).busy_until = now + SimDuration::from_us(100);
+        fabric.inject(E0, 0, now, packet);
+        fabric.run_until(now + SimDuration::from_us(10));
+        assert_eq!(fabric.queued_packets(), 1);
+        assert!(fabric.port(S, 1).is_queued());
+        // E0 spent the packet's credits on S's input buffer, and S has
+        // not sent them back.
+        assert_eq!(fabric.credits_outstanding(), cost);
+        let down_for = SimDuration::from_us(5);
+        let flap = Event::FaultLinkDown {
+            dev: S,
+            port: 1,
+            down_for,
+        };
+        fabric.sched_at(fabric.now(), flap);
+        fabric.run_until_idle();
+        assert_eq!(fabric.counters.dropped_link_down, 1);
+        assert_eq!(fabric.port(S, 1).state, PortState::Active);
+        assert_eq!(fabric.port(E1, 0).state, PortState::Active);
+        assert_eq!(fabric.queued_packets(), 0);
+        assert_eq!(fabric.packet_arena_live(), 0);
+        assert_eq!(fabric.credits_outstanding(), 0);
     }
 
     #[test]

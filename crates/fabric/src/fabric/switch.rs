@@ -29,17 +29,16 @@ impl Fabric {
         }
         let turn = self.take_turn(dev, port, cursor, pool);
         let ready = self.sim.now() + self.config.switch_latency;
-        // Once per hop: the credit release, the guard and the transmission
-        // all read it.
-        let size = self.packets.wire_size(packet);
         let entry = OutEntry {
             ready,
             packet,
-            origin: self.origin_of(dev, port, packet, size),
+            from: port,
         };
         let Some((egress, pointer)) = turn else {
-            return self.drop_entry(entry, |c| &mut c.dropped_bad_route);
+            return self.drop_entry(dev, entry, |c| &mut c.dropped_bad_route);
         };
+        // Once per hop: the guard and the transmission both read it.
+        let size = self.packets.wire_size(packet);
         self.advance(packet, pointer);
         self.counters.forwarded += 1;
         match self.cut_through_peer(dev, egress, &entry, size) {

@@ -12,7 +12,7 @@ use asi_fabric::{
     ChurnPlan, DevId, Fabric, FabricConfig, FabricCounters, FaultPlan, TrafficPlan, DSN_BASE,
 };
 use asi_proto::{apply_forward, turn_width, Direction, PortState, TurnCursor, TurnPool};
-use asi_sim::{KernelSpec, SimDuration, SimRng, TraceHandle};
+use asi_sim::{KernelSpec, SimDuration, SimRng, SimTime, TraceHandle};
 use asi_state::Snapshot;
 use asi_topo::{Attachment, NodeId, Topology};
 
@@ -568,22 +568,28 @@ impl Bench {
     }
 
     /// Steps the fabric until `done` holds of the FM and has held for a
-    /// grace period. Works both with and without background traffic
-    /// (which never lets the event queue go idle).
+    /// grace period: it stops on the first event dated a grace period or
+    /// more after the one that made `done` hold. Works both with and
+    /// without background traffic (which never lets the event queue go
+    /// idle). `done` reads agent state, which only an agent callback
+    /// changes, so it is asked again after an event that called one, not
+    /// after every event.
     fn settle(&mut self, done: impl Fn(&FmAgent) -> bool) {
         let quiet = SimDuration::from_us(500);
         let mut quiet_since = None;
         loop {
             let ready = done(self.fm_agent());
-            if ready {
+            let deadline = if ready {
                 let since = *quiet_since.get_or_insert(self.fabric.now());
                 if self.fabric.now().saturating_since(since) >= quiet {
                     break;
                 }
+                since + quiet
             } else {
                 quiet_since = None;
-            }
-            if !self.fabric.step() {
+                SimTime::MAX
+            };
+            if !self.fabric.run_until_agent_call(deadline) {
                 assert!(ready, "fabric went idle before the FM was done");
                 break;
             }

@@ -1,7 +1,8 @@
 //! The heap budget: how many bytes per device the fabric and the
 //! manager hold at their two peaks, bring-up and the end of the initial
-//! discovery; how much of the second is the topology database; and what
-//! the manager's PI-5 configuration peaks at and leaves behind.
+//! discovery, the second also under background data traffic; how much of
+//! it is the topology database; and what the manager's PI-5
+//! configuration peaks at and leaves behind.
 //!
 //! A counting global allocator (this test binary's own) tracks the bytes
 //! requested on the test's thread while a measurement runs: the live
@@ -12,7 +13,7 @@
 //! with `--nocapture`.
 
 use asi_core::{Algorithm, FmAgent, TOKEN_CONFIGURE_MCAST};
-use asi_fabric::{Fabric, FabricConfig};
+use asi_fabric::{Fabric, FabricConfig, TrafficPlan};
 use asi_harness::{Bench, Scenario};
 use asi_sim::SimDuration;
 use asi_topo::Topology;
@@ -119,10 +120,9 @@ fn bring_up(topo: &Topology) -> Heap {
     heap
 }
 
-/// `Bench::start` under Parallel: bring-up and the initial discovery,
-/// whose tail holds the waiting queue beside a nearly full database.
-fn start(topo: &Topology) -> Heap {
-    let scenario = Scenario::new(Algorithm::Parallel);
+/// `Bench::start`: bring-up and the initial discovery, whose tail holds
+/// the waiting queue beside a nearly full database.
+fn start(topo: &Topology, scenario: Scenario) -> Heap {
     let (bench, heap) = measure(|| Bench::start(topo, &scenario, &[]));
     drop(bench);
     heap
@@ -154,16 +154,37 @@ fn discovery_peak_per_device() {
     let topo = dragonfly_4_8();
     within(
         "dragonfly:4,8 Bench::start peak",
-        start(&topo).peak,
+        start(&topo, Scenario::new(Algorithm::Parallel)).peak,
         &topo,
         800,
     );
     let topo = mesh_16();
     within(
         "mesh:16x16 Bench::start peak",
-        start(&topo).peak,
+        start(&topo, Scenario::new(Algorithm::Parallel)).peak,
         &topo,
         1_100,
+    );
+}
+
+/// `Bench::start` under the benchmark's background traffic (the shape of
+/// `traffic --load 0.4`, over a 2 ms window): beside the discovery's own
+/// bytes and the latencies of the delivered packets, the peak holds the
+/// queued data packets, a 16-byte queue entry and a 16-byte flow-slab
+/// slot each (7,684 B per device when they were 24 and 24 bytes and a
+/// 4-byte free-stack entry).
+#[test]
+fn loaded_discovery_peak_per_device() {
+    let topo = asi_topo::mesh(8, 8).unwrap().topology;
+    let traffic = TrafficPlan::none()
+        .with_unicast(0.4, 512)
+        .with_window(SimDuration::ZERO, SimDuration::from_ms(2));
+    let scenario = Scenario::new(Algorithm::Parallel).with_traffic_plan(traffic);
+    within(
+        "mesh:8x8 Bench::start peak under 0.4 load",
+        start(&topo, scenario).peak,
+        &topo,
+        6_800,
     );
 }
 

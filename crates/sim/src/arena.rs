@@ -2,51 +2,68 @@
 //!
 //! The fabric keeps every in-flight packet in one of two of these instead
 //! of in per-event `Box` allocations — whole packets in one, traffic-plan
-//! flow bodies (24 bytes a slot) in the other: events and port queues
+//! flow bodies (16 bytes a slot) in the other: events and port queues
 //! carry a 4-byte handle, payload memory is recycled through the free
 //! list, and peak footprint is the peak number of in-flight packets times
-//! the slot size rather than allocator churn. The arena is
-//! deliberately *not* generational — handles are freed exactly once at the
-//! packet's single point of consumption, and the leak test
+//! the slot size rather than allocator churn. The free list lives in the
+//! free slots themselves (a free slot holds the index of the next), so it
+//! costs no memory beside the slab, and it is last-freed-first: the slot
+//! freed last, likely still cached, is the next one allocated. The arena
+//! is deliberately *not* generational — handles are freed exactly once at
+//! the packet's single point of consumption, and the leak test
 //! (`live() == 0` after a drained run) catches double-free/leak bugs.
+
+/// One slot: a value, or a link of the free list. For a `T` with a niche
+/// that a `u32` fits beside (a whole packet, a flow body) the slot is no
+/// larger than `T`.
+enum Slot<T> {
+    Live(T),
+    /// The slot freed before this one, or [`END`].
+    Free(u32),
+}
+
+/// The end of the free list, and so never a handle.
+const END: u32 = u32::MAX;
 
 /// A growable slab of `T` with O(1) alloc/free and stable handles.
 pub struct Arena<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
+    slots: Vec<Slot<T>>,
+    /// The slot freed last, or [`END`] when every slot is live.
+    free: u32,
     live: usize,
 }
 
 impl<T> Arena<T> {
     /// An empty arena.
     pub fn new() -> Arena<T> {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
+        Arena::with_capacity(0)
     }
 
     /// An empty arena with room for `cap` values before reallocating.
     pub fn with_capacity(cap: usize) -> Arena<T> {
         Arena {
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            free: END,
             live: 0,
         }
     }
 
-    /// Stores `value`, reusing a freed slot when one exists.
+    /// Stores `value`, reusing the slot freed last when one is free.
     pub fn alloc(&mut self, value: T) -> u32 {
         self.live += 1;
-        if let Some(i) = self.free.pop() {
-            debug_assert!(self.slots[i as usize].is_none());
-            self.slots[i as usize] = Some(value);
-            i
+        if self.free != END {
+            let at = self.free;
+            let slot = &mut self.slots[at as usize];
+            let Slot::Free(next) = *slot else {
+                unreachable!("the free list holds free slots")
+            };
+            self.free = next;
+            *slot = Slot::Live(value);
+            at
         } else {
-            let i = u32::try_from(self.slots.len()).expect("arena overflow");
-            self.slots.push(Some(value));
-            i
+            let at = u32::try_from(self.slots.len()).ok().filter(|&at| at != END);
+            self.slots.push(Slot::Live(value));
+            at.expect("arena overflow")
         }
     }
 
@@ -55,9 +72,10 @@ impl<T> Arena<T> {
     /// # Panics
     /// If `handle` is stale or out of range.
     pub fn get(&self, handle: u32) -> &T {
-        self.slots[handle as usize]
-            .as_ref()
-            .expect("stale arena handle")
+        match &self.slots[handle as usize] {
+            Slot::Live(value) => value,
+            Slot::Free(_) => panic!("stale arena handle"),
+        }
     }
 
     /// Exclusive access to a live value.
@@ -65,9 +83,10 @@ impl<T> Arena<T> {
     /// # Panics
     /// If `handle` is stale or out of range.
     pub fn get_mut(&mut self, handle: u32) -> &mut T {
-        self.slots[handle as usize]
-            .as_mut()
-            .expect("stale arena handle")
+        match &mut self.slots[handle as usize] {
+            Slot::Live(value) => value,
+            Slot::Free(_) => panic!("stale arena handle"),
+        }
     }
 
     /// Moves the value out, freeing the slot.
@@ -75,12 +94,16 @@ impl<T> Arena<T> {
     /// # Panics
     /// If `handle` is stale or out of range.
     pub fn take(&mut self, handle: u32) -> T {
-        let v = self.slots[handle as usize]
-            .take()
-            .expect("stale arena handle");
-        self.free.push(handle);
+        let slot = &mut self.slots[handle as usize];
+        if let Slot::Free(_) = slot {
+            panic!("stale arena handle");
+        }
+        let Slot::Live(value) = std::mem::replace(slot, Slot::Free(self.free)) else {
+            unreachable!("checked above")
+        };
+        self.free = handle;
         self.live -= 1;
-        v
+        value
     }
 
     /// Drops the value, freeing the slot.
@@ -111,6 +134,7 @@ impl<T> Default for Arena<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_get_take_roundtrip() {
@@ -163,5 +187,51 @@ mod tests {
         }
         assert_eq!(a.live(), 0);
         assert!(a.slots() <= 100);
+    }
+
+    /// A free slot's link sits beside a value's niche: a slot of a type
+    /// with one is no larger than the type.
+    #[test]
+    fn a_slot_costs_nothing_beside_a_niche() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Slot<(u64, bool)>>(), 16);
+        assert_eq!(size_of::<Slot<(u64, u32, u16, bool)>>(), 16);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over any interleaving of allocs and frees, handles come back in
+        /// the order a plain `Vec<u32>` stack of freed handles gives (the
+        /// slot freed last first, a new slot when none is free), the
+        /// values stay where they were put, and `live()` and `slots()`
+        /// track the model.
+        #[test]
+        fn handles_come_back_in_free_stack_order(
+            ops in prop::collection::vec((any::<bool>(), any::<prop::sample::Index>()), 1..400),
+        ) {
+            let mut arena = Arena::new();
+            let (mut stack, mut len) = (Vec::<u32>::new(), 0u32);
+            let mut held: Vec<(u32, usize)> = Vec::new();
+            for (step, (alloc, pick)) in ops.into_iter().enumerate() {
+                if alloc || held.is_empty() {
+                    let expected = stack.pop().unwrap_or_else(|| {
+                        len += 1;
+                        len - 1
+                    });
+                    prop_assert_eq!(arena.alloc(step), expected);
+                    held.push((expected, step));
+                } else {
+                    let (handle, value) = held.swap_remove(pick.index(held.len()));
+                    prop_assert_eq!(arena.take(handle), value);
+                    stack.push(handle);
+                }
+                prop_assert_eq!(arena.live(), held.len());
+                prop_assert_eq!(arena.slots(), len as usize);
+                for &(handle, value) in &held {
+                    prop_assert_eq!(*arena.get(handle), value);
+                }
+            }
+        }
     }
 }

@@ -43,10 +43,10 @@
 //!    nothing is allocated per bucket and an entry's payload is written
 //!    once and read once. The free list runs through the same `next` field
 //!    the bucket lists use. (The slab is the wheel's own and not a
-//!    [`crate::Arena`]: on the 64×64 mesh the arena's `Option<Node>` slots
-//!    and separate free stack cost 4% of the whole discovery, sixteen
-//!    interleaved rounds, and still 3% with the arena's free list made
-//!    intrusive.) The slab grows to the peak residency and keeps it until
+//!    [`crate::Arena`]: on the 64×64 mesh an arena of `Node`s with a
+//!    separate free stack cost 4% of the whole discovery, sixteen
+//!    interleaved rounds, and still 3% with its free list through the
+//!    free slots, as the arena's is.) The slab grows to the peak residency and keeps it until
 //!    `TimingWheel::release` hands it back, which the serial kernel does
 //!    whenever it drains, so that a burst's slab is not held through the
 //!    quieter phase after it. The fabric's bring-up is no such burst (two
