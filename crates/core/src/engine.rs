@@ -78,8 +78,8 @@ use crate::metrics::Algorithm;
 use crate::retry::RetryPolicy;
 use asi_proto::{
     config::{general_info_read, port_info_read, port_info_reads, CAP_OWNERSHIP, OWNERSHIP_WORDS},
-    turn_for, turn_width, CapabilityAddr, DeviceInfo, DeviceType, Pi4Status, PortInfo, TurnPool,
-    PORT_BLOCK_WORDS,
+    turn_for, turn_width, CapabilityAddr, DeviceInfo, DeviceType, Dwords, Pi4Status, PortInfo,
+    TurnPool, PORT_BLOCK_WORDS,
 };
 use asi_sim::{Arena, SimDuration, SimTime, TraceEvent, TraceHandle};
 use std::collections::{BTreeSet, VecDeque};
@@ -159,7 +159,7 @@ pub enum OutOp {
         /// Target region.
         addr: CapabilityAddr,
         /// Blocks to write.
-        data: Vec<u32>,
+        data: Dwords,
     },
 }
 
@@ -941,7 +941,7 @@ impl Engine {
                 (d.route.unpack(), read(block))
             }
             Pending::ClaimWrite { dsn } => {
-                let data = vec![(self.my_dsn >> 32) as u32, self.my_dsn as u32];
+                let data = [(self.my_dsn >> 32) as u32, self.my_dsn as u32][..].into();
                 let addr = OWNERSHIP;
                 (route_to(dsn)?, OutOp::Write { addr, data })
             }

@@ -906,7 +906,7 @@ mod tests {
     /// words)`, and the timeout token each armed.
     fn route_writes(
         commands: Vec<asi_fabric::AgentCommand>,
-    ) -> Vec<(u32, asi_proto::CapabilityAddr, Vec<u32>)> {
+    ) -> Vec<(u32, asi_proto::CapabilityAddr, asi_proto::Dwords)> {
         let mut writes = Vec::new();
         for cmd in commands {
             if let asi_fabric::AgentCommand::Send { packet, .. } = cmd {
@@ -937,7 +937,7 @@ mod tests {
     fn drain(
         fm: &mut FmAgent,
         c: &mut AgentCtx,
-        writes: &[(u32, asi_proto::CapabilityAddr, Vec<u32>)],
+        writes: &[(u32, asi_proto::CapabilityAddr, asi_proto::Dwords)],
         ok: bool,
     ) {
         for (req_id, ..) in writes {
@@ -1184,7 +1184,7 @@ mod tests {
                     let req_id = OWN_REQ_BASE + n;
                     let pi4 = Pi4::ReadCompletion {
                         req_id,
-                        data: vec![0; 8],
+                        data: [0; 8][..].into(),
                     };
                     let pool = TurnPool::new_spec();
                     let header = RouteHeader::forward(

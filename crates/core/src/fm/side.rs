@@ -11,7 +11,7 @@ use crate::engine::REQUEST_WINDOW;
 use crate::mcast::plan_multicast;
 use crate::pathdist::plan_distribution;
 use asi_proto::config::event_route_writes;
-use asi_proto::{CapabilityAddr, MAX_COMPLETION_DWORDS};
+use asi_proto::{CapabilityAddr, Dwords, MAX_COMPLETION_DWORDS};
 use std::collections::VecDeque;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -21,7 +21,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 pub(super) const OWN_REQ_BASE: u32 = 1 << 31;
 
 /// One write: delivery route, target region, blocks.
-type SideWrite = (DeviceRoute, CapabilityAddr, Vec<u32>);
+type SideWrite = (DeviceRoute, CapabilityAddr, Dwords);
 
 /// Who hears that a batch of writes has drained.
 enum SideOwner {
@@ -370,7 +370,7 @@ impl FmAgent {
             let mut failed = false;
             for w in &writes {
                 match host_routes.get(&w.target_dsn) {
-                    Some(Ok(route)) => planned.push((route.clone(), w.addr(), vec![w.mask])),
+                    Some(Ok(route)) => planned.push((route.clone(), w.addr(), [w.mask][..].into())),
                     // The manager's own table needs no packet (the FM
                     // endpoint rarely joins groups in these experiments).
                     _ if w.target_dsn == host => {}

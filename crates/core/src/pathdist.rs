@@ -19,7 +19,7 @@
 //! bits end to end).
 
 use crate::db::TopologyDb;
-use asi_proto::{TurnPool, CAP_ROUTE_TABLE};
+use asi_proto::{Dwords, TurnPool, CAP_ROUTE_TABLE};
 
 /// Words per route-table entry.
 pub const ENTRY_WORDS: u16 = 6;
@@ -96,7 +96,7 @@ pub struct PlannedWrite {
     /// Offset within `CAP_ROUTE_TABLE`.
     pub offset: u16,
     /// The six entry words.
-    pub data: Vec<u32>,
+    pub data: Dwords,
 }
 
 impl PlannedWrite {
@@ -146,7 +146,7 @@ pub fn plan_distribution(
                     writes.push(PlannedWrite {
                         target_dsn: owner,
                         offset: RouteTableEntry::offset(index),
-                        data: words.to_vec(),
+                        data: words[..].into(),
                     });
                     index += 1;
                 }

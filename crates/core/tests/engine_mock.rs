@@ -10,8 +10,8 @@ use asi_core::{
 };
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
-    Direction, Pi4Status, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP, GENERAL_INFO_WORDS,
-    PORT_BLOCK_WORDS,
+    Direction, Dwords, Pi4Status, PortInfo, PortState, TurnCursor, CAP_OWNERSHIP,
+    GENERAL_INFO_WORDS, PORT_BLOCK_WORDS,
 };
 use asi_sim::SimRng;
 use asi_topo::{dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, NodeId, Topology};
@@ -36,7 +36,7 @@ struct MockDevice {
 }
 
 impl MockDevice {
-    fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+    fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Dwords, Pi4Status> {
         let port = |p: u16| self.ports[usize::from(p)];
         self.config.read(&self.info, port, addr, dwords)
     }
@@ -114,7 +114,7 @@ impl MockFabric {
     }
 
     /// Services one request, returning `(req_id, read result)`.
-    fn service(&mut self, req: &OutRequest) -> (u32, Result<Vec<u32>, asi_proto::Pi4Status>) {
+    fn service(&mut self, req: &OutRequest) -> (u32, Result<Dwords, asi_proto::Pi4Status>) {
         let Some((_, target)) = self.walk(req) else {
             panic!("engine emitted a request that routes off the fabric");
         };
@@ -122,7 +122,7 @@ impl MockFabric {
             OutOp::Read { addr, dwords } => self.devices[target.idx()].read(*addr, *dwords),
             OutOp::Write { addr, data } => self.devices[target.idx()]
                 .write(*addr, data)
-                .map(|()| Vec::new()),
+                .map(|()| Dwords::default()),
         };
         (req.req_id, result)
     }

@@ -54,7 +54,7 @@ use crate::faults::{FaultKind, LossModel};
 use crate::traffic::{build_flow_packet, FlowClock, FlowSpec};
 use asi_proto::{
     apply_backward, apply_forward, turn_width, CapabilityAddr, ConfigSpace, DeviceInfo, DeviceType,
-    Direction, Packet, Payload, Pi4, Pi4Status, Pi5, PortEvent, PortInfo, PortState,
+    Direction, Dwords, Packet, Payload, Pi4, Pi4Status, Pi5, PortEvent, PortInfo, PortState,
     ProtocolInterface, RouteHeader, TurnCursor, TurnPool, MANAGEMENT_TC,
 };
 use asi_sim::{
@@ -148,7 +148,7 @@ impl Device {
     /// A PI-4 read of this device's configuration space: the baseline
     /// capability from `info` and the live ports, the rest from the
     /// registers.
-    fn read_config(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+    fn read_config(&self, addr: CapabilityAddr, dwords: u8) -> Result<Dwords, Pi4Status> {
         let port = |p: u16| self.ports[usize::from(p)].info();
         self.config.read(&self.info, port, addr, dwords)
     }
@@ -529,7 +529,7 @@ impl Fabric {
         dev: DevId,
         addr: CapabilityAddr,
         dwords: u8,
-    ) -> Result<Vec<u32>, Pi4Status> {
+    ) -> Result<Dwords, Pi4Status> {
         self.devices[dev.idx()].read_config(addr, dwords)
     }
 

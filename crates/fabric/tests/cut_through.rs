@@ -120,7 +120,7 @@ impl Star {
             ProtocolInterface::DeviceManagement,
             MANAGEMENT_TC,
         );
-        let data = vec![0; dwords];
+        let data = std::iter::repeat_n(0, dwords).collect();
         let payload = Payload::Pi4(Pi4::ReadCompletion { req_id, data });
         (port, Packet::new(header, payload))
     }

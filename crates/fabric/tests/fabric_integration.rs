@@ -255,7 +255,7 @@ fn write_to_endpoint_route_table_acks() {
                 capability: asi_proto::CAP_ROUTE_TABLE,
                 offset: 0,
             },
-            data: vec![0xAB, 0xCD],
+            data: [0xAB, 0xCD][..].into(),
         }),
     );
     let mut prober = Prober::default();
@@ -280,7 +280,7 @@ fn write_to_endpoint_route_table_acks() {
             2,
         )
         .unwrap();
-    assert_eq!(words, vec![0xAB, 0xCD]);
+    assert_eq!(words[..], [0xAB, 0xCD]);
 }
 
 #[test]

@@ -1,19 +1,21 @@
 //! The heap budget: how many bytes per device the fabric and the
 //! manager hold at their two peaks, bring-up and the end of the initial
 //! discovery, the second also under background data traffic; how much of
-//! it is the topology database; and what the manager's PI-5
-//! configuration peaks at and leaves behind.
+//! it is the topology database; what the manager's PI-5 configuration
+//! peaks at and leaves behind; and how many allocations a discovery
+//! makes per request.
 //!
 //! A counting global allocator (this test binary's own) tracks the bytes
 //! requested on the test's thread while a measurement runs: the live
-//! total and its high-water mark. Each figure is pinned per device, about
-//! 10% above what the code measures today, so a change that grows a
-//! per-device record or a transient fails here long before the
+//! total, its high-water mark and the number of allocations. Each figure
+//! is pinned per device (or per request), about 10% above what the code
+//! measures today, so a change that grows a per-device record or a
+//! transient, or allocates per request, fails here long before the
 //! benchmark's `peak_rss_mb` notices. The measured figures are printed
 //! with `--nocapture`.
 
-use asi_core::{Algorithm, FmAgent, TOKEN_CONFIGURE_MCAST};
-use asi_fabric::{Fabric, FabricConfig, TrafficPlan};
+use asi_core::{Algorithm, FmAgent, FmConfig, TOKEN_CONFIGURE_MCAST, TOKEN_START_DISCOVERY};
+use asi_fabric::{DevId, Fabric, FabricConfig, TrafficPlan};
 use asi_harness::{Bench, Scenario};
 use asi_sim::SimDuration;
 use asi_topo::Topology;
@@ -26,6 +28,7 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
     static PEAK: Cell<i64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Forwards to the system allocator, counting this thread's bytes while
@@ -34,6 +37,14 @@ struct CountingAlloc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// One allocation (or reallocation) of `bytes` more than before.
+fn allocated(bytes: i64) {
+    if COUNTING.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+    grow(bytes);
+}
 
 fn grow(bytes: i64) {
     if COUNTING.get() {
@@ -48,19 +59,19 @@ fn grow(bytes: i64) {
 // allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
+        allocated(layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
+        allocated(layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System::alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as i64 - layout.size() as i64);
+        allocated(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System::realloc`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -78,18 +89,22 @@ struct Heap {
     peak: i64,
     /// The live total at the end, above the one at the start.
     live: i64,
+    /// Allocations and reallocations made.
+    allocs: u64,
 }
 
 /// Runs `f` with this thread's allocations counted.
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Heap) {
     LIVE.set(0);
     PEAK.set(0);
+    ALLOCS.set(0);
     COUNTING.set(true);
     let out = f();
     COUNTING.set(false);
     let heap = Heap {
         peak: PEAK.get(),
         live: LIVE.get(),
+        allocs: ALLOCS.get(),
     };
     (out, heap)
 }
@@ -212,7 +227,7 @@ fn pi5_configuration_leaves_little_live() {
         "torus:16x16 configure_pi5_routes live",
         heap.live,
         &topo,
-        83,
+        74,
     );
 }
 
@@ -246,5 +261,39 @@ fn pi5_configuration_peak_per_device() {
         heap.peak,
         &topo,
         545,
+    );
+}
+
+/// Allocations per request of a loss-free Parallel discovery of
+/// `dragonfly:4,8`, the fabric built and brought up beforehand, as the
+/// benchmark's `host.alloc_count_run` counts them: what the manager's
+/// tables take as they grow, and nothing per request once they have (a
+/// completion carries its data words inline; a timer ledger reuses its
+/// buffers): 0.083 (484 for 5,856 requests), against 1.076 when every
+/// read completion allocated its words.
+#[test]
+fn discovery_allocations_per_request() {
+    let topo = dragonfly_4_8();
+    let mut fabric = Fabric::new(&topo, FabricConfig::default());
+    fabric.activate_all(SimDuration::ZERO);
+    fabric.run_until_idle();
+    let fm = DevId(asi_topo::default_fm_endpoint(&topo).unwrap().0);
+    let timeout = SimDuration::from_ms(5) * (topo.node_count() as u64).div_ceil(128);
+    let config = FmConfig::new(Algorithm::Parallel).with_request_timeout(timeout);
+    fabric.set_agent(fm, Box::new(FmAgent::new(config)));
+    fabric.schedule_agent_timer(fm, SimDuration::from_us(1), TOKEN_START_DISCOVERY);
+    let ((), heap) = measure(|| fabric.run_until_idle());
+    let run = *fabric.agent_as::<FmAgent>(fm).unwrap().last_run().unwrap();
+    assert_eq!(run.timeouts, 0);
+    let per_request = heap.allocs as f64 / run.requests_sent as f64;
+    let budget = 0.09;
+    println!(
+        "dragonfly:4,8 discovery: {} allocations, {per_request:.4} per request \
+         (budget {budget}; {} requests)",
+        heap.allocs, run.requests_sent
+    );
+    assert!(
+        per_request <= budget,
+        "{per_request:.4} allocations per request over the budget of {budget}"
     );
 }

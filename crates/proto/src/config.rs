@@ -23,7 +23,7 @@
 //! every configured device holds, and one box for the three registers
 //! few devices ever have written.
 
-use crate::pi4::{CapabilityAddr, Pi4Status, MAX_COMPLETION_DWORDS};
+use crate::pi4::{CapabilityAddr, Dwords, Pi4Status, MAX_COMPLETION_DWORDS};
 use crate::turn::{TurnPool, MAX_POOL_BITS, POOL_WORDS};
 use std::ops::Range;
 
@@ -259,7 +259,7 @@ pub fn port_info_read(first_port: u16, port_count: u16) -> Option<(CapabilityAdd
 /// write must leave only once the others are acknowledged: a tail write
 /// that lands after it, or is lost before it, would leave a route that
 /// is neither the old one nor the new one.
-pub fn event_route_writes(egress: u8, pool: &TurnPool) -> Vec<(CapabilityAddr, Vec<u32>)> {
+pub fn event_route_writes(egress: u8, pool: &TurnPool) -> Vec<(CapabilityAddr, Dwords)> {
     let bits = pool.len_bits();
     let pool_words =
         (0..usize::from(bits.div_ceil(32))).map(|i| (pool.words()[i / 2] >> (32 * (i % 2))) as u32);
@@ -270,7 +270,7 @@ pub fn event_route_writes(egress: u8, pool: &TurnPool) -> Vec<(CapabilityAddr, V
         offset: (i * MAX_COMPLETION_DWORDS) as u16,
     };
     let mut writes: Vec<_> = (words.chunks(MAX_COMPLETION_DWORDS).enumerate())
-        .map(|(i, chunk)| (at(i), chunk.to_vec()))
+        .map(|(i, chunk)| (at(i), chunk.into()))
         .collect();
     writes.rotate_left(1);
     writes
@@ -307,7 +307,7 @@ fn span(bound: u16, offset: u16, len: usize) -> Result<Range<usize>, Pi4Status> 
 
 /// `range` of a register that stores only its first `words`: the rest
 /// reads as zero.
-fn zero_filled(words: &[u32], range: Range<usize>) -> Vec<u32> {
+fn zero_filled<C: FromIterator<u32>>(words: &[u32], range: Range<usize>) -> C {
     range.map(|i| words.get(i).copied().unwrap_or(0)).collect()
 }
 
@@ -390,7 +390,7 @@ impl ConfigSpace {
         port: impl Fn(u16) -> PortInfo,
         addr: CapabilityAddr,
         dwords: u8,
-    ) -> Result<Vec<u32>, Pi4Status> {
+    ) -> Result<Dwords, Pi4Status> {
         if dwords == 0 || usize::from(dwords) > MAX_COMPLETION_DWORDS {
             return Err(Pi4Status::UnsupportedRequest);
         }
@@ -480,7 +480,7 @@ impl ConfigSpace {
         } else {
             old.len().max(range.end)
         };
-        let mut words = zero_filled(old, 0..len);
+        let mut words: Vec<u32> = zero_filled(old, 0..len);
         for (i, &w) in range.zip(data).filter(|&(i, _)| i < len) {
             words[i] = w;
         }
@@ -499,7 +499,7 @@ fn read_baseline(
     port: impl Fn(u16) -> PortInfo,
     offset: u16,
     dwords: u8,
-) -> Result<Vec<u32>, Pi4Status> {
+) -> Result<Dwords, Pi4Status> {
     let end = (offset.checked_add(u16::from(dwords)))
         .filter(|&end| end <= port_block_offset(info.port_count))
         .ok_or(Pi4Status::UnsupportedRequest)?;
@@ -556,7 +556,7 @@ mod tests {
             Device { info, ports, cs }
         }
 
-        fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Vec<u32>, Pi4Status> {
+        fn read(&self, addr: CapabilityAddr, dwords: u8) -> Result<Dwords, Pi4Status> {
             let port = |p: u16| self.ports[usize::from(p)];
             self.cs.read(&self.info, port, addr, dwords)
         }
@@ -590,7 +590,7 @@ mod tests {
         cfg.write(group(5), &[0b1010]).unwrap();
         assert_eq!(cfg.mcast_entry(5), 0b1010);
         // Matches what a PI-4 read of the multicast capability sees.
-        assert_eq!(cfg.read(group(5), 1).unwrap(), vec![0b1010]);
+        assert_eq!(cfg.read(group(5), 1).unwrap()[..], vec![0b1010]);
         assert_eq!(
             cfg.write(group(MCAST_GROUPS), &[0xFFFF]),
             Err(Pi4Status::UnsupportedRequest)
@@ -643,7 +643,7 @@ mod tests {
             cs.write(addr, &[(dsn >> 32) as u32, dsn as u32]).unwrap();
             assert_eq!(cs.owner_dsn(), dsn);
             assert_eq!(
-                cs.read(addr, 2).unwrap(),
+                cs.read(addr, 2).unwrap()[..],
                 vec![(dsn >> 32) as u32, dsn as u32]
             );
             // Out-of-range access fails.
@@ -776,7 +776,7 @@ mod tests {
             offset: 8,
         };
         cs.write(addr, &[0xAA, 0xBB, 0xCC]).unwrap();
-        assert_eq!(cs.read(addr, 3).unwrap(), vec![0xAA, 0xBB, 0xCC]);
+        assert_eq!(cs.read(addr, 3).unwrap()[..], vec![0xAA, 0xBB, 0xCC]);
     }
 
     /// The tables start without storage and grow on write; nothing a
@@ -790,8 +790,8 @@ mod tests {
             (CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS),
             (CAP_MCAST_TABLE, MCAST_GROUPS),
         ] {
-            assert_eq!(cs.read(table(cap, 0), 4).unwrap(), vec![0; 4]);
-            assert_eq!(cs.read(table(cap, bound - 2), 2).unwrap(), vec![0; 2]);
+            assert_eq!(cs.read(table(cap, 0), 4).unwrap()[..], vec![0; 4]);
+            assert_eq!(cs.read(table(cap, bound - 2), 2).unwrap()[..], vec![0; 2]);
             assert_eq!(
                 cs.read(table(cap, bound - 1), 2),
                 Err(Pi4Status::UnsupportedRequest)
@@ -800,24 +800,30 @@ mod tests {
                 cs.write(table(cap, bound - 1), &[1, 2]),
                 Err(Pi4Status::UnsupportedRequest)
             );
-            assert_eq!(cs.read(table(cap, bound - 1), 1).unwrap(), vec![0]);
+            assert_eq!(cs.read(table(cap, bound - 1), 1).unwrap()[..], vec![0]);
         }
         // Write at an offset, then read below, across and above it.
         cs.write(table(CAP_ROUTE_TABLE, 40), &[7, 8]).unwrap();
-        assert_eq!(cs.read(table(CAP_ROUTE_TABLE, 0), 3).unwrap(), vec![0; 3]);
         assert_eq!(
-            cs.read(table(CAP_ROUTE_TABLE, 38), 6).unwrap(),
+            cs.read(table(CAP_ROUTE_TABLE, 0), 3).unwrap()[..],
+            vec![0; 3]
+        );
+        assert_eq!(
+            cs.read(table(CAP_ROUTE_TABLE, 38), 6).unwrap()[..],
             vec![0, 0, 7, 8, 0, 0]
         );
         // A lower write afterwards leaves the higher words alone.
         cs.write(table(CAP_ROUTE_TABLE, 2), &[9]).unwrap();
-        assert_eq!(cs.read(table(CAP_ROUTE_TABLE, 40), 2).unwrap(), vec![7, 8]);
+        assert_eq!(
+            cs.read(table(CAP_ROUTE_TABLE, 40), 2).unwrap()[..],
+            vec![7, 8]
+        );
         // The last word of either table is writable.
         cs.write(table(CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS - 1), &[5])
             .unwrap();
         assert_eq!(
             cs.read(table(CAP_ROUTE_TABLE, ROUTE_TABLE_WORDS - 1), 1)
-                .unwrap(),
+                .unwrap()[..],
             vec![5]
         );
         cs.write(table(CAP_MCAST_TABLE, MCAST_GROUPS - 1), &[3])

@@ -43,7 +43,7 @@ pub use config::{
 };
 pub use header::{HeaderError, ProtocolInterface, RouteHeader};
 pub use packet::{Packet, PacketError, Payload, ECRC_BYTES};
-pub use pi4::{CapabilityAddr, Pi4, Pi4Error, Pi4Status, MAX_COMPLETION_DWORDS};
+pub use pi4::{CapabilityAddr, Dwords, Pi4, Pi4Error, Pi4Status, MAX_COMPLETION_DWORDS};
 pub use pi5::{Pi5, Pi5Error, PortEvent};
 pub use pi_fm::{FmMessage, FmMessageError};
 pub use turn::{

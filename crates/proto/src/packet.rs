@@ -329,7 +329,7 @@ mod tests {
             header(),
             Payload::Pi4(Pi4::ReadCompletion {
                 req_id: 1,
-                data: vec![0; 8],
+                data: [0; 8][..].into(),
             }),
         );
         assert_eq!(completion.wire_size(), 54);

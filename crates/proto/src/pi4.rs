@@ -7,8 +7,68 @@
 //! (handled by [`crate::header::RouteHeader::reply`]). Writes (used by the
 //! path-distribution extension) mirror the same shapes.
 
+use std::ops::Deref;
+
 /// Largest number of 32-bit blocks one completion may carry (per the spec).
 pub const MAX_COMPLETION_DWORDS: usize = 8;
+
+/// The data blocks of a read completion or a write request, at most
+/// [`MAX_COMPLETION_DWORDS`] of them, held inline so that a PDU owns no
+/// heap buffer. It reads as the `[u32]` of its blocks, and is built by
+/// collecting them (more than eight panics).
+#[derive(Clone, Default)]
+pub struct Dwords {
+    len: u8,
+    words: [u32; MAX_COMPLETION_DWORDS],
+}
+
+impl Deref for Dwords {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.words[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<u32> for Dwords {
+    fn from_iter<I: IntoIterator<Item = u32>>(words: I) -> Dwords {
+        let mut out = Dwords::default();
+        for word in words {
+            out.words[usize::from(out.len)] = word;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+impl IntoIterator for Dwords {
+    type Item = u32;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u32, MAX_COMPLETION_DWORDS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.words.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl From<&[u32]> for Dwords {
+    fn from(words: &[u32]) -> Dwords {
+        words.iter().copied().collect()
+    }
+}
+
+impl PartialEq for Dwords {
+    fn eq(&self, other: &Dwords) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Dwords {}
+
+impl core::fmt::Debug for Dwords {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Identifies a region of a device's configuration space.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -58,7 +118,7 @@ pub enum Pi4 {
         /// Echo of the request identifier.
         req_id: u32,
         /// The data blocks (1..=8).
-        data: Vec<u32>,
+        data: Dwords,
     },
     /// Failed read completion.
     ReadError {
@@ -74,7 +134,7 @@ pub enum Pi4 {
         /// Target region.
         addr: CapabilityAddr,
         /// Blocks to write (1..=8).
-        data: Vec<u32>,
+        data: Dwords,
     },
     /// Write acknowledgement.
     WriteCompletion {
@@ -160,7 +220,7 @@ impl Pi4 {
                 out.push(OP_READ_DATA);
                 out.extend_from_slice(&req_id.to_be_bytes());
                 out.push(data.len() as u8);
-                for d in data {
+                for d in data.iter() {
                     out.extend_from_slice(&d.to_be_bytes());
                 }
             }
@@ -180,7 +240,7 @@ impl Pi4 {
                 out.extend_from_slice(&addr.capability.to_be_bytes());
                 out.extend_from_slice(&addr.offset.to_be_bytes());
                 out.push(data.len() as u8);
-                for d in data {
+                for d in data.iter() {
                     out.extend_from_slice(&d.to_be_bytes());
                 }
             }
@@ -225,10 +285,9 @@ impl Pi4 {
                 if !(1..=MAX_COMPLETION_DWORDS as u8).contains(&n) {
                     return Err(Pi4Error::BadLength(n));
                 }
-                let mut data = Vec::with_capacity(n as usize);
-                for i in 0..n as usize {
-                    data.push(be32(6 + 4 * i)?);
-                }
+                let data = (0..n as usize)
+                    .map(|i| be32(6 + 4 * i))
+                    .collect::<Result<_, _>>()?;
                 Ok((Pi4::ReadCompletion { req_id, data }, 6 + 4 * n as usize))
             }
             OP_READ_ERR => {
@@ -248,10 +307,9 @@ impl Pi4 {
                 if !(1..=MAX_COMPLETION_DWORDS as u8).contains(&n) {
                     return Err(Pi4Error::BadLength(n));
                 }
-                let mut data = Vec::with_capacity(n as usize);
-                for i in 0..n as usize {
-                    data.push(be32(10 + 4 * i)?);
-                }
+                let data = (0..n as usize)
+                    .map(|i| be32(10 + 4 * i))
+                    .collect::<Result<_, _>>()?;
                 Ok((
                     Pi4::WriteRequest {
                         req_id,
@@ -321,7 +379,7 @@ mod tests {
         round_trip(Pi4::WriteRequest {
             req_id: 9,
             addr: CapabilityAddr::baseline(100),
-            data: vec![1, 2, 3],
+            data: [1, 2, 3][..].into(),
         });
         round_trip(Pi4::WriteCompletion { req_id: 9 });
     }
@@ -353,7 +411,7 @@ mod tests {
     fn rejects_truncation_at_every_cut() {
         let pdu = Pi4::ReadCompletion {
             req_id: 3,
-            data: vec![10, 20, 30],
+            data: [10, 20, 30][..].into(),
         };
         let mut buf = Vec::new();
         pdu.encode(&mut buf);
@@ -372,7 +430,7 @@ mod tests {
             },
             Pi4::ReadCompletion {
                 req_id: 2,
-                data: vec![0],
+                data: [0][..].into(),
             },
             Pi4::ReadError {
                 req_id: 3,
@@ -381,7 +439,7 @@ mod tests {
             Pi4::WriteRequest {
                 req_id: 4,
                 addr: CapabilityAddr::baseline(0),
-                data: vec![0],
+                data: [0][..].into(),
             },
             Pi4::WriteCompletion { req_id: 5 },
         ];
@@ -398,11 +456,11 @@ mod tests {
     fn completion_is_larger_with_more_data() {
         let small = Pi4::ReadCompletion {
             req_id: 1,
-            data: vec![0],
+            data: [0][..].into(),
         };
         let big = Pi4::ReadCompletion {
             req_id: 1,
-            data: vec![0; 8],
+            data: [0; 8][..].into(),
         };
         assert_eq!(big.wire_size() - small.wire_size(), 28);
     }

@@ -209,7 +209,7 @@ fn survives<T: PartialEq + Debug, E>(
 fn pi4_of(kind: u8, a: u64, b: u64) -> Pi4 {
     let (req_id, status) = (a as u32, Pi4Status::ConfigurationRetry);
     let addr = CapabilityAddr::baseline(b as u16);
-    let data: Vec<u32> = (0..1 + b % 8).map(|i| (a >> i) as u32).collect();
+    let data: asi_proto::Dwords = (0..1 + b % 8).map(|i| (a >> i) as u32).collect();
     let dwords = data.len() as u8;
     match kind % 5 {
         0 => Pi4::ReadRequest {
