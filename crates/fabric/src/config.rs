@@ -61,10 +61,9 @@ pub struct FabricConfig {
     /// duplication draws). Each device derives its own stream from this
     /// seed, so random draws are independent of global event order.
     pub seed: u64,
-    /// Scheduling kernel for the event engine: the serial timing-wheel
-    /// kernel, or the conservative-synchronization parallel kernel with a
-    /// given shard count. Output is byte-identical across all choices;
-    /// see `docs/PARALLEL.md`.
+    /// Scheduling kernel for the event engine: serial unless the caller
+    /// sets it ([`KernelSpec`] says who does). Output is byte-identical
+    /// across kernels and shard counts.
     pub kernel: KernelSpec,
 }
 

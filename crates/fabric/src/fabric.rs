@@ -372,7 +372,7 @@ impl Fabric {
         // The conservative lookahead is the link propagation delay: no
         // device can affect another sooner than one wire flight, so the
         // parallel kernel may dispatch a full propagation window per shard
-        // between barriers (docs/PARALLEL.md).
+        // between barriers (`asi_sim::kernel`).
         if matches!(config.kernel, KernelSpec::Parallel { .. }) {
             assert!(
                 config.propagation > SimDuration::ZERO,

@@ -618,11 +618,14 @@ impl Fabric {
         let Some((port, packet)) = d.responder.stage.finish(&mut self.fifos, now) else {
             return;
         };
-        // The request is consumed by servicing; the reply is a fresh body.
-        let request = self.packets.take(packet);
-        if let Some(reply) = service_pi4(d, &request) {
-            self.counters.injected += 1;
-            self.inject(dev, port, now, reply);
+        // The request is consumed by servicing: its reply takes its slot.
+        match service_pi4(d, self.packets.packet(packet)) {
+            Some(reply) => {
+                self.packets.overwrite(packet, reply);
+                self.counters.injected += 1;
+                self.enqueue_out(dev, port, OutEntry::born(now, packet));
+            }
+            None => self.packets.free(packet),
         }
         self.responder_start(dev);
     }

@@ -158,6 +158,14 @@ impl Packets {
         }
     }
 
+    /// Writes `with` over a whole packet, which keeps its handle.
+    pub(super) fn overwrite(&mut self, packet: PacketRef, with: Packet) {
+        match packet.slab() {
+            Slab::Whole(at) => *self.whole.get_mut(at) = with,
+            Slab::Flow(_) => panic!("a flow body is consumed at its delivery"),
+        }
+    }
+
     /// Moves a flow body out, freeing its slot.
     pub(super) fn take_flow(&mut self, packet: PacketRef) -> FlowBody {
         match packet.slab() {

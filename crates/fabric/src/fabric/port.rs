@@ -86,7 +86,7 @@
 //! | [`Device::credits`] — the only way to `peer_credits`, for `pump`, the guard above, `transmit` and the reset in `on_port_trained` alike — first takes in the entries with `key < current_key()` | a hop would see credits that had not yet come back (or miss ones that had): a commit where there was a queued packet, a stall where there was a transmission |
 //! | a port whose head stalls (`Action::Stall`) takes its credits as events from then on: its ledger entries are scheduled under the keys they hold, later returns are scheduled as ever | a stalled head must be woken at each return, and `credit_stalls` counts every wake that still falls short |
 //! | it goes back to the ledger only when a return finds both classes' credits all home | nothing is then outstanding in either form, so there is no mixed order to argue about |
-//! | an entry is dated `now + propagation` or later (a return dated at the very instant it is made — a zero-length wire — stays an event) | that is the bound the parallel kernel's outbox relies on: no dispatch inside the open lookahead window can have a key above the entry's, so none can read it, and the append to another rank's ledger needs no rule of its own (docs/PARALLEL.md) |
+//! | an entry is dated `now + propagation` or later (a return dated at the very instant it is made — a zero-length wire — stays an event) | that is the bound the parallel kernel's outbox relies on: no dispatch inside the open lookahead window can have a key above the entry's, so none can read it, and the append to another rank's ledger needs no rule of its own (`asi_sim::kernel`) |
 //!
 //! A retrain resets the credits through the same accessor, so a return
 //! still in flight lands on top of the fresh set, as its event did. What

@@ -84,9 +84,9 @@ pub struct Scenario {
     /// warm-start verification before the FM abandons the scoped repair
     /// and falls back to a full cold discovery.
     pub warm_fallback_threshold: f64,
-    /// Simulation scheduling kernel (serial timing wheel or the
-    /// conservative-sync parallel kernel). Results are byte-identical
-    /// across kernels; see `docs/PARALLEL.md`.
+    /// Simulation scheduling kernel: serial unless the caller sets it
+    /// ([`KernelSpec`] says who does). Results are byte-identical across
+    /// kernels.
     pub kernel: KernelSpec,
 }
 

@@ -1,54 +1,44 @@
-//! Property tests for the cross-kernel determinism guarantee
-//! (`docs/PARALLEL.md`): the conservative-sync parallel kernel must
-//! reproduce the serial kernel's run **byte for byte** — same discovery
-//! aggregates, same fabric counters, same trace events — at any shard
-//! count, for any seed and algorithm, including faulted and churned
-//! plans.
+//! The cross-kernel determinism guarantee (`asi_sim::kernel`): the
+//! conservative-sync parallel kernel must reproduce the serial kernel's
+//! run **byte for byte** — same discovery aggregates, same fabric
+//! counters, same trace events — at any shard count. The properties
+//! cover any seed and algorithm on the 3x3 mesh, faulted and churned
+//! plans included; fixed rows cover what a larger or different fabric
+//! exercises: an 8x8 mesh, a dragonfly, an elected three-manager
+//! ensemble and a whole sweep grid.
 //!
 //! Trace comparison is canonical: within one instant the parallel
 //! kernel dispatches shard-by-shard while the serial kernel interleaves
 //! devices in key order, so emission order *within a timestamp* may
-//! differ while the per-instant event multiset must not. Lines are
-//! compared sorted by `(t_ps, line)`.
+//! differ while the per-instant event multiset must not. Every record
+//! carries its `t_ps`, so traces are compared as sorted lines.
 
 use asi_harness::prelude::*;
-use asi_harness::{trace_to_jsonl, RingCollector};
+use asi_harness::{sharded_discovery, sweep, trace_to_jsonl, RingCollector};
 use asi_sim::{KernelSpec, SimDuration, TraceHandle};
-use asi_topo::mesh;
+use asi_topo::{dragonfly, mesh, Topology};
 use proptest::prelude::*;
 
-/// Extracts the `t_ps` timestamp from one trace JSONL line.
-fn t_ps_of(line: &str) -> u64 {
-    let rest = &line[line.find("\"t_ps\":").expect("record has t_ps") + 7..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().expect("t_ps is an integer")
-}
-
-/// Sorts a JSONL trace into the canonical cross-kernel order:
-/// by timestamp, then by the rendered record.
+/// A JSONL trace in canonical cross-kernel order: its lines, sorted.
 fn canonicalize(jsonl: &str) -> String {
-    let mut lines: Vec<(u64, &str)> = jsonl
-        .lines()
-        .filter(|l| !l.is_empty())
-        .map(|l| (t_ps_of(l), l))
-        .collect();
-    lines.sort();
-    lines
-        .into_iter()
-        .map(|(_, l)| l)
-        .collect::<Vec<_>>()
-        .join("\n")
+    let mut lines: Vec<&str> = jsonl.lines().collect();
+    lines.sort_unstable();
+    lines.join("\n")
 }
 
-/// Runs initial discovery on the 3x3 mesh under `kernel` and returns
-/// everything observable: the canonicalized trace plus the run's
-/// aggregate metrics and the full fabric counters. Also asserts the
-/// conservation laws of a drained run: no packet payload may still be
-/// live, and — when no link or device went down under a packet — every
-/// flow-control credit is back with its transmitter.
+fn mesh_3x3() -> Topology {
+    mesh(3, 3).unwrap().topology
+}
+
+/// Runs initial discovery on `topo` under `kernel` and returns
+/// everything observable: the canonicalized trace plus the whole
+/// discovery run, the full fabric counters and the events of the
+/// drained run by kind. Also asserts the conservation laws of a drained
+/// run: no packet payload may still be live, and — when no link or
+/// device went down under a packet — every flow-control credit is back
+/// with its transmitter.
 fn kernel_run(
+    topo: &Topology,
     seed: u64,
     algorithm: Algorithm,
     faults: FaultPlan,
@@ -63,43 +53,48 @@ fn kernel_run(
         .with_churn(churn)
         .with_kernel(kernel)
         .with_trace(TraceHandle::to(sink.clone()));
-    let mut bench = Bench::start(&mesh(3, 3).unwrap().topology, &scenario, &[]);
+    let mut bench = Bench::start(topo, &scenario, &[]);
     let run = bench.last_run();
     let counters = *bench.fabric.counters();
     bench.fabric.run_until_idle();
     assert_eq!(
         bench.fabric.packet_arena_live(),
         0,
-        "packet arena leaked under {kernel}"
+        "packet arena leaked under {kernel:?}"
     );
     assert_eq!(
         bench.fabric.queued_packets(),
         0,
-        "packets left queued under {kernel}"
+        "packets left queued under {kernel:?}"
     );
     if nothing_goes_down {
         assert_eq!(
             bench.fabric.credits_outstanding(),
             0,
-            "credits leaked under {kernel}"
+            "credits leaked under {kernel:?}"
         );
     }
     let trace = canonicalize(&trace_to_jsonl(sink.borrow().records()));
     let summary = format!(
-        "{} devices={} links={} requests={} responses={} timeouts={} \
-         retries={} abandoned={} time={} counters={:?}",
-        algorithm.name(),
-        run.devices_found,
-        run.links_found,
-        run.requests_sent,
-        run.responses_received,
-        run.timeouts,
-        run.retries,
-        run.abandoned,
-        run.discovery_time(),
-        counters,
+        "{run:?} counters={counters:?} events={:?}",
+        bench.fabric.dispatch_counts().collect::<Vec<_>>(),
     );
     (trace, summary)
+}
+
+/// A clean Parallel-algorithm discovery of `topo`, serial against
+/// `shards` shards.
+fn assert_clean_run_matches(topo: &Topology, shards: u32) {
+    let run = |kernel| {
+        let (faults, churn) = (FaultPlan::none(), ChurnPlan::none());
+        kernel_run(topo, 7, Algorithm::Parallel, faults, churn, kernel)
+    };
+    assert_eq!(
+        run(KernelSpec::Serial),
+        run(KernelSpec::Parallel { shards }),
+        "{} under {shards} shards",
+        topo.name
+    );
 }
 
 /// A fault plan that consumes per-device RNG draws and drops, corrupts
@@ -119,7 +114,7 @@ fn churny_plan(seed: u64) -> ChurnPlan {
         .with_device_churn(300.0, SimDuration::from_ms(1))
         .with_window(SimDuration::from_ms(6), SimDuration::from_ms(4))
         .with_seed(seed)
-        .with_exempt(default_churn_exempt(&mesh(3, 3).unwrap().topology))
+        .with_exempt(default_churn_exempt(&mesh_3x3()))
 }
 
 proptest! {
@@ -134,10 +129,12 @@ proptest! {
     ) {
         let algorithm = Algorithm::all()[alg_idx];
         let serial = kernel_run(
+            &mesh_3x3(),
             seed, algorithm, FaultPlan::none(), ChurnPlan::none(), KernelSpec::Serial,
         );
         for shards in [1u32, 2, 4] {
             let par = kernel_run(
+                &mesh_3x3(),
                 seed,
                 algorithm,
                 FaultPlan::none(),
@@ -157,10 +154,12 @@ proptest! {
     ) {
         let algorithm = Algorithm::all()[alg_idx];
         let serial = kernel_run(
+            &mesh_3x3(),
             seed, algorithm, lossy_plan(), ChurnPlan::none(), KernelSpec::Serial,
         );
         for shards in [2u32, 4] {
             let par = kernel_run(
+                &mesh_3x3(),
                 seed,
                 algorithm,
                 lossy_plan(),
@@ -184,10 +183,12 @@ proptest! {
     ) {
         let algorithm = Algorithm::all()[alg_idx];
         let serial = kernel_run(
+            &mesh_3x3(),
             seed, algorithm, FaultPlan::none(), churny_plan(seed), KernelSpec::Serial,
         );
         for shards in [2u32, 4] {
             let par = kernel_run(
+                &mesh_3x3(),
                 seed,
                 algorithm,
                 FaultPlan::none(),
@@ -203,19 +204,57 @@ proptest! {
 /// still reproduce the serial run.
 #[test]
 fn oversubscribed_shard_count_clamps_and_matches() {
-    let serial = kernel_run(
-        7,
-        Algorithm::Parallel,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-        KernelSpec::Serial,
+    assert_clean_run_matches(&mesh_3x3(), 64);
+}
+
+/// An 8x8 mesh: 128 devices over four shards.
+#[test]
+fn parallel_matches_serial_on_an_8x8_mesh() {
+    assert_clean_run_matches(&mesh(8, 8).unwrap().topology, 4);
+}
+
+/// A swapped dragonfly, whose global links join groups in different
+/// shards.
+#[test]
+fn parallel_matches_serial_on_a_dragonfly() {
+    assert_clean_run_matches(&dragonfly(2, 3).unwrap().topology, 4);
+}
+
+/// Election, claim-partitioned exploration and merge order their events
+/// the same under both kernels: three managers on a 16x16 mesh.
+#[test]
+fn sharded_discovery_matches_serial() {
+    let topo = mesh(16, 16).unwrap().topology;
+    let run = |kernel| {
+        let sink = RingCollector::shared(1 << 20);
+        let scenario = Scenario::new(Algorithm::Parallel)
+            .with_kernel(kernel)
+            .with_trace(TraceHandle::to(sink.clone()));
+        let (fabric, holder, outcome) = sharded_discovery(&topo, 3, &scenario);
+        let summary = format!(
+            "holder={holder:?} {outcome:?} counters={:?} events={:?}",
+            fabric.counters(),
+            fabric.dispatch_counts().collect::<Vec<_>>(),
+        );
+        let trace = canonicalize(&trace_to_jsonl(sink.borrow().records()));
+        (trace, summary)
+    };
+    assert_eq!(
+        run(KernelSpec::Serial),
+        run(KernelSpec::Parallel { shards: 2 })
     );
-    let par = kernel_run(
-        7,
-        Algorithm::Parallel,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-        KernelSpec::Parallel { shards: 64 },
+}
+
+/// A whole sweep grid's JSON, every cell through the parallel kernel.
+#[test]
+fn smoke_sweep_grid_matches_serial() {
+    let grid = |kernel| {
+        let mut spec = SweepSpec::smoke();
+        spec.base = spec.base.with_kernel(kernel);
+        sweep::run(&spec, 1).to_json().to_string_pretty()
+    };
+    assert_eq!(
+        grid(KernelSpec::Serial),
+        grid(KernelSpec::Parallel { shards: 4 })
     );
-    assert_eq!(serial, par);
 }

@@ -33,9 +33,9 @@ fn traced_run(
     let mut bench = Bench::start(&mesh(3, 3).unwrap().topology, &scenario, &[]);
     bench.fabric.run_until_idle();
     // Drained and fault-free: every packet consumed, every credit home.
-    assert_eq!(bench.fabric.packet_arena_live(), 0, "under {kernel}");
-    assert_eq!(bench.fabric.queued_packets(), 0, "under {kernel}");
-    assert_eq!(bench.fabric.credits_outstanding(), 0, "under {kernel}");
+    assert_eq!(bench.fabric.packet_arena_live(), 0, "under {kernel:?}");
+    assert_eq!(bench.fabric.queued_packets(), 0, "under {kernel:?}");
+    assert_eq!(bench.fabric.credits_outstanding(), 0, "under {kernel:?}");
     let run = bench.last_run();
     let counters = *bench.fabric.counters();
     let summary = summarize_traffic(&bench.fabric, &scenario.traffic);

@@ -13,7 +13,8 @@
 //!   rank, each shard drains an agreed lookahead window in key order, and
 //!   cross-shard events travel in timestamped outbox batches exchanged at
 //!   the window barrier. Its observable output is equivalent to
-//!   [`SerialKernel`] for any shard count (see `docs/PARALLEL.md`).
+//!   [`SerialKernel`] for any shard count (the argument is below).
+//!   `docs/PARALLEL.md` records why it stays and why it is to go.
 //!
 //! # The deterministic event key
 //!
@@ -32,6 +33,26 @@
 //! the event. The fabric's credit ledger uses that to hand credits back
 //! without a dispatch, comparing the kept key with
 //! [`Kernel::current_key`] to decide whether the event "has fired".
+//!
+//! # Why the parallel kernel's output equals the serial kernel's
+//!
+//! By induction on windows: with the same events dispatched so far, every
+//! pending event carries the same key under both kernels (above), and
+//! both drain keys in ascending order. Only the order within one instant
+//! differs, shard by shard against key order, and the model cannot see
+//! it: same-time events on different devices touch disjoint state, and an
+//! event that may touch several devices' state is a [`Target::Control`]
+//! one, run at a barrier in key order. So only a trace needs
+//! canonicalizing (its records sorted).
+//!
+//! A [`Target::Rank`] dispatch schedules onto other ranks, or posts a
+//! keyed credit to another rank's ledger (the `fabric/port.rs` header),
+//! no earlier than the lookahead, the link propagation delay: so a
+//! cross-shard event fires at or past the open window's bound, and can
+//! wait in an outbox until the barrier. Fault draws come from per-device
+//! RNG streams, and `queue-sample` records are cut once per period of
+//! simulated time ([`crate::Simulator::set_kernel_sampling`]), so
+//! neither depends on the interleaving.
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceHandle};
@@ -70,7 +91,9 @@ pub enum Target {
 }
 
 /// Which kernel a simulation should run on. Carried by configs
-/// (`FabricConfig`, `Scenario`) and parsed from `--kernel` CLI flags.
+/// (`FabricConfig`, `Scenario`). No command-line flag sets it: only the
+/// benchmark's `mesh64_par2` workload and the cross-kernel identity
+/// tests run anything but [`KernelSpec::Serial`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelSpec {
     /// Timing-wheel serial kernel.
@@ -81,41 +104,6 @@ pub enum KernelSpec {
         /// Number of shards devices are partitioned into (≥ 1).
         shards: u32,
     },
-}
-
-impl std::fmt::Display for KernelSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelSpec::Serial => write!(f, "serial"),
-            KernelSpec::Parallel { shards } => write!(f, "parallel:{shards}"),
-        }
-    }
-}
-
-impl std::str::FromStr for KernelSpec {
-    type Err = String;
-
-    /// Accepts `serial`, `parallel` (4 shards) or `parallel:N` with N ≥ 1.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "serial" {
-            return Ok(KernelSpec::Serial);
-        }
-        if s == "parallel" {
-            return Ok(KernelSpec::Parallel { shards: 4 });
-        }
-        if let Some(n) = s.strip_prefix("parallel:") {
-            let shards: u32 = n
-                .parse()
-                .map_err(|_| format!("invalid shard count '{n}' in kernel spec '{s}'"))?;
-            if shards == 0 {
-                return Err(format!("kernel spec '{s}': shard count must be >= 1"));
-            }
-            return Ok(KernelSpec::Parallel { shards });
-        }
-        Err(format!(
-            "unknown kernel '{s}' (expected serial | parallel[:N])"
-        ))
-    }
 }
 
 /// The pluggable scheduling core. [`crate::Simulator`] is generic over this.
@@ -463,7 +451,7 @@ struct Window {
 /// Pops are **not** monotone in time across shards within a window; the
 /// engine's clock follows each popped event. Observable results (per-device
 /// state, counters, canonicalized traces) are equivalent to the serial
-/// kernel for any shard count — see `docs/PARALLEL.md` for the argument.
+/// kernel for any shard count — the module header has the argument.
 pub struct ParallelKernel<E> {
     shards: Vec<TimingWheel<Payload<E>>>,
     control: TimingWheel<Payload<E>>,
@@ -510,11 +498,6 @@ impl<E> ParallelKernel<E> {
             len: 0,
             stats: ParallelStats::default(),
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> u32 {
-        self.shards.len() as u32
     }
 
     /// Window/batch statistics accumulated so far.
@@ -859,24 +842,9 @@ impl<E> Kernel<E> for AnyKernel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::str::FromStr;
 
     #[test]
     fn kernel_spec_parses_and_displays() {
-        assert_eq!(KernelSpec::from_str("serial"), Ok(KernelSpec::Serial));
-        assert_eq!(
-            KernelSpec::from_str("parallel"),
-            Ok(KernelSpec::Parallel { shards: 4 })
-        );
-        assert_eq!(
-            KernelSpec::from_str("parallel:2"),
-            Ok(KernelSpec::Parallel { shards: 2 })
-        );
-        assert!(KernelSpec::from_str("parallel:0").is_err());
-        assert!(KernelSpec::from_str("parallel:x").is_err());
-        assert!(KernelSpec::from_str("threads").is_err());
-        assert_eq!(KernelSpec::Serial.to_string(), "serial");
-        assert_eq!(KernelSpec::Parallel { shards: 8 }.to_string(), "parallel:8");
         assert_eq!(KernelSpec::default(), KernelSpec::Serial);
     }
 

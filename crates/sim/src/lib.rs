@@ -8,7 +8,7 @@
 //! - [`Simulator`] — clock + pending-event store, generic over a pluggable
 //!   scheduling [`Kernel`]: the default timing-wheel [`SerialKernel`] or
 //!   the conservative-synchronization [`ParallelKernel`] (sharded lookahead
-//!   windows with batch exchange at barriers — see `docs/PARALLEL.md`);
+//!   windows with batch exchange at barriers — see [`kernel`]);
 //! - [`wheel`]/[`arena`] — the storage layer: a bucketed calendar queue
 //!   keyed by the deterministic [`EventKey`], and a slab arena with `u32`
 //!   handles that replaces per-event payload boxes;

@@ -188,8 +188,6 @@ flags! {
     FmFactor "--fm-factor" Value RUNS | SWEEP, "<f>" "FM processing speed factor (default 1)";
     DeviceFactor "--device-factor" Value RUNS | SWEEP, "<f>" "device speed factor (default 1)";
     Seed "--seed" Value RUNS, "<n>" "RNG seed (default 0xA51)";
-    Kernel "--kernel" Value DISCOVER | CHURN | TRAFFIC | SWEEP | STRESS, "<kernel>"
-        "serial (default) or parallel[:N], N shards, 4 if omitted (docs/PARALLEL.md)";
     Trace "--trace" Value RUNS, "<path>" "write a JSONL trace (docs/TRACE_FORMAT.md)";
     Json "--json" Switch EVERY, "" "emit JSON instead of text";
     Loss "--loss" Value FAULTY, "<p>" "mean per-hop loss in [0, 1) (default 0; docs/FAULTS.md)";
@@ -685,9 +683,6 @@ impl Invocation {
         scenario.fm_factor = factor(F::FmFactor, scenario.fm_factor);
         scenario.device_factor = factor(F::DeviceFactor, scenario.device_factor);
         scenario.trace = trace.handle.clone();
-        if let Some(kernel) = args.get(F::Kernel) {
-            scenario.kernel = kernel.parse().unwrap_or_else(|e: String| fail(e));
-        }
         // Fault flags replace a grid's own plan only when they compose a
         // live one (the `faults` grid carries defaults; any other grid
         // stays loss-free unless asked).
@@ -1320,9 +1315,9 @@ fn churn_main(inv: &Invocation) -> Report {
 /// workload ([`TrafficPlan`]). Runs a quiet twin first so the report
 /// carries the paper's headline — how much the offered load moved the
 /// discovery time — next to the delivery metrics. Every field is
-/// simulation-derived, so the output is byte-identical across
-/// `--kernel` values. Exits 1 when the loaded discovery's database
-/// differs from the live fabric.
+/// simulation-derived, so the same invocation prints the same bytes.
+/// Exits 1 when the loaded discovery's database differs from the live
+/// fabric.
 fn traffic_main(inv: &Invocation) -> Report {
     let (topo, args) = (inv.topo(), &inv.args);
     let load = args.unit(F::Load, 0.2, "a number");

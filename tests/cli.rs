@@ -136,6 +136,8 @@ fn bad_arguments_exit_nonzero_with_usage() {
     let (_, stderr, ok) = run(&["--topology", "klein-bottle:4"]);
     assert!(!ok);
     assert!(stderr.contains("usage:"));
+    // One kernel: the usage text offers no choice of it.
+    assert!(!stderr.contains("kernel"), "{stderr}");
 }
 
 /// Asserts `args` dies with exit code 2 and a friendly one-line error
@@ -1210,115 +1212,6 @@ fn churn_sweep_grid_is_jobs_invariant_and_reports_absorption() {
 }
 
 #[test]
-fn kernel_flag_rejects_malformed_specs() {
-    // One negative per malformed form, across every mode that takes the
-    // flag, on the same error/usage/exit-2 framework as the other flags.
-    assert_usage_error(
-        &["--topology", "mesh:3x3", "--kernel", "bogus"],
-        "error: unknown kernel",
-    );
-    assert_usage_error(
-        &["stress", "--topology", "mesh:8x8", "--kernel", "threads"],
-        "unknown kernel",
-    );
-    assert_usage_error(
-        &["sweep", "--grid", "smoke", "--kernel", "parallel:0"],
-        "shard count must be >= 1",
-    );
-    assert_usage_error(
-        &[
-            "--topology",
-            "mesh:3x3",
-            "--loss",
-            "0.1",
-            "--kernel",
-            "parallel:x",
-        ],
-        "invalid shard count",
-    );
-    assert_usage_error(
-        &[
-            "churn",
-            "--topology",
-            "mesh:3x3",
-            "--flap-rate",
-            "100",
-            "--kernel",
-            "parallel:",
-        ],
-        "invalid shard count",
-    );
-}
-
-#[test]
-fn kernel_flag_preserves_byte_identity() {
-    // The determinism contract, end to end through the CLI: the same
-    // stress run under the serial and parallel kernels differs only in
-    // the wall-clock fields, and a whole sweep grid not at all.
-    let (out_s, _, ok_s) = run(&[
-        "stress",
-        "--topology",
-        "mesh:8x8",
-        "--algorithm",
-        "parallel",
-        "--kernel",
-        "serial",
-        "--json",
-    ]);
-    let (out_p, _, ok_p) = run(&[
-        "stress",
-        "--topology",
-        "mesh:8x8",
-        "--algorithm",
-        "parallel",
-        "--kernel",
-        "parallel:4",
-        "--json",
-    ]);
-    assert!(ok_s && ok_p);
-    let strip = |text: &str| {
-        let mut v = parse(text).expect("valid JSON");
-        for field in ["wall_time_s", "events_per_sec", "peak_rss_mb"] {
-            assert!(v.get(field).as_f64().is_some() || v.get(field).as_u64().is_some());
-            v = v.with(field, 0u64);
-        }
-        v.to_string_pretty()
-    };
-    assert_eq!(
-        strip(&out_s),
-        strip(&out_p),
-        "stress must be byte-identical across kernels outside wall-clock fields"
-    );
-
-    let (grid_s, _, gok_s) = run(&["sweep", "--grid", "smoke", "--kernel", "serial", "--json"]);
-    let (grid_p, _, gok_p) = run(&[
-        "sweep",
-        "--grid",
-        "smoke",
-        "--kernel",
-        "parallel:4",
-        "--json",
-    ]);
-    assert!(gok_s && gok_p);
-    assert_eq!(
-        grid_s, grid_p,
-        "sweep grids must be byte-identical across kernels"
-    );
-
-    // The default mode reports no wall-clock field at all.
-    let default_mode = |kernel| {
-        let (out, _, ok) = run(&["--topology", "mesh:3x3", "--kernel", kernel, "--json"]);
-        assert!(ok, "--kernel {kernel}");
-        out
-    };
-    assert_eq!(
-        default_mode("serial"),
-        default_mode("parallel:2"),
-        "the default mode must be byte-identical across kernels"
-    );
-}
-
-#[test]
 fn traffic_mode_reports_delivery_and_stays_deterministic() {
     let args = [
         "traffic",
@@ -1347,34 +1240,6 @@ fn traffic_mode_reports_delivery_and_stays_deterministic() {
     let (again, _, ok2) = run(&args);
     assert!(ok2);
     assert_eq!(stdout, again, "traffic runs must be reproducible");
-}
-
-#[test]
-fn traffic_mode_is_byte_identical_across_kernels() {
-    // Satellite 2: a loaded run under the serial and parallel kernels
-    // must agree on every output byte — there are no wall-clock fields
-    // in the traffic report.
-    let with_kernel = |kernel: &str| {
-        run(&[
-            "traffic",
-            "--topology",
-            "mesh:3x3",
-            "--load",
-            "0.6",
-            "--flows",
-            "2",
-            "--kernel",
-            kernel,
-            "--json",
-        ])
-    };
-    let (serial, stderr_s, ok_s) = with_kernel("serial");
-    let (parallel, stderr_p, ok_p) = with_kernel("parallel:3");
-    assert!(ok_s && ok_p, "{stderr_s}{stderr_p}");
-    assert_eq!(
-        serial, parallel,
-        "loaded traffic runs must be byte-identical across kernels"
-    );
 }
 
 /// Minimal routing over one data VC closes a credit cycle on a
@@ -1429,7 +1294,10 @@ fn traffic_mode_rejects_malformed_invocations() {
                 "--duration-us must be an integer",
             ),
             (&["--algorithm", "all"], "traffic mode wants one algorithm"),
-            (&["--kernel", "threads"], "unknown kernel"),
+            (
+                &["--kernel", "serial"],
+                "error: unknown option \"--kernel\"",
+            ),
         ],
     );
 }
@@ -1536,7 +1404,7 @@ const MODES: &[(&[&str], &str, &[&str], &str)] = &[
     (
         &["snapshot", "save", "--topology", "mesh:3x3", "--out", "x"],
         "the `snapshot save` mode",
-        &["--kernel", "serial"],
+        &["--load", "0.4"],
         "--seed",
     ),
     (
@@ -1566,6 +1434,10 @@ fn every_mode_rejects_flags_it_does_not_consume() {
             mode,
             &[
                 (&["--bogus"], "error: unknown option \"--bogus\""),
+                (
+                    &["--kernel", "serial"],
+                    "error: unknown option \"--kernel\"",
+                ),
                 (
                     foreign,
                     &format!("error: {} is not an option of {label}", foreign[0]),
